@@ -89,10 +89,3 @@ def moment_bound(k: int, sigma_bar: Fraction, t: Fraction) -> Fraction:
     if k < 0:
         raise ValueError("need k >= 0")
     return double_factorial(2 * k - 1) * sigma_bar ** (2 * k) * t**k
-
-
-def report_json(reports: list[BoundReport]) -> dict:
-    return {
-        "all_hold": all(r.holds for r in reports),
-        "reports": [r.to_json() for r in reports],
-    }

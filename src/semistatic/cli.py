@@ -51,7 +51,10 @@ def _resolve_payoff(arg: str, scenario: Scenario):
     if arg in scenario.payoffs:
         return scenario.payoffs[arg]
     if "," in arg:
-        values = [rat(p.strip()) for p in arg.split(",")]
+        try:
+            values = [rat(p.strip()) for p in arg.split(",")]
+        except (ValueError, TypeError) as exc:
+            raise ScenarioError(f"invalid inline payoff: {exc}") from exc
         if len(values) != scenario.model.n_cells:
             raise ScenarioError("inline payoff has the wrong length")
         return tuple(values)

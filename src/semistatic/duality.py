@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyMeasureSet, ShapeError
+from .errors import EmptyMeasureSet, InvariantViolation, ShapeError
 from .hedging import SemiStaticStrategy, gain_basis, strategy_payoff
 from .model import FilteredModel, Measure, Payoff
 from .polytope import VertexSet, build_constraints, enumerate_extreme_points
@@ -119,7 +119,8 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     cost[1] = -ONE
 
     result = solve_lp(cost, matrix, rhs)
-    assert result.status != "infeasible", "cash can always dominate a finite payoff"
+    if result.status == "infeasible":
+        raise InvariantViolation("cash can always dominate a finite payoff")
     if result.status == "unbounded":
         coeffs = [result.ray[2 * j] - result.ray[2 * j + 1] for j in range(n_free)]
         return SuperhedgeResult(None, _strategy_from_coeffs(coeffs, labels, model), ())
@@ -185,7 +186,8 @@ def verify_duality(
         raise EmptyMeasureSet("empty calibrated measure set; run detect_arbitrage for a certificate")
     primal = superhedge(payoff, model)
     dual = robust_price(payoff, model, vertex_set)
-    assert primal.price is not None, "nonempty measure set bounds the superhedge below"
+    if primal.price is None:
+        raise InvariantViolation("nonempty measure set bounds the superhedge below")
     tight_set = set(primal.tight)
     slackness = all(
         a in tight_set for measure in dual.argmax for a in measure.support
@@ -251,9 +253,10 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     cost[t_neg] = ONE
 
     result = solve_lp(cost, matrix, rhs)
-    assert result.status == "optimal", "floor program is feasible and capped"
-    floor = -result.objective
-    assert floor > 0, "empty measure set must produce a positive floor"
+    if result.status != "optimal":
+        raise InvariantViolation("floor program is feasible and capped")
+    if -result.objective <= 0:
+        raise InvariantViolation("empty measure set must produce a positive floor")
     coeffs = [result.solution[2 * j] - result.solution[2 * j + 1] for j in range(n_free)]
     strategy = _strategy_from_coeffs([ZERO] + coeffs, [("const",)] + labels, model)
     return ArbitrageReport(False, 0, strategy, strategy_payoff(strategy, model))

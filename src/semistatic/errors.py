@@ -31,3 +31,7 @@ class NotMeasurable(SemistaticError):
 
 class ShapeError(SemistaticError):
     """Array argument has the wrong shape for the model."""
+
+
+class InvariantViolation(SemistaticError):
+    """An internal invariant failed: a bug in the engine, not in its input."""

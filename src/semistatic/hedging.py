@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, ShapeError
+from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete, ShapeError
 from .model import FilteredModel, Measure, Payoff, conditional_expectation
 from .polytope import ConstraintSystem, build_constraints, enumerate_extreme_points, is_extreme, member
 from .rationals import fmt
@@ -366,7 +366,8 @@ def decompose_unhedgeable(
             if k >= 1:
                 for v in block_vectors:
                     prior = conditional_expectation(model, v, k - 1, measure)
-                    assert all(prior[a] == 0 for a in support), "block martingale must vanish before its jump"
+                    if any(prior[a] != 0 for a in support):
+                        raise InvariantViolation("block martingale must vanish before its jump")
             prev = max(k - 1, 0)
             carrying = []
             for c, group in enumerate(model.coarse_groups[prev]):

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantViolation
+
 Vector = tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
 
@@ -53,27 +55,18 @@ def rank(matrix: Matrix) -> int:
 
 
 def independent_rows(matrix: Matrix) -> list[int]:
-    """Indices of a maximal independent set of rows (greedy, first wins)."""
-    kept: list[list[Fraction]] = []
-    witness: list[int] = []
-    current = 0
-    for i, row in enumerate(matrix):
-        candidate = kept + [list(row)]
-        if rank(candidate) > current:
-            kept = candidate
-            witness.append(i)
-            current += 1
-    return witness
+    """Indices of a maximal independent set of rows (greedy, first wins).
+
+    Row i is kept exactly when it is independent of rows 0..i-1, i.e. when
+    column i of the transpose is a pivot column of its reduced echelon form.
+    """
+    return rref(transpose(matrix))[1]
 
 
 def transpose(matrix: Matrix) -> list[list[Fraction]]:
     if not matrix:
         return []
     return [list(col) for col in zip(*matrix)]
-
-
-def independent_columns(matrix: Matrix) -> list[int]:
-    return independent_rows(transpose(matrix))
 
 
 def mat_vec(matrix: Matrix, vec: Sequence[Fraction]) -> Vector:
@@ -132,7 +125,8 @@ def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     gram = [[dot(u, v) for v in kernel] for u in kernel]
     target = [dot(u, particular) for u in kernel]
     coeffs = solve(gram, target)
-    assert coeffs is not None  # Gram matrix of independent vectors is invertible
+    if coeffs is None:
+        raise InvariantViolation("Gram matrix of independent kernel vectors must be invertible")
     result = list(particular)
     for coef, vec in zip(coeffs, kernel):
         result = [x - coef * y for x, y in zip(result, vec)]
@@ -176,10 +170,6 @@ def project_onto_span(
         coef = weighted_dot(x, b, weights) / weighted_dot(b, b, weights)
         projection = [p + coef * y for p, y in zip(projection, b)]
     return tuple(projection)
-
-
-def span_dimension(vectors: Sequence[Sequence[Fraction]]) -> int:
-    return rank(list(vectors))
 
 
 def intersection_dimension(

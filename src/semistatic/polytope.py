@@ -4,19 +4,21 @@ The measure set is {q >= 0 : Aq = b} over terminal cells, with one martingale
 row per (period, predecessor cell, asset), one calibration row per claim, a
 single normalization row, and zero bounds outside the prior support.  Extreme
 points are enumerated by the double description method run on the homogenized
-cone over exact rationals, so emptiness, vertex identity, and certificates are
-all exact yes/no facts.
+cone.  Each row is scaled to integers, so the rays are primitive int tuples
+and every sign test is exact; each ray's zero set is an int bitmask, so the
+adjacency test is a few integer operations per ray.  Emptiness, vertex
+identity, and certificates are thus all exact yes/no facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from . import linalg
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, InvariantViolation
 from .model import FilteredModel, Measure, Payoff
 
 ZERO = Fraction(0)
@@ -89,10 +91,9 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
         return False
     if any(w > 0 and a not in cs.allowed for a, w in enumerate(measure.weights)):
         return False
-    for row in cs.rows:
-        if linalg.dot(row.coeffs, measure.weights) != row.rhs:
-            return False
-    return True
+    support = measure.support
+    weights = measure.weights
+    return all(sum((row.coeffs[a] * weights[a] for a in support), ZERO) == row.rhs for row in cs.rows)
 
 
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:
@@ -113,20 +114,6 @@ def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, Extremalit
     for a, value in zip(support, kernel[0]):
         direction[a] = value
     return False, ExtremalityCertificate(False, direction=tuple(direction))
-
-
-def _canonical_ray(ray: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    denominators = [x.denominator for x in ray]
-    scale = 1
-    for d in denominators:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(x * scale) for x in ray]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
 
 
 def _forced_zero_columns(rows: list[tuple[Payoff, Fraction]], cols: list[int]) -> set[int] | None:
@@ -167,14 +154,23 @@ def _forced_zero_columns(rows: list[tuple[Payoff, Fraction]], cols: list[int]) -
             return forced
 
 
+def _integer_normal(values: Sequence[Fraction]) -> list[int]:
+    """The row scaled by the lcm of its denominators: same hyperplane, same signs."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]
+
+
 def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     """All vertices of {q >= 0 : Aq = b}, in canonical order, with certificates.
 
     Double description on the homogenized cone {(q, t) >= 0 : Aq = b t}: start
     from the coordinate rays and intersect with one equality hyperplane at a
-    time, keeping only adjacent sign-crossing pairs.  The normalization row
-    forces t > 0 on every surviving ray, so rays and vertices correspond
-    one-to-one.
+    time, keeping only adjacent sign-crossing pairs.  Each hyperplane normal is
+    scaled to integers, so rays stay primitive int tuples.  Rays are addressed
+    by position and each one's zero set is an int bitmask over coordinates:
+    two rays are adjacent when no third ray's zero set contains their common
+    zeros.  The normalization row forces t > 0 on every surviving ray, so rays
+    and vertices correspond one-to-one.
     """
     cols = sorted(cs.allowed)
     data = [(row.coeffs, row.rhs) for row in cs.rows]
@@ -186,45 +182,50 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
         return VertexSet((), ())
 
     dim = len(cols) + 1  # trailing homogenization coordinate t
-    rays: list[tuple[Fraction, ...]] = []
-    for i in range(dim):
-        unit = [ZERO] * dim
-        unit[i] = ONE
-        rays.append(tuple(unit))
+    full = (1 << dim) - 1
+    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    masks = [full ^ (1 << i) for i in range(dim)]
 
     for row in cs.rows:
-        normal = [row.coeffs[c] for c in cols] + [-row.rhs]
-        if all(x == 0 for x in normal):
+        normal = _integer_normal([row.coeffs[c] for c in cols] + [-row.rhs])
+        if not any(normal):
             continue
-        values = [linalg.dot(normal, r) for r in rays]
-        zero = [r for r, v in zip(rays, values) if v == 0]
-        plus = [(r, v) for r, v in zip(rays, values) if v > 0]
-        minus = [(r, v) for r, v in zip(rays, values) if v < 0]
+        values = [sum(a * x for a, x in zip(normal, r) if x) for r in rays]
+        plus = [i for i, v in enumerate(values) if v > 0]
+        minus = [i for i, v in enumerate(values) if v < 0]
         if not plus and not minus:
             continue
-        zero_sets = {r: frozenset(i for i, x in enumerate(r) if x == 0) for r in rays}
-        new_rays = list(zero)
-        for rp, vp in plus:
-            for rm, vm in minus:
-                common = zero_sets[rp] & zero_sets[rm]
-                adjacent = not any(
-                    w is not rp and w is not rm and common <= zero_sets[w] for w in rays
-                )
-                if not adjacent:
-                    continue
-                combined = tuple(vp * b - vm * a for a, b in zip(rp, rm))
-                new_rays.append(_canonical_ray(combined))
-        rays = sorted(set(new_rays))
-        if not rays:
+        survivors = {rays[i]: masks[i] for i, v in enumerate(values) if v == 0}
+        for p in plus:
+            rp, vp, zp = rays[p], values[p], masks[p]
+            for m in minus:
+                common = zp & masks[m]
+                # rays p and m vanish on their common zeros; a third one that does blocks adjacency
+                hits = 0
+                for z in masks:
+                    if common & ~z == 0:
+                        hits += 1
+                        if hits > 2:
+                            break
+                else:
+                    vm = values[m]
+                    combined = [vp * b - vm * a for a, b in zip(rp, rays[m])]
+                    g = gcd(*combined)
+                    # coordinates are nonnegative, so the new ray vanishes exactly on the common zeros
+                    survivors[tuple(x // g for x in combined)] = common
+        if not survivors:
             return VertexSet((), ())
+        rays = list(survivors)
+        masks = list(survivors.values())
 
     vertices: list[tuple[tuple[int, ...], Payoff]] = []
     for ray in rays:
         t = ray[-1]
-        assert t > 0, "normalization row must bound every surviving ray"
+        if t <= 0:
+            raise InvariantViolation("normalization row must bound every surviving ray")
         weights = [ZERO] * cs.n_cells
         for c, x in zip(cols, ray[:-1]):
-            weights[c] = x / t
+            weights[c] = Fraction(x, t)
         vec = tuple(weights)
         support = tuple(a for a, w in enumerate(vec) if w > 0)
         vertices.append((support, vec))

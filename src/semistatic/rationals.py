@@ -9,7 +9,6 @@ everywhere; they would silently corrupt exact rank and equality tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 Rational = Fraction
 
@@ -28,7 +27,10 @@ def rat(value: int | str | Fraction) -> Fraction:
         text = value.strip()
         if "/" in text:
             num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
+            numerator, denominator = int(num), int(den)
+            if denominator == 0:
+                raise ValueError(f"zero denominator in {value!r}")
+            return Fraction(numerator, denominator)
         return Fraction(int(text))
     raise TypeError(f"cannot parse rational from {type(value).__name__}")
 
@@ -38,11 +40,3 @@ def fmt(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def rat_vector(values: Iterable[int | str | Fraction]) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
-
-
-def fmt_vector(values: Sequence[Fraction]) -> list[str]:
-    return [fmt(v) for v in values]

@@ -29,7 +29,7 @@ from .model import (
     natural_filtration,
     validate_model,
 )
-from .rationals import fmt, rat
+from .rationals import rat
 from .tree import AtomicTree, TreeNode
 
 ZERO = Fraction(0)
@@ -130,7 +130,9 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             tau = [None] * len(outcomes)
             mark = [ZERO] * len(outcomes)
             for w, t in j["tau"].items():
-                tau[index[w]] = None if t == "inf" else int(t)
+                if t != "inf" and (not isinstance(t, int) or isinstance(t, bool)):
+                    raise ScenarioError(f'jump time of {w!r} must be an integer or "inf", got {t!r}')
+                tau[index[w]] = None if t == "inf" else t
             for w, x in j["mark"].items():
                 mark[index[w]] = rat(x)
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
@@ -209,11 +211,3 @@ def tree_from_json(data: dict, model: FilteredModel) -> AtomicTree:
 def canonical_json(obj) -> str:
     """Deterministic serialization: sorted keys, tight separators, newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def measure_to_json(measure: Measure, model: FilteredModel) -> dict:
-    return measure.to_json(model)
-
-
-def payoff_to_json(payoff: Sequence[Fraction]) -> list[str]:
-    return [fmt(x) for x in payoff]

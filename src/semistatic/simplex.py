@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantViolation
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -99,7 +101,8 @@ def solve_lp(
     tableau = _Tableau(art_rows, [n + i for i in range(m)])
     phase1_cost = [ZERO] * n + [ONE] * m
     status = tableau.run(phase1_cost)
-    assert status == "optimal", "phase 1 is always bounded below by zero"
+    if status != "optimal":
+        raise InvariantViolation("phase 1 is always bounded below by zero")
     if sum((tableau.rows[i][-1] for i, b in enumerate(tableau.basis) if b >= n), ZERO) != 0:
         return LPResult("infeasible")
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from semistatic.cli import main
 from tests.conftest import scenario_path
 
@@ -148,3 +150,45 @@ def test_main_entry_in_process(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["result"]["value"] == "1"
+
+
+def edited_scenario(tmp_path, name, edit):
+    data = json.loads(scenario_path(name).read_text())
+    edit(data)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def set_claim(data):
+    data["claims"] = [["1/0", 0, 1]]
+
+
+def set_tau(value):
+    def edit(data):
+        data["jumps"][0]["tau"]["u"] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, name, edit",
+    [
+        (["validate"], "trinomial", set_claim),
+        (["complete", "--measure", "1/0,0,1"], "trinomial", None),
+        (["superhedge", "--payoff", "1,x,0"], "trinomial", None),
+        (["superhedge", "--payoff", "1/0,0,1"], "trinomial", None),
+        (["enlarge"], "initial_enlargement", set_tau(0.7)),
+        (["enlarge"], "initial_enlargement", set_tau(True)),
+        (["enlarge"], "initial_enlargement", set_tau("0")),
+    ],
+    ids=["claim-zero-denominator", "measure-zero-denominator", "payoff-not-a-number",
+         "payoff-zero-denominator", "tau-float", "tau-bool", "tau-string"],
+)
+def test_malformed_number_is_an_input_error(tmp_path, command, name, edit):
+    path = edited_scenario(tmp_path, name, edit) if edit else str(scenario_path(name))
+    proc = run_cli("--format", "json", *command, path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]

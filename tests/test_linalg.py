@@ -85,3 +85,35 @@ def test_intersection_dimension():
     a = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
     b = [(F(0), F(1), F(0)), (F(0), F(0), F(1))]
     assert linalg.intersection_dimension(a, b) == 1
+
+
+def greedy_independent_rows(matrix):
+    """Definition: keep row i when it raises the rank of the rows kept so far."""
+    kept, witness = [], []
+    for i, row in enumerate(matrix):
+        if linalg.rank(kept + [list(row)]) > len(kept):
+            kept.append(list(row))
+            witness.append(i)
+    return witness
+
+
+@st.composite
+def small_rational_matrices(draw):
+    cols = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rows = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=6))
+    # splice in combinations of earlier rows so dependent rows are common
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        c = draw(entry)
+        rows.insert(draw(st.integers(0, len(rows))), [x + c * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rational_matrices())
+def test_independent_rows_is_first_wins_greedy(matrix):
+    assert linalg.independent_rows(matrix) == greedy_independent_rows(matrix)

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,7 @@ from semistatic.errors import ConstraintViolation
 from semistatic.model import Measure
 from semistatic.polytope import build_constraints, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
+from semistatic.scenario import parse_scenario
 
 F = Fraction
 
@@ -164,3 +165,59 @@ def test_forced_zero_degeneracy(trinomial):
     )
     vs = enumerate_extreme_points(build_constraints(model))
     assert [v.weights for v in vs.vertices] == [(F(0), F(1), F(0))]
+
+
+def one_step_extreme_kernels(steps):
+    """Extreme points of {p >= 0 : sum p = 1, sum p * step = 0}.
+
+    They are the point mass on a zero step and the two-point masses on a
+    negative and a positive step.
+    """
+    kernels = [{i: F(1)} for i, d in enumerate(steps) if d == 0]
+    for i, lo in enumerate(steps):
+        for j, hi in enumerate(steps):
+            if lo < 0 < hi:
+                kernels.append({i: F(hi, hi - lo), j: F(-lo, hi - lo)})
+    return kernels
+
+
+def kernel_products(kernels, horizon):
+    """Every choice of one kernel per charged node, as path -> mass."""
+    if horizon == 0:
+        return [{(): F(1)}]
+    tails = kernel_products(kernels, horizon - 1)
+    measures = []
+    for kernel in kernels:
+        partial = [{}]
+        for i, p in kernel.items():
+            partial = [
+                {**acc, **{(i,) + path: p * q for path, q in tail.items()}}
+                for acc in partial
+                for tail in tails
+            ]
+        measures.extend(partial)
+    return measures
+
+
+@pytest.mark.parametrize("b, horizon, count", [(4, 2, 21), (5, 2, 105), (3, 3, 42), (6, 2, 301)])
+def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
+    # without claims the extreme martingale measures factor over the tree nodes
+    steps = list(range(-(b // 2), b - b // 2))
+    paths = list(product(range(b), repeat=horizon))
+    prices = [[sum(steps[i] for i in path[:k]) for path in paths] for k in range(horizon + 1)]
+    model = parse_scenario(
+        {
+            "outcomes": ["p" + "".join(map(str, path)) for path in paths],
+            "times": list(range(horizon + 1)),
+            "prices": [prices],
+        }
+    ).model
+    cell = model.terminal_cell_of_outcome
+    vs = enumerate_extreme_points(build_constraints(model))
+    found = {tuple(v.weights[cell[w]] for w in range(len(paths))) for v in vs.vertices}
+    expected = {
+        tuple(measure.get(path, F(0)) for path in paths)
+        for measure in kernel_products(one_step_extreme_kernels(steps), horizon)
+    }
+    assert len(vs.vertices) == len(found) == count
+    assert found == expected
