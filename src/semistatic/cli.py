@@ -9,6 +9,7 @@ weights; payoffs by name from the scenario file or inline.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,7 +44,10 @@ def _resolve_measure(arg: str, model: FilteredModel) -> Measure:
         raise ScenarioError(f"measure must be a vertex index or inline weights, got {arg!r}") from exc
     vertex_set = enumerate_extreme_points(build_constraints(model))
     if not 0 <= index < len(vertex_set.vertices):
-        raise ScenarioError(f"vertex index {index} out of range ({len(vertex_set.vertices)} vertices)")
+        raise ScenarioError(
+            f"vertex index {index} out of range ({len(vertex_set.vertices)} vertices); "
+            "a single inline weight is written p/q, e.g. 1/1"
+        )
     return vertex_set.vertices[index]
 
 
@@ -225,7 +229,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="semistatic",
         description="Exact-rational analysis of semi-static hedging on finite filtered market models.",

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Sequence
+from math import gcd
 
 from . import linalg
 from .errors import ConstraintViolation, InvariantViolation
 from .model import FilteredModel, Measure, Payoff
+from .rationals import integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -106,12 +106,11 @@ def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, Extremalit
         raise ConstraintViolation("measure does not satisfy the constraint system")
     support = measure.support
     restricted = [[row.coeffs[a] for a in support] for row in cs.rows]
-    kernel = linalg.nullspace(restricted)
-    if not kernel:
-        witness = tuple(linalg.independent_rows(restricted))
-        return True, ExtremalityCertificate(True, witness_rows=witness)
+    witness = linalg.independent_rows(restricted)
+    if len(witness) == len(support):
+        return True, ExtremalityCertificate(True, witness_rows=tuple(witness))
     direction = [ZERO] * cs.n_cells
-    for a, value in zip(support, kernel[0]):
+    for a, value in zip(support, linalg.nullspace(restricted)[0]):
         direction[a] = value
     return False, ExtremalityCertificate(False, direction=tuple(direction))
 
@@ -154,12 +153,6 @@ def _forced_zero_columns(rows: list[tuple[Payoff, Fraction]], cols: list[int]) -
             return forced
 
 
-def _integer_normal(values: Sequence[Fraction]) -> list[int]:
-    """The row scaled by the lcm of its denominators: same hyperplane, same signs."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
-
-
 def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     """All vertices of {q >= 0 : Aq = b}, in canonical order, with certificates.
 
@@ -187,7 +180,7 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     masks = [full ^ (1 << i) for i in range(dim)]
 
     for row in cs.rows:
-        normal = _integer_normal([row.coeffs[c] for c in cols] + [-row.rhs])
+        normal = integer_row([row.coeffs[c] for c in cols] + [-row.rhs])
         if not any(normal):
             continue
         values = [sum(a * x for a, x in zip(normal, r) if x) for r in rays]

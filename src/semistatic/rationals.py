@@ -9,6 +9,8 @@ everywhere; they would silently corrupt exact rank and equality tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Sequence
 
 Rational = Fraction
 
@@ -40,3 +42,9 @@ def fmt(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def integer_row(values: Sequence[Fraction | int]) -> list[int]:
+    """The row scaled by the lcm of its denominators: a positive multiple in ints."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values]

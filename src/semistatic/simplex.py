@@ -1,20 +1,28 @@
-"""Exact rational simplex, two phases, Bland's rule.
+"""Exact simplex on integer rows, two phases, Bland's rule.
 
-Solves min c.x subject to A x = b, x >= 0 over Fractions.  Bland's rule
-(lowest eligible index enters, lowest basic index breaks ratio ties) makes the
-method terminate without any perturbation and keeps runs deterministic.
+Solves min c.x subject to A x = b, x >= 0 exactly.  Every tableau row, the
+reduced-cost row included, is a list of ints that is a positive multiple of
+the rational row it stands for.  A pivot is one fraction-free elimination
+(Bareiss 1968) per row with a nonzero entry in the pivot column, followed by
+division by the row's gcd; the reduced-cost row is priced once per phase and
+then pivoted like the others.  A positive factor changes no sign and no
+ratio, so Bland's rule (lowest eligible index enters, lowest basic index
+breaks ratio ties) makes the same choices as over the rationals: the method
+terminates without any perturbation and runs stay deterministic.  Fractions
+are built only for the returned solution, ray and objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InvariantViolation
+from .rationals import integer_row
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -25,58 +33,70 @@ class LPResult:
     ray: tuple[Fraction, ...] | None = None  # improving feasible direction when unbounded
 
 
+def _eliminate(target: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """p*target - f*pivot_row over the pivot row's nonzeros, divided by the gcd.
+
+    p = pivot_row[col] > 0 and f = target[col], so the result has a zero in
+    ``col`` and is a positive multiple of the row rational elimination gives.
+    """
+    p, f = pivot_row[col], target[col]
+    row = [p * x - f * y if y else p * x for x, y in zip(target, pivot_row)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
-        self.rows = rows  # m x (n+1), last column is the rhs
+    def __init__(self, rows: list[list[int]], basis: list[int], cost: Sequence[Fraction | int]):
+        self.rows = rows  # m x (n+1) ints, last column is the rhs; row i's basic entry is > 0
         self.basis = basis
+        self.price(cost)
 
     @property
     def n(self) -> int:
         return len(self.rows[0]) - 1 if self.rows else 0
 
+    def price(self, cost: Sequence[Fraction | int]) -> None:
+        """The reduced-cost row of ``cost`` for the current basis; its rhs is -objective."""
+        objective = integer_row(list(cost) + [0])
+        for row, b in zip(self.rows, self.basis):
+            if objective[b]:
+                objective = _eliminate(objective, row, b)
+        self.objective = objective
+
     def pivot(self, row: int, col: int) -> None:
-        inv = ONE / self.rows[row][col]
-        self.rows[row] = [x * inv for x in self.rows[row]]
-        for i in range(len(self.rows)):
-            if i != row and self.rows[i][col] != 0:
-                factor = self.rows[i][col]
-                self.rows[i] = [x - factor * y for x, y in zip(self.rows[i], self.rows[row])]
+        pivot_row = self.rows[row]
+        if pivot_row[col] < 0:  # only when driving out an artificial; that row's rhs is 0
+            pivot_row = self.rows[row] = [-x for x in pivot_row]
+        for i, target in enumerate(self.rows):
+            if i != row and target[col]:
+                self.rows[i] = _eliminate(target, pivot_row, col)
+        if self.objective[col]:
+            self.objective = _eliminate(self.objective, pivot_row, col)
         self.basis[row] = col
 
-    def reduced_costs(self, cost: Sequence[Fraction]) -> list[Fraction]:
-        out = list(cost)
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi]
-            if cb != 0:
-                for j in range(self.n):
-                    out[j] -= cb * self.rows[i][j]
-        return out
+    def value(self, i: int, col: int) -> Fraction:
+        row = self.rows[i]
+        return Fraction(row[col], row[self.basis[i]])
 
-    def solution(self, n_vars: int) -> tuple[Fraction, ...]:
-        values = [ZERO] * n_vars
-        for i, bi in enumerate(self.basis):
-            if bi < n_vars:
-                values[bi] = self.rows[i][-1]
-        return tuple(values)
-
-    def run(self, cost: Sequence[Fraction]) -> str:
-        """Bland iterations until optimal or unbounded."""
+    def run(self) -> int | None:
+        """Bland iterations; None when optimal, else the column of an unbounded ray."""
         while True:
-            reduced = self.reduced_costs(cost)
-            entering = next((j for j in range(self.n) if reduced[j] < 0), None)
+            objective = self.objective
+            entering = next((j for j in range(self.n) if objective[j] < 0), None)
             if entering is None:
-                return "optimal"
+                return None
             leaving = None
-            best = None
             for i, row in enumerate(self.rows):
-                if row[entering] > 0:
-                    ratio = row[-1] / row[entering]
-                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
-                        best = ratio
-                        leaving = i
+                a = row[entering]
+                if a > 0:
+                    if leaving is None:
+                        leaving, best_rhs, best_a = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving]):
+                        leaving, best_rhs, best_a = i, row[-1], a
             if leaving is None:
-                self._unbounded_col = entering
-                return "unbounded"
+                return entering
             self.pivot(leaving, entering)
 
 
@@ -86,24 +106,22 @@ def solve_lp(
     rhs: Sequence[Fraction],
 ) -> LPResult:
     n = len(cost)
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    for row in rows:
-        if row[-1] < 0:
-            row[:] = [-x for x in row]
+    m = len(matrix)
 
-    # Phase 1: artificial variables, one per row.
-    m = len(rows)
-    art_rows = []
-    for i, row in enumerate(rows):
-        art = [ZERO] * m
-        art[i] = ONE
-        art_rows.append(row[:-1] + art + [row[-1]])
-    tableau = _Tableau(art_rows, [n + i for i in range(m)])
-    phase1_cost = [ZERO] * n + [ONE] * m
-    status = tableau.run(phase1_cost)
-    if status != "optimal":
+    # Phase 1: each row's rhs made >= 0, then one artificial variable per row.
+    rows = []
+    for i, (r, b) in enumerate(zip(matrix, rhs)):
+        art = [0] * m
+        art[i] = 1
+        row = integer_row(list(r) + art + [b])
+        if b < 0:
+            row = [-x for x in row]
+            row[n + i] = -row[n + i]
+        rows.append(row)
+    tableau = _Tableau(rows, [n + i for i in range(m)], [0] * n + [1] * m)
+    if tableau.run() is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
-    if sum((tableau.rows[i][-1] for i, b in enumerate(tableau.basis) if b >= n), ZERO) != 0:
+    if tableau.objective[-1] != 0:
         return LPResult("infeasible")
 
     # Drive leftover zero-level artificials out of the basis.
@@ -120,15 +138,16 @@ def solve_lp(
         del tableau.basis[i]
     tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
 
-    status = tableau.run(list(cost))
-    if status == "unbounded":
-        col = tableau._unbounded_col
+    tableau.price(cost)
+    col = tableau.run()
+    if col is not None:
         ray = [ZERO] * n
-        ray[col] = ONE
+        ray[col] = Fraction(1)
         for i, bi in enumerate(tableau.basis):
-            if bi < n:
-                ray[bi] = -tableau.rows[i][col]
+            ray[bi] = -tableau.value(i, col)
         return LPResult("unbounded", ray=tuple(ray))
-    solution = tableau.solution(n)
+    solution = [ZERO] * n
+    for i, bi in enumerate(tableau.basis):
+        solution[bi] = tableau.value(i, -1)
     objective = sum((c * x for c, x in zip(cost, solution)), ZERO)
-    return LPResult("optimal", objective=objective, solution=solution)
+    return LPResult("optimal", objective=objective, solution=tuple(solution))

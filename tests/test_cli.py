@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from semistatic.cli import main
+from semistatic.cli import build_parser, main
 from tests.conftest import scenario_path
 
 RUN = [sys.executable, "-m", "semistatic"]
@@ -192,3 +192,54 @@ def test_malformed_number_is_an_input_error(tmp_path, command, name, edit):
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+def test_bare_integer_measure_on_one_cell_model_hints_at_inline_form(tmp_path):
+    one_cell = {
+        "outcomes": ["x"],
+        "times": [0, 1],
+        "filtration": "natural",
+        "prices": [[[0], [0]]],
+        "claims": [],
+        "payoffs": {"one": [1]},
+    }
+    path = tmp_path / "one_cell.json"
+    path.write_text(json.dumps(one_cell))
+    proc = run_cli("--format", "json", "complete", "--measure", "1", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert "vertex index 1 out of range" in error and "p/q, e.g. 1/1" in error
+    code, report = run_json("complete", "--measure", "1/1", str(path))
+    assert code == 0 and report["result"]["measure"]["weights"] == ["1"]
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    trinomial = str(scenario_path("trinomial"))
+    calls = [
+        ["--format", "json", "extremes", trinomial],
+        ["--format", "json", "price", "--payoff", "abs_S1", trinomial],
+        ["--format", "json", "complete", "--payoff", "abs_S1", trinomial],  # usage error
+        ["complete", "--measure", "1/4,1/2,1/4", trinomial],
+        ["--format", "json", "verify", "--suite", "multinomial", "--pmax", "3", "--mmax", "4"],
+        ["--format", "json", "duality", "--payoff", "abs_S1", trinomial],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    assert reused[2][1] == "" and "usage:" in reused[2][2]

@@ -1,0 +1,186 @@
+"""The integer simplex against an independent rational reference.
+
+The reference below is the dense Fraction tableau the engine used before its
+rows became integer multiples: same two phases, same Bland's rule, reduced
+costs rebuilt from scratch each iteration.  It marks the paths it takes in
+``PATHS`` so that a fixed sample can show the generator reaches each one.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+from typing import Sequence
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semistatic.simplex import LPResult, solve_lp
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+PATHS: Counter = Counter()
+
+
+class _Tableau:
+    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+        self.rows = rows  # m x (n+1), last column is the rhs
+        self.basis = basis
+
+    @property
+    def n(self) -> int:
+        return len(self.rows[0]) - 1 if self.rows else 0
+
+    def pivot(self, row: int, col: int) -> None:
+        inv = ONE / self.rows[row][col]
+        self.rows[row] = [x * inv for x in self.rows[row]]
+        for i in range(len(self.rows)):
+            if i != row and self.rows[i][col] != 0:
+                factor = self.rows[i][col]
+                self.rows[i] = [x - factor * y for x, y in zip(self.rows[i], self.rows[row])]
+        self.basis[row] = col
+
+    def reduced_costs(self, cost: Sequence[Fraction]) -> list[Fraction]:
+        out = list(cost)
+        for i, bi in enumerate(self.basis):
+            cb = cost[bi]
+            if cb != 0:
+                for j in range(self.n):
+                    out[j] -= cb * self.rows[i][j]
+        return out
+
+    def solution(self, n_vars: int) -> tuple[Fraction, ...]:
+        values = [ZERO] * n_vars
+        for i, bi in enumerate(self.basis):
+            if bi < n_vars:
+                values[bi] = self.rows[i][-1]
+        return tuple(values)
+
+    def run(self, cost: Sequence[Fraction]) -> str:
+        while True:
+            reduced = self.reduced_costs(cost)
+            entering = next((j for j in range(self.n) if reduced[j] < 0), None)
+            if entering is None:
+                return "optimal"
+            leaving = None
+            best = None
+            for i, row in enumerate(self.rows):
+                if row[entering] > 0:
+                    ratio = row[-1] / row[entering]
+                    if best is not None and ratio == best:
+                        PATHS["ratio tie"] += 1
+                    if best is None or ratio < best or (ratio == best and self.basis[i] < self.basis[leaving]):
+                        best = ratio
+                        leaving = i
+            if leaving is None:
+                self._unbounded_col = entering
+                return "unbounded"
+            self.pivot(leaving, entering)
+
+
+def reference_solve_lp(cost, matrix, rhs) -> LPResult:
+    n = len(cost)
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    for row in rows:
+        if row[-1] < 0:
+            PATHS["negative rhs"] += 1
+            row[:] = [-x for x in row]
+
+    m = len(rows)
+    art_rows = []
+    for i, row in enumerate(rows):
+        art = [ZERO] * m
+        art[i] = ONE
+        art_rows.append(row[:-1] + art + [row[-1]])
+    tableau = _Tableau(art_rows, [n + i for i in range(m)])
+    phase1_cost = [ZERO] * n + [ONE] * m
+    status = tableau.run(phase1_cost)
+    if status != "optimal":
+        raise AssertionError("phase 1 is always bounded below by zero")
+    if sum((tableau.rows[i][-1] for i, b in enumerate(tableau.basis) if b >= n), ZERO) != 0:
+        PATHS["infeasible"] += 1
+        return LPResult("infeasible")
+
+    drop: list[int] = []
+    for i in range(len(tableau.rows)):
+        if tableau.basis[i] >= n:
+            col = next((j for j in range(n) if tableau.rows[i][j] != 0), None)
+            if col is None:
+                PATHS["dropped row"] += 1
+                drop.append(i)
+            else:
+                if tableau.rows[i][col] < 0:
+                    PATHS["negative drive-out pivot"] += 1
+                tableau.pivot(i, col)
+    for i in reversed(drop):
+        del tableau.rows[i]
+        del tableau.basis[i]
+    tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
+
+    status = tableau.run(list(cost))
+    if status == "unbounded":
+        PATHS["unbounded"] += 1
+        col = tableau._unbounded_col
+        ray = [ZERO] * n
+        ray[col] = ONE
+        for i, bi in enumerate(tableau.basis):
+            if bi < n:
+                ray[bi] = -tableau.rows[i][col]
+        return LPResult("unbounded", ray=tuple(ray))
+    PATHS["optimal"] += 1
+    solution = tableau.solution(n)
+    objective = sum((c * x for c, x in zip(cost, solution)), ZERO)
+    return LPResult("optimal", objective=objective, solution=solution)
+
+
+# Zero-heavy small values: degenerate vertices and ratio ties are common.
+VALUES = [Fraction(v) for v in (-2, -1, 0, 0, 0, 0, 1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def random_lp(rng):
+    """A small rational LP with zero rows, duplicate rows and negative rhs mixed in."""
+    n, m = rng.randint(1, 6), rng.randint(0, 5)
+    matrix = [[rng.choice(VALUES) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.choice(VALUES) for _ in range(m)]
+    for i in range(m):
+        kind = rng.random()
+        if kind < 0.12:
+            matrix[i] = [ZERO] * n
+            rhs[i] = ZERO if rng.random() < 0.8 else ONE
+        elif kind < 0.3 and i > 0:
+            j = rng.randrange(i)
+            scale = rng.choice([v for v in VALUES if v])
+            matrix[i] = [scale * x for x in matrix[j]]
+            rhs[i] = scale * rhs[j]
+    cost = [rng.choice(VALUES) for _ in range(n)]
+    return cost, matrix, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_solve_lp_matches_rational_reference(rng):
+    cost, matrix, rhs = random_lp(rng)
+    assert solve_lp(cost, matrix, rhs) == reference_solve_lp(cost, matrix, rhs)
+
+
+def test_generator_reaches_every_path():
+    PATHS.clear()
+    rng = random.Random(20151)
+    for _ in range(1500):
+        cost, matrix, rhs = random_lp(rng)
+        assert solve_lp(cost, matrix, rhs) == reference_solve_lp(cost, matrix, rhs)
+    for path in ("negative rhs", "ratio tie", "dropped row", "negative drive-out pivot",
+                 "infeasible", "unbounded", "optimal"):
+        assert PATHS[path] > 0, path
+
+
+def test_known_programs():
+    f = Fraction
+    # min -x - y  s.t.  x + 2y = 4, 3x + y = 6 (a single feasible point)
+    result = solve_lp([f(-1), f(-1)], [[f(1), f(2)], [f(3), f(1)]], [f(4), f(6)])
+    assert result == LPResult("optimal", objective=f(-14, 5), solution=(f(8, 5), f(6, 5)))
+    # x - y = 1, x, y >= 0; minimising -x is unbounded along (1, 1)
+    result = solve_lp([f(-1), f(0)], [[f(1), f(-1)]], [f(1)])
+    assert result == LPResult("unbounded", ray=(f(1), f(1)))
+    # x + y = -1 has no nonnegative solution
+    assert solve_lp([f(0), f(0)], [[f(1), f(1)]], [f(-1)]) == LPResult("infeasible")
