@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation, ShapeError
-from .hedging import SemiStaticStrategy, gain_basis, strategy_payoff
+from .hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff
 from .polytope import VertexSet, build_constraints, enumerate_extreme_points
 from .rationals import fmt
@@ -58,37 +58,6 @@ class RobustPriceResult:
         }
 
 
-def _lp_columns(model: FilteredModel) -> tuple[list[tuple], list[Payoff]]:
-    """Free strategy coordinates in column order: cash, claims, gains."""
-    labels: list[tuple] = [("const",)]
-    vectors: list[Payoff] = [tuple([ONE] * model.n_cells)]
-    for i in range(len(model.claims)):
-        labels.append(("claim", i))
-        vectors.append(model.claim_vector(i))
-    for label, vec in gain_basis(model):
-        labels.append(label)
-        vectors.append(vec)
-    return labels, vectors
-
-
-def _strategy_from_coeffs(coeffs: Sequence[Fraction], labels: Sequence[tuple], model: FilteredModel) -> SemiStaticStrategy:
-    cash = ZERO
-    static = [ZERO] * len(model.claims)
-    dynamic = [
-        [[ZERO for _ in range(model.prices.assets)] for _ in model.filtration.partitions[k - 1].cells]
-        for k in range(1, model.horizon + 1)
-    ]
-    for label, value in zip(labels, coeffs):
-        if label[0] == "const":
-            cash = value
-        elif label[0] == "claim":
-            static[label[1]] = value
-        else:
-            _, k, c, j = label
-            dynamic[k - 1][c][j] = value
-    return SemiStaticStrategy(cash, tuple(static), tuple(tuple(tuple(r) for r in row) for row in dynamic))
-
-
 def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeResult:
     """Cheapest semi-static strategy dominating the payoff on allowed cells.
 
@@ -100,9 +69,9 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     """
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
-    labels, vectors = _lp_columns(model)
+    vectors = [vec for _, vec in strategy_columns(model)]
     allowed = sorted(model.priors.allowed)
-    n_free = len(labels)
+    n_free = len(vectors)
     n_vars = 2 * n_free + len(allowed)
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
@@ -123,9 +92,9 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
         raise InvariantViolation("cash can always dominate a finite payoff")
     if result.status == "unbounded":
         coeffs = [result.ray[2 * j] - result.ray[2 * j + 1] for j in range(n_free)]
-        return SuperhedgeResult(None, _strategy_from_coeffs(coeffs, labels, model), ())
+        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(coeffs, model), ())
     coeffs = [result.solution[2 * j] - result.solution[2 * j + 1] for j in range(n_free)]
-    strategy = _strategy_from_coeffs(coeffs, labels, model)
+    strategy = SemiStaticStrategy.from_coordinates(coeffs, model)
     tight = tuple(a for slot, a in enumerate(allowed) if result.solution[2 * n_free + slot] == 0)
     return SuperhedgeResult(result.objective, strategy, tight)
 
@@ -222,11 +191,9 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     if vertex_set.vertices:
         return ArbitrageReport(True, len(vertex_set.vertices))
 
-    labels, vectors = _lp_columns(model)
-    labels = labels[1:]  # drop cash: the certificate must be zero-cost
-    vectors = vectors[1:]
+    vectors = [vec for _, vec in strategy_columns(model)[1:]]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.priors.allowed)
-    n_free = len(labels)
+    n_free = len(vectors)
     # variables: free coordinates split, floor t split, cap slack u, surpluses s
     n_vars = 2 * n_free + 2 + 1 + len(allowed)
     t_pos, t_neg, u_idx = 2 * n_free, 2 * n_free + 1, 2 * n_free + 2
@@ -258,5 +225,5 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     if -result.objective <= 0:
         raise InvariantViolation("empty measure set must produce a positive floor")
     coeffs = [result.solution[2 * j] - result.solution[2 * j + 1] for j in range(n_free)]
-    strategy = _strategy_from_coeffs([ZERO] + coeffs, [("const",)] + labels, model)
+    strategy = SemiStaticStrategy.from_coordinates([ZERO] + coeffs, model)
     return ArbitrageReport(False, 0, strategy, strategy_payoff(strategy, model))

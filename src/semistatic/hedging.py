@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete, ShapeError
@@ -31,6 +31,13 @@ class SemiStaticStrategy:
     static: tuple[Fraction, ...]
     dynamic: Dynamic
 
+    @classmethod
+    def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
+        """The strategy whose coordinates on ``strategy_columns(model)`` are the values."""
+        n_static = len(model.claims)
+        holdings = {label[1:]: v for (label, _), v in zip(model.gains, values[1 + n_static :])}
+        return cls(values[0], tuple(values[1 : 1 + n_static]), dynamic_holdings(holdings, model))
+
     def to_json(self, model: FilteredModel) -> dict:
         entries = []
         for k_index, per_cell in enumerate(self.dynamic):
@@ -49,33 +56,36 @@ class SemiStaticStrategy:
         return {"cash": fmt(self.cash), "static": [fmt(a) for a in self.static], "dynamic": entries}
 
 
-def zero_dynamic(model: FilteredModel) -> Dynamic:
+def dynamic_holdings(entries: Mapping[tuple[int, int, int], Fraction], model: FilteredModel) -> Dynamic:
+    """Holdings H[k-1][c][j] taken from ``entries`` keyed by (k, c, j), zero elsewhere."""
     return tuple(
         tuple(
-            tuple(ZERO for _ in range(model.prices.assets))
-            for _ in model.filtration.partitions[k - 1].cells
+            tuple(entries.get((k, c, j), ZERO) for j in range(model.prices.assets))
+            for c in range(len(model.filtration.partitions[k - 1].cells))
         )
         for k in range(1, model.horizon + 1)
     )
+
+
+def zero_dynamic(model: FilteredModel) -> Dynamic:
+    return dynamic_holdings({}, model)
 
 
 def terminal_gain(dynamic: Dynamic, model: FilteredModel) -> Payoff:
     """Terminal value of the dynamic part, sum of H_k (S_k - S_{k-1})."""
     if len(dynamic) != model.horizon:
         raise ShapeError("dynamic part must have one slice per period")
-    totals = [ZERO] * model.n_cells
-    for k in range(1, model.horizon + 1):
-        per_cell = dynamic[k - 1]
+    for k, per_cell in enumerate(dynamic, 1):
         cells = model.filtration.partitions[k - 1].cells
         if len(per_cell) != len(cells):
             raise ShapeError(f"period {k} has {len(per_cell)} cells, expected {len(cells)}")
-        for a in range(model.n_cells):
-            c = model.coarse_cell_of[k - 1][a]
-            holdings = per_cell[c]
-            if len(holdings) != model.prices.assets:
-                raise ShapeError("holdings must have one entry per asset")
-            for j, h in enumerate(holdings):
-                totals[a] += h * (model.price(j, k, a) - model.price(j, k - 1, a))
+        if any(len(holdings) != model.prices.assets for holdings in per_cell):
+            raise ShapeError("holdings must have one entry per asset")
+    totals = [ZERO] * model.n_cells
+    for (_, k, c, j), vec in model.gains:
+        h = dynamic[k - 1][c][j]
+        for a in model.coarse_groups[k - 1][c]:
+            totals[a] += h * vec[a]
     return tuple(totals)
 
 
@@ -89,21 +99,15 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     return tuple(out)
 
 
-GainLabel = tuple  # ("gain", k, cell index in P_{k-1}, asset)
-
-
-def gain_basis(model: FilteredModel) -> list[tuple[GainLabel, Payoff]]:
+def gain_basis(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
     """Elementary gains 1_A (S^j_k - S^j_{k-1}) in canonical column order."""
-    columns: list[tuple[GainLabel, Payoff]] = []
-    for k in range(1, model.horizon + 1):
-        groups = model.coarse_groups[k - 1]
-        for c, group in enumerate(groups):
-            for j in range(model.prices.assets):
-                vec = [ZERO] * model.n_cells
-                for a in group:
-                    vec[a] = model.price(j, k, a) - model.price(j, k - 1, a)
-                columns.append((("gain", k, c, j), tuple(vec)))
-    return columns
+    return model.gains
+
+
+def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
+    """Strategy coordinates in column order: cash, claims, gains."""
+    claims = tuple((("claim", i), model.claim_vector(i)) for i in range(len(model.claims)))
+    return ((("const",), (ONE,) * model.n_cells), *claims, *model.gains)
 
 
 @dataclass(frozen=True)
@@ -116,13 +120,10 @@ class HedgingSpan:
 
 
 def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
-    columns: list[tuple[tuple, Payoff]] = [(("const",), tuple([ONE] * model.n_cells))]
-    for i in range(len(model.claims)):
-        columns.append((("claim", i), model.claim_vector(i)))
-    columns.extend(gain_basis(model))
+    columns = strategy_columns(model)
     support = measure.support
     restricted = [[vec[a] for a in support] for _, vec in columns]
-    return HedgingSpan(tuple(columns), linalg.rank(restricted), support)
+    return HedgingSpan(columns, linalg.rank(restricted), support)
 
 
 def _require_calibrated(measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None) -> ConstraintSystem:
@@ -187,30 +188,7 @@ def replicate(
         for a, x, p in zip(support, rhs, proj):
             residual[a] = x - p
         return NotReplicable(tuple(residual))
-    return _unpack_strategy(coeffs, span, model)
-
-
-def _unpack_strategy(
-    coeffs: Sequence[Fraction], span: HedgingSpan, model: FilteredModel
-) -> SemiStaticStrategy:
-    cash = ZERO
-    static = [ZERO] * len(model.claims)
-    dynamic = [
-        [
-            [ZERO for _ in range(model.prices.assets)]
-            for _ in model.filtration.partitions[k - 1].cells
-        ]
-        for k in range(1, model.horizon + 1)
-    ]
-    for (label, _), value in zip(span.columns, coeffs):
-        if label[0] == "const":
-            cash = value
-        elif label[0] == "claim":
-            static[label[1]] = value
-        else:
-            _, k, c, j = label
-            dynamic[k - 1][c][j] = value
-    return SemiStaticStrategy(cash, tuple(static), tuple(tuple(tuple(r) for r in s) for s in dynamic))
+    return SemiStaticStrategy.from_coordinates(coeffs, model)
 
 
 @dataclass(frozen=True)
@@ -334,7 +312,7 @@ def decompose_unhedgeable(
         raise NotComplete("unhedgeable decomposition requires semi-static completeness")
     weights = measure.weights
     support = measure.support
-    gains = [vec for _, vec in gain_basis(model)]
+    gains = [vec for _, vec in model.gains]
 
     residuals: list[Payoff] = []
     for i in range(len(model.claims)):

@@ -164,8 +164,23 @@ class FilteredModel:
         outcome = self.terminal_cells[terminal_cell][0]
         return self.prices.values[asset][k][outcome]
 
-    def price_vector(self, asset: int, k: int) -> Payoff:
-        return tuple(self.price(asset, k, a) for a in range(self.n_cells))
+    @cached_property
+    def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
+        """Elementary gains 1_A (S^j_k - S^j_{k-1}), labelled ("gain", k, c, j).
+
+        A is cell c of P_{k-1}; the order is (k, c, j).  These vectors are
+        both the dynamic columns of a semi-static strategy and the martingale
+        rows of the calibrated measure set.
+        """
+        columns = []
+        for k in range(1, self.horizon + 1):
+            for c, group in enumerate(self.coarse_groups[k - 1]):
+                for j in range(self.prices.assets):
+                    vec = [ZERO] * self.n_cells
+                    for a in group:
+                        vec[a] = self.price(j, k, a) - self.price(j, k - 1, a)
+                    columns.append((("gain", k, c, j), tuple(vec)))
+        return tuple(columns)
 
     def claim_vector(self, i: int) -> Payoff:
         return self.claims[i].payoff

@@ -68,15 +68,7 @@ class VertexSet:
 
 def build_constraints(model: FilteredModel) -> ConstraintSystem:
     """Equality description of the calibrated martingale-measure set."""
-    rows: list[Row] = []
-    for k in range(1, model.horizon + 1):
-        groups = model.coarse_groups[k - 1]
-        for c, group in enumerate(groups):
-            for j in range(model.prices.assets):
-                coeffs = [ZERO] * model.n_cells
-                for a in group:
-                    coeffs[a] = model.price(j, k, a) - model.price(j, k - 1, a)
-                rows.append(Row(("martingale", k, c, j), tuple(coeffs), ZERO))
+    rows = [Row(("martingale", *label[1:]), vec, ZERO) for label, vec in model.gains]
     for i in range(len(model.claims)):
         rows.append(Row(("calibration", i), model.claim_vector(i), ZERO))
     rows.append(Row(("normalization",), tuple([ONE] * model.n_cells), ONE))

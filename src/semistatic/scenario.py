@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import SemistaticError
-from .hedging import SemiStaticStrategy
+from .hedging import SemiStaticStrategy, dynamic_holdings
 from .model import (
     FilteredModel,
     Filtration,
@@ -132,6 +132,8 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             for w, t in j["tau"].items():
                 if t != "inf" and (not isinstance(t, int) or isinstance(t, bool)):
                     raise ScenarioError(f'jump time of {w!r} must be an integer or "inf", got {t!r}')
+                if t != "inf" and not 0 <= t <= model.horizon:
+                    raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{model.horizon}, got {t}")
                 tau[index[w]] = None if t == "inf" else t
             for w, x in j["mark"].items():
                 mark[index[w]] = rat(x)
@@ -143,7 +145,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
         }
     except ScenarioError:
         raise
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
     report = validate_model(model)
@@ -180,22 +182,20 @@ def measure_from_json(data: dict, model: FilteredModel) -> Measure:
 
 
 def strategy_from_json(data: dict, model: FilteredModel) -> SemiStaticStrategy:
-    dynamic = [
-        [[ZERO for _ in range(model.prices.assets)] for _ in model.filtration.partitions[k - 1].cells]
-        for k in range(1, model.horizon + 1)
-    ]
+    holdings = {}
     for entry in data.get("dynamic", []):
-        k = int(entry["k"])
-        label = entry["cell"]
+        k, j, label = int(entry["k"]), int(entry["asset"]), entry["cell"]
+        if not (1 <= k <= model.horizon and 0 <= j < model.prices.assets):
+            raise ScenarioError(f"no dynamic holding at k={k}, asset {j}")
         cells = model.filtration.partitions[k - 1].cells
         c = next((i for i, cell in enumerate(cells) if model.cell_label(cell) == label), None)
         if c is None:
             raise ScenarioError(f"unknown cell label {label!r} at k={k}")
-        dynamic[k - 1][c][int(entry["asset"])] = rat(entry["value"])
+        holdings[k, c, j] = rat(entry["value"])
     return SemiStaticStrategy(
         cash=rat(data["cash"]),
         static=tuple(rat(a) for a in data.get("static", [])),
-        dynamic=tuple(tuple(tuple(v) for v in s) for s in dynamic),
+        dynamic=dynamic_holdings(holdings, model),
     )
 
 

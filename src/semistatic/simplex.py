@@ -51,12 +51,13 @@ class _Tableau:
         self.basis = basis
         self.price(cost)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else 0
-
     def price(self, cost: Sequence[Fraction | int]) -> None:
-        """The reduced-cost row of ``cost`` for the current basis; its rhs is -objective."""
+        """The reduced-cost row of ``cost`` for the current basis; its rhs is -objective.
+
+        The cost also fixes the column count, which the rows cannot give when
+        there are none.
+        """
+        self.n = len(cost)
         objective = integer_row(list(cost) + [0])
         for row, b in zip(self.rows, self.basis):
             if objective[b]:

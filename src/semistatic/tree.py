@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotComplete, NotMeasurable
-from .hedging import decompose_unhedgeable, gain_basis, is_semistatically_complete
+from .hedging import decompose_unhedgeable, is_semistatically_complete
 from .model import FilteredModel, Measure, Payoff
 from .polytope import ConstraintSystem, build_constraints
 
@@ -320,19 +320,11 @@ def check_theorem_conditions(
         if not atoms:
             continue
         charged_leaves += 1
+        charged = set(atoms)
         vectors: list[list[Fraction]] = [[ONE] * len(atoms)]
-        for k in range(leaf.birth + 1, model.horizon + 1):
-            for c, group in enumerate(model.coarse_groups[k - 1]):
-                members = [a for a in atoms if model.coarse_cell_of[k - 1][a] == c]
-                if not members:
-                    continue
-                for j in range(model.prices.assets):
-                    vectors.append(
-                        [
-                            (model.price(j, k, a) - model.price(j, k - 1, a)) if a in members else ZERO
-                            for a in atoms
-                        ]
-                    )
+        for (_, k, c, _), vec in model.gains:
+            if k > leaf.birth and not charged.isdisjoint(model.coarse_groups[k - 1][c]):
+                vectors.append([vec[a] for a in atoms])
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, linalg.rank(vectors), len(atoms)))
 
     projections = [
@@ -431,7 +423,7 @@ def extract_tree(
     if not is_full(tree, measure, model):
         return NoTree("constructed tree is not full")
 
-    gains = [vec for _, vec in gain_basis(model)]
+    gains = [vec for _, vec in model.gains]
     support = measure.support
     for i in range(len(model.claims)):
         psi = model.claim_vector(i)

@@ -171,6 +171,14 @@ def set_tau(value):
     return edit
 
 
+def set_payoffs_list(data):
+    data["payoffs"] = [1]
+
+
+def set_tau_list(data):
+    data["jumps"][0]["tau"] = [0, 1]
+
+
 @pytest.mark.parametrize(
     "command, name, edit",
     [
@@ -181,9 +189,14 @@ def set_tau(value):
         (["enlarge"], "initial_enlargement", set_tau(0.7)),
         (["enlarge"], "initial_enlargement", set_tau(True)),
         (["enlarge"], "initial_enlargement", set_tau("0")),
+        (["enlarge"], "initial_enlargement", set_tau(5)),
+        (["informed-compare"], "initial_enlargement", set_tau(-1)),
+        (["validate"], "trinomial", set_payoffs_list),
+        (["enlarge"], "initial_enlargement", set_tau_list),
     ],
     ids=["claim-zero-denominator", "measure-zero-denominator", "payoff-not-a-number",
-         "payoff-zero-denominator", "tau-float", "tau-bool", "tau-string"],
+         "payoff-zero-denominator", "tau-float", "tau-bool", "tau-string", "tau-after-horizon",
+         "tau-negative", "payoffs-not-a-dict", "tau-not-a-dict"],
 )
 def test_malformed_number_is_an_input_error(tmp_path, command, name, edit):
     path = edited_scenario(tmp_path, name, edit) if edit else str(scenario_path(name))

@@ -1,0 +1,75 @@
+"""One strategy coordinate layout: cash, claims, then the model's gains.
+
+The elementary gains are at once the dynamic columns of a semi-static
+strategy and the martingale rows of the measure set, so the two must agree
+vector for vector, and a strategy built from coordinates must pay off the
+matching column.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from semistatic.hedging import SemiStaticStrategy, gain_basis, strategy_columns, strategy_payoff
+from semistatic.polytope import build_constraints
+from semistatic.sampling import random_model
+from semistatic.scenario import strategy_from_json
+from tests.test_multi_asset import two_asset_model
+
+F = Fraction
+VALUES = [F(0), F(0), F(1), F(-2), F(3, 4), F(-5, 3)]
+
+
+def _models():
+    rng = random.Random(515)
+    named = [(f"random-{i}", random_model(rng)[0]) for i in range(40)]
+    return named + [("two-asset", two_asset_model())]
+
+
+MODELS = _models()
+
+
+@pytest.fixture(params=[m for _, m in MODELS], ids=[name for name, _ in MODELS])
+def model(request):
+    return request.param
+
+
+def test_gains_are_price_increments_on_predecessor_cells(model):
+    labels = []
+    for (kind, k, c, j), vec in gain_basis(model):
+        assert kind == "gain"
+        labels.append((k, c, j))
+        group = model.filtration.partitions[k - 1].cells[c]
+        for a, cell in enumerate(model.terminal_cells):
+            w = cell[0]
+            step = model.prices.values[j][k][w] - model.prices.values[j][k - 1][w]
+            assert vec[a] == (step if w in group else 0)
+    assert labels == sorted(labels)
+    cells_before = sum(len(model.filtration.partitions[k].cells) for k in range(model.horizon))
+    assert len(labels) == cells_before * model.prices.assets
+
+
+def test_martingale_rows_are_the_gain_vectors(model):
+    rows = [row for row in build_constraints(model).rows if row.label[0] == "martingale"]
+    gains = gain_basis(model)
+    assert [row.label[1:] for row in rows] == [label[1:] for label, _ in gains]
+    assert [row.coeffs for row in rows] == [vec for _, vec in gains]
+    assert all(row.rhs == 0 for row in rows)
+
+
+def test_unit_coordinates_pay_off_their_column(model):
+    columns = strategy_columns(model)
+    assert [label[0] for label, _ in columns[: 1 + len(model.claims)]] == ["const"] + ["claim"] * len(model.claims)
+    for i, (_, vec) in enumerate(columns):
+        unit = [F(0)] * len(columns)
+        unit[i] = F(1)
+        assert strategy_payoff(SemiStaticStrategy.from_coordinates(unit, model), model) == vec
+
+
+def test_strategy_json_round_trip(model):
+    rng = random.Random(len(model.outcomes))
+    n = len(strategy_columns(model))
+    for _ in range(5):
+        strategy = SemiStaticStrategy.from_coordinates([rng.choice(VALUES) for _ in range(n)], model)
+        assert strategy_from_json(strategy.to_json(model), model) == strategy

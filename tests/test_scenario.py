@@ -115,6 +115,13 @@ def test_strategy_round_trip(trinomial_calibrated):
     assert strategy_from_json(data, model) == strategy
 
 
+@pytest.mark.parametrize("k, cell, asset", [(0, "u", 0), (2, "u|m|d", 0), (1, "u|m|d", 1), (1, "u|m|d", -1)])
+def test_strategy_holding_off_the_layout_is_rejected(trinomial_calibrated, k, cell, asset):
+    data = {"cash": "0", "static": ["0"], "dynamic": [{"k": k, "cell": cell, "asset": asset, "value": "1"}]}
+    with pytest.raises(ScenarioError):
+        strategy_from_json(data, trinomial_calibrated.model)
+
+
 def test_tree_round_trip(glued_two_vol):
     model = glued_two_vol.model
     q = enumerate_extreme_points(build_constraints(model)).vertices[0]

@@ -23,13 +23,10 @@ PATHS: Counter = Counter()
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    def __init__(self, rows: list[list[Fraction]], basis: list[int], n: int):
         self.rows = rows  # m x (n+1), last column is the rhs
         self.basis = basis
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0]) - 1 if self.rows else 0
+        self.n = n  # kept, not read off the rows: there may be none
 
     def pivot(self, row: int, col: int) -> None:
         inv = ONE / self.rows[row][col]
@@ -92,7 +89,7 @@ def reference_solve_lp(cost, matrix, rhs) -> LPResult:
         art = [ZERO] * m
         art[i] = ONE
         art_rows.append(row[:-1] + art + [row[-1]])
-    tableau = _Tableau(art_rows, [n + i for i in range(m)])
+    tableau = _Tableau(art_rows, [n + i for i in range(m)], n + m)
     phase1_cost = [ZERO] * n + [ONE] * m
     status = tableau.run(phase1_cost)
     if status != "optimal":
@@ -116,6 +113,7 @@ def reference_solve_lp(cost, matrix, rhs) -> LPResult:
         del tableau.rows[i]
         del tableau.basis[i]
     tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
+    tableau.n = n
 
     status = tableau.run(list(cost))
     if status == "unbounded":
@@ -184,3 +182,6 @@ def test_known_programs():
     assert result == LPResult("unbounded", ray=(f(1), f(1)))
     # x + y = -1 has no nonnegative solution
     assert solve_lp([f(0), f(0)], [[f(1), f(1)]], [f(-1)]) == LPResult("infeasible")
+    # with no constraint row left, minimising -x is unbounded along (1)
+    assert solve_lp([f(-1)], [[f(0)]], [f(0)]) == LPResult("unbounded", ray=(f(1),))
+    assert solve_lp([f(-1)], [], []) == LPResult("unbounded", ray=(f(1),))
