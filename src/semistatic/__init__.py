@@ -67,6 +67,7 @@ from .polytope import (
     ConstraintSystem,
     VertexSet,
     build_constraints,
+    certify,
     enumerate_extreme_points,
     is_extreme,
     member,

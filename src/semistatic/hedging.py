@@ -307,7 +307,6 @@ def decompose_unhedgeable(
     before k and are constant from k on; each piece is carried by disjoint
     atoms of the previous partition.
     """
-    cs = _require_calibrated(measure, model, cs)
     if not is_semistatically_complete(measure, model, cs).complete:
         raise NotComplete("unhedgeable decomposition requires semi-static completeness")
     weights = measure.weights

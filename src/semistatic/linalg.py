@@ -111,26 +111,23 @@ def nullspace(matrix: Matrix) -> list[Vector]:
 
 
 def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """Euclidean minimum-norm solution of a consistent linear system.
+    """Euclidean minimum-norm solution of a linear system, None when inconsistent.
 
-    Computed exactly as the particular solution minus its projection onto the
-    kernel; the result is the unique solution lying in the row space.
+    The minimum-norm solution is the unique one in the row space, x = A_r^T y
+    with (A_r A_r^T) y = b_r over a maximal independent set of rows A_r.  It
+    satisfies the other rows exactly when the system is consistent.
     """
-    particular = solve(matrix, rhs)
-    if particular is None:
-        return None
-    kernel = nullspace(matrix)
-    if not kernel:
-        return particular
-    gram = [[dot(u, v) for v in kernel] for u in kernel]
-    target = [dot(u, particular) for u in kernel]
-    coeffs = solve(gram, target)
+    if not matrix:
+        return ()
+    keep = independent_rows(matrix)
+    basis = [matrix[i] for i in keep]
+    coeffs = solve([[dot(u, v) for v in basis] for u in basis], [rhs[i] for i in keep])
     if coeffs is None:
-        raise InvariantViolation("Gram matrix of independent kernel vectors must be invertible")
-    result = list(particular)
-    for coef, vec in zip(coeffs, kernel):
-        result = [x - coef * y for x, y in zip(result, vec)]
-    return tuple(result)
+        raise InvariantViolation("Gram matrix of independent rows must be invertible")
+    x = [ZERO] * len(matrix[0])
+    for coef, row in zip(coeffs, basis):
+        x = [a + coef * b for a, b in zip(x, row)]
+    return tuple(x) if mat_vec(matrix, x) == tuple(rhs) else None
 
 
 def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:

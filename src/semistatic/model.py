@@ -301,8 +301,8 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                 bad.append(Violation("prices", f"asset {j}, k=0", "initial price must be 0"))
             if k < len(partitions):
                 for cell in partitions[k].cells:
-                    base = slice_k[cell[0]]
-                    if any(slice_k[w] != base for w in cell):
+                    # an empty cell is reported above and compares nothing here
+                    if any(slice_k[w] != slice_k[cell[0]] for w in cell):
                         bad.append(
                             Violation(
                                 "adapted",

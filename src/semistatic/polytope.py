@@ -4,10 +4,14 @@ The measure set is {q >= 0 : Aq = b} over terminal cells, with one martingale
 row per (period, predecessor cell, asset), one calibration row per claim, a
 single normalization row, and zero bounds outside the prior support.  Extreme
 points are enumerated by the double description method run on the homogenized
-cone.  Each row is scaled to integers, so the rays are primitive int tuples
-and every sign test is exact; each ray's zero set is an int bitmask, so the
-adjacency test is a few integer operations per ray.  Emptiness, vertex
-identity, and certificates are thus all exact yes/no facts.
+cone, with the rows taken deepest first.  Each row is scaled to integers, so
+the rays are primitive int tuples and every sign test is exact; each ray's
+zero set is an int bitmask, so the adjacency test is a few integer operations
+per ray.  Every surviving ray is checked in int arithmetic (constraint rows,
+signs, independent support columns) before it becomes a Fraction measure.
+Extremality certificates are not part of the enumeration; ``certify`` builds
+them on demand.  Emptiness, vertex identity, and certificates are thus all
+exact yes/no facts.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from . import linalg
 from .errors import ConstraintViolation, InvariantViolation
 from .model import FilteredModel, Measure, Payoff
 from .rationals import integer_row
+from .simplex import _eliminate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,7 +62,6 @@ class ExtremalityCertificate:
 @dataclass(frozen=True)
 class VertexSet:
     vertices: tuple[Measure, ...]
-    certificates: tuple[ExtremalityCertificate, ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -107,74 +111,24 @@ def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, Extremalit
     return False, ExtremalityCertificate(False, direction=tuple(direction))
 
 
-def _forced_zero_columns(rows: list[tuple[Payoff, Fraction]], cols: list[int]) -> set[int] | None:
-    """Columns pinned to zero by the equalities plus nonnegativity.
+def certify(vertex_set: VertexSet, cs: ConstraintSystem) -> tuple[ExtremalityCertificate, ...]:
+    """The ``is_extreme`` certificate of every vertex, in vertex order."""
+    return tuple(is_extreme(v, cs)[1] for v in vertex_set.vertices)
 
-    Runs Gaussian elimination and collects rows of one sign with zero right
-    hand side; returns None when a row is outright infeasible over q >= 0.
+
+def _double_description(normals: list[list[int]], dim: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {x >= 0 : n.x = 0 for every normal n} as primitive int tuples.
+
+    Start from the coordinate rays and intersect with one hyperplane at a
+    time, keeping the rays on it and one combination of each adjacent
+    sign-crossing pair.  Rays are addressed by position and each one's zero
+    set is an int bitmask over coordinates: two rays are adjacent when no
+    third ray's zero set contains their common zeros.
     """
-    forced: set[int] = set()
-    active = list(cols)
-    while True:
-        key = {c: i for i, c in enumerate(active)}
-        tableau = [[coeffs[c] for c in active] + [rhs] for coeffs, rhs in rows]
-        reduced, _ = linalg.rref(tableau)
-        new: set[int] = set()
-        for row in reduced:
-            body, rhs = row[:-1], row[-1]
-            pos = [c for c in active if body[key[c]] > 0]
-            neg = [c for c in active if body[key[c]] < 0]
-            if not pos and not neg:
-                if rhs != 0:
-                    return None
-                continue
-            if rhs == 0 and not neg:
-                new.update(pos)
-            elif rhs == 0 and not pos:
-                new.update(neg)
-            elif rhs < 0 and not neg:
-                return None
-            elif rhs > 0 and not pos:
-                return None
-        new -= forced
-        if not new:
-            return forced
-        forced |= new
-        active = [c for c in active if c not in forced]
-        if not active:
-            return forced
-
-
-def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
-    """All vertices of {q >= 0 : Aq = b}, in canonical order, with certificates.
-
-    Double description on the homogenized cone {(q, t) >= 0 : Aq = b t}: start
-    from the coordinate rays and intersect with one equality hyperplane at a
-    time, keeping only adjacent sign-crossing pairs.  Each hyperplane normal is
-    scaled to integers, so rays stay primitive int tuples.  Rays are addressed
-    by position and each one's zero set is an int bitmask over coordinates:
-    two rays are adjacent when no third ray's zero set contains their common
-    zeros.  The normalization row forces t > 0 on every surviving ray, so rays
-    and vertices correspond one-to-one.
-    """
-    cols = sorted(cs.allowed)
-    data = [(row.coeffs, row.rhs) for row in cs.rows]
-    forced = _forced_zero_columns(data, cols)
-    if forced is None:
-        return VertexSet((), ())
-    cols = [c for c in cols if c not in forced]
-    if not cols:
-        return VertexSet((), ())
-
-    dim = len(cols) + 1  # trailing homogenization coordinate t
     full = (1 << dim) - 1
     rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     masks = [full ^ (1 << i) for i in range(dim)]
-
-    for row in cs.rows:
-        normal = integer_row([row.coeffs[c] for c in cols] + [-row.rhs])
-        if not any(normal):
-            continue
+    for normal in normals:
         values = [sum(a * x for a, x in zip(normal, r) if x) for r in rays]
         plus = [i for i, v in enumerate(values) if v > 0]
         minus = [i for i, v in enumerate(values) if v < 0]
@@ -199,23 +153,62 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
                     # coordinates are nonnegative, so the new ray vanishes exactly on the common zeros
                     survivors[tuple(x // g for x in combined)] = common
         if not survivors:
-            return VertexSet((), ())
+            return []
         rays = list(survivors)
         masks = list(survivors.values())
+    return rays
 
+
+def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]]) -> None:
+    """Exact int check that a ray (q, t) stands for a vertex q / t; raises InvariantViolation.
+
+    Every normal must vanish on it, it must be nonnegative with t > 0, and
+    the normals restricted to the support of q must have independent columns.
+    """
+    if ray[-1] <= 0 or any(x < 0 for x in ray):
+        raise InvariantViolation("surviving ray must be nonnegative with t > 0")
+    if any(sum(a * x for a, x in zip(normal, ray) if x) for normal in normals):
+        raise InvariantViolation("surviving ray must satisfy every constraint row")
+    support = [i for i, x in enumerate(ray[:-1]) if x]
+    rows = [[normal[i] for i in support] for normal in normals]
+    for col in range(len(support)):
+        index = next((i for i, row in enumerate(rows) if row[col]), None)
+        if index is None:
+            raise InvariantViolation("surviving ray must have independent support columns")
+        pivot = rows.pop(index)
+        if pivot[col] < 0:
+            pivot = [-x for x in pivot]
+        rows = [_eliminate(row, pivot, col) if row[col] else row for row in rows]
+
+
+def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
+    """All vertices of {q >= 0 : Aq = b}, in canonical order.
+
+    Double description on the homogenized cone {(q, t) >= 0 : Aq = b t} over
+    the allowed cells, with each row scaled to an integer normal.  The rows
+    are intersected deepest first: the martingale rows in reverse (k, c, j)
+    order, then the calibration rows, then the normalization row, which
+    keeps far fewer intermediate rays than the given order.  ``cs.rows``
+    keeps its order, and the vertices are sorted afterwards, so the output
+    does not depend on the row order.  The normalization row forces t > 0 on
+    every surviving ray, so rays and vertices correspond one-to-one and an
+    infeasible system leaves no ray.  Each ray passes ``_check_vertex_ray``
+    in int arithmetic before any Fraction is built for it.  Extremality
+    certificates are built on demand by ``certify``.
+    """
+    cols = sorted(cs.allowed)
+    martingale = [row for row in cs.rows if row.label[0] == "martingale"]
+    others = [row for row in cs.rows if row.label[0] != "martingale"]
+    normals = [integer_row([row.coeffs[c] for c in cols] + [-row.rhs]) for row in martingale[::-1] + others]
+    normals = [normal for normal in normals if any(normal)]
     vertices: list[tuple[tuple[int, ...], Payoff]] = []
-    for ray in rays:
+    for ray in _double_description(normals, len(cols) + 1):
+        _check_vertex_ray(ray, normals)
         t = ray[-1]
-        if t <= 0:
-            raise InvariantViolation("normalization row must bound every surviving ray")
         weights = [ZERO] * cs.n_cells
-        for c, x in zip(cols, ray[:-1]):
-            weights[c] = Fraction(x, t)
-        vec = tuple(weights)
-        support = tuple(a for a, w in enumerate(vec) if w > 0)
-        vertices.append((support, vec))
+        for c, x in zip(cols, ray):
+            if x:
+                weights[c] = Fraction(x, t)
+        vertices.append((tuple(c for c, x in zip(cols, ray) if x), tuple(weights)))
     vertices.sort()
-
-    measures = tuple(Measure(weights) for _, weights in vertices)
-    certificates = tuple(is_extreme(m, cs)[1] for m in measures)
-    return VertexSet(measures, certificates)
+    return VertexSet(tuple(Measure(weights) for _, weights in vertices))

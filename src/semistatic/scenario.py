@@ -62,7 +62,7 @@ def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], what: 
 def load_scenario(path: str | Path) -> Scenario:
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, or an integer past the digit limit
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(data, name_hint=Path(path).stem)
 

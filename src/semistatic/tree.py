@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotComplete, NotMeasurable
-from .hedging import decompose_unhedgeable, is_semistatically_complete
+from .hedging import decompose_unhedgeable
 from .model import FilteredModel, Measure, Payoff
-from .polytope import ConstraintSystem, build_constraints
+from .polytope import ConstraintSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -358,10 +358,10 @@ def extract_tree(
     charged next-period cells.  Any misalignment is reported as NoTree rather
     than repaired, since with a jumping price no tree needs to exist.
     """
-    cs = cs or build_constraints(model)
-    if not is_semistatically_complete(measure, model, cs).complete:
-        raise NotComplete("tree extraction requires semi-static completeness")
-    decomposition = decompose_unhedgeable(measure, model, cs)
+    try:
+        decomposition = decompose_unhedgeable(measure, model, cs)
+    except NotComplete:
+        raise NotComplete("tree extraction requires semi-static completeness") from None
     weights = measure.weights
 
     def charged_of(cell: Iterable[int]) -> frozenset[int]:

@@ -1,0 +1,116 @@
+"""Input-contract fuzzing of the command line.
+
+Every run of ``cli.main`` on malformed input must end with exit code 0, 1 or
+2 (or argparse's usage exit 2), and print one JSON line: never a traceback.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semistatic.cli import main
+from tests.conftest import SCENARIOS
+
+BUNDLED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))}
+REPLACEMENTS = [None, True, 0.5, "1/0", [], {}, 2**200]
+COMMANDS = [
+    ["validate"],
+    ["extremes"],
+    ["complete", "--measure", "0"],
+    ["replicate", "--measure", "0", "--payoff", "abs_S1"],
+    ["price", "--payoff", "abs_S1"],
+    ["superhedge", "--payoff", "abs_S1"],
+    ["duality", "--payoff", "abs_S1"],
+    ["tree", "--measure", "0"],
+    ["enlarge", "--measure", "0"],
+    ["informed-compare"],
+]
+
+
+def locations(node, prefix=()):
+    """The key path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from locations(value, prefix + (key,))
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A bundled scenario with one value deleted or replaced by a malformed one."""
+    data = json.loads(json.dumps(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]))
+    *parents, key = draw(st.sampled_from(list(locations(data))))
+    container = data
+    for step in parents:
+        container = container[step]
+    replacement = draw(st.sampled_from(["delete"] + REPLACEMENTS))
+    if replacement == "delete":
+        del container[key]
+    else:
+        container[key] = replacement
+    return data
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--format", "json", *argv])
+        except SystemExit as exc:
+            assert exc.code == 2 and "usage:" in err.getvalue()
+            return 2
+    assert code in (0, 1, 2)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    return code
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=mutated_scenarios(), command=st.sampled_from(COMMANDS))
+def test_mutated_scenarios_keep_the_exit_code_contract(scratch, data, command):
+    path = scratch / "mutated.json"
+    path.write_text(json.dumps(data))
+    run([*command, str(path)])
+
+
+ARGUMENT_TEXT = st.one_of(
+    st.text(alphabet="0123456789/,-+. abxe", max_size=24),
+    st.text(max_size=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUNDLED)),
+    command=st.sampled_from(["complete", "tree", "enlarge", "replicate", "price", "superhedge", "duality"]),
+    measure=ARGUMENT_TEXT,
+    payoff=ARGUMENT_TEXT,
+)
+def test_random_measure_and_payoff_strings_keep_the_exit_code_contract(name, command, measure, payoff):
+    flags = {
+        "complete": ["--measure", measure],
+        "tree": ["--measure", measure],
+        "enlarge": ["--measure", measure],
+        "replicate": ["--measure", measure, "--payoff", payoff],
+    }.get(command, ["--payoff", payoff])
+    run([command, *flags, str(SCENARIOS / f"{name}.json")])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"outcomes": [1' + b"0" * 5000 + b"]}", b"\xff\xfe\x00 not text"],
+    ids=["integer-beyond-digit-limit", "not-utf8"],
+)
+def test_unreadable_scenario_is_an_input_error(scratch, content):
+    path = scratch / "unreadable.json"
+    path.write_bytes(content)
+    assert run(["validate", str(path)]) == 2

@@ -117,3 +117,11 @@ def small_rational_matrices(draw):
 @given(small_rational_matrices())
 def test_independent_rows_is_first_wins_greedy(matrix):
     assert linalg.independent_rows(matrix) == greedy_independent_rows(matrix)
+
+
+def test_min_norm_solution_rank_deficient_and_inconsistent():
+    a = [[F(1), F(1)], [F(2), F(2)]]
+    assert linalg.min_norm_solution(a, [F(1), F(2)]) == (F(1, 2), F(1, 2))
+    assert linalg.min_norm_solution(a, [F(1), F(3)]) is None
+    assert linalg.min_norm_solution([[F(0), F(0)]], [F(0)]) == (F(0), F(0))
+    assert linalg.min_norm_solution([[F(0), F(0)]], [F(1)]) is None

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic import linalg
-from semistatic.errors import ConstraintViolation
+from semistatic import polytope
+from semistatic.errors import ConstraintViolation, InvariantViolation
 from semistatic.model import Measure
-from semistatic.polytope import build_constraints, enumerate_extreme_points, is_extreme, member
+from semistatic.polytope import build_constraints, certify, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
 from semistatic.scenario import parse_scenario
 
@@ -113,7 +114,9 @@ def test_vertices_pass_member_and_extreme(seed):
     cs = build_constraints(model)
     vs = enumerate_extreme_points(cs)
     assert vs.vertices, "generator guarantees a nonempty measure set"
-    for v, cert in zip(vs.vertices, vs.certificates):
+    certs = certify(vs, cs)
+    assert len(certs) == len(vs.vertices)
+    for v, cert in zip(vs.vertices, certs):
         assert member(v, cs)
         assert cert.extreme
     for v1, v2 in zip(vs.vertices, vs.vertices[1:]):
@@ -167,6 +170,24 @@ def test_forced_zero_degeneracy(trinomial):
     assert [v.weights for v in vs.vertices] == [(F(0), F(1), F(0))]
 
 
+def ladder_steps(b):
+    return list(range(-(b // 2), b - b // 2))
+
+
+def ladder_model(b, horizon):
+    """Claim-free one-asset b-nomial tree over ``horizon`` periods, natural filtration."""
+    steps = ladder_steps(b)
+    paths = list(product(range(b), repeat=horizon))
+    prices = [[sum(steps[i] for i in path[:k]) for path in paths] for k in range(horizon + 1)]
+    return parse_scenario(
+        {
+            "outcomes": ["p" + "".join(map(str, path)) for path in paths],
+            "times": list(range(horizon + 1)),
+            "prices": [prices],
+        }
+    ).model
+
+
 def one_step_extreme_kernels(steps):
     """Extreme points of {p >= 0 : sum p = 1, sum p * step = 0}.
 
@@ -199,19 +220,12 @@ def kernel_products(kernels, horizon):
     return measures
 
 
-@pytest.mark.parametrize("b, horizon, count", [(4, 2, 21), (5, 2, 105), (3, 3, 42), (6, 2, 301)])
+@pytest.mark.parametrize("b, horizon, count", [(4, 2, 21), (5, 2, 105), (3, 3, 42), (6, 2, 301), (4, 3, 903)])
 def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
     # without claims the extreme martingale measures factor over the tree nodes
-    steps = list(range(-(b // 2), b - b // 2))
+    steps = ladder_steps(b)
     paths = list(product(range(b), repeat=horizon))
-    prices = [[sum(steps[i] for i in path[:k]) for path in paths] for k in range(horizon + 1)]
-    model = parse_scenario(
-        {
-            "outcomes": ["p" + "".join(map(str, path)) for path in paths],
-            "times": list(range(horizon + 1)),
-            "prices": [prices],
-        }
-    ).model
+    model = ladder_model(b, horizon)
     cell = model.terminal_cell_of_outcome
     vs = enumerate_extreme_points(build_constraints(model))
     found = {tuple(v.weights[cell[w]] for w in range(len(paths))) for v in vs.vertices}
@@ -221,3 +235,39 @@ def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
     }
     assert len(vs.vertices) == len(found) == count
     assert found == expected
+
+
+def test_certify_matches_is_extreme(glued_two_vol):
+    cs = build_constraints(glued_two_vol.model)
+    vs = enumerate_extreme_points(cs)
+    certs = certify(vs, cs)
+    assert certs == tuple(is_extreme(v, cs)[1] for v in vs.vertices)
+    for v, cert in zip(vs.vertices, certs):
+        assert cert.extreme and len(cert.witness_rows) == len(v.support)
+
+
+def corrupt_last_ray(monkeypatch, corrupt):
+    original = polytope._double_description
+
+    def corrupted(normals, dim):
+        rays = original(normals, dim)
+        return rays[:-1] + [corrupt(rays[-1], rays)]
+
+    monkeypatch.setattr(polytope, "_double_description", corrupted)
+
+
+@pytest.mark.parametrize(
+    "corrupt, reason",
+    [
+        pytest.param(lambda ray, rays: ray[:-1] + (0,), "t > 0", id="t-zero"),
+        pytest.param(lambda ray, rays: tuple(-x for x in ray[:-1]) + ray[-1:], "nonnegative", id="negative"),
+        pytest.param(lambda ray, rays: (ray[0] + 1,) + ray[1:], "constraint row", id="off-row"),
+        pytest.param(lambda ray, rays: tuple(a + b for a, b in zip(ray, rays[0])), "independent", id="not-extreme"),
+    ],
+)
+def test_corrupted_ray_raises_invariant_violation(monkeypatch, corrupt, reason):
+    cs = build_constraints(ladder_model(3, 2))
+    assert len(enumerate_extreme_points(cs)) == 6
+    corrupt_last_ray(monkeypatch, corrupt)
+    with pytest.raises(InvariantViolation, match=reason):
+        enumerate_extreme_points(cs)

@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import linalg
+from semistatic import cli, hedging, linalg
 from semistatic.errors import NotComplete, NotMeasurable
 from semistatic.hedging import decompose_unhedgeable, gain_basis, is_semistatically_complete
 from semistatic.model import conditional_expectation, indicator
@@ -22,6 +23,7 @@ from semistatic.tree import (
     sigma_tree_expectation,
     validate_atomic_tree,
 )
+from tests.conftest import scenario_path
 
 F = Fraction
 
@@ -152,6 +154,32 @@ def test_extract_tree_dynamically_complete(binomial, trinomial):
 def test_extract_tree_requires_completeness(trinomial):
     with pytest.raises(NotComplete):
         extract_tree(trinomial.model.measure(["1/4", "1/2", "1/4"]), trinomial.model)
+
+
+def test_not_complete_messages_name_the_operation(trinomial):
+    model = trinomial.model
+    q = model.measure(["1/4", "1/2", "1/4"])
+    with pytest.raises(NotComplete) as tree_error:
+        extract_tree(q, model)
+    assert str(tree_error.value) == "tree extraction requires semi-static completeness"
+    with pytest.raises(NotComplete) as decompose_error:
+        decompose_unhedgeable(q, model)
+    assert str(decompose_error.value) == "unhedgeable decomposition requires semi-static completeness"
+
+
+def test_tree_command_checks_membership_and_span_rank_once(monkeypatch, capsys):
+    calls = Counter()
+    for name in ("member", "hedging_span"):
+        original = getattr(hedging, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(hedging, name, counted)
+    assert cli.main(["tree", "--measure", "0", str(scenario_path("glued_two_vol"))]) == 0
+    assert "birth" in capsys.readouterr().out
+    assert calls == {"member": 1, "hedging_span": 1}
 
 
 def test_extract_tree_jump_counterexample(jump_counterexample):
