@@ -111,7 +111,8 @@ def corpus(workdir: Path) -> list[list[str]]:
     return out
 
 
-def main() -> int:
+def report_digest() -> tuple[Counter, str]:
+    """The count of each exit code over the corpus and the sha256 of every report."""
     digest = hashlib.sha256()
     codes: Counter = Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -120,9 +121,14 @@ def main() -> int:
             codes[code] += 1
             shown = argv[:-1] + [Path(argv[-1]).name]
             digest.update(json.dumps([shown, code, stdout]).encode() + b"\n")
+    return codes, digest.hexdigest()
+
+
+def main() -> int:
+    codes, sha256 = report_digest()
     print(f"commands: {sum(codes.values())}")
     print("exit codes: " + " ".join(f"{code}={count}" for code, count in sorted(codes.items())))
-    print(f"sha256: {digest.hexdigest()}")
+    print(f"sha256: {sha256}")
     return 0
 
 

@@ -324,10 +324,7 @@ def decompose_unhedgeable(
         for v in residuals
     )
 
-    span_basis: list[Payoff] = []
-    for v in residuals:
-        if linalg.rank(span_basis + [list(v)]) > len(span_basis):
-            span_basis.append(v)
+    span_basis = [residuals[i] for i in linalg.independent_rows(residuals)]
 
     blocks: list[JumpBlock] = []
     previous_basis: list[Payoff] = []

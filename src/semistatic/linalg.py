@@ -3,15 +3,20 @@
 Small dense routines used throughout: reduced row echelon form, rank with
 row/column witnesses, nullspaces, particular and minimum-norm solutions, and
 weighted Gram-Schmidt without normalization (normalizing would require square
-roots and break exactness).  Vectors are tuples of Fraction.
+roots and break exactness).  Vectors are tuples of Fraction.  The engine's
+one exact elimination kernel is here too: ``eliminate``, a fraction-free step
+on int rows (Bareiss 1968), and ``pivot``, which clears a column with it for
+``rref`` and for the simplex tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import InvariantViolation
+from .rationals import integer_row
 
 Vector = tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
@@ -20,34 +25,48 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _rows(matrix: Matrix) -> list[list[Fraction]]:
-    return [list(row) for row in matrix]
+def eliminate(target: list[int], pivot_row: list[int], col: int) -> list[int]:
+    """p*target - f*pivot_row over the pivot row's nonzeros, divided by the gcd.
+
+    p = pivot_row[col] > 0 and f = target[col], so the result has a zero in
+    ``col`` and is a positive multiple of the row rational elimination gives.
+    """
+    p, f = pivot_row[col], target[col]
+    row = [p * x - f * y if y else p * x for x, y in zip(target, pivot_row)]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
-def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = _rows(matrix)
+def pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Clear column ``c`` from every row but ``r``, in place; rows[r][c] ends up > 0."""
+    if rows[r][c] < 0:
+        rows[r] = [-x for x in rows[r]]
+    pivot_row = rows[r]
+    for i, target in enumerate(rows):
+        if i != r and target[c]:
+            rows[i] = eliminate(target, pivot_row, c)
+
+
+def rref(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over ints: the pivot rows and the pivot columns.
+
+    Each row is a positive int multiple of its rational reduced row, so
+    row[j] / row[pivot] is the rational entry; having the same zeros, it
+    picks the same pivots (first nonzero row at or below the current one).
+    """
+    rows = [integer_row(row) for row in matrix]
     if not rows:
         return [], []
-    ncols = len(rows[0])
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivot(rows, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    return rows[: len(pivots)], pivots
 
 
 def rank(matrix: Matrix) -> int:
@@ -64,8 +83,6 @@ def independent_rows(matrix: Matrix) -> list[int]:
 
 
 def transpose(matrix: Matrix) -> list[list[Fraction]]:
-    if not matrix:
-        return []
     return [list(col) for col in zip(*matrix)]
 
 
@@ -80,14 +97,11 @@ def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
         return ()
     ncols = len(matrix[0])
     reduced, pivots = rref(rows)
-    for row in reduced:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
+    if pivots and pivots[-1] == ncols:
+        return None
     solution = [ZERO] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        solution[c] = reduced[r][ncols]
+    for row, c in zip(reduced, pivots):
+        solution[c] = Fraction(row[ncols], row[c])
     return tuple(solution)
 
 
@@ -97,15 +111,14 @@ def nullspace(matrix: Matrix) -> list[Vector]:
         return []
     ncols = len(matrix[0])
     reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
     basis: list[Vector] = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = [ZERO] * ncols
         vec[free] = ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][free]
+        for row, c in zip(reduced, pivots):
+            vec[c] = Fraction(-row[free], row[c])
         basis.append(tuple(vec))
     return basis
 

@@ -207,7 +207,7 @@ class Measure:
     def __post_init__(self) -> None:
         if any(w < 0 for w in self.weights):
             raise ValueError("measure weights must be nonnegative")
-        if sum(self.weights, ZERO) != 1:
+        if sum((w for w in self.weights if w), ZERO) != 1:
             raise ValueError("measure weights must sum to exactly 1")
         if self._model is not None:
             if len(self.weights) != self._model.n_cells:

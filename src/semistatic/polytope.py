@@ -8,7 +8,8 @@ cone, with the rows taken deepest first.  Each row is scaled to integers, so
 the rays are primitive int tuples and every sign test is exact; each ray's
 zero set is an int bitmask, so the adjacency test is a few integer operations
 per ray.  Every surviving ray is checked in int arithmetic (constraint rows,
-signs, independent support columns) before it becomes a Fraction measure.
+signs, independent support columns by ``linalg.rank``, which runs the one
+fraction-free kernel in ``linalg``) before it becomes a Fraction measure.
 Extremality certificates are not part of the enumeration; ``certify`` builds
 them on demand.  Emptiness, vertex identity, and certificates are thus all
 exact yes/no facts.
@@ -24,7 +25,6 @@ from . import linalg
 from .errors import ConstraintViolation, InvariantViolation
 from .model import FilteredModel, Measure, Payoff
 from .rationals import integer_row
-from .simplex import _eliminate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -170,15 +170,8 @@ def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]]) -> None:
     if any(sum(a * x for a, x in zip(normal, ray) if x) for normal in normals):
         raise InvariantViolation("surviving ray must satisfy every constraint row")
     support = [i for i, x in enumerate(ray[:-1]) if x]
-    rows = [[normal[i] for i in support] for normal in normals]
-    for col in range(len(support)):
-        index = next((i for i, row in enumerate(rows) if row[col]), None)
-        if index is None:
-            raise InvariantViolation("surviving ray must have independent support columns")
-        pivot = rows.pop(index)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        rows = [_eliminate(row, pivot, col) if row[col] else row for row in rows]
+    if linalg.rank([[normal[i] for i in support] for normal in normals]) < len(support):
+        raise InvariantViolation("surviving ray must have independent support columns")
 
 
 def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:

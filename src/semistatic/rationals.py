@@ -8,6 +8,7 @@ everywhere; they would silently corrupt exact rank and equality tests.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -39,9 +40,10 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 def fmt(value: Fraction) -> str:
     """Canonical string form: reduced, q > 0, "/1" omitted."""
+    # Decimal(n) is exact and its str() has no int-to-string digit limit
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(Decimal(value.numerator))
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
 def integer_row(values: Sequence[Fraction | int]) -> list[int]:

@@ -2,23 +2,23 @@
 
 Solves min c.x subject to A x = b, x >= 0 exactly.  Every tableau row, the
 reduced-cost row included, is a list of ints that is a positive multiple of
-the rational row it stands for.  A pivot is one fraction-free elimination
-(Bareiss 1968) per row with a nonzero entry in the pivot column, followed by
-division by the row's gcd; the reduced-cost row is priced once per phase and
-then pivoted like the others.  A positive factor changes no sign and no
-ratio, so Bland's rule (lowest eligible index enters, lowest basic index
-breaks ratio ties) makes the same choices as over the rationals: the method
-terminates without any perturbation and runs stay deterministic.  Fractions
-are built only for the returned solution, ray and objective.
+the rational row it stands for.  A pivot is ``linalg.pivot``, the engine's one
+fraction-free elimination kernel (Bareiss 1968); the reduced-cost row is
+priced once per phase and then eliminated like the others.  A positive
+factor changes no sign and no ratio, so Bland's rule (lowest eligible index
+enters, lowest basic index breaks ratio ties) makes the same choices as over
+the rationals: the method terminates without any perturbation and runs stay
+deterministic.  Fractions are built only for the returned solution, ray and
+objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
+from . import linalg
 from .errors import InvariantViolation
 from .rationals import integer_row
 
@@ -31,18 +31,6 @@ class LPResult:
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
     ray: tuple[Fraction, ...] | None = None  # improving feasible direction when unbounded
-
-
-def _eliminate(target: list[int], pivot_row: list[int], col: int) -> list[int]:
-    """p*target - f*pivot_row over the pivot row's nonzeros, divided by the gcd.
-
-    p = pivot_row[col] > 0 and f = target[col], so the result has a zero in
-    ``col`` and is a positive multiple of the row rational elimination gives.
-    """
-    p, f = pivot_row[col], target[col]
-    row = [p * x - f * y if y else p * x for x, y in zip(target, pivot_row)]
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
 
 
 class _Tableau:
@@ -61,18 +49,13 @@ class _Tableau:
         objective = integer_row(list(cost) + [0])
         for row, b in zip(self.rows, self.basis):
             if objective[b]:
-                objective = _eliminate(objective, row, b)
+                objective = linalg.eliminate(objective, row, b)
         self.objective = objective
 
     def pivot(self, row: int, col: int) -> None:
-        pivot_row = self.rows[row]
-        if pivot_row[col] < 0:  # only when driving out an artificial; that row's rhs is 0
-            pivot_row = self.rows[row] = [-x for x in pivot_row]
-        for i, target in enumerate(self.rows):
-            if i != row and target[col]:
-                self.rows[i] = _eliminate(target, pivot_row, col)
+        linalg.pivot(self.rows, row, col)  # negates the row only when driving out an artificial; its rhs is 0
         if self.objective[col]:
-            self.objective = _eliminate(self.objective, pivot_row, col)
+            self.objective = linalg.eliminate(self.objective, self.rows[row], col)
         self.basis[row] = col
 
     def value(self, i: int, col: int) -> Fraction:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -256,3 +257,38 @@ def test_reused_parser_matches_fresh_parser(capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
     assert reused[2][1] == "" and "usage:" in reused[2][2]
+
+
+def unlimited_str(n):
+    """str(n) with Python's int-to-string digit limit lifted for the call only."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7 has no limit
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_extremes_prints_weights_past_the_int_digit_limit(tmp_path, capsys):
+    # every price has under 2500 digits, but the vertex weights have more than 4300
+    a, b, c, d = 7**2950 + 1, 3**5200 + 2, 11**2380 + 5, 13**2200 + 3
+    scenario = {
+        "name": "long_prices",
+        "outcomes": ["uu", "ud", "du", "dd"],
+        "times": [0, 1, 2],
+        "filtration": "natural",
+        "prices": [[[0, 0, 0, 0], [str(a), str(a), str(-b), str(-b)], [str(a + c), str(a - d), str(c - b), str(-b - d)]]],
+        "claims": [],
+        "prior_support": "all",
+    }
+    path = tmp_path / "long_prices.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--format", "json", "extremes", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    up, down = Fraction(b, a + b), Fraction(a, a + b)
+    expected = [up * Fraction(d, c + d), up * Fraction(c, c + d), down * Fraction(d, c + d), down * Fraction(c, c + d)]
+    texts = [f"{unlimited_str(q.numerator)}/{unlimited_str(q.denominator)}" for q in expected]
+    assert all(len(part) > 4300 for text in texts for part in text.split("/"))
+    assert report["result"]["vertices"] == [{"support": ["uu", "ud", "du", "dd"], "weights": texts}]

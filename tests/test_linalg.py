@@ -1,3 +1,10 @@
+"""Exact linear algebra, with the integer kernel checked against a Fraction reference.
+
+The reference below is the Fraction Gauss-Jordan elimination ``linalg.rref``
+ran before its rows became ints, with ``solve`` and ``nullspace`` as they
+were built on it.
+"""
+
 import random
 from fractions import Fraction
 
@@ -125,3 +132,80 @@ def test_min_norm_solution_rank_deficient_and_inconsistent():
     assert linalg.min_norm_solution(a, [F(1), F(3)]) is None
     assert linalg.min_norm_solution([[F(0), F(0)]], [F(0)]) == (F(0), F(0))
     assert linalg.min_norm_solution([[F(0), F(0)]], [F(1)]) is None
+
+
+def reference_rref(matrix):
+    rows = [list(row) for row in matrix]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_solve(matrix, rhs):
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    if not rows:
+        return ()
+    ncols = len(matrix[0])
+    reduced, pivots = reference_rref(rows)
+    for row in reduced:
+        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+            return None
+    solution = [F(0)] * ncols
+    for r, c in enumerate(pivots):
+        if c == ncols:
+            return None
+        solution[c] = reduced[r][ncols]
+    return tuple(solution)
+
+
+def reference_nullspace(matrix):
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    reduced, pivots = reference_rref(matrix)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rational_matrices(), st.data())
+def test_integer_kernel_matches_fraction_reference(matrix, data):
+    reduced, pivots = linalg.rref(matrix)
+    expected, expected_pivots = reference_rref(matrix)
+    assert pivots == expected_pivots
+    assert len(reduced) == len(pivots)
+    for row, c, expected_row in zip(reduced, pivots, expected):
+        assert all(isinstance(x, int) for x in row) and row[c] > 0
+        assert [Fraction(x, row[c]) for x in row] == expected_row
+    assert linalg.nullspace(matrix) == reference_nullspace(matrix)
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rhs = data.draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
+    assert linalg.solve(matrix, rhs) == reference_solve(matrix, rhs)
+    if matrix:
+        consistent = linalg.mat_vec(matrix, [F(1)] * len(matrix[0]))
+        assert linalg.solve(matrix, consistent) == reference_solve(matrix, consistent)
