@@ -40,7 +40,7 @@ def describe(path: Path) -> None:
         print(line)
     for name, payoff in sorted(scenario.payoffs.items()):
         try:
-            report = verify_duality(payoff, model, vertex_set)
+            report = verify_duality(payoff, model)
             print(f"   payoff {name}: price {fmt(report.primal)} (gap {fmt(report.gap)})")
         except EmptyMeasureSet:
             print(f"   payoff {name}: no price, measure set empty")

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .duality import detect_arbitrage, robust_price, superhedge, verify_duality
+from .duality import detect_arbitrage, optimal_face, superhedge, verify_duality
 from .enlargement import azema, compensator, enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
@@ -126,7 +126,7 @@ def _cmd_replicate(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_price(scenario: Scenario, args) -> tuple[dict, int]:
     payoff = _resolve_payoff(args.payoff, scenario)
-    result = robust_price(payoff, scenario.model)
+    _, result = optimal_face(payoff, scenario.model)
     return result.to_json(scenario.model), PASS
 
 

@@ -2,14 +2,17 @@
 
 The superhedging price is a linear program: minimize initial cash subject to
 pointwise domination on every prior-allowed terminal cell.  Its dual is the
-maximization of the expected payoff over calibrated martingale measures, which
-reduces to a scan of the enumerated extreme points; finite LP strong duality
-makes the two sides match exactly, instance by instance.
+maximization of the expected payoff over calibrated martingale measures.  The
+two sides are certified as a pair: a small checker recomputes the optimal
+strategy's payoff, confirms domination, and collects the cells where it binds;
+the measures charging only those cells form the face of maximizers, and only
+that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
+the extreme points as an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -115,6 +118,50 @@ def robust_price(
     return RobustPriceResult(best, argmax)
 
 
+def _tight_cells(strategy: SemiStaticStrategy, payoff: Sequence[Fraction], model: FilteredModel) -> tuple[int, ...]:
+    """Allowed cells where the strategy's payoff equals the claim's; raises unless it dominates.
+
+    The payoff is recomputed from the strategy itself, not read off the LP's
+    surplus variables: cash plus every nonzero holding times the nonzero
+    entries of its vector, on the allowed cells only.
+    """
+    allowed = sorted(model.priors.allowed)
+    value = dict.fromkeys(allowed, strategy.cash)
+    terms = [(pos, model.claim_vector(i), allowed) for i, pos in enumerate(strategy.static) if pos]
+    for (_, k, c, j), vec in model.gains:
+        h = strategy.dynamic[k - 1][c][j]
+        if h:
+            terms.append((h, vec, model.coarse_groups[k - 1][c]))
+    for h, vec, cells in terms:
+        for a in cells:
+            if vec[a] and a in value:
+                value[a] += h * vec[a]
+    if any(value[a] < payoff[a] for a in allowed):
+        raise InvariantViolation("superhedging strategy must dominate the payoff on every allowed cell")
+    return tuple(a for a in allowed if value[a] == payoff[a])
+
+
+def optimal_face(payoff: Sequence[Fraction], model: FilteredModel) -> tuple[SuperhedgeResult, RobustPriceResult]:
+    """The superhedge and the extreme maximizers it certifies, without a full vertex scan.
+
+    Under a calibrated martingale measure the strategy's payoff has
+    expectation equal to its cash, so E_Q[X] <= cash, with equality exactly
+    when Q charges only the tight cells.  The vertices of that face are
+    therefore all the extreme maximizers, in the canonical vertex order; the
+    face must be nonempty and its vertices must share one expectation.  An
+    unbounded superhedge means an empty measure set, reported as -inf.
+    """
+    primal = superhedge(payoff, model)
+    if primal.unbounded:
+        return primal, RobustPriceResult(None, ())
+    tight = _tight_cells(primal.strategy, payoff, model)
+    face = enumerate_extreme_points(replace(build_constraints(model), allowed=frozenset(tight)))
+    values = {m.expectation(payoff) for m in face.vertices}
+    if len(values) != 1:
+        raise InvariantViolation("the tight face must be nonempty with one expectation on all its vertices")
+    return primal, RobustPriceResult(values.pop(), face.vertices)
+
+
 @dataclass(frozen=True)
 class DualityReport:
     primal: Fraction  # superhedging price
@@ -145,22 +192,18 @@ class DualityReport:
         }
 
 
-def verify_duality(
-    payoff: Sequence[Fraction], model: FilteredModel, vertex_set: VertexSet | None = None
-) -> DualityReport:
-    """Assert primal = dual exactly and check complementary slackness."""
-    if vertex_set is None:
-        vertex_set = enumerate_extreme_points(build_constraints(model))
-    if not vertex_set.vertices:
+def verify_duality(payoff: Sequence[Fraction], model: FilteredModel) -> DualityReport:
+    """Certify primal = dual exactly and check complementary slackness.
+
+    The dual side is the face of maximizers from ``optimal_face``, so only
+    that face's vertices are enumerated; slackness is checked against the
+    tight cells the LP reports.
+    """
+    primal, dual = optimal_face(payoff, model)
+    if dual.empty:
         raise EmptyMeasureSet("empty calibrated measure set; run detect_arbitrage for a certificate")
-    primal = superhedge(payoff, model)
-    dual = robust_price(payoff, model, vertex_set)
-    if primal.price is None:
-        raise InvariantViolation("nonempty measure set bounds the superhedge below")
     tight_set = set(primal.tight)
-    slackness = all(
-        a in tight_set for measure in dual.argmax for a in measure.support
-    )
+    slackness = all(a in tight_set for measure in dual.argmax for a in measure.support)
     return DualityReport(primal.price, dual.value, primal.strategy, dual.argmax, primal.tight, slackness)
 
 

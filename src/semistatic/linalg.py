@@ -180,11 +180,3 @@ def project_onto_span(
         coef = weighted_dot(x, b, weights) / weighted_dot(b, b, weights)
         projection = [p + coef * y for p, y in zip(projection, b)]
     return tuple(projection)
-
-
-def intersection_dimension(
-    span_a: Sequence[Sequence[Fraction]], span_b: Sequence[Sequence[Fraction]]
-) -> int:
-    """dim(span A ∩ span B) via rank inclusion-exclusion."""
-    joint = list(span_a) + list(span_b)
-    return rank(list(span_a)) + rank(list(span_b)) - rank(joint)

@@ -221,7 +221,7 @@ class Measure:
         return tuple(a for a, w in enumerate(self.weights) if w > 0)
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
-        return sum((w * x for w, x in zip(self.weights, payoff)), ZERO)
+        return sum((w * x for w, x in zip(self.weights, payoff) if w), ZERO)
 
     def to_json(self, model: FilteredModel) -> dict:
         return {

@@ -47,6 +47,11 @@ def fmt(value: Fraction) -> str:
 
 
 def integer_row(values: Sequence[Fraction | int]) -> list[int]:
-    """The row scaled by the lcm of its denominators: a positive multiple in ints."""
+    """The row scaled by the lcm of its denominators: a positive multiple in ints.
+
+    A row that is already all ints is returned as a plain copy.
+    """
+    if all(type(x) is int for x in values):
+        return list(values)
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values]

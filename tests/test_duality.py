@@ -1,16 +1,21 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic.duality import detect_arbitrage, robust_price, superhedge, verify_duality
-from semistatic.errors import EmptyMeasureSet
+from semistatic import cli, duality
+from semistatic.duality import detect_arbitrage, optimal_face, robust_price, superhedge, verify_duality
+from semistatic.errors import EmptyMeasureSet, InvariantViolation
 from semistatic.hedging import strategy_payoff
 from semistatic.model import FilteredModel, StaticClaim
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model, random_payoff
+from tests.conftest import scenario_path
+from tests.test_polytope import ladder_model
 
 F = Fraction
 
@@ -190,3 +195,79 @@ def test_weak_duality_via_feasible_mixtures(seed):
     price = superhedge(payoff, model).price
     mixture = random_mixture(rng, vertex_set)
     assert mixture.expectation(payoff) <= price
+
+
+def assert_matches_full_scan(payoff, model):
+    """``verify_duality`` against ``superhedge`` plus the full vertex scan of ``robust_price``."""
+    primal = superhedge(payoff, model)
+    scan = robust_price(payoff, model, enumerate_extreme_points(build_constraints(model)))
+    tight = set(primal.tight)
+    report = verify_duality(payoff, model)
+    assert report.primal == primal.price
+    assert report.dual == scan.value
+    assert report.argmax == scan.argmax
+    assert report.tight == primal.tight
+    assert report.slackness_ok == all(a in tight for m in scan.argmax for a in m.support)
+    assert optimal_face(payoff, model)[1] == scan
+    return report
+
+
+def test_face_matches_full_scan_on_random_models():
+    with_claims = with_disallowed = 0
+    for seed in range(150):
+        rng = random.Random(f"face-{seed}")
+        model, _ = random_model(rng, max_atoms=10)
+        with_claims += bool(model.claims)
+        with_disallowed += len(model.priors.allowed) < model.n_cells
+        for _ in range(2):
+            assert assert_matches_full_scan(random_payoff(rng, model), model).ok
+    assert with_claims > 50 and with_disallowed > 10
+
+
+@pytest.mark.parametrize("b, horizon, ties", [(4, 2, 3), (5, 2, 37), (3, 3, 4), (6, 2, 7)])
+def test_face_matches_full_scan_on_ladder(b, horizon, ties):
+    model = ladder_model(b, horizon)
+    payoff = tuple(abs(model.price(0, horizon, a)) for a in range(model.n_cells))
+    report = assert_matches_full_scan(payoff, model)
+    assert report.ok and len(report.argmax) == ties
+
+
+def test_price_on_empty_measure_set_is_minus_infinity(informed_arbitrage):
+    from semistatic.enlargement import enlarge
+
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    payoff = (F(0),) * model.n_cells
+    primal, dual = optimal_face(payoff, model)
+    assert primal.unbounded and dual.empty and dual.argmax == ()
+    assert dual == robust_price(payoff, model)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_wrong_superhedge_cash_raises(monkeypatch, trinomial, shift):
+    # cash - 1 does not dominate; cash + 1 dominates strictly, so its tight face is empty
+    solve = duality.superhedge
+
+    def shifted_cash(payoff, model):
+        result = solve(payoff, model)
+        strategy = replace(result.strategy, cash=result.strategy.cash + shift)
+        return replace(result, price=result.price + shift, strategy=strategy)
+
+    monkeypatch.setattr(duality, "superhedge", shifted_cash)
+    with pytest.raises(InvariantViolation):
+        verify_duality(trinomial.payoffs["abs_S1"], trinomial.model)
+
+
+def test_tight_set_missing_a_face_cell_fails_slackness(monkeypatch, capsys, trinomial):
+    solve = duality.superhedge
+    payoff = trinomial.payoffs["abs_S1"]
+    charged = verify_duality(payoff, trinomial.model).argmax[0].support[0]
+
+    def drops_a_cell(payoff, model):
+        result = solve(payoff, model)
+        return replace(result, tight=tuple(a for a in result.tight if a != charged))
+
+    monkeypatch.setattr(duality, "superhedge", drops_a_cell)
+    report = verify_duality(payoff, trinomial.model)
+    assert report.gap == 0 and not report.slackness_ok and not report.ok
+    assert cli.main(["--format", "json", "duality", "--payoff", "abs_S1", str(scenario_path("trinomial"))]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["slackness_ok"] is False

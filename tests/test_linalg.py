@@ -88,12 +88,6 @@ def test_projection_idempotent():
         assert linalg.weighted_dot(residual, v, w) == 0
 
 
-def test_intersection_dimension():
-    a = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
-    b = [(F(0), F(1), F(0)), (F(0), F(0), F(1))]
-    assert linalg.intersection_dimension(a, b) == 1
-
-
 def greedy_independent_rows(matrix):
     """Definition: keep row i when it raises the rank of the rows kept so far."""
     kept, witness = [], []

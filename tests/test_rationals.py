@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semistatic.rationals import fmt, rat
+from semistatic.rationals import fmt, integer_row, rat
 
 
 def test_parse_forms():
@@ -33,3 +33,11 @@ def test_canonical_form():
 def test_round_trip(num, den):
     q = Fraction(num, den)
     assert rat(fmt(q)) == q
+
+
+def test_integer_row():
+    row = [3, -4, 0]
+    copy = integer_row(row)
+    assert copy == row and copy is not row
+    assert integer_row([Fraction(1, 2), Fraction(-2, 3), 1, Fraction(0)]) == [3, -4, 6, 0]
+    assert [type(x) for x in integer_row([Fraction(4), Fraction(6)])] == [int, int]
