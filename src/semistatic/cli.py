@@ -19,7 +19,7 @@ from .enlargement import azema, compensator, enlarge, informed_compare, jeulin_y
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
 from .model import FilteredModel, Measure, validate_model
-from .polytope import build_constraints, enumerate_extreme_points
+from .polytope import VertexSet, build_constraints, enumerate_extreme_points
 from .rationals import fmt, rat
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario, parse_inline_measure
 from .tree import AtomicTree, NoTree, extract_tree
@@ -141,7 +141,9 @@ def _cmd_duality(scenario: Scenario, args) -> tuple[dict, int]:
     try:
         report = verify_duality(payoff, scenario.model)
     except EmptyMeasureSet:
-        arb = detect_arbitrage(scenario.model)
+        # the unbounded superhedge already proves the set empty (LP duality);
+        # the floor program's positive floor is the independent certificate
+        arb = detect_arbitrage(scenario.model, VertexSet(()))
         return {"status": "arbitrage", "certificate": arb.to_json(scenario.model)}, PASS
     return report.to_json(scenario.model), PASS if report.ok else FAIL
 

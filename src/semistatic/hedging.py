@@ -99,11 +99,6 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     return tuple(out)
 
 
-def gain_basis(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
-    """Elementary gains 1_A (S^j_k - S^j_{k-1}) in canonical column order."""
-    return model.gains
-
-
 def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
     """Strategy coordinates in column order: cash, claims, gains."""
     claims = tuple((("claim", i), model.claim_vector(i)) for i in range(len(model.claims)))

@@ -3,16 +3,20 @@
 Small dense routines used throughout: reduced row echelon form, rank with
 row/column witnesses, nullspaces, particular and minimum-norm solutions, and
 weighted Gram-Schmidt without normalization (normalizing would require square
-roots and break exactness).  Vectors are tuples of Fraction.  The engine's
-one exact elimination kernel is here too: ``eliminate``, a fraction-free step
-on int rows (Bareiss 1968), and ``pivot``, which clears a column with it for
-``rref`` and for the simplex tableau.
+roots and break exactness).  Inputs and results are tuples of Fraction; the
+work runs on int rows, each a positive multiple of the rational row it stands
+for, and Fractions are built only for what is returned.  The engine's one
+exact elimination kernel is here: ``eliminate``, a fraction-free step on int
+rows (Bareiss 1968), and ``pivot``, which clears a column with it for ``rref``
+and for the simplex tableau.  Weighted orthogonalization has its own
+fraction-free step, ``_sweep``, under the weights scaled to ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -86,10 +90,6 @@ def transpose(matrix: Matrix) -> list[list[Fraction]]:
     return [list(col) for col in zip(*matrix)]
 
 
-def mat_vec(matrix: Matrix, vec: Sequence[Fraction]) -> Vector:
-    return tuple(sum((a * x for a, x in zip(row, vec)), ZERO) for row in matrix)
-
-
 def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """One particular solution of ``matrix @ x = rhs`` (free variables 0)."""
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
@@ -126,46 +126,73 @@ def nullspace(matrix: Matrix) -> list[Vector]:
 def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """Euclidean minimum-norm solution of a linear system, None when inconsistent.
 
-    The minimum-norm solution is the unique one in the row space, x = A_r^T y
-    with (A_r A_r^T) y = b_r over a maximal independent set of rows A_r.  It
-    satisfies the other rows exactly when the system is consistent.
+    The minimum-norm solution is the unique one in the row space.  Each row
+    [A_i | b_i] is scaled to ints [B_i | beta_i]; over a maximal independent
+    set of rows x = B_r^T z with (B_r B_r^T) z = beta_r, a Gram system in ints.
+    x is formed over one common denominator, and it satisfies every row,
+    checked in ints, exactly when the system is consistent.
     """
     if not matrix:
         return ()
-    keep = independent_rows(matrix)
-    basis = [matrix[i] for i in keep]
-    coeffs = solve([[dot(u, v) for v in basis] for u in basis], [rhs[i] for i in keep])
+    rows = [integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    lhs = [row[:-1] for row in rows]
+    keep = independent_rows(lhs)
+    basis = [lhs[i] for i in keep]
+    coeffs = solve([[sum(map(mul, u, v)) for v in basis] for u in basis], [rows[i][-1] for i in keep])
     if coeffs is None:
         raise InvariantViolation("Gram matrix of independent rows must be invertible")
-    x = [ZERO] * len(matrix[0])
-    for coef, row in zip(coeffs, basis):
-        x = [a + coef * b for a, b in zip(x, row)]
-    return tuple(x) if mat_vec(matrix, x) == tuple(rhs) else None
+    den = lcm(*(z.denominator for z in coeffs))
+    x = [0] * len(matrix[0])
+    for z, row in zip(coeffs, basis):
+        f = z.numerator * (den // z.denominator)
+        x = [a + f * b for a, b in zip(x, row)]
+    # map(mul, row, x) stops at len(x), before the rhs entry
+    if any(sum(map(mul, row, x)) != den * row[-1] for row in rows):
+        return None
+    return tuple(Fraction(a, den) for a in x)
 
 
-def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y)), ZERO)
+def _sweep(vec: Sequence[Fraction], basis: list, weights: list[int]) -> tuple[list[int], Fraction]:
+    """The residual of ``vec`` off a weighted-orthogonal int basis: an int row and its scale.
+
+    Each basis entry is (c, w*c, n = <c, c>_w, the scale of c).  The step
+    r <- n*r - <r, c>_w * c, divided by the gcd, keeps r a positive multiple
+    of the rational residual, which is scale * r.
+    """
+    row = integer_row(vec)
+    k = next((i for i, x in enumerate(row) if x), None)
+    if k is None:
+        return row, ONE
+    scale = Fraction(vec[k]) / row[k]
+    for c, wc, n, _ in basis:
+        f = sum(map(mul, row, wc))
+        if f:
+            row = [n * x - f * y if y else n * x for x, y in zip(row, c)]
+            g = gcd(*row) or 1
+            row = [x // g for x in row] if g > 1 else row
+            scale *= Fraction(g, n)
+    return row, scale
 
 
-def weighted_dot(x: Sequence[Fraction], y: Sequence[Fraction], weights: Sequence[Fraction]) -> Fraction:
-    return sum((w * a * b for w, a, b in zip(weights, x, y)), ZERO)
+def _orthogonalize(vectors: Sequence[Sequence[Fraction]], weights: list[int]) -> list:
+    """The residuals of nonzero weighted norm, each as a ``_sweep`` basis entry."""
+    basis: list = []
+    for vec in vectors:
+        row, scale = _sweep(vec, basis, weights)
+        if any(w and x for w, x in zip(weights, row)):
+            wrow = [w * x for w, x in zip(weights, row)]
+            basis.append((row, wrow, sum(map(mul, row, wrow)), scale))
+    return basis
 
 
 def gram_schmidt(vectors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> list[Vector]:
     """Orthogonalize under the weighted inner product, dropping zero vectors.
 
     No normalization is applied, so spans, orthogonality, and support patterns
-    stay exactly rational.
+    stay exactly rational.  The weights are scaled to ints, which changes no
+    projection coefficient, and the sweep runs on int rows.
     """
-    basis: list[Vector] = []
-    for vec in vectors:
-        residual = list(vec)
-        for b in basis:
-            coef = weighted_dot(residual, b, weights) / weighted_dot(b, b, weights)
-            residual = [x - coef * y for x, y in zip(residual, b)]
-        if any(weights[i] != 0 and residual[i] != 0 for i in range(len(residual))):
-            basis.append(tuple(residual))
-    return basis
+    return [tuple(scale * x for x in row) for row, _, _, scale in _orthogonalize(vectors, integer_row(weights))]
 
 
 def project_onto_span(
@@ -173,10 +200,7 @@ def project_onto_span(
     vectors: Sequence[Sequence[Fraction]],
     weights: Sequence[Fraction],
 ) -> Vector:
-    """Weighted orthogonal projection of ``x`` onto span(vectors)."""
-    basis = gram_schmidt(vectors, weights)
-    projection = [ZERO] * len(x)
-    for b in basis:
-        coef = weighted_dot(x, b, weights) / weighted_dot(b, b, weights)
-        projection = [p + coef * y for p, y in zip(projection, b)]
-    return tuple(projection)
+    """Weighted orthogonal projection of ``x`` onto span(vectors): x minus its residual."""
+    w = integer_row(weights)
+    row, scale = _sweep(x, _orthogonalize(vectors, w), w)
+    return tuple(a - scale * r for a, r in zip(x, row))

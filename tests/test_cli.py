@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from semistatic import cli, duality
 from semistatic.cli import build_parser, main
 from tests.conftest import scenario_path
 
@@ -88,7 +89,7 @@ def test_enlarge_command():
     assert report["result"]["per_jump"][0]["martingale_ok"] is True
 
 
-def test_duality_on_arbitrage_model(tmp_path):
+def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
     bad = {
         "outcomes": ["u", "m", "d"],
         "times": [0, 1],
@@ -103,6 +104,14 @@ def test_duality_on_arbitrage_model(tmp_path):
     assert code == 0
     assert report["result"]["status"] == "arbitrage"
     assert report["result"]["certificate"]["feasible"] is False
+    # the unbounded superhedge proves the set empty: no vertex enumeration
+    calls = []
+    for module in (cli, duality):
+        real = module.enumerate_extreme_points
+        monkeypatch.setattr(module, "enumerate_extreme_points", lambda cs, real=real: calls.append(cs) or real(cs))
+    assert main(["--format", "json", "duality", "--payoff", "zero", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+    assert calls == []
 
 
 def test_input_error_exit_code(tmp_path):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import linalg
 from semistatic.errors import EmptyMeasureSet, NotCalibrated, NotComplete
 from semistatic.hedging import (
     NotReplicable,
     decompose_unhedgeable,
     is_semistatically_complete,
     replicate,
+    strategy_columns,
     strategy_payoff,
     terminal_gain,
     verify_jacod_yor,
@@ -20,6 +20,7 @@ from semistatic.hedging import (
 from semistatic.model import conditional_expectation
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
+from tests.test_linalg import reference_project_onto_span, weighted_dot
 
 F = Fraction
 
@@ -109,7 +110,41 @@ def test_replicate_failure_residual(trinomial):
     assert outcome.residual == (F(-1, 2), F(1, 2), F(-1, 2))
     # residual is Q-orthogonal to the span
     for vec in [(F(1), F(1), F(1)), (F(1), F(0), F(-1))]:
-        assert linalg.weighted_dot(outcome.residual, vec, q.weights) == 0
+        assert weighted_dot(outcome.residual, vec, q.weights) == 0
+
+
+def test_replicate_residual_at_vertex_midpoints():
+    """A midpoint of two vertices is not extreme, hence not complete: replication leaves a residual.
+
+    The residual is the payoff minus its Q-weighted projection onto the
+    hedging span on the support (by the Fraction reference), and 0 off it.
+    """
+    rng = random.Random(2015)
+    residuals = 0
+    for _ in range(400):
+        model, _ = random_model(rng)
+        vertices = enumerate_extreme_points(build_constraints(model)).vertices
+        if len(vertices) < 2:
+            continue
+        u, v = rng.sample(vertices, 2)
+        q = model.measure([(a + b) / 2 for a, b in zip(u.weights, v.weights)])
+        payoff = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(model.n_cells)]
+        outcome = replicate(payoff, q, model)
+        if not isinstance(outcome, NotReplicable):
+            produced = strategy_payoff(outcome, model)
+            assert all(produced[a] == payoff[a] for a in q.support)
+            continue
+        vectors = [[vec[a] for a in q.support] for _, vec in strategy_columns(model)]
+        weights = [q.weights[a] for a in q.support]
+        projection = reference_project_onto_span([payoff[a] for a in q.support], vectors, weights)
+        expected = [F(0)] * model.n_cells
+        for a, p in zip(q.support, projection):
+            expected[a] = payoff[a] - p
+        assert outcome.residual == tuple(expected)
+        residuals += 1
+        if residuals == 100:
+            break
+    assert residuals == 100
 
 
 def test_verify_jacod_yor_scenarios(trinomial, binomial, trinomial_calibrated):
@@ -226,12 +261,10 @@ def test_residual_orthogonality_and_martingale(seed):
     vs = enumerate_extreme_points(cs)
     q = vs.vertices[rng.randrange(len(vs.vertices))]
     decomposition = decompose_unhedgeable(q, model, cs)
-    from semistatic.hedging import gain_basis
-
-    gains = [vec for _, vec in gain_basis(model)]
+    gains = [vec for _, vec in model.gains]
     for i, residual in enumerate(decomposition.residual_terminals):
         for g in gains:
-            assert linalg.weighted_dot(residual, g, q.weights) == 0
+            assert weighted_dot(residual, g, q.weights) == 0
         marts = decomposition.residual_martingales[i]
         for k in range(model.horizon):
             step = conditional_expectation(model, marts[k + 1], k, q)

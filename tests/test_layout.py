@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from semistatic.hedging import SemiStaticStrategy, gain_basis, strategy_columns, strategy_payoff
+from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
 from semistatic.scenario import strategy_from_json
@@ -37,7 +37,7 @@ def model(request):
 
 def test_gains_are_price_increments_on_predecessor_cells(model):
     labels = []
-    for (kind, k, c, j), vec in gain_basis(model):
+    for (kind, k, c, j), vec in model.gains:
         assert kind == "gain"
         labels.append((k, c, j))
         group = model.filtration.partitions[k - 1].cells[c]
@@ -52,7 +52,7 @@ def test_gains_are_price_increments_on_predecessor_cells(model):
 
 def test_martingale_rows_are_the_gain_vectors(model):
     rows = [row for row in build_constraints(model).rows if row.label[0] == "martingale"]
-    gains = gain_basis(model)
+    gains = model.gains
     assert [row.label[1:] for row in rows] == [label[1:] for label, _ in gains]
     assert [row.coeffs for row in rows] == [vec for _, vec in gains]
     assert all(row.rhs == 0 for row in rows)

@@ -1,8 +1,9 @@
 """Exact linear algebra, with the integer kernel checked against a Fraction reference.
 
-The reference below is the Fraction Gauss-Jordan elimination ``linalg.rref``
+The references below are the Fraction Gauss-Jordan elimination ``linalg.rref``
 ran before its rows became ints, with ``solve`` and ``nullspace`` as they
-were built on it.
+were built on it, and the Fraction weighted Gram-Schmidt, projection and
+minimum-norm solution the int sweep of ``linalg`` replaced.
 """
 
 import random
@@ -16,6 +17,18 @@ from semistatic import linalg
 F = Fraction
 
 
+def dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), F(0))
+
+
+def weighted_dot(x, y, weights):
+    return sum((w * a * b for w, a, b in zip(weights, x, y)), F(0))
+
+
+def mat_vec(matrix, vec):
+    return tuple(dot(row, vec) for row in matrix)
+
+
 def _random_matrix(rng, rows, cols):
     return [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
 
@@ -26,7 +39,7 @@ def test_rank_and_nullspace_small():
     kernel = linalg.nullspace(a)
     assert len(kernel) == 1
     d = kernel[0]
-    assert linalg.mat_vec(a, d) == (F(0), F(0))
+    assert mat_vec(a, d) == (F(0), F(0))
     # direction proportional to (1, -2, 1)
     assert d[0] * (-2) == d[1] and d[0] == d[2]
 
@@ -43,12 +56,12 @@ def test_nullspace_and_solution_properties(seed):
     rows, cols = rng.randint(1, 5), rng.randint(1, 6)
     a = _random_matrix(rng, rows, cols)
     x = [F(rng.randint(-3, 3)) for _ in range(cols)]
-    b = linalg.mat_vec(a, x)
+    b = mat_vec(a, x)
     sol = linalg.solve(a, b)
     assert sol is not None
-    assert linalg.mat_vec(a, sol) == tuple(b)
+    assert mat_vec(a, sol) == tuple(b)
     for vec in linalg.nullspace(a):
-        assert all(v == 0 for v in linalg.mat_vec(a, vec))
+        assert all(v == 0 for v in mat_vec(a, vec))
     assert linalg.rank(a) + len(linalg.nullspace(a)) == cols
 
 
@@ -59,12 +72,12 @@ def test_min_norm_is_orthogonal_to_kernel(seed):
     rows, cols = rng.randint(1, 4), rng.randint(1, 6)
     a = _random_matrix(rng, rows, cols)
     x = [F(rng.randint(-3, 3)) for _ in range(cols)]
-    b = linalg.mat_vec(a, x)
+    b = mat_vec(a, x)
     sol = linalg.min_norm_solution(a, b)
     assert sol is not None
-    assert linalg.mat_vec(a, sol) == tuple(b)
+    assert mat_vec(a, sol) == tuple(b)
     for vec in linalg.nullspace(a):
-        assert linalg.dot(sol, vec) == 0
+        assert dot(sol, vec) == 0
 
 
 def test_gram_schmidt_weighted():
@@ -73,7 +86,7 @@ def test_gram_schmidt_weighted():
     basis = linalg.gram_schmidt(vectors, w)
     for i, u in enumerate(basis):
         for v in basis[i + 1 :]:
-            assert linalg.weighted_dot(u, v, w) == 0
+            assert weighted_dot(u, v, w) == 0
     assert linalg.rank(list(vectors)) == len(basis)
 
 
@@ -85,7 +98,7 @@ def test_projection_idempotent():
     assert linalg.project_onto_span(p, span, w) == p
     residual = tuple(a - b for a, b in zip(x, p))
     for v in span:
-        assert linalg.weighted_dot(residual, v, w) == 0
+        assert weighted_dot(residual, v, w) == 0
 
 
 def greedy_independent_rows(matrix):
@@ -201,5 +214,88 @@ def test_integer_kernel_matches_fraction_reference(matrix, data):
     rhs = data.draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
     assert linalg.solve(matrix, rhs) == reference_solve(matrix, rhs)
     if matrix:
-        consistent = linalg.mat_vec(matrix, [F(1)] * len(matrix[0]))
+        consistent = mat_vec(matrix, [F(1)] * len(matrix[0]))
         assert linalg.solve(matrix, consistent) == reference_solve(matrix, consistent)
+
+
+def reference_min_norm_solution(matrix, rhs):
+    if not matrix:
+        return ()
+    keep = reference_rref([list(col) for col in zip(*matrix)])[1]
+    basis = [matrix[i] for i in keep]
+    coeffs = reference_solve([[dot(u, v) for v in basis] for u in basis], [rhs[i] for i in keep])
+    x = [F(0)] * len(matrix[0])
+    for coef, row in zip(coeffs, basis):
+        x = [a + coef * b for a, b in zip(x, row)]
+    return tuple(x) if mat_vec(matrix, x) == tuple(rhs) else None
+
+
+def reference_gram_schmidt(vectors, weights):
+    basis = []
+    for vec in vectors:
+        residual = list(vec)
+        for b in basis:
+            coef = weighted_dot(residual, b, weights) / weighted_dot(b, b, weights)
+            residual = [x - coef * y for x, y in zip(residual, b)]
+        if any(weights[i] != 0 and residual[i] != 0 for i in range(len(residual))):
+            basis.append(tuple(residual))
+    return basis
+
+
+def reference_project_onto_span(x, vectors, weights):
+    projection = [F(0)] * len(x)
+    for b in reference_gram_schmidt(vectors, weights):
+        coef = weighted_dot(x, b, weights) / weighted_dot(b, b, weights)
+        projection = [p + coef * y for p, y in zip(projection, b)]
+    return tuple(projection)
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for vec in vectors for x in vec)
+
+
+@st.composite
+def weighted_spans(draw):
+    """Vectors with zero, duplicate and dependent members, nonnegative weights with zeros, and a point."""
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    vector = st.lists(entry, min_size=n, max_size=n)
+    vectors = draw(st.lists(vector, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not vectors:
+            new = [F(0)] * n
+        elif kind == "duplicate":
+            new = list(draw(st.sampled_from(vectors)))
+        else:
+            u, v, c = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors)), draw(entry)
+            new = [a + c * b for a, b in zip(u, v)]
+        vectors.insert(draw(st.integers(0, len(vectors))), new)
+    weight = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=4))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    return vectors, weights, draw(vector)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_spans())
+def test_weighted_sweep_matches_fraction_reference(case):
+    vectors, weights, x = case
+    basis = linalg.gram_schmidt(vectors, weights)
+    assert basis == reference_gram_schmidt(vectors, weights) and _all_fractions(basis)
+    projection = linalg.project_onto_span(x, vectors, weights)
+    assert projection == reference_project_onto_span(x, vectors, weights) and _all_fractions([projection])
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_rational_matrices(), st.data())
+def test_min_norm_solution_matches_fraction_reference(matrix, data):
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rhs = data.draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
+    systems = [rhs]
+    if matrix:
+        point = data.draw(st.lists(entry, min_size=len(matrix[0]), max_size=len(matrix[0])))
+        systems.append(list(mat_vec(matrix, point)))
+    for b in systems:
+        solution = linalg.min_norm_solution(matrix, b)
+        assert solution == reference_min_norm_solution(matrix, b)
+        assert solution is None or _all_fractions([solution])

@@ -13,6 +13,7 @@ from semistatic.model import Measure
 from semistatic.polytope import build_constraints, certify, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
 from semistatic.scenario import parse_scenario
+from tests.test_linalg import dot
 
 F = Fraction
 
@@ -35,7 +36,7 @@ def brute_force_vertices(cs):
             for c, x in zip(subset, sol):
                 full[c] = x
             candidate = tuple(full)
-            if all(linalg.dot(row, candidate) == b for row, b in zip(matrix, rhs)):
+            if all(dot(row, candidate) == b for row, b in zip(matrix, rhs)):
                 support = tuple(a for a, w in enumerate(candidate) if w > 0)
                 sub_support = [[row[a] for a in support] for row in matrix]
                 if not linalg.nullspace(sub_support):
@@ -82,7 +83,7 @@ def test_member_and_extreme_examples(trinomial):
     ok, cert = is_extreme(q2, cs)
     assert not ok
     d = cert.direction
-    assert linalg.dot(cs.rows[0].coeffs, d) == 0 and sum(d) == 0 and any(x != 0 for x in d)
+    assert dot(cs.rows[0].coeffs, d) == 0 and sum(d) == 0 and any(x != 0 for x in d)
     assert all(w > 0 for w, x in zip(q2.weights, d) if x != 0)
 
 

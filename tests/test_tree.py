@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semistatic import cli, hedging, linalg
 from semistatic.errors import NotComplete, NotMeasurable
-from semistatic.hedging import decompose_unhedgeable, gain_basis, is_semistatically_complete
+from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
 from semistatic.model import conditional_expectation, indicator
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
@@ -134,7 +134,7 @@ def test_extract_tree_glued(glued_two_vol):
     assert [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
     psi = model.claim_vector(0)
     projected = sigma_tree_expectation(psi, tree, q, model)
-    gains = [vec for _, vec in gain_basis(model)]
+    gains = [vec for _, vec in model.gains]
     rows = [[g[a] for g in gains] for a in q.support]
     rhs = [psi[a] - projected[a] for a in q.support]
     assert linalg.solve(rows, rhs) is not None
@@ -215,7 +215,7 @@ def test_rank_identity_glued(glued_two_vol):
         [indicator(model, [a for a in range(model.n_cells) if set(model.terminal_cells[a]) <= set(leaf.cell)])[s] for s in support]
         for leaf in tree.leaves
     ]
-    gain_vecs = [[vec[s] for s in support] for _, vec in gain_basis(model)]
+    gain_vecs = [[vec[s] for s in support] for _, vec in model.gains]
     assert linalg.rank(leaf_vecs + gain_vecs) == len(support)
     assert intersection_dimension(leaf_vecs, gain_vecs) == 0
     with_const = gain_vecs + [[F(1)] * len(support)]
