@@ -19,7 +19,7 @@ from .enlargement import azema, compensator, enlarge, informed_compare, jeulin_y
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
 from .model import FilteredModel, Measure, validate_model
-from .polytope import VertexSet, build_constraints, enumerate_extreme_points
+from .polytope import ConstraintSystem, VertexSet, build_constraints, enumerate_extreme_points
 from .rationals import fmt, rat
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario, parse_inline_measure
 from .tree import AtomicTree, NoTree, extract_tree
@@ -35,14 +35,15 @@ def _emit(report: dict, fmt_mode: str) -> None:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_measure(arg: str, model: FilteredModel) -> Measure:
+def _resolve_measure(arg: str, model: FilteredModel, cs: ConstraintSystem | None = None) -> Measure:
+    """An inline measure, or a vertex of ``cs`` (built from the model when not given)."""
     if "," in arg or "/" in arg:
         return parse_inline_measure(arg, model)
     try:
         index = int(arg)
     except ValueError as exc:
         raise ScenarioError(f"measure must be a vertex index or inline weights, got {arg!r}") from exc
-    vertex_set = enumerate_extreme_points(build_constraints(model))
+    vertex_set = enumerate_extreme_points(cs or build_constraints(model))
     if not 0 <= index < len(vertex_set.vertices):
         raise ScenarioError(
             f"vertex index {index} out of range ({len(vertex_set.vertices)} vertices); "
@@ -107,8 +108,9 @@ def _cmd_extremes(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_complete(scenario: Scenario, args) -> tuple[dict, int]:
-    measure = _resolve_measure(args.measure, scenario.model)
-    report = is_semistatically_complete(measure, scenario.model)
+    cs = build_constraints(scenario.model)
+    measure = _resolve_measure(args.measure, scenario.model, cs)
+    report = is_semistatically_complete(measure, scenario.model, cs)
     result = report.to_json()
     result["measure"] = measure.to_json(scenario.model)
     return result, PASS
@@ -116,9 +118,10 @@ def _cmd_complete(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_replicate(scenario: Scenario, args) -> tuple[dict, int]:
     model = scenario.model
-    measure = _resolve_measure(args.measure, model)
+    cs = build_constraints(model)
+    measure = _resolve_measure(args.measure, model, cs)
     payoff = _resolve_payoff(args.payoff, scenario)
-    outcome = replicate(payoff, measure, model)
+    outcome = replicate(payoff, measure, model, cs=cs)
     if isinstance(outcome, NotReplicable):
         return outcome.to_json(), PASS
     return {"replicable": True, "strategy": outcome.to_json(model)}, PASS
@@ -150,8 +153,9 @@ def _cmd_duality(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_tree(scenario: Scenario, args) -> tuple[dict, int]:
     model = scenario.model
-    measure = _resolve_measure(args.measure, model)
-    outcome = extract_tree(measure, model)
+    cs = build_constraints(model)
+    measure = _resolve_measure(args.measure, model, cs)
+    outcome = extract_tree(measure, model, cs)
     if isinstance(outcome, NoTree):
         return outcome.to_json(model), PASS
     result = outcome.to_json(model)
@@ -277,7 +281,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.format = args.format_sub or args.format_global or "text"
     threads = os.environ.get("SEMISTATIC_THREADS")
-    if threads is not None and not threads.isdigit():
+    # an ASCII decimal above zero; not int(), which rejects more than 4300 digits
+    if threads is not None and not (threads.isascii() and threads.isdigit() and threads.strip("0")):
         # accepted for compatibility; evaluation is sequential and deterministic
         _emit({"error": f"SEMISTATIC_THREADS must be a positive integer, got {threads!r}"}, args.format)
         return INPUT_ERROR

@@ -64,8 +64,8 @@ class RobustPriceResult:
 def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeResult:
     """Cheapest semi-static strategy dominating the payoff on allowed cells.
 
-    Strategy coordinates are free, so each is split into a positive and a
-    negative part; one surplus variable per allowed cell turns domination into
+    Strategy coordinates are free variables of the program, one tableau
+    column each; one surplus variable per allowed cell turns domination into
     equality.  An unbounded program means the statics admit model-free
     arbitrage, reported through the improving ray (negative cash, nonnegative
     total payoff).
@@ -75,30 +75,20 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     vectors = [vec for _, vec in strategy_columns(model)]
     allowed = sorted(model.priors.allowed)
     n_free = len(vectors)
-    n_vars = 2 * n_free + len(allowed)
     matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     for slot, a in enumerate(allowed):
-        row = [ZERO] * n_vars
-        for j, vec in enumerate(vectors):
-            row[2 * j] = vec[a]
-            row[2 * j + 1] = -vec[a]
-        row[2 * n_free + slot] = -ONE
-        matrix.append(row)
-        rhs.append(payoff[a])
-    cost = [ZERO] * n_vars
-    cost[0] = ONE
-    cost[1] = -ONE
+        surplus = [ZERO] * len(allowed)
+        surplus[slot] = -ONE
+        matrix.append([vec[a] for vec in vectors] + surplus)
+    cost = [ONE] + [ZERO] * (n_free - 1 + len(allowed))
 
-    result = solve_lp(cost, matrix, rhs)
+    result = solve_lp(cost, matrix, [payoff[a] for a in allowed], free=n_free)
     if result.status == "infeasible":
         raise InvariantViolation("cash can always dominate a finite payoff")
     if result.status == "unbounded":
-        coeffs = [result.ray[2 * j] - result.ray[2 * j + 1] for j in range(n_free)]
-        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(coeffs, model), ())
-    coeffs = [result.solution[2 * j] - result.solution[2 * j + 1] for j in range(n_free)]
-    strategy = SemiStaticStrategy.from_coordinates(coeffs, model)
-    tight = tuple(a for slot, a in enumerate(allowed) if result.solution[2 * n_free + slot] == 0)
+        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(result.ray[:n_free], model), ())
+    strategy = SemiStaticStrategy.from_coordinates(result.solution[:n_free], model)
+    tight = tuple(a for slot, a in enumerate(allowed) if result.solution[n_free + slot] == 0)
     return SuperhedgeResult(result.objective, strategy, tight)
 
 
@@ -227,7 +217,9 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
 
     When the set is empty, a zero-cost strategy whose payoff is at least one
     on every allowed cell is produced by maximizing the guaranteed floor of a
-    cash-free strategy (capped at one to keep the program bounded).
+    cash-free strategy (capped at one to keep the program bounded).  The
+    strategy coordinates and the floor are free variables, one tableau column
+    each.
     """
     if vertex_set is None:
         vertex_set = enumerate_extreme_points(build_constraints(model))
@@ -237,36 +229,20 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     vectors = [vec for _, vec in strategy_columns(model)[1:]]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.priors.allowed)
     n_free = len(vectors)
-    # variables: free coordinates split, floor t split, cap slack u, surpluses s
-    n_vars = 2 * n_free + 2 + 1 + len(allowed)
-    t_pos, t_neg, u_idx = 2 * n_free, 2 * n_free + 1, 2 * n_free + 2
+    # variables: free coordinates, free floor t, then cap slack u and surpluses s
     matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     for slot, a in enumerate(allowed):
-        row = [ZERO] * n_vars
-        for j, vec in enumerate(vectors):
-            row[2 * j] = vec[a]
-            row[2 * j + 1] = -vec[a]
-        row[t_pos] = -ONE
-        row[t_neg] = ONE
-        row[u_idx + 1 + slot] = -ONE
-        matrix.append(row)
-        rhs.append(ZERO)
-    cap = [ZERO] * n_vars
-    cap[t_pos] = ONE
-    cap[t_neg] = -ONE
-    cap[u_idx] = ONE
-    matrix.append(cap)
-    rhs.append(ONE)
-    cost = [ZERO] * n_vars
-    cost[t_pos] = -ONE
-    cost[t_neg] = ONE
+        surplus = [ZERO] * len(allowed)
+        surplus[slot] = -ONE
+        matrix.append([vec[a] for vec in vectors] + [-ONE, ZERO] + surplus)
+    matrix.append([ZERO] * n_free + [ONE, ONE] + [ZERO] * len(allowed))
+    rhs = [ZERO] * len(allowed) + [ONE]
+    cost = [ZERO] * n_free + [-ONE] + [ZERO] * (1 + len(allowed))
 
-    result = solve_lp(cost, matrix, rhs)
+    result = solve_lp(cost, matrix, rhs, free=n_free + 1)
     if result.status != "optimal":
         raise InvariantViolation("floor program is feasible and capped")
     if -result.objective <= 0:
         raise InvariantViolation("empty measure set must produce a positive floor")
-    coeffs = [result.solution[2 * j] - result.solution[2 * j + 1] for j in range(n_free)]
-    strategy = SemiStaticStrategy.from_coordinates([ZERO] + coeffs, model)
+    strategy = SemiStaticStrategy.from_coordinates((ZERO,) + result.solution[:n_free], model)
     return ArbitrageReport(False, 0, strategy, strategy_payoff(strategy, model))

@@ -1,15 +1,20 @@
 """Exact simplex on integer rows, two phases, Bland's rule.
 
-Solves min c.x subject to A x = b, x >= 0 exactly.  Every tableau row, the
-reduced-cost row included, is a list of ints that is a positive multiple of
-the rational row it stands for.  A pivot is ``linalg.pivot``, the engine's one
-fraction-free elimination kernel (Bareiss 1968); the reduced-cost row is
-priced once per phase and then eliminated like the others.  A positive
-factor changes no sign and no ratio, so Bland's rule (lowest eligible index
-enters, lowest basic index breaks ratio ties) makes the same choices as over
-the rationals: the method terminates without any perturbation and runs stay
-deterministic.  Fractions are built only for the returned solution, ray and
-objective.
+Solves min c.x subject to A x = b exactly, the first ``free`` variables
+unrestricted and the rest >= 0.  A free variable stands for a split pair
+x+ - x-, whose x- column and reduced cost are the negated x+ ones, so the
+tableau stores one column with a sign and x- entering flips it.  Bland's rule
+walks the split order (x+_0, x-_0, x+_1, ..., then the rest): the pivots, and
+every solution, ray and objective, are those of the explicitly split program.
+Every tableau row, the reduced-cost row included, is a list of ints that is a
+positive multiple of the rational row it stands for.  A pivot is
+``linalg.pivot``, the engine's one fraction-free elimination kernel (Bareiss
+1968); the reduced-cost row is priced once per phase and then eliminated like
+the others.  A positive factor changes no sign and no ratio, so Bland's rule
+(lowest eligible index enters, lowest basic index breaks ratio ties) makes the
+same choices as over the rationals: the method terminates without any
+perturbation and runs stay deterministic.  Fractions are built only for the
+returned solution, ray and objective.
 """
 
 from __future__ import annotations
@@ -34,9 +39,10 @@ class LPResult:
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[int]], basis: list[int], cost: Sequence[Fraction | int]):
+    def __init__(self, rows: list[list[int]], basis: list[int], cost: Sequence[Fraction | int], free: int):
         self.rows = rows  # m x (n+1) ints, last column is the rhs; row i's basic entry is > 0
         self.basis = basis
+        self.sign = [1] * free  # free column j stores x+_j when 1, x-_j when -1
         self.price(cost)
 
     def price(self, cost: Sequence[Fraction | int]) -> None:
@@ -46,7 +52,7 @@ class _Tableau:
         there are none.
         """
         self.n = len(cost)
-        objective = integer_row(list(cost) + [0])
+        objective = integer_row([c * s for c, s in zip(cost, self.sign)] + list(cost[len(self.sign):]) + [0])
         for row, b in zip(self.rows, self.basis):
             if objective[b]:
                 objective = linalg.eliminate(objective, row, b)
@@ -58,17 +64,28 @@ class _Tableau:
             self.objective = linalg.eliminate(self.objective, self.rows[row], col)
         self.basis[row] = col
 
+    def flip(self, col: int) -> None:
+        """Store the other half of free column ``col``'s split pair."""
+        for row in self.rows:
+            row[col] = -row[col]
+        self.objective[col] = -self.objective[col]
+        self.sign[col] = -self.sign[col]
+
     def value(self, i: int, col: int) -> Fraction:
-        row = self.rows[i]
-        return Fraction(row[col], row[self.basis[i]])
+        row, b = self.rows[i], self.basis[i]
+        return Fraction(row[col] * self.sign[b] if b < len(self.sign) else row[col], row[b])
 
     def run(self) -> int | None:
         """Bland iterations; None when optimal, else the column of an unbounded ray."""
+        free = len(self.sign)
         while True:
             objective = self.objective
-            entering = next((j for j in range(self.n) if objective[j] < 0), None)
+            # a free column with a nonzero reduced cost has one eligible half; stored order is split order
+            entering = next((j for j in range(self.n) if objective[j] < 0 or j < free and objective[j]), None)
             if entering is None:
                 return None
+            if objective[entering] > 0:
+                self.flip(entering)
             leaving = None
             for i, row in enumerate(self.rows):
                 a = row[entering]
@@ -88,6 +105,7 @@ def solve_lp(
     cost: Sequence[Fraction],
     matrix: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
+    free: int = 0,
 ) -> LPResult:
     n = len(cost)
     m = len(matrix)
@@ -102,7 +120,7 @@ def solve_lp(
             row = [-x for x in row]
             row[n + i] = -row[n + i]
         rows.append(row)
-    tableau = _Tableau(rows, [n + i for i in range(m)], [0] * n + [1] * m)
+    tableau = _Tableau(rows, [n + i for i in range(m)], [0] * n + [1] * m, free)
     if tableau.run() is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
     if tableau.objective[-1] != 0:
@@ -116,6 +134,8 @@ def solve_lp(
             if col is None:
                 drop.append(i)
             else:
+                if col < free and tableau.sign[col] < 0:
+                    tableau.flip(col)  # the split program pivots on x+, its lower index
                 tableau.pivot(i, col)
     for i in reversed(drop):
         del tableau.rows[i]
@@ -126,12 +146,12 @@ def solve_lp(
     col = tableau.run()
     if col is not None:
         ray = [ZERO] * n
-        ray[col] = Fraction(1)
+        ray[col] = Fraction(tableau.sign[col] if col < free else 1)
         for i, bi in enumerate(tableau.basis):
             ray[bi] = -tableau.value(i, col)
         return LPResult("unbounded", ray=tuple(ray))
     solution = [ZERO] * n
     for i, bi in enumerate(tableau.basis):
         solution[bi] = tableau.value(i, -1)
-    objective = sum((c * x for c, x in zip(cost, solution)), ZERO)
+    objective = sum((c * x for c, x in zip(cost, solution) if c), ZERO)
     return LPResult("optimal", objective=objective, solution=tuple(solution))

@@ -155,6 +155,24 @@ def test_thread_env_var_has_no_semantic_effect():
     assert bad.returncode == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "00", "\u00b2", "-1", "", " 8", "lots"])
+def test_thread_env_var_must_be_a_positive_ascii_decimal(monkeypatch, capsys, threads):
+    monkeypatch.setenv("SEMISTATIC_THREADS", threads)
+    code = main(["--format", "json", "superhedge", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": f"SEMISTATIC_THREADS must be a positive integer, got {threads!r}"}
+
+
+@pytest.mark.parametrize("threads", ["8", "08", "1" * 5000])
+def test_thread_env_var_accepts_positive_decimals(monkeypatch, capsys, threads):
+    monkeypatch.setenv("SEMISTATIC_THREADS", threads)
+    code = main(["--format", "json", "superhedge", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_main_entry_in_process(capsys):
     code = main(["--format", "json", "price", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
     assert code == 0

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from semistatic import cli, duality
 from semistatic.duality import detect_arbitrage, optimal_face, robust_price, superhedge, verify_duality
 from semistatic.errors import EmptyMeasureSet, InvariantViolation
-from semistatic.hedging import strategy_payoff
+from semistatic.hedging import strategy_columns, strategy_payoff
 from semistatic.model import FilteredModel, StaticClaim
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model, random_payoff
@@ -130,6 +130,39 @@ def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
     direction = strategy_payoff(result.strategy, enlarged.model)
     assert result.strategy.cash < 0
     assert all(direction[a] >= 0 for a in enlarged.model.priors.allowed)
+
+
+def _recording_solve_lp(monkeypatch) -> list[tuple[int, set[int], int]]:
+    """Replace the simplex seen by ``duality`` with one that logs (cost length, row lengths, free)."""
+    calls = []
+    solve = duality.solve_lp
+
+    def recording(cost, matrix, rhs, free=0):
+        calls.append((len(cost), {len(row) for row in matrix}, free))
+        return solve(cost, matrix, rhs, free=free)
+
+    monkeypatch.setattr(duality, "solve_lp", recording)
+    return calls
+
+
+def test_superhedge_has_one_column_per_strategy_coordinate(monkeypatch, trinomial):
+    model = trinomial.model
+    calls = _recording_solve_lp(monkeypatch)
+    assert superhedge(trinomial.payoffs["abs_S1"], model).price == 1
+    n_free, n_allowed = len(strategy_columns(model)), len(model.priors.allowed)
+    assert calls == [(n_free + n_allowed, {n_free + n_allowed}, n_free)]
+
+
+def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_arbitrage):
+    from semistatic.enlargement import enlarge
+
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    calls = _recording_solve_lp(monkeypatch)
+    assert not detect_arbitrage(model).feasible
+    # coordinates without cash, the floor t, the cap slack u, one surplus per allowed cell
+    n_free = len(strategy_columns(model)) - 1 + 1
+    n_vars = n_free + 1 + len(model.priors.allowed)
+    assert calls == [(n_vars, {n_vars}, n_free)]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,7 @@ import pytest
 from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
-from semistatic.scenario import strategy_from_json
+from tests.decoders import strategy_from_json
 from tests.test_multi_asset import two_asset_model
 
 F = Fraction

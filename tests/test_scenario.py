@@ -5,16 +5,9 @@ import pytest
 
 from semistatic.hedging import replicate
 from semistatic.polytope import build_constraints, enumerate_extreme_points
-from semistatic.scenario import (
-    ScenarioError,
-    load_scenario,
-    measure_from_json,
-    parse_inline_measure,
-    parse_scenario,
-    strategy_from_json,
-    tree_from_json,
-)
+from semistatic.scenario import ScenarioError, load_scenario, parse_inline_measure, parse_scenario
 from semistatic.tree import extract_tree
+from tests.decoders import measure_from_json, strategy_from_json, tree_from_json
 
 F = Fraction
 

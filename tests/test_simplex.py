@@ -4,6 +4,9 @@ The reference below is the dense Fraction tableau the engine used before its
 rows became integer multiples: same two phases, same Bland's rule, reduced
 costs rebuilt from scratch each iteration.  It marks the paths it takes in
 ``PATHS`` so that a fixed sample can show the generator reaches each one.
+Free variables are checked against the explicitly split program: the
+reference solves it with x+_j, x-_j at columns 2j, 2j+1, and its answer is
+recombined as x+ - x-.
 """
 
 import random
@@ -23,10 +26,22 @@ PATHS: Counter = Counter()
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], n: int):
+    def __init__(self, rows: list[list[Fraction]], basis: list[int], n: int, pairs: int):
         self.rows = rows  # m x (n+1), last column is the rhs
         self.basis = basis
         self.n = n  # kept, not read off the rows: there may be none
+        self.pairs = pairs  # columns 2j, 2j+1 for j < pairs split a free variable; read only by PATHS
+        self.last_half: dict[int, int] = {}  # pair j -> 0 if x+_j entered last, 1 if x-_j did
+
+    def mark_entering(self, col: int) -> None:
+        """Count x- entering, and x+ entering after its x- did: the engine flips that column back."""
+        if col < 2 * self.pairs:
+            j, half = divmod(col, 2)
+            if half:
+                PATHS["x- entering"] += 1
+            elif self.last_half.get(j) == 1:
+                PATHS["flipped back"] += 1
+            self.last_half[j] = half
 
     def pivot(self, row: int, col: int) -> None:
         inv = ONE / self.rows[row][col]
@@ -72,10 +87,11 @@ class _Tableau:
             if leaving is None:
                 self._unbounded_col = entering
                 return "unbounded"
+            self.mark_entering(entering)
             self.pivot(leaving, entering)
 
 
-def reference_solve_lp(cost, matrix, rhs) -> LPResult:
+def reference_solve_lp(cost, matrix, rhs, pairs: int = 0) -> LPResult:
     n = len(cost)
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     for row in rows:
@@ -89,7 +105,7 @@ def reference_solve_lp(cost, matrix, rhs) -> LPResult:
         art = [ZERO] * m
         art[i] = ONE
         art_rows.append(row[:-1] + art + [row[-1]])
-    tableau = _Tableau(art_rows, [n + i for i in range(m)], n + m)
+    tableau = _Tableau(art_rows, [n + i for i in range(m)], n + m, pairs)
     phase1_cost = [ZERO] * n + [ONE] * m
     status = tableau.run(phase1_cost)
     if status != "optimal":
@@ -108,6 +124,9 @@ def reference_solve_lp(cost, matrix, rhs) -> LPResult:
             else:
                 if tableau.rows[i][col] < 0:
                     PATHS["negative drive-out pivot"] += 1
+                if col < 2 * pairs:
+                    PATHS["free drive-out"] += 1
+                tableau.mark_entering(col)
                 tableau.pivot(i, col)
     for i in reversed(drop):
         del tableau.rows[i]
@@ -119,6 +138,8 @@ def reference_solve_lp(cost, matrix, rhs) -> LPResult:
     if status == "unbounded":
         PATHS["unbounded"] += 1
         col = tableau._unbounded_col
+        if col < 2 * pairs and col % 2:
+            PATHS["unbounded along x-"] += 1
         ray = [ZERO] * n
         ray[col] = ONE
         for i, bi in enumerate(tableau.basis):
@@ -154,6 +175,21 @@ def random_lp(rng):
     return cost, matrix, rhs
 
 
+def split_reference(cost, matrix, rhs, free: int) -> LPResult:
+    """The reference on the program with its first ``free`` variables split, recombined as x+ - x-."""
+
+    def split(row):
+        return [x for v in row[:free] for x in (v, -v)] + list(row[free:])
+
+    def recombine(values):
+        if values is None:
+            return None
+        return tuple(values[2 * j] - values[2 * j + 1] for j in range(free)) + values[2 * free :]
+
+    result = reference_solve_lp(split(cost), [split(row) for row in matrix], rhs, pairs=free)
+    return LPResult(result.status, result.objective, recombine(result.solution), recombine(result.ray))
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_solve_lp_matches_rational_reference(rng):
@@ -161,14 +197,24 @@ def test_solve_lp_matches_rational_reference(rng):
     assert solve_lp(cost, matrix, rhs) == reference_solve_lp(cost, matrix, rhs)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 6))
+def test_free_columns_match_the_split_program(rng, free):
+    cost, matrix, rhs = random_lp(rng)
+    free = min(free, len(cost))
+    assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
+
+
 def test_generator_reaches_every_path():
     PATHS.clear()
     rng = random.Random(20151)
     for _ in range(1500):
         cost, matrix, rhs = random_lp(rng)
-        assert solve_lp(cost, matrix, rhs) == reference_solve_lp(cost, matrix, rhs)
+        free = rng.randint(0, len(cost))
+        assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
     for path in ("negative rhs", "ratio tie", "dropped row", "negative drive-out pivot",
-                 "infeasible", "unbounded", "optimal"):
+                 "infeasible", "unbounded", "optimal",
+                 "x- entering", "flipped back", "free drive-out", "unbounded along x-"):
         assert PATHS[path] > 0, path
 
 
@@ -185,3 +231,6 @@ def test_known_programs():
     # with no constraint row left, minimising -x is unbounded along (1)
     assert solve_lp([f(-1)], [[f(0)]], [f(0)]) == LPResult("unbounded", ray=(f(1),))
     assert solve_lp([f(-1)], [], []) == LPResult("unbounded", ray=(f(1),))
+    # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
+    assert solve_lp([f(1)], [[f(1)]], [f(-3)], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
+    assert solve_lp([f(1)], [], [], free=1) == LPResult("unbounded", ray=(f(-1),))
