@@ -15,7 +15,7 @@ import os
 import sys
 
 from .duality import detect_arbitrage, optimal_face, superhedge, verify_duality
-from .enlargement import azema, compensator, enlarge, informed_compare, jeulin_yor
+from .enlargement import enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
 from .model import FilteredModel, Measure, validate_model
@@ -179,9 +179,8 @@ def _cmd_enlarge(scenario: Scenario, args) -> tuple[dict, int]:
         measure = _resolve_measure(args.measure, enlarged.model)
         per_jump = []
         for jump in scenario.jumps:
-            z = azema(measure, jump, enlarged)
-            comp = compensator(measure, jump, enlarged)
             jy = jeulin_yor(measure, jump, enlarged)
+            z, comp = jy.azema, jy.compensator
             per_jump.append(
                 {
                     "azema": [[fmt(x) for x in row] for row in z.values],

@@ -3,19 +3,22 @@
 The informed filtration G refines F by the level sets of the processes
 ``mark * 1_{tau <= k}``; initial enlargement with a random variable is the
 special case tau = 0 on {mark > 0}.  Measures for the enlarged market live on
-the cells of G_K; the comparison with the base market goes through the
-canonical pushforward onto F_K cells.  All survival, compensator, and
-enlarged-martingale identities are verified cellwise with exact rationals.
+the cells of G_K, and each of those lies in one base P_k cell at every time
+k: the cached tables ``base_cell_of`` and ``base_groups`` of an
+``EnlargedModel`` carry every comparison with the base market.  The Azema
+supermartingale, the compensator and the Jeulin-Yor martingale are checked
+with one exact conditional mean over the charged cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import ShapeError, SingularCompensator
+from .errors import InvariantViolation, ShapeError
 from .model import (
     FilteredModel,
     Filtration,
@@ -23,6 +26,7 @@ from .model import (
     Partition,
     Payoff,
     condexp_groups,
+    groups_of,
 )
 from .polytope import VertexSet, build_constraints, enumerate_extreme_points
 from .duality import robust_price
@@ -30,8 +34,6 @@ from .rationals import fmt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-NO_JUMP = None  # tau value for "never", paired with a zero mark
 
 
 @dataclass(frozen=True)
@@ -71,50 +73,31 @@ class EnlargedModel:
     jumps: tuple[SingleJump, ...]
     model: FilteredModel  # the same market carried by the enlarged filtration
 
-    @property
-    def enlarged_filtration(self) -> Filtration:
-        return self.model.filtration
+    @cached_property
+    def base_cell_of(self) -> tuple[tuple[int, ...], ...]:
+        """For each time k, map enlarged terminal cell index -> index of its base P_k cell."""
+        return tuple(
+            tuple(partition.cell_of[cell[0]] for cell in self.model.terminal_cells)
+            for partition in self.base.filtration.partitions
+        )
 
-    def base_cell_of(self, g: int, k: int | None = None) -> int:
-        """Base P_k cell index containing the enlarged terminal cell g."""
-        outcome = self.model.terminal_cells[g][0]
-        if k is None:
-            return self.base.terminal_cell_of_outcome[outcome]
-        return self.base.filtration.partitions[k].cell_of[outcome]
+    @cached_property
+    def base_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """For each time k, the base P_k cells as groups of enlarged terminal cell indices."""
+        return groups_of(self.base_cell_of, self.base.filtration.partitions)
 
-    def base_groups(self, k: int) -> list[list[int]]:
-        """Base P_k cells as groups of enlarged terminal cell indices."""
-        groups: list[list[int]] = [[] for _ in self.base.filtration.partitions[k].cells]
-        for g in range(self.model.n_cells):
-            groups[self.base_cell_of(g, k)].append(g)
-        return groups
-
-    def tau_of_cell(self, jump: SingleJump, g: int) -> int | None:
-        cell = self.model.terminal_cells[g]
-        values = {jump.tau[w] for w in cell}
-        if len(values) != 1:
-            raise ShapeError("jump time is not measurable on the enlarged terminal cells")
-        return next(iter(values))
-
-    def mark_of_cell(self, jump: SingleJump, g: int) -> Fraction:
-        cell = self.model.terminal_cells[g]
-        values = {jump.mark[w] for w in cell}
-        if len(values) != 1:
-            raise ShapeError("jump mark is not measurable on the enlarged terminal cells")
-        return next(iter(values))
+    def on_cells(self, jump: SingleJump) -> tuple[tuple[int | None, ...], Payoff]:
+        """The jump's tau and mark on each enlarged terminal cell; both must be constant there."""
+        cells = self.model.terminal_cells
+        if any((jump.tau[w], jump.mark[w]) != (jump.tau[c[0]], jump.mark[c[0]]) for c in cells for w in c):
+            raise ShapeError("jump time or mark is not measurable on the enlarged terminal cells")
+        return tuple(jump.tau[c[0]] for c in cells), tuple(jump.mark[c[0]] for c in cells)
 
     def expand(self, payoff: Sequence[Fraction]) -> Payoff:
         """Lift a base terminal payoff to the enlarged terminal cells."""
         if len(payoff) != self.base.n_cells:
             raise ShapeError("payoff length must match base terminal cells")
-        return tuple(payoff[self.base_cell_of(g)] for g in range(self.model.n_cells))
-
-    def pushforward(self, measure: Measure) -> Measure:
-        """Restrict an enlarged measure to the base terminal algebra."""
-        weights = [ZERO] * self.base.n_cells
-        for g, w in enumerate(measure.weights):
-            weights[self.base_cell_of(g)] += w
-        return Measure(tuple(weights))
+        return tuple(payoff[c] for c in self.base_cell_of[-1])
 
 
 def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
@@ -175,6 +158,13 @@ def first_move_time(model: FilteredModel) -> tuple[int | None, ...]:
     return tuple(out)
 
 
+def _charged_means(
+    values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[Fraction]
+) -> list[Fraction]:
+    """The conditional means of ``values`` over ``groups``, on the charged cells only."""
+    return [m for m, w in zip(condexp_groups(values, groups, weights), weights) if w > 0]
+
+
 @dataclass(frozen=True)
 class AzemaResult:
     """Survival process Z_k = Q(tau > k | F_k) over enlarged terminal cells."""
@@ -184,19 +174,18 @@ class AzemaResult:
 
 
 def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaResult:
-    model = enlarged.model
-    taus = [enlarged.tau_of_cell(jump, g) for g in range(model.n_cells)]
-    horizon = model.horizon
-    values = []
-    for k in range(horizon + 1):
-        survival = tuple(ONE if (t is None or t > k) else ZERO for t in taus)
-        values.append(condexp_groups(survival, enlarged.base_groups(k), measure.weights))
-    ok = True
-    for k in range(horizon):
-        next_mean = condexp_groups(values[k + 1], enlarged.base_groups(k), measure.weights)
-        if any(measure.weights[g] > 0 and next_mean[g] > values[k][g] for g in range(model.n_cells)):
-            ok = False
-    return AzemaResult(tuple(values), ok)
+    taus, _ = enlarged.on_cells(jump)
+    groups, weights = enlarged.base_groups, measure.weights
+    values = tuple(
+        condexp_groups(tuple(ONE if t is None or t > k else ZERO for t in taus), groups[k], weights)
+        for k in range(enlarged.model.horizon + 1)
+    )
+    ok = all(
+        m <= 0
+        for k in range(enlarged.model.horizon)
+        for m in _charged_means([b - a for a, b in zip(values[k], values[k + 1])], groups[k], weights)
+    )
+    return AzemaResult(values, ok)
 
 
 @dataclass(frozen=True)
@@ -210,117 +199,69 @@ class CompensatorResult:
 
 
 def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> CompensatorResult:
-    model = enlarged.model
-    horizon = model.horizon
-    taus = [enlarged.tau_of_cell(jump, g) for g in range(model.n_cells)]
-    marks = [enlarged.mark_of_cell(jump, g) for g in range(model.n_cells)]
-    increments: list[Payoff] = []
-    for k in range(horizon + 1):
-        jump_now = tuple(marks[g] if taus[g] == k else ZERO for g in range(model.n_cells))
-        groups = enlarged.base_groups(max(k - 1, 0))
-        increments.append(condexp_groups(jump_now, groups, measure.weights))
-    cumulative = []
-    running = tuple([ZERO] * model.n_cells)
-    for inc in increments:
-        running = tuple(a + d for a, d in zip(running, inc))
-        cumulative.append(running)
-
-    predictable = True
-    for k in range(horizon + 1):
-        groups = enlarged.base_groups(max(k - 1, 0))
-        for group in groups:
-            vals = {increments[k][g] for g in group}
-            if len(vals) > 1:
-                predictable = False
-
-    martingale = True
+    taus, marks = enlarged.on_cells(jump)
     weights = measure.weights
-    for k in range(horizon + 1):
-        jumped = tuple(
-            (marks[g] if (taus[g] is not None and taus[g] <= k) else ZERO) for g in range(model.n_cells)
-        )
-        delta_n = (
-            jumped
-            if k == 0
-            else tuple(
-                jumped[g]
-                - (marks[g] if (taus[g] is not None and taus[g] <= k - 1) else ZERO)
-                for g in range(model.n_cells)
-            )
-        )
-        centered = tuple(delta_n[g] - increments[k][g] for g in range(model.n_cells))
-        mean = condexp_groups(centered, enlarged.base_groups(max(k - 1, 0)), weights)
-        if any(weights[g] > 0 and mean[g] != 0 for g in range(model.n_cells)):
-            martingale = False
+    increments, cumulative = [], []
+    running = (ZERO,) * enlarged.model.n_cells
+    predictable = martingale = True
+    for k in range(enlarged.model.horizon + 1):
+        groups = enlarged.base_groups[max(k - 1, 0)]
+        jump_now = tuple(x if t == k else ZERO for t, x in zip(taus, marks))  # Delta(mark 1_{tau <= k})
+        inc = condexp_groups(jump_now, groups, weights)
+        running = tuple(a + d for a, d in zip(running, inc))
+        increments.append(inc)
+        cumulative.append(running)
+        predictable &= all(len({inc[g] for g in group}) <= 1 for group in groups)
+        martingale &= not any(_charged_means([n - d for n, d in zip(jump_now, inc)], groups, weights))
     return CompensatorResult(tuple(increments), tuple(cumulative), predictable, martingale)
 
 
 @dataclass(frozen=True)
 class JeulinYorResult:
-    """Compensated jump martingale in the enlarged filtration."""
+    """Compensated jump martingale in the enlarged filtration, with the Z and A it was built from."""
 
     values: tuple[Payoff, ...]  # M_k over enlarged terminal cells, k = 0..K
     martingale_ok: bool
+    azema: AzemaResult
+    compensator: CompensatorResult
 
 
 def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> JeulinYorResult:
     """M_k = mark 1_{tau <= k} - sum_{l <= k and tau} Delta A_l / Z_{l-1}, Z_{-1} = 1.
 
-    The division is taken cellwise along the base filtration; an increment
-    charged where the survival process vanishes is only tolerated on null
-    cells (the dA-null convention), anywhere else it is an error.
+    The division is taken cellwise and never meets Z_{l-1} = 0 under a
+    nonzero Delta A_l: for l >= 1 both are means over the same base P_{l-1}
+    cell, a null cell gives 0 to both, and Z_{l-1} = 0 on a charged one puts
+    every charged cell in it at tau <= l - 1, so none jumps at l.  M is a
+    martingale when its mean is zero on every charged cell: M_0 given the
+    base P_0, and each increment M_k - M_{k-1} given the enlarged G_{k-1}.
     """
     model = enlarged.model
-    horizon = model.horizon
-    taus = [enlarged.tau_of_cell(jump, g) for g in range(model.n_cells)]
-    marks = [enlarged.mark_of_cell(jump, g) for g in range(model.n_cells)]
+    taus, marks = enlarged.on_cells(jump)
     z = azema(measure, jump, enlarged)
     comp = compensator(measure, jump, enlarged)
     weights = measure.weights
 
-    hazard: list[Payoff] = []  # Delta A_l / Z_{l-1} per enlarged terminal cell
-    for l in range(horizon + 1):
-        out = []
-        for g in range(model.n_cells):
-            inc = comp.increments[l][g]
-            z_prev = ONE if l == 0 else z.values[l - 1][g]
-            if inc == 0:
-                out.append(ZERO)
-            elif z_prev == 0:
-                if weights[g] > 0:
-                    raise SingularCompensator(
-                        f"compensator increment at k={l} charged where the survival process vanishes"
-                    )
-                out.append(ZERO)
-            else:
-                out.append(inc / z_prev)
-        hazard.append(tuple(out))
-
     values: list[Payoff] = []
-    for k in range(horizon + 1):
-        out = []
-        for g in range(model.n_cells):
-            t = taus[g]
-            jumped = marks[g] if (t is not None and t <= k) else ZERO
-            stop = k if t is None else min(k, t)
-            drift = sum((hazard[l][g] for l in range(stop + 1)), ZERO)
-            out.append(jumped - drift)
-        values.append(tuple(out))
+    drift = [ZERO] * model.n_cells  # sum of Delta A_l / Z_{l-1} over l <= min(k, tau)
+    for k, inc in enumerate(comp.increments):
+        z_prev = z.values[k - 1] if k else (ONE,) * model.n_cells
+        if any(d and not s for d, s in zip(inc, z_prev)):
+            raise InvariantViolation(
+                f"compensator increment at k={k} where the survival process vanishes, "
+                "although both are means over one base cell"
+            )
+        for g, t in enumerate(taus):
+            if inc[g] and (t is None or k <= t):
+                drift[g] += inc[g] / z_prev[g]
+        jumped = (x if t is not None and t <= k else ZERO for t, x in zip(taus, marks))
+        values.append(tuple(x - a for x, a in zip(jumped, drift)))
 
-    ok = True
-    for k in range(1, horizon + 1):
-        delta = tuple(values[k][g] - values[k - 1][g] for g in range(model.n_cells))
-        groups = [
-            [g for g in range(model.n_cells) if model.coarse_cell_of[k - 1][g] == c]
-            for c in range(len(model.filtration.partitions[k - 1].cells))
-        ]
-        mean = condexp_groups(delta, groups, weights)
-        if any(weights[g] > 0 and mean[g] != 0 for g in range(model.n_cells)):
-            ok = False
-    mean0 = condexp_groups(values[0], enlarged.base_groups(0), weights)
-    if any(weights[g] > 0 and mean0[g] != 0 for g in range(model.n_cells)):
-        ok = False
-    return JeulinYorResult(tuple(values), ok)
+    ok = not any(_charged_means(values[0], enlarged.base_groups[0], weights))
+    for k in range(1, model.horizon + 1):
+        delta = [b - a for a, b in zip(values[k - 1], values[k])]
+        ok &= not any(_charged_means(delta, model.coarse_groups[k - 1], weights))
+    return JeulinYorResult(tuple(values), ok, z, comp)
 
 
 PredictableArray = tuple[tuple[tuple[Fraction, ...], ...], ...]
@@ -366,16 +307,16 @@ def predictable_reduction(
 
 
 def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
-    """True iff charged cells of G_k and F_k agree, timewise, up to null sets."""
-    model = enlarged.model
-    charged = [g for g in range(model.n_cells) if measure.weights[g] > 0]
-    for k in range(model.horizon + 1):
-        for a in charged:
-            for b in charged:
-                same_base = enlarged.base_cell_of(a, k) == enlarged.base_cell_of(b, k)
-                same_fine = model.coarse_cell_of[k][a] == model.coarse_cell_of[k][b]
-                if same_base != same_fine:
-                    return False
+    """True iff charged cells of G_k and F_k agree, timewise, up to null sets.
+
+    That is, at each k the relation between the base cell and the enlarged
+    cell of each charged terminal cell is a bijection.
+    """
+    charged = [g for g, w in enumerate(measure.weights) if w > 0]
+    for base_k, fine_k in zip(enlarged.base_cell_of, enlarged.model.coarse_cell_of):
+        pairs = {(base_k[g], fine_k[g]) for g in charged}
+        if not len(pairs) == len({b for b, _ in pairs}) == len({f for _, f in pairs}):
+            return False
     return True
 
 
@@ -423,9 +364,7 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
     assignments exhaust the candidates.
     """
     model = enlarged.model
-    subcells: dict[int, list[int]] = {}
-    for g in range(model.n_cells):
-        subcells.setdefault(enlarged.base_cell_of(g), []).append(g)
+    subcells = enlarged.base_groups[-1]
     charged = [c for c, w in enumerate(vertex.weights) if w > 0]
     out: list[Measure] = []
     for choice in product(*[subcells[c] for c in charged]):

@@ -21,10 +21,6 @@ class EmptyMeasureSet(SemistaticError):
     """The calibrated martingale-measure set is empty (arbitrage)."""
 
 
-class SingularCompensator(SemistaticError):
-    """Compensator increment charged where the survival process vanishes."""
-
-
 class NotMeasurable(SemistaticError):
     """Event is not measurable at the terminal date of the filtration."""
 

@@ -151,13 +151,7 @@ class FilteredModel:
     @cached_property
     def coarse_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each time k, the P_k cells as groups of terminal cell indices."""
-        table = []
-        for k, partition in enumerate(self.filtration.partitions):
-            groups: list[list[int]] = [[] for _ in partition.cells]
-            for a, coarse in enumerate(self.coarse_cell_of[k]):
-                groups[coarse].append(a)
-            table.append(tuple(tuple(g) for g in groups))
-        return tuple(table)
+        return groups_of(self.coarse_cell_of, self.filtration.partitions)
 
     def price(self, asset: int, k: int, terminal_cell: int) -> Fraction:
         """Price value on a terminal cell (well defined by adaptedness)."""
@@ -340,6 +334,19 @@ def natural_filtration(prices: PriceProcess) -> Filtration:
             groups.setdefault(key, []).append(w)
         partitions.append(Partition(groups.values()))
     return Filtration(partitions)
+
+
+def groups_of(
+    cell_of: Sequence[Sequence[int]], partitions: Sequence[Partition]
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per time k, the cells of ``partitions[k]`` as groups of the indices ``cell_of[k]`` maps there."""
+    table = []
+    for lookup, partition in zip(cell_of, partitions):
+        groups: list[list[int]] = [[] for _ in partition.cells]
+        for a, coarse in enumerate(lookup):
+            groups[coarse].append(a)
+        table.append(tuple(tuple(g) for g in groups))
+    return tuple(table)
 
 
 def condexp_groups(

@@ -134,9 +134,7 @@ def solve_lp(
             if col is None:
                 drop.append(i)
             else:
-                if col < free and tableau.sign[col] < 0:
-                    tableau.flip(col)  # the split program pivots on x+, its lower index
-                tableau.pivot(i, col)
+                tableau.pivot(i, col)  # a nonbasic free col stores x+: phase 1 re-enters a pair that left
     for i in reversed(drop):
         del tableau.rows[i]
         del tableau.basis[i]

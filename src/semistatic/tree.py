@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import NotComplete, NotMeasurable
 from .hedging import decompose_unhedgeable
-from .model import FilteredModel, Measure, Payoff
+from .model import FilteredModel, Measure, Payoff, condexp_groups
 from .polytope import ConstraintSystem
 
 ZERO = Fraction(0)
@@ -239,17 +239,9 @@ def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
 def sigma_tree_expectation(
     payoff: Sequence[Fraction], tree: AtomicTree, measure: Measure, model: FilteredModel
 ) -> Payoff:
-    """Leafwise conditional expectation: on each charged leaf, the Q-average."""
-    result = [ZERO] * model.n_cells
-    for leaf in tree.leaves:
-        atoms = _terminal_cells_within(model, leaf.cell)
-        mass = sum((measure.weights[a] for a in atoms), ZERO)
-        if mass == 0:
-            continue  # null leaves are pruned
-        mean = sum((measure.weights[a] * payoff[a] for a in atoms), ZERO) / mass
-        for a in atoms:
-            result[a] = mean
-    return tuple(result)
+    """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
+    leaves = [_terminal_cells_within(model, leaf.cell) for leaf in tree.leaves]
+    return condexp_groups(payoff, leaves, measure.weights)
 
 
 @dataclass(frozen=True)

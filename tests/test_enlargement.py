@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic import enlargement
 from semistatic.enlargement import (
+    AzemaResult,
     SingleJump,
+    _charged_means,
+    _coinciding_lifts,
     azema,
     compensator,
     enlarge,
@@ -16,14 +21,17 @@ from semistatic.enlargement import (
     jeulin_yor,
     predictable_reduction,
 )
+from semistatic.errors import InvariantViolation, ShapeError
 from semistatic.model import (
     FilteredModel,
     Filtration,
+    Measure,
     Partition,
     PriceProcess,
     PriorSupport,
     TimeGrid,
 )
+from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
 
 F = Fraction
@@ -42,6 +50,19 @@ def two_atom():
     )
 
 
+@pytest.fixture(scope="module")
+def lumped():
+    """Omega = {a, b} in a single terminal cell: nothing ever tells a from b."""
+    return FilteredModel(
+        outcomes=("a", "b"),
+        grid=TimeGrid((F(0), F(1))),
+        filtration=Filtration([Partition([[0, 1]]), Partition([[0, 1]])]),
+        prices=PriceProcess((((F(0), F(0)), (F(0), F(0))),)),
+        claims=(),
+        priors=PriorSupport(frozenset({0})),
+    )
+
+
 def test_jump_invariant():
     with pytest.raises(ValueError):
         SingleJump((None, 0), (F(1), F(1)))  # infinite time with positive mark
@@ -49,6 +70,35 @@ def test_jump_invariant():
         SingleJump((0, 1), (F(1), F(0)))  # finite time with zero mark
     with pytest.raises(ValueError):
         SingleJump((0,), (F(-1),))
+
+
+def test_enlarge_rejects_a_jump_that_does_not_fit_the_model(trinomial):
+    model = trinomial.model
+    with pytest.raises(ShapeError):
+        enlarge(model, [SingleJump((0, None), (F(1), F(0)))])  # two outcomes for three
+    for t in (model.horizon + 1, -1):
+        with pytest.raises(ValueError):
+            enlarge(model, [SingleJump((t, None, None), (F(1), F(0), F(0)))])
+
+
+@pytest.mark.parametrize("process", [azema, compensator, jeulin_yor])
+@pytest.mark.parametrize(
+    "jump",
+    [SingleJump((1, None), (F(1), F(0))), SingleJump((1, 1), (F(1), F(2)))],
+    ids=["time", "mark"],
+)
+def test_jump_not_measurable_on_the_enlarged_cells(lumped, process, jump):
+    enlarged = enlarge(lumped, [])  # the jump is not one the filtration was enlarged with
+    with pytest.raises(ShapeError):
+        process(enlarged.model.measure(["1"]), jump, enlarged)
+
+
+def test_charged_means_read_only_the_charged_cells():
+    groups = ((0, 1, 2), (3,))
+    weights = (F(1, 2), F(1, 2), F(0), F(0))
+    # nonzero only on null cells: cell 2 inside a charged group, cell 3 a null group of its own
+    assert _charged_means((F(1), F(-1), F(7), F(5)), groups, weights) == [0, 0]
+    assert _charged_means((F(1), F(0), F(7), F(5)), groups, weights) == [F(1, 2), F(1, 2)]
 
 
 def test_enlarge_trivial_when_mark_zero(trinomial):
@@ -216,6 +266,35 @@ def test_jeulin_yor_zero_mark(two_atom):
     assert all(row == (F(0), F(0)) for row in jy.values)
 
 
+def test_zero_survival_forces_a_zero_compensator_increment():
+    # Delta A_l and Z_{l-1} are means over one base P_{l-1} cell, so Z_{l-1} = 0 => Delta A_l = 0
+    rng = random.Random(4452)
+    vanishing = 0
+    for _ in range(300):
+        model, _ = random_model(rng)
+        jump = random_jump(rng, model)
+        enlarged = enlarge(model, [jump])
+        q = random_measure(rng, enlarged.model)
+        z, comp = azema(q, jump, enlarged), compensator(q, jump, enlarged)
+        for l in range(1, model.horizon + 1):
+            for survival, increment in zip(z.values[l - 1], comp.increments[l]):
+                if survival == 0:
+                    vanishing += 1
+                    assert increment == 0
+    assert vanishing > 0
+
+
+def test_increment_where_survival_vanishes_is_an_invariant_violation(two_atom, monkeypatch):
+    jump = SingleJump((1, None), (F(1), F(0)))
+    enlarged = enlarge(two_atom, [jump])
+    q = enlarged.model.measure(["1/2", "1/2"])
+    assert compensator(q, jump, enlarged).increments[1] == (F(1, 2), F(1, 2))
+    vanished = AzemaResult(((F(0), F(0)), (F(0), F(0))), True)
+    monkeypatch.setattr(enlargement, "azema", lambda *args: vanished)
+    with pytest.raises(InvariantViolation):
+        jeulin_yor(q, jump, enlarged)
+
+
 def test_predictable_reduction_examples(two_atom):
     jump = SingleJump((0, None), (F(1), F(0)))
     enlarged = enlarge(two_atom, [jump])
@@ -311,10 +390,71 @@ def test_jeulin_yor_martingale_random(seed):
     jump = random_jump(rng, model)
     enlarged = enlarge(model, [jump])
     q = random_measure(rng, enlarged.model)
-    comp = compensator(q, jump, enlarged)
-    assert comp.predictable_ok and comp.martingale_ok
-    assert jeulin_yor(q, jump, enlarged).martingale_ok
-    assert azema(q, jump, enlarged).supermartingale_ok
+    jy = jeulin_yor(q, jump, enlarged)
+    assert jy.compensator == compensator(q, jump, enlarged)
+    assert jy.azema == azema(q, jump, enlarged)
+    assert jy.compensator.predictable_ok and jy.compensator.martingale_ok
+    assert jy.martingale_ok
+    assert jy.azema.supermartingale_ok
+
+
+def pairwise_coincide(measure, enlarged):
+    """Reference: any two charged cells share a base P_k cell iff they share an enlarged one."""
+    base, fine = enlarged.base, enlarged.model
+    charged = [g for g, w in enumerate(measure.weights) if w > 0]
+    for k in range(fine.horizon + 1):
+        base_of = [base.filtration.partitions[k].cell_of[cell[0]] for cell in fine.terminal_cells]
+        fine_of = fine.coarse_cell_of[k]
+        for a in charged:
+            for b in charged:
+                if (base_of[a] == base_of[b]) != (fine_of[a] == fine_of[b]):
+                    return False
+    return True
+
+
+def base_grouping(enlarged, k):
+    """Reference: the base P_k cells as groups of enlarged terminal cells, by each cell's first outcome."""
+    partition = enlarged.base.filtration.partitions[k]
+    groups = [[] for _ in partition.cells]
+    for g, cell in enumerate(enlarged.model.terminal_cells):
+        groups[partition.cell_of[cell[0]]].append(g)
+    return tuple(tuple(group) for group in groups)
+
+
+def test_base_groups_match_the_outcome_lookup():
+    rng = random.Random(131)
+    for _ in range(60):
+        model, _ = random_model(rng)
+        enlarged = enlarge(model, [random_jump(rng, model) for _ in range(rng.randint(1, 2))])
+        for k in range(model.horizon + 1):
+            groups = base_grouping(enlarged, k)
+            assert enlarged.base_groups[k] == groups
+            assert all(enlarged.base_cell_of[k][g] == c for c, group in enumerate(groups) for g in group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_filtrations_coincide_matches_the_pairwise_reference(seed):
+    rng = random.Random(seed)
+    model, _ = random_model(rng, n_claims=0)
+    enlarged = enlarge(model, [random_jump(rng, model) for _ in range(rng.randint(1, 2))])
+    fine = enlarged.model
+    measures = [random_measure(rng, fine) for _ in range(8)]  # weights 0..4: null cells are common
+    measures += enumerate_extreme_points(build_constraints(fine)).vertices
+    subcells = base_grouping(enlarged, model.horizon)
+    for vertex in enumerate_extreme_points(build_constraints(model)).vertices:
+        charged = vertex.support
+        candidates = []
+        for choice in product(*[subcells[c] for c in charged]):
+            weights = [F(0)] * fine.n_cells
+            for c, g in zip(charged, choice):
+                weights[g] = vertex.weights[c]
+            candidates.append(Measure(tuple(weights)))
+        allowed = [m for m in candidates if set(m.support) <= fine.priors.allowed]
+        assert _coinciding_lifts(vertex, enlarged) == [m for m in allowed if pairwise_coincide(m, enlarged)]
+        measures += candidates
+    for measure in measures:
+        assert filtrations_coincide(measure, enlarged) == pairwise_coincide(measure, enlarged)
 
 
 @settings(max_examples=40, deadline=None)
