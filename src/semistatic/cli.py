@@ -67,9 +67,8 @@ def _resolve_payoff(arg: str, scenario: Scenario):
 
 
 def render_tree(tree: AtomicTree, model: FilteredModel) -> list[str]:
-    parents = [tree.parent_index(i) for i in range(len(tree.nodes))]
     children: dict[int | None, list[int]] = {}
-    for i, p in enumerate(parents):
+    for i, p in enumerate(tree.parents):
         children.setdefault(p, []).append(i)
 
     lines: list[str] = []

@@ -112,20 +112,10 @@ def _tight_cells(strategy: SemiStaticStrategy, payoff: Sequence[Fraction], model
     """Allowed cells where the strategy's payoff equals the claim's; raises unless it dominates.
 
     The payoff is recomputed from the strategy itself, not read off the LP's
-    surplus variables: cash plus every nonzero holding times the nonzero
-    entries of its vector, on the allowed cells only.
+    surplus variables.
     """
     allowed = sorted(model.priors.allowed)
-    value = dict.fromkeys(allowed, strategy.cash)
-    terms = [(pos, model.claim_vector(i), allowed) for i, pos in enumerate(strategy.static) if pos]
-    for (_, k, c, j), vec in model.gains:
-        h = strategy.dynamic[k - 1][c][j]
-        if h:
-            terms.append((h, vec, model.coarse_groups[k - 1][c]))
-    for h, vec, cells in terms:
-        for a in cells:
-            if vec[a] and a in value:
-                value[a] += h * vec[a]
+    value = strategy_payoff(strategy, model)
     if any(value[a] < payoff[a] for a in allowed):
         raise InvariantViolation("superhedging strategy must dominate the payoff on every allowed cell")
     return tuple(a for a in allowed if value[a] == payoff[a])

@@ -199,8 +199,14 @@ class CompensatorResult:
 
 
 def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> CompensatorResult:
+    """Delta A_k = E[Delta(mark 1_{tau <= k}) | F_{k-1}] on the cells of ``base_groups``.
+
+    ``predictable_ok`` tests each increment for constancy on the base P_{k-1}
+    cells rebuilt from the outcomes, not on the groups it was averaged over.
+    """
     taus, marks = enlarged.on_cells(jump)
     weights = measure.weights
+    cell_of = enlarged.model.terminal_cell_of_outcome
     increments, cumulative = [], []
     running = (ZERO,) * enlarged.model.n_cells
     predictable = martingale = True
@@ -211,7 +217,8 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
         running = tuple(a + d for a, d in zip(running, inc))
         increments.append(inc)
         cumulative.append(running)
-        predictable &= all(len({inc[g] for g in group}) <= 1 for group in groups)
+        base_cells = enlarged.base.filtration.partitions[max(k - 1, 0)].cells
+        predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
         martingale &= not any(_charged_means([n - d for n, d in zip(jump_now, inc)], groups, weights))
     return CompensatorResult(tuple(increments), tuple(cumulative), predictable, martingale)
 

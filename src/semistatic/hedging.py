@@ -81,22 +81,23 @@ def terminal_gain(dynamic: Dynamic, model: FilteredModel) -> Payoff:
             raise ShapeError(f"period {k} has {len(per_cell)} cells, expected {len(cells)}")
         if any(len(holdings) != model.prices.assets for holdings in per_cell):
             raise ShapeError("holdings must have one entry per asset")
-    totals = [ZERO] * model.n_cells
-    for (_, k, c, j), vec in model.gains:
-        h = dynamic[k - 1][c][j]
-        for a in model.coarse_groups[k - 1][c]:
-            totals[a] += h * vec[a]
-    return tuple(totals)
+    return strategy_payoff(SemiStaticStrategy(ZERO, (), dynamic), model)
 
 
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
-    base = terminal_gain(strategy.dynamic, model)
-    out = list(base)
-    for a in range(model.n_cells):
-        out[a] += strategy.cash
-        for i, pos in enumerate(strategy.static):
-            out[a] += pos * model.claim_vector(i)[a]
-    return tuple(out)
+    """Cash plus every nonzero position and holding times the nonzero entries of its vector."""
+    value = [strategy.cash] * model.n_cells
+    every_cell = range(model.n_cells)
+    terms = [(pos, model.claim_vector(i), every_cell) for i, pos in enumerate(strategy.static) if pos]
+    for (_, k, c, j), vec in model.gains:
+        h = strategy.dynamic[k - 1][c][j]
+        if h:
+            terms.append((h, vec, model.coarse_groups[k - 1][c]))
+    for h, vec, cells in terms:
+        for a in cells:
+            if vec[a]:
+                value[a] += h * vec[a]
+    return tuple(value)
 
 
 def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
@@ -283,7 +284,6 @@ class JumpBlock:
 @dataclass(frozen=True)
 class UnhedgeableDecomposition:
     residual_terminals: tuple[Payoff, ...]
-    residual_martingales: tuple[tuple[Payoff, ...], ...]
     blocks: tuple[JumpBlock, ...]
 
 
@@ -294,7 +294,7 @@ def _mask_to_support(vec: Sequence[Fraction], weights: Sequence[Fraction]) -> Pa
 def decompose_unhedgeable(
     measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None
 ) -> UnhedgeableDecomposition:
-    """Residual martingales of the claims and their single-jump block basis.
+    """Residual terminal values of the claims and their single-jump block basis.
 
     Each claim is projected off the elementary-gain span under the Q-weighted
     inner product.  Under completeness the residual span decomposes into
@@ -314,11 +314,6 @@ def decompose_unhedgeable(
         proj = linalg.project_onto_span(psi, gains, weights)
         residuals.append(_mask_to_support([x - p for x, p in zip(psi, proj)], weights))
 
-    martingales = tuple(
-        tuple(conditional_expectation(model, v, k, measure) for k in range(model.horizon + 1))
-        for v in residuals
-    )
-
     span_basis = [residuals[i] for i in linalg.independent_rows(residuals)]
 
     blocks: list[JumpBlock] = []
@@ -327,7 +322,7 @@ def decompose_unhedgeable(
         measurable = _measurable_combinations(span_basis, model, k, weights)
         fresh = []
         for v in measurable:
-            proj = linalg.project_onto_span(v, previous_basis, weights) if previous_basis else tuple([ZERO] * len(v))
+            proj = linalg.project_onto_span(v, previous_basis, weights)
             fresh.append(tuple(x - p for x, p in zip(v, proj)))
         block_vectors = linalg.gram_schmidt(fresh, weights)
         block_vectors = [_mask_to_support(v, weights) for v in block_vectors]
@@ -337,16 +332,12 @@ def decompose_unhedgeable(
                     prior = conditional_expectation(model, v, k - 1, measure)
                     if any(prior[a] != 0 for a in support):
                         raise InvariantViolation("block martingale must vanish before its jump")
-            prev = max(k - 1, 0)
-            carrying = []
-            for c, group in enumerate(model.coarse_groups[prev]):
-                charged = [a for a in group if weights[a] > 0]
-                if any(v[a] != 0 for v in block_vectors for a in charged):
-                    carrying.append(c)
+            cell_of = model.coarse_cell_of[max(k - 1, 0)]
+            carrying = sorted({cell_of[a] for v in block_vectors for a in support if v[a] != 0})
             blocks.append(JumpBlock(k, tuple(block_vectors), tuple(carrying)))
         previous_basis = measurable
 
-    return UnhedgeableDecomposition(tuple(residuals), martingales, tuple(blocks))
+    return UnhedgeableDecomposition(tuple(residuals), tuple(blocks))
 
 
 def _measurable_combinations(

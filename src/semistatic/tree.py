@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -43,26 +44,24 @@ class AtomicTree:
         )
         object.__setattr__(self, "nodes", tuple(ordered))
 
-    def parent_index(self, i: int) -> int | None:
-        cell = set(self.nodes[i].cell)
-        best: int | None = None
-        for j, other in enumerate(self.nodes):
-            if j == i:
-                continue
-            candidate = set(other.cell)
-            if cell < candidate:
-                if best is None or candidate < set(self.nodes[best].cell):
+    @cached_property
+    def parents(self) -> tuple[int | None, ...]:
+        """Per node, its smallest strict superset (the first found where supersets do not nest), or None."""
+        cells = [set(node.cell) for node in self.nodes]
+        out: list[int | None] = []
+        for cell in cells:
+            best: int | None = None
+            for j, other in enumerate(cells):
+                if cell < other and (best is None or other < cells[best]):
                     best = j
-        return best
-
-    @property
-    def leaf_indices(self) -> tuple[int, ...]:
-        out = []
-        for i, node in enumerate(self.nodes):
-            cell = set(node.cell)
-            if not any(j != i and set(other.cell) < cell for j, other in enumerate(self.nodes)):
-                out.append(i)
+            out.append(best)
         return tuple(out)
+
+    @cached_property
+    def leaf_indices(self) -> tuple[int, ...]:
+        """Nodes with no other node strictly inside them."""
+        cells = [set(node.cell) for node in self.nodes]
+        return tuple(i for i, cell in enumerate(cells) if not any(other < cell for other in cells))
 
     @property
     def leaves(self) -> tuple[TreeNode, ...]:
@@ -76,10 +75,8 @@ class AtomicTree:
         """Per terminal cell, the birth time of the covering leaf."""
         out: list[int | None] = [None] * model.n_cells
         for leaf in self.leaves:
-            covered = set(leaf.cell)
-            for a, cell in enumerate(model.terminal_cells):
-                if set(cell) <= covered:
-                    out[a] = leaf.birth
+            for a in _cells_within(model, leaf.cell)[0]:
+                out[a] = leaf.birth
         return tuple(out)
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -88,9 +85,9 @@ class AtomicTree:
                 {
                     "cell": model.cell_label(node.cell),
                     "birth": node.birth,
-                    "parent": self.parent_index(i),
+                    "parent": parent,
                 }
-                for i, node in enumerate(self.nodes)
+                for node, parent in zip(self.nodes, self.parents)
             ],
             "dim": self.dim,
         }
@@ -104,31 +101,25 @@ class NoTree:
         return {"tree": None, "reason": self.reason}
 
 
-def _terminal_cells_within(model: FilteredModel, cell: Iterable[int]) -> list[int]:
-    covered = set(cell)
-    return [a for a, tc in enumerate(model.terminal_cells) if set(tc) <= covered]
-
-
-def _mass(model: FilteredModel, measure: Measure, cell: Iterable[int]) -> Fraction:
-    return sum((measure.weights[a] for a in _terminal_cells_within(model, cell)), ZERO)
-
-
-def _is_terminal_measurable(model: FilteredModel, cell: Iterable[int]) -> bool:
-    covered = set(cell)
-    hit = [tc for tc in model.terminal_cells if covered.intersection(tc)]
-    return all(set(tc) <= covered for tc in hit) and bool(covered)
+def _cells_within(model: FilteredModel, event: Iterable[int]) -> tuple[tuple[int, ...], bool]:
+    """The terminal cells inside the event, in index order, and whether the event is their union."""
+    covered = set(event)
+    hit = sorted({model.terminal_cell_of_outcome[w] for w in covered})
+    inside = tuple(a for a in hit if covered.issuperset(model.terminal_cells[a]))
+    return inside, len(inside) == len(hit)
 
 
 def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
     """First time index at which the event is a union of partition cells."""
-    covered = set(cell)
-    if not _is_terminal_measurable(model, covered):
+    cells, exact = _cells_within(model, cell)
+    if not (cells and exact):
         raise NotMeasurable("event is not measurable at the terminal date")
-    for k, partition in enumerate(model.filtration.partitions):
-        hit = [c for c in partition.cells if covered.intersection(c)]
-        if all(set(c) <= covered for c in hit):
-            return k
-    raise AssertionError("terminal measurability guarantees a birth time")
+    # the P_k cells met by the event hold exactly its cells when it is P_k-measurable; P_K always does
+    return next(
+        k
+        for k, cell_of in enumerate(model.coarse_cell_of)
+        if sum(len(model.coarse_groups[k][c]) for c in {cell_of[a] for a in cells}) == len(cells)
+    )
 
 
 def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]) -> bool:
@@ -138,18 +129,20 @@ def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]
     with that cell up to a null set; partial overlap with a charged cell would
     leave the event non-measurable at k even almost surely.
     """
-    covered = set(cell)
-    hits: list[int] = []
-    leak = ZERO
-    for c, group in enumerate(model.coarse_groups[k]):
-        q_in = sum(
-            (measure.weights[a] for a in group if set(model.terminal_cells[a]) <= covered), ZERO
-        )
-        q_total = sum((measure.weights[a] for a in group), ZERO)
-        if q_in > 0:
-            hits.append(c)
-            leak = q_total - q_in
-    return len(hits) == 1 and leak == 0
+    weights = measure.weights
+    cells = _cells_within(model, cell)[0]
+    hits = {model.coarse_cell_of[k][a] for a in cells if weights[a] > 0}
+    if len(hits) != 1:
+        return False
+    group = model.coarse_groups[k][hits.pop()]
+    return sum((weights[a] for a in group), ZERO) == sum((weights[a] for a in cells), ZERO)
+
+
+def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
+    """Some price is nonzero on one of these terminal cells at a time up to k."""
+    return any(
+        model.price(j, l, a) != 0 for a in cells for l in range(k + 1) for j in range(model.prices.assets)
+    )
 
 
 @dataclass(frozen=True)
@@ -179,9 +172,13 @@ class TreeReport:
 def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> TreeReport:
     """Check the three defining properties of an atomic tree under Q."""
     bad: list[TreeViolation] = []
+    cells = [set(node.cell) for node in tree.nodes]
+    lookups = [_cells_within(model, cell) for cell in cells]
+    masses = [sum((measure.weights[a] for a in within), ZERO) for within, _ in lookups]
     for i, node in enumerate(tree.nodes):
         label = model.cell_label(node.cell)
-        if not _is_terminal_measurable(model, node.cell):
+        within, exact = lookups[i]
+        if not (within and exact):
             bad.append(TreeViolation("measurable", label, "node is not terminally measurable"))
             continue
         actual_birth = birth_time(node.cell, model)
@@ -189,30 +186,27 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
             bad.append(
                 TreeViolation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}")
             )
-        if _mass(model, measure, node.cell) == 0:
+        if masses[i] == 0:
             bad.append(TreeViolation("non-null", label, "node has zero mass"))
         elif not _is_atom(model, measure, node.birth, node.cell):
             bad.append(TreeViolation("atom", label, f"node is not an atom at time {node.birth}"))
         for j, other in enumerate(tree.nodes):
-            if node.birth < other.birth:
-                a, b = set(node.cell), set(other.cell)
-                if not (b <= a or not a.intersection(b)):
-                    bad.append(
-                        TreeViolation(
-                            "nesting",
-                            f"{label} / {model.cell_label(other.cell)}",
-                            "later-born node neither nested nor disjoint",
-                        )
+            if node.birth < other.birth and not (cells[j] <= cells[i] or cells[i].isdisjoint(cells[j])):
+                bad.append(
+                    TreeViolation(
+                        "nesting",
+                        f"{label} / {model.cell_label(other.cell)}",
+                        "later-born node neither nested nor disjoint",
                     )
-            if i != j and set(other.cell) < set(node.cell):
-                if _mass(model, measure, node.cell) - _mass(model, measure, other.cell) <= 0:
-                    bad.append(
-                        TreeViolation(
-                            "mass-drop",
-                            f"{label} / {model.cell_label(other.cell)}",
-                            "no strict mass drop between nested nodes",
-                        )
+                )
+            if cells[j] < cells[i] and masses[i] - masses[j] <= 0:
+                bad.append(
+                    TreeViolation(
+                        "mass-drop",
+                        f"{label} / {model.cell_label(other.cell)}",
+                        "no strict mass drop between nested nodes",
                     )
+                )
     return TreeReport(tuple(bad))
 
 
@@ -220,27 +214,22 @@ def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     """Leaves partition the space mod null and parents are atoms just before births."""
     counts = [0] * model.n_cells
     for leaf in tree.leaves:
-        for a in _terminal_cells_within(model, leaf.cell):
+        for a in _cells_within(model, leaf.cell)[0]:
             counts[a] += 1
-    for a, weight in enumerate(measure.weights):
-        if weight > 0 and counts[a] != 1:
-            return False
-    for i in range(len(tree.nodes)):
-        parent = tree.parent_index(i)
-        if parent is None:
-            continue
-        child = tree.nodes[i]
-        before = max(child.birth - 1, 0)
-        if not _is_atom(model, measure, before, tree.nodes[parent].cell):
-            return False
-    return True
+    if any(weight > 0 and counts[a] != 1 for a, weight in enumerate(measure.weights)):
+        return False
+    return all(
+        _is_atom(model, measure, max(child.birth - 1, 0), tree.nodes[parent].cell)
+        for child, parent in zip(tree.nodes, tree.parents)
+        if parent is not None
+    )
 
 
 def sigma_tree_expectation(
     payoff: Sequence[Fraction], tree: AtomicTree, measure: Measure, model: FilteredModel
 ) -> Payoff:
     """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
-    leaves = [_terminal_cells_within(model, leaf.cell) for leaf in tree.leaves]
+    leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
     return condexp_groups(payoff, leaves, measure.weights)
 
 
@@ -308,7 +297,7 @@ def check_theorem_conditions(
     leaf_checks: list[LeafCheck] = []
     charged_leaves = 0
     for leaf in tree.leaves:
-        atoms = [a for a in _terminal_cells_within(model, leaf.cell) if measure.weights[a] > 0]
+        atoms = [a for a in _cells_within(model, leaf.cell)[0] if measure.weights[a] > 0]
         if not atoms:
             continue
         charged_leaves += 1
@@ -327,17 +316,8 @@ def check_theorem_conditions(
     claims_rank = linalg.rank([[v[a] for a in support] for v in projections]) if projections else 0
 
     zeta = tree.zeta(model)
-
-    def price_constant() -> bool:
-        for a in support:
-            if zeta[a] is None:
-                return False
-            for l in range(zeta[a] + 1):
-                if any(model.price(j, l, a) != 0 for j in range(model.prices.assets)):
-                    return False
-        return True
-
-    return TheoremConditionsReport(tuple(leaf_checks), claims_rank, charged_leaves - 1, price_constant())
+    price_constant = all(zeta[a] is not None and not _price_moved(model, (a,), zeta[a]) for a in support)
+    return TheoremConditionsReport(tuple(leaf_checks), claims_rank, charged_leaves - 1, price_constant)
 
 
 def extract_tree(
@@ -357,17 +337,16 @@ def extract_tree(
     weights = measure.weights
 
     def charged_of(cell: Iterable[int]) -> frozenset[int]:
-        return frozenset(a for a in _terminal_cells_within(model, cell) if weights[a] > 0)
+        return frozenset(a for a in _cells_within(model, cell)[0] if weights[a] > 0)
 
     blocks = list(decomposition.blocks)
     nodes: list[TreeNode] = []
     if blocks and blocks[0].time == 0:
-        block0 = blocks.pop(0)
-        charged_p0 = [c for c, grp in enumerate(model.coarse_groups[0]) if any(weights[a] > 0 for a in grp)]
-        rest = [c for c in charged_p0 if c not in set(block0.atom_cells)]
+        carried = set(blocks.pop(0).atom_cells)
+        rest = {model.coarse_cell_of[0][a] for a in measure.support} - carried
         if len(rest) > 1:
             return NoTree("time-zero jump block leaves a remainder that is not an atom")
-        for c in sorted(set(block0.atom_cells) | set(rest)):
+        for c in sorted(carried | rest):
             nodes.append(TreeNode(model.filtration.partitions[0].cells[c], 0))
     else:
         nodes.append(TreeNode(tuple(range(model.n_outcomes)), 0))
@@ -375,9 +354,8 @@ def extract_tree(
     leaves: list[TreeNode] = list(nodes)
     for block in blocks:
         k = block.time
-        prev_cells = model.filtration.partitions[k - 1].cells
         for c in block.atom_cells:
-            carrier = charged_of(prev_cells[c])
+            carrier = frozenset(a for a in model.coarse_groups[k - 1][c] if weights[a] > 0)
             hits = [leaf for leaf in leaves if charged_of(leaf.cell) & carrier]
             if len(hits) != 1:
                 return NoTree(f"jump block at k={k} straddles the current leaves")
@@ -386,20 +364,9 @@ def extract_tree(
                 return NoTree(
                     f"jump block at k={k} is carried by a proper sub-event of a leaf"
                 )
-            moved = any(
-                model.price(j, l, a) != 0
-                for a in charged_of(leaf.cell)
-                for l in range(k + 1)
-                for j in range(model.prices.assets)
-            )
-            if moved:
+            if _price_moved(model, carrier, k):
                 return NoTree(f"price moves on a leaf before its branch time k={k}")
-            children = [
-                cc
-                for cc, group in enumerate(model.coarse_groups[k])
-                if any(weights[a] > 0 for a in group)
-                and set(model.filtration.partitions[k].cells[cc]) <= set(prev_cells[c])
-            ]
+            children = sorted({model.coarse_cell_of[k][a] for a in carrier})
             if len(children) < 2:
                 return NoTree(f"jump block at k={k} does not split its carrying atom")
             new_nodes = [TreeNode(model.filtration.partitions[k].cells[cc], k) for cc in children]
@@ -415,12 +382,11 @@ def extract_tree(
     if not is_full(tree, measure, model):
         return NoTree("constructed tree is not full")
 
-    gains = [vec for _, vec in model.gains]
     support = measure.support
+    rows = [[vec[a] for _, vec in model.gains] for a in support]
     for i in range(len(model.claims)):
         psi = model.claim_vector(i)
         target = sigma_tree_expectation(psi, tree, measure, model)
-        rows = [[g[a] for g in gains] for a in support]
         rhs = [psi[a] - target[a] for a in support]
         if linalg.solve(rows, rhs) is None:
             return NoTree(f"claim {i} residual is not dynamically replicable over the tree")

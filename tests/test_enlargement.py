@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import enlargement
+from semistatic import cli, enlargement
 from semistatic.enlargement import (
     AzemaResult,
     SingleJump,
@@ -33,6 +34,8 @@ from semistatic.model import (
 )
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
+from semistatic.scenario import load_scenario
+from tests.conftest import scenario_path
 
 F = Fraction
 
@@ -503,3 +506,27 @@ def test_predictable_reduction_agrees_pre_jump(seed):
                 g = enlarged.model.filtration.partitions[k - 1].cell_of[w]
                 c = model.filtration.partitions[k - 1].cell_of[w]
                 assert reduced[k - 1][c] == holdings[k - 1][g]
+
+
+def test_predictable_ok_reads_the_base_partition_not_base_groups(monkeypatch, capsys):
+    # split the one P_0 group {u, m, d} into {u} and {m, d}: the time-0 compensator increment,
+    # averaged over the halves, is 1 on u and 0 elsewhere, which no F_0 process is
+    path = str(scenario_path("initial_enlargement"))
+    args = ["--format", "json", "enlarge", "--measure", "1/2,1/2,0", path]
+    assert cli.main(args) == 0
+    original = enlargement.EnlargedModel.base_groups.func
+
+    def split_first_group(self):
+        first, *rest = original(self)
+        group = first[0]
+        return ((group[:1], group[1:]) + first[1:], *rest)
+
+    monkeypatch.setattr(enlargement.EnlargedModel, "base_groups", property(split_first_group))
+    scenario = load_scenario(path)
+    enlarged = enlarge(scenario.model, scenario.jumps)
+    comp = compensator(enlarged.model.measure(["1/2", "1/2", "0"]), scenario.jumps[0], enlarged)
+    assert comp.increments[0] == (F(1), F(0), F(0))
+    assert comp.martingale_ok and not comp.predictable_ok
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["per_jump"][0]["predictable_ok"] is False

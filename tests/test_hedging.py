@@ -190,7 +190,8 @@ def test_decompose_glued_block(glued_two_vol):
     q = enumerate_extreme_points(build_constraints(model)).vertices[0]
     decomposition = decompose_unhedgeable(q, model)
     assert [b.time for b in decomposition.blocks] == [1]
-    martingales = decomposition.residual_martingales[0]
+    residual = decomposition.residual_terminals[0]
+    martingales = [conditional_expectation(model, residual, k, q) for k in range(model.horizon + 1)]
     # residual vanishes at time 0 and is constant from the jump on
     assert all(x == 0 for x in martingales[0])
     assert martingales[1] == martingales[2] == decomposition.residual_terminals[0]
@@ -265,7 +266,7 @@ def test_residual_orthogonality_and_martingale(seed):
     for i, residual in enumerate(decomposition.residual_terminals):
         for g in gains:
             assert weighted_dot(residual, g, q.weights) == 0
-        marts = decomposition.residual_martingales[i]
+        marts = [conditional_expectation(model, residual, k, q) for k in range(model.horizon + 1)]
         for k in range(model.horizon):
             step = conditional_expectation(model, marts[k + 1], k, q)
             for a in q.support:

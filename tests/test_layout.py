@@ -6,6 +6,7 @@ vector for vector, and a strategy built from coordinates must pay off the
 matching column.
 """
 
+import ast
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ import pytest
 from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
+from tests.conftest import REPO
 from tests.decoders import strategy_from_json
 from tests.test_multi_asset import two_asset_model
 
@@ -73,3 +75,16 @@ def test_strategy_json_round_trip(model):
     for _ in range(5):
         strategy = SemiStaticStrategy.from_coordinates([rng.choice(VALUES) for _ in range(n)], model)
         assert strategy_from_json(strategy.to_json(model), model) == strategy
+
+
+def test_package_states_no_invariant_with_assert():
+    # python -O strips assert statements; invariants raise InvariantViolation instead
+    found = []
+    for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

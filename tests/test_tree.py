@@ -9,13 +9,23 @@ from hypothesis import strategies as st
 from semistatic import cli, hedging, linalg
 from semistatic.errors import NotComplete, NotMeasurable
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
-from semistatic.model import conditional_expectation, indicator
+from semistatic.model import (
+    FilteredModel,
+    Filtration,
+    Partition,
+    PriceProcess,
+    conditional_expectation,
+    indicator,
+    validate_model,
+)
 from semistatic.polytope import build_constraints, enumerate_extreme_points
-from semistatic.sampling import random_model
+from semistatic.sampling import random_measure, random_model
 from semistatic.tree import (
     AtomicTree,
     NoTree,
     TreeNode,
+    _cells_within,
+    _is_atom,
     birth_time,
     check_theorem_conditions,
     extract_tree,
@@ -270,8 +280,8 @@ def test_conditions_imply_completeness(seed):
     assert is_semistatically_complete(q, model, cs).complete
     # residual jumps live on tree nodes at their birth times
     decomposition = decompose_unhedgeable(q, model, cs)
-    for i in range(len(model.claims)):
-        marts = decomposition.residual_martingales[i]
+    for residual in decomposition.residual_terminals:
+        marts = [conditional_expectation(model, residual, k, q) for k in range(model.horizon + 1)]
         for k in range(model.horizon + 1):
             prev = marts[k - 1] if k else tuple([F(0)] * model.n_cells)
             for a in q.support:
@@ -295,3 +305,147 @@ def test_extraction_deterministic_and_unique(seed):
     assert type(first) is type(second)
     if isinstance(first, AtomicTree):
         assert first.nodes == second.nodes
+
+
+# The set-based helpers that the cell-table lookups replaced, kept as references.
+
+
+def reference_terminal_cells_within(model, cell):
+    covered = set(cell)
+    return [a for a, tc in enumerate(model.terminal_cells) if set(tc) <= covered]
+
+
+def reference_is_terminal_measurable(model, cell):
+    covered = set(cell)
+    hit = [tc for tc in model.terminal_cells if covered.intersection(tc)]
+    return all(set(tc) <= covered for tc in hit) and bool(covered)
+
+
+def reference_birth_time(cell, model):
+    covered = set(cell)
+    if not reference_is_terminal_measurable(model, covered):
+        raise NotMeasurable("event is not measurable at the terminal date")
+    for k, partition in enumerate(model.filtration.partitions):
+        hit = [c for c in partition.cells if covered.intersection(c)]
+        if all(set(c) <= covered for c in hit):
+            return k
+    return None
+
+
+def reference_is_atom(model, measure, k, cell):
+    covered = set(cell)
+    hits = []
+    leak = F(0)
+    for c, group in enumerate(model.coarse_groups[k]):
+        q_in = sum((measure.weights[a] for a in group if set(model.terminal_cells[a]) <= covered), F(0))
+        q_total = sum((measure.weights[a] for a in group), F(0))
+        if q_in > 0:
+            hits.append(c)
+            leak = q_total - q_in
+    return len(hits) == 1 and leak == 0
+
+
+def reference_parent_index(tree, i):
+    cell = set(tree.nodes[i].cell)
+    best = None
+    for j, other in enumerate(tree.nodes):
+        if j == i:
+            continue
+        candidate = set(other.cell)
+        if cell < candidate:
+            if best is None or candidate < set(tree.nodes[best].cell):
+                best = j
+    return best
+
+
+def reference_leaf_indices(tree):
+    out = []
+    for i, node in enumerate(tree.nodes):
+        cell = set(node.cell)
+        if not any(j != i and set(other.cell) < cell for j, other in enumerate(tree.nodes)):
+            out.append(i)
+    return tuple(out)
+
+
+def doubled(model):
+    """The same market with every outcome split in two, so each terminal cell holds two outcomes."""
+
+    def split(cells):
+        return [[2 * w + s for w in cell for s in (0, 1)] for cell in cells]
+
+    return FilteredModel(
+        outcomes=tuple(f"{name}{s}" for name in model.outcomes for s in "ab"),
+        grid=model.grid,
+        filtration=Filtration([Partition(split(p.cells)) for p in model.filtration.partitions]),
+        prices=PriceProcess(
+            tuple(tuple(tuple(x for x in row for _ in (0, 1)) for row in path) for path in model.prices.values)
+        ),
+        claims=model.claims,
+        priors=model.priors,
+    )
+
+
+def drawn_events(rng, model):
+    """The empty event, one outcome of the first terminal cell, unions of P_k cells, those unions
+    less one outcome, and random outcome sets."""
+    events = [(), model.terminal_cells[0][:1]]
+    for partition in model.filtration.partitions:
+        for _ in range(3):
+            union = [w for cell in partition.cells if rng.random() < 0.5 for w in cell]
+            events.append(tuple(union))
+            if union:
+                events.append(tuple(w for w in union if w != rng.choice(union)))
+    for _ in range(6):
+        events.append(tuple(w for w in range(model.n_outcomes) if rng.random() < 0.5))
+    return events
+
+
+def drawn_model(seed, split):
+    rng = random.Random(seed)
+    model = random_model(rng)[0]
+    return rng, doubled(model) if split else model
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_event_lookup_matches_the_set_based_reference(seed, split):
+    rng, model = drawn_model(seed, split)
+    assert validate_model(model).ok
+    measures = [random_measure(rng, model) for _ in range(2)]
+    splits_a_cell = False
+    for event in drawn_events(rng, model):
+        cells, exact = _cells_within(model, event)
+        assert list(cells) == reference_terminal_cells_within(model, event)
+        assert (bool(cells) and exact) == reference_is_terminal_measurable(model, event)
+        splits_a_cell |= bool(event) and not exact
+        try:
+            expected = reference_birth_time(event, model)
+        except NotMeasurable:
+            with pytest.raises(NotMeasurable):
+                birth_time(event, model)
+        else:
+            assert birth_time(event, model) == expected
+        for measure in measures:
+            for k in range(model.horizon + 1):
+                assert _is_atom(model, measure, k, event) == reference_is_atom(model, measure, k, event)
+    assert splits_a_cell == split  # one outcome of a two-outcome terminal cell splits it
+
+
+def test_parents_and_leaves_where_supersets_do_not_nest():
+    # {0} lies in both {0, 1} and {0, 2}, neither inside the other: the first one found is its
+    # parent, and {0, 2} is nobody's parent yet no leaf, since {0} lies strictly inside it
+    tree = AtomicTree([TreeNode((0,), 1), TreeNode((0, 1), 0), TreeNode((0, 2), 0), TreeNode((1, 2), 0)])
+    assert [n.cell for n in tree.nodes] == [(0, 1), (0, 2), (1, 2), (0,)]
+    assert tree.parents == tuple(reference_parent_index(tree, i) for i in range(4)) == (None, None, None, 0)
+    assert tree.leaf_indices == reference_leaf_indices(tree) == (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_parents_and_leaves_match_the_set_based_reference(seed, split):
+    rng, model = drawn_model(seed, split)
+    events = drawn_events(rng, model)
+    nodes = [TreeNode(rng.choice(events), rng.randint(0, model.horizon)) for _ in range(rng.randint(1, 8))]
+    tree = AtomicTree(nodes)
+    assert tree.parents == tuple(reference_parent_index(tree, i) for i in range(len(tree.nodes)))
+    assert tree.leaf_indices == reference_leaf_indices(tree)
