@@ -29,10 +29,10 @@ def describe(path: Path) -> None:
     if not vertex_set.vertices:
         print("   calibrated measure set: EMPTY (arbitrage)")
     for i, vertex in enumerate(vertex_set.vertices):
-        complete = is_semistatically_complete(vertex, model, cs).complete
+        complete = is_semistatically_complete(vertex, model).complete
         line = f"   vertex {i}: ({', '.join(fmt(w) for w in vertex.weights)}) complete={complete}"
         if complete:
-            outcome = extract_tree(vertex, model, cs)
+            outcome = extract_tree(vertex, model)
             if isinstance(outcome, AtomicTree):
                 line += f" tree_dim={outcome.dim}"
             else:

@@ -19,7 +19,7 @@ from .enlargement import enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
 from .model import FilteredModel, Measure, validate_model
-from .polytope import ConstraintSystem, VertexSet, build_constraints, enumerate_extreme_points
+from .polytope import VertexSet, enumerate_extreme_points
 from .rationals import fmt, rat
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario, parse_inline_measure
 from .tree import AtomicTree, NoTree, extract_tree
@@ -35,15 +35,15 @@ def _emit(report: dict, fmt_mode: str) -> None:
         sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_measure(arg: str, model: FilteredModel, cs: ConstraintSystem | None = None) -> Measure:
-    """An inline measure, or a vertex of ``cs`` (built from the model when not given)."""
+def _resolve_measure(arg: str, model: FilteredModel) -> Measure:
+    """An inline measure, or a vertex of the model's calibrated measure set."""
     if "," in arg or "/" in arg:
         return parse_inline_measure(arg, model)
     try:
         index = int(arg)
     except ValueError as exc:
         raise ScenarioError(f"measure must be a vertex index or inline weights, got {arg!r}") from exc
-    vertex_set = enumerate_extreme_points(cs or build_constraints(model))
+    vertex_set = enumerate_extreme_points(model.constraints)
     if not 0 <= index < len(vertex_set.vertices):
         raise ScenarioError(
             f"vertex index {index} out of range ({len(vertex_set.vertices)} vertices); "
@@ -97,7 +97,7 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_extremes(scenario: Scenario, args) -> tuple[dict, int]:
-    vertex_set = enumerate_extreme_points(build_constraints(scenario.model))
+    vertex_set = enumerate_extreme_points(scenario.model.constraints)
     result = {
         "count": len(vertex_set.vertices),
         "vertices": vertex_set.to_json(scenario.model),
@@ -107,9 +107,8 @@ def _cmd_extremes(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_complete(scenario: Scenario, args) -> tuple[dict, int]:
-    cs = build_constraints(scenario.model)
-    measure = _resolve_measure(args.measure, scenario.model, cs)
-    report = is_semistatically_complete(measure, scenario.model, cs)
+    measure = _resolve_measure(args.measure, scenario.model)
+    report = is_semistatically_complete(measure, scenario.model)
     result = report.to_json()
     result["measure"] = measure.to_json(scenario.model)
     return result, PASS
@@ -117,10 +116,9 @@ def _cmd_complete(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_replicate(scenario: Scenario, args) -> tuple[dict, int]:
     model = scenario.model
-    cs = build_constraints(model)
-    measure = _resolve_measure(args.measure, model, cs)
+    measure = _resolve_measure(args.measure, model)
     payoff = _resolve_payoff(args.payoff, scenario)
-    outcome = replicate(payoff, measure, model, cs=cs)
+    outcome = replicate(payoff, measure, model)
     if isinstance(outcome, NotReplicable):
         return outcome.to_json(), PASS
     return {"replicable": True, "strategy": outcome.to_json(model)}, PASS
@@ -152,9 +150,8 @@ def _cmd_duality(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_tree(scenario: Scenario, args) -> tuple[dict, int]:
     model = scenario.model
-    cs = build_constraints(model)
-    measure = _resolve_measure(args.measure, model, cs)
-    outcome = extract_tree(measure, model, cs)
+    measure = _resolve_measure(args.measure, model)
+    outcome = extract_tree(measure, model)
     if isinstance(outcome, NoTree):
         return outcome.to_json(model), PASS
     result = outcome.to_json(model)

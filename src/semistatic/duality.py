@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import EmptyMeasureSet, InvariantViolation, ShapeError
 from .hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff
-from .polytope import VertexSet, build_constraints, enumerate_extreme_points
+from .polytope import VertexSet, enumerate_extreme_points
 from .rationals import fmt
 from .simplex import solve_lp
 
@@ -99,7 +99,7 @@ def robust_price(
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
     if vertex_set is None:
-        vertex_set = enumerate_extreme_points(build_constraints(model))
+        vertex_set = enumerate_extreme_points(model.constraints)
     if not vertex_set.vertices:
         return RobustPriceResult(None, ())
     values = [m.expectation(payoff) for m in vertex_set.vertices]
@@ -135,7 +135,7 @@ def optimal_face(payoff: Sequence[Fraction], model: FilteredModel) -> tuple[Supe
     if primal.unbounded:
         return primal, RobustPriceResult(None, ())
     tight = _tight_cells(primal.strategy, payoff, model)
-    face = enumerate_extreme_points(replace(build_constraints(model), allowed=frozenset(tight)))
+    face = enumerate_extreme_points(replace(model.constraints, allowed=frozenset(tight)))
     values = {m.expectation(payoff) for m in face.vertices}
     if len(values) != 1:
         raise InvariantViolation("the tight face must be nonempty with one expectation on all its vertices")
@@ -212,7 +212,7 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     each.
     """
     if vertex_set is None:
-        vertex_set = enumerate_extreme_points(build_constraints(model))
+        vertex_set = enumerate_extreme_points(model.constraints)
     if vertex_set.vertices:
         return ArbitrageReport(True, len(vertex_set.vertices))
 

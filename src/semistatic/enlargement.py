@@ -28,7 +28,7 @@ from .model import (
     condexp_groups,
     groups_of,
 )
-from .polytope import VertexSet, build_constraints, enumerate_extreme_points
+from .polytope import VertexSet, enumerate_extreme_points
 from .duality import robust_price
 from .rationals import fmt
 
@@ -399,8 +399,8 @@ def informed_compare(
     assertion.  An empty enlarged measure set is informed arbitrage.
     """
     enlarged = enlarge(model, jumps)
-    ext_base = enumerate_extreme_points(build_constraints(model))
-    ext_fine = enumerate_extreme_points(build_constraints(enlarged.model))
+    ext_base = enumerate_extreme_points(model.constraints)
+    ext_fine = enumerate_extreme_points(enlarged.model.constraints)
     coincide_flags = tuple(filtrations_coincide(v, enlarged) for v in ext_fine.vertices)
 
     claims_empty = len(model.claims) == 0

@@ -5,6 +5,8 @@ predictable dynamic integrand.  Completeness under a measure Q is a rank
 fact: the span of {1, claims, elementary gains} restricted to the Q-support
 must fill the whole support.  The unhedgeable-part decomposition projects each
 claim off the gain span and splits the resulting span by single-jump times.
+Completeness, replication and the decomposition first check that the measure
+is calibrated, against the model's own constraint system ``model.constraints``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete, ShapeError
 from .model import FilteredModel, Measure, Payoff, conditional_expectation
-from .polytope import ConstraintSystem, build_constraints, enumerate_extreme_points, is_extreme, member
+from .polytope import enumerate_extreme_points, is_extreme, member
 from .rationals import fmt
 
 ZERO = Fraction(0)
@@ -122,11 +124,9 @@ def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
     return HedgingSpan(columns, linalg.rank(restricted), support)
 
 
-def _require_calibrated(measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None) -> ConstraintSystem:
-    cs = cs or build_constraints(model)
-    if not member(measure, cs):
+def _require_calibrated(measure: Measure, model: FilteredModel) -> None:
+    if not member(measure, model.constraints):
         raise NotCalibrated("measure is not a calibrated martingale measure")
-    return cs
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,9 @@ class CompletenessReport:
         return {"complete": self.complete, "rank": self.rank, "support_size": self.support_size}
 
 
-def is_semistatically_complete(
-    measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None
-) -> CompletenessReport:
+def is_semistatically_complete(measure: Measure, model: FilteredModel) -> CompletenessReport:
     """True iff every payoff is replicable Q-a.s., i.e. the span fills the support."""
-    _require_calibrated(measure, model, cs)
+    _require_calibrated(measure, model)
     span = hedging_span(model, measure)
     return CompletenessReport(span.rank == len(span.support), span.rank, len(span.support))
 
@@ -157,10 +155,7 @@ class NotReplicable:
 
 
 def replicate(
-    payoff: Sequence[Fraction],
-    measure: Measure,
-    model: FilteredModel,
-    cs: ConstraintSystem | None = None,
+    payoff: Sequence[Fraction], measure: Measure, model: FilteredModel
 ) -> SemiStaticStrategy | NotReplicable:
     """Solve for a semi-static strategy matching the payoff on the Q-support.
 
@@ -169,16 +164,16 @@ def replicate(
     the component of the payoff orthogonal to the span under the Q-weighted
     inner product, reported as zero off the support.
     """
-    _require_calibrated(measure, model, cs)
+    _require_calibrated(measure, model)
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
-    span = hedging_span(model, measure)
-    support = span.support
-    rows = [[vec[a] for _, vec in span.columns] for a in support]
+    columns = strategy_columns(model)
+    support = measure.support
+    rows = [[vec[a] for _, vec in columns] for a in support]
     rhs = [payoff[a] for a in support]
     coeffs = linalg.min_norm_solution(rows, rhs)
     if coeffs is None:
-        vectors = [[vec[a] for a in support] for _, vec in span.columns]
+        vectors = [[vec[a] for a in support] for _, vec in columns]
         proj = linalg.project_onto_span(rhs, vectors, [measure.weights[a] for a in support])
         residual = [ZERO] * model.n_cells
         for a, x, p in zip(support, rhs, proj):
@@ -208,22 +203,6 @@ class EquivalenceReport:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "checks": [
-                {
-                    "case": c.description,
-                    "weights": [fmt(w) for w in c.weights],
-                    "expected": c.expected,
-                    "extreme": c.extreme,
-                    "complete": c.complete,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
     n = len(measures[0].weights)
@@ -241,7 +220,7 @@ def verify_jacod_yor(model: FilteredModel) -> EquivalenceReport:
     midpoint and the barycenter (when they are not vertices themselves) must
     be neither.
     """
-    cs = build_constraints(model)
+    cs = model.constraints
     vertex_set = enumerate_extreme_points(cs)
     if not vertex_set.vertices:
         raise EmptyMeasureSet("no calibrated martingale measure exists")
@@ -249,7 +228,7 @@ def verify_jacod_yor(model: FilteredModel) -> EquivalenceReport:
     vertices = vertex_set.vertices
     for i, v in enumerate(vertices):
         extreme, _ = is_extreme(v, cs)
-        complete = is_semistatically_complete(v, model, cs).complete
+        complete = is_semistatically_complete(v, model).complete
         checks.append(EquivalenceCheck(f"vertex {i}", v.weights, True, extreme, complete))
     mixtures: list[tuple[str, Measure]] = []
     for i in range(len(vertices)):
@@ -263,7 +242,7 @@ def verify_jacod_yor(model: FilteredModel) -> EquivalenceReport:
         if mixture.weights in vertex_weights:
             continue
         extreme, _ = is_extreme(mixture, cs)
-        complete = is_semistatically_complete(mixture, model, cs).complete
+        complete = is_semistatically_complete(mixture, model).complete
         checks.append(EquivalenceCheck(name, mixture.weights, False, extreme, complete))
     return EquivalenceReport(tuple(checks))
 
@@ -291,9 +270,7 @@ def _mask_to_support(vec: Sequence[Fraction], weights: Sequence[Fraction]) -> Pa
     return tuple(x if w > 0 else ZERO for x, w in zip(vec, weights))
 
 
-def decompose_unhedgeable(
-    measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None
-) -> UnhedgeableDecomposition:
+def decompose_unhedgeable(measure: Measure, model: FilteredModel) -> UnhedgeableDecomposition:
     """Residual terminal values of the claims and their single-jump block basis.
 
     Each claim is projected off the elementary-gain span under the Q-weighted
@@ -302,7 +279,7 @@ def decompose_unhedgeable(
     before k and are constant from k on; each piece is carried by disjoint
     atoms of the previous partition.
     """
-    if not is_semistatically_complete(measure, model, cs).complete:
+    if not is_semistatically_complete(measure, model).complete:
         raise NotComplete("unhedgeable decomposition requires semi-static completeness")
     weights = measure.weights
     support = measure.support

@@ -12,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ShapeError
 from .rationals import fmt
+
+if TYPE_CHECKING:
+    from .polytope import ConstraintSystem
 
 ZERO = Fraction(0)
 
@@ -51,9 +54,6 @@ class Partition:
     def cell_of(self) -> dict[int, int]:
         return {w: i for i, cell in enumerate(self.cells) for w in cell}
 
-    def outcomes(self) -> frozenset[int]:
-        return frozenset(w for cell in self.cells for w in cell)
-
     def refines(self, coarser: "Partition") -> bool:
         lookup = coarser.cell_of
         for cell in self.cells:
@@ -71,10 +71,6 @@ class Filtration:
 
     def __init__(self, partitions: Iterable[Partition]):
         object.__setattr__(self, "partitions", tuple(partitions))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.partitions) - 1
 
 
 @dataclass(frozen=True)
@@ -175,6 +171,13 @@ class FilteredModel:
                         vec[a] = self.price(j, k, a) - self.price(j, k - 1, a)
                     columns.append((("gain", k, c, j), tuple(vec)))
         return tuple(columns)
+
+    @cached_property
+    def constraints(self) -> ConstraintSystem:
+        """The equality description of the calibrated martingale-measure set, built once."""
+        from .polytope import build_constraints  # local import to avoid a cycle
+
+        return build_constraints(self)
 
     def claim_vector(self, i: int) -> Payoff:
         return self.claims[i].payoff

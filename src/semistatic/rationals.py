@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-Rational = Fraction
-
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a "p/q" string."""

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .enlargement import SingleJump
+from .hedging import _mix
 from .model import (
     FilteredModel,
     Filtration,
@@ -187,9 +188,4 @@ def random_mixture(rng: random.Random, vertex_set: VertexSet) -> Measure:
     picks = [v for v in vertices if rng.random() < 0.7] or [vertices[0]]
     raw = [rng.randint(1, 4) for _ in picks]
     total = sum(raw)
-    n = len(picks[0].weights)
-    weights = [ZERO] * n
-    for v, r in zip(picks, raw):
-        for a, w in enumerate(v.weights):
-            weights[a] += Fraction(r, total) * w
-    return Measure(tuple(weights))
+    return _mix(picks, [Fraction(r, total) for r in raw])

@@ -7,7 +7,10 @@ rebuilds the tree from the single-jump blocks of the unhedgeable
 decomposition, splitting one leaf per carried atom, and refuses (returning a
 diagnostic instead of guessing) whenever the block structure cannot be aligned
 with leaves or the price has already moved, which is exactly what happens in
-jumpy models where completeness holds without any tree.
+jumpy models where completeness holds without any tree.  Extraction checks
+that the measure is calibrated through the decomposition, against the model's
+own constraint system ``model.constraints``; the validators and the theorem
+conditions take the measure as given.
 """
 
 from __future__ import annotations
@@ -18,10 +21,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotComplete, NotMeasurable
+from .errors import NotComplete, NotMeasurable, ShapeError
 from .hedging import decompose_unhedgeable
-from .model import FilteredModel, Measure, Payoff, condexp_groups
-from .polytope import ConstraintSystem
+from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, condexp_groups
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -102,11 +104,15 @@ class NoTree:
 
 
 def _cells_within(model: FilteredModel, event: Iterable[int]) -> tuple[tuple[int, ...], bool]:
-    """The terminal cells inside the event, in index order, and whether the event is their union."""
+    """The terminal cells inside the event, in index order, and whether the event is their union.
+
+    An outcome outside the model lies in no cell, so an event naming one is not their union.
+    """
     covered = set(event)
-    hit = sorted({model.terminal_cell_of_outcome[w] for w in covered})
+    cell_of = model.terminal_cell_of_outcome
+    hit = sorted({cell_of[w] for w in covered if w in cell_of})
     inside = tuple(a for a in hit if covered.issuperset(model.terminal_cells[a]))
-    return inside, len(inside) == len(hit)
+    return inside, sum(len(model.terminal_cells[a]) for a in inside) == len(covered)
 
 
 def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
@@ -145,33 +151,16 @@ def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class TreeViolation:
-    code: str
-    where: str
-    message: str
+def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> ValidationReport:
+    """Check the three defining properties of an atomic tree under Q.
 
-
-@dataclass(frozen=True)
-class TreeReport:
-    violations: tuple[TreeViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"code": v.code, "where": v.where, "message": v.message} for v in self.violations
-            ],
-        }
-
-
-def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> TreeReport:
-    """Check the three defining properties of an atomic tree under Q."""
-    bad: list[TreeViolation] = []
+    Raises ShapeError when a node names an outcome outside the model.
+    """
+    for node in tree.nodes:
+        unknown = [w for w in node.cell if w not in model.terminal_cell_of_outcome]
+        if unknown:
+            raise ShapeError(f"tree node names outcome {unknown[0]}, which is not in the model")
+    bad: list[Violation] = []
     cells = [set(node.cell) for node in tree.nodes]
     lookups = [_cells_within(model, cell) for cell in cells]
     masses = [sum((measure.weights[a] for a in within), ZERO) for within, _ in lookups]
@@ -179,21 +168,21 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
         label = model.cell_label(node.cell)
         within, exact = lookups[i]
         if not (within and exact):
-            bad.append(TreeViolation("measurable", label, "node is not terminally measurable"))
+            bad.append(Violation("measurable", label, "node is not terminally measurable"))
             continue
         actual_birth = birth_time(node.cell, model)
         if actual_birth != node.birth:
             bad.append(
-                TreeViolation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}")
+                Violation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}")
             )
         if masses[i] == 0:
-            bad.append(TreeViolation("non-null", label, "node has zero mass"))
+            bad.append(Violation("non-null", label, "node has zero mass"))
         elif not _is_atom(model, measure, node.birth, node.cell):
-            bad.append(TreeViolation("atom", label, f"node is not an atom at time {node.birth}"))
+            bad.append(Violation("atom", label, f"node is not an atom at time {node.birth}"))
         for j, other in enumerate(tree.nodes):
             if node.birth < other.birth and not (cells[j] <= cells[i] or cells[i].isdisjoint(cells[j])):
                 bad.append(
-                    TreeViolation(
+                    Violation(
                         "nesting",
                         f"{label} / {model.cell_label(other.cell)}",
                         "later-born node neither nested nor disjoint",
@@ -201,13 +190,13 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
                 )
             if cells[j] < cells[i] and masses[i] - masses[j] <= 0:
                 bad.append(
-                    TreeViolation(
+                    Violation(
                         "mass-drop",
                         f"{label} / {model.cell_label(other.cell)}",
                         "no strict mass drop between nested nodes",
                     )
                 )
-    return TreeReport(tuple(bad))
+    return ValidationReport(tuple(bad))
 
 
 def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
@@ -264,25 +253,6 @@ class TheoremConditionsReport:
     def ok(self) -> bool:
         return self.leaves_ok and self.claims_ok and self.price_constant_ok
 
-    def to_json(self, model: FilteredModel) -> dict:
-        return {
-            "leaves": [
-                {
-                    "cell": model.cell_label(c.cell),
-                    "birth": c.birth,
-                    "rank": c.rank,
-                    "required": c.required,
-                    "ok": c.ok,
-                }
-                for c in self.leaf_checks
-            ],
-            "claims_rank": self.claims_rank,
-            "claims_required": self.claims_required,
-            "claims_ok": self.claims_ok,
-            "price_constant_ok": self.price_constant_ok,
-            "ok": self.ok,
-        }
-
 
 def check_theorem_conditions(
     tree: AtomicTree, measure: Measure, model: FilteredModel
@@ -320,9 +290,7 @@ def check_theorem_conditions(
     return TheoremConditionsReport(tuple(leaf_checks), claims_rank, charged_leaves - 1, price_constant)
 
 
-def extract_tree(
-    measure: Measure, model: FilteredModel, cs: ConstraintSystem | None = None
-) -> AtomicTree | NoTree:
+def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
     """Rebuild the full atomic tree from the unhedgeable jump blocks.
 
     Each block must be carried by exactly one current leaf (up to null sets)
@@ -331,7 +299,7 @@ def extract_tree(
     than repaired, since with a jumping price no tree needs to exist.
     """
     try:
-        decomposition = decompose_unhedgeable(measure, model, cs)
+        decomposition = decompose_unhedgeable(measure, model)
     except NotComplete:
         raise NotComplete("tree extraction requires semi-static completeness") from None
     weights = measure.weights

@@ -16,7 +16,7 @@ from . import bounds
 from .duality import robust_price, superhedge
 from .enlargement import enlarge, informed_compare, jeulin_yor
 from .hedging import is_semistatically_complete, verify_jacod_yor
-from .polytope import build_constraints, enumerate_extreme_points, is_extreme
+from .polytope import enumerate_extreme_points, is_extreme
 from .rationals import fmt
 from .sampling import random_jump, random_measure, random_mixture, random_model, random_payoff
 
@@ -45,12 +45,11 @@ def suite_jacod_yor(seed: int = JACOD_YOR_SEED, n_models: int = 200) -> dict:
                         "complete": check.complete,
                     }
                 )
-        cs = build_constraints(model)
-        vertex_set = enumerate_extreme_points(cs)
+        vertex_set = enumerate_extreme_points(model.constraints)
         for _ in range(2):
             mixture = random_mixture(rng, vertex_set)
-            extreme, _ = is_extreme(mixture, cs)
-            complete = is_semistatically_complete(mixture, model, cs).complete
+            extreme, _ = is_extreme(mixture, model.constraints)
+            complete = is_semistatically_complete(mixture, model).complete
             checks += 1
             if extreme != complete:
                 failures.append(
@@ -78,8 +77,7 @@ def suite_duality(seed: int = DUALITY_SEED, n_models: int = 200, payoffs_each: i
     failures: list[dict] = []
     for idx in range(n_models):
         model, _ = random_model(rng)
-        cs = build_constraints(model)
-        vertex_set = enumerate_extreme_points(cs)
+        vertex_set = enumerate_extreme_points(model.constraints)
         for _ in range(payoffs_each):
             payoff = random_payoff(rng, model)
             primal = superhedge(payoff, model)

@@ -261,7 +261,7 @@ def test_residual_orthogonality_and_martingale(seed):
     cs = build_constraints(model)
     vs = enumerate_extreme_points(cs)
     q = vs.vertices[rng.randrange(len(vs.vertices))]
-    decomposition = decompose_unhedgeable(q, model, cs)
+    decomposition = decompose_unhedgeable(q, model)
     gains = [vec for _, vec in model.gains]
     for i, residual in enumerate(decomposition.residual_terminals):
         for g in gains:

@@ -7,6 +7,7 @@ matching column.
 """
 
 import ast
+import importlib
 import random
 from fractions import Fraction
 
@@ -53,7 +54,9 @@ def test_gains_are_price_increments_on_predecessor_cells(model):
 
 
 def test_martingale_rows_are_the_gain_vectors(model):
-    rows = [row for row in build_constraints(model).rows if row.label[0] == "martingale"]
+    assert model.constraints is model.constraints
+    assert model.constraints == build_constraints(model)
+    rows = [row for row in model.constraints.rows if row.label[0] == "martingale"]
     gains = model.gains
     assert [row.label[1:] for row in rows] == [label[1:] for label, _ in gains]
     assert [row.coeffs for row in rows] == [vec for _, vec in gains]
@@ -88,3 +91,18 @@ def test_package_states_no_invariant_with_assert():
             if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_traced_layers_name_callables_of_the_package():
+    # the benchmark's --trace run wraps each LAYERS entry by name; a missing one fails there
+    tree = ast.parse((REPO / "perfbench" / "layers.py").read_text())
+    (layers,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    ]
+    missing = []
+    for module, names in ast.literal_eval(layers).items():
+        home = importlib.import_module(f"semistatic.{module}")
+        missing += [f"{module}.{name}" for name in names if not callable(getattr(home, name, None))]
+    assert missing == []

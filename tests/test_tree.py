@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import cli, hedging, linalg
-from semistatic.errors import NotComplete, NotMeasurable
+from semistatic import cli, hedging, linalg, polytope
+from semistatic.errors import NotComplete, NotMeasurable, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
 from semistatic.model import (
     FilteredModel,
@@ -59,6 +59,23 @@ def test_validate_tree_examples(trinomial):
     q_null_u = model.measure(["0", "1/2", "1/2"])
     report = validate_atomic_tree(null_node, q_null_u, model)
     assert any(v.code == "non-null" for v in report.violations)
+
+
+@pytest.mark.parametrize("outside", [99, -1])
+def test_birth_time_of_an_event_naming_an_outcome_outside_the_model(trinomial, outside):
+    model = trinomial.model
+    assert _cells_within(model, (0, outside)) == ((0,), False)
+    with pytest.raises(NotMeasurable):
+        birth_time((0, outside), model)
+
+
+@pytest.mark.parametrize("outside", [99, -1])
+def test_validate_tree_rejects_a_node_naming_an_outcome_outside_the_model(trinomial, outside):
+    model = trinomial.model
+    q = model.measure(["1/4", "1/2", "1/4"])
+    tree = AtomicTree([TreeNode((0, 1, 2), 0), TreeNode((0, outside), 1)])
+    with pytest.raises(ShapeError, match=f"outcome {outside},"):
+        validate_atomic_tree(tree, q, model)
 
 
 def test_validate_tree_birth_mismatch(trinomial):
@@ -177,19 +194,28 @@ def test_not_complete_messages_name_the_operation(trinomial):
     assert str(decompose_error.value) == "unhedgeable decomposition requires semi-static completeness"
 
 
-def test_tree_command_checks_membership_and_span_rank_once(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, printed, span_ranks",
+    [
+        (["tree"], "birth", 1),
+        (["complete"], "complete", 1),
+        (["replicate", "--payoff", "abs_S2"], "replicable", 0),
+    ],
+    ids=["tree", "complete", "replicate"],
+)
+def test_tree_command_checks_membership_and_span_rank_once(monkeypatch, capsys, argv, printed, span_ranks):
     calls = Counter()
-    for name in ("member", "hedging_span"):
-        original = getattr(hedging, name)
+    for module, name in ((hedging, "member"), (hedging, "hedging_span"), (polytope, "build_constraints")):
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(hedging, name, counted)
-    assert cli.main(["tree", "--measure", "0", str(scenario_path("glued_two_vol"))]) == 0
-    assert "birth" in capsys.readouterr().out
-    assert calls == {"member": 1, "hedging_span": 1}
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main([*argv, "--measure", "0", str(scenario_path("glued_two_vol"))]) == 0
+    assert printed in capsys.readouterr().out
+    assert calls == Counter({"member": 1, "build_constraints": 1, "hedging_span": span_ranks})
 
 
 def test_extract_tree_jump_counterexample(jump_counterexample):
@@ -258,7 +284,7 @@ def test_root_tree_conditions_imply_completeness(seed):
     tree = AtomicTree([TreeNode(tuple(range(model.n_outcomes)), 0)])
     report = check_theorem_conditions(tree, q, model)
     if report.ok:
-        assert is_semistatically_complete(q, model, cs).complete
+        assert is_semistatically_complete(q, model).complete
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,14 +298,14 @@ def test_conditions_imply_completeness(seed):
     cs = build_constraints(model)
     vs = enumerate_extreme_points(cs)
     q = vs.vertices[rng.randrange(len(vs.vertices))]
-    outcome = extract_tree(q, model, cs)
+    outcome = extract_tree(q, model)
     if isinstance(outcome, NoTree):
         return
     report = check_theorem_conditions(outcome, q, model)
     assert report.ok
-    assert is_semistatically_complete(q, model, cs).complete
+    assert is_semistatically_complete(q, model).complete
     # residual jumps live on tree nodes at their birth times
-    decomposition = decompose_unhedgeable(q, model, cs)
+    decomposition = decompose_unhedgeable(q, model)
     for residual in decomposition.residual_terminals:
         marts = [conditional_expectation(model, residual, k, q) for k in range(model.horizon + 1)]
         for k in range(model.horizon + 1):
@@ -300,8 +326,8 @@ def test_extraction_deterministic_and_unique(seed):
     cs = build_constraints(model)
     vs = enumerate_extreme_points(cs)
     q = vs.vertices[rng.randrange(len(vs.vertices))]
-    first = extract_tree(q, model, cs)
-    second = extract_tree(q, model, cs)
+    first = extract_tree(q, model)
+    second = extract_tree(q, model)
     assert type(first) is type(second)
     if isinstance(first, AtomicTree):
         assert first.nodes == second.nodes
