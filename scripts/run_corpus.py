@@ -12,7 +12,7 @@ from semistatic.duality import verify_duality
 from semistatic.enlargement import informed_compare
 from semistatic.errors import EmptyMeasureSet
 from semistatic.hedging import is_semistatically_complete
-from semistatic.polytope import build_constraints, enumerate_extreme_points
+from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import fmt
 from semistatic.scenario import load_scenario
 from semistatic.tree import AtomicTree, extract_tree
@@ -24,8 +24,7 @@ def describe(path: Path) -> None:
     scenario = load_scenario(path)
     model = scenario.model
     print(f"== {scenario.name} ({model.n_cells} terminal cells, horizon {model.horizon})")
-    cs = build_constraints(model)
-    vertex_set = enumerate_extreme_points(cs)
+    vertex_set = enumerate_extreme_points(model.constraints)
     if not vertex_set.vertices:
         print("   calibrated measure set: EMPTY (arbitrage)")
     for i, vertex in enumerate(vertex_set.vertices):

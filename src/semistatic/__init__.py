@@ -47,7 +47,6 @@ from .hedging import (
     strategy_payoff,
     terminal_gain,
     verify_jacod_yor,
-    zero_dynamic,
 )
 from .model import (
     FilteredModel,

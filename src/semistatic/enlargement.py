@@ -193,7 +193,6 @@ class CompensatorResult:
     """Dual predictable projection of mark * 1_{tau <= k} along the base filtration."""
 
     increments: tuple[Payoff, ...]  # Delta A_k, k = 0..K; Delta A_0 is the F_0 term
-    cumulative: tuple[Payoff, ...]
     predictable_ok: bool
     martingale_ok: bool
 
@@ -207,20 +206,17 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     taus, marks = enlarged.on_cells(jump)
     weights = measure.weights
     cell_of = enlarged.model.terminal_cell_of_outcome
-    increments, cumulative = [], []
-    running = (ZERO,) * enlarged.model.n_cells
+    increments = []
     predictable = martingale = True
     for k in range(enlarged.model.horizon + 1):
         groups = enlarged.base_groups[max(k - 1, 0)]
         jump_now = tuple(x if t == k else ZERO for t, x in zip(taus, marks))  # Delta(mark 1_{tau <= k})
         inc = condexp_groups(jump_now, groups, weights)
-        running = tuple(a + d for a, d in zip(running, inc))
         increments.append(inc)
-        cumulative.append(running)
         base_cells = enlarged.base.filtration.partitions[max(k - 1, 0)].cells
         predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
         martingale &= not any(_charged_means([n - d for n, d in zip(jump_now, inc)], groups, weights))
-    return CompensatorResult(tuple(increments), tuple(cumulative), predictable, martingale)
+    return CompensatorResult(tuple(increments), predictable, martingale)
 
 
 @dataclass(frozen=True)
@@ -271,46 +267,36 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
     return JeulinYorResult(tuple(values), ok, z, comp)
 
 
-PredictableArray = tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-
 def predictable_reduction(
-    holdings: PredictableArray, jump: SingleJump, enlarged: EnlargedModel
-) -> PredictableArray:
-    """Base-predictable process agreeing with the enlarged one up to the jump.
+    holdings: Sequence[Fraction], jump: SingleJump, enlarged: EnlargedModel
+) -> tuple[Fraction, ...]:
+    """Base-predictable holdings agreeing with the enlarged ones up to the jump.
 
+    ``holdings`` has one value per column of ``enlarged.model.gains`` and the
+    result one per column of ``enlarged.base.gains``, both in (k, c, j) order.
     Existence rests on the trace identity: before the jump, the enlarged
     algebra adds nothing, so the value on the pre-jump part of each base cell
     is well defined; cells with no pre-jump part get zero.
     """
-    base = enlarged.base
-    model = enlarged.model
-    if len(holdings) != base.horizon:
-        raise ShapeError("need one slice per period")
-    reduced: list[list[list[Fraction]]] = []
-    for k in range(1, base.horizon + 1):
-        g_cells = model.filtration.partitions[k - 1].cells
-        if len(holdings[k - 1]) != len(g_cells):
-            raise ShapeError(f"period {k} slice does not match the enlarged partition")
-        slice_out: list[list[Fraction]] = []
-        for cell in base.filtration.partitions[k - 1].cells:
-            values = []
-            for w in cell:
-                t = jump.tau[w]
-                if t is None or t >= k:
-                    g = model.filtration.partitions[k - 1].cell_of[w]
-                    values.append(tuple(holdings[k - 1][g]))
-            if not values:
-                slice_out.append([ZERO] * len(holdings[k - 1][0]))
-                continue
-            if len(set(values)) > 1:
-                raise ValueError(
-                    "pre-jump holdings differ inside one base cell; the enlargement "
-                    "must be generated by this jump alone for the reduction to exist"
-                )
-            slice_out.append(list(values[0]))
-        reduced.append(slice_out)
-    return tuple(tuple(tuple(v) for v in s) for s in reduced)
+    base, fine = enlarged.base, enlarged.model
+    if len(holdings) != len(fine.gains):
+        raise ShapeError(f"holdings have {len(holdings)} entries, expected {len(fine.gains)}, one per enlarged gain")
+    held = {label[1:]: h for (label, _), h in zip(fine.gains, holdings)}
+    reduced = []
+    for (_, k, c, j), _ in base.gains:
+        fine_cell_of = fine.filtration.partitions[k - 1].cell_of
+        pre_jump = {
+            held[k, fine_cell_of[w], j]
+            for w in base.filtration.partitions[k - 1].cells[c]
+            if jump.tau[w] is None or jump.tau[w] >= k
+        }
+        if len(pre_jump) > 1:
+            raise ValueError(
+                "pre-jump holdings differ inside one base cell; the enlargement "
+                "must be generated by this jump alone for the reduction to exist"
+            )
+        reduced.append(pre_jump.pop() if pre_jump else ZERO)
+    return tuple(reduced)
 
 
 def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:

@@ -1,19 +1,21 @@
 """Semi-static replication and completeness certificates.
 
 A semi-static strategy is cash, static positions in the claims, and a
-predictable dynamic integrand.  Completeness under a measure Q is a rank
-fact: the span of {1, claims, elementary gains} restricted to the Q-support
-must fill the whole support.  The unhedgeable-part decomposition projects each
-claim off the gain span and splits the resulting span by single-jump times.
-Completeness, replication and the decomposition first check that the measure
-is calibrated, against the model's own constraint system ``model.constraints``.
+predictable dynamic integrand held as one value per column of ``model.gains``,
+the elementary gains in (k, c, j) order.  Completeness under a measure Q is a
+rank fact: the span of {1, claims, elementary gains} restricted to the
+Q-support must fill the whole support.  The unhedgeable-part decomposition
+projects each claim off the gain span and splits the resulting span by
+single-jump times.  Completeness, replication and the decomposition first
+check that the measure is calibrated, against the model's own constraint
+system ``model.constraints``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete, ShapeError
@@ -24,75 +26,51 @@ from .rationals import fmt
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-Dynamic = tuple[tuple[tuple[Fraction, ...], ...], ...]  # [k-1][cell of P_{k-1}][asset]
-
 
 @dataclass(frozen=True)
 class SemiStaticStrategy:
+    """Cash, static positions in the claims, and dynamic holdings.
+
+    ``dynamic`` has one holding per column of ``model.gains``, in its (k, c, j)
+    order: the units of asset j held over period k on cell c of P_{k-1}.
+    """
+
     cash: Fraction
     static: tuple[Fraction, ...]
-    dynamic: Dynamic
+    dynamic: tuple[Fraction, ...]
 
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
         """The strategy whose coordinates on ``strategy_columns(model)`` are the values."""
         n_static = len(model.claims)
-        holdings = {label[1:]: v for (label, _), v in zip(model.gains, values[1 + n_static :])}
-        return cls(values[0], tuple(values[1 : 1 + n_static]), dynamic_holdings(holdings, model))
+        return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
     def to_json(self, model: FilteredModel) -> dict:
-        entries = []
-        for k_index, per_cell in enumerate(self.dynamic):
-            for c, per_asset in enumerate(per_cell):
-                for j, value in enumerate(per_asset):
-                    if value != 0:
-                        cell = model.filtration.partitions[k_index].cells[c]
-                        entries.append(
-                            {
-                                "k": k_index + 1,
-                                "cell": model.cell_label(cell),
-                                "asset": j,
-                                "value": fmt(value),
-                            }
-                        )
+        partitions = model.filtration.partitions
+        entries = [
+            {"k": k, "cell": model.cell_label(partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
+            for ((_, k, c, j), _), h in zip(model.gains, self.dynamic)
+            if h
+        ]
         return {"cash": fmt(self.cash), "static": [fmt(a) for a in self.static], "dynamic": entries}
 
 
-def dynamic_holdings(entries: Mapping[tuple[int, int, int], Fraction], model: FilteredModel) -> Dynamic:
-    """Holdings H[k-1][c][j] taken from ``entries`` keyed by (k, c, j), zero elsewhere."""
-    return tuple(
-        tuple(
-            tuple(entries.get((k, c, j), ZERO) for j in range(model.prices.assets))
-            for c in range(len(model.filtration.partitions[k - 1].cells))
-        )
-        for k in range(1, model.horizon + 1)
-    )
-
-
-def zero_dynamic(model: FilteredModel) -> Dynamic:
-    return dynamic_holdings({}, model)
-
-
-def terminal_gain(dynamic: Dynamic, model: FilteredModel) -> Payoff:
-    """Terminal value of the dynamic part, sum of H_k (S_k - S_{k-1})."""
-    if len(dynamic) != model.horizon:
-        raise ShapeError("dynamic part must have one slice per period")
-    for k, per_cell in enumerate(dynamic, 1):
-        cells = model.filtration.partitions[k - 1].cells
-        if len(per_cell) != len(cells):
-            raise ShapeError(f"period {k} has {len(per_cell)} cells, expected {len(cells)}")
-        if any(len(holdings) != model.prices.assets for holdings in per_cell):
-            raise ShapeError("holdings must have one entry per asset")
-    return strategy_payoff(SemiStaticStrategy(ZERO, (), dynamic), model)
+def terminal_gain(dynamic: Sequence[Fraction], model: FilteredModel) -> Payoff:
+    """Terminal value sum of H_k (S_k - S_{k-1}) of holdings on ``model.gains``; other lengths raise ShapeError."""
+    return strategy_payoff(SemiStaticStrategy(ZERO, (), tuple(dynamic)), model)
 
 
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
-    """Cash plus every nonzero position and holding times the nonzero entries of its vector."""
+    """Cash plus every nonzero position and holding times the nonzero entries of its vector.
+
+    Holdings that do not match the columns of ``model.gains`` one to one raise ``ShapeError``.
+    """
+    if len(strategy.dynamic) != len(model.gains):
+        raise ShapeError(f"holdings have {len(strategy.dynamic)} entries, expected {len(model.gains)}, one per gain")
     value = [strategy.cash] * model.n_cells
     every_cell = range(model.n_cells)
     terms = [(pos, model.claim_vector(i), every_cell) for i, pos in enumerate(strategy.static) if pos]
-    for (_, k, c, j), vec in model.gains:
-        h = strategy.dynamic[k - 1][c][j]
+    for ((_, k, c, _), vec), h in zip(model.gains, strategy.dynamic):
         if h:
             terms.append((h, vec, model.coarse_groups[k - 1][c]))
     for h, vec, cells in terms:

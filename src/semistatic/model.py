@@ -183,7 +183,12 @@ class FilteredModel:
         return self.claims[i].payoff
 
     def cell_label(self, cell: Iterable[int]) -> str:
-        return "|".join(self.outcomes[w] for w in sorted(cell))
+        """The outcome names of the cell in index order, joined by "|"."""
+        cell, n = sorted(cell), self.n_outcomes
+        if cell and not (0 <= cell[0] and cell[-1] < n):
+            first = next(w for w in cell if not 0 <= w < n)
+            raise ShapeError(f"outcome index {first} outside 0..{n - 1}")
+        return "|".join(self.outcomes[w] for w in cell)
 
     def terminal_label(self, index: int) -> str:
         return self.cell_label(self.terminal_cells[index])
@@ -277,7 +282,10 @@ def validate_model(model: FilteredModel) -> ValidationReport:
             if seen.intersection(cell):
                 bad.append(Violation("partition", f"P_{k}", "cells are not disjoint"))
             seen.update(cell)
-        if frozenset(seen) != universe:
+            if not universe.issuperset(cell):
+                first = next(w for w in cell if w not in universe)
+                bad.append(Violation("partition", f"P_{k}", f"cell names outcome index {first} outside 0..{n - 1}"))
+        if not universe.issubset(seen):
             bad.append(Violation("partition", f"P_{k}", "cells do not cover the outcome set"))
     for k in range(1, len(partitions)):
         if not partitions[k].refines(partitions[k - 1]):
@@ -298,8 +306,8 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                 bad.append(Violation("prices", f"asset {j}, k=0", "initial price must be 0"))
             if k < len(partitions):
                 for cell in partitions[k].cells:
-                    # an empty cell is reported above and compares nothing here
-                    if any(slice_k[w] != slice_k[cell[0]] for w in cell):
+                    # an empty cell or one naming an unknown outcome is reported above and compares nothing here
+                    if universe.issuperset(cell) and any(slice_k[w] != slice_k[cell[0]] for w in cell):
                         bad.append(
                             Violation(
                                 "adapted",

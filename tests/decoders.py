@@ -4,7 +4,7 @@ The engine only writes these reports; the tests read them back to check that
 a report carries everything needed to rebuild the object it describes.
 """
 
-from semistatic.hedging import SemiStaticStrategy, dynamic_holdings
+from semistatic.hedging import SemiStaticStrategy
 from semistatic.model import FilteredModel, Measure
 from semistatic.rationals import rat
 from semistatic.scenario import ScenarioError
@@ -16,20 +16,20 @@ def measure_from_json(data: dict, model: FilteredModel) -> Measure:
 
 
 def strategy_from_json(data: dict, model: FilteredModel) -> SemiStaticStrategy:
-    holdings = {}
+    partitions = model.filtration.partitions
+    column = {
+        (k, model.cell_label(partitions[k - 1].cells[c]), j): i for i, ((_, k, c, j), _) in enumerate(model.gains)
+    }
+    dynamic = [rat(0)] * len(model.gains)
     for entry in data.get("dynamic", []):
-        k, j, label = int(entry["k"]), int(entry["asset"]), entry["cell"]
-        if not (1 <= k <= model.horizon and 0 <= j < model.prices.assets):
-            raise ScenarioError(f"no dynamic holding at k={k}, asset {j}")
-        cells = model.filtration.partitions[k - 1].cells
-        c = next((i for i, cell in enumerate(cells) if model.cell_label(cell) == label), None)
-        if c is None:
-            raise ScenarioError(f"unknown cell label {label!r} at k={k}")
-        holdings[k, c, j] = rat(entry["value"])
+        key = (int(entry["k"]), entry["cell"], int(entry["asset"]))
+        if key not in column:
+            raise ScenarioError("no dynamic holding at k={}, cell {!r}, asset {}".format(*key))
+        dynamic[column[key]] = rat(entry["value"])
     return SemiStaticStrategy(
         cash=rat(data["cash"]),
         static=tuple(rat(a) for a in data.get("static", [])),
-        dynamic=dynamic_holdings(holdings, model),
+        dynamic=tuple(dynamic),
     )
 
 

@@ -4,9 +4,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+import run_corpus
 
 from semistatic import cli, duality
 from semistatic.cli import build_parser, main
+from semistatic.scenario import load_scenario
 from tests.conftest import scenario_path
 
 RUN = [sys.executable, "-m", "semistatic"]
@@ -319,3 +321,11 @@ def test_extremes_prints_weights_past_the_int_digit_limit(tmp_path, capsys):
     texts = [f"{unlimited_str(q.numerator)}/{unlimited_str(q.denominator)}" for q in expected]
     assert all(len(part) > 4300 for text in texts for part in text.split("/"))
     assert report["result"]["vertices"] == [{"support": ["uu", "ud", "du", "dd"], "weights": texts}]
+
+
+def test_run_corpus_script_walks_every_bundled_scenario(capsys):
+    assert run_corpus.main() == 0
+    headers = [line for line in capsys.readouterr().out.splitlines() if line.startswith("== ")]
+    names = sorted(load_scenario(path).name for path in run_corpus.SCENARIOS.glob("*.json"))
+    assert names
+    assert sorted(line[3:].split(" (")[0] for line in headers) == names

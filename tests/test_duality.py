@@ -199,17 +199,11 @@ def test_replication_collapse(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
     vertex_set = enumerate_extreme_points(build_constraints(model))
-    from semistatic.hedging import SemiStaticStrategy, zero_dynamic
+    from semistatic.hedging import SemiStaticStrategy
 
     cash = F(rng.randint(-3, 3))
     static = tuple(F(rng.randint(-2, 2)) for _ in model.claims)
-    dynamic = tuple(
-        tuple(
-            tuple(F(rng.randint(-2, 2)) for _ in range(model.prices.assets))
-            for _ in model.filtration.partitions[k - 1].cells
-        )
-        for k in range(1, model.horizon + 1)
-    ) or zero_dynamic(model)
+    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.gains)
     strategy = SemiStaticStrategy(cash, static, dynamic)
     payoff = strategy_payoff(strategy, model)
     assert superhedge(payoff, model).price == cash

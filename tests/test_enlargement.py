@@ -183,7 +183,7 @@ def test_compensator_zero_mark(two_atom):
     enlarged = enlarge(two_atom, [jump])
     q = enlarged.model.measure(["1/2", "1/2"])
     comp = compensator(q, jump, enlarged)
-    assert all(row == (F(0), F(0)) for row in comp.cumulative)
+    assert all(row == (F(0), F(0)) for row in comp.increments)
 
 
 def test_first_move_time_examples(trinomial):
@@ -239,7 +239,7 @@ def test_compensator_immediate_jump(two_atom):
     q = enlarged.model.measure(["1/2", "1/2"])
     comp = compensator(q, jump, enlarged)
     assert comp.increments[0] == (F(3), F(3))
-    assert comp.cumulative[-1] == (F(3), F(3))
+    assert tuple(map(sum, zip(*comp.increments))) == (F(3), F(3))
 
 
 def test_jeulin_yor_two_atom(two_atom):
@@ -304,22 +304,31 @@ def test_predictable_reduction_examples(two_atom):
     g_cells = enlarged.model.filtration.partitions[0].cells
     assert g_cells == ((0,), (1,))
     # 5 on the pre-jump cell {b}, 7 on the jumped cell {a}
-    holdings = (((F(7),), (F(5),)),)
+    holdings = (F(7), F(5))
     reduced = predictable_reduction(holdings, jump, enlarged)
-    assert reduced == (((F(5),),),)
+    assert reduced == (F(5),)
     # F-predictable input is returned unchanged
     same = SingleJump((None, None), (F(0), F(0)))
     enlarged_same = enlarge(two_atom, [same])
-    holdings_same = (((F(4),),),)
+    holdings_same = (F(4),)
     assert predictable_reduction(holdings_same, same, enlarged_same) == holdings_same
+
+
+@pytest.mark.parametrize("holdings", [(F(7),), (F(7), F(5), F(2))])
+def test_predictable_reduction_rejects_holdings_of_the_wrong_length(two_atom, holdings):
+    # one entry per enlarged gain column, two here: a third is not a second asset
+    enlarged = enlarge(two_atom, [SingleJump((0, None), (F(1), F(0)))])
+    assert len(enlarged.model.gains) == 2
+    with pytest.raises(ShapeError):
+        predictable_reduction(holdings, enlarged.jumps[0], enlarged)
 
 
 def test_predictable_reduction_all_jumped(two_atom):
     jump = SingleJump((0, 0), (F(1), F(2)))
     enlarged = enlarge(two_atom, [jump])
-    holdings = (((F(7),), (F(9),)),)
+    holdings = (F(7), F(9))
     reduced = predictable_reduction(holdings, jump, enlarged)
-    assert reduced == (((F(0),),),)  # no pre-jump constraint; zero by convention
+    assert reduced == (F(0),)  # no pre-jump constraint; zero by convention
 
 
 def test_trace_identity_random():
@@ -492,20 +501,15 @@ def test_predictable_reduction_agrees_pre_jump(seed):
     model, _ = random_model(rng)
     jump = random_jump(rng, model)
     enlarged = enlarge(model, [jump])
-    holdings = tuple(
-        tuple(
-            tuple(F(rng.randint(-3, 3)) for _ in range(model.prices.assets))
-            for _ in enlarged.model.filtration.partitions[k - 1].cells
-        )
-        for k in range(1, model.horizon + 1)
-    )
+    holdings = tuple(F(rng.randint(-3, 3)) for _ in enlarged.model.gains)
     reduced = predictable_reduction(holdings, jump, enlarged)
-    for k in range(1, model.horizon + 1):
-        for w in range(model.n_outcomes):
+    assert len(reduced) == len(model.gains)
+    held = {label[1:]: h for (label, _), h in zip(enlarged.model.gains, holdings)}
+    for ((_, k, c, j), _), h in zip(model.gains, reduced):
+        for w in model.filtration.partitions[k - 1].cells[c]:
             if jump.tau[w] is None or jump.tau[w] >= k:
                 g = enlarged.model.filtration.partitions[k - 1].cell_of[w]
-                c = model.filtration.partitions[k - 1].cell_of[w]
-                assert reduced[k - 1][c] == holdings[k - 1][g]
+                assert h == held[k, g, j]
 
 
 def test_predictable_ok_reads_the_base_partition_not_base_groups(monkeypatch, capsys):

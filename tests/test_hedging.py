@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic.errors import EmptyMeasureSet, NotCalibrated, NotComplete
+from semistatic.errors import EmptyMeasureSet, NotCalibrated, NotComplete, ShapeError
 from semistatic.hedging import (
     NotReplicable,
     decompose_unhedgeable,
@@ -15,7 +15,6 @@ from semistatic.hedging import (
     strategy_payoff,
     terminal_gain,
     verify_jacod_yor,
-    zero_dynamic,
 )
 from semistatic.model import conditional_expectation
 from semistatic.polytope import build_constraints, enumerate_extreme_points
@@ -26,15 +25,20 @@ F = Fraction
 
 
 def _dynamic(model, entries):
-    base = [list(map(list, slice_k)) for slice_k in zero_dynamic(model)]
-    for (k, c, j), value in entries.items():
-        base[k - 1][c][j] = value
-    return tuple(tuple(tuple(r) for r in s) for s in base)
+    """Holdings on ``model.gains`` taken from ``entries`` keyed by (k, c, j), zero elsewhere."""
+    return tuple(entries.get(label[1:], F(0)) for label, _ in model.gains)
 
 
 def test_terminal_gain_zero(trinomial):
     model = trinomial.model
-    assert terminal_gain(zero_dynamic(model), model) == (F(0), F(0), F(0))
+    assert terminal_gain(_dynamic(model, {}), model) == (F(0), F(0), F(0))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_terminal_gain_rejects_holdings_of_the_wrong_length(glued_two_vol, extra):
+    model = glued_two_vol.model
+    with pytest.raises(ShapeError):
+        terminal_gain((F(1),) * (len(model.gains) + extra), model)
 
 
 def test_terminal_gain_unit_holding(trinomial):
@@ -60,15 +64,10 @@ def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
     for label, vec in span.columns:
         cash = F(1) if label[0] == "const" else F(0)
         static = [F(0)] * len(model.claims)
-        dynamic = [list(map(list, s)) for s in zero_dynamic(model)]
         if label[0] == "claim":
             static[label[1]] = F(1)
-        elif label[0] == "gain":
-            _, k, c, j = label
-            dynamic[k - 1][c][j] = F(1)
-        strategy = SemiStaticStrategy(
-            cash, tuple(static), tuple(tuple(tuple(r) for r in s) for s in dynamic)
-        )
+        dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in model.gains)
+        strategy = SemiStaticStrategy(cash, tuple(static), dynamic)
         assert strategy_payoff(strategy, model) == vec
 
 
@@ -99,7 +98,7 @@ def test_replicate_indicator(trinomial_calibrated):
     strategy = replicate((F(0), F(1), F(0)), q, model)
     assert strategy.cash == F(1, 2)
     assert strategy.static == (F(-1),)
-    assert strategy.dynamic == ((((F(0),),),))
+    assert strategy.dynamic == (F(0),)
 
 
 def test_replicate_failure_residual(trinomial):
@@ -215,13 +214,7 @@ def test_decompose_jump_counterexample(jump_counterexample):
 def test_gain_expectation_zero(seed):
     rng = random.Random(seed)
     model, reference = random_model(rng)
-    dynamic = tuple(
-        tuple(
-            tuple(F(rng.randint(-2, 2)) for _ in range(model.prices.assets))
-            for _ in model.filtration.partitions[k - 1].cells
-        )
-        for k in range(1, model.horizon + 1)
-    )
+    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.gains)
     gains = terminal_gain(dynamic, model)
     vs = enumerate_extreme_points(build_constraints(model))
     for v in vs.vertices:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic.errors import ShapeError
 from semistatic.model import (
     FilteredModel,
     Filtration,
@@ -55,6 +56,33 @@ def test_validate_flags_refinement_failure():
     )
     report = validate_model(model)
     assert any(v.code == "refinement" for v in report.violations)
+
+
+@pytest.mark.parametrize("outside", [99, -1])
+def test_cell_label_rejects_an_outcome_outside_the_model(trinomial, outside):
+    model = trinomial.model
+    assert model.cell_label((2, 0)) == "u|d"
+    with pytest.raises(ShapeError, match=f"outcome index {outside} outside 0..2"):
+        model.cell_label((0, outside))
+
+
+@pytest.mark.parametrize("outside", [99, -1])
+def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
+    # P_1 = {a}, {b, outside}, {c}: the foreign index is a partition violation, and the
+    # adaptedness check of that cell reads no price at it (index -1 would read c's)
+    model = FilteredModel(
+        outcomes=("a", "b", "c"),
+        grid=TimeGrid((F(0), F(1))),
+        filtration=Filtration([Partition([[0, 1, 2]]), Partition([[0], [1, outside], [2]])]),
+        prices=PriceProcess((((F(0), F(0), F(0)), (F(1), F(0), F(-1))),)),
+        claims=(),
+        priors=PriorSupport(frozenset({0, 1, 2})),
+    )
+    report = validate_model(model)
+    assert [(v.code, v.where, v.message) for v in report.violations] == [
+        ("partition", "P_1", f"cell names outcome index {outside} outside 0..2"),
+        ("refinement", "P_1", "P_1 does not refine P_0"),
+    ]
 
 
 def test_natural_filtration_trinomial(trinomial):

@@ -78,6 +78,13 @@ def test_validate_tree_rejects_a_node_naming_an_outcome_outside_the_model(trinom
         validate_atomic_tree(tree, q, model)
 
 
+@pytest.mark.parametrize("outside", [99, -1])
+def test_tree_report_rejects_a_node_naming_an_outcome_outside_the_model(trinomial, outside):
+    tree = AtomicTree([TreeNode((0, 1, 2), 0), TreeNode((0, outside), 1)])
+    with pytest.raises(ShapeError, match=f"outcome index {outside} outside 0..2"):
+        tree.to_json(trinomial.model)
+
+
 def test_validate_tree_birth_mismatch(trinomial):
     model = trinomial.model
     q = model.measure(["1/4", "1/2", "1/4"])
