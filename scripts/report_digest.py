@@ -45,14 +45,14 @@ def scenario_json(name: str, model, jumps, payoffs: dict) -> dict:
     return {
         "name": name,
         "outcomes": list(outcomes),
-        "times": [fmt(t) for t in model.grid.times],
+        "times": [fmt(t) for t in model.times],
         "filtration": [
             [[outcomes[w] for w in cell] for cell in partition.cells]
-            for partition in model.filtration.partitions
+            for partition in model.partitions
         ],
-        "prices": [[[fmt(x) for x in slice_k] for slice_k in asset] for asset in model.prices.values],
-        "claims": [per_outcome(claim.payoff) for claim in model.claims],
-        "prior_support": [outcomes[w] for a in sorted(model.priors.allowed) for w in model.terminal_cells[a]],
+        "prices": [[[fmt(x) for x in slice_k] for slice_k in asset] for asset in model.prices],
+        "claims": [per_outcome(claim) for claim in model.claims],
+        "prior_support": [outcomes[w] for a in sorted(model.allowed) for w in model.terminal_cells[a]],
         "jumps": [
             {
                 "tau": {w: "inf" if t is None else t for w, t in zip(outcomes, jump.tau)},

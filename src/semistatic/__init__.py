@@ -28,7 +28,6 @@ from .enlargement import (
     compensator,
     enlarge,
     filtrations_coincide,
-    first_move_time,
     informed_compare,
     jeulin_yor,
     predictable_reduction,
@@ -50,15 +49,9 @@ from .hedging import (
 )
 from .model import (
     FilteredModel,
-    Filtration,
     Measure,
     Partition,
-    PriceProcess,
-    PriorSupport,
-    StaticClaim,
-    TimeGrid,
     conditional_expectation,
-    indicator,
     natural_filtration,
     validate_model,
 )

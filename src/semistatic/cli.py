@@ -168,7 +168,7 @@ def _cmd_enlarge(scenario: Scenario, args) -> tuple[dict, int]:
         "jumps": [j.to_json(model) for j in scenario.jumps],
         "enlarged_partitions": [
             [model.cell_label(cell) for cell in partition.cells]
-            for partition in enlarged.model.filtration.partitions
+            for partition in enlarged.model.partitions
         ],
     }
     if args.measure is not None:

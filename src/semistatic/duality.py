@@ -73,7 +73,7 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
     vectors = [vec for _, vec in strategy_columns(model)]
-    allowed = sorted(model.priors.allowed)
+    allowed = sorted(model.allowed)
     n_free = len(vectors)
     matrix: list[list[Fraction]] = []
     for slot, a in enumerate(allowed):
@@ -114,7 +114,7 @@ def _tight_cells(strategy: SemiStaticStrategy, payoff: Sequence[Fraction], model
     The payoff is recomputed from the strategy itself, not read off the LP's
     surplus variables.
     """
-    allowed = sorted(model.priors.allowed)
+    allowed = sorted(model.allowed)
     value = strategy_payoff(strategy, model)
     if any(value[a] < payoff[a] for a in allowed):
         raise InvariantViolation("superhedging strategy must dominate the payoff on every allowed cell")
@@ -217,7 +217,7 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
         return ArbitrageReport(True, len(vertex_set.vertices))
 
     vectors = [vec for _, vec in strategy_columns(model)[1:]]  # no cash: the certificate must be zero-cost
-    allowed = sorted(model.priors.allowed)
+    allowed = sorted(model.allowed)
     n_free = len(vectors)
     # variables: free coordinates, free floor t, then cap slack u and surpluses s
     matrix: list[list[Fraction]] = []

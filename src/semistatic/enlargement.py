@@ -12,22 +12,14 @@ with one exact conditional mean over the charged cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .model import (
-    FilteredModel,
-    Filtration,
-    Measure,
-    Partition,
-    Payoff,
-    condexp_groups,
-    groups_of,
-)
+from .model import FilteredModel, Measure, Partition, Payoff, condexp_groups, groups_of
 from .polytope import VertexSet, enumerate_extreme_points
 from .duality import robust_price
 from .rationals import fmt
@@ -78,13 +70,13 @@ class EnlargedModel:
         """For each time k, map enlarged terminal cell index -> index of its base P_k cell."""
         return tuple(
             tuple(partition.cell_of[cell[0]] for cell in self.model.terminal_cells)
-            for partition in self.base.filtration.partitions
+            for partition in self.base.partitions
         )
 
     @cached_property
     def base_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each time k, the base P_k cells as groups of enlarged terminal cell indices."""
-        return groups_of(self.base_cell_of, self.base.filtration.partitions)
+        return groups_of(self.base_cell_of, self.base.partitions)
 
     def on_cells(self, jump: SingleJump) -> tuple[tuple[int | None, ...], Payoff]:
         """The jump's tau and mark on each enlarged terminal cell; both must be constant there."""
@@ -110,7 +102,7 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
             if t is not None and not 0 <= t <= model.horizon:
                 raise ValueError(f"jump time {t} outside the grid")
     partitions = []
-    for k, base_partition in enumerate(model.filtration.partitions):
+    for k, base_partition in enumerate(model.partitions):
         cells: list[list[int]] = []
         for cell in base_partition.cells:
             split: dict[tuple, list[int]] = {}
@@ -119,43 +111,15 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
                 split.setdefault(key, []).append(w)
             cells.extend(split.values())
         partitions.append(Partition(cells))
-    filtration = Filtration(partitions)
 
-    terminal = partitions[-1]
-    base_lookup = model.terminal_cell_of_outcome
-    claims = []
-    for claim in model.claims:
-        claims.append(
-            type(claim)(tuple(claim.payoff[base_lookup[cell[0]]] for cell in terminal.cells))
-        )
-    allowed = frozenset(
-        g for g, cell in enumerate(terminal.cells) if base_lookup[cell[0]] in model.priors.allowed
-    )
-    enlarged = FilteredModel(
-        outcomes=model.outcomes,
-        grid=model.grid,
-        filtration=filtration,
-        prices=model.prices,
-        claims=tuple(claims),
-        priors=type(model.priors)(allowed),
+    base_of = [model.terminal_cell_of_outcome[cell[0]] for cell in partitions[-1].cells]
+    enlarged = replace(
+        model,
+        partitions=tuple(partitions),
+        claims=tuple(tuple(claim[b] for b in base_of) for claim in model.claims),
+        allowed=frozenset(g for g, b in enumerate(base_of) if b in model.allowed),
     )
     return EnlargedModel(model, jumps, enlarged)
-
-
-def first_move_time(model: FilteredModel) -> tuple[int | None, ...]:
-    """Per outcome, the first time any asset leaves its start value."""
-    out: list[int | None] = []
-    for w in range(model.n_outcomes):
-        hit = next(
-            (
-                k
-                for k in range(model.horizon + 1)
-                if any(model.prices.values[j][k][w] != 0 for j in range(model.prices.assets))
-            ),
-            None,
-        )
-        out.append(hit)
-    return tuple(out)
 
 
 def _charged_means(
@@ -213,7 +177,7 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
         jump_now = tuple(x if t == k else ZERO for t, x in zip(taus, marks))  # Delta(mark 1_{tau <= k})
         inc = condexp_groups(jump_now, groups, weights)
         increments.append(inc)
-        base_cells = enlarged.base.filtration.partitions[max(k - 1, 0)].cells
+        base_cells = enlarged.base.partitions[max(k - 1, 0)].cells
         predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
         martingale &= not any(_charged_means([n - d for n, d in zip(jump_now, inc)], groups, weights))
     return CompensatorResult(tuple(increments), predictable, martingale)
@@ -284,10 +248,10 @@ def predictable_reduction(
     held = {label[1:]: h for (label, _), h in zip(fine.gains, holdings)}
     reduced = []
     for (_, k, c, j), _ in base.gains:
-        fine_cell_of = fine.filtration.partitions[k - 1].cell_of
+        fine_cell_of = fine.partitions[k - 1].cell_of
         pre_jump = {
             held[k, fine_cell_of[w], j]
-            for w in base.filtration.partitions[k - 1].cells[c]
+            for w in base.partitions[k - 1].cells[c]
             if jump.tau[w] is None or jump.tau[w] >= k
         }
         if len(pre_jump) > 1:
@@ -364,7 +328,7 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
         weights = [ZERO] * model.n_cells
         for c, g in zip(charged, choice):
             weights[g] = vertex.weights[c]
-        if any(w > 0 and g not in model.priors.allowed for g, w in enumerate(weights)):
+        if any(w > 0 and g not in model.allowed for g, w in enumerate(weights)):
             continue
         candidate = Measure(tuple(weights))
         if filtrations_coincide(candidate, enlarged):

@@ -46,9 +46,8 @@ class SemiStaticStrategy:
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
     def to_json(self, model: FilteredModel) -> dict:
-        partitions = model.filtration.partitions
         entries = [
-            {"k": k, "cell": model.cell_label(partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
+            {"k": k, "cell": model.cell_label(model.partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
             for ((_, k, c, j), _), h in zip(model.gains, self.dynamic)
             if h
         ]
@@ -57,19 +56,24 @@ class SemiStaticStrategy:
 
 def terminal_gain(dynamic: Sequence[Fraction], model: FilteredModel) -> Payoff:
     """Terminal value sum of H_k (S_k - S_{k-1}) of holdings on ``model.gains``; other lengths raise ShapeError."""
-    return strategy_payoff(SemiStaticStrategy(ZERO, (), tuple(dynamic)), model)
+    return strategy_payoff(SemiStaticStrategy(ZERO, (ZERO,) * len(model.claims), tuple(dynamic)), model)
 
 
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
     """Cash plus every nonzero position and holding times the nonzero entries of its vector.
 
-    Holdings that do not match the columns of ``model.gains`` one to one raise ``ShapeError``.
+    Static positions that do not match ``model.claims`` one to one, or holdings
+    that do not match the columns of ``model.gains``, raise ``ShapeError``.
     """
+    if len(strategy.static) != len(model.claims):
+        raise ShapeError(
+            f"static positions have {len(strategy.static)} entries, expected {len(model.claims)}, one per claim"
+        )
     if len(strategy.dynamic) != len(model.gains):
         raise ShapeError(f"holdings have {len(strategy.dynamic)} entries, expected {len(model.gains)}, one per gain")
     value = [strategy.cash] * model.n_cells
     every_cell = range(model.n_cells)
-    terms = [(pos, model.claim_vector(i), every_cell) for i, pos in enumerate(strategy.static) if pos]
+    terms = [(pos, claim, every_cell) for claim, pos in zip(model.claims, strategy.static) if pos]
     for ((_, k, c, _), vec), h in zip(model.gains, strategy.dynamic):
         if h:
             terms.append((h, vec, model.coarse_groups[k - 1][c]))
@@ -82,7 +86,7 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
 
 def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
     """Strategy coordinates in column order: cash, claims, gains."""
-    claims = tuple((("claim", i), model.claim_vector(i)) for i in range(len(model.claims)))
+    claims = tuple((("claim", i), claim) for i, claim in enumerate(model.claims))
     return ((("const",), (ONE,) * model.n_cells), *claims, *model.gains)
 
 
@@ -264,8 +268,7 @@ def decompose_unhedgeable(measure: Measure, model: FilteredModel) -> Unhedgeable
     gains = [vec for _, vec in model.gains]
 
     residuals: list[Payoff] = []
-    for i in range(len(model.claims)):
-        psi = model.claim_vector(i)
+    for psi in model.claims:
         proj = linalg.project_onto_span(psi, gains, weights)
         residuals.append(_mask_to_support([x - p for x, p in zip(psi, proj)], weights))
 

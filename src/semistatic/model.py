@@ -1,21 +1,24 @@
 """Finite filtered market models.
 
-A model is a finite outcome set, a refining-partition filtration on a rational
-time grid, an adapted price vector started at zero, a list of statically
-traded claims with zero initial price, and a support mask saying which
-terminal atoms priors may charge.  Probability measures live on the cells of
-the terminal partition; payoff vectors are indexed the same way.
+A model is one flat record, ``FilteredModel``, of six fields: ``outcomes``
+(the outcome names), ``times`` (the rational grid t_0 = 0 < ... < t_K),
+``partitions`` (the filtration P_0, ..., P_K, each refining its
+predecessor), ``prices[j][k][w]`` (asset j at time index k on outcome w,
+adapted and started at zero), ``claims`` (the statically traded claims,
+payoffs over the cells of P_K with initial price zero) and ``allowed`` (the
+P_K cells that priors may charge).  Probability measures live on the cells
+of the terminal partition P_K; payoff vectors are indexed the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ShapeError
-from .rationals import fmt
+from .rationals import fmt, rat
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -28,17 +31,6 @@ Payoff = tuple[Fraction, ...]
 
 def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
     return tuple(sorted(tuple(sorted(set(c))) for c in cells))
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing rational time labels t_0 = 0 < ... < t_K."""
-
-    times: tuple[Fraction, ...]
-
-    @property
-    def steps(self) -> int:
-        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -64,60 +56,24 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class Filtration:
-    """Partitions P_0, ..., P_K, each refining its predecessor."""
-
-    partitions: tuple[Partition, ...]
-
-    def __init__(self, partitions: Iterable[Partition]):
-        object.__setattr__(self, "partitions", tuple(partitions))
-
-
-@dataclass(frozen=True)
-class PriceProcess:
-    """Rational price paths, indexed (asset, time index, outcome)."""
-
-    values: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @property
-    def assets(self) -> int:
-        return len(self.values)
-
-    @property
-    def periods(self) -> int:
-        return len(self.values[0]) - 1 if self.values else 0
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.values[0][0]) if self.values and self.values[0] else 0
-
-
-@dataclass(frozen=True)
-class StaticClaim:
-    """Terminal payoff over cells of the last partition; initial price zero."""
-
-    payoff: Payoff
-
-
-@dataclass(frozen=True)
-class PriorSupport:
-    """Terminal cells that priors may charge."""
-
-    allowed: frozenset[int]
-
-
-@dataclass(frozen=True)
 class FilteredModel:
+    """A finite market: outcomes, time grid, filtration, prices, static claims and prior support.
+
+    ``partitions[k]`` is P_k, ``prices[j][k][w]`` is S^j_k on outcome w,
+    ``claims[i]`` is the payoff of claim i over the cells of P_K, and
+    ``allowed`` holds the indices of the P_K cells that priors may charge.
+    """
+
     outcomes: tuple[str, ...]
-    grid: TimeGrid
-    filtration: Filtration
-    prices: PriceProcess
-    claims: tuple[StaticClaim, ...]
-    priors: PriorSupport
+    times: tuple[Fraction, ...]
+    partitions: tuple[Partition, ...]
+    prices: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    claims: tuple[Payoff, ...]
+    allowed: frozenset[int]
 
     @property
     def horizon(self) -> int:
-        return self.grid.steps
+        return len(self.times) - 1
 
     @property
     def n_outcomes(self) -> int:
@@ -125,7 +81,7 @@ class FilteredModel:
 
     @cached_property
     def terminal_cells(self) -> tuple[Cell, ...]:
-        return self.filtration.partitions[-1].cells
+        return self.partitions[-1].cells
 
     @property
     def n_cells(self) -> int:
@@ -133,13 +89,13 @@ class FilteredModel:
 
     @cached_property
     def terminal_cell_of_outcome(self) -> dict[int, int]:
-        return self.filtration.partitions[-1].cell_of
+        return self.partitions[-1].cell_of
 
     @cached_property
     def coarse_cell_of(self) -> tuple[tuple[int, ...], ...]:
         """For each time k, map terminal cell index -> index of its P_k cell."""
         table = []
-        for partition in self.filtration.partitions:
+        for partition in self.partitions:
             lookup = partition.cell_of
             table.append(tuple(lookup[cell[0]] for cell in self.terminal_cells))
         return tuple(table)
@@ -147,12 +103,12 @@ class FilteredModel:
     @cached_property
     def coarse_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each time k, the P_k cells as groups of terminal cell indices."""
-        return groups_of(self.coarse_cell_of, self.filtration.partitions)
+        return groups_of(self.coarse_cell_of, self.partitions)
 
     def price(self, asset: int, k: int, terminal_cell: int) -> Fraction:
         """Price value on a terminal cell (well defined by adaptedness)."""
         outcome = self.terminal_cells[terminal_cell][0]
-        return self.prices.values[asset][k][outcome]
+        return self.prices[asset][k][outcome]
 
     @cached_property
     def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
@@ -165,7 +121,7 @@ class FilteredModel:
         columns = []
         for k in range(1, self.horizon + 1):
             for c, group in enumerate(self.coarse_groups[k - 1]):
-                for j in range(self.prices.assets):
+                for j in range(len(self.prices)):
                     vec = [ZERO] * self.n_cells
                     for a in group:
                         vec[a] = self.price(j, k, a) - self.price(j, k - 1, a)
@@ -179,9 +135,6 @@ class FilteredModel:
 
         return build_constraints(self)
 
-    def claim_vector(self, i: int) -> Payoff:
-        return self.claims[i].payoff
-
     def cell_label(self, cell: Iterable[int]) -> str:
         """The outcome names of the cell in index order, joined by "|"."""
         cell, n = sorted(cell), self.n_outcomes
@@ -191,12 +144,19 @@ class FilteredModel:
         return "|".join(self.outcomes[w] for w in cell)
 
     def terminal_label(self, index: int) -> str:
+        if not 0 <= index < self.n_cells:
+            raise ShapeError(f"terminal cell index {index} outside 0..{self.n_cells - 1}")
         return self.cell_label(self.terminal_cells[index])
 
     def measure(self, weights: Sequence[Fraction | int | str]) -> "Measure":
-        from .rationals import rat
-
-        return Measure(tuple(rat(w) for w in weights), _model=self)
+        """A probability measure on the terminal cells that charges only allowed cells."""
+        if len(weights) != self.n_cells:
+            raise ShapeError(f"measure has {len(weights)} weights, model has {self.n_cells} terminal cells")
+        measure = Measure(tuple(rat(w) for w in weights))
+        bad = [a for a in measure.support if a not in self.allowed]
+        if bad:
+            raise ValueError(f"measure charges terminal cells outside the prior support: {bad}")
+        return measure
 
 
 @dataclass(frozen=True)
@@ -204,25 +164,20 @@ class Measure:
     """Nonnegative rational weights over terminal cells summing to one."""
 
     weights: Payoff
-    _model: FilteredModel | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if any(w < 0 for w in self.weights):
             raise ValueError("measure weights must be nonnegative")
         if sum((w for w in self.weights if w), ZERO) != 1:
             raise ValueError("measure weights must sum to exactly 1")
-        if self._model is not None:
-            if len(self.weights) != self._model.n_cells:
-                raise ShapeError("measure has wrong number of terminal cells")
-            bad = [a for a, w in enumerate(self.weights) if w > 0 and a not in self._model.priors.allowed]
-            if bad:
-                raise ValueError(f"measure charges terminal cells outside the prior support: {bad}")
 
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(a for a, w in enumerate(self.weights) if w > 0)
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
+        if len(payoff) != len(self.weights):
+            raise ShapeError(f"payoff has {len(payoff)} entries, measure has {len(self.weights)}")
         return sum((w * x for w, x in zip(self.weights, payoff) if w), ZERO)
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -260,9 +215,9 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     """Check every structural invariant; an empty report means valid."""
     bad: list[Violation] = []
     n = model.n_outcomes
-    times = model.grid.times
+    times = model.times
 
-    if model.grid.steps < 1:
+    if model.horizon < 1:
         bad.append(Violation("grid", "times", "need at least one period"))
     if times and times[0] != 0:
         bad.append(Violation("grid", "times[0]", "time grid must start at 0"))
@@ -270,8 +225,8 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         if times[i] <= times[i - 1]:
             bad.append(Violation("grid", f"times[{i}]", "times must be strictly increasing"))
 
-    partitions = model.filtration.partitions
-    if len(partitions) != model.grid.steps + 1:
+    partitions = model.partitions
+    if len(partitions) != model.horizon + 1:
         bad.append(Violation("filtration", "partitions", "need one partition per time index"))
     universe = frozenset(range(n))
     for k, partition in enumerate(partitions):
@@ -291,11 +246,11 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         if not partitions[k].refines(partitions[k - 1]):
             bad.append(Violation("refinement", f"P_{k}", f"P_{k} does not refine P_{k - 1}"))
 
-    values = model.prices.values
+    values = model.prices
     if not values:
         bad.append(Violation("prices", "assets", "need at least one asset"))
     for j, asset_path in enumerate(values):
-        if len(asset_path) != model.grid.steps + 1:
+        if len(asset_path) != model.horizon + 1:
             bad.append(Violation("prices", f"asset {j}", "wrong number of time slices"))
             continue
         for k, slice_k in enumerate(asset_path):
@@ -318,33 +273,33 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                         break
 
     for i, claim in enumerate(model.claims):
-        if len(claim.payoff) != model.n_cells:
+        if len(claim) != model.n_cells:
             bad.append(Violation("claim", f"claim {i}", "payoff length must match terminal cells"))
 
-    if not model.priors.allowed:
+    if not model.allowed:
         bad.append(Violation("priors", "allowed", "prior support must be nonempty"))
-    for a in model.priors.allowed:
+    for a in model.allowed:
         if not 0 <= a < model.n_cells:
             bad.append(Violation("priors", "allowed", f"unknown terminal cell index {a}"))
 
     return ValidationReport(tuple(bad))
 
 
-def natural_filtration(prices: PriceProcess) -> Filtration:
-    """Coarsest refining filtration making the prices adapted.
+def natural_filtration(prices: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[Partition, ...]:
+    """Coarsest refining filtration making the prices ``prices[j][k][w]`` adapted.
 
     P_k groups outcomes by the tuple of all asset values up to time k; groups
     by a longer prefix automatically refine groups by a shorter one.
     """
-    n = prices.n_outcomes
+    n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []
-    for k in range(prices.periods + 1):
+    for k in range(len(prices[0]) if prices else 1):
         groups: dict[tuple, list[int]] = {}
         for w in range(n):
-            key = tuple(prices.values[j][t][w] for t in range(k + 1) for j in range(prices.assets))
+            key = tuple(asset[t][w] for t in range(k + 1) for asset in prices)
             groups.setdefault(key, []).append(w)
         partitions.append(Partition(groups.values()))
-    return Filtration(partitions)
+    return tuple(partitions)
 
 
 def groups_of(
@@ -383,11 +338,7 @@ def conditional_expectation(
     """E[payoff | P_k] under the measure, as a vector over terminal cells."""
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
+    if not 0 <= k <= model.horizon:
+        raise ShapeError(f"time index {k} outside 0..{model.horizon}")
     return condexp_groups(payoff, model.coarse_groups[k], measure.weights)
 
-
-def indicator(model: FilteredModel, cells: Iterable[int]) -> Payoff:
-    vec = [ZERO] * model.n_cells
-    for a in cells:
-        vec[a] = Fraction(1)
-    return tuple(vec)

@@ -45,12 +45,6 @@ class ConstraintSystem:
     allowed: frozenset[int]
     n_cells: int
 
-    def matrix(self) -> list[list[Fraction]]:
-        return [list(r.coeffs) for r in self.rows]
-
-    def rhs(self) -> list[Fraction]:
-        return [r.rhs for r in self.rows]
-
 
 @dataclass(frozen=True)
 class ExtremalityCertificate:
@@ -73,10 +67,10 @@ class VertexSet:
 def build_constraints(model: FilteredModel) -> ConstraintSystem:
     """Equality description of the calibrated martingale-measure set."""
     rows = [Row(("martingale", *label[1:]), vec, ZERO) for label, vec in model.gains]
-    for i in range(len(model.claims)):
-        rows.append(Row(("calibration", i), model.claim_vector(i), ZERO))
+    for i, claim in enumerate(model.claims):
+        rows.append(Row(("calibration", i), claim, ZERO))
     rows.append(Row(("normalization",), tuple([ONE] * model.n_cells), ONE))
-    return ConstraintSystem(tuple(rows), frozenset(model.priors.allowed), model.n_cells)
+    return ConstraintSystem(tuple(rows), model.allowed, model.n_cells)
 
 
 def member(measure: Measure, cs: ConstraintSystem) -> bool:

@@ -15,17 +15,7 @@ from typing import Sequence
 
 from .enlargement import SingleJump
 from .hedging import _mix
-from .model import (
-    FilteredModel,
-    Filtration,
-    Measure,
-    Partition,
-    Payoff,
-    PriceProcess,
-    PriorSupport,
-    StaticClaim,
-    TimeGrid,
-)
+from .model import FilteredModel, Measure, Partition, Payoff
 from .polytope import VertexSet
 
 ZERO = Fraction(0)
@@ -112,7 +102,7 @@ def random_model(
     n_outcomes = counter[0]
 
     cells_by_level = [[list(range(n.lo, n.hi)) for n in level] for level in levels]
-    filtration = Filtration([Partition(cells) for cells in cells_by_level])
+    partitions = tuple(Partition(cells) for cells in cells_by_level)
     price_rows = []
     for level in levels:
         row = [ZERO] * n_outcomes
@@ -120,7 +110,6 @@ def random_model(
             for w in range(node.lo, node.hi):
                 row[w] = node.value
         price_rows.append(tuple(row))
-    prices = PriceProcess((tuple(price_rows),))
 
     reference = [ZERO] * n_outcomes
     for node in levels[-1]:
@@ -131,7 +120,7 @@ def random_model(
     for _ in range(n):
         raw = [Fraction(rng.randint(-3, 3)) for _ in range(n_outcomes)]
         mean = sum((q * x for q, x in zip(reference, raw)), ZERO)
-        claims.append(StaticClaim(tuple(x - mean for x in raw)))
+        claims.append(tuple(x - mean for x in raw))
 
     allowed = set(range(n_outcomes))
     if rng.random() < 0.2:
@@ -141,11 +130,11 @@ def random_model(
 
     model = FilteredModel(
         outcomes=tuple(f"w{i}" for i in range(n_outcomes)),
-        grid=TimeGrid(tuple(Fraction(k) for k in range(horizon + 1))),
-        filtration=filtration,
-        prices=prices,
+        times=tuple(Fraction(k) for k in range(horizon + 1)),
+        partitions=partitions,
+        prices=(tuple(price_rows),),
         claims=tuple(claims),
-        priors=PriorSupport(frozenset(allowed)),
+        allowed=frozenset(allowed),
     )
     return model, Measure(tuple(reference))
 
@@ -170,7 +159,7 @@ def random_jump(rng: random.Random, model: FilteredModel) -> SingleJump:
 
 def random_measure(rng: random.Random, model: FilteredModel) -> Measure:
     """Arbitrary probability measure on the allowed terminal cells."""
-    allowed = sorted(model.priors.allowed)
+    allowed = sorted(model.allowed)
     while True:
         raw = [rng.randint(0, 4) for _ in allowed]
         if any(raw):

@@ -15,19 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import SemistaticError
-from .model import (
-    FilteredModel,
-    Filtration,
-    Measure,
-    Partition,
-    Payoff,
-    PriceProcess,
-    PriorSupport,
-    StaticClaim,
-    TimeGrid,
-    natural_filtration,
-    validate_model,
-)
+from .model import FilteredModel, Measure, Partition, Payoff, natural_filtration, validate_model
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -72,27 +60,19 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             raise ScenarioError("outcome labels must be unique")
         index = {w: i for i, w in enumerate(outcomes)}
         times = tuple(rat(t) for t in data["times"])
-        grid = TimeGrid(times)
-
-        prices = PriceProcess(
-            tuple(
-                tuple(tuple(rat(x) for x in slice_k) for slice_k in asset)
-                for asset in data["prices"]
-            )
+        prices = tuple(
+            tuple(tuple(rat(x) for x in slice_k) for slice_k in asset) for asset in data["prices"]
         )
 
         spec = data.get("filtration", "natural")
         if spec == "natural":
-            filtration = natural_filtration(prices)
+            partitions = natural_filtration(prices)
         else:
-            partitions = []
-            for cells in spec:
-                partitions.append(Partition([[index[w] for w in cell] for cell in cells]))
-            filtration = Filtration(partitions)
+            partitions = tuple(Partition([[index[w] for w in cell] for cell in cells]) for cells in spec)
 
-        terminal = filtration.partitions[-1].cells
+        terminal = partitions[-1].cells
         claims = tuple(
-            StaticClaim(_quotient(tuple(rat(x) for x in payoff), terminal, f"claim {i}"))
+            _quotient(tuple(rat(x) for x in payoff), terminal, f"claim {i}")
             for i, payoff in enumerate(data.get("claims", []))
         )
 
@@ -112,14 +92,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     allowed.add(c)
             allowed = frozenset(allowed)
 
-        model = FilteredModel(
-            outcomes=outcomes,
-            grid=grid,
-            filtration=filtration,
-            prices=prices,
-            claims=claims,
-            priors=PriorSupport(allowed),
-        )
+        model = FilteredModel(outcomes, times, partitions, prices, claims, allowed)
 
         from .enlargement import SingleJump  # local import to avoid a cycle
 

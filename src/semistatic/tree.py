@@ -147,7 +147,7 @@ def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]
 def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
     """Some price is nonzero on one of these terminal cells at a time up to k."""
     return any(
-        model.price(j, l, a) != 0 for a in cells for l in range(k + 1) for j in range(model.prices.assets)
+        model.price(j, l, a) != 0 for a in cells for l in range(k + 1) for j in range(len(model.prices))
     )
 
 
@@ -278,10 +278,7 @@ def check_theorem_conditions(
                 vectors.append([vec[a] for a in atoms])
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, linalg.rank(vectors), len(atoms)))
 
-    projections = [
-        sigma_tree_expectation(model.claim_vector(i), tree, measure, model)
-        for i in range(len(model.claims))
-    ]
+    projections = [sigma_tree_expectation(psi, tree, measure, model) for psi in model.claims]
     support = measure.support
     claims_rank = linalg.rank([[v[a] for a in support] for v in projections]) if projections else 0
 
@@ -315,7 +312,7 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
         if len(rest) > 1:
             return NoTree("time-zero jump block leaves a remainder that is not an atom")
         for c in sorted(carried | rest):
-            nodes.append(TreeNode(model.filtration.partitions[0].cells[c], 0))
+            nodes.append(TreeNode(model.partitions[0].cells[c], 0))
     else:
         nodes.append(TreeNode(tuple(range(model.n_outcomes)), 0))
 
@@ -337,7 +334,7 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
             children = sorted({model.coarse_cell_of[k][a] for a in carrier})
             if len(children) < 2:
                 return NoTree(f"jump block at k={k} does not split its carrying atom")
-            new_nodes = [TreeNode(model.filtration.partitions[k].cells[cc], k) for cc in children]
+            new_nodes = [TreeNode(model.partitions[k].cells[cc], k) for cc in children]
             nodes.extend(new_nodes)
             leaves.remove(leaf)
             leaves.extend(new_nodes)
@@ -352,8 +349,7 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
 
     support = measure.support
     rows = [[vec[a] for _, vec in model.gains] for a in support]
-    for i in range(len(model.claims)):
-        psi = model.claim_vector(i)
+    for i, psi in enumerate(model.claims):
         target = sigma_tree_expectation(psi, tree, measure, model)
         rhs = [psi[a] - target[a] for a in support]
         if linalg.solve(rows, rhs) is None:

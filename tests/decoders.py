@@ -16,9 +16,8 @@ def measure_from_json(data: dict, model: FilteredModel) -> Measure:
 
 
 def strategy_from_json(data: dict, model: FilteredModel) -> SemiStaticStrategy:
-    partitions = model.filtration.partitions
     column = {
-        (k, model.cell_label(partitions[k - 1].cells[c]), j): i for i, ((_, k, c, j), _) in enumerate(model.gains)
+        (k, model.cell_label(model.partitions[k - 1].cells[c]), j): i for i, ((_, k, c, j), _) in enumerate(model.gains)
     }
     dynamic = [rat(0)] * len(model.gains)
     for entry in data.get("dynamic", []):

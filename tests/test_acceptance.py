@@ -74,7 +74,7 @@ def test_criterion_4_glued_two_volatility(glued_two_vol):
     ok = ok and isinstance(tree, AtomicTree) and tree.dim == 2
     ok = ok and [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
     ok = ok and check_theorem_conditions(tree, q, model).ok
-    leafwise = sigma_tree_expectation(model.claim_vector(0), tree, q, model)
+    leafwise = sigma_tree_expectation(model.claims[0], tree, q, model)
     ok = ok and leafwise == (F(2), F(2), F(-1), F(-1))
     _report(4, "glued two-volatility calibration and tree", ok)
 
@@ -111,7 +111,7 @@ def test_criterion_8_informed_arbitrage(informed_arbitrage):
     ok = ok and not certificate.feasible and certificate.certificate is not None
     payoff = strategy_payoff(certificate.certificate, enlarged.model)
     ok = ok and certificate.certificate.cash == 0
-    ok = ok and all(payoff[a] >= 1 for a in enlarged.model.priors.allowed)
+    ok = ok and all(payoff[a] >= 1 for a in enlarged.model.allowed)
     _report(8, "informed investor faces arbitrage with a zero-cost certificate", ok)
 
 

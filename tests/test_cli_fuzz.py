@@ -5,8 +5,10 @@ Every run of ``cli.main`` on malformed input must end with exit code 0, 1 or
 """
 
 import contextlib
+import hashlib
 import io
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -114,3 +116,36 @@ def test_unreadable_scenario_is_an_input_error(scratch, content):
     path = scratch / "unreadable.json"
     path.write_bytes(content)
     assert run(["validate", str(path)]) == 2
+
+
+def test_every_single_value_mutation_of_the_bundled_scenarios_keeps_its_validate_report(scratch):
+    """Pin ``validate`` on each bundled scenario with one value deleted or replaced.
+
+    Every key path of every bundled file gets each entry of ``REPLACEMENTS``
+    and a deletion: 2240 scenarios.  The exit-code counts and one sha256 over
+    (file, key path, replacement, exit code, stdout) are pinned, so a change
+    to the parser that alters any error message, or which input it rejects,
+    fails here.
+    """
+    path = scratch / "mutated.json"
+    digest, codes = hashlib.sha256(), Counter()
+    for name, original in BUNDLED.items():
+        for *parents, key in locations(original):
+            for replacement in ["delete"] + REPLACEMENTS:
+                data = json.loads(json.dumps(original))
+                container = data
+                for step in parents:
+                    container = container[step]
+                if replacement == "delete":
+                    del container[key]
+                else:
+                    container[key] = replacement
+                path.write_text(json.dumps(data))
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["--format", "json", "validate", str(path)])
+                codes[code] += 1
+                record = [name, [*parents, key], repr(replacement), code, out.getvalue()]
+                digest.update(json.dumps(record).encode() + b"\n")
+    assert dict(codes) == {0: 372, 2: 1868}
+    assert digest.hexdigest() == "4e4af663ea7e5f1f021d801a61610fe095a8067529857b51a4f6e5837beeea42"

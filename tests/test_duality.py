@@ -11,7 +11,6 @@ from semistatic import cli, duality
 from semistatic.duality import detect_arbitrage, optimal_face, robust_price, superhedge, verify_duality
 from semistatic.errors import EmptyMeasureSet, InvariantViolation
 from semistatic.hedging import strategy_columns, strategy_payoff
-from semistatic.model import FilteredModel, StaticClaim
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model, random_payoff
 from tests.conftest import scenario_path
@@ -27,12 +26,12 @@ def test_superhedge_abs(trinomial):
     assert result.strategy.cash == 1
     assert set(result.tight) == {0, 2}
     payoff = strategy_payoff(result.strategy, model)
-    assert all(payoff[a] >= trinomial.payoffs["abs_S1"][a] for a in model.priors.allowed)
+    assert all(payoff[a] >= trinomial.payoffs["abs_S1"][a] for a in model.allowed)
 
 
 def test_superhedge_replicable_claim(trinomial_calibrated):
     model = trinomial_calibrated.model
-    result = superhedge(model.claim_vector(0), model)
+    result = superhedge(model.claims[0], model)
     assert result.price == 0
 
 
@@ -56,7 +55,7 @@ def test_verify_duality_examples(trinomial, trinomial_calibrated):
     report = verify_duality(trinomial_calibrated.payoffs["abs_S1"], trinomial_calibrated.model)
     assert report.ok and report.primal == F(1, 2)
     assert report.strategy.cash == F(1, 2) and report.strategy.static == (F(1),)
-    replicable = verify_duality(trinomial_calibrated.model.claim_vector(0), trinomial_calibrated.model)
+    replicable = verify_duality(trinomial_calibrated.model.claims[0], trinomial_calibrated.model)
     assert replicable.ok and replicable.primal == 0
 
 
@@ -74,17 +73,7 @@ def test_detect_arbitrage_feasible(trinomial):
 
 
 def test_disallowed_coordinates_unconstrained(trinomial):
-    from semistatic.model import PriorSupport
-
-    base = trinomial.model
-    model = FilteredModel(
-        outcomes=base.outcomes,
-        grid=base.grid,
-        filtration=base.filtration,
-        prices=base.prices,
-        claims=(),
-        priors=PriorSupport(frozenset({0, 2})),
-    )
+    model = replace(trinomial.model, claims=(), allowed=frozenset({0, 2}))
     spike_on_m = (F(0), F(100), F(0))
     result = superhedge(spike_on_m, model)
     assert result.price == 0  # the excluded cell imposes no constraint
@@ -92,22 +81,14 @@ def test_disallowed_coordinates_unconstrained(trinomial):
 
 
 def test_detect_arbitrage_miscalibrated(trinomial):
-    base = trinomial.model
     # claim S_1 + 1 has expectation 1 under every martingale measure
-    model = FilteredModel(
-        outcomes=base.outcomes,
-        grid=base.grid,
-        filtration=base.filtration,
-        prices=base.prices,
-        claims=(StaticClaim((F(2), F(1), F(0))),),
-        priors=base.priors,
-    )
+    model = replace(trinomial.model, claims=((F(2), F(1), F(0)),))
     assert not enumerate_extreme_points(build_constraints(model)).vertices
     report = detect_arbitrage(model)
     assert not report.feasible
     assert report.certificate.cash == 0
     payoff = report.certificate_payoff
-    assert all(payoff[a] >= 1 for a in model.priors.allowed)
+    assert all(payoff[a] >= 1 for a in model.allowed)
 
 
 def test_detect_arbitrage_informed(informed_arbitrage):
@@ -118,7 +99,7 @@ def test_detect_arbitrage_informed(informed_arbitrage):
     assert not report.feasible
     payoff = report.certificate_payoff
     assert report.certificate.cash == 0
-    assert all(payoff[a] >= 1 for a in enlarged.model.priors.allowed)
+    assert all(payoff[a] >= 1 for a in enlarged.model.allowed)
 
 
 def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
@@ -129,7 +110,7 @@ def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
     assert result.unbounded
     direction = strategy_payoff(result.strategy, enlarged.model)
     assert result.strategy.cash < 0
-    assert all(direction[a] >= 0 for a in enlarged.model.priors.allowed)
+    assert all(direction[a] >= 0 for a in enlarged.model.allowed)
 
 
 def _recording_solve_lp(monkeypatch) -> list[tuple[int, set[int], int]]:
@@ -149,7 +130,7 @@ def test_superhedge_has_one_column_per_strategy_coordinate(monkeypatch, trinomia
     model = trinomial.model
     calls = _recording_solve_lp(monkeypatch)
     assert superhedge(trinomial.payoffs["abs_S1"], model).price == 1
-    n_free, n_allowed = len(strategy_columns(model)), len(model.priors.allowed)
+    n_free, n_allowed = len(strategy_columns(model)), len(model.allowed)
     assert calls == [(n_free + n_allowed, {n_free + n_allowed}, n_free)]
 
 
@@ -161,7 +142,7 @@ def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_
     assert not detect_arbitrage(model).feasible
     # coordinates without cash, the floor t, the cap slack u, one surplus per allowed cell
     n_free = len(strategy_columns(model)) - 1 + 1
-    n_vars = n_free + 1 + len(model.priors.allowed)
+    n_vars = n_free + 1 + len(model.allowed)
     assert calls == [(n_vars, {n_vars}, n_free)]
 
 
@@ -245,7 +226,7 @@ def test_face_matches_full_scan_on_random_models():
         rng = random.Random(f"face-{seed}")
         model, _ = random_model(rng, max_atoms=10)
         with_claims += bool(model.claims)
-        with_disallowed += len(model.priors.allowed) < model.n_cells
+        with_disallowed += len(model.allowed) < model.n_cells
         for _ in range(2):
             assert assert_matches_full_scan(random_payoff(rng, model), model).ok
     assert with_claims > 50 and with_disallowed > 10

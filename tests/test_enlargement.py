@@ -17,21 +17,12 @@ from semistatic.enlargement import (
     compensator,
     enlarge,
     filtrations_coincide,
-    first_move_time,
     informed_compare,
     jeulin_yor,
     predictable_reduction,
 )
 from semistatic.errors import InvariantViolation, ShapeError
-from semistatic.model import (
-    FilteredModel,
-    Filtration,
-    Measure,
-    Partition,
-    PriceProcess,
-    PriorSupport,
-    TimeGrid,
-)
+from semistatic.model import FilteredModel, Measure, Partition
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
@@ -45,11 +36,11 @@ def two_atom():
     """Omega = {a, b}, uniform-friendly one-period model with frozen price."""
     return FilteredModel(
         outcomes=("a", "b"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0, 1]]), Partition([[0], [1]])]),
-        prices=PriceProcess((((F(0), F(0)), (F(0), F(0))),)),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, 1]]), Partition([[0], [1]])),
+        prices=(((F(0), F(0)), (F(0), F(0))),),
         claims=(),
-        priors=PriorSupport(frozenset({0, 1})),
+        allowed=frozenset({0, 1}),
     )
 
 
@@ -58,11 +49,11 @@ def lumped():
     """Omega = {a, b} in a single terminal cell: nothing ever tells a from b."""
     return FilteredModel(
         outcomes=("a", "b"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0, 1]]), Partition([[0, 1]])]),
-        prices=PriceProcess((((F(0), F(0)), (F(0), F(0))),)),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, 1]]), Partition([[0, 1]])),
+        prices=(((F(0), F(0)), (F(0), F(0))),),
         claims=(),
-        priors=PriorSupport(frozenset({0})),
+        allowed=frozenset({0}),
     )
 
 
@@ -108,74 +99,61 @@ def test_enlarge_trivial_when_mark_zero(trinomial):
     model = trinomial.model
     jump = SingleJump((None,) * 3, (F(0),) * 3)
     enlarged = enlarge(model, [jump])
-    assert enlarged.model.filtration.partitions == model.filtration.partitions
+    assert enlarged.model.partitions == model.partitions
 
 
 def test_enlarge_initial(trinomial):
     model = trinomial.model
     jump = SingleJump((0, None, None), (F(1), F(0), F(0)))
     enlarged = enlarge(model, [jump])
-    assert enlarged.model.filtration.partitions[0].cells == ((0,), (1, 2))
+    assert enlarged.model.partitions[0].cells == ((0,), (1, 2))
 
 
 def test_enlarge_progressive_split():
     # three-period walk, tau = first time the price is positive
     model = FilteredModel(
         outcomes=("uu", "ud", "du", "dd"),
-        grid=TimeGrid((F(0), F(1), F(2))),
-        filtration=Filtration(
-            [
-                Partition([[0, 1, 2, 3]]),
-                Partition([[0, 1], [2, 3]]),
-                Partition([[0], [1], [2], [3]]),
-            ]
+        times=(F(0), F(1), F(2)),
+        partitions=(
+            Partition([[0, 1, 2, 3]]),
+            Partition([[0, 1], [2, 3]]),
+            Partition([[0], [1], [2], [3]]),
         ),
-        prices=PriceProcess(
-            (((F(0),) * 4, (F(1), F(1), F(-1), F(-1)), (F(2), F(0), F(0), F(-2))),)
-        ),
+        prices=(((F(0),) * 4, (F(1), F(1), F(-1), F(-1)), (F(2), F(0), F(0), F(-2))),),
         claims=(),
-        priors=PriorSupport(frozenset(range(4))),
+        allowed=frozenset(range(4)),
     )
-    moves = first_move_time(model)
+    moves = tuple(next(k for k in range(3) if model.prices[0][k][w] != 0) for w in range(4))
     assert moves == (1, 1, 1, 1)
     tau = tuple(
-        next((k for k in range(3) if model.prices.values[0][k][w] > 0), None) for w in range(4)
+        next((k for k in range(3) if model.prices[0][k][w] > 0), None) for w in range(4)
     )
     mark = tuple(F(1) if t is not None else F(0) for t in tau)
     enlarged = enlarge(model, [SingleJump(tau, mark)])
     # at time 1 the down-branch splits by whether the jump has happened (it has not)
-    assert enlarged.model.filtration.partitions[1].cells == ((0, 1), (2, 3))
+    assert enlarged.model.partitions[1].cells == ((0, 1), (2, 3))
     # at time 2 the du path jumps (price 0 -> positive? no: 0 is not positive) stays merged
-    assert enlarged.model.filtration.partitions[2].cells == ((0,), (1,), (2,), (3,))
+    assert enlarged.model.partitions[2].cells == ((0,), (1,), (2,), (3,))
 
 
 def test_enlarge_genuine_progressive_split():
     # the jump reveals terminal information early: tau = 1 on one path only
     model = FilteredModel(
         outcomes=("uu", "ud", "du", "dd"),
-        grid=TimeGrid((F(0), F(1), F(2))),
-        filtration=Filtration(
-            [
-                Partition([[0, 1, 2, 3]]),
-                Partition([[0, 1], [2, 3]]),
-                Partition([[0], [1], [2], [3]]),
-            ]
+        times=(F(0), F(1), F(2)),
+        partitions=(
+            Partition([[0, 1, 2, 3]]),
+            Partition([[0, 1], [2, 3]]),
+            Partition([[0], [1], [2], [3]]),
         ),
-        prices=PriceProcess(
-            (((F(0),) * 4, (F(1), F(1), F(-1), F(-1)), (F(2), F(0), F(0), F(-2))),)
-        ),
+        prices=(((F(0),) * 4, (F(1), F(1), F(-1), F(-1)), (F(2), F(0), F(0), F(-2))),),
         claims=(),
-        priors=PriorSupport(frozenset(range(4))),
+        allowed=frozenset(range(4)),
     )
     jump = SingleJump((1, None, None, None), (F(1), F(0), F(0), F(0)))
     enlarged = enlarge(model, [jump])
-    assert enlarged.model.filtration.partitions[0].cells == ((0, 1, 2, 3),)
-    assert enlarged.model.filtration.partitions[1].cells == ((0,), (1,), (2, 3))
-
-
-def test_first_move_time_glued(glued_two_vol, jump_counterexample):
-    assert first_move_time(glued_two_vol.model) == (2, 2, 2, 2)
-    assert first_move_time(jump_counterexample.model) == (1, 1, 1, 1, 1)
+    assert enlarged.model.partitions[0].cells == ((0, 1, 2, 3),)
+    assert enlarged.model.partitions[1].cells == ((0,), (1,), (2, 3))
 
 
 def test_compensator_zero_mark(two_atom):
@@ -184,20 +162,6 @@ def test_compensator_zero_mark(two_atom):
     q = enlarged.model.measure(["1/2", "1/2"])
     comp = compensator(q, jump, enlarged)
     assert all(row == (F(0), F(0)) for row in comp.increments)
-
-
-def test_first_move_time_examples(trinomial):
-    model = trinomial.model
-    assert first_move_time(model) == (1, None, 1)
-    frozen = FilteredModel(
-        outcomes=("a",),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0]]), Partition([[0]])]),
-        prices=PriceProcess((((F(0),), (F(0),)),)),
-        claims=(),
-        priors=PriorSupport(frozenset({0})),
-    )
-    assert first_move_time(frozen) == (None,)
 
 
 def test_azema_two_atom(two_atom):
@@ -301,7 +265,7 @@ def test_increment_where_survival_vanishes_is_an_invariant_violation(two_atom, m
 def test_predictable_reduction_examples(two_atom):
     jump = SingleJump((0, None), (F(1), F(0)))
     enlarged = enlarge(two_atom, [jump])
-    g_cells = enlarged.model.filtration.partitions[0].cells
+    g_cells = enlarged.model.partitions[0].cells
     assert g_cells == ((0,), (1,))
     # 5 on the pre-jump cell {b}, 7 on the jumped cell {a}
     holdings = (F(7), F(5))
@@ -342,9 +306,9 @@ def test_trace_identity_random():
         enlarged = enlarge(model, [jump])
         assert validate_model(enlarged.model).ok
         for k in range(model.horizon + 1):
-            for cell in model.filtration.partitions[k].cells:
+            for cell in model.partitions[k].cells:
                 pre = [w for w in cell if jump.tau[w] is None or jump.tau[w] > k]
-                fine = {enlarged.model.filtration.partitions[k].cell_of[w] for w in pre}
+                fine = {enlarged.model.partitions[k].cell_of[w] for w in pre}
                 assert len(fine) <= 1
 
 
@@ -415,7 +379,7 @@ def pairwise_coincide(measure, enlarged):
     base, fine = enlarged.base, enlarged.model
     charged = [g for g, w in enumerate(measure.weights) if w > 0]
     for k in range(fine.horizon + 1):
-        base_of = [base.filtration.partitions[k].cell_of[cell[0]] for cell in fine.terminal_cells]
+        base_of = [base.partitions[k].cell_of[cell[0]] for cell in fine.terminal_cells]
         fine_of = fine.coarse_cell_of[k]
         for a in charged:
             for b in charged:
@@ -426,7 +390,7 @@ def pairwise_coincide(measure, enlarged):
 
 def base_grouping(enlarged, k):
     """Reference: the base P_k cells as groups of enlarged terminal cells, by each cell's first outcome."""
-    partition = enlarged.base.filtration.partitions[k]
+    partition = enlarged.base.partitions[k]
     groups = [[] for _ in partition.cells]
     for g, cell in enumerate(enlarged.model.terminal_cells):
         groups[partition.cell_of[cell[0]]].append(g)
@@ -462,7 +426,7 @@ def test_filtrations_coincide_matches_the_pairwise_reference(seed):
             for c, g in zip(charged, choice):
                 weights[g] = vertex.weights[c]
             candidates.append(Measure(tuple(weights)))
-        allowed = [m for m in candidates if set(m.support) <= fine.priors.allowed]
+        allowed = [m for m in candidates if set(m.support) <= fine.allowed]
         assert _coinciding_lifts(vertex, enlarged) == [m for m in allowed if pairwise_coincide(m, enlarged)]
         measures += candidates
     for measure in measures:
@@ -506,9 +470,9 @@ def test_predictable_reduction_agrees_pre_jump(seed):
     assert len(reduced) == len(model.gains)
     held = {label[1:]: h for (label, _), h in zip(enlarged.model.gains, holdings)}
     for ((_, k, c, j), _), h in zip(model.gains, reduced):
-        for w in model.filtration.partitions[k - 1].cells[c]:
+        for w in model.partitions[k - 1].cells[c]:
             if jump.tau[w] is None or jump.tau[w] >= k:
-                g = enlarged.model.filtration.partitions[k - 1].cell_of[w]
+                g = enlarged.model.partitions[k - 1].cell_of[w]
                 assert h == held[k, g, j]
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from semistatic.errors import EmptyMeasureSet, NotCalibrated, NotComplete, ShapeError
 from semistatic.hedging import (
     NotReplicable,
+    SemiStaticStrategy,
     decompose_unhedgeable,
     is_semistatically_complete,
     replicate,
@@ -88,8 +89,8 @@ def test_completeness_requires_calibration(trinomial):
 def test_replicate_claim_itself(trinomial_calibrated):
     model = trinomial_calibrated.model
     q = model.measure(["1/4", "1/2", "1/4"])
-    strategy = replicate(model.claim_vector(0), q, model)
-    assert strategy_payoff(strategy, model) == model.claim_vector(0)
+    strategy = replicate(model.claims[0], q, model)
+    assert strategy_payoff(strategy, model) == model.claims[0]
 
 
 def test_replicate_indicator(trinomial_calibrated):
@@ -99,6 +100,15 @@ def test_replicate_indicator(trinomial_calibrated):
     assert strategy.cash == F(1, 2)
     assert strategy.static == (F(-1),)
     assert strategy.dynamic == (F(0),)
+
+
+@pytest.mark.parametrize("static", [(F(1), F(1)), ()], ids=["one-extra", "none"])
+def test_strategy_payoff_rejects_static_positions_of_the_wrong_length(trinomial_calibrated, static):
+    # one claim: an extra position has no claim to pay, and a missing one must not count as zero
+    model = trinomial_calibrated.model
+    strategy = SemiStaticStrategy(F(0), static, (F(0),) * len(model.gains))
+    with pytest.raises(ShapeError, match=f"static positions have {len(static)} entries, expected 1"):
+        strategy_payoff(strategy, model)
 
 
 def test_replicate_failure_residual(trinomial):
@@ -178,7 +188,7 @@ def test_decompose_calibrated_trinomial(trinomial_calibrated):
     q = model.measure(["1/4", "1/2", "1/4"])
     decomposition = decompose_unhedgeable(q, model)
     # psi is orthogonal to the single gain, so the residual is psi itself
-    assert decomposition.residual_terminals == (model.claim_vector(0),)
+    assert decomposition.residual_terminals == (model.claims[0],)
     assert len(decomposition.blocks) == 1
     block = decomposition.blocks[0]
     assert block.time == 1 and block.atom_cells == (0,)
@@ -203,7 +213,7 @@ def test_decompose_jump_counterexample(jump_counterexample):
     assert [b.time for b in decomposition.blocks] == [2]
     block = decomposition.blocks[0]
     # carried by the no-jump cell of P_1 only
-    cells = model.filtration.partitions[1].cells
+    cells = model.partitions[1].cells
     assert [cells[c] for c in block.atom_cells] == [(1, 2, 3, 4)]
     v = decomposition.residual_terminals[0]
     assert v[0] == 0 and v[1] == F(72, 35) and v[2] == F(12, 35) and v[3] == F(-48, 35)

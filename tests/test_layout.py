@@ -43,14 +43,14 @@ def test_gains_are_price_increments_on_predecessor_cells(model):
     for (kind, k, c, j), vec in model.gains:
         assert kind == "gain"
         labels.append((k, c, j))
-        group = model.filtration.partitions[k - 1].cells[c]
+        group = model.partitions[k - 1].cells[c]
         for a, cell in enumerate(model.terminal_cells):
             w = cell[0]
-            step = model.prices.values[j][k][w] - model.prices.values[j][k - 1][w]
+            step = model.prices[j][k][w] - model.prices[j][k - 1][w]
             assert vec[a] == (step if w in group else 0)
     assert labels == sorted(labels)
-    cells_before = sum(len(model.filtration.partitions[k].cells) for k in range(model.horizon))
-    assert len(labels) == cells_before * model.prices.assets
+    cells_before = sum(len(model.partitions[k].cells) for k in range(model.horizon))
+    assert len(labels) == cells_before * len(model.prices)
 
 
 def test_martingale_rows_are_the_gain_vectors(model):

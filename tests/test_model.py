@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,8 @@ from hypothesis import strategies as st
 from semistatic.errors import ShapeError
 from semistatic.model import (
     FilteredModel,
-    Filtration,
     Measure,
     Partition,
-    PriceProcess,
-    PriorSupport,
-    TimeGrid,
     conditional_expectation,
     natural_filtration,
     validate_model,
@@ -28,31 +25,31 @@ def test_validate_binomial(binomial):
 
 
 def test_validate_flags_non_adapted():
-    prices = PriceProcess(((  # S_1 not constant on the trivial partition
+    prices = ((  # S_1 not constant on the trivial partition
         (F(0), F(0)),
         (F(1), F(-1)),
-    ),))
+    ),)
     model = FilteredModel(
         outcomes=("u", "d"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0, 1]]), Partition([[0, 1]])]),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, 1]]), Partition([[0, 1]])),
         prices=prices,
         claims=(),
-        priors=PriorSupport(frozenset({0})),
+        allowed=frozenset({0}),
     )
     report = validate_model(model)
     assert any(v.code == "adapted" for v in report.violations)
 
 
 def test_validate_flags_refinement_failure():
-    prices = PriceProcess((((F(0), F(0)), (F(0), F(0))),))
+    prices = (((F(0), F(0)), (F(0), F(0))),)
     model = FilteredModel(
         outcomes=("u", "d"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0], [1]]), Partition([[0, 1]])]),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0], [1]]), Partition([[0, 1]])),
         prices=prices,
         claims=(),
-        priors=PriorSupport(frozenset({0})),
+        allowed=frozenset({0}),
     )
     report = validate_model(model)
     assert any(v.code == "refinement" for v in report.violations)
@@ -72,11 +69,11 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
     # adaptedness check of that cell reads no price at it (index -1 would read c's)
     model = FilteredModel(
         outcomes=("a", "b", "c"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0, 1, 2]]), Partition([[0], [1, outside], [2]])]),
-        prices=PriceProcess((((F(0), F(0), F(0)), (F(1), F(0), F(-1))),)),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, 1, 2]]), Partition([[0], [1, outside], [2]])),
+        prices=(((F(0), F(0), F(0)), (F(1), F(0), F(-1))),),
         claims=(),
-        priors=PriorSupport(frozenset({0, 1, 2})),
+        allowed=frozenset({0, 1, 2}),
     )
     report = validate_model(model)
     assert [(v.code, v.where, v.message) for v in report.violations] == [
@@ -86,24 +83,23 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
 
 
 def test_natural_filtration_trinomial(trinomial):
-    filtration = natural_filtration(trinomial.model.prices)
-    assert filtration.partitions[0].cells == ((0, 1, 2),)
-    assert filtration.partitions[1].cells == ((0,), (1,), (2,))
+    partitions = natural_filtration(trinomial.model.prices)
+    assert partitions[0].cells == ((0, 1, 2),)
+    assert partitions[1].cells == ((0,), (1,), (2,))
 
 
 def test_natural_filtration_constant_price():
-    prices = PriceProcess((((F(0),) * 3, (F(0),) * 3, (F(0),) * 3),))
-    filtration = natural_filtration(prices)
-    assert all(p.cells == ((0, 1, 2),) for p in filtration.partitions)
+    prices = (((F(0),) * 3, (F(0),) * 3, (F(0),) * 3),)
+    assert all(p.cells == ((0, 1, 2),) for p in natural_filtration(prices))
 
 
 def test_natural_filtration_groups_by_prefix():
     # two-period recombining values (0; 1,-1; 0,0): terminal value equal but paths differ
-    prices = PriceProcess((((F(0), F(0)), (F(1), F(-1)), (F(0), F(0))),))
-    filtration = natural_filtration(prices)
-    assert filtration.partitions[0].cells == ((0, 1),)
-    assert filtration.partitions[1].cells == ((0,), (1,))
-    assert filtration.partitions[2].cells == ((0,), (1,))
+    prices = (((F(0), F(0)), (F(1), F(-1)), (F(0), F(0))),)
+    partitions = natural_filtration(prices)
+    assert partitions[0].cells == ((0, 1),)
+    assert partitions[1].cells == ((0,), (1,))
+    assert partitions[2].cells == ((0,), (1,))
 
 
 def test_conditional_expectation_examples(trinomial):
@@ -130,16 +126,38 @@ def test_measure_invariants(trinomial):
         Measure((F(1, 2), F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         Measure((F(-1, 2), F(1), F(1, 2)))
-    restricted = FilteredModel(
-        outcomes=model.outcomes,
-        grid=model.grid,
-        filtration=model.filtration,
-        prices=model.prices,
-        claims=model.claims,
-        priors=PriorSupport(frozenset({0, 2})),
-    )
-    with pytest.raises(ValueError):
+    restricted = replace(model, allowed=frozenset({0, 2}))
+    with pytest.raises(ValueError, match=r"outside the prior support: \[1\]"):
         restricted.measure([F(0), F(1), F(0)])
+
+
+@pytest.mark.parametrize("weights", [["1/2"], ["1/4", "1/4", "1/4", "1/4"]], ids=["short", "long"])
+def test_measure_names_a_wrong_length_before_the_sum(trinomial, weights):
+    with pytest.raises(ShapeError, match=f"measure has {len(weights)} weights, model has 3 terminal cells"):
+        trinomial.model.measure(weights)
+
+
+@pytest.mark.parametrize("payoff", [(F(1), F(1)), (F(1),) * 4], ids=["short", "long"])
+def test_expectation_rejects_a_payoff_of_the_wrong_length(trinomial, payoff):
+    q = trinomial.model.measure(["1/4", "1/2", "1/4"])
+    assert q.expectation((F(1), F(1), F(1))) == 1
+    with pytest.raises(ShapeError, match=f"payoff has {len(payoff)} entries, measure has 3"):
+        q.expectation(payoff)
+
+
+@pytest.mark.parametrize("k", [-1, 2, 99])
+def test_conditional_expectation_rejects_a_time_outside_the_grid(trinomial, k):
+    model = trinomial.model
+    q = model.measure(["1/4", "1/2", "1/4"])
+    with pytest.raises(ShapeError, match=f"time index {k} outside 0..1"):
+        conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
+
+
+@pytest.mark.parametrize("index", [-1, 3])
+def test_terminal_label_rejects_an_index_outside_the_cells(trinomial, index):
+    assert trinomial.model.terminal_label(2) == "d"
+    with pytest.raises(ShapeError, match=f"terminal cell index {index} outside 0..2"):
+        trinomial.model.terminal_label(index)
 
 
 @settings(max_examples=50, deadline=None)
@@ -180,12 +198,6 @@ def test_condexp_linearity(seed):
 def test_natural_filtration_always_valid(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    rebuilt = FilteredModel(
-        outcomes=model.outcomes,
-        grid=model.grid,
-        filtration=natural_filtration(model.prices),
-        prices=model.prices,
-        claims=(),
-        priors=PriorSupport(frozenset(range(len(natural_filtration(model.prices).partitions[-1].cells)))),
-    )
+    partitions = natural_filtration(model.prices)
+    rebuilt = replace(model, partitions=partitions, claims=(), allowed=frozenset(range(len(partitions[-1].cells))))
     assert validate_model(rebuilt).ok

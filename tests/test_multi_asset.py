@@ -5,15 +5,7 @@ from fractions import Fraction
 from semistatic.duality import robust_price, superhedge
 from semistatic.enlargement import SingleJump, enlarge, predictable_reduction
 from semistatic.hedging import is_semistatically_complete, terminal_gain, verify_jacod_yor
-from semistatic.model import (
-    FilteredModel,
-    Filtration,
-    Partition,
-    PriceProcess,
-    PriorSupport,
-    TimeGrid,
-    validate_model,
-)
+from semistatic.model import FilteredModel, Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 
 F = Fraction
@@ -25,11 +17,11 @@ def two_asset_model() -> FilteredModel:
     s2 = (F(1), F(-1), F(1), F(-1))
     return FilteredModel(
         outcomes=("uu", "ud", "du", "dd"),
-        grid=TimeGrid((F(0), F(1))),
-        filtration=Filtration([Partition([[0, 1, 2, 3]]), Partition([[0], [1], [2], [3]])]),
-        prices=PriceProcess((((F(0),) * 4, s1), ((F(0),) * 4, s2))),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, 1, 2, 3]]), Partition([[0], [1], [2], [3]])),
+        prices=(((F(0),) * 4, s1), ((F(0),) * 4, s2)),
         claims=(),
-        priors=PriorSupport(frozenset(range(4))),
+        allowed=frozenset(range(4)),
     )
 
 
@@ -69,7 +61,7 @@ def test_predictable_reduction_keeps_each_asset():
     model = two_asset_model()
     jump = SingleJump((0, None, None, None), (F(1), F(0), F(0), F(0)))
     enlarged = enlarge(model, [jump])
-    assert enlarged.model.filtration.partitions[0].cells == ((0,), (1, 2, 3))
+    assert enlarged.model.partitions[0].cells == ((0,), (1, 2, 3))
     assert [label for label, _ in enlarged.model.gains] == [
         ("gain", 1, 0, 0),
         ("gain", 1, 0, 1),

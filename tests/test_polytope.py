@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -21,8 +22,8 @@ F = Fraction
 def brute_force_vertices(cs):
     """Independent oracle: basic solutions over every independent column set."""
     cols = sorted(cs.allowed)
-    matrix = cs.matrix()
-    rhs = cs.rhs()
+    matrix = [row.coeffs for row in cs.rows]
+    rhs = [row.rhs for row in cs.rows]
     found = set()
     for size in range(1, len(cols) + 1):
         for subset in combinations(cols, size):
@@ -156,17 +157,7 @@ def test_brute_force_cross_check_at_twelve_atoms(seed):
 
 def test_forced_zero_degeneracy(trinomial):
     # a nonnegative claim with zero price pins its support cells to zero mass
-    from semistatic.model import FilteredModel, StaticClaim
-
-    base = trinomial.model
-    model = FilteredModel(
-        outcomes=base.outcomes,
-        grid=base.grid,
-        filtration=base.filtration,
-        prices=base.prices,
-        claims=(StaticClaim((F(1), F(0), F(1))),),
-        priors=base.priors,
-    )
+    model = replace(trinomial.model, claims=((F(1), F(0), F(1)),))
     vs = enumerate_extreme_points(build_constraints(model))
     assert [v.weights for v in vs.vertices] == [(F(0), F(1), F(0))]
 

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,7 @@ from hypothesis import strategies as st
 from semistatic import cli, hedging, linalg, polytope
 from semistatic.errors import NotComplete, NotMeasurable, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
-from semistatic.model import (
-    FilteredModel,
-    Filtration,
-    Partition,
-    PriceProcess,
-    conditional_expectation,
-    indicator,
-    validate_model,
-)
+from semistatic.model import Partition, conditional_expectation, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_measure, random_model
 from semistatic.tree import (
@@ -112,7 +105,7 @@ def test_sigma_tree_expectation_values(glued_two_vol):
     tree = AtomicTree(
         [TreeNode(tuple(range(4)), 0), TreeNode((0, 1), 1), TreeNode((2, 3), 1)]
     )
-    psi = model.claim_vector(0)
+    psi = model.claims[0]
     leafwise = sigma_tree_expectation(psi, tree, q, model)
     assert leafwise == (F(2), F(2), F(-1), F(-1))
     constant = sigma_tree_expectation((F(5),) * 4, tree, q, model)
@@ -166,7 +159,7 @@ def test_extract_tree_glued(glued_two_vol):
     assert isinstance(tree, AtomicTree)
     assert tree.dim == 2
     assert [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
-    psi = model.claim_vector(0)
+    psi = model.claims[0]
     projected = sigma_tree_expectation(psi, tree, q, model)
     gains = [vec for _, vec in model.gains]
     rows = [[g[a] for g in gains] for a in q.support]
@@ -255,7 +248,7 @@ def test_rank_identity_glued(glued_two_vol):
     tree = extract_tree(q, model)
     support = q.support
     leaf_vecs = [
-        [indicator(model, [a for a in range(model.n_cells) if set(model.terminal_cells[a]) <= set(leaf.cell)])[s] for s in support]
+        [F(1) if set(model.terminal_cells[s]) <= set(leaf.cell) else F(0) for s in support]
         for leaf in tree.leaves
     ]
     gain_vecs = [[vec[s] for s in support] for _, vec in model.gains]
@@ -358,7 +351,7 @@ def reference_birth_time(cell, model):
     covered = set(cell)
     if not reference_is_terminal_measurable(model, covered):
         raise NotMeasurable("event is not measurable at the terminal date")
-    for k, partition in enumerate(model.filtration.partitions):
+    for k, partition in enumerate(model.partitions):
         hit = [c for c in partition.cells if covered.intersection(c)]
         if all(set(c) <= covered for c in hit):
             return k
@@ -406,15 +399,11 @@ def doubled(model):
     def split(cells):
         return [[2 * w + s for w in cell for s in (0, 1)] for cell in cells]
 
-    return FilteredModel(
+    return replace(
+        model,
         outcomes=tuple(f"{name}{s}" for name in model.outcomes for s in "ab"),
-        grid=model.grid,
-        filtration=Filtration([Partition(split(p.cells)) for p in model.filtration.partitions]),
-        prices=PriceProcess(
-            tuple(tuple(tuple(x for x in row for _ in (0, 1)) for row in path) for path in model.prices.values)
-        ),
-        claims=model.claims,
-        priors=model.priors,
+        partitions=tuple(Partition(split(p.cells)) for p in model.partitions),
+        prices=tuple(tuple(tuple(x for x in row for _ in (0, 1)) for row in path) for path in model.prices),
     )
 
 
@@ -422,7 +411,7 @@ def drawn_events(rng, model):
     """The empty event, one outcome of the first terminal cell, unions of P_k cells, those unions
     less one outcome, and random outcome sets."""
     events = [(), model.terminal_cells[0][:1]]
-    for partition in model.filtration.partitions:
+    for partition in model.partitions:
         for _ in range(3):
             union = [w for cell in partition.cells if rng.random() < 0.5 for w in cell]
             events.append(tuple(union))
