@@ -205,7 +205,7 @@ def _cmd_informed_compare(scenario: Scenario, args) -> tuple[dict, int]:
     return report.to_json(enlarged), code
 
 
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
     if args.suite == "all":
         report = verify_suites.suite_all()
     elif args.suite == "multinomial":
@@ -216,17 +216,32 @@ def _cmd_verify(args) -> tuple[dict, int]:
     return report, PASS if report["ok"] else FAIL
 
 
+_SCENARIO = ("scenario", {"help": "path to a scenario JSON file"})
+_MEASURE = ("--measure", {"required": True})
+_PAYOFF = ("--payoff", {"required": True})
+
+# name -> (handler, arguments after --format in usage order); a command with a
+# scenario argument gets the loaded scenario, the others get None
 COMMANDS = {
-    "validate": _cmd_validate,
-    "extremes": _cmd_extremes,
-    "complete": _cmd_complete,
-    "replicate": _cmd_replicate,
-    "price": _cmd_price,
-    "superhedge": _cmd_superhedge,
-    "duality": _cmd_duality,
-    "tree": _cmd_tree,
-    "enlarge": _cmd_enlarge,
-    "informed-compare": _cmd_informed_compare,
+    "validate": (_cmd_validate, (_SCENARIO,)),
+    "extremes": (_cmd_extremes, (_SCENARIO,)),
+    "complete": (_cmd_complete, (_MEASURE, _SCENARIO)),
+    "replicate": (_cmd_replicate, (_PAYOFF, _MEASURE, _SCENARIO)),
+    "price": (_cmd_price, (_PAYOFF, _SCENARIO)),
+    "superhedge": (_cmd_superhedge, (_PAYOFF, _SCENARIO)),
+    "duality": (_cmd_duality, (_PAYOFF, _SCENARIO)),
+    "tree": (_cmd_tree, (_MEASURE, _SCENARIO)),
+    "enlarge": (_cmd_enlarge, (("--measure", {"default": None}), _SCENARIO)),
+    "informed-compare": (_cmd_informed_compare, (_SCENARIO,)),
+    "verify": (
+        _cmd_verify,
+        (
+            ("--suite", {"required": True, "choices": sorted(verify_suites.SUITES) + ["all"]}),
+            ("--pmax", {"type": int, "default": 5}),
+            ("--mmax", {"type": int, "default": 6}),
+            ("--seed", {"type": int, "default": None}),
+        ),
+    ),
 }
 
 
@@ -239,35 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", dest="format_global", choices=["json", "text"], default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", dest="format_sub", choices=["json", "text"], default=None)
-
-    def scenario_command(name: str, **flags):
+    for name, (_, arguments) in COMMANDS.items():
         p = sub.add_parser(name)
-        add_format(p)
-        for flag, kwargs in flags.items():
+        p.add_argument("--format", dest="format_sub", choices=["json", "text"], default=None)
+        for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
-        p.add_argument("scenario", help="path to a scenario JSON file")
-        return p
-
-    scenario_command("validate")
-    scenario_command("extremes")
-    scenario_command("complete", **{"--measure": {"required": True}})
-    scenario_command("replicate", **{"--payoff": {"required": True}, "--measure": {"required": True}})
-    scenario_command("price", **{"--payoff": {"required": True}})
-    scenario_command("superhedge", **{"--payoff": {"required": True}})
-    scenario_command("duality", **{"--payoff": {"required": True}})
-    scenario_command("tree", **{"--measure": {"required": True}})
-    scenario_command("enlarge", **{"--measure": {"required": False, "default": None}})
-    scenario_command("informed-compare")
-
-    verify = sub.add_parser("verify")
-    add_format(verify)
-    verify.add_argument("--suite", required=True, choices=sorted(verify_suites.SUITES) + ["all"])
-    verify.add_argument("--pmax", type=int, default=5)
-    verify.add_argument("--mmax", type=int, default=6)
-    verify.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -281,25 +272,19 @@ def main(argv: list[str] | None = None) -> int:
         # accepted for compatibility; evaluation is sequential and deterministic
         _emit({"error": f"SEMISTATIC_THREADS must be a positive integer, got {threads!r}"}, args.format)
         return INPUT_ERROR
+    handler, _ = COMMANDS[args.command]
     try:
-        if args.command == "verify":
-            report, code = _cmd_verify(args)
-            envelope = {"command": args.command, "result": report, "ok": code == PASS}
-        else:
-            scenario = load_scenario(args.scenario)
-            result, code = COMMANDS[args.command](scenario, args)
-            envelope = {
-                "command": args.command,
-                "scenario": scenario.name,
-                "result": result,
-                "ok": code == PASS,
-            }
+        scenario = load_scenario(args.scenario) if "scenario" in args else None
+        result, code = handler(scenario, args)
     except (ScenarioError, NotCalibrated, NotComplete) as exc:
         _emit({"error": str(exc)}, args.format)
         return INPUT_ERROR
     except SemistaticError as exc:
         _emit({"error": str(exc)}, args.format)
         return FAIL
+    envelope = {"command": args.command, "result": result, "ok": code == PASS}
+    if scenario is not None:
+        envelope["scenario"] = scenario.name
     _emit(envelope, args.format)
     return code
 

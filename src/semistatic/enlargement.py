@@ -269,6 +269,7 @@ def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
     That is, at each k the relation between the base cell and the enlarged
     cell of each charged terminal cell is a bijection.
     """
+    enlarged.model._check_weights(measure.weights)
     charged = [g for g, w in enumerate(measure.weights) if w > 0]
     for base_k, fine_k in zip(enlarged.base_cell_of, enlarged.model.coarse_cell_of):
         pairs = {(base_k[g], fine_k[g]) for g in charged}

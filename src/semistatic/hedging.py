@@ -41,7 +41,10 @@ class SemiStaticStrategy:
 
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
-        """The strategy whose coordinates on ``strategy_columns(model)`` are the values."""
+        """The strategy with these coordinates on ``strategy_columns(model)``; another count raises ShapeError."""
+        expected = len(strategy_columns(model))
+        if len(values) != expected:
+            raise ShapeError(f"strategy has {len(values)} coordinates, expected {expected}, one per strategy column")
         n_static = len(model.claims)
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
@@ -100,6 +103,7 @@ class HedgingSpan:
 
 
 def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
+    model._check_weights(measure.weights)
     columns = strategy_columns(model)
     support = measure.support
     restricted = [[vec[a] for a in support] for _, vec in columns]
@@ -177,15 +181,6 @@ class EquivalenceCheck:
         return self.extreme == self.expected and self.complete == self.expected
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    checks: tuple[EquivalenceCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
     n = len(measures[0].weights)
     weights = [ZERO] * n
@@ -195,12 +190,12 @@ def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
     return Measure(tuple(weights))
 
 
-def verify_jacod_yor(model: FilteredModel) -> EquivalenceReport:
-    """Instance check of the extremality/completeness equivalence.
+def verify_jacod_yor(model: FilteredModel) -> tuple[EquivalenceCheck, ...]:
+    """Instance checks of the extremality/completeness equivalence, one per measure tried.
 
     Every enumerated vertex must be extreme and complete; every pairwise
     midpoint and the barycenter (when they are not vertices themselves) must
-    be neither.
+    be neither.  The model passes when every check has ``passed``.
     """
     cs = model.constraints
     vertex_set = enumerate_extreme_points(cs)
@@ -226,7 +221,7 @@ def verify_jacod_yor(model: FilteredModel) -> EquivalenceReport:
         extreme, _ = is_extreme(mixture, cs)
         complete = is_semistatically_complete(mixture, model).complete
         checks.append(EquivalenceCheck(name, mixture.weights, False, extreme, complete))
-    return EquivalenceReport(tuple(checks))
+    return tuple(checks)
 
 
 @dataclass(frozen=True)

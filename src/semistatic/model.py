@@ -33,6 +33,11 @@ def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
     return tuple(sorted(tuple(sorted(set(c))) for c in cells))
 
 
+def _check_index(name: str, index: int, size: int) -> None:
+    if not 0 <= index < size:
+        raise ShapeError(f"{name} index {index} outside 0..{size - 1}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty cells of outcome indices covering the outcome set."""
@@ -106,9 +111,11 @@ class FilteredModel:
         return groups_of(self.coarse_cell_of, self.partitions)
 
     def price(self, asset: int, k: int, terminal_cell: int) -> Fraction:
-        """Price value on a terminal cell (well defined by adaptedness)."""
-        outcome = self.terminal_cells[terminal_cell][0]
-        return self.prices[asset][k][outcome]
+        """Price value on a terminal cell (well defined by adaptedness); an index out of range raises ShapeError."""
+        _check_index("asset", asset, len(self.prices))
+        _check_index("time", k, self.horizon + 1)
+        _check_index("terminal cell", terminal_cell, self.n_cells)
+        return self.prices[asset][k][self.terminal_cells[terminal_cell][0]]
 
     @cached_property
     def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
@@ -121,10 +128,11 @@ class FilteredModel:
         columns = []
         for k in range(1, self.horizon + 1):
             for c, group in enumerate(self.coarse_groups[k - 1]):
-                for j in range(len(self.prices)):
+                for j, path in enumerate(self.prices):
                     vec = [ZERO] * self.n_cells
                     for a in group:
-                        vec[a] = self.price(j, k, a) - self.price(j, k - 1, a)
+                        w = self.terminal_cells[a][0]
+                        vec[a] = path[k][w] - path[k - 1][w]
                     columns.append((("gain", k, c, j), tuple(vec)))
         return tuple(columns)
 
@@ -144,19 +152,22 @@ class FilteredModel:
         return "|".join(self.outcomes[w] for w in cell)
 
     def terminal_label(self, index: int) -> str:
-        if not 0 <= index < self.n_cells:
-            raise ShapeError(f"terminal cell index {index} outside 0..{self.n_cells - 1}")
+        _check_index("terminal cell", index, self.n_cells)
         return self.cell_label(self.terminal_cells[index])
 
     def measure(self, weights: Sequence[Fraction | int | str]) -> "Measure":
         """A probability measure on the terminal cells that charges only allowed cells."""
-        if len(weights) != self.n_cells:
-            raise ShapeError(f"measure has {len(weights)} weights, model has {self.n_cells} terminal cells")
+        self._check_weights(weights)
         measure = Measure(tuple(rat(w) for w in weights))
         bad = [a for a in measure.support if a not in self.allowed]
         if bad:
             raise ValueError(f"measure charges terminal cells outside the prior support: {bad}")
         return measure
+
+    def _check_weights(self, weights: Sequence) -> None:
+        """Raise ShapeError unless there is one weight per terminal cell."""
+        if len(weights) != self.n_cells:
+            raise ShapeError(f"measure has {len(weights)} weights, model has {self.n_cells} terminal cells")
 
 
 @dataclass(frozen=True)
@@ -338,7 +349,6 @@ def conditional_expectation(
     """E[payoff | P_k] under the measure, as a vector over terminal cells."""
     if len(payoff) != model.n_cells:
         raise ShapeError("payoff length must match terminal cells")
-    if not 0 <= k <= model.horizon:
-        raise ShapeError(f"time index {k} outside 0..{model.horizon}")
+    _check_index("time", k, model.horizon + 1)
     return condexp_groups(payoff, model.coarse_groups[k], measure.weights)
 

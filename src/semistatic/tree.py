@@ -147,7 +147,7 @@ def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]
 def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
     """Some price is nonzero on one of these terminal cells at a time up to k."""
     return any(
-        model.price(j, l, a) != 0 for a in cells for l in range(k + 1) for j in range(len(model.prices))
+        path[l][model.terminal_cells[a][0]] != 0 for a in cells for l in range(k + 1) for path in model.prices
     )
 
 
@@ -201,6 +201,7 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
 
 def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     """Leaves partition the space mod null and parents are atoms just before births."""
+    model._check_weights(measure.weights)
     counts = [0] * model.n_cells
     for leaf in tree.leaves:
         for a in _cells_within(model, leaf.cell)[0]:

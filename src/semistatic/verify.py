@@ -1,16 +1,20 @@
 """Randomized property suites behind the `verify` command.
 
-Each suite runs a seeded corpus and returns a plain JSON-ready report; the
-seeds are fixed so repeated runs are byte-identical.  The suites mirror the
-acceptance gates: extremality/completeness equivalence, exact superhedging
-duality with complementary slackness, the enlarged-filtration compensated
-martingale, the claims-free extreme-point comparison, and the combinatorial
-moment bound.
+Each randomized suite is a per-instance trial run by one seeded runner,
+``_suite``: the runner draws every instance from one ``random.Random(seed)``,
+the trial yields one entry per check (``None`` if it passed, otherwise a
+failure dict naming the instance), and the runner counts the checks and
+returns a plain JSON-ready report.  The seeds are fixed, so repeated runs are
+byte-identical.  The suites mirror the acceptance gates: extremality/
+completeness equivalence, exact superhedging duality with complementary
+slackness, the enlarged-filtration compensated martingale, the claims-free
+extreme-point comparison, and the combinatorial moment bound.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, Iterable
 
 from . import bounds
 from .duality import robust_price, superhedge
@@ -26,148 +30,112 @@ JEULIN_YOR_SEED = 70303
 COROLLARY_SEED = 70304
 
 
-def suite_jacod_yor(seed: int = JACOD_YOR_SEED, n_models: int = 200) -> dict:
+def _suite(name: str, seed: int, instances: int, trial: Callable[[random.Random, int], Iterable[dict | None]]) -> dict:
+    """Run ``trial`` on instances 0..instances-1 from one seeded generator and report every failed check."""
     rng = random.Random(seed)
     checks = 0
     failures: list[dict] = []
-    for idx in range(n_models):
-        model, _ = random_model(rng)
-        report = verify_jacod_yor(model)
-        checks += len(report.checks)
-        for check in report.checks:
-            if not check.passed:
-                failures.append(
-                    {
-                        "instance": idx,
-                        "case": check.description,
-                        "weights": [fmt(w) for w in check.weights],
-                        "extreme": check.extreme,
-                        "complete": check.complete,
-                    }
-                )
-        vertex_set = enumerate_extreme_points(model.constraints)
-        for _ in range(2):
-            mixture = random_mixture(rng, vertex_set)
-            extreme, _ = is_extreme(mixture, model.constraints)
-            complete = is_semistatically_complete(mixture, model).complete
+    for idx in range(instances):
+        for failure in trial(rng, idx):
             checks += 1
-            if extreme != complete:
-                failures.append(
-                    {
-                        "instance": idx,
-                        "case": "random mixture",
-                        "weights": [fmt(w) for w in mixture.weights],
-                        "extreme": extreme,
-                        "complete": complete,
-                    }
-                )
+            if failure is not None:
+                failures.append(failure)
     return {
-        "suite": "jacod-yor",
+        "suite": name,
         "seed": seed,
-        "instances": n_models,
+        "instances": instances,
         "checks": checks,
         "failures": failures,
         "ok": not failures,
     }
 
 
+def _equivalence_failure(idx: int, case: str, weights, extreme: bool, complete: bool) -> dict:
+    """The failure entry of a measure whose extremality and completeness disagree with the theorem."""
+    return {
+        "instance": idx,
+        "case": case,
+        "weights": [fmt(w) for w in weights],
+        "extreme": extreme,
+        "complete": complete,
+    }
+
+
+def suite_jacod_yor(seed: int = JACOD_YOR_SEED, n_models: int = 200) -> dict:
+    def trial(rng: random.Random, idx: int):
+        model, _ = random_model(rng)
+        for check in verify_jacod_yor(model):
+            yield None if check.passed else _equivalence_failure(
+                idx, check.description, check.weights, check.extreme, check.complete
+            )
+        vertex_set = enumerate_extreme_points(model.constraints)
+        for _ in range(2):
+            mixture = random_mixture(rng, vertex_set)
+            extreme, _ = is_extreme(mixture, model.constraints)
+            complete = is_semistatically_complete(mixture, model).complete
+            yield None if extreme == complete else _equivalence_failure(
+                idx, "random mixture", mixture.weights, extreme, complete
+            )
+
+    return _suite("jacod-yor", seed, n_models, trial)
+
+
 def suite_duality(seed: int = DUALITY_SEED, n_models: int = 200, payoffs_each: int = 5) -> dict:
-    rng = random.Random(seed)
-    checks = 0
-    failures: list[dict] = []
-    for idx in range(n_models):
+    def trial(rng: random.Random, idx: int):
         model, _ = random_model(rng)
         vertex_set = enumerate_extreme_points(model.constraints)
         for _ in range(payoffs_each):
             payoff = random_payoff(rng, model)
             primal = superhedge(payoff, model)
             dual = robust_price(payoff, model, vertex_set)
-            checks += 1
             if primal.price is None or dual.value is None or primal.price != dual.value:
-                failures.append(
-                    {
-                        "instance": idx,
-                        "kind": "gap",
-                        "payoff": [fmt(x) for x in payoff],
-                        "primal": "-inf" if primal.price is None else fmt(primal.price),
-                        "dual": "-inf" if dual.value is None else fmt(dual.value),
-                    }
-                )
+                yield {
+                    "instance": idx,
+                    "kind": "gap",
+                    "payoff": [fmt(x) for x in payoff],
+                    "primal": "-inf" if primal.price is None else fmt(primal.price),
+                    "dual": "-inf" if dual.value is None else fmt(dual.value),
+                }
                 continue
+            yield None  # no gap
             tight = set(primal.tight)
             slack_ok = all(a in tight for m in dual.argmax for a in m.support)
-            checks += 1
-            if not slack_ok:
-                failures.append(
-                    {
-                        "instance": idx,
-                        "kind": "complementary slackness",
-                        "payoff": [fmt(x) for x in payoff],
-                    }
-                )
-    return {
-        "suite": "duality",
-        "seed": seed,
-        "instances": n_models,
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }
+            yield None if slack_ok else {
+                "instance": idx,
+                "kind": "complementary slackness",
+                "payoff": [fmt(x) for x in payoff],
+            }
+
+    return _suite("duality", seed, n_models, trial)
 
 
 def suite_jeulin_yor(seed: int = JEULIN_YOR_SEED, n_trials: int = 200) -> dict:
-    rng = random.Random(seed)
-    checks = 0
-    failures: list[dict] = []
-    for idx in range(n_trials):
+    def trial(rng: random.Random, idx: int):
         model, _ = random_model(rng)
         jump = random_jump(rng, model)
         enlarged = enlarge(model, [jump])
         measure = random_measure(rng, enlarged.model)
         jy = jeulin_yor(measure, jump, enlarged)
         comp = jy.compensator
-        checks += 3
-        if not comp.predictable_ok:
-            failures.append({"instance": idx, "kind": "compensator not predictable"})
-        if not comp.martingale_ok:
-            failures.append({"instance": idx, "kind": "compensated jump not a base martingale"})
-        if not jy.martingale_ok:
-            failures.append({"instance": idx, "kind": "enlarged martingale property fails"})
-    return {
-        "suite": "jeulin-yor",
-        "seed": seed,
-        "instances": n_trials,
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }
+        yield None if comp.predictable_ok else {"instance": idx, "kind": "compensator not predictable"}
+        yield None if comp.martingale_ok else {"instance": idx, "kind": "compensated jump not a base martingale"}
+        yield None if jy.martingale_ok else {"instance": idx, "kind": "enlarged martingale property fails"}
+
+    return _suite("jeulin-yor", seed, n_trials, trial)
 
 
 def suite_corollary54(seed: int = COROLLARY_SEED, n_instances: int = 100) -> dict:
-    rng = random.Random(seed)
-    checks = 0
-    failures: list[dict] = []
-    for idx in range(n_instances):
+    def trial(rng: random.Random, idx: int):
         model, _ = random_model(rng, n_claims=0)
         jumps = [random_jump(rng, model) for _ in range(rng.randint(1, 2))]
         report, enlarged = informed_compare(model, jumps)
-        checks += 1
-        if report.corollary_equal is not True:
-            failures.append(
-                {
-                    "instance": idx,
-                    "ext_G": report.ext_enlarged.to_json(enlarged.model),
-                    "expected": [m.to_json(enlarged.model) for m in report.expected_enlarged or ()],
-                }
-            )
-    return {
-        "suite": "corollary54",
-        "seed": seed,
-        "instances": n_instances,
-        "checks": checks,
-        "failures": failures,
-        "ok": not failures,
-    }
+        yield None if report.corollary_equal is True else {
+            "instance": idx,
+            "ext_G": report.ext_enlarged.to_json(enlarged.model),
+            "expected": [m.to_json(enlarged.model) for m in report.expected_enlarged or ()],
+        }
+
+    return _suite("corollary54", seed, n_instances, trial)
 
 
 def suite_multinomial(p_max: int = 5, m_max: int = 6) -> dict:

@@ -5,9 +5,14 @@ full scale.  All equalities are exact rational comparisons; there are no
 tolerances anywhere.
 """
 
+import hashlib
 import time
+from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
+from semistatic import hedging, verify
 from semistatic.bounds import multinomial_lhs, verify_multinomial_inequality
 from semistatic.duality import detect_arbitrage, robust_price
 from semistatic.enlargement import informed_compare
@@ -24,6 +29,9 @@ from semistatic.verify import (
 )
 
 F = Fraction
+
+# sha256 of canonical_json(suite_all()), the file scripts/verify_all.py writes
+VERIFY_REPORT_SHA256 = "7e99d10a394dde71df1542997713ad8daa467307e4627d6eadc29ba2a96aec7b"
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -133,5 +141,76 @@ def test_criterion_10_deterministic_reports(capsys):
     first = capsys.readouterr().out
     assert main(["--format", "json", "verify", "--suite", "all"]) == 0
     second = capsys.readouterr().out
-    ok = first == second and len(first) > 100 and canonical_json(suite_all()).strip() in first
+    report = canonical_json(suite_all())
+    ok = first == second and len(first) > 100 and report.strip() in first
+    ok = ok and hashlib.sha256(report.encode()).hexdigest() == VERIFY_REPORT_SHA256
     _report(10, "full verify suite reports are byte-identical across runs", ok)
+
+
+def _flip_complete(monkeypatch):
+    real = hedging.is_semistatically_complete
+
+    def flipped(measure, model):
+        report = real(measure, model)
+        return replace(report, complete=not report.complete)
+
+    monkeypatch.setattr(hedging, "is_semistatically_complete", flipped)
+    monkeypatch.setattr(verify, "is_semistatically_complete", flipped)
+    return verify.suite_jacod_yor(n_models=3)
+
+
+def _widen_gap(monkeypatch):
+    real = verify.robust_price
+
+    def shifted(payoff, model, vertex_set):
+        result = real(payoff, model, vertex_set)
+        return replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(verify, "robust_price", shifted)
+    return verify.suite_duality(n_models=3)
+
+
+def _drop_tight_cells(monkeypatch):
+    real = verify.superhedge
+    monkeypatch.setattr(verify, "superhedge", lambda payoff, model: replace(real(payoff, model), tight=()))
+    return verify.suite_duality(n_models=3)
+
+
+def _break_martingales(monkeypatch):
+    real = verify.jeulin_yor
+
+    def broken(measure, jump, enlarged):
+        jy = real(measure, jump, enlarged)
+        compensator = replace(jy.compensator, predictable_ok=False, martingale_ok=False)
+        return replace(jy, martingale_ok=False, compensator=compensator)
+
+    monkeypatch.setattr(verify, "jeulin_yor", broken)
+    return verify.suite_jeulin_yor(n_trials=3)
+
+
+def _deny_corollary(monkeypatch):
+    real = verify.informed_compare
+
+    def denied(model, jumps):
+        report, enlarged = real(model, jumps)
+        return replace(report, corollary_equal=False), enlarged
+
+    monkeypatch.setattr(verify, "informed_compare", denied)
+    return verify.suite_corollary54(n_instances=3)
+
+
+FAILURE_REPORTS = {
+    _flip_complete: "74dca2ef8ddb3260aa464e18de96df4f5076bb51f77ef7d24d8a9f95a81e45e1",
+    _widen_gap: "662ff131d3229e35657aa6258bd30fef07ec061c92be46322c0c0a33819f4bf2",
+    _drop_tight_cells: "ff2122cfd79de6a90ad6b47d849be1ed9162370ddefab3509e6eace35bca8d0f",
+    _break_martingales: "a1579e0dd46db47e4fec9f6ac571bb43c8767575979ad5982ea307c079f70b70",
+    _deny_corollary: "b1b4accefa74f3a2da9726c8a88640c1b9b9e01a991c45c3110560b0681f1ed3",
+}
+
+
+@pytest.mark.parametrize("force", FAILURE_REPORTS, ids=lambda force: force.__name__.strip("_"))
+def test_verify_failure_reports_are_pinned(monkeypatch, force):
+    """Each randomized suite, its check forced to fail on every instance, keeps its failure entries."""
+    report = force(monkeypatch)
+    assert not report["ok"] and report["failures"] and report["instances"] == 3
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == FAILURE_REPORTS[force]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -286,6 +287,30 @@ def test_reused_parser_matches_fresh_parser(capsys):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
     assert reused[2][1] == "" and "usage:" in reused[2][2]
+
+
+# every subcommand, in the order argparse lists them
+SUBCOMMANDS = (
+    "validate", "extremes", "complete", "replicate", "price", "superhedge",
+    "duality", "tree", "enlarge", "informed-compare", "verify",
+)
+USAGE_SHA256 = "295165025189813de0373211de5805d1bd904c61361e104df2ca51526db59b87"
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout differs between Python versions")
+def test_usage_output_is_pinned(monkeypatch, capsys):
+    """The top-level help, each subcommand's help and an invalid-choice error, byte for byte."""
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["--help"], *([name, "--help"] for name in SUBCOMMANDS), ["nope"]]
+    outputs = []
+    for argv in calls:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        outputs.append([argv, exc.value.code, captured.out, captured.err])
+    assert [code for _, code, _, _ in outputs] == [0] * 12 + [2]
+    assert "invalid choice: 'nope'" in outputs[-1][3]
+    assert hashlib.sha256(json.dumps(outputs).encode()).hexdigest() == USAGE_SHA256
 
 
 def unlimited_str(n):

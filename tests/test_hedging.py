@@ -111,6 +111,16 @@ def test_strategy_payoff_rejects_static_positions_of_the_wrong_length(trinomial_
         strategy_payoff(strategy, model)
 
 
+@pytest.mark.parametrize("count", [2, 4], ids=["one too few", "one too many"])
+def test_from_coordinates_rejects_a_coordinate_count_off_the_columns(trinomial_calibrated, count):
+    model = trinomial_calibrated.model
+    assert len(strategy_columns(model)) == 3
+    strategy = SemiStaticStrategy.from_coordinates([F(1), F(2), F(3)], model)
+    assert (strategy.cash, strategy.static, strategy.dynamic) == (F(1), (F(2),), (F(3),))
+    with pytest.raises(ShapeError, match=f"strategy has {count} coordinates, expected 3"):
+        SemiStaticStrategy.from_coordinates([F(0)] * count, model)
+
+
 def test_replicate_failure_residual(trinomial):
     model = trinomial.model
     q = model.measure(["1/4", "1/2", "1/4"])
@@ -158,7 +168,7 @@ def test_replicate_residual_at_vertex_midpoints():
 
 def test_verify_jacod_yor_scenarios(trinomial, binomial, trinomial_calibrated):
     for scenario in (trinomial, binomial, trinomial_calibrated):
-        assert verify_jacod_yor(scenario.model).ok
+        assert all(c.passed for c in verify_jacod_yor(scenario.model))
 
 
 def test_verify_jacod_yor_empty(informed_arbitrage):
@@ -253,7 +263,7 @@ def test_replication_soundness(seed):
 def test_equivalence_on_random_models(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    assert verify_jacod_yor(model).ok
+    assert all(c.passed for c in verify_jacod_yor(model))
 
 
 @settings(max_examples=30, deadline=None)

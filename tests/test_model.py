@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic.enlargement import enlarge, filtrations_coincide
 from semistatic.errors import ShapeError
+from semistatic.hedging import hedging_span
 from semistatic.model import (
     FilteredModel,
     Measure,
@@ -16,6 +18,7 @@ from semistatic.model import (
     validate_model,
 )
 from semistatic.sampling import random_measure, random_model, random_payoff
+from semistatic.tree import AtomicTree, TreeNode, is_full
 
 F = Fraction
 
@@ -158,6 +161,40 @@ def test_terminal_label_rejects_an_index_outside_the_cells(trinomial, index):
     assert trinomial.model.terminal_label(2) == "d"
     with pytest.raises(ShapeError, match=f"terminal cell index {index} outside 0..2"):
         trinomial.model.terminal_label(index)
+
+
+@pytest.mark.parametrize(
+    "index, message",
+    [
+        ((-1, 0, 0), "asset index -1 outside 0..0"),
+        ((1, 0, 0), "asset index 1 outside 0..0"),
+        ((0, -1, 0), "time index -1 outside 0..1"),
+        ((0, 2, 0), "time index 2 outside 0..1"),
+        ((0, 0, -1), "terminal cell index -1 outside 0..2"),
+        ((0, 0, 3), "terminal cell index 3 outside 0..2"),
+    ],
+)
+def test_price_rejects_an_index_outside_the_model(trinomial_calibrated, index, message):
+    model = trinomial_calibrated.model
+    assert model.price(0, 1, 2) == -1
+    with pytest.raises(ShapeError, match=message):
+        model.price(*index)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        hedging_span,
+        lambda model, measure: filtrations_coincide(measure, enlarge(model, [])),
+        lambda model, measure: is_full(AtomicTree([TreeNode((0, 1, 2), 0)]), measure, model),
+    ],
+    ids=["hedging_span", "filtrations_coincide", "is_full"],
+)
+def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
+    model = trinomial_calibrated.model
+    check(model, model.measure(["1/4", "1/2", "1/4"]))
+    with pytest.raises(ShapeError, match="measure has 1 weights, model has 3 terminal cells"):
+        check(model, Measure((F(1),)))
 
 
 @settings(max_examples=50, deadline=None)
