@@ -12,13 +12,14 @@ of the terminal partition P_K; payoff vectors are indexed the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ShapeError
-from .rationals import fmt, rat
+from .rationals import common_denominator, fmt, rat
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -30,10 +31,12 @@ Payoff = tuple[Fraction, ...]
 
 
 def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
-    return tuple(sorted(tuple(sorted(set(c))) for c in cells))
+    return tuple(sorted([tuple(sorted(set(c))) for c in cells]))
 
 
 def _check_index(name: str, index: int, size: int) -> None:
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ShapeError(f"{name} index {index!r} is not an int")
     if not 0 <= index < size:
         raise ShapeError(f"{name} index {index} outside 0..{size - 1}")
 
@@ -172,19 +175,27 @@ class FilteredModel:
 
 @dataclass(frozen=True)
 class Measure:
-    """Nonnegative rational weights over terminal cells summing to one."""
+    """Nonnegative rational weights over terminal cells summing to one.
+
+    Each weight is an ``int`` or a ``Fraction``; anything else (a float, a
+    bool, a string) raises ``TypeError``, as ``rat`` does.  Sign and sum are
+    checked exactly on the numerators over the lcm of the denominators, and
+    ``support``, the indices of the charged cells, is computed once here.
+    """
 
     weights: Payoff
+    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if any(w < 0 for w in self.weights):
+        for w in self.weights:
+            if type(w) is not Fraction and type(w) is not int:
+                raise TypeError(f"measure weights must be int or Fraction, got {w!r}")
+        numerators, scale = common_denominator(self.weights)
+        if any(x < 0 for x in numerators):
             raise ValueError("measure weights must be nonnegative")
-        if sum((w for w in self.weights if w), ZERO) != 1:
+        if sum(numerators) != scale:
             raise ValueError("measure weights must sum to exactly 1")
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(a for a, w in enumerate(self.weights) if w > 0)
+        object.__setattr__(self, "support", tuple(a for a, x in enumerate(numerators) if x))
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
         if len(payoff) != len(self.weights):
@@ -241,8 +252,12 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         bad.append(Violation("filtration", "partitions", "need one partition per time index"))
     universe = frozenset(range(n))
     for k, partition in enumerate(partitions):
+        cells = partition.cells
+        # nonempty cells of n outcomes in all whose union is 0..n-1 are a partition; else find what is wrong
+        if all(cells) and sum(map(len, cells)) == n and universe == set(chain.from_iterable(cells)):
+            continue
         seen: set[int] = set()
-        for cell in partition.cells:
+        for cell in cells:
             if not cell:
                 bad.append(Violation("partition", f"P_{k}", "empty cell"))
             if seen.intersection(cell):
@@ -273,7 +288,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
             if k < len(partitions):
                 for cell in partitions[k].cells:
                     # an empty cell or one naming an unknown outcome is reported above and compares nothing here
-                    if universe.issuperset(cell) and any(slice_k[w] != slice_k[cell[0]] for w in cell):
+                    if len(cell) > 1 and universe.issuperset(cell) and not is_constant_on(slice_k, cell):
                         bad.append(
                             Violation(
                                 "adapted",
@@ -296,19 +311,33 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def is_constant_on(values: Sequence[Fraction], cell: Cell) -> bool:
+    """Whether the values agree on the nonempty cell; shared values compare by identity first."""
+    base = values[cell[0]]
+    for w in cell[1:]:
+        value = values[w]
+        if value is not base and value != base:
+            return False
+    return True
+
+
 def natural_filtration(prices: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[Partition, ...]:
     """Coarsest refining filtration making the prices ``prices[j][k][w]`` adapted.
 
-    P_k groups outcomes by the tuple of all asset values up to time k; groups
-    by a longer prefix automatically refine groups by a shorter one.
+    P_k groups outcomes by the tuple of all asset values up to time k, that is
+    by their P_{k-1} cell and the asset values at time k; groups by a longer
+    prefix automatically refine groups by a shorter one.
     """
     n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []
+    cell_of = [0] * n  # each outcome's group at the previous time; one group before time 0
     for k in range(len(prices[0]) if prices else 1):
         groups: dict[tuple, list[int]] = {}
         for w in range(n):
-            key = tuple(asset[t][w] for t in range(k + 1) for asset in prices)
-            groups.setdefault(key, []).append(w)
+            groups.setdefault((cell_of[w], *(asset[k][w] for asset in prices)), []).append(w)
+        for c, group in enumerate(groups.values()):
+            for w in group:
+                cell_of[w] = c
         partitions.append(Partition(groups.values()))
     return tuple(partitions)
 

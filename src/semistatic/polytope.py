@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import linalg
-from .errors import ConstraintViolation, InvariantViolation
+from .errors import ConstraintViolation, InvariantViolation, ShapeError
 from .model import FilteredModel, Measure, Payoff
-from .rationals import integer_row
+from .rationals import common_denominator, integer_row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -44,6 +45,11 @@ class ConstraintSystem:
     rows: tuple[Row, ...]
     allowed: frozenset[int]
     n_cells: int
+
+    @cached_property
+    def normals(self) -> tuple[list[int], ...]:
+        """Each row as the int normal ``integer_row(coeffs + (-rhs,))``, built once per system."""
+        return tuple(integer_row(row.coeffs + (-row.rhs,)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,21 @@ def build_constraints(model: FilteredModel) -> ConstraintSystem:
 
 
 def member(measure: Measure, cs: ConstraintSystem) -> bool:
-    """Exact satisfaction of every row, the bounds, and the support mask."""
-    if len(measure.weights) != cs.n_cells:
-        return False
-    if any(w < 0 for w in measure.weights):
-        return False
-    if any(w > 0 and a not in cs.allowed for a, w in enumerate(measure.weights)):
-        return False
-    support = measure.support
+    """Exact satisfaction of every row and the support mask, in ints.
+
+    The weights are nonnegative (``Measure`` checks that); each normal is
+    tested against the charged weights' numerators over their lcm.  A
+    measure of another length raises ShapeError.
+    """
     weights = measure.weights
-    return all(sum((row.coeffs[a] * weights[a] for a in support), ZERO) == row.rhs for row in cs.rows)
+    if len(weights) != cs.n_cells:
+        raise ShapeError(f"measure has {len(weights)} weights, model has {cs.n_cells} terminal cells")
+    support = measure.support
+    if not cs.allowed.issuperset(support):
+        return False
+    numerators, scale = common_denominator([weights[a] for a in support])
+    charged = list(zip(support, numerators))
+    return all(sum(normal[a] * x for a, x in charged) == -normal[-1] * scale for normal in cs.normals)
 
 
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:
@@ -172,21 +183,23 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     """All vertices of {q >= 0 : Aq = b}, in canonical order.
 
     Double description on the homogenized cone {(q, t) >= 0 : Aq = b t} over
-    the allowed cells, with each row scaled to an integer normal.  The rows
-    are intersected deepest first: the martingale rows in reverse (k, c, j)
-    order, then the calibration rows, then the normalization row, which
-    keeps far fewer intermediate rays than the given order.  ``cs.rows``
-    keeps its order, and the vertices are sorted afterwards, so the output
-    does not depend on the row order.  The normalization row forces t > 0 on
-    every surviving ray, so rays and vertices correspond one-to-one and an
-    infeasible system leaves no ray.  Each ray passes ``_check_vertex_ray``
-    in int arithmetic before any Fraction is built for it.  Extremality
-    certificates are built on demand by ``certify``.
+    the allowed cells, with each row's int normal (``cs.normals``) restricted
+    to those cells.  The rows are intersected deepest first: the martingale
+    rows in reverse (k, c, j) order, then the calibration rows, then the
+    normalization row, which keeps far fewer intermediate rays than the given
+    order.  ``cs.rows`` keeps its order, and the vertices are sorted
+    afterwards, so the output does not depend on the row order.  The
+    normalization row forces t > 0 on every surviving ray, so rays and
+    vertices correspond one-to-one and an infeasible system leaves no ray.
+    Each ray passes ``_check_vertex_ray`` in int arithmetic before any
+    Fraction is built for it.  Extremality certificates are built on demand
+    by ``certify``.
     """
     cols = sorted(cs.allowed)
-    martingale = [row for row in cs.rows if row.label[0] == "martingale"]
-    others = [row for row in cs.rows if row.label[0] != "martingale"]
-    normals = [integer_row([row.coeffs[c] for c in cols] + [-row.rhs]) for row in martingale[::-1] + others]
+    martingale = [normal for row, normal in zip(cs.rows, cs.normals) if row.label[0] == "martingale"]
+    others = [normal for row, normal in zip(cs.rows, cs.normals) if row.label[0] != "martingale"]
+    # a positive multiple of the row re-scaled over these cells alone: the same primitive rays
+    normals = [[normal[c] for c in cols] + [normal[-1]] for normal in martingale[::-1] + others]
     normals = [normal for normal in normals if any(normal)]
     vertices: list[tuple[tuple[int, ...], Payoff]] = []
     for ray in _double_description(normals, len(cols) + 1):

@@ -15,15 +15,7 @@ from typing import Sequence
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, a Fraction, or a "p/q" string."""
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational")
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(f"floats are not accepted, got {value!r}")
+    """Parse an exact rational from a "p/q" string, an int, or a Fraction."""
     if isinstance(value, str):
         text = value.strip()
         if "/" in text:
@@ -33,15 +25,39 @@ def rat(value: int | str | Fraction) -> Fraction:
                 raise ValueError(f"zero denominator in {value!r}")
             return Fraction(numerator, denominator)
         return Fraction(int(text))
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(f"floats are not accepted, got {value!r}")
     raise TypeError(f"cannot parse rational from {type(value).__name__}")
 
 
 def fmt(value: Fraction) -> str:
-    """Canonical string form: reduced, q > 0, "/1" omitted."""
-    # Decimal(n) is exact and its str() has no int-to-string digit limit
-    if value.denominator == 1:
-        return str(Decimal(value.numerator))
-    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+    """Canonical string form: reduced, q > 0, "/1" omitted.
+
+    This is ``str(value)``.  Past Python's int-to-string digit limit (4300
+    digits by default) ``str`` raises, and the same form is built from
+    ``Decimal(n)``, which is exact and has no such limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if value.denominator == 1:
+            return str(Decimal(value.numerator))
+        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The values as int numerators over the lcm of their denominators, and that lcm."""
+    if all(type(x) is int for x in values):
+        return list(values), 1
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def integer_row(values: Sequence[Fraction | int]) -> list[int]:
@@ -49,7 +65,4 @@ def integer_row(values: Sequence[Fraction | int]) -> list[int]:
 
     A row that is already all ints is returned as a plain copy.
     """
-    if all(type(x) is int for x in values):
-        return list(values)
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values]
+    return common_denominator(values)[0]

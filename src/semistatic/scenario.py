@@ -15,7 +15,15 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import SemistaticError
-from .model import FilteredModel, Measure, Partition, Payoff, natural_filtration, validate_model
+from .model import (
+    FilteredModel,
+    Measure,
+    Partition,
+    Payoff,
+    is_constant_on,
+    natural_filtration,
+    validate_model,
+)
 from .rationals import rat
 
 ZERO = Fraction(0)
@@ -38,31 +46,48 @@ class Scenario:
 def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], what: str) -> Payoff:
     out = []
     for cell in cells:
-        base = values[cell[0]]
-        if any(values[w] != base for w in cell):
+        if len(cell) > 1 and not is_constant_on(values, cell):
             raise ScenarioError(f"{what} is not constant on the terminal cell {sorted(cell)}")
-        out.append(base)
+        out.append(values[cell[0]])
     return tuple(out)
 
 
+class _Numbers(dict):
+    """Wire tokens to Fractions for one parse: equal tokens are parsed once and share one Fraction.
+
+    Only ``str`` and ``int`` tokens are keys, so a bool or a float never
+    meets the int it compares equal to, and ``rat`` rejects it.
+    """
+
+    def __missing__(self, token: str | int) -> Fraction:
+        value = self[token] = rat(token)
+        return value
+
+    def number(self, token) -> Fraction:
+        return self[token] if type(token) is str or type(token) is int else rat(token)
+
+    def vector(self, tokens) -> tuple[Fraction, ...]:
+        return tuple(map(self.number, tokens))
+
+
 def load_scenario(path: str | Path) -> Scenario:
+    file = Path(path)
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(file.read_text())
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, or an integer past the digit limit
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return parse_scenario(data, name_hint=Path(path).stem)
+    return parse_scenario(data, name_hint=file.stem)
 
 
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
+    numbers = _Numbers()
     try:
-        outcomes = tuple(str(w) for w in data["outcomes"])
+        outcomes = tuple(map(str, data["outcomes"]))
         if len(set(outcomes)) != len(outcomes):
             raise ScenarioError("outcome labels must be unique")
         index = {w: i for i, w in enumerate(outcomes)}
-        times = tuple(rat(t) for t in data["times"])
-        prices = tuple(
-            tuple(tuple(rat(x) for x in slice_k) for slice_k in asset) for asset in data["prices"]
-        )
+        times = numbers.vector(data["times"])
+        prices = tuple(tuple(map(numbers.vector, asset)) for asset in data["prices"])
 
         spec = data.get("filtration", "natural")
         if spec == "natural":
@@ -72,7 +97,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
         terminal = partitions[-1].cells
         claims = tuple(
-            _quotient(tuple(rat(x) for x in payoff), terminal, f"claim {i}")
+            _quotient(numbers.vector(payoff), terminal, f"claim {i}")
             for i, payoff in enumerate(data.get("claims", []))
         )
 
@@ -107,11 +132,11 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{model.horizon}, got {t}")
                 tau[index[w]] = None if t == "inf" else t
             for w, x in j["mark"].items():
-                mark[index[w]] = rat(x)
+                mark[index[w]] = numbers.number(x)
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
 
         payoffs = {
-            name: _quotient(tuple(rat(x) for x in vec), terminal, f"payoff {name}")
+            name: _quotient(numbers.vector(vec), terminal, f"payoff {name}")
             for name, vec in data.get("payoffs", {}).items()
         }
     except ScenarioError:

@@ -9,18 +9,20 @@ every solution, ray and objective, are those of the explicitly split program.
 Every tableau row, the reduced-cost row included, is a list of ints that is a
 positive multiple of the rational row it stands for.  A pivot is
 ``linalg.pivot``, the engine's one fraction-free elimination kernel (Bareiss
-1968); the reduced-cost row is priced once per phase and then eliminated like
-the others.  A positive factor changes no sign and no ratio, so Bland's rule
-(lowest eligible index enters, lowest basic index breaks ratio ties) makes the
-same choices as over the rationals: the method terminates without any
-perturbation and runs stay deterministic.  Fractions are built only for the
-returned solution, ray and objective.
+1968); the reduced-cost row is built once per phase (in closed form for phase
+1, by ``price`` for phase 2) and then eliminated like the others.  A positive
+factor changes no sign and no ratio, so Bland's rule (lowest eligible index
+enters, lowest basic index breaks ratio ties) makes the same choices as over
+the rationals: the method terminates without any perturbation and runs stay
+deterministic.  Fractions are built only for the returned solution, ray and
+objective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from . import linalg
@@ -38,12 +40,35 @@ class LPResult:
     ray: tuple[Fraction, ...] | None = None  # improving feasible direction when unbounded
 
 
+def phase1_objective(rows: list[list[int]], n: int) -> list[int]:
+    """The phase-1 reduced-cost row while every artificial is basic, in closed form.
+
+    Row i has its artificial entry s_i > 0 in column n + i and zero in every
+    other artificial column.  The cost is 1 on each artificial, so the
+    rational reduced-cost row is minus the sum of the rows r_i / s_i, with
+    zero on the artificial columns.  Scaled by L = lcm(s_i) and divided by
+    its gcd, it is the row that eliminating each basic column would give.
+    """
+    m = len(rows)
+    scale = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    objective = [0] * (n + m + 1)
+    for i, row in enumerate(rows):
+        f = scale // row[n + i]
+        for j in range(n):
+            if row[j]:
+                objective[j] -= f * row[j]
+        objective[-1] -= f * row[-1]
+    g = gcd(*objective)
+    return [x // g for x in objective] if g > 1 else objective
+
+
 class _Tableau:
-    def __init__(self, rows: list[list[int]], basis: list[int], cost: Sequence[Fraction | int], free: int):
+    def __init__(self, rows: list[list[int]], basis: list[int], objective: list[int], free: int):
         self.rows = rows  # m x (n+1) ints, last column is the rhs; row i's basic entry is > 0
         self.basis = basis
         self.sign = [1] * free  # free column j stores x+_j when 1, x-_j when -1
-        self.price(cost)
+        self.n = len(objective) - 1
+        self.objective = objective
 
     def price(self, cost: Sequence[Fraction | int]) -> None:
         """The reduced-cost row of ``cost`` for the current basis; its rhs is -objective.
@@ -52,7 +77,9 @@ class _Tableau:
         there are none.
         """
         self.n = len(cost)
-        objective = integer_row([c * s for c, s in zip(cost, self.sign)] + list(cost[len(self.sign):]) + [0])
+        objective = integer_row(list(cost) + [0])
+        for j, s in enumerate(self.sign):
+            objective[j] *= s
         for row, b in zip(self.rows, self.basis):
             if objective[b]:
                 objective = linalg.eliminate(objective, row, b)
@@ -120,7 +147,7 @@ def solve_lp(
             row = [-x for x in row]
             row[n + i] = -row[n + i]
         rows.append(row)
-    tableau = _Tableau(rows, [n + i for i in range(m)], [0] * n + [1] * m, free)
+    tableau = _Tableau(rows, [n + i for i in range(m)], phase1_objective(rows, n), free)
     if tableau.run() is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
     if tableau.objective[-1] != 0:

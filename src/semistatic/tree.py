@@ -219,6 +219,7 @@ def sigma_tree_expectation(
     payoff: Sequence[Fraction], tree: AtomicTree, measure: Measure, model: FilteredModel
 ) -> Payoff:
     """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
+    model._check_weights(measure.weights)
     leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
     return condexp_groups(payoff, leaves, measure.weights)
 

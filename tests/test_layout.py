@@ -106,3 +106,21 @@ def test_traced_layers_name_callables_of_the_package():
         home = importlib.import_module(f"semistatic.{module}")
         missing += [f"{module}.{name}" for name in names if not callable(getattr(home, name, None))]
     assert missing == []
+
+
+def test_only_the_parser_is_cached_across_calls():
+    # a memo that outlives one call (of a parsed scenario, say) would speed repeated in-process calls only
+    memos = {"cache", "lru_cache"}
+    decorated, uses = [], 0
+    for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                uses += sum(alias.name in memos for alias in node.names)
+            if isinstance(node, ast.Attribute) and node.attr in memos and getattr(node.value, "id", None) == "functools":
+                uses += 1
+            for decorator in getattr(node, "decorator_list", ()):
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) in memos:
+                    decorated.append(f"{path.stem}.{node.name}")
+    assert decorated == ["cli.build_parser"]
+    assert uses == 1  # that decorator, and no memo made by a call or imported by name

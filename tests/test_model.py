@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from semistatic.enlargement import enlarge, filtrations_coincide
 from semistatic.errors import ShapeError
-from semistatic.hedging import hedging_span
+from semistatic.hedging import hedging_span, is_semistatically_complete, replicate
 from semistatic.model import (
     FilteredModel,
     Measure,
@@ -17,8 +17,9 @@ from semistatic.model import (
     natural_filtration,
     validate_model,
 )
+from semistatic.polytope import enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_measure, random_model, random_payoff
-from semistatic.tree import AtomicTree, TreeNode, is_full
+from semistatic.tree import AtomicTree, TreeNode, extract_tree, is_full, sigma_tree_expectation
 
 F = Fraction
 
@@ -125,13 +126,48 @@ def test_conditional_expectation_null_cells(trinomial):
 
 def test_measure_invariants(trinomial):
     model = trinomial.model
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must sum to exactly 1"):
         Measure((F(1, 2), F(1, 2), F(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must sum to exactly 1"):
+        Measure((F(1, 3), F(1, 2), F(1, 7)))  # mixed denominators, sum 41/42
+    with pytest.raises(ValueError, match="must be nonnegative"):
         Measure((F(-1, 2), F(1), F(1, 2)))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        Measure((F(-1, 6), F(5, 6), 0, F(1, 3)))
+    mixed = Measure((F(1, 3), 0, F(1, 2), F(1, 6)))
+    assert mixed.support == (0, 2, 3)
     restricted = replace(model, allowed=frozenset({0, 2}))
     with pytest.raises(ValueError, match=r"outside the prior support: \[1\]"):
         restricted.measure([F(0), F(1), F(0)])
+
+
+@pytest.mark.parametrize("weight", [0.5, True, "1/2", None], ids=["float", "bool", "str", "none"])
+def test_measure_rejects_a_weight_that_is_not_an_int_or_fraction(weight):
+    with pytest.raises(TypeError, match="measure weights must be int or Fraction"):
+        Measure((weight, F(1, 2)))
+
+
+def test_member_runs_each_row_on_numerators(trinomial_calibrated):
+    cs = trinomial_calibrated.model.constraints
+    assert member(Measure((F(1, 4), F(1, 2), F(1, 4))), cs)
+    # (1/3, 1/3, 1/3) meets the martingale and normalization rows but not the calibration row
+    third = Measure((F(1, 3), F(1, 3), F(1, 3)))
+    violated = [row.label for row in cs.rows if sum(c * w for c, w in zip(row.coeffs, third.weights)) != row.rhs]
+    assert violated == [("calibration", 0)]
+    assert not member(third, cs)
+    assert not member(Measure((F(1, 4), F(1, 2), F(1, 4))), replace(cs, allowed=frozenset({0, 1})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_member_agrees_with_rational_rows(seed):
+    rng = random.Random(seed)
+    model, _ = random_model(rng)
+    cs = model.constraints
+    measures = [random_measure(rng, model)] + list(enumerate_extreme_points(cs).vertices[:3])
+    for q in measures:
+        exact = all(sum(c * w for c, w in zip(row.coeffs, q.weights)) == row.rhs for row in cs.rows)
+        assert member(q, cs) == (exact and set(q.support) <= cs.allowed)
 
 
 @pytest.mark.parametrize("weights", [["1/2"], ["1/4", "1/4", "1/4", "1/4"]], ids=["short", "long"])
@@ -172,6 +208,9 @@ def test_terminal_label_rejects_an_index_outside_the_cells(trinomial, index):
         ((0, 2, 0), "time index 2 outside 0..1"),
         ((0, 0, -1), "terminal cell index -1 outside 0..2"),
         ((0, 0, 3), "terminal cell index 3 outside 0..2"),
+        ((0.0, 0, 0), "asset index 0.0 is not an int"),
+        ((0, True, 0), "time index True is not an int"),
+        ((0, 0, 1.0), "terminal cell index 1.0 is not an int"),
     ],
 )
 def test_price_rejects_an_index_outside_the_model(trinomial_calibrated, index, message):
@@ -187,8 +226,17 @@ def test_price_rejects_an_index_outside_the_model(trinomial_calibrated, index, m
         hedging_span,
         lambda model, measure: filtrations_coincide(measure, enlarge(model, [])),
         lambda model, measure: is_full(AtomicTree([TreeNode((0, 1, 2), 0)]), measure, model),
+        lambda model, measure: member(measure, model.constraints),
+        lambda model, measure: is_extreme(measure, model.constraints),
+        lambda model, measure: is_semistatically_complete(measure, model),
+        lambda model, measure: replicate((F(1), F(0), F(1)), measure, model),
+        lambda model, measure: extract_tree(measure, model),
+        lambda model, measure: sigma_tree_expectation(
+            (F(1), F(0), F(1)), AtomicTree([TreeNode((0, 1, 2), 0)]), measure, model
+        ),
     ],
-    ids=["hedging_span", "filtrations_coincide", "is_full"],
+    ids=["hedging_span", "filtrations_coincide", "is_full", "member", "is_extreme",
+         "is_semistatically_complete", "replicate", "extract_tree", "sigma_tree_expectation"],
 )
 def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
     model = trinomial_calibrated.model
@@ -238,3 +286,8 @@ def test_natural_filtration_always_valid(seed):
     partitions = natural_filtration(model.prices)
     rebuilt = replace(model, partitions=partitions, claims=(), allowed=frozenset(range(len(partitions[-1].cells))))
     assert validate_model(rebuilt).ok
+    for k, partition in enumerate(partitions):  # P_k groups outcomes by their whole price path up to k
+        paths: dict[tuple, list[int]] = {}
+        for w in range(model.n_outcomes):
+            paths.setdefault(tuple(asset[t][w] for t in range(k + 1) for asset in model.prices), []).append(w)
+        assert partition == Partition(paths.values())

@@ -1,10 +1,12 @@
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semistatic.rationals import fmt, integer_row, rat
+from semistatic.rationals import common_denominator, fmt, integer_row, rat
 
 
 def test_parse_forms():
@@ -41,3 +43,30 @@ def test_integer_row():
     assert copy == row and copy is not row
     assert integer_row([Fraction(1, 2), Fraction(-2, 3), 1, Fraction(0)]) == [3, -4, 6, 0]
     assert [type(x) for x in integer_row([Fraction(4), Fraction(6)])] == [int, int]
+    assert common_denominator([Fraction(1, 2), Fraction(-2, 3), 1, Fraction(0)]) == ([3, -4, 6, 0], 6)
+    assert common_denominator([3, -4]) == ([3, -4], 1)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(-(7**5916) - 2), Fraction(3**10481 + 1, 10**4999 + 7)],
+    ids=["integer", "quotient"],
+)
+def test_fmt_past_the_int_digit_limit(value):
+    # str() refuses ints past 4300 digits; fmt falls back to the exact Decimal form
+    digits = Decimal(abs(value.numerator)).adjusted() + 1
+    assert digits >= 5000
+    expected = str(Decimal(value.numerator))
+    if value.denominator != 1:
+        expected += f"/{Decimal(value.denominator)}"
+    text = fmt(value)
+    assert text == expected
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0  # none before 3.10.7
+    if limit:
+        sys.set_int_max_str_digits(0)  # int() refuses the same digits on the way back
+    try:
+        assert rat(text) == value
+        assert text == str(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)

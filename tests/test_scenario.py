@@ -2,6 +2,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semistatic.hedging import replicate
 from semistatic.polytope import build_constraints, enumerate_extreme_points
@@ -43,6 +45,41 @@ def test_quotient_merges_cells():
     scenario = parse_scenario(data)
     assert scenario.model.n_cells == 1
     assert scenario.payoffs["flat"] == (F(7),)
+
+
+def _spelled(value: Fraction, scale: int, padded: bool) -> str:
+    text = f"{value.numerator * scale}/{value.denominator * scale}"
+    return f" {text} " if padded else text
+
+
+def _one_cell_payoff(tokens: list[str]) -> dict:
+    """Outcomes w0.. in one terminal cell beside a lone outcome z; the payoff lists the tokens, then 0."""
+    names = [f"w{i}" for i in range(len(tokens))]
+    return {
+        "outcomes": names + ["z"],
+        "times": [0, 1],
+        "filtration": [[names + ["z"]], [names, ["z"]]],
+        "prices": [[["0"] * (len(names) + 1)] * 2],
+        "payoffs": {"x": tokens + ["0"]},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(max_denominator=40),
+    st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=2, max_size=5),
+    st.fractions(max_denominator=40).filter(bool),
+)
+def test_a_cell_may_spell_one_value_in_several_ways(value, spellings, shift):
+    tokens = [_spelled(value, scale, padded) for scale, padded in spellings]
+    scenario = parse_scenario(_one_cell_payoff(tokens))
+    assert scenario.payoffs["x"] == (value, F(0))
+    prices = scenario.model.prices[0]
+    assert prices[0][0] is prices[1][-1]  # equal tokens share one Fraction
+    tokens[-1] = _spelled(value + shift, 1, False)
+    cell = ", ".join(str(i) for i in range(len(tokens)))
+    with pytest.raises(ScenarioError, match=rf"^payoff x is not constant on the terminal cell \[{cell}\]$"):
+        parse_scenario(_one_cell_payoff(tokens))
 
 
 def test_partial_prior_cell_rejected():

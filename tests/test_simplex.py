@@ -17,7 +17,9 @@ from typing import Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic.simplex import LPResult, solve_lp
+from semistatic import linalg
+from semistatic.rationals import integer_row
+from semistatic.simplex import LPResult, phase1_objective, solve_lp
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -216,6 +218,33 @@ def test_generator_reaches_every_path():
                  "infeasible", "unbounded", "optimal",
                  "x- entering", "flipped back", "free drive-out", "unbounded along x-"):
         assert PATHS[path] > 0, path
+
+
+def test_phase1_objective_is_the_eliminated_row():
+    # on the programs of the PATHS sample: one elimination per artificial, as phase 1 priced it before
+    rng = random.Random(20151)
+    for _ in range(1500):
+        cost, matrix, rhs = random_lp(rng)
+        rng.randint(0, len(cost))  # the sample's free count; phase 1 does not read it
+        n, m = len(cost), len(matrix)
+        rows = []
+        for i, (r, b) in enumerate(zip(matrix, rhs)):
+            row = integer_row(list(r) + [int(i == j) for j in range(m)] + [b])
+            if b < 0:
+                row = [-x for x in row]
+                row[n + i] = -row[n + i]
+            rows.append(row)
+        eliminated = [0] * n + [1] * m + [0]
+        for i, row in enumerate(rows):
+            eliminated = linalg.eliminate(eliminated, row, n + i)
+        direct = phase1_objective(rows, n)
+        k = next((j for j, x in enumerate(eliminated) if x), None)
+        if k is None:
+            assert not any(direct)
+            continue
+        # a positive multiple: proportional entries and the same sign where nonzero
+        assert direct[k] * eliminated[k] > 0
+        assert [direct[k] * x for x in eliminated] == [eliminated[k] * x for x in direct]
 
 
 def test_known_programs():
