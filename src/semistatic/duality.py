@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyMeasureSet, InvariantViolation, ShapeError
+from .errors import EmptyMeasureSet, InvariantViolation
 from .hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff
 from .polytope import VertexSet, enumerate_extreme_points
@@ -70,8 +70,7 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     arbitrage, reported through the improving ray (negative cash, nonnegative
     total payoff).
     """
-    if len(payoff) != model.n_cells:
-        raise ShapeError("payoff length must match terminal cells")
+    model._check_payoff(payoff)
     vectors = [vec for _, vec in strategy_columns(model)]
     allowed = sorted(model.allowed)
     n_free = len(vectors)
@@ -96,8 +95,7 @@ def robust_price(
     payoff: Sequence[Fraction], model: FilteredModel, vertex_set: VertexSet | None = None
 ) -> RobustPriceResult:
     """Maximal expected payoff over the enumerated extreme measures."""
-    if len(payoff) != model.n_cells:
-        raise ShapeError("payoff length must match terminal cells")
+    model._check_payoff(payoff)
     if vertex_set is None:
         vertex_set = enumerate_extreme_points(model.constraints)
     if not vertex_set.vertices:

@@ -151,8 +151,7 @@ def replicate(
     inner product, reported as zero off the support.
     """
     _require_calibrated(measure, model)
-    if len(payoff) != model.n_cells:
-        raise ShapeError("payoff length must match terminal cells")
+    model._check_payoff(payoff)
     columns = strategy_columns(model)
     support = measure.support
     rows = [[vec[a] for _, vec in columns] for a in support]

@@ -7,9 +7,14 @@ roots and break exactness).  Inputs and results are tuples of Fraction; the
 work runs on int rows, each a positive multiple of the rational row it stands
 for, and Fractions are built only for what is returned.  The engine's one
 exact elimination kernel is here: ``eliminate``, a fraction-free step on int
-rows (Bareiss 1968), and ``pivot``, which clears a column with it for ``rref``
-and for the simplex tableau.  Weighted orthogonalization has its own
-fraction-free step, ``_sweep``, under the weights scaled to ints.
+rows (Bareiss 1968), and ``pivot``, which clears a column with it for
+``echelon``, ``rref`` and the simplex tableau.  The kernel skips zeros: a
+step subtracts only over the pivot row's nonzero columns, which ``pivot``
+lists once for all the rows it clears.  ``echelon`` is the forward half of
+the elimination, with no back-substitution; ``rank`` and ``independent_rows``
+need only its pivots, and ``rref`` is ``echelon`` followed by
+back-substitution.  Weighted orthogonalization has its own fraction-free
+step, ``_sweep``, under the weights scaled to ints.
 """
 
 from __future__ import annotations
@@ -29,65 +34,94 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def eliminate(target: list[int], pivot_row: list[int], col: int) -> list[int]:
-    """p*target - f*pivot_row over the pivot row's nonzeros, divided by the gcd.
+def eliminate(target: list[int], pivot_row: list[int], col: int, support: Sequence[int] | None = None) -> list[int]:
+    """p*target - f*pivot_row, divided by the gcd of the result.
 
     p = pivot_row[col] > 0 and f = target[col], so the result has a zero in
     ``col`` and is a positive multiple of the row rational elimination gives.
+    Only the pivot row's nonzero columns, ``support``, are subtracted over; a
+    caller that clears several rows with one pivot row lists them once.
     """
     p, f = pivot_row[col], target[col]
-    row = [p * x - f * y if y else p * x for x, y in zip(target, pivot_row)]
+    if support is None:
+        support = [j for j, y in enumerate(pivot_row) if y]
+    row = target[:] if p == 1 else [x and p * x for x in target]  # a zero skips the product
+    for j in support:
+        row[j] -= f * pivot_row[j]
     g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+    return [x and x // g for x in row] if g > 1 else row
 
 
-def pivot(rows: list[list[int]], r: int, c: int) -> None:
-    """Clear column ``c`` from every row but ``r``, in place; rows[r][c] ends up > 0."""
+def pivot(rows: list[list[int]], r: int, c: int, targets: Sequence[int] | None = None) -> list[int]:
+    """Clear column ``c`` from rows ``targets`` (default: every row but ``r``), in place.
+
+    rows[r][c] ends up > 0.  Returns the pivot row's nonzero columns, which a
+    caller can pass to ``eliminate`` for a row kept outside ``rows``.
+    """
     if rows[r][c] < 0:
         rows[r] = [-x for x in rows[r]]
     pivot_row = rows[r]
-    for i, target in enumerate(rows):
-        if i != r and target[c]:
-            rows[i] = eliminate(target, pivot_row, c)
+    support = [j for j, y in enumerate(pivot_row) if y]
+    for i in range(len(rows)) if targets is None else targets:
+        if i != r and rows[i][c]:
+            rows[i] = eliminate(rows[i], pivot_row, c, support)
+    return support
+
+
+def echelon(rows: list[list[int]]) -> list[int]:
+    """Forward elimination of int rows in place: the pivot columns.
+
+    For each column in turn the first row at or below the current one with a
+    nonzero there is swapped up and clears that column from the rows below
+    it; rows[:len(pivots)] end up as the pivot rows, the rest as zeros.  No
+    row above a pivot is touched, so this is the first half of ``rref`` and
+    finds its pivots, and ``len(pivots)`` is the rank.
+    """
+    pivots: list[int] = []
+    m = len(rows)
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, m):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot(rows, r, c, range(r + 1, m))
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
 
 
 def rref(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over ints: the pivot rows and the pivot columns.
 
-    Each row is a positive int multiple of its rational reduced row, so
-    row[j] / row[pivot] is the rational entry; having the same zeros, it
-    picks the same pivots (first nonzero row at or below the current one).
+    ``echelon``, then back-substitution from the last pivot up.  Each row is
+    a positive int multiple of its rational reduced row, so row[j] / row[pivot]
+    is the rational entry; having the same zeros, it picks the same pivots
+    (first nonzero row at or below the current one).
     """
     rows = [integer_row(row) for row in matrix]
-    if not rows:
-        return [], []
-    pivots: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot(rows, r, c)
-        pivots.append(c)
+    pivots = echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        pivot(rows, r, pivots[r], range(r))
     return rows[: len(pivots)], pivots
 
 
 def rank(matrix: Matrix) -> int:
-    return len(rref(matrix)[1])
+    """The rank, by ``echelon`` alone: no back-substitution."""
+    return len(echelon([integer_row(row) for row in matrix]))
 
 
 def independent_rows(matrix: Matrix) -> list[int]:
     """Indices of a maximal independent set of rows (greedy, first wins).
 
     Row i is kept exactly when it is independent of rows 0..i-1, i.e. when
-    column i of the transpose is a pivot column of its reduced echelon form.
+    column i of the transpose is a pivot column of its echelon form.
     """
-    return rref(transpose(matrix))[1]
-
-
-def transpose(matrix: Matrix) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*matrix)]
+    return echelon([integer_row(col) for col in zip(*matrix)])
 
 
 def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:

@@ -172,6 +172,18 @@ class FilteredModel:
         if len(weights) != self.n_cells:
             raise ShapeError(f"measure has {len(weights)} weights, model has {self.n_cells} terminal cells")
 
+    def _check_payoff(self, payoff: Sequence) -> None:
+        """Raise ShapeError unless there is one entry per terminal cell, TypeError unless each is exact.
+
+        An entry must be an ``int`` or a ``Fraction``, as a ``Measure`` weight
+        must: a float or a bool raises.
+        """
+        if len(payoff) != self.n_cells:
+            raise ShapeError("payoff length must match terminal cells")
+        for x in payoff:
+            if type(x) is not Fraction and type(x) is not int:
+                raise TypeError(f"payoff entries must be int or Fraction, got {x!r}")
+
 
 @dataclass(frozen=True)
 class Measure:
@@ -376,8 +388,7 @@ def conditional_expectation(
     model: FilteredModel, payoff: Sequence[Fraction], k: int, measure: Measure
 ) -> Payoff:
     """E[payoff | P_k] under the measure, as a vector over terminal cells."""
-    if len(payoff) != model.n_cells:
-        raise ShapeError("payoff length must match terminal cells")
+    model._check_payoff(payoff)
     _check_index("time", k, model.horizon + 1)
     return condexp_groups(payoff, model.coarse_groups[k], measure.weights)
 

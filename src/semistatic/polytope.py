@@ -5,11 +5,13 @@ row per (period, predecessor cell, asset), one calibration row per claim, a
 single normalization row, and zero bounds outside the prior support.  Extreme
 points are enumerated by the double description method run on the homogenized
 cone, with the rows taken deepest first.  Each row is scaled to integers, so
-the rays are primitive int tuples and every sign test is exact; each ray's
-zero set is an int bitmask, so the adjacency test is a few integer operations
-per ray.  Every surviving ray is checked in int arithmetic (constraint rows,
-signs, independent support columns by ``linalg.rank``, which runs the one
-fraction-free kernel in ``linalg``) before it becomes a Fraction measure.
+the rays are primitive int tuples and every sign test is exact; a row's sign
+values walk only its nonzeros, and each ray's zero set is an int bitmask, so
+the adjacency test is a few integer operations per ray.  Every surviving ray
+is checked in int arithmetic before it becomes a Fraction measure: each
+constraint row over its nonzeros, the signs, and independent support columns
+by ``linalg.echelon`` (the forward half of the one fraction-free kernel in
+``linalg``) on the normals restricted to the ray's support, zero rows dropped.
 Extremality certificates are not part of the enumeration; ``certify`` builds
 them on demand.  Emptiness, vertex identity, and certificates are thus all
 exact yes/no facts.
@@ -45,6 +47,11 @@ class ConstraintSystem:
     rows: tuple[Row, ...]
     allowed: frozenset[int]
     n_cells: int
+
+    def __post_init__(self) -> None:
+        bad = [a for a in self.allowed if type(a) is not int or not 0 <= a < self.n_cells]
+        if bad:
+            raise ShapeError(f"allowed cells {sorted(bad, key=repr)} outside 0..{self.n_cells - 1}")
 
     @cached_property
     def normals(self) -> tuple[list[int], ...]:
@@ -121,20 +128,21 @@ def certify(vertex_set: VertexSet, cs: ConstraintSystem) -> tuple[ExtremalityCer
     return tuple(is_extreme(v, cs)[1] for v in vertex_set.vertices)
 
 
-def _double_description(normals: list[list[int]], dim: int) -> list[tuple[int, ...]]:
+def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x >= 0 : n.x = 0 for every normal n} as primitive int tuples.
 
-    Start from the coordinate rays and intersect with one hyperplane at a
-    time, keeping the rays on it and one combination of each adjacent
-    sign-crossing pair.  Rays are addressed by position and each one's zero
-    set is an int bitmask over coordinates: two rays are adjacent when no
-    third ray's zero set contains their common zeros.
+    Each normal is given by its nonzeros, (column, value) pairs.  Start from
+    the coordinate rays and intersect with one hyperplane at a time, keeping
+    the rays on it and one combination of each adjacent sign-crossing pair.
+    Rays are addressed by position and each one's zero set is an int bitmask
+    over coordinates: two rays are adjacent when no third ray's zero set
+    contains their common zeros.
     """
     full = (1 << dim) - 1
     rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     masks = [full ^ (1 << i) for i in range(dim)]
     for normal in normals:
-        values = [sum(a * x for a, x in zip(normal, r) if x) for r in rays]
+        values = [sum([a * r[j] for j, a in normal]) for r in rays]
         plus = [i for i, v in enumerate(values) if v > 0]
         minus = [i for i, v in enumerate(values) if v < 0]
         if not plus and not minus:
@@ -164,18 +172,21 @@ def _double_description(normals: list[list[int]], dim: int) -> list[tuple[int, .
     return rays
 
 
-def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]]) -> None:
+def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]], nonzeros: list[list[tuple[int, int]]]) -> None:
     """Exact int check that a ray (q, t) stands for a vertex q / t; raises InvariantViolation.
 
-    Every normal must vanish on it, it must be nonnegative with t > 0, and
-    the normals restricted to the support of q must have independent columns.
+    Every normal must vanish on it (summed over the normal's ``nonzeros``),
+    it must be nonnegative with t > 0, and the normals restricted to the
+    support of q must have independent columns: ``linalg.echelon`` on the
+    nonzero restricted rows finds a pivot in every column.
     """
-    if ray[-1] <= 0 or any(x < 0 for x in ray):
+    if ray[-1] <= 0 or min(ray) < 0:
         raise InvariantViolation("surviving ray must be nonnegative with t > 0")
-    if any(sum(a * x for a, x in zip(normal, ray) if x) for normal in normals):
+    if any(sum([a * ray[j] for j, a in normal]) for normal in nonzeros):
         raise InvariantViolation("surviving ray must satisfy every constraint row")
     support = [i for i, x in enumerate(ray[:-1]) if x]
-    if linalg.rank([[normal[i] for i in support] for normal in normals]) < len(support):
+    restricted = [row for row in ([normal[i] for i in support] for normal in normals) if any(row)]
+    if len(linalg.echelon(restricted)) < len(support):
         raise InvariantViolation("surviving ray must have independent support columns")
 
 
@@ -201,9 +212,10 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     # a positive multiple of the row re-scaled over these cells alone: the same primitive rays
     normals = [[normal[c] for c in cols] + [normal[-1]] for normal in martingale[::-1] + others]
     normals = [normal for normal in normals if any(normal)]
+    nonzeros = [[(j, a) for j, a in enumerate(normal) if a] for normal in normals]
     vertices: list[tuple[tuple[int, ...], Payoff]] = []
-    for ray in _double_description(normals, len(cols) + 1):
-        _check_vertex_ray(ray, normals)
+    for ray in _double_description(nonzeros, len(cols) + 1):
+        _check_vertex_ray(ray, normals, nonzeros)
         t = ray[-1]
         weights = [ZERO] * cs.n_cells
         for c, x in zip(cols, ray):

@@ -86,9 +86,9 @@ class _Tableau:
         self.objective = objective
 
     def pivot(self, row: int, col: int) -> None:
-        linalg.pivot(self.rows, row, col)  # negates the row only when driving out an artificial; its rhs is 0
+        support = linalg.pivot(self.rows, row, col)  # negates the row only when driving out an artificial; its rhs is 0
         if self.objective[col]:
-            self.objective = linalg.eliminate(self.objective, self.rows[row], col)
+            self.objective = linalg.eliminate(self.objective, self.rows[row], col, support)
         self.basis[row] = col
 
     def flip(self, col: int) -> None:

@@ -8,6 +8,7 @@ minimum-norm solution the int sweep of ``linalg`` replaced.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,7 +106,7 @@ def greedy_independent_rows(matrix):
     """Definition: keep row i when it raises the rank of the rows kept so far."""
     kept, witness = [], []
     for i, row in enumerate(matrix):
-        if linalg.rank(kept + [list(row)]) > len(kept):
+        if len(reference_rref(kept + [list(row)])[1]) > len(kept):
             kept.append(list(row))
             witness.append(i)
     return witness
@@ -205,6 +206,8 @@ def test_integer_kernel_matches_fraction_reference(matrix, data):
     reduced, pivots = linalg.rref(matrix)
     expected, expected_pivots = reference_rref(matrix)
     assert pivots == expected_pivots
+    assert linalg.rank(matrix) == len(expected_pivots)
+    assert linalg.independent_rows(matrix) == reference_rref([list(col) for col in zip(*matrix)])[1]
     assert len(reduced) == len(pivots)
     for row, c, expected_row in zip(reduced, pivots, expected):
         assert all(isinstance(x, int) for x in row) and row[c] > 0
@@ -216,6 +219,33 @@ def test_integer_kernel_matches_fraction_reference(matrix, data):
     if matrix:
         consistent = mat_vec(matrix, [F(1)] * len(matrix[0]))
         assert linalg.solve(matrix, consistent) == reference_solve(matrix, consistent)
+
+
+@st.composite
+def elimination_steps(draw):
+    """A target row, a pivot row and a pivot column: int rows with many zeros, p = 1 often."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-6, 6), st.integers(-(10**20), 10**20))
+    target = draw(st.lists(entry, min_size=n, max_size=n))
+    pivot_row = draw(st.lists(entry, min_size=n, max_size=n))
+    col = draw(st.integers(0, n - 1))
+    pivot_row[col] = draw(st.one_of(st.just(1), st.integers(1, 12)))
+    return target, pivot_row, col
+
+
+@settings(max_examples=200, deadline=None)
+@given(elimination_steps())
+def test_eliminate_over_the_support_is_the_dense_step(step):
+    target, pivot_row, col = step
+    p, f = pivot_row[col], target[col]
+    dense = [p * x - f * y for x, y in zip(target, pivot_row)]
+    g = gcd(*dense) or 1
+    expected = [x // g for x in dense]
+    support = [j for j, y in enumerate(pivot_row) if y]
+    before = (list(target), list(pivot_row))
+    assert linalg.eliminate(target, pivot_row, col, support) == expected
+    assert linalg.eliminate(target, pivot_row, col) == expected
+    assert (target, pivot_row) == before
 
 
 def reference_min_norm_solution(matrix, rhs):

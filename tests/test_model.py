@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic.duality import robust_price, superhedge, verify_duality
 from semistatic.enlargement import enlarge, filtrations_coincide
 from semistatic.errors import ShapeError
 from semistatic.hedging import hedging_span, is_semistatically_complete, replicate
@@ -243,6 +244,27 @@ def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
     check(model, model.measure(["1/4", "1/2", "1/4"]))
     with pytest.raises(ShapeError, match="measure has 1 weights, model has 3 terminal cells"):
         check(model, Measure((F(1),)))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda model, payoff: superhedge(payoff, model),
+        lambda model, payoff: verify_duality(payoff, model),
+        lambda model, payoff: robust_price(payoff, model),
+        lambda model, payoff: replicate(payoff, model.measure(["1/4", "1/2", "1/4"]), model),
+        lambda model, payoff: conditional_expectation(model, payoff, 0, model.measure(["1/4", "1/2", "1/4"])),
+    ],
+    ids=["superhedge", "verify_duality", "robust_price", "replicate", "conditional_expectation"],
+)
+def test_an_inexact_payoff_is_rejected(trinomial_calibrated, check):
+    model = trinomial_calibrated.model
+    check(model, (F(1, 10), 2, F(3, 10)))
+    for payoff in ([0.1, 0.2, 0.3], (F(1), True, F(0)), (F(1), "1/2", F(0))):
+        with pytest.raises(TypeError, match="payoff entries must be int or Fraction"):
+            check(model, payoff)
+    with pytest.raises(ShapeError, match="payoff length must match terminal cells"):
+        check(model, [0.1, 0.2])
 
 
 @settings(max_examples=50, deadline=None)

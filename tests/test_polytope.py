@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semistatic import linalg
 from semistatic import polytope
-from semistatic.errors import ConstraintViolation, InvariantViolation
+from semistatic.errors import ConstraintViolation, InvariantViolation, ShapeError
 from semistatic.model import Measure
 from semistatic.polytope import build_constraints, certify, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
@@ -28,7 +28,7 @@ def brute_force_vertices(cs):
     for size in range(1, len(cols) + 1):
         for subset in combinations(cols, size):
             sub = [[row[c] for c in subset] for row in matrix]
-            if linalg.rank(linalg.transpose(sub)) < len(subset):
+            if linalg.rank(list(zip(*sub))) < len(subset):
                 continue  # dependent columns cannot support a vertex
             sol = linalg.solve(sub, rhs)
             if sol is None or any(x < 0 for x in sol):
@@ -162,6 +162,14 @@ def test_forced_zero_degeneracy(trinomial):
     assert [v.weights for v in vs.vertices] == [(F(0), F(1), F(0))]
 
 
+@pytest.mark.parametrize("allowed", [{-1}, {0, 99}, {0, 3}, {True}, {"0"}])
+def test_allowed_cells_outside_the_model_are_rejected(trinomial, allowed):
+    cs = build_constraints(trinomial.model)
+    assert len(enumerate_extreme_points(replace(cs, allowed=frozenset({0, 1, 2})))) == 2
+    with pytest.raises(ShapeError, match=r"outside 0\.\.2"):
+        replace(cs, allowed=frozenset(allowed))
+
+
 def ladder_steps(b):
     return list(range(-(b // 2), b - b // 2))
 
@@ -212,7 +220,9 @@ def kernel_products(kernels, horizon):
     return measures
 
 
-@pytest.mark.parametrize("b, horizon, count", [(4, 2, 21), (5, 2, 105), (3, 3, 42), (6, 2, 301), (4, 3, 903)])
+@pytest.mark.parametrize(
+    "b, horizon, count", [(4, 2, 21), (5, 2, 105), (3, 3, 42), (6, 2, 301), (4, 3, 903), (7, 2, 910)]
+)
 def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
     # without claims the extreme martingale measures factor over the tree nodes
     steps = ladder_steps(b)
