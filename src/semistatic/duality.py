@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation
 from .hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
-from .model import FilteredModel, Measure, Payoff
+from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import VertexSet, enumerate_extreme_points
 from .rationals import fmt
 from .simplex import solve_lp
@@ -61,6 +61,16 @@ class RobustPriceResult:
         }
 
 
+def _domination_rows(vectors: Sequence[Payoff], allowed: Sequence[int]) -> list[list[Fraction]]:
+    """Per allowed cell a: each vector at a, then -1 in the cell's own surplus column and 0 in the others."""
+    rows = []
+    for slot, a in enumerate(allowed):
+        surplus = [ZERO] * len(allowed)
+        surplus[slot] = -ONE
+        rows.append([vec[a] for vec in vectors] + surplus)
+    return rows
+
+
 def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeResult:
     """Cheapest semi-static strategy dominating the payoff on allowed cells.
 
@@ -70,15 +80,11 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     arbitrage, reported through the improving ray (negative cash, nonnegative
     total payoff).
     """
-    model._check_payoff(payoff)
+    _check_vector("payoff entries", payoff, model.n_cells)
     vectors = [vec for _, vec in strategy_columns(model)]
     allowed = sorted(model.allowed)
     n_free = len(vectors)
-    matrix: list[list[Fraction]] = []
-    for slot, a in enumerate(allowed):
-        surplus = [ZERO] * len(allowed)
-        surplus[slot] = -ONE
-        matrix.append([vec[a] for vec in vectors] + surplus)
+    matrix = _domination_rows(vectors, allowed)
     cost = [ONE] + [ZERO] * (n_free - 1 + len(allowed))
 
     result = solve_lp(cost, matrix, [payoff[a] for a in allowed], free=n_free)
@@ -95,7 +101,7 @@ def robust_price(
     payoff: Sequence[Fraction], model: FilteredModel, vertex_set: VertexSet | None = None
 ) -> RobustPriceResult:
     """Maximal expected payoff over the enumerated extreme measures."""
-    model._check_payoff(payoff)
+    _check_vector("payoff entries", payoff, model.n_cells)
     if vertex_set is None:
         vertex_set = enumerate_extreme_points(model.constraints)
     if not vertex_set.vertices:
@@ -217,12 +223,8 @@ def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) 
     vectors = [vec for _, vec in strategy_columns(model)[1:]]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.allowed)
     n_free = len(vectors)
-    # variables: free coordinates, free floor t, then cap slack u and surpluses s
-    matrix: list[list[Fraction]] = []
-    for slot, a in enumerate(allowed):
-        surplus = [ZERO] * len(allowed)
-        surplus[slot] = -ONE
-        matrix.append([vec[a] for vec in vectors] + [-ONE, ZERO] + surplus)
+    # variables: free coordinates, free floor t, then cap slack u and surpluses s; t is -1 and u 0 on every cell
+    matrix = _domination_rows(vectors + [(-ONE,) * model.n_cells, (ZERO,) * model.n_cells], allowed)
     matrix.append([ZERO] * n_free + [ONE, ONE] + [ZERO] * len(allowed))
     rhs = [ZERO] * len(allowed) + [ONE]
     cost = [ZERO] * n_free + [-ONE] + [ZERO] * (1 + len(allowed))

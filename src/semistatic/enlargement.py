@@ -19,7 +19,9 @@ from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation, ShapeError
-from .model import FilteredModel, Measure, Partition, Payoff, condexp_groups, groups_of
+from .model import (
+    FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, condexp_groups, groups_of
+)
 from .polytope import VertexSet, enumerate_extreme_points
 from .duality import robust_price
 from .rationals import fmt
@@ -36,8 +38,7 @@ class SingleJump:
     mark: tuple[Fraction, ...]  # per outcome
 
     def __post_init__(self) -> None:
-        if len(self.tau) != len(self.mark):
-            raise ShapeError("tau and mark must have one entry per outcome")
+        _check_vector("jump marks", self.mark, len(self.tau))
         for t, x in zip(self.tau, self.mark):
             if x < 0:
                 raise ValueError("marks must be nonnegative")
@@ -49,6 +50,14 @@ class SingleJump:
             "tau": {model.outcomes[w]: ("inf" if t is None else t) for w, t in enumerate(self.tau)},
             "mark": {model.outcomes[w]: fmt(x) for w, x in enumerate(self.mark)},
         }
+
+
+def _check_jump(jump: SingleJump, model: FilteredModel) -> None:
+    """Raise ShapeError unless the jump has one entry per outcome of the model and its times lie on the grid."""
+    _check_vector("jump marks", jump.mark, model.n_outcomes)
+    for t in jump.tau:
+        if t is not None:
+            _check_index("jump time", t, model.horizon + 1)
 
 
 def _jump_key(jump: SingleJump, outcome: int, k: int):
@@ -68,10 +77,7 @@ class EnlargedModel:
     @cached_property
     def base_cell_of(self) -> tuple[tuple[int, ...], ...]:
         """For each time k, map enlarged terminal cell index -> index of its base P_k cell."""
-        return tuple(
-            tuple(partition.cell_of[cell[0]] for cell in self.model.terminal_cells)
-            for partition in self.base.partitions
-        )
+        return _cells_of(self.model.terminal_cells, self.base.partitions)
 
     @cached_property
     def base_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -80,6 +86,7 @@ class EnlargedModel:
 
     def on_cells(self, jump: SingleJump) -> tuple[tuple[int | None, ...], Payoff]:
         """The jump's tau and mark on each enlarged terminal cell; both must be constant there."""
+        _check_jump(jump, self.base)
         cells = self.model.terminal_cells
         if any((jump.tau[w], jump.mark[w]) != (jump.tau[c[0]], jump.mark[c[0]]) for c in cells for w in c):
             raise ShapeError("jump time or mark is not measurable on the enlarged terminal cells")
@@ -87,8 +94,7 @@ class EnlargedModel:
 
     def expand(self, payoff: Sequence[Fraction]) -> Payoff:
         """Lift a base terminal payoff to the enlarged terminal cells."""
-        if len(payoff) != self.base.n_cells:
-            raise ShapeError("payoff length must match base terminal cells")
+        _check_vector("payoff entries", payoff, self.base.n_cells)
         return tuple(payoff[c] for c in self.base_cell_of[-1])
 
 
@@ -96,11 +102,7 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
     """Coarsest refining filtration carrying the base and every jump process."""
     jumps = tuple(jumps)
     for jump in jumps:
-        if len(jump.tau) != model.n_outcomes:
-            raise ShapeError("jump must assign a time to every outcome")
-        for t in jump.tau:
-            if t is not None and not 0 <= t <= model.horizon:
-                raise ValueError(f"jump time {t} outside the grid")
+        _check_jump(jump, model)
     partitions = []
     for k, base_partition in enumerate(model.partitions):
         cells: list[list[int]] = []
@@ -138,6 +140,7 @@ class AzemaResult:
 
 
 def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaResult:
+    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, _ = enlarged.on_cells(jump)
     groups, weights = enlarged.base_groups, measure.weights
     values = tuple(
@@ -167,6 +170,7 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     ``predictable_ok`` tests each increment for constancy on the base P_{k-1}
     cells rebuilt from the outcomes, not on the groups it was averaged over.
     """
+    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, marks = enlarged.on_cells(jump)
     weights = measure.weights
     cell_of = enlarged.model.terminal_cell_of_outcome
@@ -243,8 +247,8 @@ def predictable_reduction(
     is well defined; cells with no pre-jump part get zero.
     """
     base, fine = enlarged.base, enlarged.model
-    if len(holdings) != len(fine.gains):
-        raise ShapeError(f"holdings have {len(holdings)} entries, expected {len(fine.gains)}, one per enlarged gain")
+    _check_vector("holdings", holdings, len(fine.gains))
+    _check_jump(jump, base)
     held = {label[1:]: h for (label, _), h in zip(fine.gains, holdings)}
     reduced = []
     for (_, k, c, j), _ in base.gains:
@@ -269,10 +273,9 @@ def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
     That is, at each k the relation between the base cell and the enlarged
     cell of each charged terminal cell is a bijection.
     """
-    enlarged.model._check_weights(measure.weights)
-    charged = [g for g, w in enumerate(measure.weights) if w > 0]
+    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     for base_k, fine_k in zip(enlarged.base_cell_of, enlarged.model.coarse_cell_of):
-        pairs = {(base_k[g], fine_k[g]) for g in charged}
+        pairs = {(base_k[g], fine_k[g]) for g in measure.support}
         if not len(pairs) == len({b for b, _ in pairs}) == len({f for _, f in pairs}):
             return False
     return True

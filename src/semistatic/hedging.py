@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete, ShapeError
-from .model import FilteredModel, Measure, Payoff, conditional_expectation
+from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete
+from .model import FilteredModel, Measure, Payoff, _check_vector, conditional_expectation
 from .polytope import enumerate_extreme_points, is_extreme, member
 from .rationals import fmt
 
@@ -42,9 +42,7 @@ class SemiStaticStrategy:
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
         """The strategy with these coordinates on ``strategy_columns(model)``; another count raises ShapeError."""
-        expected = len(strategy_columns(model))
-        if len(values) != expected:
-            raise ShapeError(f"strategy has {len(values)} coordinates, expected {expected}, one per strategy column")
+        _check_vector("strategy coordinates", values, len(strategy_columns(model)))
         n_static = len(model.claims)
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
@@ -68,12 +66,9 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     Static positions that do not match ``model.claims`` one to one, or holdings
     that do not match the columns of ``model.gains``, raise ``ShapeError``.
     """
-    if len(strategy.static) != len(model.claims):
-        raise ShapeError(
-            f"static positions have {len(strategy.static)} entries, expected {len(model.claims)}, one per claim"
-        )
-    if len(strategy.dynamic) != len(model.gains):
-        raise ShapeError(f"holdings have {len(strategy.dynamic)} entries, expected {len(model.gains)}, one per gain")
+    _check_vector("cash", (strategy.cash,), 1)
+    _check_vector("static positions", strategy.static, len(model.claims))
+    _check_vector("holdings", strategy.dynamic, len(model.gains))
     value = [strategy.cash] * model.n_cells
     every_cell = range(model.n_cells)
     terms = [(pos, claim, every_cell) for claim, pos in zip(model.claims, strategy.static) if pos]
@@ -103,7 +98,7 @@ class HedgingSpan:
 
 
 def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
-    model._check_weights(measure.weights)
+    _check_vector("measure weights", measure.weights, model.n_cells)
     columns = strategy_columns(model)
     support = measure.support
     restricted = [[vec[a] for a in support] for _, vec in columns]
@@ -151,7 +146,7 @@ def replicate(
     inner product, reported as zero off the support.
     """
     _require_calibrated(measure, model)
-    model._check_payoff(payoff)
+    _check_vector("payoff entries", payoff, model.n_cells)
     columns = strategy_columns(model)
     support = measure.support
     rows = [[vec[a] for _, vec in columns] for a in support]

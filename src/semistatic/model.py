@@ -41,6 +41,15 @@ def _check_index(name: str, index: int, size: int) -> None:
         raise ShapeError(f"{name} index {index} outside 0..{size - 1}")
 
 
+def _check_vector(name: str, values: Sequence, size: int) -> None:
+    """Raise ShapeError unless there are ``size`` values, TypeError unless each is an int or a Fraction (no bool)."""
+    if len(values) != size:
+        raise ShapeError(f"{name}: got {len(values)}, expected {size}")
+    for x in values:
+        if type(x) is not Fraction and type(x) is not int:
+            raise TypeError(f"{name} must be int or Fraction, got {x!r}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty cells of outcome indices covering the outcome set."""
@@ -102,11 +111,7 @@ class FilteredModel:
     @cached_property
     def coarse_cell_of(self) -> tuple[tuple[int, ...], ...]:
         """For each time k, map terminal cell index -> index of its P_k cell."""
-        table = []
-        for partition in self.partitions:
-            lookup = partition.cell_of
-            table.append(tuple(lookup[cell[0]] for cell in self.terminal_cells))
-        return tuple(table)
+        return _cells_of(self.terminal_cells, self.partitions)
 
     @cached_property
     def coarse_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -160,29 +165,13 @@ class FilteredModel:
 
     def measure(self, weights: Sequence[Fraction | int | str]) -> "Measure":
         """A probability measure on the terminal cells that charges only allowed cells."""
-        self._check_weights(weights)
-        measure = Measure(tuple(rat(w) for w in weights))
+        values = tuple(map(rat, weights))
+        _check_vector("measure weights", values, self.n_cells)
+        measure = Measure(values)
         bad = [a for a in measure.support if a not in self.allowed]
         if bad:
             raise ValueError(f"measure charges terminal cells outside the prior support: {bad}")
         return measure
-
-    def _check_weights(self, weights: Sequence) -> None:
-        """Raise ShapeError unless there is one weight per terminal cell."""
-        if len(weights) != self.n_cells:
-            raise ShapeError(f"measure has {len(weights)} weights, model has {self.n_cells} terminal cells")
-
-    def _check_payoff(self, payoff: Sequence) -> None:
-        """Raise ShapeError unless there is one entry per terminal cell, TypeError unless each is exact.
-
-        An entry must be an ``int`` or a ``Fraction``, as a ``Measure`` weight
-        must: a float or a bool raises.
-        """
-        if len(payoff) != self.n_cells:
-            raise ShapeError("payoff length must match terminal cells")
-        for x in payoff:
-            if type(x) is not Fraction and type(x) is not int:
-                raise TypeError(f"payoff entries must be int or Fraction, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -199,9 +188,7 @@ class Measure:
     support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for w in self.weights:
-            if type(w) is not Fraction and type(w) is not int:
-                raise TypeError(f"measure weights must be int or Fraction, got {w!r}")
+        _check_vector("measure weights", self.weights, len(self.weights))
         numerators, scale = common_denominator(self.weights)
         if any(x < 0 for x in numerators):
             raise ValueError("measure weights must be nonnegative")
@@ -210,8 +197,7 @@ class Measure:
         object.__setattr__(self, "support", tuple(a for a, x in enumerate(numerators) if x))
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
-        if len(payoff) != len(self.weights):
-            raise ShapeError(f"payoff has {len(payoff)} entries, measure has {len(self.weights)}")
+        _check_vector("payoff entries", payoff, len(self.weights))
         return sum((w * x for w, x in zip(self.weights, payoff) if w), ZERO)
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -354,6 +340,11 @@ def natural_filtration(prices: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[
     return tuple(partitions)
 
 
+def _cells_of(terminal_cells: Sequence[Cell], partitions: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
+    """Per time k, the index of the ``partitions[k]`` cell holding each of the terminal cells."""
+    return tuple(tuple(partition.cell_of[cell[0]] for cell in terminal_cells) for partition in partitions)
+
+
 def groups_of(
     cell_of: Sequence[Sequence[int]], partitions: Sequence[Partition]
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -388,7 +379,8 @@ def conditional_expectation(
     model: FilteredModel, payoff: Sequence[Fraction], k: int, measure: Measure
 ) -> Payoff:
     """E[payoff | P_k] under the measure, as a vector over terminal cells."""
-    model._check_payoff(payoff)
+    _check_vector("payoff entries", payoff, model.n_cells)
     _check_index("time", k, model.horizon + 1)
+    _check_vector("measure weights", measure.weights, model.n_cells)
     return condexp_groups(payoff, model.coarse_groups[k], measure.weights)
 

@@ -26,7 +26,7 @@ from math import gcd
 
 from . import linalg
 from .errors import ConstraintViolation, InvariantViolation, ShapeError
-from .model import FilteredModel, Measure, Payoff
+from .model import FilteredModel, Measure, Payoff, _check_vector
 from .rationals import common_denominator, integer_row
 
 ZERO = Fraction(0)
@@ -94,8 +94,7 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
     measure of another length raises ShapeError.
     """
     weights = measure.weights
-    if len(weights) != cs.n_cells:
-        raise ShapeError(f"measure has {len(weights)} weights, model has {cs.n_cells} terminal cells")
+    _check_vector("measure weights", weights, cs.n_cells)
     support = measure.support
     if not cs.allowed.issuperset(support):
         return False

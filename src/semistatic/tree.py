@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .errors import NotComplete, NotMeasurable, ShapeError
 from .hedging import decompose_unhedgeable
-from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, condexp_groups
+from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, condexp_groups
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,6 +115,15 @@ def _cells_within(model: FilteredModel, event: Iterable[int]) -> tuple[tuple[int
     return inside, sum(len(model.terminal_cells[a]) for a in inside) == len(covered)
 
 
+def _check_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> None:
+    """Raise ShapeError when a node names an outcome outside the model, or the measure has another length."""
+    for node in tree.nodes:
+        unknown = [w for w in node.cell if w not in model.terminal_cell_of_outcome]
+        if unknown:
+            raise ShapeError(f"tree node names outcome {unknown[0]}, which is not in the model")
+    _check_vector("measure weights", measure.weights, model.n_cells)
+
+
 def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
     """First time index at which the event is a union of partition cells."""
     cells, exact = _cells_within(model, cell)
@@ -156,10 +165,7 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
 
     Raises ShapeError when a node names an outcome outside the model.
     """
-    for node in tree.nodes:
-        unknown = [w for w in node.cell if w not in model.terminal_cell_of_outcome]
-        if unknown:
-            raise ShapeError(f"tree node names outcome {unknown[0]}, which is not in the model")
+    _check_tree(tree, measure, model)
     bad: list[Violation] = []
     cells = [set(node.cell) for node in tree.nodes]
     lookups = [_cells_within(model, cell) for cell in cells]
@@ -201,7 +207,7 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
 
 def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     """Leaves partition the space mod null and parents are atoms just before births."""
-    model._check_weights(measure.weights)
+    _check_tree(tree, measure, model)
     counts = [0] * model.n_cells
     for leaf in tree.leaves:
         for a in _cells_within(model, leaf.cell)[0]:
@@ -219,7 +225,8 @@ def sigma_tree_expectation(
     payoff: Sequence[Fraction], tree: AtomicTree, measure: Measure, model: FilteredModel
 ) -> Payoff:
     """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
-    model._check_weights(measure.weights)
+    _check_vector("payoff entries", payoff, model.n_cells)
+    _check_tree(tree, measure, model)
     leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
     return condexp_groups(payoff, leaves, measure.weights)
 
@@ -266,6 +273,7 @@ def check_theorem_conditions(
     leaves - 1) independent directions; (iii) the price is still at its start
     value through each leaf's birth time on the support.
     """
+    _check_tree(tree, measure, model)
     leaf_checks: list[LeafCheck] = []
     charged_leaves = 0
     for leaf in tree.leaves:

@@ -71,7 +71,7 @@ def test_enlarge_rejects_a_jump_that_does_not_fit_the_model(trinomial):
     with pytest.raises(ShapeError):
         enlarge(model, [SingleJump((0, None), (F(1), F(0)))])  # two outcomes for three
     for t in (model.horizon + 1, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=f"jump time index {t} outside 0..{model.horizon}"):
             enlarge(model, [SingleJump((t, None, None), (F(1), F(0), F(0)))])
 
 

@@ -107,7 +107,7 @@ def test_strategy_payoff_rejects_static_positions_of_the_wrong_length(trinomial_
     # one claim: an extra position has no claim to pay, and a missing one must not count as zero
     model = trinomial_calibrated.model
     strategy = SemiStaticStrategy(F(0), static, (F(0),) * len(model.gains))
-    with pytest.raises(ShapeError, match=f"static positions have {len(static)} entries, expected 1"):
+    with pytest.raises(ShapeError, match=f"static positions: got {len(static)}, expected 1"):
         strategy_payoff(strategy, model)
 
 
@@ -117,7 +117,7 @@ def test_from_coordinates_rejects_a_coordinate_count_off_the_columns(trinomial_c
     assert len(strategy_columns(model)) == 3
     strategy = SemiStaticStrategy.from_coordinates([F(1), F(2), F(3)], model)
     assert (strategy.cash, strategy.static, strategy.dynamic) == (F(1), (F(2),), (F(3),))
-    with pytest.raises(ShapeError, match=f"strategy has {count} coordinates, expected 3"):
+    with pytest.raises(ShapeError, match=f"strategy coordinates: got {count}, expected 3"):
         SemiStaticStrategy.from_coordinates([F(0)] * count, model)
 
 

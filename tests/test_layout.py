@@ -124,3 +124,31 @@ def test_only_the_parser_is_cached_across_calls():
                     decorated.append(f"{path.stem}.{node.name}")
     assert decorated == ["cli.build_parser"]
     assert uses == 1  # that decorator, and no memo made by a call or imported by name
+
+
+def test_shape_errors_are_raised_only_by_the_input_checks():
+    # a length or an index is checked by the model's helpers, so no module grows its own check again
+    allowed = {
+        "model._check_index",
+        "model._check_vector",
+        "tree._check_tree",
+        # checks the helpers do not cover: a label's outcomes, a system's allowed cells, a jump's measurability
+        "model.FilteredModel.cell_label",
+        "polytope.ConstraintSystem.__post_init__",
+        "enlargement.EnlargedModel.on_cells",
+    }
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            exc = child.exc.func if isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call) else None
+            if getattr(exc, "id", None) == "ShapeError":
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), [path.stem])
+    assert found == allowed

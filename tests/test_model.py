@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic.duality import robust_price, superhedge, verify_duality
-from semistatic.enlargement import enlarge, filtrations_coincide
+from semistatic.enlargement import SingleJump, azema, compensator, enlarge, filtrations_coincide, jeulin_yor
 from semistatic.errors import ShapeError
-from semistatic.hedging import hedging_span, is_semistatically_complete, replicate
+from semistatic.hedging import hedging_span, is_semistatically_complete, replicate, terminal_gain
 from semistatic.model import (
     FilteredModel,
     Measure,
@@ -20,9 +20,19 @@ from semistatic.model import (
 )
 from semistatic.polytope import enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_measure, random_model, random_payoff
-from semistatic.tree import AtomicTree, TreeNode, extract_tree, is_full, sigma_tree_expectation
+from semistatic.tree import (
+    AtomicTree,
+    TreeNode,
+    check_theorem_conditions,
+    extract_tree,
+    is_full,
+    sigma_tree_expectation,
+    validate_atomic_tree,
+)
 
 F = Fraction
+ROOT = AtomicTree([TreeNode((0, 1, 2), 0)])
+JUMP = SingleJump((1, None, None), (F(1), 0, 0))
 
 
 def test_validate_binomial(binomial):
@@ -173,7 +183,7 @@ def test_member_agrees_with_rational_rows(seed):
 
 @pytest.mark.parametrize("weights", [["1/2"], ["1/4", "1/4", "1/4", "1/4"]], ids=["short", "long"])
 def test_measure_names_a_wrong_length_before_the_sum(trinomial, weights):
-    with pytest.raises(ShapeError, match=f"measure has {len(weights)} weights, model has 3 terminal cells"):
+    with pytest.raises(ShapeError, match=f"measure weights: got {len(weights)}, expected 3"):
         trinomial.model.measure(weights)
 
 
@@ -181,7 +191,7 @@ def test_measure_names_a_wrong_length_before_the_sum(trinomial, weights):
 def test_expectation_rejects_a_payoff_of_the_wrong_length(trinomial, payoff):
     q = trinomial.model.measure(["1/4", "1/2", "1/4"])
     assert q.expectation((F(1), F(1), F(1))) == 1
-    with pytest.raises(ShapeError, match=f"payoff has {len(payoff)} entries, measure has 3"):
+    with pytest.raises(ShapeError, match=f"payoff entries: got {len(payoff)}, expected 3"):
         q.expectation(payoff)
 
 
@@ -232,38 +242,56 @@ def test_price_rejects_an_index_outside_the_model(trinomial_calibrated, index, m
         lambda model, measure: is_semistatically_complete(measure, model),
         lambda model, measure: replicate((F(1), F(0), F(1)), measure, model),
         lambda model, measure: extract_tree(measure, model),
-        lambda model, measure: sigma_tree_expectation(
-            (F(1), F(0), F(1)), AtomicTree([TreeNode((0, 1, 2), 0)]), measure, model
-        ),
+        lambda model, measure: sigma_tree_expectation((F(1), F(0), F(1)), ROOT, measure, model),
+        lambda model, measure: conditional_expectation(model, (F(1), F(0), F(1)), 0, measure),
+        lambda model, measure: validate_atomic_tree(ROOT, measure, model),
+        lambda model, measure: check_theorem_conditions(ROOT, measure, model),
+        lambda model, measure: azema(measure, JUMP, enlarge(model, [JUMP])),
+        lambda model, measure: compensator(measure, JUMP, enlarge(model, [JUMP])),
+        lambda model, measure: jeulin_yor(measure, JUMP, enlarge(model, [JUMP])),
     ],
     ids=["hedging_span", "filtrations_coincide", "is_full", "member", "is_extreme",
-         "is_semistatically_complete", "replicate", "extract_tree", "sigma_tree_expectation"],
+         "is_semistatically_complete", "replicate", "extract_tree", "sigma_tree_expectation",
+         "conditional_expectation", "validate_atomic_tree", "check_theorem_conditions",
+         "azema", "compensator", "jeulin_yor"],
 )
 def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
     model = trinomial_calibrated.model
     check(model, model.measure(["1/4", "1/2", "1/4"]))
-    with pytest.raises(ShapeError, match="measure has 1 weights, model has 3 terminal cells"):
+    with pytest.raises(ShapeError, match="measure weights: got 1, expected 3"):
         check(model, Measure((F(1),)))
 
 
 @pytest.mark.parametrize(
-    "check",
+    "check, argument",
     [
-        lambda model, payoff: superhedge(payoff, model),
-        lambda model, payoff: verify_duality(payoff, model),
-        lambda model, payoff: robust_price(payoff, model),
-        lambda model, payoff: replicate(payoff, model.measure(["1/4", "1/2", "1/4"]), model),
-        lambda model, payoff: conditional_expectation(model, payoff, 0, model.measure(["1/4", "1/2", "1/4"])),
+        (lambda model, payoff: superhedge(payoff, model), "payoff entries"),
+        (lambda model, payoff: verify_duality(payoff, model), "payoff entries"),
+        (lambda model, payoff: robust_price(payoff, model), "payoff entries"),
+        (lambda model, payoff: replicate(payoff, model.measure(["1/4", "1/2", "1/4"]), model), "payoff entries"),
+        (
+            lambda model, payoff: conditional_expectation(model, payoff, 0, model.measure(["1/4", "1/2", "1/4"])),
+            "payoff entries",
+        ),
+        (
+            lambda model, payoff: sigma_tree_expectation(payoff, ROOT, model.measure(["1/4", "1/2", "1/4"]), model),
+            "payoff entries",
+        ),
+        # three copies of the one asset give three gain columns, one holding per entry
+        (lambda model, payoff: terminal_gain(payoff, replace(model, prices=model.prices * 3)), "holdings"),
+        (lambda model, payoff: enlarge(model, [JUMP]).expand(payoff), "payoff entries"),
+        (lambda model, payoff: model.measure(["1/4", "1/2", "1/4"]).expectation(payoff), "payoff entries"),
     ],
-    ids=["superhedge", "verify_duality", "robust_price", "replicate", "conditional_expectation"],
+    ids=["superhedge", "verify_duality", "robust_price", "replicate", "conditional_expectation",
+         "sigma_tree_expectation", "terminal_gain", "expand", "expectation"],
 )
-def test_an_inexact_payoff_is_rejected(trinomial_calibrated, check):
+def test_an_inexact_payoff_is_rejected(trinomial_calibrated, check, argument):
     model = trinomial_calibrated.model
     check(model, (F(1, 10), 2, F(3, 10)))
     for payoff in ([0.1, 0.2, 0.3], (F(1), True, F(0)), (F(1), "1/2", F(0))):
-        with pytest.raises(TypeError, match="payoff entries must be int or Fraction"):
+        with pytest.raises(TypeError, match=f"{argument} must be int or Fraction"):
             check(model, payoff)
-    with pytest.raises(ShapeError, match="payoff length must match terminal cells"):
+    with pytest.raises(ShapeError, match=f"{argument}: got 2, expected 3"):
         check(model, [0.1, 0.2])
 
 
