@@ -17,14 +17,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation
-from .hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
+from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import VertexSet, enumerate_extreme_points
-from .rationals import fmt
+from .rationals import common_denominator, fmt
 from .simplex import solve_lp
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -61,14 +60,20 @@ class RobustPriceResult:
         }
 
 
-def _domination_rows(vectors: Sequence[Payoff], allowed: Sequence[int]) -> list[list[Fraction]]:
-    """Per allowed cell a: each vector at a, then -1 in the cell's own surplus column and 0 in the others."""
+def _domination_rows(columns: Sequence[Sequence[int]], allowed: Sequence[int]) -> list[list[int]]:
+    """Per allowed cell a: each int column at a, then -1 in the cell's own surplus column and 0 in the others."""
     rows = []
     for slot, a in enumerate(allowed):
-        surplus = [ZERO] * len(allowed)
-        surplus[slot] = -ONE
-        rows.append([vec[a] for vec in vectors] + surplus)
+        surplus = [0] * len(allowed)
+        surplus[slot] = -1
+        rows.append([col[a] for col in columns] + surplus)
     return rows
+
+
+def _unscaled(values: Sequence[Fraction], scales: Sequence[int], divisor: int) -> list[Fraction]:
+    """The rational program's coordinates y_i * s_i / divisor, from the int program's y_i and column scales s_i."""
+    pairs = zip(values, scales)
+    return [y if not y or s == divisor else Fraction(y.numerator * s, y.denominator * divisor) for y, s in pairs]
 
 
 def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeResult:
@@ -76,25 +81,34 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
 
     Strategy coordinates are free variables of the program, one tableau
     column each; one surplus variable per allowed cell turns domination into
-    equality.  An unbounded program means the statics admit model-free
-    arbitrage, reported through the improving ray (negative cash, nonnegative
-    total payoff).
+    equality.  The columns are the int rows of ``int_strategy_columns`` (s_i
+    times the rational ones) and the payoff is scaled by its lcm D, so the
+    int program's coordinate is x_i * D / s_i.  Positive column and rhs
+    scales change no sign and no ratio, so Bland's rule pivots as on the
+    rational program, whose solution is read back through the scales.  An
+    unbounded program means the statics admit model-free arbitrage, reported
+    through the improving ray (negative cash, nonnegative total payoff),
+    scaled as the rational ray is: +-1 in its entering column.
     """
     _check_vector("payoff entries", payoff, model.n_cells)
-    vectors = [vec for _, vec in strategy_columns(model)]
+    columns = int_strategy_columns(model)
     allowed = sorted(model.allowed)
-    n_free = len(vectors)
-    matrix = _domination_rows(vectors, allowed)
-    cost = [ONE] + [ZERO] * (n_free - 1 + len(allowed))
+    n_free = len(columns)
+    matrix = _domination_rows([row for row, _ in columns], allowed)
+    rhs, scale = common_denominator([payoff[a] for a in allowed])
+    cost = [1] + [0] * (n_free - 1 + len(allowed))
 
-    result = solve_lp(cost, matrix, [payoff[a] for a in allowed], free=n_free)
+    result = solve_lp(cost, matrix, rhs, free=n_free)
     if result.status == "infeasible":
         raise InvariantViolation("cash can always dominate a finite payoff")
+    scales = [s for _, s in columns]
     if result.status == "unbounded":
-        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(result.ray[:n_free], model), ())
-    strategy = SemiStaticStrategy.from_coordinates(result.solution[:n_free], model)
+        unit = scales[result.column] if result.column < n_free else 1
+        ray = _unscaled(result.ray, scales, unit)
+        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(ray, model), ())
+    strategy = SemiStaticStrategy.from_coordinates(_unscaled(result.solution, scales, scale), model)
     tight = tuple(a for slot, a in enumerate(allowed) if result.solution[n_free + slot] == 0)
-    return SuperhedgeResult(result.objective, strategy, tight)
+    return SuperhedgeResult(strategy.cash, strategy, tight)  # cash is the only cost, so the price
 
 
 def robust_price(
@@ -207,32 +221,38 @@ class ArbitrageReport:
 
 
 def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) -> ArbitrageReport:
-    """Feasibility of the calibrated measure set, with a Farkas certificate.
+    """Feasibility of the calibrated measure set, with a checked Farkas certificate.
 
     When the set is empty, a zero-cost strategy whose payoff is at least one
     on every allowed cell is produced by maximizing the guaranteed floor of a
     cash-free strategy (capped at one to keep the program bounded).  The
     strategy coordinates and the floor are free variables, one tableau column
-    each.
+    each, on the int columns of ``superhedge``.  The certificate is checked
+    without the LP: zero cash and a recomputed payoff at least the positive
+    floor on every allowed cell, else InvariantViolation.
     """
     if vertex_set is None:
         vertex_set = enumerate_extreme_points(model.constraints)
     if vertex_set.vertices:
         return ArbitrageReport(True, len(vertex_set.vertices))
 
-    vectors = [vec for _, vec in strategy_columns(model)[1:]]  # no cash: the certificate must be zero-cost
+    columns = int_strategy_columns(model)[1:]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.allowed)
-    n_free = len(vectors)
+    n_free = len(columns)
+    n = model.n_cells
     # variables: free coordinates, free floor t, then cap slack u and surpluses s; t is -1 and u 0 on every cell
-    matrix = _domination_rows(vectors + [(-ONE,) * model.n_cells, (ZERO,) * model.n_cells], allowed)
-    matrix.append([ZERO] * n_free + [ONE, ONE] + [ZERO] * len(allowed))
-    rhs = [ZERO] * len(allowed) + [ONE]
-    cost = [ZERO] * n_free + [-ONE] + [ZERO] * (1 + len(allowed))
+    matrix = _domination_rows([row for row, _ in columns] + [(-1,) * n, (0,) * n], allowed)
+    matrix.append([0] * n_free + [1, 1] + [0] * len(allowed))
+    rhs = [0] * len(allowed) + [1]
+    cost = [0] * n_free + [-1] + [0] * (1 + len(allowed))
 
     result = solve_lp(cost, matrix, rhs, free=n_free + 1)
     if result.status != "optimal":
         raise InvariantViolation("floor program is feasible and capped")
-    if -result.objective <= 0:
-        raise InvariantViolation("empty measure set must produce a positive floor")
-    strategy = SemiStaticStrategy.from_coordinates((ZERO,) + result.solution[:n_free], model)
-    return ArbitrageReport(False, 0, strategy, strategy_payoff(strategy, model))
+    coordinates = _unscaled(result.solution, [s for _, s in columns], 1)
+    strategy = SemiStaticStrategy.from_coordinates((ZERO, *coordinates), model)
+    value = strategy_payoff(strategy, model)
+    floor = -result.objective
+    if floor <= 0 or strategy.cash != 0 or any(value[a] < floor for a in allowed):
+        raise InvariantViolation("certificate must be zero-cost and pay a positive floor on every allowed cell")
+    return ArbitrageReport(False, 0, strategy, value)

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence
 
-from .errors import InvariantViolation, ShapeError
+from .errors import InputError, InvariantViolation, ShapeError
 from .model import (
     FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, condexp_groups, groups_of
 )
@@ -41,9 +41,9 @@ class SingleJump:
         _check_vector("jump marks", self.mark, len(self.tau))
         for t, x in zip(self.tau, self.mark):
             if x < 0:
-                raise ValueError("marks must be nonnegative")
+                raise InputError("marks must be nonnegative")
             if (t is None) != (x == 0):
-                raise ValueError("tau must be infinite exactly where the mark vanishes")
+                raise InputError("tau must be infinite exactly where the mark vanishes")
 
     def to_json(self, model: FilteredModel) -> dict:
         return {
@@ -247,11 +247,11 @@ def predictable_reduction(
     is well defined; cells with no pre-jump part get zero.
     """
     base, fine = enlarged.base, enlarged.model
-    _check_vector("holdings", holdings, len(fine.gains))
+    _check_vector("holdings", holdings, len(fine.int_gains))
     _check_jump(jump, base)
-    held = {label[1:]: h for (label, _), h in zip(fine.gains, holdings)}
+    held = {label[1:]: h for (label, _, _), h in zip(fine.int_gains, holdings)}
     reduced = []
-    for (_, k, c, j), _ in base.gains:
+    for (_, k, c, j), _, _ in base.int_gains:
         fine_cell_of = fine.partitions[k - 1].cell_of
         pre_jump = {
             held[k, fine_cell_of[w], j]
@@ -259,7 +259,7 @@ def predictable_reduction(
             if jump.tau[w] is None or jump.tau[w] >= k
         }
         if len(pre_jump) > 1:
-            raise ValueError(
+            raise InputError(
                 "pre-jump holdings differ inside one base cell; the enlargement "
                 "must be generated by this jump alone for the reduction to exist"
             )

@@ -31,3 +31,7 @@ class ShapeError(SemistaticError):
 
 class InvariantViolation(SemistaticError):
     """An internal invariant failed: a bug in the engine, not in its input."""
+
+
+class InputError(SemistaticError, ValueError):
+    """A library argument has a value the model cannot take (a negative weight, say)."""

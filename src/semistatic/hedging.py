@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -42,14 +43,14 @@ class SemiStaticStrategy:
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
         """The strategy with these coordinates on ``strategy_columns(model)``; another count raises ShapeError."""
-        _check_vector("strategy coordinates", values, len(strategy_columns(model)))
+        _check_vector("strategy coordinates", values, 1 + len(model.claims) + len(model.int_gains))
         n_static = len(model.claims)
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
     def to_json(self, model: FilteredModel) -> dict:
         entries = [
             {"k": k, "cell": model.cell_label(model.partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
-            for ((_, k, c, j), _), h in zip(model.gains, self.dynamic)
+            for ((_, k, c, j), _, _), h in zip(model.int_gains, self.dynamic)
             if h
         ]
         return {"cash": fmt(self.cash), "static": [fmt(a) for a in self.static], "dynamic": entries}
@@ -61,31 +62,36 @@ def terminal_gain(dynamic: Sequence[Fraction], model: FilteredModel) -> Payoff:
 
 
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
-    """Cash plus every nonzero position and holding times the nonzero entries of its vector.
+    """Cash plus every nonzero position and holding times its int column, over one common denominator.
 
     Static positions that do not match ``model.claims`` one to one, or holdings
     that do not match the columns of ``model.gains``, raise ``ShapeError``.
     """
     _check_vector("cash", (strategy.cash,), 1)
     _check_vector("static positions", strategy.static, len(model.claims))
-    _check_vector("holdings", strategy.dynamic, len(model.gains))
-    value = [strategy.cash] * model.n_cells
-    every_cell = range(model.n_cells)
-    terms = [(pos, claim, every_cell) for claim, pos in zip(model.claims, strategy.static) if pos]
-    for ((_, k, c, _), vec), h in zip(model.gains, strategy.dynamic):
-        if h:
-            terms.append((h, vec, model.coarse_groups[k - 1][c]))
-    for h, vec, cells in terms:
-        for a in cells:
-            if vec[a]:
-                value[a] += h * vec[a]
-    return tuple(value)
+    _check_vector("holdings", strategy.dynamic, len(model.int_gains))
+    coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
+    terms = [(h, row, h.denominator * scale) for h, (row, scale) in zip(coordinates, int_strategy_columns(model)) if h]
+    common = lcm(*[d for _, _, d in terms])
+    value = [0] * model.n_cells
+    for h, row, d in terms:
+        f = h.numerator * (common // d)
+        for a, x in enumerate(row):
+            if x:
+                value[a] += f * x
+    return tuple(Fraction(x, common) for x in value)
 
 
 def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
     """Strategy coordinates in column order: cash, claims, gains."""
     claims = tuple((("claim", i), claim) for i, claim in enumerate(model.claims))
     return ((("const",), (ONE,) * model.n_cells), *claims, *model.gains)
+
+
+def int_strategy_columns(model: FilteredModel) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The columns of ``strategy_columns`` as int rows with their scales: column i is ``row / scale``."""
+    gains = tuple((row, scale) for _, row, scale in model.int_gains)
+    return (((1,) * model.n_cells, 1), *model.int_claims, *gains)
 
 
 @dataclass(frozen=True)

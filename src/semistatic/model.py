@@ -8,6 +8,9 @@ adapted and started at zero), ``claims`` (the statically traded claims,
 payoffs over the cells of P_K with initial price zero) and ``allowed`` (the
 P_K cells that priors may charge).  Probability measures live on the cells
 of the terminal partition P_K; payoff vectors are indexed the same way.
+The model caches the gains and claims as int rows with positive scales
+(``int_gains``, ``int_claims``) for the exact layers; ``gains`` is their
+Fraction view.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import ShapeError
-from .rationals import common_denominator, fmt, rat
+from .errors import InputError, ShapeError
+from .rationals import _INT, common_denominator, fmt, rat
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -126,23 +129,41 @@ class FilteredModel:
         return self.prices[asset][k][self.terminal_cells[terminal_cell][0]]
 
     @cached_property
-    def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
-        """Elementary gains 1_A (S^j_k - S^j_{k-1}), labelled ("gain", k, c, j).
+    def int_gains(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
+        """Elementary gains 1_A (S^j_k - S^j_{k-1}) as int rows: (("gain", k, c, j), row, scale).
 
-        A is cell c of P_{k-1}; the order is (k, c, j).  These vectors are
-        both the dynamic columns of a semi-static strategy and the martingale
-        rows of the calibrated measure set.
+        A is cell c of P_{k-1}; the order is (k, c, j).  Asset j's prices (on
+        each terminal cell's representative) are scaled once by their lcm,
+        ``scale``, so the gain is ``row / scale``.  These vectors are both the
+        dynamic strategy columns and the martingale rows of the measure set.
         """
-        columns = []
+        representatives, n = [cell[0] for cell in self.terminal_cells], self.n_cells
+        assets = []
+        for path in self.prices:
+            numerators, scale = common_denominator([slice_k[w] for slice_k in path for w in representatives])
+            assets.append(([numerators[k * n : (k + 1) * n] for k in range(len(path))], scale))
+        rows = []
         for k in range(1, self.horizon + 1):
             for c, group in enumerate(self.coarse_groups[k - 1]):
-                for j, path in enumerate(self.prices):
-                    vec = [ZERO] * self.n_cells
+                for j, (path, scale) in enumerate(assets):
+                    row = [0] * n
+                    now, before = path[k], path[k - 1]
                     for a in group:
-                        w = self.terminal_cells[a][0]
-                        vec[a] = path[k][w] - path[k - 1][w]
-                    columns.append((("gain", k, c, j), tuple(vec)))
-        return tuple(columns)
+                        row[a] = now[a] - before[a]
+                    rows.append((("gain", k, c, j), tuple(row), scale))
+        return tuple(rows)
+
+    @cached_property
+    def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
+        """The elementary gains of ``int_gains`` as Fraction vectors, labelled ("gain", k, c, j)."""
+        return tuple(
+            (label, tuple(Fraction(x, scale) if x else ZERO for x in row)) for label, row, scale in self.int_gains
+        )
+
+    @cached_property
+    def int_claims(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each claim as an int row over the lcm of its denominators, and that lcm: the claim is ``row / scale``."""
+        return tuple((tuple(row), scale) for row, scale in map(common_denominator, self.claims))
 
     @cached_property
     def constraints(self) -> ConstraintSystem:
@@ -152,12 +173,11 @@ class FilteredModel:
         return build_constraints(self)
 
     def cell_label(self, cell: Iterable[int]) -> str:
-        """The outcome names of the cell in index order, joined by "|"."""
-        cell, n = sorted(cell), self.n_outcomes
-        if cell and not (0 <= cell[0] and cell[-1] < n):
-            first = next(w for w in cell if not 0 <= w < n)
-            raise ShapeError(f"outcome index {first} outside 0..{n - 1}")
-        return "|".join(self.outcomes[w] for w in cell)
+        """The outcome names of the cell in index order, joined by "|"; each entry passes ``_check_index``."""
+        cell = list(cell)
+        for w in cell:
+            _check_index("outcome", w, self.n_outcomes)
+        return "|".join(self.outcomes[w] for w in sorted(cell))
 
     def terminal_label(self, index: int) -> str:
         _check_index("terminal cell", index, self.n_cells)
@@ -170,8 +190,17 @@ class FilteredModel:
         measure = Measure(values)
         bad = [a for a in measure.support if a not in self.allowed]
         if bad:
-            raise ValueError(f"measure charges terminal cells outside the prior support: {bad}")
+            raise InputError(f"measure charges terminal cells outside the prior support: {bad}")
         return measure
+
+
+def _checked_support(numerators: Sequence[int], scale: int) -> tuple[int, ...]:
+    """The charged indices of the weights ``numerators / scale``; raises InputError unless they are a probability."""
+    if min(numerators, default=0) < 0:
+        raise InputError("measure weights must be nonnegative")
+    if scale <= 0 or sum(numerators) != scale:
+        raise InputError("measure weights must sum to exactly 1")
+    return tuple(compress(range(len(numerators)), numerators))
 
 
 @dataclass(frozen=True)
@@ -182,6 +211,8 @@ class Measure:
     bool, a string) raises ``TypeError``, as ``rat`` does.  Sign and sum are
     checked exactly on the numerators over the lcm of the denominators, and
     ``support``, the indices of the charged cells, is computed once here.
+    ``from_ints`` builds a measure from int numerators over one scale, with
+    the same checks on those ints.
     """
 
     weights: Payoff
@@ -189,12 +220,21 @@ class Measure:
 
     def __post_init__(self) -> None:
         _check_vector("measure weights", self.weights, len(self.weights))
-        numerators, scale = common_denominator(self.weights)
-        if any(x < 0 for x in numerators):
-            raise ValueError("measure weights must be nonnegative")
-        if sum(numerators) != scale:
-            raise ValueError("measure weights must sum to exactly 1")
-        object.__setattr__(self, "support", tuple(a for a, x in enumerate(numerators) if x))
+        object.__setattr__(self, "support", _checked_support(*common_denominator(self.weights)))
+
+    @classmethod
+    def from_ints(cls, numerators: Sequence[int], scale: int) -> Measure:
+        """The measure with weights ``numerators[a] / scale``, all ints: one Fraction per charged cell."""
+        if not _INT.issuperset(map(type, numerators)) or type(scale) is not int:
+            raise TypeError("measure numerators and scale must be int")
+        support = _checked_support(numerators, scale)
+        weights = [ZERO] * len(numerators)
+        for a in support:
+            weights[a] = Fraction(numerators[a], scale)
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "weights", tuple(weights))
+        object.__setattr__(measure, "support", support)
+        return measure
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
         _check_vector("payoff entries", payoff, len(self.weights))
@@ -363,13 +403,19 @@ def condexp_groups(
     groups: Sequence[Sequence[int]],
     weights: Sequence[Fraction],
 ) -> Payoff:
-    """Groupwise conditional expectation; zero on null groups by convention."""
+    """Groupwise conditional expectation; zero on null groups by convention.
+
+    The weights and the payoff are each scaled to ints once, so a group's
+    mean is one Fraction of two int sums.
+    """
+    w, _ = common_denominator(weights)
+    x, scale = common_denominator(payoff)
     result = [ZERO] * len(payoff)
     for group in groups:
-        mass = sum((weights[a] for a in group), ZERO)
-        if mass == 0:
+        mass = sum([w[a] for a in group])
+        if not mass:
             continue
-        mean = sum((weights[a] * payoff[a] for a in group), ZERO) / mass
+        mean = Fraction(sum([w[a] * x[a] for a in group if w[a]]), mass * scale)
         for a in group:
             result[a] = mean
     return tuple(result)

@@ -2,13 +2,14 @@
 
 The measure set is {q >= 0 : Aq = b} over terminal cells, with one martingale
 row per (period, predecessor cell, asset), one calibration row per claim, a
-single normalization row, and zero bounds outside the prior support.  Extreme
-points are enumerated by the double description method run on the homogenized
-cone, with the rows taken deepest first.  Each row is scaled to integers, so
-the rays are primitive int tuples and every sign test is exact; a row's sign
-values walk only its nonzeros, and each ray's zero set is an int bitmask, so
-the adjacency test is a few integer operations per ray.  Every surviving ray
-is checked in int arithmetic before it becomes a Fraction measure: each
+single normalization row, and zero bounds outside the prior support.  Each
+row is an int normal read off the model's int tables, with its scale; a face
+shares its system's rows.  Extreme points are enumerated by the double
+description method run on the homogenized cone, with the rows taken deepest
+first.  The rays are primitive int tuples and every sign test is exact; a
+row's sign values walk only its nonzeros, and each ray's zero set is an int
+bitmask, so the adjacency test is a few integer operations per ray.  Every
+surviving ray is checked in int arithmetic before it becomes a measure: each
 constraint row over its nonzeros, the signs, and independent support columns
 by ``linalg.echelon`` (the forward half of the one fraction-free kernel in
 ``linalg``) on the normals restricted to the ray's support, zero rows dropped.
@@ -21,25 +22,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 from . import linalg
 from .errors import ConstraintViolation, InvariantViolation, ShapeError
 from .model import FilteredModel, Measure, Payoff, _check_vector
-from .rationals import common_denominator, integer_row
+from .rationals import common_denominator
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RowLabel = tuple
 
 
 @dataclass(frozen=True)
 class Row:
+    """One equality row as an int normal (the coefficients, then -rhs) that is ``scale`` times the rational row."""
+
     label: RowLabel
-    coeffs: Payoff
-    rhs: Fraction
+    normal: tuple[int, ...]
+    scale: int
+
+    @property
+    def coeffs(self) -> Payoff:
+        return tuple(Fraction(x, self.scale) if x else ZERO for x in self.normal[:-1])
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(-self.normal[-1], self.scale)
 
 
 @dataclass(frozen=True)
@@ -52,11 +61,6 @@ class ConstraintSystem:
         bad = [a for a in self.allowed if type(a) is not int or not 0 <= a < self.n_cells]
         if bad:
             raise ShapeError(f"allowed cells {sorted(bad, key=repr)} outside 0..{self.n_cells - 1}")
-
-    @cached_property
-    def normals(self) -> tuple[list[int], ...]:
-        """Each row as the int normal ``integer_row(coeffs + (-rhs,))``, built once per system."""
-        return tuple(integer_row(row.coeffs + (-row.rhs,)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -78,11 +82,11 @@ class VertexSet:
 
 
 def build_constraints(model: FilteredModel) -> ConstraintSystem:
-    """Equality description of the calibrated martingale-measure set."""
-    rows = [Row(("martingale", *label[1:]), vec, ZERO) for label, vec in model.gains]
-    for i, claim in enumerate(model.claims):
-        rows.append(Row(("calibration", i), claim, ZERO))
-    rows.append(Row(("normalization",), tuple([ONE] * model.n_cells), ONE))
+    """Equality description of the calibrated martingale-measure set, its rows from the model's int tables."""
+    rows = [Row(("martingale", *label[1:]), row + (0,), scale) for label, row, scale in model.int_gains]
+    for i, (row, scale) in enumerate(model.int_claims):
+        rows.append(Row(("calibration", i), row + (0,), scale))
+    rows.append(Row(("normalization",), (1,) * model.n_cells + (-1,), 1))
     return ConstraintSystem(tuple(rows), model.allowed, model.n_cells)
 
 
@@ -100,7 +104,7 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
         return False
     numerators, scale = common_denominator([weights[a] for a in support])
     charged = list(zip(support, numerators))
-    return all(sum(normal[a] * x for a, x in charged) == -normal[-1] * scale for normal in cs.normals)
+    return all(sum(row.normal[a] * x for a, x in charged) == -row.normal[-1] * scale for row in cs.rows)
 
 
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:
@@ -112,7 +116,7 @@ def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, Extremalit
     if not member(measure, cs):
         raise ConstraintViolation("measure does not satisfy the constraint system")
     support = measure.support
-    restricted = [[row.coeffs[a] for a in support] for row in cs.rows]
+    restricted = [[row.normal[a] for a in support] for row in cs.rows]
     witness = linalg.independent_rows(restricted)
     if len(witness) == len(support):
         return True, ExtremalityCertificate(True, witness_rows=tuple(witness))
@@ -193,33 +197,31 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     """All vertices of {q >= 0 : Aq = b}, in canonical order.
 
     Double description on the homogenized cone {(q, t) >= 0 : Aq = b t} over
-    the allowed cells, with each row's int normal (``cs.normals``) restricted
-    to those cells.  The rows are intersected deepest first: the martingale
-    rows in reverse (k, c, j) order, then the calibration rows, then the
-    normalization row, which keeps far fewer intermediate rays than the given
-    order.  ``cs.rows`` keeps its order, and the vertices are sorted
-    afterwards, so the output does not depend on the row order.  The
-    normalization row forces t > 0 on every surviving ray, so rays and
-    vertices correspond one-to-one and an infeasible system leaves no ray.
-    Each ray passes ``_check_vertex_ray`` in int arithmetic before any
-    Fraction is built for it.  Extremality certificates are built on demand
-    by ``certify``.
+    the allowed cells, with each row's int normal restricted to those cells.
+    The rows are intersected deepest first: the martingale rows in reverse
+    (k, c, j) order, then the calibration rows, then the normalization row,
+    which keeps far fewer intermediate rays than the given order.
+    ``cs.rows`` keeps its order, and the vertices are sorted afterwards, so
+    the output does not depend on the row order.  The normalization row
+    forces t > 0 on every surviving ray, so rays and vertices correspond
+    one-to-one and an infeasible system leaves no ray.  Each ray passes
+    ``_check_vertex_ray`` in int arithmetic, and becomes a measure through
+    ``Measure.from_ints``, one Fraction per charged cell.  Extremality
+    certificates are built on demand by ``certify``.
     """
     cols = sorted(cs.allowed)
-    martingale = [normal for row, normal in zip(cs.rows, cs.normals) if row.label[0] == "martingale"]
-    others = [normal for row, normal in zip(cs.rows, cs.normals) if row.label[0] != "martingale"]
+    martingale = [row.normal for row in cs.rows if row.label[0] == "martingale"]
+    others = [row.normal for row in cs.rows if row.label[0] != "martingale"]
     # a positive multiple of the row re-scaled over these cells alone: the same primitive rays
     normals = [[normal[c] for c in cols] + [normal[-1]] for normal in martingale[::-1] + others]
     normals = [normal for normal in normals if any(normal)]
     nonzeros = [[(j, a) for j, a in enumerate(normal) if a] for normal in normals]
-    vertices: list[tuple[tuple[int, ...], Payoff]] = []
+    vertices = []
     for ray in _double_description(nonzeros, len(cols) + 1):
         _check_vertex_ray(ray, normals, nonzeros)
-        t = ray[-1]
-        weights = [ZERO] * cs.n_cells
+        numerators = [0] * cs.n_cells
         for c, x in zip(cols, ray):
-            if x:
-                weights[c] = Fraction(x, t)
-        vertices.append((tuple(c for c, x in zip(cols, ray) if x), tuple(weights)))
-    vertices.sort()
-    return VertexSet(tuple(Measure(weights) for _, weights in vertices))
+            numerators[c] = x
+        vertices.append(Measure.from_ints(numerators, ray[-1]))
+    vertices.sort(key=lambda m: (m.support, m.weights))
+    return VertexSet(tuple(vertices))

@@ -51,9 +51,12 @@ def fmt(value: Fraction) -> str:
         return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
 
 
+_INT = frozenset({int})  # the type set of an all-int row
+
+
 def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The values as int numerators over the lcm of their denominators, and that lcm."""
-    if all(type(x) is int for x in values):
+    if _INT.issuperset(map(type, values)):
         return list(values), 1
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[d for _, d in ratios])

@@ -38,6 +38,7 @@ class LPResult:
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
     ray: tuple[Fraction, ...] | None = None  # improving feasible direction when unbounded
+    column: int | None = None  # the ray's entering column, where the ray is 1 (-1 for a flipped free column)
 
 
 def phase1_objective(rows: list[list[int]], n: int) -> list[int]:
@@ -174,7 +175,7 @@ def solve_lp(
         ray[col] = Fraction(tableau.sign[col] if col < free else 1)
         for i, bi in enumerate(tableau.basis):
             ray[bi] = -tableau.value(i, col)
-        return LPResult("unbounded", ray=tuple(ray))
+        return LPResult("unbounded", ray=tuple(ray), column=col)
     solution = [ZERO] * n
     for i, bi in enumerate(tableau.basis):
         solution[bi] = tableau.value(i, -1)

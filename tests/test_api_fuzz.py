@@ -165,6 +165,7 @@ CALLS = {
     "FilteredModel.measure": (lambda a: a["model"].measure(a["weights"]), [("weights", LENGTH)]),
     "FilteredModel.price": (lambda a: a["model"].price(a["asset"], a["time"], a["cell"]), ["asset", "time", "cell"]),
     "FilteredModel.terminal_label": (lambda a: a["model"].terminal_label(a["cell"]), ["cell"]),
+    "FilteredModel.cell_label": (lambda a: a["model"].cell_label(a["event"]), ["event"]),
     "conditional_expectation": (
         lambda a: conditional_expectation(a["model"], a["payoff"], a["time"], Measure(a["weights"])),
         ["payoff", "time", "weights"],

@@ -21,7 +21,7 @@ from semistatic.enlargement import (
     jeulin_yor,
     predictable_reduction,
 )
-from semistatic.errors import InvariantViolation, ShapeError
+from semistatic.errors import InputError, InvariantViolation, SemistaticError, ShapeError
 from semistatic.model import FilteredModel, Measure, Partition
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
@@ -58,11 +58,13 @@ def lumped():
 
 
 def test_jump_invariant():
-    with pytest.raises(ValueError):
+    # InputError: a SemistaticError that is also a ValueError
+    assert issubclass(InputError, SemistaticError) and issubclass(InputError, ValueError)
+    with pytest.raises(InputError, match="tau must be infinite exactly where the mark vanishes"):
         SingleJump((None, 0), (F(1), F(1)))  # infinite time with positive mark
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="tau must be infinite exactly where the mark vanishes"):
         SingleJump((0, 1), (F(1), F(0)))  # finite time with zero mark
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="marks must be nonnegative"):
         SingleJump((0,), (F(-1),))
 
 
@@ -285,6 +287,14 @@ def test_predictable_reduction_rejects_holdings_of_the_wrong_length(two_atom, ho
     assert len(enlarged.model.gains) == 2
     with pytest.raises(ShapeError):
         predictable_reduction(holdings, enlarged.jumps[0], enlarged)
+
+
+def test_predictable_reduction_rejects_holdings_that_differ_before_the_jump(two_atom):
+    # the enlargement by `jump` splits the one base cell, and `never` leaves both parts pre-jump
+    jump = SingleJump((0, None), (F(1), F(0)))
+    never = SingleJump((None, None), (F(0), F(0)))
+    with pytest.raises(InputError, match="pre-jump holdings differ inside one base cell"):
+        predictable_reduction((F(7), F(5)), never, enlarge(two_atom, [jump]))
 
 
 def test_predictable_reduction_all_jumped(two_atom):

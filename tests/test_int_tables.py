@@ -1,0 +1,313 @@
+"""The model's int tables against Fraction references kept here.
+
+``FilteredModel.int_gains`` and ``int_claims`` hold the gain and claim
+vectors as int rows with positive scales; the constraint rows, the simplex
+columns of ``superhedge`` and ``detect_arbitrage``, strategy payoffs,
+conditional means and vertex measures are all built on them.  Each test
+below recomputes the same object the Fraction way, as the engine did before
+the tables, on ``tests/test_layout.py``'s models, on a copy of each with
+fractional prices and claims, on one-jump enlargements of all of these, and
+on the bundled scenarios.
+"""
+
+import random
+import sys
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from semistatic import cli, duality, polytope
+from semistatic.duality import _tight_cells, detect_arbitrage, superhedge
+from semistatic.enlargement import enlarge
+from semistatic.errors import InputError, InvariantViolation
+from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
+from semistatic.model import Measure, condexp_groups
+from semistatic.polytope import enumerate_extreme_points
+from semistatic.rationals import integer_row
+from semistatic.sampling import random_jump, random_measure
+from semistatic.scenario import load_scenario
+from semistatic.simplex import solve_lp
+from tests.conftest import SCENARIOS
+from tests.test_layout import MODELS
+
+F = Fraction
+ZERO, ONE = F(0), F(1)
+
+
+def _fractional(model, rng):
+    """The model with asset j's time-k prices times a positive rational and each claim times another."""
+    factors = [[F(rng.randint(1, 7), rng.randint(1, 9)) for _ in model.times] for _ in model.prices]
+    prices = tuple(
+        tuple(tuple(f * x for x in slice_k) for f, slice_k in zip(fs, path)) for fs, path in zip(factors, model.prices)
+    )
+    claims = tuple(tuple(F(1, rng.randint(2, 6)) * x for x in claim) for claim in model.claims)
+    return replace(model, prices=prices, claims=claims)
+
+
+def _corpus():
+    rng = random.Random(2021)
+    named = [(name, model) for name, model in MODELS]
+    named += [(f"{name}-fractional", _fractional(model, rng)) for name, model in MODELS]
+    named += [(path.stem, load_scenario(path).model) for path in sorted(SCENARIOS.glob("*.json"))]
+    named += [(f"{name}-jump", enlarge(model, [random_jump(rng, model)]).model) for name, model in named]
+    return named
+
+
+CORPUS = _corpus()
+
+
+@pytest.fixture(params=[m for _, m in CORPUS], ids=[name for name, _ in CORPUS])
+def model(request):
+    return request.param
+
+
+def _reference_gains(model):
+    """The elementary gains as Fraction price differences on each P_{k-1} cell, in (k, c, j) order."""
+    columns = []
+    for k in range(1, model.horizon + 1):
+        for c, cell in enumerate(model.partitions[k - 1].cells):
+            for j, path in enumerate(model.prices):
+                vec = [ZERO] * model.n_cells
+                for a, terminal in enumerate(model.terminal_cells):
+                    w = terminal[0]
+                    if w in cell:
+                        vec[a] = path[k][w] - path[k - 1][w]
+                columns.append((("gain", k, c, j), tuple(vec)))
+    return columns
+
+
+def _positive_multiple(row, reference):
+    """Whether ``row`` is ``m * reference`` for some m > 0, with both int rows."""
+    k = next((i for i, x in enumerate(reference) if x), None)
+    if k is None:
+        return not any(row)
+    return row[k] * reference[k] > 0 and [row[k] * x for x in reference] == [reference[k] * x for x in row]
+
+
+def test_int_gain_rows_are_the_scaled_price_differences(model):
+    reference = _reference_gains(model)
+    assert [label for label, _, _ in model.int_gains] == [label for label, _ in reference]
+    for (_, row, scale), (_, vec) in zip(model.int_gains, reference):
+        assert type(scale) is int and scale > 0
+        assert all(type(x) is int for x in row)
+        assert [F(x, scale) for x in row] == list(vec)
+    assert model.gains == tuple((label, vec) for label, vec in reference)
+
+
+def test_int_claim_rows_are_the_scaled_claims(model):
+    assert len(model.int_claims) == len(model.claims)
+    for (row, scale), claim in zip(model.int_claims, model.claims):
+        assert all(type(x) is int for x in row) and type(scale) is int and scale > 0
+        assert tuple(F(x, scale) for x in row) == tuple(claim)
+
+
+def test_normals_are_positive_multiples_of_the_fraction_rows(model):
+    cs = model.constraints
+    reference = [vec + (ZERO,) for _, vec in _reference_gains(model)]
+    reference += [tuple(claim) + (ZERO,) for claim in model.claims]
+    reference += [(ONE,) * model.n_cells + (-ONE,)]
+    assert len(cs.rows) == len(reference)
+    for row, fractions in zip(cs.rows, reference):
+        assert _positive_multiple(list(row.normal), integer_row(fractions))
+        assert row.coeffs + (-row.rhs,) == fractions
+    face = replace(cs, allowed=frozenset(sorted(model.allowed)[:1]))
+    assert face.rows is cs.rows
+
+
+def _reference_condexp(payoff, groups, weights):
+    result = [ZERO] * len(payoff)
+    for group in groups:
+        mass = sum((weights[a] for a in group), ZERO)
+        if mass == 0:
+            continue
+        mean = sum((weights[a] * payoff[a] for a in group), ZERO) / mass
+        for a in group:
+            result[a] = mean
+    return tuple(result)
+
+
+def test_condexp_groups_matches_the_fraction_loop(model):
+    rng = random.Random(model.n_cells)
+    values = [F(0), F(1), F(-2), F(3, 4), F(-5, 3), F(7, 2)]
+    nulls = 0
+    for _ in range(4):
+        weights = random_measure(rng, model).weights
+        payoff = tuple(rng.choice(values) for _ in range(model.n_cells))
+        for groups in model.coarse_groups:
+            nulls += sum(all(weights[a] == 0 for a in group) for group in groups)
+            assert condexp_groups(payoff, groups, weights) == _reference_condexp(payoff, groups, weights)
+    if len(model.allowed) < model.n_cells:
+        assert nulls
+
+
+def test_condexp_groups_is_zero_on_null_groups():
+    weights = (F(1, 3), F(2, 3), ZERO, ZERO)
+    payoff = (F(1, 2), F(2), F(5), F(-7))
+    groups = [(0, 1), (2, 3)]
+    assert condexp_groups(payoff, groups, weights) == (F(3, 2), F(3, 2), ZERO, ZERO)
+    assert condexp_groups(payoff, groups, weights) == _reference_condexp(payoff, groups, weights)
+
+
+def test_vertices_equal_the_fraction_measures(model):
+    for vertex in enumerate_extreme_points(model.constraints).vertices:
+        reference = Measure(vertex.weights)
+        assert vertex == reference and vertex.support == reference.support
+        t = lcm(*(x.denominator for x in vertex.weights))
+        built = Measure.from_ints([x.numerator * (t // x.denominator) for x in vertex.weights], t)
+        assert built == reference and built.support == reference.support
+        assert all(type(x) is Fraction for x in built.weights)
+
+
+def test_ray_constructor_checks_sign_and_sum():
+    assert Measure.from_ints([0, 2, 0, 1], 3) == Measure((ZERO, F(2, 3), ZERO, F(1, 3)))
+    assert Measure.from_ints([0, 2, 0, 1], 3).support == (1, 3)
+    for numerators, scale, message in [
+        ([2, -1, 2], 3, "nonnegative"),
+        ([1, 1, 0], 3, "sum to exactly 1"),
+        ([0, 0], 0, "sum to exactly 1"),
+        ([-1, -1], -2, "nonnegative"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            Measure.from_ints(numerators, scale)
+    for numerators, scale in [([0.0, 1], 1), ([True, 0], 1), ([F(1), 1], 2), ([1, 1], 2.0)]:
+        with pytest.raises(TypeError, match="must be int"):
+            Measure.from_ints(numerators, scale)
+
+
+def _fraction_superhedge(payoff, model):
+    """``superhedge``'s program on the Fraction columns of ``strategy_columns``, as solved before the int tables."""
+    vectors = [vec for _, vec in strategy_columns(model)]
+    allowed = sorted(model.allowed)
+    n_free = len(vectors)
+    matrix = []
+    for slot, a in enumerate(allowed):
+        surplus = [ZERO] * len(allowed)
+        surplus[slot] = -ONE
+        matrix.append([vec[a] for vec in vectors] + surplus)
+    cost = [ONE] + [ZERO] * (n_free - 1 + len(allowed))
+    return solve_lp(cost, matrix, [payoff[a] for a in allowed], free=n_free), n_free, allowed
+
+
+def test_superhedge_equals_the_fraction_program(model):
+    rng = random.Random(len(model.outcomes) * 31 + model.n_cells)
+    for _ in range(3):
+        payoff = tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(model.n_cells))
+        reference, n_free, allowed = _fraction_superhedge(payoff, model)
+        result = superhedge(payoff, model)
+        coordinates = (result.strategy.cash, *result.strategy.static, *result.strategy.dynamic)
+        if reference.status == "unbounded":
+            assert result.unbounded and result.tight == ()
+            assert coordinates == reference.ray[:n_free]
+            continue
+        assert result.price == reference.objective
+        assert coordinates == reference.solution[:n_free]
+        assert result.tight == tuple(a for slot, a in enumerate(allowed) if reference.solution[n_free + slot] == 0)
+        assert _tight_cells(result.strategy, payoff, model) == result.tight
+
+
+def test_the_corpus_has_unbounded_superhedges():
+    # a superhedge is unbounded exactly when the measure set is empty; the ray readback needs such models
+    empty = [name for name, m in CORPUS if not enumerate_extreme_points(m.constraints).vertices]
+    assert len(empty) >= 5
+
+
+def test_floor_program_equals_the_fraction_program(model):
+    if enumerate_extreme_points(model.constraints).vertices:
+        return
+    vectors = [vec for _, vec in strategy_columns(model)[1:]]
+    allowed = sorted(model.allowed)
+    n_free = len(vectors)
+    matrix = []
+    for slot, a in enumerate(allowed):
+        surplus = [ZERO] * len(allowed)
+        surplus[slot] = -ONE
+        matrix.append([vec[a] for vec in vectors] + [-ONE, ZERO] + surplus)
+    matrix.append([ZERO] * n_free + [ONE, ONE] + [ZERO] * len(allowed))
+    cost = [ZERO] * n_free + [-ONE] + [ZERO] * (1 + len(allowed))
+    reference = solve_lp(cost, matrix, [ZERO] * len(allowed) + [ONE], free=n_free + 1)
+    report = detect_arbitrage(model)
+    certificate = report.certificate
+    assert (certificate.cash, *certificate.static, *certificate.dynamic) == (ZERO, *reference.solution[:n_free])
+
+
+def _reference_payoff(strategy, model):
+    coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
+    value = [ZERO] * model.n_cells
+    for h, (_, vec) in zip(coordinates, strategy_columns(model)):
+        for a in range(model.n_cells):
+            value[a] += h * vec[a]
+    return tuple(value)
+
+
+def test_strategy_payoff_matches_the_fraction_sum(model):
+    rng = random.Random(model.n_cells + 7)
+    values = [0, 0, 1, -2, F(3, 4), F(-5, 3)]
+    n = len(strategy_columns(model))
+    for _ in range(4):
+        strategy = SemiStaticStrategy.from_coordinates([rng.choice(values) for _ in range(n)], model)
+        payoff = strategy_payoff(strategy, model)
+        assert payoff == _reference_payoff(strategy, model)
+        assert all(type(x) is Fraction for x in payoff)
+
+
+def _zero_coordinates(result, free):
+    n_coordinates = free - 1  # the floor t follows the strategy coordinates
+    return replace(result, solution=(ZERO,) * n_coordinates + result.solution[n_coordinates:])
+
+
+def _zero_floor(result, free):
+    return replace(result, objective=ZERO, solution=result.solution[: free - 1] + (ZERO,) + result.solution[free:])
+
+
+@pytest.mark.parametrize("corrupt", [_zero_coordinates, _zero_floor])
+def test_detect_arbitrage_checks_its_certificate(monkeypatch, corrupt):
+    scenario = load_scenario(SCENARIOS / "informed_arbitrage.json")
+    model = enlarge(scenario.model, scenario.jumps).model
+    assert not detect_arbitrage(model).feasible
+    solve = duality.solve_lp
+
+    def corrupted(cost, matrix, rhs, free=0):
+        return corrupt(solve(cost, matrix, rhs, free=free), free)
+
+    monkeypatch.setattr(duality, "solve_lp", corrupted)
+    with pytest.raises(InvariantViolation, match="positive floor on every allowed cell"):
+        detect_arbitrage(model)
+
+
+def _integer_row_calls(argv_list):
+    """``integer_row`` calls while ``cli.main`` runs, by (calling module, whether some entry was not an int)."""
+    code = integer_row.__code__
+    calls: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            rescaled = any(type(x) is not int for x in frame.f_locals["values"])
+            calls[frame.f_back.f_globals.get("__name__", "?"), rescaled] += 1
+
+    sys.setprofile(profile)
+    try:
+        for argv in argv_list:
+            cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_polytope_and_duality_never_rescale_a_row(capsys):
+    # the constraint rows and the LP columns come from the model's int tables, with no Fraction round trip
+    argv_list = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        payoffs = sorted(scenario.payoffs) or [",".join(["0"] * scenario.model.n_cells)]
+        argv_list.append(["--format", "json", "extremes", str(path)])
+        for payoff in payoffs:
+            for command in ("superhedge", "duality"):
+                argv_list.append(["--format", "json", command, "--payoff", payoff, str(path)])
+    calls = _integer_row_calls(argv_list)
+    capsys.readouterr()
+    assert calls["semistatic.simplex", False]  # the probe sees the calls that remain: int rows, copied as they are
+    assert not calls["semistatic.simplex", True]  # every program solved here is posed by duality on int columns
+    assert not any(calls[module, rescaled] for module in (polytope.__name__, duality.__name__) for rescaled in (0, 1))

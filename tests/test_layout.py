@@ -132,8 +132,7 @@ def test_shape_errors_are_raised_only_by_the_input_checks():
         "model._check_index",
         "model._check_vector",
         "tree._check_tree",
-        # checks the helpers do not cover: a label's outcomes, a system's allowed cells, a jump's measurability
-        "model.FilteredModel.cell_label",
+        # checks the helpers do not cover: a system's allowed cells, a jump's measurability
         "polytope.ConstraintSystem.__post_init__",
         "enlargement.EnlargedModel.on_cells",
     }

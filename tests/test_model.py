@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from semistatic.duality import robust_price, superhedge, verify_duality
 from semistatic.enlargement import SingleJump, azema, compensator, enlarge, filtrations_coincide, jeulin_yor
-from semistatic.errors import ShapeError
+from semistatic.errors import InputError, ShapeError
 from semistatic.hedging import hedging_span, is_semistatically_complete, replicate, terminal_gain
 from semistatic.model import (
     FilteredModel,
@@ -70,11 +71,12 @@ def test_validate_flags_refinement_failure():
     assert any(v.code == "refinement" for v in report.violations)
 
 
-@pytest.mark.parametrize("outside", [99, -1])
+@pytest.mark.parametrize("outside", [99, -1, 0.5, True, "0"])
 def test_cell_label_rejects_an_outcome_outside_the_model(trinomial, outside):
     model = trinomial.model
     assert model.cell_label((2, 0)) == "u|d"
-    with pytest.raises(ShapeError, match=f"outcome index {outside} outside 0..2"):
+    message = "outside 0..2" if type(outside) is int else "is not an int"
+    with pytest.raises(ShapeError, match=re.escape(f"outcome index {outside!r} {message}")):
         model.cell_label((0, outside))
 
 
@@ -137,18 +139,18 @@ def test_conditional_expectation_null_cells(trinomial):
 
 def test_measure_invariants(trinomial):
     model = trinomial.model
-    with pytest.raises(ValueError, match="must sum to exactly 1"):
+    with pytest.raises(InputError, match="must sum to exactly 1"):
         Measure((F(1, 2), F(1, 2), F(1, 2)))
-    with pytest.raises(ValueError, match="must sum to exactly 1"):
+    with pytest.raises(InputError, match="must sum to exactly 1"):
         Measure((F(1, 3), F(1, 2), F(1, 7)))  # mixed denominators, sum 41/42
-    with pytest.raises(ValueError, match="must be nonnegative"):
+    with pytest.raises(InputError, match="must be nonnegative"):
         Measure((F(-1, 2), F(1), F(1, 2)))
-    with pytest.raises(ValueError, match="must be nonnegative"):
+    with pytest.raises(InputError, match="must be nonnegative"):
         Measure((F(-1, 6), F(5, 6), 0, F(1, 3)))
     mixed = Measure((F(1, 3), 0, F(1, 2), F(1, 6)))
     assert mixed.support == (0, 2, 3)
     restricted = replace(model, allowed=frozenset({0, 2}))
-    with pytest.raises(ValueError, match=r"outside the prior support: \[1\]"):
+    with pytest.raises(InputError, match=r"outside the prior support: \[1\]"):
         restricted.measure([F(0), F(1), F(0)])
 
 

@@ -147,7 +147,7 @@ def reference_solve_lp(cost, matrix, rhs, pairs: int = 0) -> LPResult:
         for i, bi in enumerate(tableau.basis):
             if bi < n:
                 ray[bi] = -tableau.rows[i][col]
-        return LPResult("unbounded", ray=tuple(ray))
+        return LPResult("unbounded", ray=tuple(ray), column=col)
     PATHS["optimal"] += 1
     solution = tableau.solution(n)
     objective = sum((c * x for c, x in zip(cost, solution)), ZERO)
@@ -189,7 +189,10 @@ def split_reference(cost, matrix, rhs, free: int) -> LPResult:
         return tuple(values[2 * j] - values[2 * j + 1] for j in range(free)) + values[2 * free :]
 
     result = reference_solve_lp(split(cost), [split(row) for row in matrix], rhs, pairs=free)
-    return LPResult(result.status, result.objective, recombine(result.solution), recombine(result.ray))
+    column = result.column
+    if column is not None:
+        column = column // 2 if column < 2 * free else column - free
+    return LPResult(result.status, result.objective, recombine(result.solution), recombine(result.ray), column)
 
 
 @settings(max_examples=400, deadline=None)
@@ -254,12 +257,12 @@ def test_known_programs():
     assert result == LPResult("optimal", objective=f(-14, 5), solution=(f(8, 5), f(6, 5)))
     # x - y = 1, x, y >= 0; minimising -x is unbounded along (1, 1)
     result = solve_lp([f(-1), f(0)], [[f(1), f(-1)]], [f(1)])
-    assert result == LPResult("unbounded", ray=(f(1), f(1)))
+    assert result == LPResult("unbounded", ray=(f(1), f(1)), column=1)
     # x + y = -1 has no nonnegative solution
     assert solve_lp([f(0), f(0)], [[f(1), f(1)]], [f(-1)]) == LPResult("infeasible")
     # with no constraint row left, minimising -x is unbounded along (1)
-    assert solve_lp([f(-1)], [[f(0)]], [f(0)]) == LPResult("unbounded", ray=(f(1),))
-    assert solve_lp([f(-1)], [], []) == LPResult("unbounded", ray=(f(1),))
+    assert solve_lp([f(-1)], [[f(0)]], [f(0)]) == LPResult("unbounded", ray=(f(1),), column=0)
+    assert solve_lp([f(-1)], [], []) == LPResult("unbounded", ray=(f(1),), column=0)
     # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
     assert solve_lp([f(1)], [[f(1)]], [f(-3)], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
-    assert solve_lp([f(1)], [], [], free=1) == LPResult("unbounded", ray=(f(-1),))
+    assert solve_lp([f(1)], [], [], free=1) == LPResult("unbounded", ray=(f(-1),), column=0)
