@@ -14,12 +14,12 @@ import json
 import os
 import sys
 
-from .duality import detect_arbitrage, optimal_face, superhedge, verify_duality
+from .duality import _floor_certificate, optimal_face, superhedge, verify_duality
 from .enlargement import enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
 from .model import FilteredModel, Measure, validate_model
-from .polytope import VertexSet, enumerate_extreme_points
+from .polytope import enumerate_extreme_points
 from .rationals import fmt, rat
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario, parse_inline_measure
 from .tree import AtomicTree, NoTree, extract_tree
@@ -143,7 +143,7 @@ def _cmd_duality(scenario: Scenario, args) -> tuple[dict, int]:
     except EmptyMeasureSet:
         # the unbounded superhedge already proves the set empty (LP duality);
         # the floor program's positive floor is the independent certificate
-        arb = detect_arbitrage(scenario.model, VertexSet(()))
+        arb = _floor_certificate(scenario.model)
         return {"status": "arbitrage", "certificate": arb.to_json(scenario.model)}, PASS
     return report.to_json(scenario.model), PASS if report.ok else FAIL
 
@@ -166,10 +166,7 @@ def _cmd_enlarge(scenario: Scenario, args) -> tuple[dict, int]:
     enlarged = enlarge(model, scenario.jumps)
     result: dict = {
         "jumps": [j.to_json(model) for j in scenario.jumps],
-        "enlarged_partitions": [
-            [model.cell_label(cell) for cell in partition.cells]
-            for partition in enlarged.model.partitions
-        ],
+        "enlarged_partitions": [list(labels) for labels in enlarged.model.partition_labels],
     }
     if args.measure is not None:
         measure = _resolve_measure(args.measure, enlarged.model)

@@ -7,7 +7,7 @@ two sides are certified as a pair: a small checker recomputes the optimal
 strategy's payoff, confirms domination, and collects the cells where it binds;
 the measures charging only those cells form the face of maximizers, and only
 that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
-the extreme points as an independent oracle.
+the model's extreme points as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import EmptyMeasureSet, InvariantViolation
 from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff, _check_vector
-from .polytope import VertexSet, enumerate_extreme_points
+from .polytope import enumerate_extreme_points
 from .rationals import common_denominator, fmt
 from .simplex import solve_lp
 
@@ -40,7 +40,7 @@ class SuperhedgeResult:
         return {
             "price": "-inf" if self.unbounded else fmt(self.price),
             "strategy": self.strategy.to_json(model),
-            "tight": [model.terminal_label(a) for a in self.tight],
+            "tight": [model.terminal_labels[a] for a in self.tight],
         }
 
 
@@ -111,19 +111,23 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     return SuperhedgeResult(strategy.cash, strategy, tight)  # cash is the only cost, so the price
 
 
-def robust_price(
-    payoff: Sequence[Fraction], model: FilteredModel, vertex_set: VertexSet | None = None
-) -> RobustPriceResult:
-    """Maximal expected payoff over the enumerated extreme measures."""
+def robust_price(payoff: Sequence[Fraction], model: FilteredModel) -> RobustPriceResult:
+    """Maximal expected payoff over the model's enumerated extreme measures."""
     _check_vector("payoff entries", payoff, model.n_cells)
-    if vertex_set is None:
-        vertex_set = enumerate_extreme_points(model.constraints)
-    if not vertex_set.vertices:
+    return _scan_vertices(payoff, enumerate_extreme_points(model.constraints).vertices)
+
+
+def _scan_vertices(payoff: Sequence[Fraction], vertices: Sequence[Measure]) -> RobustPriceResult:
+    """The best expectation over the measures and those attaining it, each one int dot product over a denominator."""
+    if not vertices:
         return RobustPriceResult(None, ())
-    values = [m.expectation(payoff) for m in vertex_set.vertices]
+    x, scale = common_denominator(payoff)
+    values = []
+    for m in vertices:
+        numerators, den = common_denominator([m.weights[a] for a in m.support])
+        values.append(Fraction(sum([n * x[a] for n, a in zip(numerators, m.support)]), den * scale))
     best = max(values)
-    argmax = tuple(m for m, v in zip(vertex_set.vertices, values) if v == best)
-    return RobustPriceResult(best, argmax)
+    return RobustPriceResult(best, tuple(m for m, v in zip(vertices, values) if v == best))
 
 
 def _tight_cells(strategy: SemiStaticStrategy, payoff: Sequence[Fraction], model: FilteredModel) -> tuple[int, ...]:
@@ -154,10 +158,10 @@ def optimal_face(payoff: Sequence[Fraction], model: FilteredModel) -> tuple[Supe
         return primal, RobustPriceResult(None, ())
     tight = _tight_cells(primal.strategy, payoff, model)
     face = enumerate_extreme_points(replace(model.constraints, allowed=frozenset(tight)))
-    values = {m.expectation(payoff) for m in face.vertices}
-    if len(values) != 1:
+    dual = _scan_vertices(payoff, face.vertices)
+    if not face.vertices or dual.argmax != face.vertices:
         raise InvariantViolation("the tight face must be nonempty with one expectation on all its vertices")
-    return primal, RobustPriceResult(values.pop(), face.vertices)
+    return primal, dual
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ class DualityReport:
             "gap": fmt(self.gap),
             "strategy": self.strategy.to_json(model),
             "argmax": [m.to_json(model) for m in self.argmax],
-            "tight": [model.terminal_label(a) for a in self.tight],
+            "tight": [model.terminal_labels[a] for a in self.tight],
             "slackness_ok": self.slackness_ok,
             "ok": self.ok,
         }
@@ -220,22 +224,23 @@ class ArbitrageReport:
         return out
 
 
-def detect_arbitrage(model: FilteredModel, vertex_set: VertexSet | None = None) -> ArbitrageReport:
-    """Feasibility of the calibrated measure set, with a checked Farkas certificate.
+def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
+    """Feasibility of the calibrated measure set, counted in vertices, else ``_floor_certificate``'s certificate."""
+    count = len(enumerate_extreme_points(model.constraints).vertices)
+    return ArbitrageReport(True, count) if count else _floor_certificate(model)
 
-    When the set is empty, a zero-cost strategy whose payoff is at least one
-    on every allowed cell is produced by maximizing the guaranteed floor of a
-    cash-free strategy (capped at one to keep the program bounded).  The
-    strategy coordinates and the floor are free variables, one tableau column
-    each, on the int columns of ``superhedge``.  The certificate is checked
-    without the LP: zero cash and a recomputed payoff at least the positive
-    floor on every allowed cell, else InvariantViolation.
+
+def _floor_certificate(model: FilteredModel) -> ArbitrageReport:
+    """The checked Farkas certificate of a model whose calibrated measure set is empty.
+
+    A zero-cost strategy whose payoff is at least one on every allowed cell
+    is produced by maximizing the guaranteed floor of a cash-free strategy
+    (capped at one to keep the program bounded).  The strategy coordinates
+    and the floor are free variables, one tableau column each, on the int
+    columns of ``superhedge``.  The certificate is checked without the LP:
+    zero cash and a recomputed payoff at least the positive floor on every
+    allowed cell, else InvariantViolation.
     """
-    if vertex_set is None:
-        vertex_set = enumerate_extreme_points(model.constraints)
-    if vertex_set.vertices:
-        return ArbitrageReport(True, len(vertex_set.vertices))
-
     columns = int_strategy_columns(model)[1:]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.allowed)
     n_free = len(columns)

@@ -7,7 +7,7 @@ the cells of G_K, and each of those lies in one base P_k cell at every time
 k: the cached tables ``base_cell_of`` and ``base_groups`` of an
 ``EnlargedModel`` carry every comparison with the base market.  The Azema
 supermartingale, the compensator and the Jeulin-Yor martingale are checked
-with one exact conditional mean over the charged cells.
+by the sign of one int sum of w * x per cell, the sign of its exact mean.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .model import (
     FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, condexp_groups, groups_of
 )
 from .polytope import VertexSet, enumerate_extreme_points
-from .duality import robust_price
-from .rationals import fmt
+from .duality import _scan_vertices
+from .rationals import common_denominator, fmt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -124,11 +124,10 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
     return EnlargedModel(model, jumps, enlarged)
 
 
-def _charged_means(
-    values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[Fraction]
-) -> list[Fraction]:
-    """The conditional means of ``values`` over ``groups``, on the charged cells only."""
-    return [m for m, w in zip(condexp_groups(values, groups, weights), weights) if w > 0]
+def _weighted_sums(values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
+    """Per group, the sum of w * x over int weights and the values scaled to ints: the sign of its mean, 0 if null."""
+    x, _ = common_denominator(values)
+    return [sum([weights[a] * x[a] for a in group if weights[a]]) for group in groups]
 
 
 @dataclass(frozen=True)
@@ -142,15 +141,16 @@ class AzemaResult:
 def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaResult:
     _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, _ = enlarged.on_cells(jump)
-    groups, weights = enlarged.base_groups, measure.weights
+    groups = enlarged.base_groups
+    scaled, _ = common_denominator(measure.weights)  # a positive multiple of the weights: the same means
     values = tuple(
-        condexp_groups(tuple(ONE if t is None or t > k else ZERO for t in taus), groups[k], weights)
+        condexp_groups(tuple(1 if t is None or t > k else 0 for t in taus), groups[k], scaled)
         for k in range(enlarged.model.horizon + 1)
     )
     ok = all(
-        m <= 0
+        s <= 0
         for k in range(enlarged.model.horizon)
-        for m in _charged_means([b - a for a, b in zip(values[k], values[k + 1])], groups[k], weights)
+        for s in _weighted_sums([b - a for a, b in zip(values[k], values[k + 1])], groups[k], scaled)
     )
     return AzemaResult(values, ok)
 
@@ -172,18 +172,18 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     """
     _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, marks = enlarged.on_cells(jump)
-    weights = measure.weights
+    scaled, _ = common_denominator(measure.weights)  # a positive multiple of the weights: the same means
     cell_of = enlarged.model.terminal_cell_of_outcome
     increments = []
     predictable = martingale = True
     for k in range(enlarged.model.horizon + 1):
         groups = enlarged.base_groups[max(k - 1, 0)]
         jump_now = tuple(x if t == k else ZERO for t, x in zip(taus, marks))  # Delta(mark 1_{tau <= k})
-        inc = condexp_groups(jump_now, groups, weights)
+        inc = condexp_groups(jump_now, groups, scaled)
         increments.append(inc)
         base_cells = enlarged.base.partitions[max(k - 1, 0)].cells
         predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
-        martingale &= not any(_charged_means([n - d for n, d in zip(jump_now, inc)], groups, weights))
+        martingale &= not any(_weighted_sums([n - d for n, d in zip(jump_now, inc)], groups, scaled))
     return CompensatorResult(tuple(increments), predictable, martingale)
 
 
@@ -211,7 +211,6 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
     taus, marks = enlarged.on_cells(jump)
     z = azema(measure, jump, enlarged)
     comp = compensator(measure, jump, enlarged)
-    weights = measure.weights
 
     values: list[Payoff] = []
     drift = [ZERO] * model.n_cells  # sum of Delta A_l / Z_{l-1} over l <= min(k, tau)
@@ -228,10 +227,11 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
         jumped = (x if t is not None and t <= k else ZERO for t, x in zip(taus, marks))
         values.append(tuple(x - a for x, a in zip(jumped, drift)))
 
-    ok = not any(_charged_means(values[0], enlarged.base_groups[0], weights))
+    scaled, _ = common_denominator(measure.weights)
+    ok = not any(_weighted_sums(values[0], enlarged.base_groups[0], scaled))
     for k in range(1, model.horizon + 1):
         delta = [b - a for a, b in zip(values[k - 1], values[k])]
-        ok &= not any(_charged_means(delta, model.coarse_groups[k - 1], weights))
+        ok &= not any(_weighted_sums(delta, model.coarse_groups[k - 1], scaled))
     return JeulinYorResult(tuple(values), ok, z, comp)
 
 
@@ -240,8 +240,8 @@ def predictable_reduction(
 ) -> tuple[Fraction, ...]:
     """Base-predictable holdings agreeing with the enlarged ones up to the jump.
 
-    ``holdings`` has one value per column of ``enlarged.model.gains`` and the
-    result one per column of ``enlarged.base.gains``, both in (k, c, j) order.
+    ``holdings`` has one value per row of ``enlarged.model.int_gains`` and the
+    result one per row of ``enlarged.base.int_gains``, both in (k, c, j) order.
     Existence rests on the trace identity: before the jump, the enlarged
     algebra adds nothing, so the value on the pre-jump part of each base cell
     is well defined; cells with no pre-jump part get zero.
@@ -326,14 +326,14 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
     """
     model = enlarged.model
     subcells = enlarged.base_groups[-1]
-    charged = [c for c, w in enumerate(vertex.weights) if w > 0]
+    charged = vertex.support
     out: list[Measure] = []
     for choice in product(*[subcells[c] for c in charged]):
+        if not model.allowed.issuperset(choice):  # the charged subcells, one per charged base cell
+            continue
         weights = [ZERO] * model.n_cells
         for c, g in zip(charged, choice):
             weights[g] = vertex.weights[c]
-        if any(w > 0 and g not in model.allowed for g, w in enumerate(weights)):
-            continue
         candidate = Measure(tuple(weights))
         if filtrations_coincide(candidate, enlarged):
             out.append(candidate)
@@ -371,9 +371,9 @@ def informed_compare(
 
     prices: dict[str, tuple[Fraction | None, Fraction | None]] = {}
     for name, payoff in sorted((payoffs or {}).items()):
-        base_price = robust_price(payoff, model, ext_base)
-        fine_price = robust_price(enlarged.expand(payoff), enlarged.model, ext_fine)
-        prices[name] = (base_price.value, fine_price.value)
+        fine_payoff = enlarged.expand(payoff)  # checks the payoff against the base model
+        base_price = _scan_vertices(payoff, ext_base.vertices)
+        prices[name] = (base_price.value, _scan_vertices(fine_payoff, ext_fine.vertices).value)
 
     report = InformedCompareReport(
         claims_empty=claims_empty,

@@ -1,14 +1,15 @@
 """Semi-static replication and completeness certificates.
 
 A semi-static strategy is cash, static positions in the claims, and a
-predictable dynamic integrand held as one value per column of ``model.gains``,
+predictable dynamic integrand held as one value per row of ``model.int_gains``,
 the elementary gains in (k, c, j) order.  Completeness under a measure Q is a
 rank fact: the span of {1, claims, elementary gains} restricted to the
 Q-support must fill the whole support.  The unhedgeable-part decomposition
 projects each claim off the gain span and splits the resulting span by
 single-jump times.  Completeness, replication and the decomposition first
 check that the measure is calibrated, against the model's own constraint
-system ``model.constraints``.
+system ``model.constraints``.  All three read the int rows of
+``int_strategy_columns`` on the measure's support.
 """
 
 from __future__ import annotations
@@ -20,19 +21,18 @@ from typing import Sequence
 
 from . import linalg
 from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete
-from .model import FilteredModel, Measure, Payoff, _check_vector, conditional_expectation
+from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import enumerate_extreme_points, is_extreme, member
-from .rationals import fmt
+from .rationals import common_denominator, fmt
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
 class SemiStaticStrategy:
     """Cash, static positions in the claims, and dynamic holdings.
 
-    ``dynamic`` has one holding per column of ``model.gains``, in its (k, c, j)
+    ``dynamic`` has one holding per row of ``model.int_gains``, in its (k, c, j)
     order: the units of asset j held over period k on cell c of P_{k-1}.
     """
 
@@ -42,14 +42,14 @@ class SemiStaticStrategy:
 
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
-        """The strategy with these coordinates on ``strategy_columns(model)``; another count raises ShapeError."""
+        """The strategy with these coordinates on ``int_strategy_columns(model)``; another count raises ShapeError."""
         _check_vector("strategy coordinates", values, 1 + len(model.claims) + len(model.int_gains))
         n_static = len(model.claims)
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
     def to_json(self, model: FilteredModel) -> dict:
         entries = [
-            {"k": k, "cell": model.cell_label(model.partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
+            {"k": k, "cell": model.partition_labels[k - 1][c], "asset": j, "value": fmt(h)}
             for ((_, k, c, j), _, _), h in zip(model.int_gains, self.dynamic)
             if h
         ]
@@ -57,7 +57,7 @@ class SemiStaticStrategy:
 
 
 def terminal_gain(dynamic: Sequence[Fraction], model: FilteredModel) -> Payoff:
-    """Terminal value sum of H_k (S_k - S_{k-1}) of holdings on ``model.gains``; other lengths raise ShapeError."""
+    """Terminal value sum of H_k (S_k - S_{k-1}) of holdings on ``model.int_gains``; other lengths raise ShapeError."""
     return strategy_payoff(SemiStaticStrategy(ZERO, (ZERO,) * len(model.claims), tuple(dynamic)), model)
 
 
@@ -65,7 +65,7 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     """Cash plus every nonzero position and holding times its int column, over one common denominator.
 
     Static positions that do not match ``model.claims`` one to one, or holdings
-    that do not match the columns of ``model.gains``, raise ``ShapeError``.
+    that do not match the rows of ``model.int_gains``, raise ``ShapeError``.
     """
     _check_vector("cash", (strategy.cash,), 1)
     _check_vector("static positions", strategy.static, len(model.claims))
@@ -82,33 +82,25 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     return tuple(Fraction(x, common) for x in value)
 
 
-def strategy_columns(model: FilteredModel) -> tuple[tuple[tuple, Payoff], ...]:
-    """Strategy coordinates in column order: cash, claims, gains."""
-    claims = tuple((("claim", i), claim) for i, claim in enumerate(model.claims))
-    return ((("const",), (ONE,) * model.n_cells), *claims, *model.gains)
-
-
 def int_strategy_columns(model: FilteredModel) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The columns of ``strategy_columns`` as int rows with their scales: column i is ``row / scale``."""
+    """Strategy coordinates in column order, cash, claims, gains, each an int row with its scale: ``row / scale``."""
     gains = tuple((row, scale) for _, row, scale in model.int_gains)
     return (((1,) * model.n_cells, 1), *model.int_claims, *gains)
 
 
 @dataclass(frozen=True)
 class HedgingSpan:
-    """Realizable terminal payoffs: constant, claims, and elementary gains."""
+    """The rank of the realizable terminal payoffs (constant, claims, elementary gains) on the support."""
 
-    columns: tuple[tuple[tuple, Payoff], ...]
     rank: int
     support: tuple[int, ...]
 
 
 def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
+    """The rank of the int strategy columns on the support; positive column scales change no rank."""
     _check_vector("measure weights", measure.weights, model.n_cells)
-    columns = strategy_columns(model)
     support = measure.support
-    restricted = [[vec[a] for a in support] for _, vec in columns]
-    return HedgingSpan(columns, linalg.rank(restricted), support)
+    return HedgingSpan(linalg.rank([[row[a] for a in support] for row, _ in int_strategy_columns(model)]), support)
 
 
 def _require_calibrated(measure: Measure, model: FilteredModel) -> None:
@@ -147,25 +139,35 @@ def replicate(
     """Solve for a semi-static strategy matching the payoff on the Q-support.
 
     The system is underdetermined in general; the minimum-norm coefficient
-    vector is returned, which is deterministic.  On failure the residual is
-    the component of the payoff orthogonal to the span under the Q-weighted
-    inner product, reported as zero off the support.
+    vector is returned, which is deterministic.  The int columns over the lcm
+    L of their scales are the rational system times L; the payoff is scaled
+    by its lcm D, so the solution reads back times L / D.  On failure the
+    residual is the payoff's Q-orthogonal component off the span, zero off the
+    support.
     """
     _require_calibrated(measure, model)
     _check_vector("payoff entries", payoff, model.n_cells)
-    columns = strategy_columns(model)
+    columns = int_strategy_columns(model)
     support = measure.support
-    rows = [[vec[a] for _, vec in columns] for a in support]
-    rhs = [payoff[a] for a in support]
+    common = lcm(*[scale for _, scale in columns])
+    rows = [[row[a] * (common // scale) for row, scale in columns] for a in support]
+    rhs, den = common_denominator([payoff[a] for a in support])
     coeffs = linalg.min_norm_solution(rows, rhs)
     if coeffs is None:
-        vectors = [[vec[a] for a in support] for _, vec in columns]
-        proj = linalg.project_onto_span(rhs, vectors, [measure.weights[a] for a in support])
-        residual = [ZERO] * model.n_cells
-        for a, x, p in zip(support, rhs, proj):
-            residual[a] = x - p
-        return NotReplicable(tuple(residual))
-    return SemiStaticStrategy.from_coordinates(coeffs, model)
+        weights, _ = common_denominator([measure.weights[a] for a in support])
+        span = linalg.WeightedSpan(zip(*rows), weights)  # the columns on the support, times common / scale
+        residual, factor = span.residual(rhs)
+        return NotReplicable(_spread(residual, factor / den, support, model.n_cells))
+    coordinates = [x and Fraction(common * x.numerator, den * x.denominator) for x in coeffs]
+    return SemiStaticStrategy.from_coordinates(coordinates, model)
+
+
+def _spread(row: Sequence[int], scale: Fraction, support: Sequence[int], n: int) -> Payoff:
+    """The vector ``scale * row`` on the support cells, zero elsewhere."""
+    vec = [ZERO] * n
+    for a, x in zip(support, row):
+        vec[a] = scale * x
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
@@ -243,10 +245,6 @@ class UnhedgeableDecomposition:
     blocks: tuple[JumpBlock, ...]
 
 
-def _mask_to_support(vec: Sequence[Fraction], weights: Sequence[Fraction]) -> Payoff:
-    return tuple(x if w > 0 else ZERO for x, w in zip(vec, weights))
-
-
 def decompose_unhedgeable(measure: Measure, model: FilteredModel) -> UnhedgeableDecomposition:
     """Residual terminal values of the claims and their single-jump block basis.
 
@@ -254,65 +252,58 @@ def decompose_unhedgeable(measure: Measure, model: FilteredModel) -> Unhedgeable
     inner product.  Under completeness the residual span decomposes into
     orthogonal pieces, one per time index k, whose martingales vanish strictly
     before k and are constant from k on; each piece is carried by disjoint
-    atoms of the previous partition.
+    atoms of the previous partition.  Vectors are int rows on the support with
+    Fraction factors; the gain span is orthogonalized once, the previous span once per k.
     """
     if not is_semistatically_complete(measure, model).complete:
         raise NotComplete("unhedgeable decomposition requires semi-static completeness")
-    weights = measure.weights
     support = measure.support
-    gains = [vec for _, vec in model.gains]
+    weights, _ = common_denominator([measure.weights[a] for a in support])
+    gains = linalg.WeightedSpan([[row[a] for a in support] for _, row, _ in model.int_gains], weights)
+    residuals = []
+    for row, scale in model.int_claims:
+        residual, factor = gains.residual([row[a] for a in support])
+        residuals.append((residual, factor / scale))
+    # the independent residuals brought to one factor 1 / common, which changes no kernel vector
+    independent = [residuals[i] for i in linalg.independent_rows([row for row, _ in residuals])]
+    common = lcm(*[factor.denominator for _, factor in independent])
+    span_basis = [[x * (f.numerator * (common // f.denominator)) for x in row] for row, f in independent]
 
-    residuals: list[Payoff] = []
-    for psi in model.claims:
-        proj = linalg.project_onto_span(psi, gains, weights)
-        residuals.append(_mask_to_support([x - p for x, p in zip(psi, proj)], weights))
-
-    span_basis = [residuals[i] for i in linalg.independent_rows(residuals)]
-
+    position = {a: i for i, a in enumerate(support)}  # the charged cells of each P_k cell, as support positions
+    groups = [[[position[a] for a in cell if a in position] for cell in cells] for cells in model.coarse_groups]
     blocks: list[JumpBlock] = []
-    previous_basis: list[Payoff] = []
+    previous: list[tuple[list[int], Fraction]] = []
     for k in range(model.horizon + 1):
-        measurable = _measurable_combinations(span_basis, model, k, weights)
-        fresh = []
-        for v in measurable:
-            proj = linalg.project_onto_span(v, previous_basis, weights)
-            fresh.append(tuple(x - p for x, p in zip(v, proj)))
-        block_vectors = linalg.gram_schmidt(fresh, weights)
-        block_vectors = [_mask_to_support(v, weights) for v in block_vectors]
-        if block_vectors:
-            if k >= 1:
-                for v in block_vectors:
-                    prior = conditional_expectation(model, v, k - 1, measure)
-                    if any(prior[a] != 0 for a in support):
-                        raise InvariantViolation("block martingale must vanish before its jump")
+        measurable = _measurable_combinations(span_basis, Fraction(1, common), groups[k])
+        # the residuals off the previous span, orthogonalized among themselves: one sweep off both
+        span = linalg.WeightedSpan([row for row, _ in previous], weights)
+        block = [(added[0], added[1] * f) for row, f in measurable if (added := span.add(row)) is not None]
+        if block:
+            if k >= 1 and any(sum([weights[i] * row[i] for i in cell]) for row, _ in block for cell in groups[k - 1]):
+                raise InvariantViolation("block martingale must vanish before its jump")
             cell_of = model.coarse_cell_of[max(k - 1, 0)]
-            carrying = sorted({cell_of[a] for v in block_vectors for a in support if v[a] != 0})
-            blocks.append(JumpBlock(k, tuple(block_vectors), tuple(carrying)))
-        previous_basis = measurable
+            carrying = sorted({cell_of[a] for row, _ in block for a, x in zip(support, row) if x})
+            blocks.append(JumpBlock(k, tuple(_spread(r, f, support, model.n_cells) for r, f in block), tuple(carrying)))
+        previous = measurable
 
-    return UnhedgeableDecomposition(tuple(residuals), tuple(blocks))
+    return UnhedgeableDecomposition(tuple(_spread(r, f, support, model.n_cells) for r, f in residuals), tuple(blocks))
 
 
 def _measurable_combinations(
-    span_basis: Sequence[Payoff], model: FilteredModel, k: int, weights: Sequence[Fraction]
-) -> list[Payoff]:
-    """Basis of the span elements constant on each charged P_k cell."""
+    span_basis: Sequence[list[int]], scale: Fraction, groups: Sequence[Sequence[int]]
+) -> list[tuple[list[int], Fraction]]:
+    """Basis of the span elements constant on each group, as int rows with factors; the span is ``scale`` * rows."""
     if not span_basis:
         return []
-    constraints: list[list[Fraction]] = []
-    for group in model.coarse_groups[k]:
-        charged = [a for a in group if weights[a] > 0]
-        for a, b in zip(charged, charged[1:]):
-            constraints.append([vec[a] - vec[b] for vec in span_basis])
+    constraints = [[row[a] - row[b] for row in span_basis] for group in groups for a, b in zip(group, group[1:])]
     if not constraints:
-        coeff_basis = [tuple(ONE if i == j else ZERO for j in range(len(span_basis))) for i in range(len(span_basis))]
-    else:
-        coeff_basis = linalg.nullspace(constraints)
+        return [(row, scale) for row in span_basis]
     combined = []
-    for coeffs in coeff_basis:
-        vec = [ZERO] * model.n_cells
-        for coef, base in zip(coeffs, span_basis):
-            for a, x in enumerate(base):
-                vec[a] += coef * x
-        combined.append(tuple(vec))
+    for coeffs in linalg.nullspace(constraints):
+        numerators, den = common_denominator(coeffs)
+        row = [0] * len(span_basis[0])
+        for y, base in zip(numerators, span_basis):
+            if y:
+                row = [x + y * b for x, b in zip(row, base)]
+        combined.append((row, scale / den))
     return combined

@@ -13,8 +13,8 @@ step subtracts only over the pivot row's nonzero columns, which ``pivot``
 lists once for all the rows it clears.  ``echelon`` is the forward half of
 the elimination, with no back-substitution; ``rank`` and ``independent_rows``
 need only its pivots, and ``rref`` is ``echelon`` followed by
-back-substitution.  Weighted orthogonalization has its own fraction-free
-step, ``_sweep``, under the weights scaled to ints.
+back-substitution.  ``WeightedSpan`` orthogonalizes a span of int rows once
+under int weights, fraction-free, and sweeps int rows off it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
-from .rationals import integer_row
+from .rationals import common_denominator, integer_row
 
 Vector = tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
@@ -186,47 +186,52 @@ def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     return tuple(Fraction(a, den) for a in x)
 
 
-def _sweep(vec: Sequence[Fraction], basis: list, weights: list[int]) -> tuple[list[int], Fraction]:
-    """The residual of ``vec`` off a weighted-orthogonal int basis: an int row and its scale.
+class WeightedSpan:
+    """The span of int rows (positive scales change no span) under int weights, orthogonalized once.
 
-    Each basis entry is (c, w*c, n = <c, c>_w, the scale of c).  The step
-    r <- n*r - <r, c>_w * c, divided by the gcd, keeps r a positive multiple
-    of the rational residual, which is scale * r.
+    Each basis entry is (c, w*c, n = <c, c>_w), c the residual of an added
+    row off the rows added before it, kept when its weighted norm is nonzero.
     """
-    row = integer_row(vec)
-    k = next((i for i, x in enumerate(row) if x), None)
-    if k is None:
-        return row, ONE
-    scale = Fraction(vec[k]) / row[k]
-    for c, wc, n, _ in basis:
-        f = sum(map(mul, row, wc))
-        if f:
-            row = [n * x - f * y if y else n * x for x, y in zip(row, c)]
-            g = gcd(*row) or 1
-            row = [x // g for x in row] if g > 1 else row
-            scale *= Fraction(g, n)
-    return row, scale
 
+    def __init__(self, rows: Iterable[Sequence[int]], weights: Sequence[int]):
+        self.weights, self.basis = weights, []
+        for row in rows:
+            self.add(row)
 
-def _orthogonalize(vectors: Sequence[Sequence[Fraction]], weights: list[int]) -> list:
-    """The residuals of nonzero weighted norm, each as a ``_sweep`` basis entry."""
-    basis: list = []
-    for vec in vectors:
-        row, scale = _sweep(vec, basis, weights)
-        if any(w and x for w, x in zip(weights, row)):
-            wrow = [w * x for w, x in zip(weights, row)]
-            basis.append((row, wrow, sum(map(mul, row, wrow)), scale))
-    return basis
+    def residual(self, row: Sequence[int]) -> tuple[list[int], Fraction]:
+        """The residual f * r of the int row off the span: each step r <- (n*r - <r, c>_w * c) / gcd keeps f > 0."""
+        row = list(row)
+        num = den = 1
+        for c, wc, n in self.basis:
+            f = sum(map(mul, row, wc))
+            if f:
+                row = [n * x - f * y if y else n * x for x, y in zip(row, c)]
+                g = gcd(*row) or 1
+                row = [x // g for x in row] if g > 1 else row
+                num, den = num * g, den * n
+        return row, Fraction(num, den)
+
+    def add(self, row: Sequence[int]) -> tuple[list[int], Fraction] | None:
+        """Add the row's ``residual`` to the basis and return it, or None when its weighted norm is zero."""
+        residual, factor = self.residual(row)
+        weighted = [w * x for w, x in zip(self.weights, residual)]
+        norm = sum(map(mul, residual, weighted))
+        if not norm:
+            return None
+        self.basis.append((residual, weighted, norm))
+        return residual, factor
 
 
 def gram_schmidt(vectors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> list[Vector]:
     """Orthogonalize under the weighted inner product, dropping zero vectors.
 
     No normalization is applied, so spans, orthogonality, and support patterns
-    stay exactly rational.  The weights are scaled to ints, which changes no
-    projection coefficient, and the sweep runs on int rows.
+    stay exactly rational.  The weights and each vector are scaled to ints,
+    which changes no projection coefficient, and ``WeightedSpan`` sweeps them.
     """
-    return [tuple(scale * x for x in row) for row, _, _, scale in _orthogonalize(vectors, integer_row(weights))]
+    span = WeightedSpan((), integer_row(weights))
+    kept = [(added, den) for row, den in map(common_denominator, vectors) if (added := span.add(row)) is not None]
+    return [tuple(factor / den * x for x in row) for (row, factor), den in kept]
 
 
 def project_onto_span(
@@ -235,6 +240,6 @@ def project_onto_span(
     weights: Sequence[Fraction],
 ) -> Vector:
     """Weighted orthogonal projection of ``x`` onto span(vectors): x minus its residual."""
-    w = integer_row(weights)
-    row, scale = _sweep(x, _orthogonalize(vectors, w), w)
-    return tuple(a - scale * r for a, r in zip(x, row))
+    row, den = common_denominator(x)
+    residual, factor = WeightedSpan(map(integer_row, vectors), integer_row(weights)).residual(row)
+    return tuple(a - factor / den * r for a, r in zip(x, residual))

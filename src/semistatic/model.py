@@ -9,8 +9,8 @@ payoffs over the cells of P_K with initial price zero) and ``allowed`` (the
 P_K cells that priors may charge).  Probability measures live on the cells
 of the terminal partition P_K; payoff vectors are indexed the same way.
 The model caches the gains and claims as int rows with positive scales
-(``int_gains``, ``int_claims``) for the exact layers; ``gains`` is their
-Fraction view.
+(``int_gains``, ``int_claims``), which every exact layer reads, and its
+cell labels (``terminal_labels``, ``partition_labels``) for the reports.
 """
 
 from __future__ import annotations
@@ -154,13 +154,6 @@ class FilteredModel:
         return tuple(rows)
 
     @cached_property
-    def gains(self) -> tuple[tuple[tuple, Payoff], ...]:
-        """The elementary gains of ``int_gains`` as Fraction vectors, labelled ("gain", k, c, j)."""
-        return tuple(
-            (label, tuple(Fraction(x, scale) if x else ZERO for x in row)) for label, row, scale in self.int_gains
-        )
-
-    @cached_property
     def int_claims(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each claim as an int row over the lcm of its denominators, and that lcm: the claim is ``row / scale``."""
         return tuple((tuple(row), scale) for row, scale in map(common_denominator, self.claims))
@@ -179,9 +172,26 @@ class FilteredModel:
             _check_index("outcome", w, self.n_outcomes)
         return "|".join(self.outcomes[w] for w in sorted(cell))
 
+    def _labels(self, cells: Sequence[Cell]) -> tuple[str, ...]:
+        """The ``cell_label`` of each sorted cell, with all entries checked at once (a bad one takes its error)."""
+        names, entries = self.outcomes, list(chain.from_iterable(cells))
+        if entries and not (_INT.issuperset(map(type, entries)) and 0 <= min(entries) and max(entries) < len(names)):
+            return tuple(map(self.cell_label, cells))
+        return tuple("|".join([names[w] for w in cell]) for cell in cells)
+
+    @cached_property
+    def terminal_labels(self) -> tuple[str, ...]:
+        """The ``cell_label`` of each terminal cell, built once."""
+        return self._labels(self.terminal_cells)
+
+    @cached_property
+    def partition_labels(self) -> tuple[tuple[str, ...], ...]:
+        """Per time k, the ``cell_label`` of each P_k cell, built once."""
+        return tuple(self._labels(partition.cells) for partition in self.partitions)
+
     def terminal_label(self, index: int) -> str:
         _check_index("terminal cell", index, self.n_cells)
-        return self.cell_label(self.terminal_cells[index])
+        return self.terminal_labels[index]
 
     def measure(self, weights: Sequence[Fraction | int | str]) -> "Measure":
         """A probability measure on the terminal cells that charges only allowed cells."""
@@ -241,10 +251,9 @@ class Measure:
         return sum((w * x for w, x in zip(self.weights, payoff) if w), ZERO)
 
     def to_json(self, model: FilteredModel) -> dict:
-        return {
-            "weights": [fmt(w) for w in self.weights],
-            "support": [model.terminal_label(a) for a in self.support],
-        }
+        _check_vector("measure weights", self.weights, model.n_cells)
+        labels = model.terminal_labels
+        return {"weights": [fmt(w) for w in self.weights], "support": [labels[a] for a in self.support]}
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotComplete, NotMeasurable, ShapeError
 from .hedging import decompose_unhedgeable
 from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, condexp_groups
+from .rationals import common_denominator
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,9 @@ def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]
     with that cell up to a null set; partial overlap with a charged cell would
     leave the event non-measurable at k even almost surely.
     """
-    weights = measure.weights
+    weights, charged = measure.weights, set(measure.support)
     cells = _cells_within(model, cell)[0]
-    hits = {model.coarse_cell_of[k][a] for a in cells if weights[a] > 0}
+    hits = {model.coarse_cell_of[k][a] for a in cells if a in charged}
     if len(hits) != 1:
         return False
     group = model.coarse_groups[k][hits.pop()]
@@ -194,7 +195,7 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
                         "later-born node neither nested nor disjoint",
                     )
                 )
-            if cells[j] < cells[i] and masses[i] - masses[j] <= 0:
+            if cells[j] < cells[i] and masses[i] == masses[j]:  # a sub-node's mass is at most its node's
                 bad.append(
                     Violation(
                         "mass-drop",
@@ -212,7 +213,7 @@ def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     for leaf in tree.leaves:
         for a in _cells_within(model, leaf.cell)[0]:
             counts[a] += 1
-    if any(weight > 0 and counts[a] != 1 for a, weight in enumerate(measure.weights)):
+    if any(counts[a] != 1 for a in measure.support):
         return False
     return all(
         _is_atom(model, measure, max(child.birth - 1, 0), tree.nodes[parent].cell)
@@ -274,27 +275,49 @@ def check_theorem_conditions(
     value through each leaf's birth time on the support.
     """
     _check_tree(tree, measure, model)
+    return _theorem_conditions(tree, measure, model, _leaf_expectations(tree, measure, model))
+
+
+def _leaf_expectations(tree: AtomicTree, measure: Measure, model: FilteredModel) -> list[tuple[list[int], int]]:
+    """Each claim's ``sigma_tree_expectation`` on the support, as an int row over a positive scale.
+
+    A leaf of int mass m holding n = sum of w x has mean n / (m s) for the
+    claim x / s, n (M / m) over M s with M the lcm of the masses; a cell
+    takes the last leaf holding it, 0 if none.
+    """
+    weights, _ = common_denominator(measure.weights)
+    leaves = [[a for a in _cells_within(model, leaf.cell)[0] if weights[a]] for leaf in tree.leaves]
+    leaves = [(cells, sum([weights[a] for a in cells])) for cells in leaves if cells]
+    common = lcm(*[mass for _, mass in leaves])
+    leaf_of = {a: i for i, (cells, _) in enumerate(leaves) for a in cells}
+    out = []
+    for row, scale in model.int_claims:
+        means = [sum([weights[a] * row[a] for a in cells]) * (common // mass) for cells, mass in leaves]
+        out.append(([means[leaf_of[a]] if a in leaf_of else 0 for a in measure.support], common * scale))
+    return out
+
+
+def _theorem_conditions(
+    tree: AtomicTree, measure: Measure, model: FilteredModel, expectations: list[tuple[list[int], int]]
+) -> TheoremConditionsReport:
+    """``check_theorem_conditions`` on the int gains, given the claims' leafwise expectations."""
+    charged = set(measure.support)
     leaf_checks: list[LeafCheck] = []
-    charged_leaves = 0
     for leaf in tree.leaves:
-        atoms = [a for a in _cells_within(model, leaf.cell)[0] if measure.weights[a] > 0]
+        atoms = [a for a in _cells_within(model, leaf.cell)[0] if a in charged]
         if not atoms:
             continue
-        charged_leaves += 1
-        charged = set(atoms)
-        vectors: list[list[Fraction]] = [[ONE] * len(atoms)]
-        for (_, k, c, _), vec in model.gains:
-            if k > leaf.birth and not charged.isdisjoint(model.coarse_groups[k - 1][c]):
-                vectors.append([vec[a] for a in atoms])
+        on_leaf = set(atoms)
+        vectors = [[1] * len(atoms)]
+        for (_, k, c, _), row, _ in model.int_gains:
+            if k > leaf.birth and not on_leaf.isdisjoint(model.coarse_groups[k - 1][c]):
+                vectors.append([row[a] for a in atoms])
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, linalg.rank(vectors), len(atoms)))
 
-    projections = [sigma_tree_expectation(psi, tree, measure, model) for psi in model.claims]
-    support = measure.support
-    claims_rank = linalg.rank([[v[a] for a in support] for v in projections]) if projections else 0
-
+    claims_rank = linalg.rank([row for row, _ in expectations])
     zeta = tree.zeta(model)
-    price_constant = all(zeta[a] is not None and not _price_moved(model, (a,), zeta[a]) for a in support)
-    return TheoremConditionsReport(tuple(leaf_checks), claims_rank, charged_leaves - 1, price_constant)
+    price_constant = all(zeta[a] is not None and not _price_moved(model, (a,), zeta[a]) for a in measure.support)
+    return TheoremConditionsReport(tuple(leaf_checks), claims_rank, len(leaf_checks) - 1, price_constant)
 
 
 def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
@@ -303,22 +326,24 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
     Each block must be carried by exactly one current leaf (up to null sets)
     on which the price has not yet moved; the leaf then splits into the
     charged next-period cells.  Any misalignment is reported as NoTree rather
-    than repaired, since with a jumping price no tree needs to exist.
+    than repaired, since with a jumping price no tree needs to exist.  Each
+    claim's residual over the tree must reduce to zero against the gain rows.
     """
     try:
         decomposition = decompose_unhedgeable(measure, model)
     except NotComplete:
         raise NotComplete("tree extraction requires semi-static completeness") from None
-    weights = measure.weights
+    support = measure.support
+    charged = set(support)
 
     def charged_of(cell: Iterable[int]) -> frozenset[int]:
-        return frozenset(a for a in _cells_within(model, cell)[0] if weights[a] > 0)
+        return frozenset(a for a in _cells_within(model, cell)[0] if a in charged)
 
     blocks = list(decomposition.blocks)
     nodes: list[TreeNode] = []
     if blocks and blocks[0].time == 0:
         carried = set(blocks.pop(0).atom_cells)
-        rest = {model.coarse_cell_of[0][a] for a in measure.support} - carried
+        rest = {model.coarse_cell_of[0][a] for a in support} - carried
         if len(rest) > 1:
             return NoTree("time-zero jump block leaves a remainder that is not an atom")
         for c in sorted(carried | rest):
@@ -330,7 +355,7 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
     for block in blocks:
         k = block.time
         for c in block.atom_cells:
-            carrier = frozenset(a for a in model.coarse_groups[k - 1][c] if weights[a] > 0)
+            carrier = charged.intersection(model.coarse_groups[k - 1][c])
             hits = [leaf for leaf in leaves if charged_of(leaf.cell) & carrier]
             if len(hits) != 1:
                 return NoTree(f"jump block at k={k} straddles the current leaves")
@@ -357,15 +382,19 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
     if not is_full(tree, measure, model):
         return NoTree("constructed tree is not full")
 
-    support = measure.support
-    rows = [[vec[a] for _, vec in model.gains] for a in support]
-    for i, psi in enumerate(model.claims):
-        target = sigma_tree_expectation(psi, tree, measure, model)
-        rhs = [psi[a] - target[a] for a in support]
-        if linalg.solve(rows, rhs) is None:
+    gains = [[row[a] for a in support] for _, row, _ in model.int_gains]
+    pivots = linalg.echelon(gains)
+    expectations = _leaf_expectations(tree, measure, model)
+    for i, ((row, scale), (target, den)) in enumerate(zip(model.int_claims, expectations)):
+        # (claim - its leaf mean) times den: zero after the gain rows exactly when dynamically replicable
+        residual = [row[a] * (den // scale) - t for a, t in zip(support, target)]
+        for r, c in enumerate(pivots):
+            if residual[c]:
+                residual = linalg.eliminate(residual, gains[r], c)
+        if any(residual):
             return NoTree(f"claim {i} residual is not dynamically replicable over the tree")
 
-    conditions = check_theorem_conditions(tree, measure, model)
+    conditions = _theorem_conditions(tree, measure, model, expectations)
     if not conditions.ok:
         return NoTree("constructed tree fails the completeness characterization conditions")
     return tree

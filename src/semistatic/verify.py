@@ -17,7 +17,7 @@ import random
 from typing import Callable, Iterable
 
 from . import bounds
-from .duality import robust_price, superhedge
+from .duality import _scan_vertices, superhedge
 from .enlargement import enlarge, informed_compare, jeulin_yor
 from .hedging import is_semistatically_complete, verify_jacod_yor
 from .polytope import enumerate_extreme_points, is_extreme
@@ -87,7 +87,7 @@ def suite_duality(seed: int = DUALITY_SEED, n_models: int = 200, payoffs_each: i
         for _ in range(payoffs_each):
             payoff = random_payoff(rng, model)
             primal = superhedge(payoff, model)
-            dual = robust_price(payoff, model, vertex_set)
+            dual = _scan_vertices(payoff, vertex_set.vertices)
             if primal.price is None or dual.value is None or primal.price != dual.value:
                 yield {
                     "instance": idx,

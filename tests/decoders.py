@@ -17,9 +17,10 @@ def measure_from_json(data: dict, model: FilteredModel) -> Measure:
 
 def strategy_from_json(data: dict, model: FilteredModel) -> SemiStaticStrategy:
     column = {
-        (k, model.cell_label(model.partitions[k - 1].cells[c]), j): i for i, ((_, k, c, j), _) in enumerate(model.gains)
+        (k, model.cell_label(model.partitions[k - 1].cells[c]), j): i
+        for i, ((_, k, c, j), _, _) in enumerate(model.int_gains)
     }
-    dynamic = [rat(0)] * len(model.gains)
+    dynamic = [rat(0)] * len(model.int_gains)
     for entry in data.get("dynamic", []):
         key = (int(entry["k"]), entry["cell"], int(entry["asset"]))
         if key not in column:

@@ -1,0 +1,35 @@
+"""Fraction references for the model's int tables.
+
+The engine keeps the elementary gains and the strategy columns only as int
+rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
+The tests compare against these Fraction vectors, built from the prices the
+way the engine built them before the int tables.
+"""
+
+from fractions import Fraction
+
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def gains(model):
+    """The elementary gains 1_A (S^j_k - S^j_{k-1}), A cell c of P_{k-1}, as (("gain", k, c, j), vector).
+
+    The order is (k, c, j), as in ``FilteredModel.int_gains``.
+    """
+    columns = []
+    for k in range(1, model.horizon + 1):
+        for c, cell in enumerate(model.partitions[k - 1].cells):
+            for j, path in enumerate(model.prices):
+                vec = [ZERO] * model.n_cells
+                for a, terminal in enumerate(model.terminal_cells):
+                    w = terminal[0]
+                    if w in cell:
+                        vec[a] = path[k][w] - path[k - 1][w]
+                columns.append((("gain", k, c, j), tuple(vec)))
+    return tuple(columns)
+
+
+def strategy_columns(model):
+    """Strategy coordinates in column order, cash, claims, gains, each (label, Fraction vector)."""
+    claims = tuple((("claim", i), tuple(claim)) for i, claim in enumerate(model.claims))
+    return ((("const",), (ONE,) * model.n_cells), *claims, *gains(model))

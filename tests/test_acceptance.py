@@ -63,12 +63,12 @@ def test_criterion_3_trinomial_regression(trinomial, trinomial_calibrated):
         (F(1, 2), F(0), F(1, 2)),
         (F(0), F(1), F(0)),
     ]
-    ok = ok and robust_price(trinomial.payoffs["abs_S1"], model, vs).value == 1
+    ok = ok and robust_price(trinomial.payoffs["abs_S1"], model).value == 1
     calibrated = trinomial_calibrated.model
     cvs = enumerate_extreme_points(build_constraints(calibrated))
     ok = ok and [v.weights for v in cvs.vertices] == [(F(1, 4), F(1, 2), F(1, 4))]
     ok = ok and is_semistatically_complete(cvs.vertices[0], calibrated).complete
-    ok = ok and robust_price(trinomial_calibrated.payoffs["abs_S1"], calibrated, cvs).value == F(1, 2)
+    ok = ok and robust_price(trinomial_calibrated.payoffs["abs_S1"], calibrated).value == F(1, 2)
     _report(3, "trinomial regression values", ok)
 
 
@@ -160,13 +160,13 @@ def _flip_complete(monkeypatch):
 
 
 def _widen_gap(monkeypatch):
-    real = verify.robust_price
+    real = verify._scan_vertices
 
-    def shifted(payoff, model, vertex_set):
-        result = real(payoff, model, vertex_set)
+    def shifted(payoff, vertices):
+        result = real(payoff, vertices)
         return replace(result, value=result.value + 1)
 
-    monkeypatch.setattr(verify, "robust_price", shifted)
+    monkeypatch.setattr(verify, "_scan_vertices", shifted)
     return verify.suite_duality(n_models=3)
 
 

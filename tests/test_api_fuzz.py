@@ -57,7 +57,7 @@ from semistatic import (
     verify_duality,
 )
 from semistatic.errors import SemistaticError
-from semistatic.hedging import strategy_columns
+from semistatic.hedging import int_strategy_columns
 from semistatic.sampling import random_model, random_payoff
 
 F = Fraction
@@ -106,9 +106,9 @@ def context(seed: int) -> dict:
         "weights": list(vertex.weights),  # a vertex: calibrated, extreme and so complete
         "fine_weights": [F(1, n_fine)] * n_fine,
         "static": [F(1)] * len(model.claims),
-        "holdings": [F(1)] * len(model.gains),
-        "fine_holdings": [F(1)] * len(enlarged.model.gains),
-        "coordinates": [F(1)] * len(strategy_columns(model)),
+        "holdings": [F(1)] * len(model.int_gains),
+        "fine_holdings": [F(1)] * len(enlarged.model.int_gains),
+        "coordinates": [F(1)] * len(int_strategy_columns(model)),
         "mark": mark,
         "cash": F(1),
         "tau": tau,

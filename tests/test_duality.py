@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from semistatic import cli, duality
 from semistatic.duality import detect_arbitrage, optimal_face, robust_price, superhedge, verify_duality
 from semistatic.errors import EmptyMeasureSet, InvariantViolation
-from semistatic.hedging import strategy_columns, strategy_payoff
-from semistatic.polytope import build_constraints, enumerate_extreme_points
+from semistatic.hedging import int_strategy_columns, strategy_payoff
+from semistatic.model import Measure
+from semistatic.polytope import VertexSet, build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model, random_payoff
 from tests.conftest import scenario_path
 from tests.test_polytope import ladder_model
@@ -130,8 +131,19 @@ def test_superhedge_has_one_column_per_strategy_coordinate(monkeypatch, trinomia
     model = trinomial.model
     calls = _recording_solve_lp(monkeypatch)
     assert superhedge(trinomial.payoffs["abs_S1"], model).price == 1
-    n_free, n_allowed = len(strategy_columns(model)), len(model.allowed)
+    n_free, n_allowed = len(int_strategy_columns(model)), len(model.allowed)
     assert calls == [(n_free + n_allowed, {n_free + n_allowed}, n_free)]
+
+
+def test_a_vertex_set_is_not_an_argument(trinomial_calibrated):
+    # robust_price and detect_arbitrage enumerate the model's own vertices; a passed set was trusted unchecked
+    model = trinomial_calibrated.model
+    with pytest.raises(TypeError):
+        detect_arbitrage(model, VertexSet((Measure((1,)),)))
+    with pytest.raises(TypeError):
+        robust_price(trinomial_calibrated.payoffs["abs_S1"], model, VertexSet(()))
+    assert detect_arbitrage(model).vertex_count == len(enumerate_extreme_points(model.constraints).vertices)
+    assert robust_price(trinomial_calibrated.payoffs["abs_S1"], model).value == F(1, 2)
 
 
 def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_arbitrage):
@@ -141,7 +153,7 @@ def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_
     calls = _recording_solve_lp(monkeypatch)
     assert not detect_arbitrage(model).feasible
     # coordinates without cash, the floor t, the cap slack u, one surplus per allowed cell
-    n_free = len(strategy_columns(model)) - 1 + 1
+    n_free = len(int_strategy_columns(model)) - 1 + 1
     n_vars = n_free + 1 + len(model.allowed)
     assert calls == [(n_vars, {n_vars}, n_free)]
 
@@ -151,10 +163,9 @@ def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_
 def test_strong_duality_random(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    vertex_set = enumerate_extreme_points(build_constraints(model))
     payoff = random_payoff(rng, model)
     primal = superhedge(payoff, model)
-    dual = robust_price(payoff, model, vertex_set)
+    dual = robust_price(payoff, model)
     assert primal.price == dual.value
     tight = set(primal.tight)
     assert all(a in tight for m in dual.argmax for a in m.support)
@@ -165,12 +176,11 @@ def test_strong_duality_random(seed):
 def test_monotonicity(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    vertex_set = enumerate_extreme_points(build_constraints(model))
     low = random_payoff(rng, model)
     bump = [F(rng.randint(0, 2)) for _ in range(model.n_cells)]
     high = tuple(a + b for a, b in zip(low, bump))
     assert superhedge(low, model).price <= superhedge(high, model).price
-    assert robust_price(low, model, vertex_set).value <= robust_price(high, model, vertex_set).value
+    assert robust_price(low, model).value <= robust_price(high, model).value
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,16 +189,15 @@ def test_replication_collapse(seed):
     # the payoff of any explicit strategy prices at exactly its cash leg
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    vertex_set = enumerate_extreme_points(build_constraints(model))
     from semistatic.hedging import SemiStaticStrategy
 
     cash = F(rng.randint(-3, 3))
     static = tuple(F(rng.randint(-2, 2)) for _ in model.claims)
-    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.gains)
+    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.int_gains)
     strategy = SemiStaticStrategy(cash, static, dynamic)
     payoff = strategy_payoff(strategy, model)
     assert superhedge(payoff, model).price == cash
-    assert robust_price(payoff, model, vertex_set).value == cash
+    assert robust_price(payoff, model).value == cash
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +217,7 @@ def test_weak_duality_via_feasible_mixtures(seed):
 def assert_matches_full_scan(payoff, model):
     """``verify_duality`` against ``superhedge`` plus the full vertex scan of ``robust_price``."""
     primal = superhedge(payoff, model)
-    scan = robust_price(payoff, model, enumerate_extreme_points(build_constraints(model)))
+    scan = robust_price(payoff, model)
     tight = set(primal.tight)
     report = verify_duality(payoff, model)
     assert report.primal == primal.price

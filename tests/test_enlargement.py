@@ -11,7 +11,7 @@ from semistatic import cli, enlargement
 from semistatic.enlargement import (
     AzemaResult,
     SingleJump,
-    _charged_means,
+    _weighted_sums,
     _coinciding_lifts,
     azema,
     compensator,
@@ -89,12 +89,15 @@ def test_jump_not_measurable_on_the_enlarged_cells(lumped, process, jump):
         process(enlarged.model.measure(["1"]), jump, enlarged)
 
 
-def test_charged_means_read_only_the_charged_cells():
+def test_weighted_sums_read_only_the_charged_cells():
     groups = ((0, 1, 2), (3,))
-    weights = (F(1, 2), F(1, 2), F(0), F(0))
+    weights = (1, 1, 0, 0)  # the weights 1/2, 1/2, 0, 0 scaled to ints
     # nonzero only on null cells: cell 2 inside a charged group, cell 3 a null group of its own
-    assert _charged_means((F(1), F(-1), F(7), F(5)), groups, weights) == [0, 0]
-    assert _charged_means((F(1), F(0), F(7), F(5)), groups, weights) == [F(1, 2), F(1, 2)]
+    assert _weighted_sums((F(1), F(-1), F(7), F(5)), groups, weights) == [0, 0]
+    # the charged group's mean 1/2 (and 1/6, -1/6) has the sign of the int sum; the null group sums to 0
+    assert _weighted_sums((F(1), F(0), F(7), F(5)), groups, weights) == [1, 0]
+    assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights) == [1, 0]
+    assert _weighted_sums((F(-1, 3), F(0), F(7, 2), F(5)), groups, weights) == [-2, 0]
 
 
 def test_enlarge_trivial_when_mark_zero(trinomial):
@@ -284,7 +287,7 @@ def test_predictable_reduction_examples(two_atom):
 def test_predictable_reduction_rejects_holdings_of_the_wrong_length(two_atom, holdings):
     # one entry per enlarged gain column, two here: a third is not a second asset
     enlarged = enlarge(two_atom, [SingleJump((0, None), (F(1), F(0)))])
-    assert len(enlarged.model.gains) == 2
+    assert len(enlarged.model.int_gains) == 2
     with pytest.raises(ShapeError):
         predictable_reduction(holdings, enlarged.jumps[0], enlarged)
 
@@ -475,11 +478,11 @@ def test_predictable_reduction_agrees_pre_jump(seed):
     model, _ = random_model(rng)
     jump = random_jump(rng, model)
     enlarged = enlarge(model, [jump])
-    holdings = tuple(F(rng.randint(-3, 3)) for _ in enlarged.model.gains)
+    holdings = tuple(F(rng.randint(-3, 3)) for _ in enlarged.model.int_gains)
     reduced = predictable_reduction(holdings, jump, enlarged)
-    assert len(reduced) == len(model.gains)
-    held = {label[1:]: h for (label, _), h in zip(enlarged.model.gains, holdings)}
-    for ((_, k, c, j), _), h in zip(model.gains, reduced):
+    assert len(reduced) == len(model.int_gains)
+    held = {label[1:]: h for (label, _, _), h in zip(enlarged.model.int_gains, holdings)}
+    for ((_, k, c, j), _, _), h in zip(model.int_gains, reduced):
         for w in model.partitions[k - 1].cells[c]:
             if jump.tau[w] is None or jump.tau[w] >= k:
                 g = enlarged.model.partitions[k - 1].cell_of[w]

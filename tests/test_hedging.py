@@ -12,7 +12,6 @@ from semistatic.hedging import (
     decompose_unhedgeable,
     is_semistatically_complete,
     replicate,
-    strategy_columns,
     strategy_payoff,
     terminal_gain,
     verify_jacod_yor,
@@ -20,14 +19,15 @@ from semistatic.hedging import (
 from semistatic.model import conditional_expectation
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
+from tests.reference import gains as reference_gains, strategy_columns
 from tests.test_linalg import reference_project_onto_span, weighted_dot
 
 F = Fraction
 
 
 def _dynamic(model, entries):
-    """Holdings on ``model.gains`` taken from ``entries`` keyed by (k, c, j), zero elsewhere."""
-    return tuple(entries.get(label[1:], F(0)) for label, _ in model.gains)
+    """Holdings on ``model.int_gains`` taken from ``entries`` keyed by (k, c, j), zero elsewhere."""
+    return tuple(entries.get(label[1:], F(0)) for label, _, _ in model.int_gains)
 
 
 def test_terminal_gain_zero(trinomial):
@@ -39,7 +39,7 @@ def test_terminal_gain_zero(trinomial):
 def test_terminal_gain_rejects_holdings_of_the_wrong_length(glued_two_vol, extra):
     model = glued_two_vol.model
     with pytest.raises(ShapeError):
-        terminal_gain((F(1),) * (len(model.gains) + extra), model)
+        terminal_gain((F(1),) * (len(model.int_gains) + extra), model)
 
 
 def test_terminal_gain_unit_holding(trinomial):
@@ -56,20 +56,23 @@ def test_terminal_gain_two_period_masked(glued_two_vol):
 
 
 def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
-    # every span column is the payoff of an explicit semi-static strategy
+    # every column of the span is the payoff of an explicit semi-static strategy, and the span's rank is theirs
+    from semistatic import linalg
     from semistatic.hedging import SemiStaticStrategy, hedging_span
 
     model = trinomial_calibrated.model
     q = model.measure(["1/4", "1/2", "1/4"])
     span = hedging_span(model, q)
-    for label, vec in span.columns:
+    columns = strategy_columns(model)
+    for label, vec in columns:
         cash = F(1) if label[0] == "const" else F(0)
         static = [F(0)] * len(model.claims)
         if label[0] == "claim":
             static[label[1]] = F(1)
-        dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in model.gains)
+        dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in reference_gains(model))
         strategy = SemiStaticStrategy(cash, tuple(static), dynamic)
         assert strategy_payoff(strategy, model) == vec
+    assert span.rank == linalg.rank([[vec[a] for a in q.support] for _, vec in columns]) == 3
 
 
 def test_completeness_examples(trinomial, trinomial_calibrated):
@@ -106,7 +109,7 @@ def test_replicate_indicator(trinomial_calibrated):
 def test_strategy_payoff_rejects_static_positions_of_the_wrong_length(trinomial_calibrated, static):
     # one claim: an extra position has no claim to pay, and a missing one must not count as zero
     model = trinomial_calibrated.model
-    strategy = SemiStaticStrategy(F(0), static, (F(0),) * len(model.gains))
+    strategy = SemiStaticStrategy(F(0), static, (F(0),) * len(model.int_gains))
     with pytest.raises(ShapeError, match=f"static positions: got {len(static)}, expected 1"):
         strategy_payoff(strategy, model)
 
@@ -234,7 +237,7 @@ def test_decompose_jump_counterexample(jump_counterexample):
 def test_gain_expectation_zero(seed):
     rng = random.Random(seed)
     model, reference = random_model(rng)
-    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.gains)
+    dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.int_gains)
     gains = terminal_gain(dynamic, model)
     vs = enumerate_extreme_points(build_constraints(model))
     for v in vs.vertices:
@@ -275,7 +278,7 @@ def test_residual_orthogonality_and_martingale(seed):
     vs = enumerate_extreme_points(cs)
     q = vs.vertices[rng.randrange(len(vs.vertices))]
     decomposition = decompose_unhedgeable(q, model)
-    gains = [vec for _, vec in model.gains]
+    gains = [vec for _, vec in reference_gains(model)]
     for i, residual in enumerate(decomposition.residual_terminals):
         for g in gains:
             assert weighted_dot(residual, g, q.weights) == 0

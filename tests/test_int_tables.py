@@ -23,7 +23,7 @@ from semistatic import cli, duality, polytope
 from semistatic.duality import _tight_cells, detect_arbitrage, superhedge
 from semistatic.enlargement import enlarge
 from semistatic.errors import InputError, InvariantViolation
-from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
+from semistatic.hedging import SemiStaticStrategy, strategy_payoff
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import integer_row
@@ -31,6 +31,7 @@ from semistatic.sampling import random_jump, random_measure
 from semistatic.scenario import load_scenario
 from semistatic.simplex import solve_lp
 from tests.conftest import SCENARIOS
+from tests.reference import gains as _reference_gains, strategy_columns
 from tests.test_layout import MODELS
 
 F = Fraction
@@ -64,21 +65,6 @@ def model(request):
     return request.param
 
 
-def _reference_gains(model):
-    """The elementary gains as Fraction price differences on each P_{k-1} cell, in (k, c, j) order."""
-    columns = []
-    for k in range(1, model.horizon + 1):
-        for c, cell in enumerate(model.partitions[k - 1].cells):
-            for j, path in enumerate(model.prices):
-                vec = [ZERO] * model.n_cells
-                for a, terminal in enumerate(model.terminal_cells):
-                    w = terminal[0]
-                    if w in cell:
-                        vec[a] = path[k][w] - path[k - 1][w]
-                columns.append((("gain", k, c, j), tuple(vec)))
-    return columns
-
-
 def _positive_multiple(row, reference):
     """Whether ``row`` is ``m * reference`` for some m > 0, with both int rows."""
     k = next((i for i, x in enumerate(reference) if x), None)
@@ -94,7 +80,6 @@ def test_int_gain_rows_are_the_scaled_price_differences(model):
         assert type(scale) is int and scale > 0
         assert all(type(x) is int for x in row)
         assert [F(x, scale) for x in row] == list(vec)
-    assert model.gains == tuple((label, vec) for label, vec in reference)
 
 
 def test_int_claim_rows_are_the_scaled_claims(model):

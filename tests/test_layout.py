@@ -13,11 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from semistatic.hedging import SemiStaticStrategy, strategy_columns, strategy_payoff
+from semistatic.hedging import SemiStaticStrategy, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
 from tests.conftest import REPO
 from tests.decoders import strategy_from_json
+from tests.reference import gains, strategy_columns
 from tests.test_multi_asset import two_asset_model
 
 F = Fraction
@@ -40,8 +41,9 @@ def model(request):
 
 def test_gains_are_price_increments_on_predecessor_cells(model):
     labels = []
-    for (kind, k, c, j), vec in model.gains:
+    for (kind, k, c, j), row, scale in model.int_gains:
         assert kind == "gain"
+        vec = [F(x, scale) for x in row]
         labels.append((k, c, j))
         group = model.partitions[k - 1].cells[c]
         for a, cell in enumerate(model.terminal_cells):
@@ -57,9 +59,9 @@ def test_martingale_rows_are_the_gain_vectors(model):
     assert model.constraints is model.constraints
     assert model.constraints == build_constraints(model)
     rows = [row for row in model.constraints.rows if row.label[0] == "martingale"]
-    gains = model.gains
-    assert [row.label[1:] for row in rows] == [label[1:] for label, _ in gains]
-    assert [row.coeffs for row in rows] == [vec for _, vec in gains]
+    reference = gains(model)
+    assert [row.label[1:] for row in rows] == [label[1:] for label, _ in reference]
+    assert [row.coeffs for row in rows] == [vec for _, vec in reference]
     assert all(row.rhs == 0 for row in rows)
 
 

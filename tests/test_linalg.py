@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic import linalg
+from semistatic.rationals import common_denominator
 
 F = Fraction
 
@@ -314,6 +315,20 @@ def test_weighted_sweep_matches_fraction_reference(case):
     assert basis == reference_gram_schmidt(vectors, weights) and _all_fractions(basis)
     projection = linalg.project_onto_span(x, vectors, weights)
     assert projection == reference_project_onto_span(x, vectors, weights) and _all_fractions([projection])
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_spans())
+def test_weighted_span_sweeps_int_rows_as_the_fraction_reference(case):
+    # each vector and the weights scaled to ints by their own lcm: the span and the residual's direction stay
+    vectors, weights, x = case
+    span = linalg.WeightedSpan([common_denominator(vec)[0] for vec in vectors], common_denominator(weights)[0])
+    assert len(span.basis) == len(reference_gram_schmidt(vectors, weights))
+    numerators, scale = common_denominator(x)
+    row, factor = span.residual(numerators)
+    assert all(type(a) is int for a in row) and factor > 0
+    expected = [scale * (a - p) for a, p in zip(x, reference_project_onto_span(x, vectors, weights))]
+    assert [factor * a for a in row] == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -62,7 +62,7 @@ def test_predictable_reduction_keeps_each_asset():
     jump = SingleJump((0, None, None, None), (F(1), F(0), F(0), F(0)))
     enlarged = enlarge(model, [jump])
     assert enlarged.model.partitions[0].cells == ((0,), (1, 2, 3))
-    assert [label for label, _ in enlarged.model.gains] == [
+    assert [label for label, _, _ in enlarged.model.int_gains] == [
         ("gain", 1, 0, 0),
         ("gain", 1, 0, 1),
         ("gain", 1, 1, 0),

@@ -27,6 +27,7 @@ from semistatic.tree import (
     validate_atomic_tree,
 )
 from tests.conftest import scenario_path
+from tests.reference import gains as reference_gains
 
 F = Fraction
 
@@ -161,7 +162,7 @@ def test_extract_tree_glued(glued_two_vol):
     assert [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
     psi = model.claims[0]
     projected = sigma_tree_expectation(psi, tree, q, model)
-    gains = [vec for _, vec in model.gains]
+    gains = [vec for _, vec in reference_gains(model)]
     rows = [[g[a] for g in gains] for a in q.support]
     rhs = [psi[a] - projected[a] for a in q.support]
     assert linalg.solve(rows, rhs) is not None
@@ -251,7 +252,7 @@ def test_rank_identity_glued(glued_two_vol):
         [F(1) if set(model.terminal_cells[s]) <= set(leaf.cell) else F(0) for s in support]
         for leaf in tree.leaves
     ]
-    gain_vecs = [[vec[s] for s in support] for _, vec in model.gains]
+    gain_vecs = [[vec[s] for s in support] for _, vec in reference_gains(model)]
     assert linalg.rank(leaf_vecs + gain_vecs) == len(support)
     assert intersection_dimension(leaf_vecs, gain_vecs) == 0
     with_const = gain_vecs + [[F(1)] * len(support)]
