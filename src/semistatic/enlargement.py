@@ -109,8 +109,7 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
         for cell in base_partition.cells:
             split: dict[tuple, list[int]] = {}
             for w in cell:
-                key = tuple(_jump_key(j, w, k) for j in jumps)
-                split.setdefault(key, []).append(w)
+                split.setdefault(tuple(_jump_key(j, w, k) for j in jumps), []).append(w)
             cells.extend(split.values())
         partitions.append(Partition(cells))
 
@@ -341,9 +340,7 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
 
 
 def informed_compare(
-    model: FilteredModel,
-    jumps: Iterable[SingleJump],
-    payoffs: dict[str, Sequence[Fraction]] | None = None,
+    model: FilteredModel, jumps: Iterable[SingleJump], payoffs: dict[str, Sequence[Fraction]] | None = None
 ) -> tuple[InformedCompareReport, EnlargedModel]:
     """Enumerate both extreme-point sets and compare informed pricing.
 
@@ -361,13 +358,9 @@ def informed_compare(
     expected: tuple[Measure, ...] | None = None
     corollary_equal: bool | None = None
     if claims_empty:
-        lifted: list[Measure] = []
-        for vertex in ext_base.vertices:
-            lifted.extend(_coinciding_lifts(vertex, enlarged))
-        expected = tuple(sorted(set(lifted), key=lambda m: (m.support, m.weights)))
-        corollary_equal = [m.weights for m in expected] == [
-            m.weights for m in ext_fine.vertices
-        ]
+        lifted = {m for vertex in ext_base.vertices for m in _coinciding_lifts(vertex, enlarged)}
+        expected = tuple(sorted(lifted, key=lambda m: (m.support, m.weights)))
+        corollary_equal = [m.weights for m in expected] == [m.weights for m in ext_fine.vertices]
 
     prices: dict[str, tuple[Fraction | None, Fraction | None]] = {}
     for name, payoff in sorted((payoffs or {}).items()):

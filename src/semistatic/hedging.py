@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
@@ -185,11 +186,7 @@ class EquivalenceCheck:
 
 def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
     n = len(measures[0].weights)
-    weights = [ZERO] * n
-    for m, lam in zip(measures, coeffs):
-        for a, w in enumerate(m.weights):
-            weights[a] += lam * w
-    return Measure(tuple(weights))
+    return Measure(tuple(sum((lam * m.weights[a] for m, lam in zip(measures, coeffs)), ZERO) for a in range(n)))
 
 
 def verify_jacod_yor(model: FilteredModel) -> tuple[EquivalenceCheck, ...]:
@@ -209,10 +206,8 @@ def verify_jacod_yor(model: FilteredModel) -> tuple[EquivalenceCheck, ...]:
         extreme, _ = is_extreme(v, cs)
         complete = is_semistatically_complete(v, model).complete
         checks.append(EquivalenceCheck(f"vertex {i}", v.weights, True, extreme, complete))
-    mixtures: list[tuple[str, Measure]] = []
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            mixtures.append((f"midpoint {i},{j}", _mix([vertices[i], vertices[j]], [Fraction(1, 2)] * 2)))
+    pairs = combinations(range(len(vertices)), 2)
+    mixtures = [(f"midpoint {i},{j}", _mix([vertices[i], vertices[j]], [Fraction(1, 2)] * 2)) for i, j in pairs]
     if len(vertices) > 1:
         lam = Fraction(1, len(vertices))
         mixtures.append(("barycenter", _mix(list(vertices), [lam] * len(vertices))))

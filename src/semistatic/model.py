@@ -172,22 +172,15 @@ class FilteredModel:
             _check_index("outcome", w, self.n_outcomes)
         return "|".join(self.outcomes[w] for w in sorted(cell))
 
-    def _labels(self, cells: Sequence[Cell]) -> tuple[str, ...]:
-        """The ``cell_label`` of each sorted cell, with all entries checked at once (a bad one takes its error)."""
-        names, entries = self.outcomes, list(chain.from_iterable(cells))
-        if entries and not (_INT.issuperset(map(type, entries)) and 0 <= min(entries) and max(entries) < len(names)):
-            return tuple(map(self.cell_label, cells))
-        return tuple("|".join([names[w] for w in cell]) for cell in cells)
-
     @cached_property
     def terminal_labels(self) -> tuple[str, ...]:
         """The ``cell_label`` of each terminal cell, built once."""
-        return self._labels(self.terminal_cells)
+        return tuple(map(self.cell_label, self.terminal_cells))
 
     @cached_property
     def partition_labels(self) -> tuple[tuple[str, ...], ...]:
         """Per time k, the ``cell_label`` of each P_k cell, built once."""
-        return tuple(self._labels(partition.cells) for partition in self.partitions)
+        return tuple(tuple(map(self.cell_label, partition.cells)) for partition in self.partitions)
 
     def terminal_label(self, index: int) -> str:
         _check_index("terminal cell", index, self.n_cells)

@@ -83,17 +83,11 @@ class AtomicTree:
         return tuple(out)
 
     def to_json(self, model: FilteredModel) -> dict:
-        return {
-            "nodes": [
-                {
-                    "cell": model.cell_label(node.cell),
-                    "birth": node.birth,
-                    "parent": parent,
-                }
-                for node, parent in zip(self.nodes, self.parents)
-            ],
-            "dim": self.dim,
-        }
+        nodes = [
+            {"cell": model.cell_label(node.cell), "birth": node.birth, "parent": parent}
+            for node, parent in zip(self.nodes, self.parents)
+        ]
+        return {"nodes": nodes, "dim": self.dim}
 
 
 @dataclass(frozen=True)
@@ -179,30 +173,18 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
             continue
         actual_birth = birth_time(node.cell, model)
         if actual_birth != node.birth:
-            bad.append(
-                Violation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}")
-            )
+            bad.append(Violation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}"))
         if masses[i] == 0:
             bad.append(Violation("non-null", label, "node has zero mass"))
         elif not _is_atom(model, measure, node.birth, node.cell):
             bad.append(Violation("atom", label, f"node is not an atom at time {node.birth}"))
         for j, other in enumerate(tree.nodes):
             if node.birth < other.birth and not (cells[j] <= cells[i] or cells[i].isdisjoint(cells[j])):
-                bad.append(
-                    Violation(
-                        "nesting",
-                        f"{label} / {model.cell_label(other.cell)}",
-                        "later-born node neither nested nor disjoint",
-                    )
-                )
+                pair = f"{label} / {model.cell_label(other.cell)}"
+                bad.append(Violation("nesting", pair, "later-born node neither nested nor disjoint"))
             if cells[j] < cells[i] and masses[i] == masses[j]:  # a sub-node's mass is at most its node's
-                bad.append(
-                    Violation(
-                        "mass-drop",
-                        f"{label} / {model.cell_label(other.cell)}",
-                        "no strict mass drop between nested nodes",
-                    )
-                )
+                pair = f"{label} / {model.cell_label(other.cell)}"
+                bad.append(Violation("mass-drop", pair, "no strict mass drop between nested nodes"))
     return ValidationReport(tuple(bad))
 
 
@@ -264,9 +246,7 @@ class TheoremConditionsReport:
         return self.leaves_ok and self.claims_ok and self.price_constant_ok
 
 
-def check_theorem_conditions(
-    tree: AtomicTree, measure: Measure, model: FilteredModel
-) -> TheoremConditionsReport:
+def check_theorem_conditions(tree: AtomicTree, measure: Measure, model: FilteredModel) -> TheoremConditionsReport:
     """The three finite conditions tying a full tree to completeness.
 
     (i) dynamic trading from each leaf's birth spans everything on the leaf;
@@ -281,9 +261,8 @@ def check_theorem_conditions(
 def _leaf_expectations(tree: AtomicTree, measure: Measure, model: FilteredModel) -> list[tuple[list[int], int]]:
     """Each claim's ``sigma_tree_expectation`` on the support, as an int row over a positive scale.
 
-    A leaf of int mass m holding n = sum of w x has mean n / (m s) for the
-    claim x / s, n (M / m) over M s with M the lcm of the masses; a cell
-    takes the last leaf holding it, 0 if none.
+    Under int weights w, a leaf of mass m has mean sum(w x) (M / m) / (M s) for
+    the claim x / s, M the lcm of the masses; a cell outside every charged leaf gets 0.
     """
     weights, _ = common_denominator(measure.weights)
     leaves = [[a for a in _cells_within(model, leaf.cell)[0] if weights[a]] for leaf in tree.leaves]
