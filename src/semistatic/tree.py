@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -259,20 +258,13 @@ def check_theorem_conditions(tree: AtomicTree, measure: Measure, model: Filtered
 
 
 def _leaf_expectations(tree: AtomicTree, measure: Measure, model: FilteredModel) -> list[tuple[list[int], int]]:
-    """Each claim's ``sigma_tree_expectation`` on the support, as an int row over a positive scale.
-
-    Under int weights w, a leaf of mass m has mean sum(w x) (M / m) / (M s) for
-    the claim x / s, M the lcm of the masses; a cell outside every charged leaf gets 0.
-    """
-    weights, _ = common_denominator(measure.weights)
-    leaves = [[a for a in _cells_within(model, leaf.cell)[0] if weights[a]] for leaf in tree.leaves]
-    leaves = [(cells, sum([weights[a] for a in cells])) for cells in leaves if cells]
-    common = lcm(*[mass for _, mass in leaves])
-    leaf_of = {a: i for i, (cells, _) in enumerate(leaves) for a in cells}
+    """Each claim's ``sigma_tree_expectation`` on the support, as an int row over a positive scale."""
+    leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
     out = []
     for row, scale in model.int_claims:
-        means = [sum([weights[a] * row[a] for a in cells]) * (common // mass) for cells, mass in leaves]
-        out.append(([means[leaf_of[a]] if a in leaf_of else 0 for a in measure.support], common * scale))
+        means = condexp_groups(row, leaves, measure.weights)
+        target, den = common_denominator([means[a] for a in measure.support])
+        out.append((target, den * scale))
     return out
 
 
