@@ -124,8 +124,7 @@ def _scan_vertices(payoff: Sequence[Fraction], vertices: Sequence[Measure]) -> R
     x, scale = common_denominator(payoff)
     values = []
     for m in vertices:
-        numerators, den = common_denominator([m.weights[a] for a in m.support])
-        values.append(Fraction(sum([n * x[a] for n, a in zip(numerators, m.support)]), den * scale))
+        values.append(Fraction(sum([m.numerators[a] * x[a] for a in m.support]), m.scale * scale))
     best = max(values)
     return RobustPriceResult(best, tuple(m for m, v in zip(vertices, values) if v == best))
 

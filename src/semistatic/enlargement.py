@@ -141,15 +141,14 @@ def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaR
     _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, _ = enlarged.on_cells(jump)
     groups = enlarged.base_groups
-    scaled, _ = common_denominator(measure.weights)  # a positive multiple of the weights: the same means
     values = tuple(
-        condexp_groups(tuple(1 if t is None or t > k else 0 for t in taus), groups[k], scaled)
+        condexp_groups(tuple(1 if t is None or t > k else 0 for t in taus), groups[k], measure.numerators)
         for k in range(enlarged.model.horizon + 1)
     )
     ok = all(
         s <= 0
         for k in range(enlarged.model.horizon)
-        for s in _weighted_sums([b - a for a, b in zip(values[k], values[k + 1])], groups[k], scaled)
+        for s in _weighted_sums([b - a for a, b in zip(values[k], values[k + 1])], groups[k], measure.numerators)
     )
     return AzemaResult(values, ok)
 
@@ -171,18 +170,17 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     """
     _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
     taus, marks = enlarged.on_cells(jump)
-    scaled, _ = common_denominator(measure.weights)  # a positive multiple of the weights: the same means
     cell_of = enlarged.model.terminal_cell_of_outcome
     increments = []
     predictable = martingale = True
     for k in range(enlarged.model.horizon + 1):
         groups = enlarged.base_groups[max(k - 1, 0)]
         jump_now = tuple(x if t == k else ZERO for t, x in zip(taus, marks))  # Delta(mark 1_{tau <= k})
-        inc = condexp_groups(jump_now, groups, scaled)
+        inc = condexp_groups(jump_now, groups, measure.numerators)
         increments.append(inc)
         base_cells = enlarged.base.partitions[max(k - 1, 0)].cells
         predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
-        martingale &= not any(_weighted_sums([n - d for n, d in zip(jump_now, inc)], groups, scaled))
+        martingale &= not any(_weighted_sums([n - d for n, d in zip(jump_now, inc)], groups, measure.numerators))
     return CompensatorResult(tuple(increments), predictable, martingale)
 
 
@@ -226,11 +224,10 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
         jumped = (x if t is not None and t <= k else ZERO for t, x in zip(taus, marks))
         values.append(tuple(x - a for x, a in zip(jumped, drift)))
 
-    scaled, _ = common_denominator(measure.weights)
-    ok = not any(_weighted_sums(values[0], enlarged.base_groups[0], scaled))
+    ok = not any(_weighted_sums(values[0], enlarged.base_groups[0], measure.numerators))
     for k in range(1, model.horizon + 1):
         delta = [b - a for a, b in zip(values[k - 1], values[k])]
-        ok &= not any(_weighted_sums(delta, model.coarse_groups[k - 1], scaled))
+        ok &= not any(_weighted_sums(delta, model.coarse_groups[k - 1], measure.numerators))
     return JeulinYorResult(tuple(values), ok, z, comp)
 
 

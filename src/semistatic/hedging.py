@@ -50,7 +50,7 @@ class SemiStaticStrategy:
 
     def to_json(self, model: FilteredModel) -> dict:
         entries = [
-            {"k": k, "cell": model.partition_labels[k - 1][c], "asset": j, "value": fmt(h)}
+            {"k": k, "cell": model.cell_label(model.partitions[k - 1].cells[c]), "asset": j, "value": fmt(h)}
             for ((_, k, c, j), _, _), h in zip(model.int_gains, self.dynamic)
             if h
         ]
@@ -155,7 +155,7 @@ def replicate(
     rhs, den = common_denominator([payoff[a] for a in support])
     coeffs = linalg.min_norm_solution(rows, rhs)
     if coeffs is None:
-        weights, _ = common_denominator([measure.weights[a] for a in support])
+        weights = [measure.numerators[a] for a in support]
         span = linalg.WeightedSpan(zip(*rows), weights)  # the columns on the support, times common / scale
         residual, factor = span.residual(rhs)
         return NotReplicable(_spread(residual, factor / den, support, model.n_cells))
@@ -253,7 +253,7 @@ def decompose_unhedgeable(measure: Measure, model: FilteredModel) -> Unhedgeable
     if not is_semistatically_complete(measure, model).complete:
         raise NotComplete("unhedgeable decomposition requires semi-static completeness")
     support = measure.support
-    weights, _ = common_denominator([measure.weights[a] for a in support])
+    weights = [measure.numerators[a] for a in support]
     gains = linalg.WeightedSpan([[row[a] for a in support] for _, row, _ in model.int_gains], weights)
     residuals = []
     for row, scale in model.int_claims:

@@ -2,8 +2,7 @@
 
 Small dense routines used throughout: reduced row echelon form, rank with
 row/column witnesses, nullspaces, particular and minimum-norm solutions, and
-weighted Gram-Schmidt without normalization (normalizing would require square
-roots and break exactness).  Inputs and results are tuples of Fraction; the
+weighted projections.  Inputs and results are tuples of Fraction; the
 work runs on int rows, each a positive multiple of the rational row it stands
 for, and Fractions are built only for what is returned.  The engine's one
 exact elimination kernel is here: ``eliminate``, a fraction-free step on int
@@ -220,18 +219,6 @@ class WeightedSpan:
             return None
         self.basis.append((residual, weighted, norm))
         return residual, factor
-
-
-def gram_schmidt(vectors: Sequence[Sequence[Fraction]], weights: Sequence[Fraction]) -> list[Vector]:
-    """Orthogonalize under the weighted inner product, dropping zero vectors.
-
-    No normalization is applied, so spans, orthogonality, and support patterns
-    stay exactly rational.  The weights and each vector are scaled to ints,
-    which changes no projection coefficient, and ``WeightedSpan`` sweeps them.
-    """
-    span = WeightedSpan((), integer_row(weights))
-    kept = [(added, den) for row, den in map(common_denominator, vectors) if (added := span.add(row)) is not None]
-    return [tuple(factor / den * x for x in row) for (row, factor), den in kept]
 
 
 def project_onto_span(

@@ -10,7 +10,9 @@ P_K cells that priors may charge).  Probability measures live on the cells
 of the terminal partition P_K; payoff vectors are indexed the same way.
 The model caches the gains and claims as int rows with positive scales
 (``int_gains``, ``int_claims``), which every exact layer reads, and its
-cell labels (``terminal_labels``, ``partition_labels``) for the reports.
+cell labels (``terminal_labels``, ``partition_labels``) for the reports.  A
+``Measure`` keeps its weights' int form the same way: ``numerators`` over a
+positive ``scale``, set once by its input check.
 """
 
 from __future__ import annotations
@@ -197,46 +199,49 @@ class FilteredModel:
         return measure
 
 
-def _checked_support(numerators: Sequence[int], scale: int) -> tuple[int, ...]:
-    """The charged indices of the weights ``numerators / scale``; raises InputError unless they are a probability."""
-    if min(numerators, default=0) < 0:
-        raise InputError("measure weights must be nonnegative")
-    if scale <= 0 or sum(numerators) != scale:
-        raise InputError("measure weights must sum to exactly 1")
-    return tuple(compress(range(len(numerators)), numerators))
-
-
 @dataclass(frozen=True)
 class Measure:
     """Nonnegative rational weights over terminal cells summing to one.
 
     Each weight is an ``int`` or a ``Fraction``; anything else (a float, a
     bool, a string) raises ``TypeError``, as ``rat`` does.  Sign and sum are
-    checked exactly on the numerators over the lcm of the denominators, and
-    ``support``, the indices of the charged cells, is computed once here.
-    ``from_ints`` builds a measure from int numerators over one scale, with
-    the same checks on those ints.
+    checked exactly on the weights' int form, ``numerators`` over ``scale`` > 0
+    (``numerators[a] / scale == weights[a]``, not always in lowest terms), which
+    is kept, with ``support``, the charged cells, for every exact layer to read;
+    none of the three is compared.  ``from_ints`` builds a measure from int
+    numerators over one scale, with the same checks on those ints.
     """
 
     weights: Payoff
     support: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_vector("measure weights", self.weights, len(self.weights))
-        object.__setattr__(self, "support", _checked_support(*common_denominator(self.weights)))
+        self._keep_ints(*common_denominator(self.weights))
+
+    def _keep_ints(self, numerators: Sequence[int], scale: int) -> None:
+        """Keep the int form and its charged cells; raises InputError unless ``numerators / scale`` is a probability."""
+        if min(numerators, default=0) < 0:
+            raise InputError("measure weights must be nonnegative")
+        if scale <= 0 or sum(numerators) != scale:
+            raise InputError("measure weights must sum to exactly 1")
+        object.__setattr__(self, "support", tuple(compress(range(len(numerators)), numerators)))
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_ints(cls, numerators: Sequence[int], scale: int) -> Measure:
         """The measure with weights ``numerators[a] / scale``, all ints: one Fraction per charged cell."""
         if not _INT.issuperset(map(type, numerators)) or type(scale) is not int:
             raise TypeError("measure numerators and scale must be int")
-        support = _checked_support(numerators, scale)
-        weights = [ZERO] * len(numerators)
-        for a in support:
-            weights[a] = Fraction(numerators[a], scale)
         measure = object.__new__(cls)
+        measure._keep_ints(numerators, scale)
+        weights = [ZERO] * len(numerators)
+        for a in measure.support:
+            weights[a] = Fraction(numerators[a], scale)
         object.__setattr__(measure, "weights", tuple(weights))
-        object.__setattr__(measure, "support", support)
         return measure
 
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
@@ -430,5 +435,5 @@ def conditional_expectation(
     _check_vector("payoff entries", payoff, model.n_cells)
     _check_index("time", k, model.horizon + 1)
     _check_vector("measure weights", measure.weights, model.n_cells)
-    return condexp_groups(payoff, model.coarse_groups[k], measure.weights)
+    return condexp_groups(payoff, model.coarse_groups[k], measure.numerators)
 

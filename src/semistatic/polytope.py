@@ -27,7 +27,6 @@ from math import gcd
 from . import linalg
 from .errors import ConstraintViolation, InvariantViolation, ShapeError
 from .model import FilteredModel, Measure, Payoff, _check_vector
-from .rationals import common_denominator
 
 ZERO = Fraction(0)
 
@@ -94,17 +93,15 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
     """Exact satisfaction of every row and the support mask, in ints.
 
     The weights are nonnegative (``Measure`` checks that); each normal is
-    tested against the charged weights' numerators over their lcm.  A
-    measure of another length raises ShapeError.
+    tested against the measure's ``numerators`` on the support over its
+    ``scale``.  A measure of another length raises ShapeError.
     """
-    weights = measure.weights
-    _check_vector("measure weights", weights, cs.n_cells)
+    _check_vector("measure weights", measure.weights, cs.n_cells)
     support = measure.support
     if not cs.allowed.issuperset(support):
         return False
-    numerators, scale = common_denominator([weights[a] for a in support])
-    charged = list(zip(support, numerators))
-    return all(sum(row.normal[a] * x for a, x in charged) == -row.normal[-1] * scale for row in cs.rows)
+    charged = [(a, measure.numerators[a]) for a in support]
+    return all(sum(row.normal[a] * x for a, x in charged) == -row.normal[-1] * measure.scale for row in cs.rows)
 
 
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:

@@ -26,8 +26,6 @@ from .hedging import decompose_unhedgeable
 from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, condexp_groups
 from .rationals import common_denominator
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class TreeNode:
@@ -109,13 +107,14 @@ def _cells_within(model: FilteredModel, event: Iterable[int]) -> tuple[tuple[int
     return inside, sum(len(model.terminal_cells[a]) for a in inside) == len(covered)
 
 
-def _check_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> None:
-    """Raise ShapeError when a node names an outcome outside the model, or the measure has another length."""
+def _check_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> list[tuple[tuple[int, ...], bool]]:
+    """Each node's ``_cells_within``; ShapeError on a node naming an unknown outcome or on weights of wrong size."""
     for node in tree.nodes:
         unknown = [w for w in node.cell if w not in model.terminal_cell_of_outcome]
         if unknown:
             raise ShapeError(f"tree node names outcome {unknown[0]}, which is not in the model")
     _check_vector("measure weights", measure.weights, model.n_cells)
+    return [_cells_within(model, node.cell) for node in tree.nodes]
 
 
 def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
@@ -123,7 +122,11 @@ def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
     cells, exact = _cells_within(model, cell)
     if not (cells and exact):
         raise NotMeasurable("event is not measurable at the terminal date")
-    # the P_k cells met by the event hold exactly its cells when it is P_k-measurable; P_K always does
+    return _birth(model, cells)
+
+
+def _birth(model: FilteredModel, cells: Sequence[int]) -> int:
+    """``birth_time`` of a union of terminal cells: the first P_k whose cells meeting it hold it exactly (P_K does)."""
     return next(
         k
         for k, cell_of in enumerate(model.coarse_cell_of)
@@ -131,20 +134,19 @@ def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
     )
 
 
-def _is_atom(model: FilteredModel, measure: Measure, k: int, cell: Iterable[int]) -> bool:
-    """Non-null atom of the time-k algebra under Q, read modulo null sets.
+def _is_atom(model: FilteredModel, measure: Measure, k: int, cells: Sequence[int]) -> bool:
+    """Non-null atom of the time-k algebra under Q, read modulo null sets; the event is a union of terminal cells.
 
     The event must carry mass, meet exactly one charged P_k cell, and agree
     with that cell up to a null set; partial overlap with a charged cell would
     leave the event non-measurable at k even almost surely.
     """
-    weights, charged = measure.weights, set(measure.support)
-    cells = _cells_within(model, cell)[0]
-    hits = {model.coarse_cell_of[k][a] for a in cells if a in charged}
+    numerators = measure.numerators
+    hits = {model.coarse_cell_of[k][a] for a in cells if numerators[a]}
     if len(hits) != 1:
         return False
     group = model.coarse_groups[k][hits.pop()]
-    return sum((weights[a] for a in group), ZERO) == sum((weights[a] for a in cells), ZERO)
+    return sum([numerators[a] for a in group]) == sum([numerators[a] for a in cells])
 
 
 def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
@@ -159,23 +161,22 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
 
     Raises ShapeError when a node names an outcome outside the model.
     """
-    _check_tree(tree, measure, model)
+    lookups = _check_tree(tree, measure, model)
     bad: list[Violation] = []
     cells = [set(node.cell) for node in tree.nodes]
-    lookups = [_cells_within(model, cell) for cell in cells]
-    masses = [sum((measure.weights[a] for a in within), ZERO) for within, _ in lookups]
+    masses = [sum([measure.numerators[a] for a in within]) for within, _ in lookups]
     for i, node in enumerate(tree.nodes):
         label = model.cell_label(node.cell)
         within, exact = lookups[i]
         if not (within and exact):
             bad.append(Violation("measurable", label, "node is not terminally measurable"))
             continue
-        actual_birth = birth_time(node.cell, model)
+        actual_birth = _birth(model, within)
         if actual_birth != node.birth:
             bad.append(Violation("birth", label, f"stored birth {node.birth}, first measurable at {actual_birth}"))
         if masses[i] == 0:
             bad.append(Violation("non-null", label, "node has zero mass"))
-        elif not _is_atom(model, measure, node.birth, node.cell):
+        elif not _is_atom(model, measure, node.birth, within):
             bad.append(Violation("atom", label, f"node is not an atom at time {node.birth}"))
         for j, other in enumerate(tree.nodes):
             if node.birth < other.birth and not (cells[j] <= cells[i] or cells[i].isdisjoint(cells[j])):
@@ -189,15 +190,15 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
 
 def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     """Leaves partition the space mod null and parents are atoms just before births."""
-    _check_tree(tree, measure, model)
+    lookups = _check_tree(tree, measure, model)
     counts = [0] * model.n_cells
-    for leaf in tree.leaves:
-        for a in _cells_within(model, leaf.cell)[0]:
+    for i in tree.leaf_indices:
+        for a in lookups[i][0]:
             counts[a] += 1
     if any(counts[a] != 1 for a in measure.support):
         return False
     return all(
-        _is_atom(model, measure, max(child.birth - 1, 0), tree.nodes[parent].cell)
+        _is_atom(model, measure, max(child.birth - 1, 0), lookups[parent][0])
         for child, parent in zip(tree.nodes, tree.parents)
         if parent is not None
     )
@@ -208,9 +209,8 @@ def sigma_tree_expectation(
 ) -> Payoff:
     """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
     _check_vector("payoff entries", payoff, model.n_cells)
-    _check_tree(tree, measure, model)
-    leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
-    return condexp_groups(payoff, leaves, measure.weights)
+    lookups = _check_tree(tree, measure, model)
+    return condexp_groups(payoff, [lookups[i][0] for i in tree.leaf_indices], measure.numerators)
 
 
 @dataclass(frozen=True)
@@ -253,29 +253,37 @@ def check_theorem_conditions(tree: AtomicTree, measure: Measure, model: Filtered
     leaves - 1) independent directions; (iii) the price is still at its start
     value through each leaf's birth time on the support.
     """
-    _check_tree(tree, measure, model)
-    return _theorem_conditions(tree, measure, model, _leaf_expectations(tree, measure, model))
+    lookups = _check_tree(tree, measure, model)
+    leaves = [lookups[i][0] for i in tree.leaf_indices]
+    return _theorem_conditions(tree, measure, model, leaves, _leaf_expectations(leaves, measure, model))
 
 
-def _leaf_expectations(tree: AtomicTree, measure: Measure, model: FilteredModel) -> list[tuple[list[int], int]]:
-    """Each claim's ``sigma_tree_expectation`` on the support, as an int row over a positive scale."""
-    leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
+def _leaf_expectations(
+    leaves: Sequence[Sequence[int]], measure: Measure, model: FilteredModel
+) -> list[tuple[list[int], int]]:
+    """Each claim's ``sigma_tree_expectation`` on the support, from the leaves' cells: an int row over a scale > 0."""
     out = []
     for row, scale in model.int_claims:
-        means = condexp_groups(row, leaves, measure.weights)
+        means = condexp_groups(row, leaves, measure.numerators)
         target, den = common_denominator([means[a] for a in measure.support])
         out.append((target, den * scale))
     return out
 
 
 def _theorem_conditions(
-    tree: AtomicTree, measure: Measure, model: FilteredModel, expectations: list[tuple[list[int], int]]
+    tree: AtomicTree,
+    measure: Measure,
+    model: FilteredModel,
+    leaves: Sequence[Sequence[int]],
+    expectations: list[tuple[list[int], int]],
 ) -> TheoremConditionsReport:
-    """``check_theorem_conditions`` on the int gains, given the claims' leafwise expectations."""
-    charged = set(measure.support)
+    """``check_theorem_conditions`` on the int gains, given the leaves' terminal cells and claim expectations."""
+    numerators = measure.numerators
+    zeta: dict[int, int] = {}  # ``tree.zeta`` on the leaves' cells
     leaf_checks: list[LeafCheck] = []
-    for leaf in tree.leaves:
-        atoms = [a for a in _cells_within(model, leaf.cell)[0] if a in charged]
+    for leaf, within in zip(tree.leaves, leaves):
+        zeta.update(dict.fromkeys(within, leaf.birth))
+        atoms = [a for a in within if numerators[a]]
         if not atoms:
             continue
         on_leaf = set(atoms)
@@ -286,8 +294,7 @@ def _theorem_conditions(
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, linalg.rank(vectors), len(atoms)))
 
     claims_rank = linalg.rank([row for row, _ in expectations])
-    zeta = tree.zeta(model)
-    price_constant = all(zeta[a] is not None and not _price_moved(model, (a,), zeta[a]) for a in measure.support)
+    price_constant = all(a in zeta and not _price_moved(model, (a,), zeta[a]) for a in measure.support)
     return TheoremConditionsReport(tuple(leaf_checks), claims_rank, len(leaf_checks) - 1, price_constant)
 
 
@@ -306,32 +313,27 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
         raise NotComplete("tree extraction requires semi-static completeness") from None
     support = measure.support
     charged = set(support)
-
-    def charged_of(cell: Iterable[int]) -> frozenset[int]:
-        return frozenset(a for a in _cells_within(model, cell)[0] if a in charged)
-
     blocks = list(decomposition.blocks)
-    nodes: list[TreeNode] = []
+    # every node built is a partition cell: ``within`` maps it to that cell's group of terminal cells
     if blocks and blocks[0].time == 0:
         carried = set(blocks.pop(0).atom_cells)
         rest = {model.coarse_cell_of[0][a] for a in support} - carried
         if len(rest) > 1:
             return NoTree("time-zero jump block leaves a remainder that is not an atom")
-        for c in sorted(carried | rest):
-            nodes.append(TreeNode(model.partitions[0].cells[c], 0))
+        within = {TreeNode(model.partitions[0].cells[c], 0): model.coarse_groups[0][c] for c in sorted(carried | rest)}
     else:
-        nodes.append(TreeNode(tuple(range(model.n_outcomes)), 0))
+        within = {TreeNode(tuple(range(model.n_outcomes)), 0): tuple(range(model.n_cells))}
 
-    leaves: list[TreeNode] = list(nodes)
+    leaves: list[TreeNode] = list(within)
     for block in blocks:
         k = block.time
         for c in block.atom_cells:
             carrier = charged.intersection(model.coarse_groups[k - 1][c])
-            hits = [leaf for leaf in leaves if charged_of(leaf.cell) & carrier]
+            hits = [leaf for leaf in leaves if carrier.intersection(within[leaf])]
             if len(hits) != 1:
                 return NoTree(f"jump block at k={k} straddles the current leaves")
             leaf = hits[0]
-            if charged_of(leaf.cell) != carrier:
+            if charged.intersection(within[leaf]) != carrier:
                 return NoTree(
                     f"jump block at k={k} is carried by a proper sub-event of a leaf"
                 )
@@ -341,11 +343,11 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
             if len(children) < 2:
                 return NoTree(f"jump block at k={k} does not split its carrying atom")
             new_nodes = [TreeNode(model.partitions[k].cells[cc], k) for cc in children]
-            nodes.extend(new_nodes)
+            within.update(zip(new_nodes, [model.coarse_groups[k][cc] for cc in children]))
             leaves.remove(leaf)
             leaves.extend(new_nodes)
 
-    tree = AtomicTree(nodes)
+    tree = AtomicTree(within)
     report = validate_atomic_tree(tree, measure, model)
     if not report.ok:
         first = report.violations[0]
@@ -355,7 +357,8 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
 
     gains = [[row[a] for a in support] for _, row, _ in model.int_gains]
     pivots = linalg.echelon(gains)
-    expectations = _leaf_expectations(tree, measure, model)
+    leaf_cells = [within[leaf] for leaf in tree.leaves]
+    expectations = _leaf_expectations(leaf_cells, measure, model)
     for i, ((row, scale), (target, den)) in enumerate(zip(model.int_claims, expectations)):
         # (claim - its leaf mean) times den: zero after the gain rows exactly when dynamically replicable
         residual = [row[a] * (den // scale) - t for a, t in zip(support, target)]
@@ -365,7 +368,7 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
         if any(residual):
             return NoTree(f"claim {i} residual is not dynamically replicable over the tree")
 
-    conditions = _theorem_conditions(tree, measure, model, expectations)
+    conditions = _theorem_conditions(tree, measure, model, leaf_cells, expectations)
     if not conditions.ok:
         return NoTree("constructed tree fails the completeness characterization conditions")
     return tree

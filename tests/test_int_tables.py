@@ -22,8 +22,8 @@ import pytest
 from semistatic import cli, duality, polytope
 from semistatic.duality import _tight_cells, detect_arbitrage, superhedge
 from semistatic.enlargement import enlarge
-from semistatic.errors import InputError, InvariantViolation
-from semistatic.hedging import SemiStaticStrategy, strategy_payoff
+from semistatic.errors import InputError, InvariantViolation, NotCalibrated
+from semistatic.hedging import CompletenessReport, SemiStaticStrategy, is_semistatically_complete, strategy_payoff
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import integer_row
@@ -144,6 +144,8 @@ def test_vertices_equal_the_fraction_measures(model):
         built = Measure.from_ints([x.numerator * (t // x.denominator) for x in vertex.weights], t)
         assert built == reference and built.support == reference.support
         assert all(type(x) is Fraction for x in built.weights)
+        for measure in (vertex, reference, built):  # the int form each constructor keeps
+            assert measure.scale > 0 and list(measure.numerators) == [x * measure.scale for x in measure.weights]
 
 
 def test_ray_constructor_checks_sign_and_sum():
@@ -160,6 +162,30 @@ def test_ray_constructor_checks_sign_and_sum():
     for numerators, scale in [([0.0, 1], 1), ([True, 0], 1), ([F(1), 1], 2), ([1, 1], 2.0)]:
         with pytest.raises(TypeError, match="must be int"):
             Measure.from_ints(numerators, scale)
+
+
+@pytest.mark.parametrize("numerators", [[2, 2, 0], [2, 0, 2]], ids=["uncalibrated", "vertex"])
+def test_an_int_form_not_in_lowest_terms_gives_the_same_answers(trinomial, numerators):
+    # every reader of numerators / scale is homogeneous, so 2/4 reads as 1/2
+    model = trinomial.model
+    scaled, reduced = Measure.from_ints(numerators, 4), Measure(tuple(F(x, 4) for x in numerators))
+    assert (scaled.numerators, scaled.scale) == (tuple(numerators), 4) and reduced.scale == 2
+    assert scaled == reduced
+    assert polytope.member(scaled, model.constraints) == polytope.member(reduced, model.constraints)
+    payoff = (F(1, 3), F(-2), F(5, 7))
+    assert duality._scan_vertices(payoff, [scaled]) == duality._scan_vertices(payoff, [reduced])
+    groups = model.coarse_groups[0]
+    assert condexp_groups(payoff, groups, scaled.numerators) == condexp_groups(payoff, groups, reduced.numerators)
+    complete = []
+    for measure in (scaled, reduced):
+        try:
+            complete.append(is_semistatically_complete(measure, model))
+        except NotCalibrated as exc:
+            complete.append(str(exc))
+    assert complete[0] == complete[1]
+    assert complete[0] == (
+        CompletenessReport(True, 2, 2) if numerators[2] else "measure is not a calibrated martingale measure"
+    )
 
 
 def _fraction_superhedge(payoff, model):

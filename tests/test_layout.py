@@ -153,3 +153,24 @@ def test_shape_errors_are_raised_only_by_the_input_checks():
     for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), [path.stem])
     assert found == allowed
+
+
+def test_only_the_measure_scales_its_weights_to_ints():
+    # a Measure keeps its weights' int form, numerators over scale, so no layer scales them again
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            called = child.func if isinstance(child, ast.Call) else None
+            if getattr(called, "id", getattr(called, "attr", None)) == "common_denominator" and any(
+                isinstance(part, ast.Attribute) and part.attr == "weights" for part in ast.walk(child)
+            ):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), [path.stem])
+    assert found == {"model.Measure.__post_init__"}

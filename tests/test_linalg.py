@@ -82,16 +82,6 @@ def test_min_norm_is_orthogonal_to_kernel(seed):
         assert dot(sol, vec) == 0
 
 
-def test_gram_schmidt_weighted():
-    w = [F(1, 4), F(1, 2), F(1, 4)]
-    vectors = [(F(1), F(1), F(1)), (F(1), F(0), F(-1)), (F(2), F(1), F(0))]
-    basis = linalg.gram_schmidt(vectors, w)
-    for i, u in enumerate(basis):
-        for v in basis[i + 1 :]:
-            assert weighted_dot(u, v, w) == 0
-    assert linalg.rank(list(vectors)) == len(basis)
-
-
 def test_projection_idempotent():
     w = [F(1, 3)] * 3
     span = [(F(1), F(1), F(0)), (F(0), F(1), F(1))]
@@ -311,8 +301,6 @@ def weighted_spans(draw):
 @given(weighted_spans())
 def test_weighted_sweep_matches_fraction_reference(case):
     vectors, weights, x = case
-    basis = linalg.gram_schmidt(vectors, weights)
-    assert basis == reference_gram_schmidt(vectors, weights) and _all_fractions(basis)
     projection = linalg.project_onto_span(x, vectors, weights)
     assert projection == reference_project_onto_span(x, vectors, weights) and _all_fractions([projection])
 

@@ -2,12 +2,14 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic import cli, hedging, linalg, polytope
+from semistatic import tree as tree_module
 from semistatic.errors import NotComplete, NotMeasurable, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
 from semistatic.model import Partition, conditional_expectation, validate_model
@@ -26,8 +28,10 @@ from semistatic.tree import (
     sigma_tree_expectation,
     validate_atomic_tree,
 )
-from tests.conftest import scenario_path
+from semistatic.scenario import load_scenario
+from tests.conftest import SCENARIOS, scenario_path
 from tests.reference import gains as reference_gains
+from tests.test_layout import MODELS
 
 F = Fraction
 
@@ -235,6 +239,30 @@ def test_extract_validates_and_checks_conditions(glued_two_vol):
     assert validate_atomic_tree(tree, q, model).ok
     assert is_full(tree, q, model)
     assert check_theorem_conditions(tree, q, model).ok
+
+
+def test_each_check_looks_each_node_up_once(monkeypatch):
+    # the input check looks every node up once and the helpers read its lookups; extraction reads its
+    # own nodes off the cell tables and looks them up only through the two checks it runs
+    models = [load_scenario(path).model for path in sorted(SCENARIOS.glob("*.json"))] + [m for _, m in MODELS]
+    calls = []
+    lookup = tree_module._cells_within
+    monkeypatch.setattr(tree_module, "_cells_within", lambda model, event: calls.append(event) or lookup(model, event))
+    branched = 0
+    for model in models:
+        for q in enumerate_extreme_points(model.constraints).vertices:
+            calls.clear()
+            tree = extract_tree(q, model)
+            if isinstance(tree, NoTree):
+                continue
+            assert len(calls) <= 2 * len(tree.nodes)
+            branched += len(tree.nodes) > len(tree.leaves) > 1
+            expectation = partial(sigma_tree_expectation, tuple(F(a) for a in range(model.n_cells)))
+            for check in (validate_atomic_tree, is_full, check_theorem_conditions, expectation):
+                calls.clear()
+                check(tree, q, model)
+                assert len(calls) == len(tree.nodes), check
+    assert branched  # the corpus builds trees with inner nodes
 
 
 def intersection_dimension(span_a, span_b):
@@ -450,7 +478,7 @@ def test_event_lookup_matches_the_set_based_reference(seed, split):
             assert birth_time(event, model) == expected
         for measure in measures:
             for k in range(model.horizon + 1):
-                assert _is_atom(model, measure, k, event) == reference_is_atom(model, measure, k, event)
+                assert _is_atom(model, measure, k, cells) == reference_is_atom(model, measure, k, event)
     assert splits_a_cell == split  # one outcome of a two-outcome terminal cell splits it
 
 
