@@ -78,9 +78,8 @@ def verify_multinomial_inequality(p_max: int, m_max: int) -> list[BoundReport]:
 def dm2_bound(p: int, m: int, sigma_bar: Fraction, s: Fraction, t: Fraction) -> Fraction:
     """sigma^(2p) (t-s)^p (1 + 4^p p! / m), evaluated exactly.
 
-    Kept as the closed form behind ``verify --suite multinomial``: the
-    inequality that suite checks, lhs(p, m) <= 4^p p! m^(p-1), is the step
-    that gives this bound its 4^p p! / m term.
+    ``verify --suite multinomial`` does not call it; it checks lhs(p, m) <=
+    4^p p! m^(p-1), the step that gives this bound its 4^p p! / m term.
     """
     if p < 1 or p >= m:
         raise ValueError("need 1 <= p < m")
@@ -92,9 +91,8 @@ def dm2_bound(p: int, m: int, sigma_bar: Fraction, s: Fraction, t: Fraction) -> 
 def moment_bound(k: int, sigma_bar: Fraction, t: Fraction) -> Fraction:
     """(2k-1)!! sigma^(2k) t^k, the even moment ceiling; k = 0 gives 1.
 
-    Kept as the closed form behind ``verify --suite multinomial``: the double
-    factorials that ``multinomial_lhs`` multiplies are these moments at
-    sigma = t = 1.
+    ``verify --suite multinomial`` does not call it; the double factorials
+    that ``multinomial_lhs`` multiplies are these moments at sigma = t = 1.
     """
     if k < 0:
         raise ValueError("need k >= 0")

@@ -412,17 +412,16 @@ def condexp_groups(
 ) -> Payoff:
     """Groupwise conditional expectation; zero on null groups by convention.
 
-    The weights and the payoff are each scaled to ints once, so a group's
-    mean is one Fraction of two int sums.
+    The weights are read as given (every caller in the package passes a
+    measure's int ``numerators``) and the payoff is scaled to ints once.
     """
-    w, _ = common_denominator(weights)
     x, scale = common_denominator(payoff)
     result = [ZERO] * len(payoff)
     for group in groups:
-        mass = sum([w[a] for a in group])
+        mass = sum([weights[a] for a in group])
         if not mass:
             continue
-        mean = Fraction(sum([w[a] * x[a] for a in group if w[a]]), mass * scale)
+        mean = Fraction(sum([weights[a] * x[a] for a in group if weights[a]]), mass * scale)
         for a in group:
             result[a] = mean
     return tuple(result)

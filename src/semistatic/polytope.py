@@ -1,21 +1,23 @@
 """The calibrated martingale-measure polytope and its extreme points.
 
-The measure set is {q >= 0 : Aq = b} over terminal cells, with one martingale
-row per (period, predecessor cell, asset), one calibration row per claim, a
-single normalization row, and zero bounds outside the prior support.  Each
-row is an int normal read off the model's int tables, with its scale; a face
-shares its system's rows.  Extreme points are enumerated by the double
-description method run on the homogenized cone, with the rows taken deepest
+Every static claim has zero initial price, so every row is homogeneous: the
+measure set is {q >= 0 : Aq = 0, sum q = 1} over terminal cells, the section
+of the cone {q >= 0 : Aq = 0} by the sum, with one martingale row per
+(period, predecessor cell, asset), one calibration row per claim, and zero
+bounds outside the prior support.  Each row is an int normal read off the
+model's int tables, with its scale; a face shares its system's rows.  The
+vertices are the cone's extreme rays q, each scaled to q / sum q; the rays
+are enumerated by the double description method with the rows taken deepest
 first.  The rays are primitive int tuples and every sign test is exact; a
 row's sign values walk only its nonzeros, and each ray's zero set is an int
 bitmask, so the adjacency test is a few integer operations per ray.  Every
 surviving ray is checked in int arithmetic before it becomes a measure: each
-constraint row over its nonzeros, the signs, and independent support columns
-by ``linalg.echelon`` (the forward half of the one fraction-free kernel in
-``linalg``) on the normals restricted to the ray's support, zero rows dropped.
-Extremality certificates are not part of the enumeration; ``certify`` builds
-them on demand.  Emptiness, vertex identity, and certificates are thus all
-exact yes/no facts.
+constraint row over its nonzeros, the signs, a nonzero ray, and independent
+support columns by ``linalg.echelon`` (the forward half of the one
+fraction-free kernel in ``linalg``) on the normals restricted to the ray's
+support, zero rows dropped, and the all-ones row.  Extremality certificates
+are not part of the enumeration; ``certify`` builds them on demand.
+Emptiness, vertex identity, and certificates are thus all exact yes/no facts.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ RowLabel = tuple
 
 @dataclass(frozen=True)
 class Row:
-    """One equality row as an int normal (the coefficients, then -rhs) that is ``scale`` times the rational row."""
+    """One homogeneous row ``coeffs . q = 0`` as an int normal that is ``scale`` times the rational coefficients."""
 
     label: RowLabel
     normal: tuple[int, ...]
@@ -43,11 +45,7 @@ class Row:
 
     @property
     def coeffs(self) -> Payoff:
-        return tuple(Fraction(x, self.scale) if x else ZERO for x in self.normal[:-1])
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(-self.normal[-1], self.scale)
+        return tuple(Fraction(x, self.scale) if x else ZERO for x in self.normal)
 
 
 @dataclass(frozen=True)
@@ -81,39 +79,39 @@ class VertexSet:
 
 
 def build_constraints(model: FilteredModel) -> ConstraintSystem:
-    """Equality description of the calibrated martingale-measure set, its rows from the model's int tables."""
-    rows = [Row(("martingale", *label[1:]), row + (0,), scale) for label, row, scale in model.int_gains]
+    """The martingale rows, then the calibration rows, from the model's int tables; the sum to one is ``Measure``'s."""
+    rows = [Row(("martingale", *label[1:]), row, scale) for label, row, scale in model.int_gains]
     for i, (row, scale) in enumerate(model.int_claims):
-        rows.append(Row(("calibration", i), row + (0,), scale))
-    rows.append(Row(("normalization",), (1,) * model.n_cells + (-1,), 1))
+        rows.append(Row(("calibration", i), row, scale))
     return ConstraintSystem(tuple(rows), model.allowed, model.n_cells)
 
 
 def member(measure: Measure, cs: ConstraintSystem) -> bool:
     """Exact satisfaction of every row and the support mask, in ints.
 
-    The weights are nonnegative (``Measure`` checks that); each normal is
-    tested against the measure's ``numerators`` on the support over its
-    ``scale``.  A measure of another length raises ShapeError.
+    The weights are nonnegative and sum to one (``Measure`` checks both);
+    each normal must vanish on the measure's ``numerators`` over the support.
+    A measure of another length raises ShapeError.
     """
     _check_vector("measure weights", measure.weights, cs.n_cells)
     support = measure.support
     if not cs.allowed.issuperset(support):
         return False
     charged = [(a, measure.numerators[a]) for a in support]
-    return all(sum(row.normal[a] * x for a, x in charged) == -row.normal[-1] * measure.scale for row in cs.rows)
+    return not any(sum(row.normal[a] * x for a, x in charged) for row in cs.rows)
 
 
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:
-    """Vertex test: the equality columns on the support must be independent.
+    """Vertex test: the rows and the all-ones row must have independent columns on the support.
 
-    On failure the certificate carries a nonzero direction d with Ad = 0 and
-    support(d) inside support(Q), so Q +/- eps*d stays feasible.
+    ``witness_rows`` indexes ``cs.rows``, the ones row being ``len(cs.rows)``.
+    On failure the certificate carries a nonzero direction d with Ad = 0,
+    sum d = 0 and support(d) inside support(Q), so Q +/- eps*d stays feasible.
     """
     if not member(measure, cs):
         raise ConstraintViolation("measure does not satisfy the constraint system")
     support = measure.support
-    restricted = [[row.normal[a] for a in support] for row in cs.rows]
+    restricted = [[row.normal[a] for a in support] for row in cs.rows] + [[1] * len(support)]
     witness = linalg.independent_rows(restricted)
     if len(witness) == len(support):
         return True, ExtremalityCertificate(True, witness_rows=tuple(witness))
@@ -173,52 +171,50 @@ def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[
 
 
 def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]], nonzeros: list[list[tuple[int, int]]]) -> None:
-    """Exact int check that a ray (q, t) stands for a vertex q / t; raises InvariantViolation.
+    """Exact int check that a ray q stands for a vertex q / sum q; raises InvariantViolation.
 
-    Every normal must vanish on it (summed over the normal's ``nonzeros``),
-    it must be nonnegative with t > 0, and the normals restricted to the
-    support of q must have independent columns: ``linalg.echelon`` on the
-    nonzero restricted rows finds a pivot in every column.
+    It must be nonnegative and nonzero, every normal must vanish on it (over
+    the normal's ``nonzeros``), and ``linalg.echelon`` on the nonzero normals
+    restricted to its support, and the all-ones row, must pivot in every column.
     """
-    if ray[-1] <= 0 or min(ray) < 0:
-        raise InvariantViolation("surviving ray must be nonnegative with t > 0")
+    if min(ray) < 0 or not any(ray):
+        raise InvariantViolation("surviving ray must be nonnegative and nonzero")
     if any(sum([a * ray[j] for j, a in normal]) for normal in nonzeros):
         raise InvariantViolation("surviving ray must satisfy every constraint row")
-    support = [i for i, x in enumerate(ray[:-1]) if x]
+    support = [i for i, x in enumerate(ray) if x]
     restricted = [row for row in ([normal[i] for i in support] for normal in normals) if any(row)]
-    if len(linalg.echelon(restricted)) < len(support):
+    if len(linalg.echelon(restricted + [[1] * len(support)])) < len(support):
         raise InvariantViolation("surviving ray must have independent support columns")
 
 
 def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
-    """All vertices of {q >= 0 : Aq = b}, in canonical order.
+    """All vertices of {q >= 0 : Aq = 0, sum q = 1}, in canonical order.
 
-    Double description on the homogenized cone {(q, t) >= 0 : Aq = b t} over
-    the allowed cells, with each row's int normal restricted to those cells.
-    The rows are intersected deepest first: the martingale rows in reverse
-    (k, c, j) order, then the calibration rows, then the normalization row,
-    which keeps far fewer intermediate rays than the given order.
-    ``cs.rows`` keeps its order, and the vertices are sorted afterwards, so
-    the output does not depend on the row order.  The normalization row
-    forces t > 0 on every surviving ray, so rays and vertices correspond
-    one-to-one and an infeasible system leaves no ray.  Each ray passes
-    ``_check_vertex_ray`` in int arithmetic, and becomes a measure through
-    ``Measure.from_ints``, one Fraction per charged cell.  Extremality
-    certificates are built on demand by ``certify``.
+    Double description on the cone {q >= 0 : Aq = 0} over the allowed cells,
+    with each row's int normal restricted to those cells.  The rows are
+    intersected deepest first: the martingale rows in reverse (k, c, j)
+    order, then the calibration rows, which keeps far fewer intermediate
+    rays than the given order.  ``cs.rows`` keeps its order, and the
+    vertices are sorted afterwards, so the output does not depend on the row
+    order.  The cone is pointed, so each extreme ray q meets the sum-one
+    section in exactly one vertex q / sum q, and an infeasible system leaves
+    no ray.  Each ray passes ``_check_vertex_ray`` in int arithmetic, and
+    becomes a measure through ``Measure.from_ints``, one Fraction per charged
+    cell.  Extremality certificates are built on demand by ``certify``.
     """
     cols = sorted(cs.allowed)
     martingale = [row.normal for row in cs.rows if row.label[0] == "martingale"]
     others = [row.normal for row in cs.rows if row.label[0] != "martingale"]
     # a positive multiple of the row re-scaled over these cells alone: the same primitive rays
-    normals = [[normal[c] for c in cols] + [normal[-1]] for normal in martingale[::-1] + others]
+    normals = [[normal[c] for c in cols] for normal in martingale[::-1] + others]
     normals = [normal for normal in normals if any(normal)]
     nonzeros = [[(j, a) for j, a in enumerate(normal) if a] for normal in normals]
     vertices = []
-    for ray in _double_description(nonzeros, len(cols) + 1):
+    for ray in _double_description(nonzeros, len(cols)):
         _check_vertex_ray(ray, normals, nonzeros)
         numerators = [0] * cs.n_cells
         for c, x in zip(cols, ray):
             numerators[c] = x
-        vertices.append(Measure.from_ints(numerators, ray[-1]))
+        vertices.append(Measure.from_ints(numerators, sum(ray)))
     vertices.sort(key=lambda m: (m.support, m.weights))
     return VertexSet(tuple(vertices))

@@ -62,7 +62,13 @@ def test_martingale_rows_are_the_gain_vectors(model):
     reference = gains(model)
     assert [row.label[1:] for row in rows] == [label[1:] for label, _ in reference]
     assert [row.coeffs for row in rows] == [vec for _, vec in reference]
-    assert all(row.rhs == 0 for row in rows)
+
+
+def test_rows_are_homogeneous_normals_over_the_cells(model):
+    # the sum to one is the measure's, so a row has no rhs entry and no row normalizes
+    rows = model.constraints.rows
+    assert all(len(row.normal) == model.n_cells for row in rows)
+    assert [row.label[0] for row in rows] == ["martingale"] * len(model.int_gains) + ["calibration"] * len(model.claims)
 
 
 def test_unit_coordinates_pay_off_their_column(model):
@@ -156,7 +162,8 @@ def test_shape_errors_are_raised_only_by_the_input_checks():
 
 
 def test_only_the_measure_scales_its_weights_to_ints():
-    # a Measure keeps its weights' int form, numerators over scale, so no layer scales them again
+    # a Measure keeps its weights' int form, numerators over scale, so no layer scales them again,
+    # whether it reads a measure's .weights or a parameter named weights
     found = set()
 
     def visit(node, scope):
@@ -166,7 +173,7 @@ def test_only_the_measure_scales_its_weights_to_ints():
                 continue
             called = child.func if isinstance(child, ast.Call) else None
             if getattr(called, "id", getattr(called, "attr", None)) == "common_denominator" and any(
-                isinstance(part, ast.Attribute) and part.attr == "weights" for part in ast.walk(child)
+                getattr(part, "attr", getattr(part, "id", None)) == "weights" for part in ast.walk(child)
             ):
                 found.add(".".join(scope))
             visit(child, scope)

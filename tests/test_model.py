@@ -163,9 +163,9 @@ def test_measure_rejects_a_weight_that_is_not_an_int_or_fraction(weight):
 def test_member_runs_each_row_on_numerators(trinomial_calibrated):
     cs = trinomial_calibrated.model.constraints
     assert member(Measure((F(1, 4), F(1, 2), F(1, 4))), cs)
-    # (1/3, 1/3, 1/3) meets the martingale and normalization rows but not the calibration row
+    # (1/3, 1/3, 1/3) meets the martingale row but not the calibration row
     third = Measure((F(1, 3), F(1, 3), F(1, 3)))
-    violated = [row.label for row in cs.rows if sum(c * w for c, w in zip(row.coeffs, third.weights)) != row.rhs]
+    violated = [row.label for row in cs.rows if sum(c * w for c, w in zip(row.coeffs, third.weights)) != 0]
     assert violated == [("calibration", 0)]
     assert not member(third, cs)
     assert not member(Measure((F(1, 4), F(1, 2), F(1, 4))), replace(cs, allowed=frozenset({0, 1})))
@@ -179,7 +179,7 @@ def test_member_agrees_with_rational_rows(seed):
     cs = model.constraints
     measures = [random_measure(rng, model)] + list(enumerate_extreme_points(cs).vertices[:3])
     for q in measures:
-        exact = all(sum(c * w for c, w in zip(row.coeffs, q.weights)) == row.rhs for row in cs.rows)
+        exact = all(sum(c * w for c, w in zip(row.coeffs, q.weights)) == 0 for row in cs.rows)
         assert member(q, cs) == (exact and set(q.support) <= cs.allowed)
 
 

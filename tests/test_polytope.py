@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 from semistatic import linalg
 from semistatic import polytope
 from semistatic.errors import ConstraintViolation, InvariantViolation, ShapeError
+from semistatic.enlargement import enlarge
 from semistatic.model import Measure
 from semistatic.polytope import build_constraints, certify, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
-from semistatic.scenario import parse_scenario
+from semistatic.scenario import load_scenario, parse_scenario
+from tests.conftest import SCENARIOS
 from tests.test_linalg import dot
 
 F = Fraction
 
 
 def brute_force_vertices(cs):
-    """Independent oracle: basic solutions over every independent column set."""
+    """Independent oracle: basic solutions of [A; 1]q = [0; 1] over every independent column set."""
     cols = sorted(cs.allowed)
-    matrix = [row.coeffs for row in cs.rows]
-    rhs = [row.rhs for row in cs.rows]
+    matrix = [row.coeffs for row in cs.rows] + [(F(1),) * cs.n_cells]
+    rhs = [F(0)] * len(cs.rows) + [F(1)]
     found = set()
     for size in range(1, len(cols) + 1):
         for subset in combinations(cols, size):
@@ -48,9 +50,8 @@ def brute_force_vertices(cs):
 def test_trinomial_rows(trinomial):
     cs = build_constraints(trinomial.model)
     labels = [r.label for r in cs.rows]
-    assert labels == [("martingale", 1, 0, 0), ("normalization",)]
+    assert labels == [("martingale", 1, 0, 0)]
     assert cs.rows[0].coeffs == (F(1), F(0), F(-1))
-    assert cs.rows[1].rhs == 1
 
 
 def test_trinomial_vertices(trinomial):
@@ -101,8 +102,6 @@ def test_singleton_support_is_extreme(trinomial):
 
 
 def test_empty_polytope_detected(informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
     vs = enumerate_extreme_points(build_constraints(enlarged.model))
     assert len(vs.vertices) == 0
@@ -248,6 +247,31 @@ def test_certify_matches_is_extreme(glued_two_vol):
         assert cert.extreme and len(cert.witness_rows) == len(v.support)
 
 
+@pytest.mark.parametrize("face", [False, True], ids=["allowed", "face"])
+def test_double_description_runs_on_the_cone_over_the_allowed_cells(monkeypatch, face):
+    # every row is homogeneous, so no homogenizing coordinate follows the allowed cells
+    calls = []
+    original = polytope._double_description
+
+    def spy(normals, dim):
+        calls.append((normals, dim))
+        return original(normals, dim)
+
+    monkeypatch.setattr(polytope, "_double_description", spy)
+    scenarios = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.json"))]
+    models = [s.model for s in scenarios] + [enlarge(s.model, s.jumps).model for s in scenarios if s.jumps]
+    models += [ladder_model(b, horizon) for b, horizon in [(4, 2), (5, 2), (3, 3)]]
+    for model in models:
+        cs = build_constraints(model)
+        if face:
+            cs = replace(cs, allowed=frozenset(sorted(cs.allowed)[::2]))
+        del calls[:]
+        enumerate_extreme_points(cs)
+        [(normals, dim)] = calls
+        assert dim == len(cs.allowed)
+        assert all(0 <= j < dim for normal in normals for j, _ in normal)
+
+
 def corrupt_last_ray(monkeypatch, corrupt):
     original = polytope._double_description
 
@@ -261,7 +285,7 @@ def corrupt_last_ray(monkeypatch, corrupt):
 @pytest.mark.parametrize(
     "corrupt, reason",
     [
-        pytest.param(lambda ray, rays: ray[:-1] + (0,), "t > 0", id="t-zero"),
+        pytest.param(lambda ray, rays: (0,) * len(ray), "nonzero", id="zero"),
         pytest.param(lambda ray, rays: tuple(-x for x in ray[:-1]) + ray[-1:], "nonnegative", id="negative"),
         pytest.param(lambda ray, rays: (ray[0] + 1,) + ray[1:], "constraint row", id="off-row"),
         pytest.param(lambda ray, rays: tuple(a + b for a, b in zip(ray, rays[0])), "independent", id="not-extreme"),
