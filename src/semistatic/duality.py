@@ -87,8 +87,9 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     scales change no sign and no ratio, so Bland's rule pivots as on the
     rational program, whose solution is read back through the scales.  An
     unbounded program means the statics admit model-free arbitrage, reported
-    through the improving ray (negative cash, nonnegative total payoff),
-    scaled as the rational ray is: +-1 in its entering column.
+    through the improving ray, scaled as the rational ray is: +-1 in its
+    entering column.  The ray is checked without the LP: negative cash and a
+    recomputed payoff >= 0 on every allowed cell, else InvariantViolation.
     """
     _check_vector("payoff entries", payoff, model.n_cells)
     columns = int_strategy_columns(model)
@@ -104,8 +105,11 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     scales = [s for _, s in columns]
     if result.status == "unbounded":
         unit = scales[result.column] if result.column < n_free else 1
-        ray = _unscaled(result.ray, scales, unit)
-        return SuperhedgeResult(None, SemiStaticStrategy.from_coordinates(ray, model), ())
+        ray = SemiStaticStrategy.from_coordinates(_unscaled(result.ray, scales, unit), model)
+        value = strategy_payoff(ray, model)
+        if ray.cash >= 0 or any(value[a] < 0 for a in allowed):
+            raise InvariantViolation("arbitrage ray must have negative cash and pay >= 0 on every allowed cell")
+        return SuperhedgeResult(None, ray, ())
     strategy = SemiStaticStrategy.from_coordinates(_unscaled(result.solution, scales, scale), model)
     tight = tuple(a for slot, a in enumerate(allowed) if result.solution[n_free + slot] == 0)
     return SuperhedgeResult(strategy.cash, strategy, tight)  # cash is the only cost, so the price

@@ -11,11 +11,12 @@ are enumerated by the double description method with the rows taken deepest
 first.  The rays are primitive int tuples and every sign test is exact; a
 row's sign values walk only its nonzeros, and each ray's zero set is an int
 bitmask, so the adjacency test is a few integer operations per ray.  Every
-surviving ray is checked in int arithmetic before it becomes a measure: each
-constraint row over its nonzeros, the signs, a nonzero ray, and independent
-support columns by ``linalg.echelon`` (the forward half of the one
-fraction-free kernel in ``linalg``) on the normals restricted to the ray's
-support, zero rows dropped, and the all-ones row.  Extremality certificates
+surviving ray is checked in int arithmetic before it becomes a measure: the
+signs, a nonzero ray, and, on the rows that touch its support S (found
+through a column-to-rows index built once from the system), that each
+vanishes on the ray and that ``linalg.echelon`` (the forward half of the one
+fraction-free kernel in ``linalg``) finds rank |S| - 1, so that the support
+columns with the all-ones row are independent.  Extremality certificates
 are not part of the enumeration; ``certify`` builds them on demand.
 Emptiness, vertex identity, and certificates are thus all exact yes/no facts.
 """
@@ -37,15 +38,11 @@ RowLabel = tuple
 
 @dataclass(frozen=True)
 class Row:
-    """One homogeneous row ``coeffs . q = 0`` as an int normal that is ``scale`` times the rational coefficients."""
+    """One homogeneous row ``a . q = 0`` as an int normal that is ``scale`` times the rational coefficients a."""
 
     label: RowLabel
     normal: tuple[int, ...]
     scale: int
-
-    @property
-    def coeffs(self) -> Payoff:
-        return tuple(Fraction(x, self.scale) if x else ZERO for x in self.normal)
 
 
 @dataclass(frozen=True)
@@ -170,20 +167,26 @@ def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[
     return rays
 
 
-def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]], nonzeros: list[list[tuple[int, int]]]) -> None:
+def _check_vertex_ray(ray: tuple[int, ...], normals: list[list[int]], touching: list[list[int]]) -> None:
     """Exact int check that a ray q stands for a vertex q / sum q; raises InvariantViolation.
 
-    It must be nonnegative and nonzero, every normal must vanish on it (over
-    the normal's ``nonzeros``), and ``linalg.echelon`` on the nonzero normals
-    restricted to its support, and the all-ones row, must pivot in every column.
+    It must be nonnegative and nonzero, and only the normals that touch its
+    support S (``touching[j]`` lists those with a nonzero in column j) are
+    read: the others vanish on q.  Those restricted to S must vanish on q_S,
+    and ``linalg.echelon`` on them must find rank |S| - 1.  Given q >= 0,
+    q != 0 and A_S q_S = 0, that is the independence of the columns of
+    [A_S; 1]: they are independent exactly when null(A_S) = span(q_S), that
+    is when rank(A_S) = |S| - 1.
     """
     if min(ray) < 0 or not any(ray):
         raise InvariantViolation("surviving ray must be nonnegative and nonzero")
-    if any(sum([a * ray[j] for j, a in normal]) for normal in nonzeros):
+    support = [j for j, x in enumerate(ray) if x]
+    rows = sorted({k for j in support for k in touching[j]})
+    restricted = [[normals[k][j] for j in support] for k in rows]
+    weights = [ray[j] for j in support]
+    if any(sum([a * x for a, x in zip(row, weights)]) for row in restricted):
         raise InvariantViolation("surviving ray must satisfy every constraint row")
-    support = [i for i, x in enumerate(ray) if x]
-    restricted = [row for row in ([normal[i] for i in support] for normal in normals) if any(row)]
-    if len(linalg.echelon(restricted + [[1] * len(support)])) < len(support):
+    if len(linalg.echelon(restricted)) != len(support) - 1:
         raise InvariantViolation("surviving ray must have independent support columns")
 
 
@@ -209,9 +212,13 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     normals = [[normal[c] for c in cols] for normal in martingale[::-1] + others]
     normals = [normal for normal in normals if any(normal)]
     nonzeros = [[(j, a) for j, a in enumerate(normal) if a] for normal in normals]
+    touching: list[list[int]] = [[] for _ in cols]
+    for k, normal in enumerate(nonzeros):
+        for j, _ in normal:
+            touching[j].append(k)
     vertices = []
     for ray in _double_description(nonzeros, len(cols)):
-        _check_vertex_ray(ray, normals, nonzeros)
+        _check_vertex_ray(ray, normals, touching)
         numerators = [0] * cs.n_cells
         for c, x in zip(cols, ray):
             numerators[c] = x

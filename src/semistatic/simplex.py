@@ -16,6 +16,15 @@ enters, lowest basic index breaks ratio ties) makes the same choices as over
 the rationals: the method terminates without any perturbation and runs stay
 deterministic.  Fractions are built only for the returned solution, ray and
 objective.
+
+Phase 1 stores the rows [A | b] alone: artificial i is only the basis marker
+n + i, and its closed-form reduced-cost row needs each row's scale, not its
+column.  The artificials have the highest indices, so this runs the pivots
+of the tableau with the artificial block until Bland's rule would enter an
+artificial.  That tableau stops there too when no artificial is basic, and
+the program is infeasible when one is basic above zero; only with one basic
+at zero is phase 1 redone with the artificial columns, its leftovers driven
+out or their rows dropped.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import InvariantViolation
-from .rationals import integer_row
+from .rationals import common_denominator, integer_row
 
 ZERO = Fraction(0)
 
@@ -41,20 +50,21 @@ class LPResult:
     column: int | None = None  # the ray's entering column, where the ray is 1 (-1 for a flipped free column)
 
 
-def phase1_objective(rows: list[list[int]], n: int) -> list[int]:
+def phase1_objective(rows: list[list[int]], scales: Sequence[int], n: int) -> list[int]:
     """The phase-1 reduced-cost row while every artificial is basic, in closed form.
 
-    Row i has its artificial entry s_i > 0 in column n + i and zero in every
-    other artificial column.  The cost is 1 on each artificial, so the
-    rational reduced-cost row is minus the sum of the rows r_i / s_i, with
-    zero on the artificial columns.  Scaled by L = lcm(s_i) and divided by
-    its gcd, it is the row that eliminating each basic column would give.
+    Row i is s_i times the rational row [a_i | e_i | b_i], the artificial
+    entry s_i > 0 being its scale from ``common_denominator``; only the n
+    original columns and the rhs are read.  The cost is 1 on each
+    artificial, so the rational reduced-cost row is minus the sum of the rows
+    r_i / s_i, with zero on the artificial columns, which are left out.
+    Scaled by L = lcm(s_i) and divided by its gcd, it is the row that
+    eliminating each basic column would give.
     """
-    m = len(rows)
-    scale = lcm(*(row[n + i] for i, row in enumerate(rows)))
-    objective = [0] * (n + m + 1)
-    for i, row in enumerate(rows):
-        f = scale // row[n + i]
+    scale = lcm(*scales)
+    objective = [0] * (n + 1)
+    for row, s in zip(rows, scales):
+        f = scale // s
         for j in range(n):
             if row[j]:
                 objective[j] -= f * row[j]
@@ -129,6 +139,32 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
+def _phase1(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int, free: int, wide: bool) -> _Tableau:
+    """Phase 1 from the artificial basis, each row's rhs made >= 0, run by Bland's rule.
+
+    The rows are [a_i | b_i] in ints and artificial i is only the basis
+    marker n + i; ``wide`` also stores artificial i as column n + i, so that
+    Bland's rule can enter it.
+    """
+    m = len(matrix)
+    rows, scales = [], []
+    for i, (r, b) in enumerate(zip(matrix, rhs)):
+        row, s = common_denominator(list(r) + [b])
+        if b < 0:
+            row = [-x for x in row]
+        if wide:
+            row[n:n] = [s if k == i else 0 for k in range(m)]
+        rows.append(row)
+        scales.append(s)
+    objective = phase1_objective(rows, scales, n)
+    if wide:
+        objective[n:n] = [0] * m
+    tableau = _Tableau(rows, [n + i for i in range(m)], objective, free)
+    if tableau.run() is not None:
+        raise InvariantViolation("phase 1 is always bounded below by zero")
+    return tableau
+
+
 def solve_lp(
     cost: Sequence[Fraction],
     matrix: Sequence[Sequence[Fraction]],
@@ -136,37 +172,28 @@ def solve_lp(
     free: int = 0,
 ) -> LPResult:
     n = len(cost)
-    m = len(matrix)
 
-    # Phase 1: each row's rhs made >= 0, then one artificial variable per row.
-    rows = []
-    for i, (r, b) in enumerate(zip(matrix, rhs)):
-        art = [0] * m
-        art[i] = 1
-        row = integer_row(list(r) + art + [b])
-        if b < 0:
-            row = [-x for x in row]
-            row[n + i] = -row[n + i]
-        rows.append(row)
-    tableau = _Tableau(rows, [n + i for i in range(m)], phase1_objective(rows, n), free)
-    if tableau.run() is not None:
-        raise InvariantViolation("phase 1 is always bounded below by zero")
-    if tableau.objective[-1] != 0:
-        return LPResult("infeasible")
-
-    # Drive leftover zero-level artificials out of the basis.
-    drop: list[int] = []
-    for i in range(len(tableau.rows)):
-        if tableau.basis[i] >= n:
-            col = next((j for j in range(n) if tableau.rows[i][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                tableau.pivot(i, col)  # a nonbasic free col stores x+: phase 1 re-enters a pair that left
-    for i in reversed(drop):
-        del tableau.rows[i]
-        del tableau.basis[i]
-    tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
+    # with no artificial basic, y = 0 prices every artificial at 1: the wide tableau stops at this basis too
+    tableau = _phase1(matrix, rhs, n, free, wide=False)
+    if any(b >= n for b in tableau.basis):
+        if tableau.objective[-1]:
+            return LPResult("infeasible")  # a feasible x would give this restricted program 0
+        # a zero-level artificial is basic: Bland's rule may enter an artificial next, so redo phase 1 with them
+        tableau = _phase1(matrix, rhs, n, free, wide=True)
+        if tableau.objective[-1]:
+            raise InvariantViolation("phase 1 with the artificial columns must reach zero where it did without them")
+        drop: list[int] = []
+        for i in range(len(tableau.rows)):
+            if tableau.basis[i] >= n:
+                col = next((j for j in range(n) if tableau.rows[i][j] != 0), None)
+                if col is None:
+                    drop.append(i)
+                else:
+                    tableau.pivot(i, col)  # a nonbasic free col stores x+: phase 1 re-enters a pair that left
+        for i in reversed(drop):
+            del tableau.rows[i]
+            del tableau.basis[i]
+        tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
 
     tableau.price(cost)
     col = tableau.run()

@@ -11,6 +11,11 @@ from fractions import Fraction
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
+def row_coeffs(row):
+    """A constraint row's rational coefficients: its int normal over its scale."""
+    return tuple(Fraction(x, row.scale) for x in row.normal)
+
+
 def gains(model):
     """The elementary gains 1_A (S^j_k - S^j_{k-1}), A cell c of P_{k-1}, as (("gain", k, c, j), vector).
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,23 @@ def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
     assert main(["--format", "json", "duality", "--payoff", "zero", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == report
     assert calls == []
+
+
+def test_superhedge_command_checks_its_tight_cells(monkeypatch, capsys):
+    solve = duality.solve_lp
+
+    def corrupted(cost, matrix, rhs, free=0):
+        result = solve(cost, matrix, rhs, free=free)
+        solution = list(result.solution)
+        solution[solution.index(0, free)] = Fraction(1)  # the first tight cell's surplus, reported slack
+        return replace(result, solution=tuple(solution))
+
+    monkeypatch.setattr(duality, "solve_lp", corrupted)
+    code = main(["--format", "json", "superhedge", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.count("\n") == 1
+    assert "tight cells" in json.loads(out)["error"]
 
 
 def test_input_error_exit_code(tmp_path):

@@ -114,6 +114,30 @@ def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
     assert all(direction[a] >= 0 for a in enlarged.model.allowed)
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda ray: tuple(-x for x in ray), id="positive-cash"),
+        pytest.param(lambda ray: (ray[0],) + (F(0),) * (len(ray) - 1), id="negative-payoff"),
+    ],
+)
+def test_corrupted_arbitrage_ray_raises_invariant_violation(monkeypatch, informed_arbitrage, corrupt):
+    from semistatic.enlargement import enlarge
+
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    payoff = (F(0),) * model.n_cells
+    assert superhedge(payoff, model).unbounded
+    solve = duality.solve_lp
+
+    def corrupted(cost, matrix, rhs, free=0):
+        result = solve(cost, matrix, rhs, free=free)
+        return replace(result, ray=corrupt(result.ray))
+
+    monkeypatch.setattr(duality, "solve_lp", corrupted)
+    with pytest.raises(InvariantViolation, match="arbitrage ray"):
+        superhedge(payoff, model)
+
+
 def _recording_solve_lp(monkeypatch) -> list[tuple[int, set[int], int]]:
     """Replace the simplex seen by ``duality`` with one that logs (cost length, row lengths, free)."""
     calls = []

@@ -31,7 +31,7 @@ from semistatic.sampling import random_jump, random_measure
 from semistatic.scenario import load_scenario
 from semistatic.simplex import solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import gains as _reference_gains, strategy_columns
+from tests.reference import gains as _reference_gains, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
 
 F = Fraction
@@ -96,7 +96,7 @@ def test_normals_are_positive_multiples_of_the_fraction_rows(model):
     assert len(cs.rows) == len(reference)
     for row, fractions in zip(cs.rows, reference):
         assert _positive_multiple(list(row.normal), integer_row(fractions))
-        assert row.coeffs == fractions
+        assert row_coeffs(row) == fractions
     face = replace(cs, allowed=frozenset(sorted(model.allowed)[:1]))
     assert face.rows is cs.rows
 

@@ -18,7 +18,7 @@ from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
 from tests.conftest import REPO
 from tests.decoders import strategy_from_json
-from tests.reference import gains, strategy_columns
+from tests.reference import gains, row_coeffs, strategy_columns
 from tests.test_multi_asset import two_asset_model
 
 F = Fraction
@@ -61,7 +61,7 @@ def test_martingale_rows_are_the_gain_vectors(model):
     rows = [row for row in model.constraints.rows if row.label[0] == "martingale"]
     reference = gains(model)
     assert [row.label[1:] for row in rows] == [label[1:] for label, _ in reference]
-    assert [row.coeffs for row in rows] == [vec for _, vec in reference]
+    assert [row_coeffs(row) for row in rows] == [vec for _, vec in reference]
 
 
 def test_rows_are_homogeneous_normals_over_the_cells(model):

@@ -7,6 +7,7 @@ from semistatic.enlargement import SingleJump, enlarge, predictable_reduction
 from semistatic.hedging import is_semistatically_complete, terminal_gain, verify_jacod_yor
 from semistatic.model import FilteredModel, Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
+from tests.reference import row_coeffs
 
 F = Fraction
 
@@ -31,8 +32,8 @@ def test_valid_and_one_martingale_row_per_asset():
     cs = build_constraints(model)
     martingale_labels = [r.label for r in cs.rows if r.label[0] == "martingale"]
     assert martingale_labels == [("martingale", 1, 0, 0), ("martingale", 1, 0, 1)]
-    assert cs.rows[0].coeffs == (F(1), F(1), F(-1), F(-1))
-    assert cs.rows[1].coeffs == (F(1), F(-1), F(1), F(-1))
+    assert row_coeffs(cs.rows[0]) == (F(1), F(1), F(-1), F(-1))
+    assert row_coeffs(cs.rows[1]) == (F(1), F(-1), F(1), F(-1))
 
 
 def test_vertices_and_completeness():

@@ -17,9 +17,15 @@ from typing import Sequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import linalg
-from semistatic.rationals import integer_row
+from semistatic import linalg, simplex
+from semistatic.duality import _floor_certificate, superhedge
+from semistatic.enlargement import enlarge
+from semistatic.errors import InvariantViolation
+from semistatic.rationals import common_denominator, integer_row
+from semistatic.scenario import load_scenario
 from semistatic.simplex import LPResult, phase1_objective, solve_lp
+from tests.conftest import SCENARIOS
+from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -28,10 +34,11 @@ PATHS: Counter = Counter()
 
 
 class _Tableau:
-    def __init__(self, rows: list[list[Fraction]], basis: list[int], n: int, pairs: int):
+    def __init__(self, rows: list[list[Fraction]], basis: list[int], n: int, pairs: int, originals: int):
         self.rows = rows  # m x (n+1), last column is the rhs
         self.basis = basis
         self.n = n  # kept, not read off the rows: there may be none
+        self.originals = originals  # columns from here on are artificials; read only by PATHS
         self.pairs = pairs  # columns 2j, 2j+1 for j < pairs split a free variable; read only by PATHS
         self.last_half: dict[int, int] = {}  # pair j -> 0 if x+_j entered last, 1 if x-_j did
 
@@ -89,6 +96,8 @@ class _Tableau:
             if leaving is None:
                 self._unbounded_col = entering
                 return "unbounded"
+            if entering >= self.originals:
+                PATHS["artificial entering"] += 1
             self.mark_entering(entering)
             self.pivot(leaving, entering)
 
@@ -107,7 +116,7 @@ def reference_solve_lp(cost, matrix, rhs, pairs: int = 0) -> LPResult:
         art = [ZERO] * m
         art[i] = ONE
         art_rows.append(row[:-1] + art + [row[-1]])
-    tableau = _Tableau(art_rows, [n + i for i in range(m)], n + m, pairs)
+    tableau = _Tableau(art_rows, [n + i for i in range(m)], n + m, pairs, n)
     phase1_cost = [ZERO] * n + [ONE] * m
     status = tableau.run(phase1_cost)
     if status != "optimal":
@@ -210,8 +219,23 @@ def test_free_columns_match_the_split_program(rng, free):
     assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
 
 
-def test_generator_reaches_every_path():
+def wide_phase1_builds(monkeypatch) -> list[int]:
+    """Spy on ``simplex._phase1``: the row count of each phase 1 run with the artificial columns stored."""
+    builds: list[int] = []
+    real = simplex._phase1
+
+    def spy(matrix, rhs, n, free, wide):
+        if wide:
+            builds.append(len(matrix))
+        return real(matrix, rhs, n, free, wide)
+
+    monkeypatch.setattr(simplex, "_phase1", spy)
+    return builds
+
+
+def test_generator_reaches_every_path(monkeypatch):
     PATHS.clear()
+    builds = wide_phase1_builds(monkeypatch)
     rng = random.Random(20151)
     for _ in range(1500):
         cost, matrix, rhs = random_lp(rng)
@@ -219,8 +243,39 @@ def test_generator_reaches_every_path():
         assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
     for path in ("negative rhs", "ratio tie", "dropped row", "negative drive-out pivot",
                  "infeasible", "unbounded", "optimal",
-                 "x- entering", "flipped back", "free drive-out", "unbounded along x-"):
+                 "x- entering", "flipped back", "free drive-out", "unbounded along x-", "artificial entering"):
         assert PATHS[path] > 0, path
+    assert builds  # a zero-level artificial left basic by phase 1 on [A | b]
+
+
+def test_engine_programs_never_store_the_artificial_columns(monkeypatch):
+    # the superhedge and floor programs of the bundled scenarios, their one-jump enlargements and three ladder rungs
+    cases = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario = load_scenario(path)
+        payoffs = list(scenario.payoffs.values())
+        cases.append((scenario.model, payoffs))
+        for jump in scenario.jumps:
+            enlarged = enlarge(scenario.model, [jump])
+            cases.append((enlarged.model, [enlarged.expand(payoff) for payoff in payoffs]))
+    for b, horizon in ((4, 2), (5, 2), (3, 3)):
+        model = ladder_model(b, horizon)
+        prices = model.prices[0][horizon]
+        cases.append((model, [tuple(Fraction(abs(prices[cell[0]])) for cell in model.terminal_cells)]))
+    builds = wide_phase1_builds(monkeypatch)
+    programs = 0
+    for model, payoffs in cases:
+        for payoff in payoffs:
+            superhedge(payoff, model)
+            programs += 1
+        try:
+            _floor_certificate(model)
+        except InvariantViolation as exc:
+            # a model with calibrated measures has no positive floor: the program ran, the check refused it
+            assert "positive floor" in str(exc)
+        programs += 1
+    assert programs > 20
+    assert builds == []
 
 
 def test_phase1_objective_is_the_eliminated_row():
@@ -230,17 +285,22 @@ def test_phase1_objective_is_the_eliminated_row():
         cost, matrix, rhs = random_lp(rng)
         rng.randint(0, len(cost))  # the sample's free count; phase 1 does not read it
         n, m = len(cost), len(matrix)
-        rows = []
+        rows, narrow, scales = [], [], []
         for i, (r, b) in enumerate(zip(matrix, rhs)):
             row = integer_row(list(r) + [int(i == j) for j in range(m)] + [b])
             if b < 0:
                 row = [-x for x in row]
                 row[n + i] = -row[n + i]
             rows.append(row)
+            narrow.append(row[:n] + row[-1:])
+            scales.append(row[n + i])
+            assert scales[-1] == common_denominator(list(r) + [b])[1]
         eliminated = [0] * n + [1] * m + [0]
         for i, row in enumerate(rows):
             eliminated = linalg.eliminate(eliminated, row, n + i)
-        direct = phase1_objective(rows, n)
+        # the closed form reads neither the artificial block nor the columns it leaves out, zero in the wide row
+        direct = phase1_objective(narrow, scales, n)
+        direct[n:n] = [0] * m
         k = next((j for j, x in enumerate(eliminated) if x), None)
         if k is None:
             assert not any(direct)
