@@ -138,7 +138,7 @@ class AzemaResult:
 
 
 def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaResult:
-    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
+    _check_vector("measure weights", measure.numerators, enlarged.model.n_cells)
     taus, _ = enlarged.on_cells(jump)
     groups = enlarged.base_groups
     values = tuple(
@@ -168,7 +168,7 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     ``predictable_ok`` tests each increment for constancy on the base P_{k-1}
     cells rebuilt from the outcomes, not on the groups it was averaged over.
     """
-    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
+    _check_vector("measure weights", measure.numerators, enlarged.model.n_cells)
     taus, marks = enlarged.on_cells(jump)
     cell_of = enlarged.model.terminal_cell_of_outcome
     increments = []
@@ -269,7 +269,7 @@ def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
     That is, at each k the relation between the base cell and the enlarged
     cell of each charged terminal cell is a bijection.
     """
-    _check_vector("measure weights", measure.weights, enlarged.model.n_cells)
+    _check_vector("measure weights", measure.numerators, enlarged.model.n_cells)
     for base_k, fine_k in zip(enlarged.base_cell_of, enlarged.model.coarse_cell_of):
         pairs = {(base_k[g], fine_k[g]) for g in measure.support}
         if not len(pairs) == len({b for b, _ in pairs}) == len({f for _, f in pairs}):

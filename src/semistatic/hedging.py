@@ -99,7 +99,7 @@ class HedgingSpan:
 
 def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
     """The rank of the int strategy columns on the support; positive column scales change no rank."""
-    _check_vector("measure weights", measure.weights, model.n_cells)
+    _check_vector("measure weights", measure.numerators, model.n_cells)
     support = measure.support
     return HedgingSpan(linalg.rank([[row[a] for a in support] for row, _ in int_strategy_columns(model)]), support)
 

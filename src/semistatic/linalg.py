@@ -6,7 +6,8 @@ weighted projections.  Inputs and results are tuples of Fraction; the
 work runs on int rows, each a positive multiple of the rational row it stands
 for, and Fractions are built only for what is returned.  The engine's one
 exact elimination kernel is here: ``eliminate``, a fraction-free step on int
-rows (Bareiss 1968), and ``pivot``, which clears a column with it for
+rows (Bareiss 1968) that first cancels the gcd of the pivot p and the
+target's entry f, and ``pivot``, which clears a column with it for
 ``echelon``, ``rref`` and the simplex tableau.  The kernel skips zeros: a
 step subtracts only over the pivot row's nonzero columns, which ``pivot``
 lists once for all the rows it clears.  ``echelon`` is the forward half of
@@ -38,10 +39,14 @@ def eliminate(target: list[int], pivot_row: list[int], col: int, support: Sequen
 
     p = pivot_row[col] > 0 and f = target[col], so the result has a zero in
     ``col`` and is a positive multiple of the row rational elimination gives.
-    Only the pivot row's nonzero columns, ``support``, are subtracted over; a
-    caller that clears several rows with one pivot row lists them once.
+    p and f are first divided by g = gcd(p, f): p*t - f*r = g*(p'*t - f'*r)
+    has the same primitive row (an all-zero one stays zero), and a p' of 1
+    copies the target.  Only the pivot row's nonzero columns, ``support``,
+    are subtracted over; a caller that clears several rows with one pivot
+    row lists them once.
     """
-    p, f = pivot_row[col], target[col]
+    g = gcd(pivot_row[col], target[col])
+    p, f = pivot_row[col] // g, target[col] // g
     if support is None:
         support = [j for j, y in enumerate(pivot_row) if y]
     row = target[:] if p == 1 else [x and p * x for x in target]  # a zero skips the product

@@ -12,7 +12,8 @@ The model caches the gains and claims as int rows with positive scales
 (``int_gains``, ``int_claims``), which every exact layer reads, and its
 cell labels (``terminal_labels``, ``partition_labels``) for the reports.  A
 ``Measure`` keeps its weights' int form the same way: ``numerators`` over a
-positive ``scale``, set once by its input check.
+positive ``scale``, set once by its input check; a vertex is built, compared,
+priced and written from it, and builds its Fraction weights only when read.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
+from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, ShapeError
-from .rationals import _INT, common_denominator, fmt, rat
+from .rationals import _INT, common_denominator, fmt_ratio, rat
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -199,7 +201,7 @@ class FilteredModel:
         return measure
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
     """Nonnegative rational weights over terminal cells summing to one.
 
@@ -207,15 +209,16 @@ class Measure:
     bool, a string) raises ``TypeError``, as ``rat`` does.  Sign and sum are
     checked exactly on the weights' int form, ``numerators`` over ``scale`` > 0
     (``numerators[a] / scale == weights[a]``, not always in lowest terms), which
-    is kept, with ``support``, the charged cells, for every exact layer to read;
-    none of the three is compared.  ``from_ints`` builds a measure from int
-    numerators over one scale, with the same checks on those ints.
+    is kept, with ``support``, the charged cells, for every exact layer to read.
+    ``from_ints`` builds a measure from int numerators over one scale, with the
+    same checks and no Fraction: its ``weights`` are built on first read.
+    Equal weights, by either constructor, are equal int forms up to scale.
     """
 
     weights: Payoff
-    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
+    support: tuple[int, ...] = field(init=False, repr=False)
+    numerators: tuple[int, ...] = field(init=False, repr=False)
+    scale: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         _check_vector("measure weights", self.weights, len(self.weights))
@@ -233,25 +236,46 @@ class Measure:
 
     @classmethod
     def from_ints(cls, numerators: Sequence[int], scale: int) -> Measure:
-        """The measure with weights ``numerators[a] / scale``, all ints: one Fraction per charged cell."""
+        """The measure with weights ``numerators[a] / scale``, all ints; no Fraction is built here."""
         if not _INT.issuperset(map(type, numerators)) or type(scale) is not int:
             raise TypeError("measure numerators and scale must be int")
         measure = object.__new__(cls)
         measure._keep_ints(numerators, scale)
-        weights = [ZERO] * len(numerators)
-        for a in measure.support:
-            weights[a] = Fraction(numerators[a], scale)
-        object.__setattr__(measure, "weights", tuple(weights))
         return measure
 
+    def __getattr__(self, name: str):
+        """A ``from_ints`` measure's ``weights``, built on first read and kept: n / scale as Fractions."""
+        if name != "weights":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, "weights", tuple(Fraction(x, self.scale) if x else ZERO for x in self.numerators))
+        return self.weights
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        s, t, n, m = self.scale, other.scale, self.numerators, other.numerators
+        return len(n) == len(m) and [t * x for x in n] == [s * y for y in m]
+
+    def __hash__(self) -> int:
+        """The numerators over their gcd, the one primitive int form of the weights, since they sum to scale > 0."""
+        g = gcd(*self.numerators)
+        return hash(tuple(x // g for x in self.numerators))
+
     def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
-        _check_vector("payoff entries", payoff, len(self.weights))
-        return sum((w * x for w, x in zip(self.weights, payoff) if w), ZERO)
+        """E_Q[payoff]: one int dot product of ``numerators`` with the payoff's int row, over both scales."""
+        _check_vector("payoff entries", payoff, len(self.numerators))
+        x, scale = common_denominator(payoff)
+        return Fraction(sum([self.numerators[a] * x[a] for a in self.support]), self.scale * scale)
 
     def to_json(self, model: FilteredModel) -> dict:
-        _check_vector("measure weights", self.weights, model.n_cells)
-        labels = model.terminal_labels
-        return {"weights": [fmt(w) for w in self.weights], "support": [labels[a] for a in self.support]}
+        """Each weight's canonical string, from ``numerators / scale`` reduced cell by cell."""
+        _check_vector("measure weights", self.numerators, model.n_cells)
+        labels, n, s = model.terminal_labels, self.numerators, self.scale
+        weights = ["0"] * len(n)
+        for a in self.support:
+            g = gcd(n[a], s)
+            weights[a] = fmt_ratio(n[a] // g, s // g)
+        return {"weights": weights, "support": [labels[a] for a in self.support]}
 
 
 @dataclass(frozen=True)
@@ -433,6 +457,6 @@ def conditional_expectation(
     """E[payoff | P_k] under the measure, as a vector over terminal cells."""
     _check_vector("payoff entries", payoff, model.n_cells)
     _check_index("time", k, model.horizon + 1)
-    _check_vector("measure weights", measure.weights, model.n_cells)
+    _check_vector("measure weights", measure.numerators, model.n_cells)
     return condexp_groups(payoff, model.coarse_groups[k], measure.numerators)
 

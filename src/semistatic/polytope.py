@@ -16,8 +16,8 @@ signs, a nonzero ray, and, on the rows that touch its support S (found
 through a column-to-rows index built once from the system), that each
 vanishes on the ray and that ``linalg.echelon`` (the forward half of the one
 fraction-free kernel in ``linalg``) finds rank |S| - 1, so that the support
-columns with the all-ones row are independent.  Extremality certificates
-are not part of the enumeration; ``certify`` builds them on demand.
+columns with the all-ones row are independent.  A vertex keeps that int
+form, with no Fraction; ``certify`` builds extremality certificates on demand.
 Emptiness, vertex identity, and certificates are thus all exact yes/no facts.
 """
 
@@ -90,7 +90,7 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
     each normal must vanish on the measure's ``numerators`` over the support.
     A measure of another length raises ShapeError.
     """
-    _check_vector("measure weights", measure.weights, cs.n_cells)
+    _check_vector("measure weights", measure.numerators, cs.n_cells)
     support = measure.support
     if not cs.allowed.issuperset(support):
         return False
@@ -159,7 +159,7 @@ def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[
                     combined = [vp * b - vm * a for a, b in zip(rp, rays[m])]
                     g = gcd(*combined)
                     # coordinates are nonnegative, so the new ray vanishes exactly on the common zeros
-                    survivors[tuple(x // g for x in combined)] = common
+                    survivors[tuple([x // g for x in combined])] = common
         if not survivors:
             return []
         rays = list(survivors)
@@ -202,8 +202,10 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     order.  The cone is pointed, so each extreme ray q meets the sum-one
     section in exactly one vertex q / sum q, and an infeasible system leaves
     no ray.  Each ray passes ``_check_vertex_ray`` in int arithmetic, and
-    becomes a measure through ``Measure.from_ints``, one Fraction per charged
-    cell.  Extremality certificates are built on demand by ``certify``.
+    becomes a measure through ``Measure.from_ints``, with no Fraction.  The
+    vertices are sorted by support alone: the columns of [A_S; 1] are
+    independent, so a vertex is the only point with its support S.
+    Extremality certificates are built on demand by ``certify``.
     """
     cols = sorted(cs.allowed)
     martingale = [row.normal for row in cs.rows if row.label[0] == "martingale"]
@@ -223,5 +225,5 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
         for c, x in zip(cols, ray):
             numerators[c] = x
         vertices.append(Measure.from_ints(numerators, sum(ray)))
-    vertices.sort(key=lambda m: (m.support, m.weights))
+    vertices.sort(key=lambda m: m.support)
     return VertexSet(tuple(vertices))

@@ -37,18 +37,22 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 def fmt(value: Fraction) -> str:
-    """Canonical string form: reduced, q > 0, "/1" omitted.
+    """Canonical string form: reduced, q > 0, "/1" omitted; ``fmt_ratio`` of its numerator and denominator."""
+    return fmt_ratio(value.numerator, value.denominator)
 
-    This is ``str(value)``.  Past Python's int-to-string digit limit (4300
-    digits by default) ``str`` raises, and the same form is built from
-    ``Decimal(n)``, which is exact and has no such limit.
+
+def fmt_ratio(numerator: int, denominator: int) -> str:
+    """The canonical string of numerator / denominator, given in lowest terms with denominator > 0.
+
+    Past Python's int-to-string digit limit (4300 digits by default) ``str``
+    raises, and the same digits are written by ``Decimal``, which is exact
+    and has no such limit.
     """
     try:
-        return str(value)
+        n, d = str(numerator), str(denominator)
     except ValueError:
-        if value.denominator == 1:
-            return str(Decimal(value.numerator))
-        return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+        n, d = str(Decimal(numerator)), str(Decimal(denominator))
+    return n if denominator == 1 else f"{n}/{d}"
 
 
 _INT = frozenset({int})  # the type set of an all-int row

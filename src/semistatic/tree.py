@@ -113,7 +113,7 @@ def _check_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> lis
         unknown = [w for w in node.cell if w not in model.terminal_cell_of_outcome]
         if unknown:
             raise ShapeError(f"tree node names outcome {unknown[0]}, which is not in the model")
-    _check_vector("measure weights", measure.weights, model.n_cells)
+    _check_vector("measure weights", measure.numerators, model.n_cells)
     return [_cells_within(model, node.cell) for node in tree.nodes]
 
 

@@ -1,12 +1,14 @@
-"""Fraction references for the model's int tables.
+"""Fraction references for the model's int tables, and the uncancelled elimination step.
 
 The engine keeps the elementary gains and the strategy columns only as int
 rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
 The tests compare against these Fraction vectors, built from the prices the
-way the engine built them before the int tables.
+way the engine built them before the int tables, and ``linalg.eliminate``
+against the step as it was before it cancelled gcd(p, f).
 """
 
 from fractions import Fraction
+from math import gcd
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -38,3 +40,11 @@ def strategy_columns(model):
     """Strategy coordinates in column order, cash, claims, gains, each (label, Fraction vector)."""
     claims = tuple((("claim", i), tuple(claim)) for i, claim in enumerate(model.claims))
     return ((("const",), (ONE,) * model.n_cells), *claims, *gains(model))
+
+
+def eliminate(target, pivot_row, col):
+    """p*target - f*pivot_row over the gcd of its entries, p and f uncancelled; an all-zero row stays zero."""
+    p, f = pivot_row[col], target[col]
+    row = [p * x - f * y for x, y in zip(target, pivot_row)]
+    g = gcd(*row) or 1
+    return [x // g for x in row]

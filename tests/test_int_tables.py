@@ -10,11 +10,13 @@ fractional prices and claims, on one-jump enlargements of all of these, and
 on the bundled scenarios.
 """
 
+import json
 import random
 import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -26,13 +28,14 @@ from semistatic.errors import InputError, InvariantViolation, NotCalibrated
 from semistatic.hedging import CompletenessReport, SemiStaticStrategy, is_semistatically_complete, strategy_payoff
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
-from semistatic.rationals import integer_row
-from semistatic.sampling import random_jump, random_measure
+from semistatic.rationals import fmt, integer_row
+from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
 from semistatic.simplex import solve_lp
 from tests.conftest import SCENARIOS
 from tests.reference import gains as _reference_gains, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
+from tests.test_polytope import ladder_steps
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -185,6 +188,84 @@ def test_an_int_form_not_in_lowest_terms_gives_the_same_answers(trinomial, numer
     assert complete[0] == (
         CompletenessReport(True, 2, 2) if numerators[2] else "measure is not a calibrated martingale measure"
     )
+
+
+def test_an_int_built_measure_holds_no_weights_until_read():
+    measure = Measure.from_ints([0, 4, 0, 2], 6)
+    assert "weights" not in vars(measure)
+    assert measure.expectation((F(1, 2), F(3), F(7), F(-1, 5))) == F(29, 15)
+    assert measure == Measure.from_ints([0, 2, 0, 1], 3) and "weights" not in vars(measure)
+    weights = measure.weights
+    assert weights == (ZERO, F(2, 3), ZERO, F(1, 3)) and all(type(x) is Fraction for x in weights)
+    assert vars(measure)["weights"] is weights and measure.weights is weights  # built once, then kept
+
+
+def test_equality_and_hash_agree_across_the_constructors():
+    cases = [([0, 2, 0, 1], 3), ([1, 1], 2), ([5], 5), ([0, 0, 7, 0], 7), ([3, 1, 2, 0], 6)]
+    for numerators, scale in cases:
+        built = [
+            Measure.from_ints(numerators, scale),
+            Measure.from_ints([4 * x for x in numerators], 4 * scale),  # not in lowest terms
+            Measure(tuple(F(x, scale) for x in numerators)),
+            Measure([F(x, scale) if x % scale else x // scale for x in numerators]),  # ints and a list
+        ]
+        assert all(m == built[0] for m in built) and len({hash(m) for m in built}) == 1
+        assert len(set(built)) == 1
+        for other_numerators, other_scale in cases:
+            other = Measure.from_ints(other_numerators, other_scale)
+            assert (other == built[0]) == ((other_numerators, other_scale) == (numerators, scale))
+    assert Measure.from_ints([1, 0], 1) != Measure.from_ints([1, 0, 0], 1)
+    assert Measure.from_ints([1, 1], 2) != (F(1, 2), F(1, 2))
+
+
+def _ladder_scenario(tmp_path, b, horizon):
+    steps = ladder_steps(b)
+    paths = list(product(range(b), repeat=horizon))
+    prices = [[sum(steps[i] for i in path[:k]) for path in paths] for k in range(horizon + 1)]
+    path = tmp_path / f"ladder_{b}_{horizon}.json"
+    scenario = {
+        "outcomes": ["p" + "".join(map(str, p)) for p in paths],
+        "times": list(range(horizon + 1)),
+        "prices": [prices],
+        "payoffs": {"abs": [abs(x) for x in prices[-1]]},
+    }
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+def test_the_ladder_commands_read_no_vertex_weights(tmp_path, monkeypatch, capsys):
+    # every vertex is built by from_ints, and such a measure keeps weights in its __dict__ only once they are read
+    path = _ladder_scenario(tmp_path, 5, 2)
+    built, reads = Measure.from_ints, []
+
+    def spied(numerators, scale):
+        measure = built(numerators, scale)
+        reads.append(measure)
+        return measure
+
+    monkeypatch.setattr(Measure, "from_ints", staticmethod(spied))
+    reports = []
+    for argv in (["extremes", path], ["duality", "--payoff", "abs", path]):
+        assert cli.main(["--format", "json", *argv]) == 0
+        reports.append(json.loads(capsys.readouterr().out)["result"])
+    assert reports[0]["count"] == 105 and len(reports[1]["argmax"]) == 37
+    assert len(reads) >= 105 + 37
+    assert not [m for m in reads if "weights" in vars(m)]
+
+
+def test_to_json_writes_the_weights_from_the_ints():
+    models = [m for _, m in CORPUS]
+    rng = random.Random(29)
+    models += [random_model(rng)[0] for _ in range(200)]
+    checked = 0
+    for model in models:
+        for vertex in enumerate_extreme_points(model.constraints).vertices:
+            report = vertex.to_json(model)
+            assert "weights" not in vars(vertex)
+            labels = model.terminal_labels
+            assert report == {"weights": [fmt(w) for w in vertex.weights], "support": [labels[a] for a in vertex.support]}
+            checked += 1
+    assert checked > 400
 
 
 def _fraction_superhedge(payoff, model):

@@ -7,6 +7,7 @@ minimum-norm solution the int sweep of ``linalg`` replaced.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from semistatic import linalg
 from semistatic.rationals import common_denominator
+from tests.reference import eliminate as reference_eliminate
 
 F = Fraction
 
@@ -228,15 +230,40 @@ def elimination_steps(draw):
 @given(elimination_steps())
 def test_eliminate_over_the_support_is_the_dense_step(step):
     target, pivot_row, col = step
-    p, f = pivot_row[col], target[col]
-    dense = [p * x - f * y for x, y in zip(target, pivot_row)]
-    g = gcd(*dense) or 1
-    expected = [x // g for x in dense]
+    expected = reference_eliminate(target, pivot_row, col)
     support = [j for j, y in enumerate(pivot_row) if y]
     before = (list(target), list(pivot_row))
     assert linalg.eliminate(target, pivot_row, col, support) == expected
     assert linalg.eliminate(target, pivot_row, col) == expected
     assert (target, pivot_row) == before
+
+
+def test_eliminate_equals_the_uncancelled_step_on_random_rows():
+    # cancelling gcd(p, f) first scales p*t - f*r by 1/gcd(p, f) > 0, so the primitive row is the same
+    rng = random.Random(29)
+    seen: Counter = Counter()
+    for _ in range(4000):
+        n = rng.randint(1, 7)
+        col = rng.randrange(n)
+        pivot_row = [rng.choice([0, 0, rng.randint(-9, 9), rng.randint(-(10**15), 10**15)]) for _ in range(n)]
+        shared = rng.choice([1, 1, 2, 6, 35, 10**9 + 7])
+        pivot_row[col] = rng.choice([1, shared, shared * rng.randint(1, 9)])
+        kind = rng.choice(["random", "random", "zero f", "multiple"])
+        if kind == "multiple":  # a multiple of the pivot row, so the result is all zeros
+            k = shared * rng.randint(-5, 5)
+            target = [k * y for y in pivot_row]
+        else:
+            target = [rng.choice([0, rng.randint(-9, 9), rng.randint(-(10**15), 10**15)]) for _ in range(n)]
+            target[col] = 0 if kind == "zero f" else shared * rng.randint(-9, 9)
+        expected = reference_eliminate(target, pivot_row, col)
+        assert linalg.eliminate(target, pivot_row, col) == expected
+        p, f = pivot_row[col], target[col]
+        seen["f = 0"] += f == 0
+        seen["p = 1"] += p == 1
+        seen["shared factor"] += f != 0 and gcd(p, f) > 1
+        seen["p' = 1"] += f != 0 and p > 1 and f % p == 0
+        seen["all-zero result"] += not any(expected) and any(target)
+    assert min(seen[case] for case in ("f = 0", "p = 1", "shared factor", "p' = 1", "all-zero result")) >= 200, seen
 
 
 def reference_min_norm_solution(matrix, rhs):
