@@ -209,6 +209,8 @@ def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
     if args.suite == "all":
         report = verify_suites.suite_all()
     elif args.suite == "multinomial":
+        if args.pmax < 1 or args.mmax < 1:
+            raise ScenarioError(f"--pmax and --mmax must be at least 1, got {args.pmax} and {args.mmax}")
         report = verify_suites.suite_multinomial(args.pmax, args.mmax)
     else:
         fn = verify_suites.SUITES[args.suite]

@@ -122,13 +122,11 @@ def robust_price(payoff: Sequence[Fraction], model: FilteredModel) -> RobustPric
 
 
 def _scan_vertices(payoff: Sequence[Fraction], vertices: Sequence[Measure]) -> RobustPriceResult:
-    """The best expectation over the measures and those attaining it, each one int dot product over a denominator."""
+    """The best expectation over the measures and those attaining it; the payoff is scaled to ints once."""
     if not vertices:
         return RobustPriceResult(None, ())
     x, scale = common_denominator(payoff)
-    values = []
-    for m in vertices:
-        values.append(Fraction(sum([m.numerators[a] * x[a] for a in m.support]), m.scale * scale))
+    values = [m.expectation(x, scale) for m in vertices]
     best = max(values)
     return RobustPriceResult(best, tuple(m for m, v in zip(vertices, values) if v == best))
 

@@ -327,10 +327,10 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
     for choice in product(*[subcells[c] for c in charged]):
         if not model.allowed.issuperset(choice):  # the charged subcells, one per charged base cell
             continue
-        weights = [ZERO] * model.n_cells
+        numerators = [0] * model.n_cells
         for c, g in zip(charged, choice):
-            weights[g] = vertex.weights[c]
-        candidate = Measure(tuple(weights))
+            numerators[g] = vertex.numerators[c]
+        candidate = Measure.from_ints(numerators, vertex.scale)
         if filtrations_coincide(candidate, enlarged):
             out.append(candidate)
     return out
@@ -356,8 +356,9 @@ def informed_compare(
     corollary_equal: bool | None = None
     if claims_empty:
         lifted = {m for vertex in ext_base.vertices for m in _coinciding_lifts(vertex, enlarged)}
-        expected = tuple(sorted(lifted, key=lambda m: (m.support, m.weights)))
-        corollary_equal = [m.weights for m in expected] == [m.weights for m in ext_fine.vertices]
+        # coinciding lifts with one support restrict to one base vertex, the only point with its support
+        expected = tuple(sorted(lifted, key=lambda m: m.support))
+        corollary_equal = expected == ext_fine.vertices
 
     prices: dict[str, tuple[Fraction | None, Fraction | None]] = {}
     for name, payoff in sorted((payoffs or {}).items()):

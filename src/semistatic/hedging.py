@@ -211,9 +211,8 @@ def verify_jacod_yor(model: FilteredModel) -> tuple[EquivalenceCheck, ...]:
     if len(vertices) > 1:
         lam = Fraction(1, len(vertices))
         mixtures.append(("barycenter", _mix(list(vertices), [lam] * len(vertices))))
-    vertex_weights = {v.weights for v in vertices}
     for name, mixture in mixtures:
-        if mixture.weights in vertex_weights:
+        if mixture in vertices:
             continue
         extreme, _ = is_extreme(mixture, cs)
         complete = is_semistatically_complete(mixture, model).complete

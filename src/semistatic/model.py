@@ -11,9 +11,9 @@ of the terminal partition P_K; payoff vectors are indexed the same way.
 The model caches the gains and claims as int rows with positive scales
 (``int_gains``, ``int_claims``), which every exact layer reads, and its
 cell labels (``terminal_labels``, ``partition_labels``) for the reports.  A
-``Measure`` keeps its weights' int form the same way: ``numerators`` over a
+``Measure`` is its weights' int form in lowest terms: ``numerators`` over a
 positive ``scale``, set once by its input check; a vertex is built, compared,
-priced and written from it, and builds its Fraction weights only when read.
+hashed, priced and written from it, and builds its Fraction weights only when read.
 """
 
 from __future__ import annotations
@@ -125,13 +125,6 @@ class FilteredModel:
         """For each time k, the P_k cells as groups of terminal cell indices."""
         return groups_of(self.coarse_cell_of, self.partitions)
 
-    def price(self, asset: int, k: int, terminal_cell: int) -> Fraction:
-        """Price value on a terminal cell (well defined by adaptedness); an index out of range raises ShapeError."""
-        _check_index("asset", asset, len(self.prices))
-        _check_index("time", k, self.horizon + 1)
-        _check_index("terminal cell", terminal_cell, self.n_cells)
-        return self.prices[asset][k][self.terminal_cells[terminal_cell][0]]
-
     @cached_property
     def int_gains(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
         """Elementary gains 1_A (S^j_k - S^j_{k-1}) as int rows: (("gain", k, c, j), row, scale).
@@ -186,10 +179,6 @@ class FilteredModel:
         """Per time k, the ``cell_label`` of each P_k cell, built once."""
         return tuple(tuple(map(self.cell_label, partition.cells)) for partition in self.partitions)
 
-    def terminal_label(self, index: int) -> str:
-        _check_index("terminal cell", index, self.n_cells)
-        return self.terminal_labels[index]
-
     def measure(self, weights: Sequence[Fraction | int | str]) -> "Measure":
         """A probability measure on the terminal cells that charges only allowed cells."""
         values = tuple(map(rat, weights))
@@ -201,38 +190,38 @@ class FilteredModel:
         return measure
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False)
 class Measure:
-    """Nonnegative rational weights over terminal cells summing to one.
+    """Nonnegative rational weights over terminal cells summing to one, kept as their lowest-terms int form.
 
     Each weight is an ``int`` or a ``Fraction``; anything else (a float, a
     bool, a string) raises ``TypeError``, as ``rat`` does.  Sign and sum are
-    checked exactly on the weights' int form, ``numerators`` over ``scale`` > 0
-    (``numerators[a] / scale == weights[a]``, not always in lowest terms), which
-    is kept, with ``support``, the charged cells, for every exact layer to read.
-    ``from_ints`` builds a measure from int numerators over one scale, with the
-    same checks and no Fraction: its ``weights`` are built on first read.
-    Equal weights, by either constructor, are equal int forms up to scale.
+    checked exactly on the int form, ``numerators`` over ``scale`` > 0 with
+    gcd 1, which is kept, with ``support``, the charged cells, for every exact
+    layer to read; equal weights are equal int forms, so equality and hashing
+    compare ``numerators`` and ``scale``.  ``from_ints`` builds a measure from
+    int numerators over one scale, with the same checks and no Fraction.
+    ``weights`` is ``numerators / scale`` as Fractions, built on first read.
     """
 
-    weights: Payoff
-    support: tuple[int, ...] = field(init=False, repr=False)
-    numerators: tuple[int, ...] = field(init=False, repr=False)
-    scale: int = field(init=False, repr=False)
+    numerators: tuple[int, ...]
+    scale: int
+    support: tuple[int, ...] = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        _check_vector("measure weights", self.weights, len(self.weights))
-        self._keep_ints(*common_denominator(self.weights))
+    def __init__(self, weights: Sequence[Fraction | int]) -> None:
+        _check_vector("measure weights", weights, len(weights))
+        self._keep_ints(*common_denominator(weights))
 
     def _keep_ints(self, numerators: Sequence[int], scale: int) -> None:
-        """Keep the int form and its charged cells; raises InputError unless ``numerators / scale`` is a probability."""
+        """Keep the int form over its gcd, and the charged cells; InputError unless it is a probability."""
         if min(numerators, default=0) < 0:
             raise InputError("measure weights must be nonnegative")
         if scale <= 0 or sum(numerators) != scale:
             raise InputError("measure weights must sum to exactly 1")
+        g = gcd(*numerators)  # at least 1: the numerators sum to scale > 0; a vertex's primitive ray gives 1
+        object.__setattr__(self, "numerators", tuple(numerators) if g == 1 else tuple([x // g for x in numerators]))
+        object.__setattr__(self, "scale", scale // g)
         object.__setattr__(self, "support", tuple(compress(range(len(numerators)), numerators)))
-        object.__setattr__(self, "numerators", tuple(numerators))
-        object.__setattr__(self, "scale", scale)
 
     @classmethod
     def from_ints(cls, numerators: Sequence[int], scale: int) -> Measure:
@@ -243,29 +232,21 @@ class Measure:
         measure._keep_ints(numerators, scale)
         return measure
 
-    def __getattr__(self, name: str):
-        """A ``from_ints`` measure's ``weights``, built on first read and kept: n / scale as Fractions."""
-        if name != "weights":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, "weights", tuple(Fraction(x, self.scale) if x else ZERO for x in self.numerators))
-        return self.weights
+    @cached_property
+    def weights(self) -> Payoff:
+        """``numerators[a] / scale`` as Fractions, built on first read and kept."""
+        return tuple(Fraction(x, self.scale) if x else ZERO for x in self.numerators)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        s, t, n, m = self.scale, other.scale, self.numerators, other.numerators
-        return len(n) == len(m) and [t * x for x in n] == [s * y for y in m]
+    def expectation(self, payoff: Sequence[Fraction | int], scale: int | None = None) -> Fraction:
+        """E_Q[payoff]: one int dot product of ``numerators`` with the payoff's int row, over both scales.
 
-    def __hash__(self) -> int:
-        """The numerators over their gcd, the one primitive int form of the weights, since they sum to scale > 0."""
-        g = gcd(*self.numerators)
-        return hash(tuple(x // g for x in self.numerators))
-
-    def expectation(self, payoff: Sequence[Fraction]) -> Fraction:
-        """E_Q[payoff]: one int dot product of ``numerators`` with the payoff's int row, over both scales."""
-        _check_vector("payoff entries", payoff, len(self.numerators))
-        x, scale = common_denominator(payoff)
-        return Fraction(sum([self.numerators[a] * x[a] for a in self.support]), self.scale * scale)
+        With ``scale`` the payoff is read unchecked as that int row over
+        ``scale``: a scan over many measures scales its payoff once.
+        """
+        if scale is None:
+            _check_vector("payoff entries", payoff, len(self.numerators))
+            payoff, scale = common_denominator(payoff)
+        return Fraction(sum([self.numerators[a] * payoff[a] for a in self.support]), self.scale * scale)
 
     def to_json(self, model: FilteredModel) -> dict:
         """Each weight's canonical string, from ``numerators / scale`` reduced cell by cell."""

@@ -68,9 +68,6 @@ class ExtremalityCertificate:
 class VertexSet:
     vertices: tuple[Measure, ...]
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def to_json(self, model: FilteredModel) -> list[dict]:
         return [m.to_json(model) for m in self.vertices]
 

@@ -71,14 +71,6 @@ class AtomicTree:
     def dim(self) -> int:
         return len(self.leaf_indices)
 
-    def zeta(self, model: FilteredModel) -> tuple[int | None, ...]:
-        """Per terminal cell, the birth time of the covering leaf."""
-        out: list[int | None] = [None] * model.n_cells
-        for leaf in self.leaves:
-            for a in _cells_within(model, leaf.cell)[0]:
-                out[a] = leaf.birth
-        return tuple(out)
-
     def to_json(self, model: FilteredModel) -> dict:
         nodes = [
             {"cell": model.cell_label(node.cell), "birth": node.birth, "parent": parent}
@@ -279,7 +271,7 @@ def _theorem_conditions(
 ) -> TheoremConditionsReport:
     """``check_theorem_conditions`` on the int gains, given the leaves' terminal cells and claim expectations."""
     numerators = measure.numerators
-    zeta: dict[int, int] = {}  # ``tree.zeta`` on the leaves' cells
+    zeta: dict[int, int] = {}  # per terminal cell of a leaf, the leaf's birth
     leaf_checks: list[LeafCheck] = []
     for leaf, within in zip(tree.leaves, leaves):
         zeta.update(dict.fromkeys(within, leaf.birth))

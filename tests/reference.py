@@ -1,4 +1,4 @@
-"""Fraction references for the model's int tables, and the uncancelled elimination step.
+"""Fraction references for the model's int tables, a tree's leaf births, and the uncancelled elimination step.
 
 The engine keeps the elementary gains and the strategy columns only as int
 rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
@@ -34,6 +34,16 @@ def gains(model):
                         vec[a] = path[k][w] - path[k - 1][w]
                 columns.append((("gain", k, c, j), tuple(vec)))
     return tuple(columns)
+
+
+def zeta(tree, model):
+    """Per terminal cell, the birth time of the tree leaf that holds it, or None where no leaf does."""
+    out = [None] * model.n_cells
+    for leaf in tree.leaves:
+        for a, cell in enumerate(model.terminal_cells):
+            if set(cell) <= set(leaf.cell):
+                out[a] = leaf.birth
+    return tuple(out)
 
 
 def strategy_columns(model):

@@ -81,8 +81,6 @@ SLOTS = {
     "allowed": INDEX,
     "event": EVENT,
     "time": INDEX,
-    "asset": INDEX,
-    "cell": INDEX,
 }
 MEASURES = {"weights", "fine_weights"}  # dropping an entry folds its weight into the first, so they stay measures
 
@@ -115,15 +113,11 @@ def context(seed: int) -> dict:
         "allowed": sorted(model.allowed),
         "event": list(range(model.n_outcomes)),
         "time": rng.randint(0, model.horizon),
-        "asset": 0,
-        "cell": rng.randrange(model.n_cells),
         "bounds": {
             "tau": model.horizon + 1,
             "allowed": model.n_cells,
             "event": model.n_outcomes,
             "time": model.horizon + 1,
-            "asset": len(model.prices),
-            "cell": model.n_cells,
         },
     }
 
@@ -163,8 +157,6 @@ CALLS = {
     "Measure": (lambda a: Measure(a["weights"]), [("weights", EXACT)]),
     "Measure.expectation": (lambda a: Measure(a["weights"]).expectation(a["payoff"]), ["payoff"]),
     "FilteredModel.measure": (lambda a: a["model"].measure(a["weights"]), [("weights", LENGTH)]),
-    "FilteredModel.price": (lambda a: a["model"].price(a["asset"], a["time"], a["cell"]), ["asset", "time", "cell"]),
-    "FilteredModel.terminal_label": (lambda a: a["model"].terminal_label(a["cell"]), ["cell"]),
     "FilteredModel.cell_label": (lambda a: a["model"].cell_label(a["event"]), ["event"]),
     "conditional_expectation": (
         lambda a: conditional_expectation(a["model"], a["payoff"], a["time"], Measure(a["weights"])),

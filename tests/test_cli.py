@@ -157,6 +157,16 @@ def test_verify_multinomial_exit_zero():
     assert code == 0 and report["ok"] is True
 
 
+@pytest.mark.parametrize("pmax, mmax", [("-3", "0"), ("0", "2"), ("2", "0")])
+def test_verify_multinomial_rejects_a_size_below_one(pmax, mmax, capsys):
+    # a size below one would check zero inequalities and report ok
+    argv = ["--format", "json", "verify", "--suite", "multinomial", "--pmax", pmax, "--mmax", mmax]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": f"--pmax and --mmax must be at least 1, got {pmax} and {mmax}"}
+
+
 def test_byte_identical_reports():
     first = run_cli("--format", "json", "extremes", str(scenario_path("glued_two_vol")))
     second = run_cli("--format", "json", "extremes", str(scenario_path("glued_two_vol")))

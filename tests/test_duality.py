@@ -268,7 +268,7 @@ def test_face_matches_full_scan_on_random_models():
 @pytest.mark.parametrize("b, horizon, ties", [(4, 2, 3), (5, 2, 37), (3, 3, 4), (6, 2, 7)])
 def test_face_matches_full_scan_on_ladder(b, horizon, ties):
     model = ladder_model(b, horizon)
-    payoff = tuple(abs(model.price(0, horizon, a)) for a in range(model.n_cells))
+    payoff = tuple(abs(model.prices[0][horizon][cell[0]]) for cell in model.terminal_cells)
     report = assert_matches_full_scan(payoff, model)
     assert report.ok and len(report.argmax) == ties
 

@@ -59,7 +59,7 @@ from semistatic.tree import (
     validate_atomic_tree,
 )
 from tests.conftest import SCENARIOS
-from tests.reference import gains as reference_gains, strategy_columns
+from tests.reference import gains as reference_gains, strategy_columns, zeta as reference_zeta
 from tests.test_int_tables import CORPUS, _fractional
 from tests.test_layout import MODELS
 from tests.test_linalg import (
@@ -232,7 +232,7 @@ def _reference_theorem_conditions(tree, measure, model):
     projections = [sigma_tree_expectation(psi, tree, measure, model) for psi in model.claims]
     support = measure.support
     claims_rank = _rank([[v[a] for a in support] for v in projections]) if projections else 0
-    zeta = tree.zeta(model)
+    zeta = reference_zeta(tree, model)
     price_constant = all(zeta[a] is not None and not _price_moved(model, (a,), zeta[a]) for a in support)
     return TheoremConditionsReport(tuple(leaf_checks), claims_rank, charged_leaves - 1, price_constant)
 

@@ -168,10 +168,10 @@ def test_ray_constructor_checks_sign_and_sum():
 
 @pytest.mark.parametrize("numerators", [[2, 2, 0], [2, 0, 2]], ids=["uncalibrated", "vertex"])
 def test_an_int_form_not_in_lowest_terms_gives_the_same_answers(trinomial, numerators):
-    # every reader of numerators / scale is homogeneous, so 2/4 reads as 1/2
+    # a measure keeps its int form in lowest terms, so 2/4 is stored as 1/2 by either constructor
     model = trinomial.model
     scaled, reduced = Measure.from_ints(numerators, 4), Measure(tuple(F(x, 4) for x in numerators))
-    assert (scaled.numerators, scaled.scale) == (tuple(numerators), 4) and reduced.scale == 2
+    assert (scaled.numerators, scaled.scale) == (tuple(x // 2 for x in numerators), 2) and reduced.scale == 2
     assert scaled == reduced
     assert polytope.member(scaled, model.constraints) == polytope.member(reduced, model.constraints)
     payoff = (F(1, 3), F(-2), F(5, 7))
@@ -216,6 +216,22 @@ def test_equality_and_hash_agree_across_the_constructors():
             assert (other == built[0]) == ((other_numerators, other_scale) == (numerators, scale))
     assert Measure.from_ints([1, 0], 1) != Measure.from_ints([1, 0, 0], 1)
     assert Measure.from_ints([1, 1], 2) != (F(1, 2), F(1, 2))
+
+
+def test_informed_compare_reads_no_weights(monkeypatch, capsys):
+    # the vertices and their coinciding lifts are sorted and compared as int forms, so none builds its weights
+    built = []
+    from_ints = Measure.from_ints.__func__
+
+    def spy(cls, numerators, scale):
+        built.append(from_ints(cls, numerators, scale))
+        return built[-1]
+
+    monkeypatch.setattr(Measure, "from_ints", classmethod(spy))
+    for name in ("initial_enlargement", "informed_arbitrage", "jump_counterexample"):
+        cli.main(["--format", "json", "informed-compare", str(SCENARIOS / f"{name}.json")])
+    capsys.readouterr()
+    assert built and [m for m in built if "weights" in vars(m)] == []
 
 
 def _ladder_scenario(tmp_path, b, horizon):

@@ -7,16 +7,23 @@ matching column.
 """
 
 import ast
+import functools
 import importlib
+import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import semistatic
+from semistatic import cli, verify
 from semistatic.hedging import SemiStaticStrategy, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
-from tests.conftest import REPO
+from semistatic.scenario import load_scenario
+from tests.conftest import REPO, SCENARIOS
 from tests.decoders import strategy_from_json
 from tests.reference import gains, row_coeffs, strategy_columns
 from tests.test_multi_asset import two_asset_model
@@ -101,16 +108,21 @@ def test_package_states_no_invariant_with_assert():
     assert found == []
 
 
-def test_traced_layers_name_callables_of_the_package():
-    # the benchmark's --trace run wraps each LAYERS entry by name; a missing one fails there
+def _traced_layers() -> dict[str, tuple[str, ...]]:
+    """``perfbench/layers.py``'s ``LAYERS``, module -> function names, read without importing the benchmark."""
     tree = ast.parse((REPO / "perfbench" / "layers.py").read_text())
     (layers,) = [
         node.value
         for node in tree.body
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
     ]
+    return ast.literal_eval(layers)
+
+
+def test_traced_layers_name_callables_of_the_package():
+    # the benchmark's --trace run wraps each LAYERS entry by name; a missing one fails there
     missing = []
-    for module, names in ast.literal_eval(layers).items():
+    for module, names in _traced_layers().items():
         home = importlib.import_module(f"semistatic.{module}")
         missing += [f"{module}.{name}" for name in names if not callable(getattr(home, name, None))]
     assert missing == []
@@ -180,4 +192,124 @@ def test_only_the_measure_scales_its_weights_to_ints():
 
     for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), [path.stem])
-    assert found == {"model.Measure.__post_init__"}
+    assert found == {"model.Measure.__init__"}
+
+
+# -- reach: every def in the package is called by one fixed CLI corpus, exported, traced, or a listed failure path --
+
+PACKAGE = Path(semistatic.__file__).resolve().parent
+
+# qualified name -> why the corpus cannot reach it; failure paths only
+UNREACHED = {
+    "verify._equivalence_failure": "the entry of a failed jacod-yor check, which only a wrong engine makes",
+}
+
+# the statics of tests/test_cli.py::test_duality_on_arbitrage_model: the claim pays >= 0 at zero cost
+ARBITRAGE = {
+    "outcomes": ["u", "m", "d"],
+    "times": [0, 1],
+    "filtration": "natural",
+    "prices": [[[0, 0, 0], [1, 0, -1]]],
+    "claims": [[2, 1, 0]],
+    "payoffs": {"zero": [0, 0, 0]},
+}
+
+# the randomized suites at 2-3 instances each, by their instance-count parameter
+SMALL_SUITES = {
+    "jacod-yor": {"n_models": 2},
+    "duality": {"n_models": 3},
+    "jeulin-yor": {"n_trials": 3},
+    "corollary54": {"n_instances": 2},
+}
+
+
+def reach_corpus(directory: Path) -> list[list[str]]:
+    """The reach guard's ``cli.main`` argument lists; the arbitrage scenario is written into ``directory``.
+
+    Every bundled scenario goes through every scenario command, at vertex 0
+    and on one of its payoffs (an inline one where it names none).  Then the
+    paths the scenarios miss: an arbitrage model's unbounded superhedge and
+    floor certificate, an inline measure under which an inline payoff is not
+    replicable, the text format, and the two verify forms.
+    """
+    corpus = []
+    for path in sorted(SCENARIOS.glob("*.json")):
+        scenario, name = load_scenario(path), str(path)
+        payoff = min(scenario.payoffs, default=",".join(["0"] * scenario.model.n_cells))
+        corpus += [["validate", name], ["extremes", name]]
+        corpus += [[command, "--measure", "0", name] for command in ("complete", "tree")]
+        corpus.append(["replicate", "--payoff", payoff, "--measure", "0", name])
+        corpus += [[command, "--payoff", payoff, name] for command in ("price", "superhedge", "duality")]
+        if scenario.jumps:
+            corpus += [["enlarge", name], ["enlarge", "--measure", "0", name], ["informed-compare", name]]
+    arbitrage = directory / "arbitrage.json"
+    arbitrage.write_text(json.dumps(ARBITRAGE))
+    corpus += [[command, "--payoff", "zero", str(arbitrage)] for command in ("superhedge", "duality")]
+    trinomial = str(SCENARIOS / "trinomial.json")
+    corpus.append(["replicate", "--payoff", "0,1,0", "--measure", "1/4,1/2,1/4", trinomial])
+    corpus = [["--format", "json", *argv] for argv in corpus]
+    corpus.append(["--format", "text", "extremes", trinomial])
+    corpus.append(["--format", "json", "verify", "--suite", "multinomial", "--pmax", "2", "--mmax", "2"])
+    corpus.append(["--format", "json", "verify", "--suite", "all"])
+    return corpus
+
+
+def _package_defs() -> dict[tuple[str, int], tuple[str, str]]:
+    """Every def in the package, keyed as its code object is, (file, first line), to (module.Qualname, file:line).
+
+    A decorated def's code object starts at its first decorator.
+    """
+    found = {}
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, scope + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = child.decorator_list[0].lineno if child.decorator_list else child.lineno
+                qualname = ".".join([path.stem, *scope, child.name])
+                found[str(path), first] = (qualname, f"{path.name}:{child.lineno}")
+                visit(child, path, scope + [child.name, "<locals>"])
+            else:
+                visit(child, path, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, [])
+    return found
+
+
+def _exempt() -> set[str]:
+    """The module-level functions ``semistatic/__init__.py`` exports and the benchmark's traced layers name."""
+    exported = {
+        f"{node.module}.{alias.name}"
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return exported | {f"{module}.{name}" for module, names in _traced_layers().items() for name in names}
+
+
+def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
+    # a def that neither the CLI nor verify calls, that is not exported and not a listed failure path, is dead code
+    corpus = reach_corpus(tmp_path)
+    for name, size in SMALL_SUITES.items():
+        monkeypatch.setitem(verify.SUITES, name, functools.partial(verify.SUITES[name], **size))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        for argv in corpus:
+            cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    reached = {(str(Path(file).resolve()), line) for file, line in called}
+    unreached = {qualname: where for key, (qualname, where) in _package_defs().items() if key not in reached}
+    exempt = _exempt() | set(UNREACHED)
+    offenders = [f"{name} ({where})" for name, where in sorted(unreached.items()) if name not in exempt]
+    assert not offenders, "reached by no corpus command, not exported, not listed:\n" + "\n".join(offenders)
+    assert sorted(set(UNREACHED) - set(unreached)) == []  # an entry goes once its def is reached or gone

@@ -206,34 +206,6 @@ def test_conditional_expectation_rejects_a_time_outside_the_grid(trinomial, k):
         conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
 
 
-@pytest.mark.parametrize("index", [-1, 3])
-def test_terminal_label_rejects_an_index_outside_the_cells(trinomial, index):
-    assert trinomial.model.terminal_label(2) == "d"
-    with pytest.raises(ShapeError, match=f"terminal cell index {index} outside 0..2"):
-        trinomial.model.terminal_label(index)
-
-
-@pytest.mark.parametrize(
-    "index, message",
-    [
-        ((-1, 0, 0), "asset index -1 outside 0..0"),
-        ((1, 0, 0), "asset index 1 outside 0..0"),
-        ((0, -1, 0), "time index -1 outside 0..1"),
-        ((0, 2, 0), "time index 2 outside 0..1"),
-        ((0, 0, -1), "terminal cell index -1 outside 0..2"),
-        ((0, 0, 3), "terminal cell index 3 outside 0..2"),
-        ((0.0, 0, 0), "asset index 0.0 is not an int"),
-        ((0, True, 0), "time index True is not an int"),
-        ((0, 0, 1.0), "terminal cell index 1.0 is not an int"),
-    ],
-)
-def test_price_rejects_an_index_outside_the_model(trinomial_calibrated, index, message):
-    model = trinomial_calibrated.model
-    assert model.price(0, 1, 2) == -1
-    with pytest.raises(ShapeError, match=message):
-        model.price(*index)
-
-
 @pytest.mark.parametrize(
     "check",
     [

