@@ -77,6 +77,12 @@ def test_enlarge_rejects_a_jump_that_does_not_fit_the_model(trinomial):
             enlarge(model, [SingleJump((t, None, None), (F(1), F(0), F(0)))])
 
 
+@pytest.mark.parametrize("t", [True, 0.5, 1.0])
+def test_enlarge_rejects_a_jump_time_that_is_not_an_int(trinomial, t):
+    with pytest.raises(ShapeError, match=f"jump time index {t!r} is not an int"):
+        enlarge(trinomial.model, [SingleJump((t, None, None), (F(1), F(0), F(0)))])
+
+
 @pytest.mark.parametrize("process", [azema, compensator, jeulin_yor])
 @pytest.mark.parametrize(
     "jump",

@@ -206,6 +206,14 @@ def test_conditional_expectation_rejects_a_time_outside_the_grid(trinomial, k):
         conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
 
 
+@pytest.mark.parametrize("k", [True, 0.0, 1.0, "0"])
+def test_conditional_expectation_rejects_a_time_that_is_not_an_int(trinomial, k):
+    model = trinomial.model
+    q = model.measure(["1/4", "1/2", "1/4"])
+    with pytest.raises(ShapeError, match=re.escape(f"time index {k!r} is not an int")):
+        conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
+
+
 @pytest.mark.parametrize(
     "check",
     [

@@ -287,6 +287,18 @@ def test_rank_identity_glued(glued_two_vol):
     assert intersection_dimension(leaf_vecs, with_const) == 1
 
 
+def test_zeta_bounded_and_leafwise(glued_two_vol):
+    # the reference zeta that the int theorem conditions are checked against
+    model = glued_two_vol.model
+    q = model.measure(["1/6", "1/6", "1/3", "1/3"])
+    tree = extract_tree(q, model)
+    zeta = reference_zeta(tree, model)
+    for a in q.support:
+        assert zeta[a] is not None and 0 <= zeta[a] <= model.horizon
+        leaf = next(l for l in tree.leaves if set(model.terminal_cells[a]) <= set(l.cell))
+        assert zeta[a] == leaf.birth
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_root_tree_conditions_imply_completeness(seed):
