@@ -206,12 +206,19 @@ def _cmd_informed_compare(scenario: Scenario, args) -> tuple[dict, int]:
 
 
 def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
+    """Run one suite; a flag the suite does not read (so it would be ignored) is an input error."""
+    if args.suite != "multinomial" and (args.pmax is not None or args.mmax is not None):
+        raise ScenarioError(f"--pmax and --mmax apply only to the multinomial suite, not to {args.suite}")
+    if args.suite in ("multinomial", "all") and args.seed is not None:
+        raise ScenarioError(f"--seed applies only to the randomized suites, not to {args.suite}")
     if args.suite == "all":
         report = verify_suites.suite_all()
     elif args.suite == "multinomial":
-        if args.pmax < 1 or args.mmax < 1:
-            raise ScenarioError(f"--pmax and --mmax must be at least 1, got {args.pmax} and {args.mmax}")
-        report = verify_suites.suite_multinomial(args.pmax, args.mmax)
+        pmax = 5 if args.pmax is None else args.pmax
+        mmax = 6 if args.mmax is None else args.mmax
+        if pmax < 1 or mmax < 1:
+            raise ScenarioError(f"--pmax and --mmax must be at least 1, got {pmax} and {mmax}")
+        report = verify_suites.suite_multinomial(pmax, mmax)
     else:
         fn = verify_suites.SUITES[args.suite]
         report = fn() if args.seed is None else fn(seed=args.seed)
@@ -239,8 +246,8 @@ COMMANDS = {
         _cmd_verify,
         (
             ("--suite", {"required": True, "choices": sorted(verify_suites.SUITES) + ["all"]}),
-            ("--pmax", {"type": int, "default": 5}),
-            ("--mmax", {"type": int, "default": 6}),
+            ("--pmax", {"type": int, "default": None}),  # 5 and 6 in the handler, so that a given flag shows
+            ("--mmax", {"type": int, "default": None}),
             ("--seed", {"type": int, "default": None}),
         ),
     ),

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantViolation, ShapeError
 from .model import (
-    FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, condexp_groups, groups_of
+    FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, cached_property, condexp_groups,
+    groups_of,
 )
 from .polytope import VertexSet, enumerate_extreme_points
 from .duality import _scan_vertices
-from .rationals import common_denominator, fmt
+from .rationals import fmt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -39,10 +40,10 @@ class SingleJump:
 
     def __post_init__(self) -> None:
         _check_vector("jump marks", self.mark, len(self.tau))
-        for t, x in zip(self.tau, self.mark):
-            if x < 0:
+        for t, x in zip(self.tau, self.mark):  # each x is an int or a Fraction: its sign is its numerator's
+            if x.numerator < 0:
                 raise InputError("marks must be nonnegative")
-            if (t is None) != (x == 0):
+            if (t is None) != (not x):
                 raise InputError("tau must be infinite exactly where the mark vanishes")
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -123,10 +124,24 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
     return EnlargedModel(model, jumps, enlarged)
 
 
-def _weighted_sums(values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[int]) -> list[int]:
-    """Per group, the sum of w * x over int weights and the values scaled to ints: the sign of its mean, 0 if null."""
-    x, _ = common_denominator(values)
-    return [sum([weights[a] * x[a] for a in group if weights[a]]) for group in groups]
+def _weighted_sums(
+    values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[int], before: Sequence[Fraction] = ()
+) -> list[int]:
+    """Per group, the int sum of w * (x - before) over its charged cells: the sign of its mean, 0 if null.
+
+    Each value enters as its int numerator times the weight, over its int
+    denominator, and a group's terms are brought to the lcm of their
+    denominators: the sum is the group's weighted mean times a positive int.
+    """
+    sums = []
+    for group in groups:
+        charged = [a for a in group if weights[a]]
+        terms = [(weights[a] * values[a].numerator, values[a].denominator) for a in charged]
+        if before:
+            terms += [(-weights[a] * before[a].numerator, before[a].denominator) for a in charged]
+        scale = lcm(*[d for _, d in terms])
+        sums.append(sum([n * (scale // d) for n, d in terms]))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,7 @@ def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaR
     ok = all(
         s <= 0
         for k in range(enlarged.model.horizon)
-        for s in _weighted_sums([b - a for a, b in zip(values[k], values[k + 1])], groups[k], measure.numerators)
+        for s in _weighted_sums(values[k + 1], groups[k], measure.numerators, values[k])
     )
     return AzemaResult(values, ok)
 
@@ -180,7 +195,7 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
         increments.append(inc)
         base_cells = enlarged.base.partitions[max(k - 1, 0)].cells
         predictable &= all(len({inc[cell_of[w]] for w in cell}) <= 1 for cell in base_cells)
-        martingale &= not any(_weighted_sums([n - d for n, d in zip(jump_now, inc)], groups, measure.numerators))
+        martingale &= not any(_weighted_sums(jump_now, groups, measure.numerators, inc))
     return CompensatorResult(tuple(increments), predictable, martingale)
 
 
@@ -226,8 +241,7 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
 
     ok = not any(_weighted_sums(values[0], enlarged.base_groups[0], measure.numerators))
     for k in range(1, model.horizon + 1):
-        delta = [b - a for a, b in zip(values[k - 1], values[k])]
-        ok &= not any(_weighted_sums(delta, model.coarse_groups[k - 1], measure.numerators))
+        ok &= not any(_weighted_sums(values[k], model.coarse_groups[k - 1], measure.numerators, values[k - 1]))
     return JeulinYorResult(tuple(values), ok, z, comp)
 
 

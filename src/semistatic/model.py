@@ -18,10 +18,10 @@ hashed, priced and written from it, and builds its Fraction weights only when re
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -35,6 +35,21 @@ ZERO = Fraction(0)
 
 Cell = tuple[int, ...]
 Payoff = tuple[Fraction, ...]
+
+
+class cached_property(functools.cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes on each first read (3.12 dropped it).
+
+    The engine runs on one thread, and the lock cost about as much as
+    building a partition's ``cell_of``.  The first read stores the value in
+    the instance's ``__dict__``, where every later read finds it.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
@@ -73,7 +88,7 @@ class Partition:
     def refines(self, coarser: "Partition") -> bool:
         lookup = coarser.cell_of
         for cell in self.cells:
-            parents = {lookup.get(w) for w in cell}
+            parents = set(map(lookup.get, cell))
             if len(parents) != 1 or None in parents:
                 return False
         return True
@@ -288,23 +303,27 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     bad: list[Violation] = []
     n = model.n_outcomes
     times = model.times
+    horizon = len(times) - 1
 
-    if model.horizon < 1:
+    # the times are Fractions (or ints): zero and order are read off their int numerators and denominators
+    if horizon < 1:
         bad.append(Violation("grid", "times", "need at least one period"))
-    if times and times[0] != 0:
+    if times and times[0]:
         bad.append(Violation("grid", "times[0]", "time grid must start at 0"))
     for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
+        before, now = times[i - 1], times[i]
+        if now.numerator * before.denominator <= before.numerator * now.denominator:
             bad.append(Violation("grid", f"times[{i}]", "times must be strictly increasing"))
 
     partitions = model.partitions
-    if len(partitions) != model.horizon + 1:
+    if len(partitions) != horizon + 1:
         bad.append(Violation("filtration", "partitions", "need one partition per time index"))
     universe = frozenset(range(n))
     for k, partition in enumerate(partitions):
         cells = partition.cells
-        # nonempty cells of n outcomes in all whose union is 0..n-1 are a partition; else find what is wrong
-        if all(cells) and sum(map(len, cells)) == n and universe == set(chain.from_iterable(cells)):
+        # nonempty cells of n outcomes in all whose union (the keys of the cached cell_of) is 0..n-1
+        # are a partition; else find what is wrong
+        if all(cells) and sum(map(len, cells)) == n and universe == partition.cell_of.keys():
             continue
         seen: set[int] = set()
         for cell in cells:
@@ -326,14 +345,14 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     if not values:
         bad.append(Violation("prices", "assets", "need at least one asset"))
     for j, asset_path in enumerate(values):
-        if len(asset_path) != model.horizon + 1:
+        if len(asset_path) != horizon + 1:
             bad.append(Violation("prices", f"asset {j}", "wrong number of time slices"))
             continue
         for k, slice_k in enumerate(asset_path):
             if len(slice_k) != n:
                 bad.append(Violation("prices", f"asset {j}, k={k}", "wrong number of outcomes"))
                 continue
-            if k == 0 and any(x != 0 for x in slice_k):
+            if k == 0 and any(slice_k):
                 bad.append(Violation("prices", f"asset {j}, k=0", "initial price must be 0"))
             if k < len(partitions):
                 for cell in partitions[k].cells:
@@ -348,14 +367,15 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                         )
                         break
 
+    n_cells = model.n_cells
     for i, claim in enumerate(model.claims):
-        if len(claim) != model.n_cells:
+        if len(claim) != n_cells:
             bad.append(Violation("claim", f"claim {i}", "payoff length must match terminal cells"))
 
     if not model.allowed:
         bad.append(Violation("priors", "allowed", "prior support must be nonempty"))
     for a in model.allowed:
-        if not 0 <= a < model.n_cells:
+        if not 0 <= a < n_cells:
             bad.append(Violation("priors", "allowed", f"unknown terminal cell index {a}"))
 
     return ValidationReport(tuple(bad))
@@ -376,15 +396,18 @@ def natural_filtration(prices: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[
 
     P_k groups outcomes by the tuple of all asset values up to time k, that is
     by their P_{k-1} cell and the asset values at time k; groups by a longer
-    prefix automatically refine groups by a shorter one.
+    prefix automatically refine groups by a shorter one.  A value is keyed by
+    its int numerator and denominator, which equal values share and which hash
+    faster than a Fraction.
     """
     n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []
     cell_of = [0] * n  # each outcome's group at the previous time; one group before time 0
     for k in range(len(prices[0]) if prices else 1):
         groups: dict[tuple, list[int]] = {}
-        for w in range(n):
-            groups.setdefault((cell_of[w], *(asset[k][w] for asset in prices)), []).append(w)
+        columns = [[(asset[k][w].numerator, asset[k][w].denominator) for w in range(n)] for asset in prices]
+        for w, key in enumerate(zip(cell_of, *columns)):
+            groups.setdefault(key, []).append(w)
         for c, group in enumerate(groups.values()):
             for w in group:
                 cell_of[w] = c

@@ -4,16 +4,21 @@ A scenario is a model plus optional jumps and named payoffs.  Rationals on
 the wire are integers or canonical "p/q" strings; floats are rejected.  Claim
 and payoff vectors are given per outcome and quotiented onto the terminal
 partition at load time, which must leave them well defined.
+
+A file is read as UTF-8 whatever the locale.  A UTF-8 BOM is an error, as
+``json`` reports it ("Unexpected UTF-8 BOM"), and line endings do not
+matter: "\\r\\n" and lone "\\r" read as "\\n".
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
+from .enlargement import SingleJump
 from .errors import SemistaticError
 from .model import (
     FilteredModel,
@@ -43,11 +48,12 @@ class Scenario:
     notes: str = ""
 
 
-def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], what: str) -> Payoff:
+def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], kind: str, key) -> Payoff:
+    """The values of one per-outcome vector on the terminal cells; ``kind`` and ``key`` name it in the error."""
     out = []
     for cell in cells:
         if len(cell) > 1 and not is_constant_on(values, cell):
-            raise ScenarioError(f"{what} is not constant on the terminal cell {sorted(cell)}")
+            raise ScenarioError(f"{kind} {key} is not constant on the terminal cell {sorted(cell)}")
         out.append(values[cell[0]])
     return tuple(out)
 
@@ -67,16 +73,28 @@ class _Numbers(dict):
         return self[token] if type(token) is str or type(token) is int else rat(token)
 
     def vector(self, tokens) -> tuple[Fraction, ...]:
-        return tuple(map(self.number, tokens))
+        return tuple([self[t] if type(t) is str or type(t) is int else rat(t) for t in tokens])
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    file = Path(path)
+def load_scenario(path: str | os.PathLike) -> Scenario:
+    """Read the file at ``path`` and parse it; the name defaults to the file name without its suffix.
+
+    The bytes are read once and decoded as UTF-8, keeping a BOM for ``json``
+    to reject.  Line endings are translated as text mode translates them, so
+    a JSON error's line, column and offset do not depend on them.
+    """
+    file = os.fsdecode(path)  # a str or a PathLike; an int, which ``open`` reads as a descriptor, raises TypeError
     try:
-        data = json.loads(file.read_text())
+        with open(file, "rb") as stream:
+            text = stream.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        data = json.loads(text)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, or an integer past the digit limit
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return parse_scenario(data, name_hint=file.stem)
+    name = os.path.basename(file)
+    dot = name.rfind(".")  # pathlib's stem: a leading or trailing dot starts no suffix
+    return parse_scenario(data, name_hint=name[:dot] if 0 < dot < len(name) - 1 else name)
 
 
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
@@ -97,7 +115,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
         terminal = partitions[-1].cells
         claims = tuple(
-            _quotient(numbers.vector(payoff), terminal, f"claim {i}")
+            _quotient(numbers.vector(payoff), terminal, "claim", i)
             for i, payoff in enumerate(data.get("claims", []))
         )
 
@@ -119,24 +137,25 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
         model = FilteredModel(outcomes, times, partitions, prices, claims, allowed)
 
-        from .enlargement import SingleJump  # local import to avoid a cycle
-
         jumps = []
+        horizon = model.horizon
         for j in data.get("jumps", []):
             tau = [None] * len(outcomes)
             mark = [ZERO] * len(outcomes)
             for w, t in j["tau"].items():
-                if t != "inf" and (not isinstance(t, int) or isinstance(t, bool)):
+                if t == "inf":
+                    t = None
+                elif not isinstance(t, int) or isinstance(t, bool):
                     raise ScenarioError(f'jump time of {w!r} must be an integer or "inf", got {t!r}')
-                if t != "inf" and not 0 <= t <= model.horizon:
-                    raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{model.horizon}, got {t}")
-                tau[index[w]] = None if t == "inf" else t
+                elif not 0 <= t <= horizon:
+                    raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{horizon}, got {t}")
+                tau[index[w]] = t
             for w, x in j["mark"].items():
                 mark[index[w]] = numbers.number(x)
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
 
         payoffs = {
-            name: _quotient(numbers.vector(vec), terminal, f"payoff {name}")
+            name: _quotient(numbers.vector(vec), terminal, "payoff", name)
             for name, vec in data.get("payoffs", {}).items()
         }
     except ScenarioError:

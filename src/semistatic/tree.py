@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotComplete, NotMeasurable, ShapeError
 from .hedging import decompose_unhedgeable
-from .model import FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, condexp_groups
+from .model import (
+    FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, cached_property, condexp_groups
+)
 from .rationals import common_denominator
 
 

@@ -4,11 +4,17 @@ The engine keeps the elementary gains and the strategy columns only as int
 rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
 The tests compare against these Fraction vectors, built from the prices the
 way the engine built them before the int tables, and ``linalg.eliminate``
-against the step as it was before it cancelled gcd(p, f).
+against the step as it was before it cancelled gcd(p, f).  ``load_scenario``
+reads a file through ``pathlib`` in text mode, as the engine did before it
+read bytes.
 """
 
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
+
+from semistatic.scenario import ScenarioError, parse_scenario
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -58,3 +64,13 @@ def eliminate(target, pivot_row, col):
     row = [p * x - f * y for x, y in zip(target, pivot_row)]
     g = gcd(*row) or 1
     return [x // g for x in row]
+
+
+def load_scenario(path):
+    """The scenario at ``path`` read as UTF-8 text with universal newlines, named after the path's stem."""
+    file = Path(path)
+    try:
+        data = json.loads(file.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    return parse_scenario(data, name_hint=file.stem)

@@ -1,0 +1,68 @@
+import bench_pairs
+
+METRICS = [
+    {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
+    {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+]
+
+
+def result(ops, p50, failed=0):
+    return {
+        "attempted": 100,
+        "correct": not failed,
+        "failed": failed,
+        "metrics": {"ops_per_s": {"value": ops, "unit": "ops/s"}, "latency_p50_ms": {"value": p50, "unit": "ms"}},
+    }
+
+
+def runs(workload, parent, change):
+    """Canned runs: pair i gives the parent ``parent[i]`` and the change ``change[i]`` as (ops, p50)."""
+    out = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        out.append({"workload": workload, "pair": pair, "side": "parent", "result": result(*p)})
+        out.append({"workload": workload, "pair": pair, "side": "change", "result": result(*c)})
+    return out
+
+
+def test_summary_reads_medians_quartiles_wins_and_bounds():
+    parent = [(100, 1.0), (110, 1.0), (90, 1.2), (105, 0.9), (95, 1.1)]
+    change = [(120, 1.0), (115, 0.8), (100, 1.0), (118, 0.9), (90, 1.5)]
+    summary = bench_pairs.summarize(runs("w", parent, change), METRICS)["w"]
+    ops = summary["ops_per_s"]
+    assert (ops["parent_median"], ops["change_median"]) == (100, 115)
+    # statistics.quantiles(n=4), the "exclusive" method: 92.5 and 107.5 for 90, 95, 100, 105, 110
+    assert ops["parent_quartiles"] == [92.5, 107.5]
+    assert ops["parent_iqr"] == 15
+    assert ops["change_better_pairs"] == "4/5"
+    assert ops["gain_exceeds_parent_iqr"] is False  # 15 is not more than 15
+    assert ops["unresolved"] is False and ops["within_bound"] is True
+    p50 = summary["latency_p50_ms"]
+    assert (p50["parent_median"], p50["change_median"]) == (1.0, 1.0)
+    assert p50["change_better_pairs"] == "2/5"  # lower is better; ties are not wins
+    assert summary["parent"] == {"runs": 5, "no_result": 0, "failed_ops": 0, "attempted_ops": 500}
+
+
+def test_a_wide_parent_spread_is_unresolved_unless_every_change_run_is_better():
+    # parent IQR 50 on a median of 100 is 50% of it, beyond the 25% bound
+    parent = [(50, 1.0), (100, 1.0), (150, 1.0), (60, 1.0), (140, 1.0)]
+    worse = bench_pairs.summarize(runs("w", parent, [(80, 1.0)] * 5), METRICS)["w"]["ops_per_s"]
+    assert worse["unresolved"] is True and worse["within_bound"] is True  # 20% worse, within 25%
+    better = bench_pairs.summarize(runs("w", parent, [(200, 1.0)] * 5), METRICS)["w"]["ops_per_s"]
+    assert better["every_change_run_beats_every_parent_run"] is True and better["unresolved"] is False
+
+
+def test_a_regression_beyond_the_bound_and_a_run_with_no_result_are_reported():
+    canned = runs("w", [(100, 1.0), (100, 1.0)], [(70, 1.4), (70, 1.4)])
+    canned[-1]["result"] = None  # the change's second run printed no JSON line
+    summary = bench_pairs.summarize(canned, METRICS)["w"]
+    assert summary["ops_per_s"]["within_bound"] is False  # 30% fewer ops/s
+    assert summary["latency_p50_ms"]["within_bound"] is False  # 40% slower
+    assert summary["ops_per_s"]["change_better_pairs"] == "0/1"
+    assert summary["ops_per_s"]["change_quartiles"] == [70, 70]  # one value is its own quartiles
+    assert summary["change"]["no_result"] == 1
+
+
+def test_last_json_line_skips_the_report_text():
+    text = 'workload w\n  ops_per_s = 1 ops/s\n{"failed": 0}\n'
+    assert bench_pairs.last_json_line(text) == {"failed": 0}
+    assert bench_pairs.last_json_line("no json here\n[1, 2]\n") is None

@@ -167,6 +167,39 @@ def test_verify_multinomial_rejects_a_size_below_one(pmax, mmax, capsys):
     assert json.loads(out) == {"error": f"--pmax and --mmax must be at least 1, got {pmax} and {mmax}"}
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--suite", "multinomial", "--seed", "5"], "--seed applies only to the randomized suites, not to multinomial"),
+        (["--suite", "all", "--seed", "5"], "--seed applies only to the randomized suites, not to all"),
+        (["--suite", "all", "--pmax", "2"], "--pmax and --mmax apply only to the multinomial suite, not to all"),
+        (
+            ["--suite", "duality", "--mmax", "2"],
+            "--pmax and --mmax apply only to the multinomial suite, not to duality",
+        ),
+        (
+            ["--suite", "jeulin-yor", "--pmax", "5", "--seed", "1"],
+            "--pmax and --mmax apply only to the multinomial suite, not to jeulin-yor",
+        ),
+    ],
+    ids=["seed-multinomial", "seed-all", "pmax-all", "mmax-seeded", "pmax-seeded-with-seed"],
+)
+def test_verify_rejects_a_flag_its_suite_ignores(flags, message, capsys):
+    # the suite would run without reading the flag, and its report would not show that it was dropped
+    assert main(["--format", "json", "verify", *flags]) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": message}
+
+
+def test_verify_multinomial_defaults_are_five_and_six(monkeypatch, capsys):
+    sizes = []
+    monkeypatch.setattr(cli.verify_suites, "suite_multinomial", lambda p, m: sizes.append((p, m)) or {"ok": True})
+    assert main(["--format", "json", "verify", "--suite", "multinomial"]) == 0
+    assert main(["--format", "json", "verify", "--suite", "multinomial", "--mmax", "2"]) == 0
+    assert sizes == [(5, 6), (5, 2)]
+
+
 def test_byte_identical_reports():
     first = run_cli("--format", "json", "extremes", str(scenario_path("glued_two_vol")))
     second = run_cli("--format", "json", "extremes", str(scenario_path("glued_two_vol")))

@@ -103,7 +103,12 @@ def test_weighted_sums_read_only_the_charged_cells():
     # the charged group's mean 1/2 (and 1/6, -1/6) has the sign of the int sum; the null group sums to 0
     assert _weighted_sums((F(1), F(0), F(7), F(5)), groups, weights) == [1, 0]
     assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights) == [1, 0]
-    assert _weighted_sums((F(-1, 3), F(0), F(7, 2), F(5)), groups, weights) == [-2, 0]
+    # the group's terms over the lcm of the charged cells' denominators, 3: the null cell's 7/2 is not read
+    assert _weighted_sums((F(-1, 3), F(0), F(7, 2), F(5)), groups, weights) == [-1, 0]
+    # with ``before`` the sum is of w * (x - before): 1/3 - 1/2 and 0 - (-1/6) cancel
+    before = (F(1, 2), F(-1, 6), F(9), F(9))
+    assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights, before) == [0, 0]
+    assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights, (F(1, 2), F(0), F(0), F(0))) == [-1, 0]
 
 
 def test_enlarge_trivial_when_mark_zero(trinomial):

@@ -9,6 +9,8 @@ from semistatic.hedging import replicate
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.scenario import ScenarioError, load_scenario, parse_inline_measure, parse_scenario
 from semistatic.tree import extract_tree
+from tests import reference
+from tests.conftest import SCENARIOS
 from tests.decoders import measure_from_json, strategy_from_json, tree_from_json
 
 F = Fraction
@@ -163,3 +165,85 @@ def test_tree_round_trip(glued_two_vol):
 def test_missing_file():
     with pytest.raises(ScenarioError):
         load_scenario("scenarios/does_not_exist.json")
+
+
+# -- the byte read path against the text-mode reference: the same Scenario or the same error message --
+
+BUNDLED = sorted(p.stem for p in SCENARIOS.glob("*.json"))
+
+
+def _variants(raw: bytes) -> dict:
+    """The bundled file's bytes as written with other line endings, a BOM, a bad byte or cut short."""
+    crlf, cr = raw.replace(b"\n", b"\r\n"), raw.replace(b"\n", b"\r")
+    middle = len(raw) // 2
+    return {
+        "as-is": raw,
+        "crlf": crlf,
+        "cr": cr,
+        # an error after the line endings: its line, column and offset count each CRLF as one newline
+        "crlf-then-error": crlf.rstrip() + b"\r\n\r\n  ,\r\n",
+        "cr-then-error": cr.rstrip() + b"\r\r  ,\r",
+        "crlf-error-inside": crlf[:middle] + b"\r\n@" + crlf[middle:],
+        "bom": b"\xef\xbb\xbf" + raw,
+        "not-utf8": raw[:middle] + b"\xff" + raw[middle:],
+        "truncated": raw[:middle],
+        "empty": b"",
+    }
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+@pytest.mark.parametrize("variant", list(_variants(b"")))
+@pytest.mark.parametrize("name", BUNDLED)
+def test_load_matches_the_text_mode_reference(tmp_path, name, variant):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(_variants((SCENARIOS / f"{name}.json").read_bytes())[variant])
+    expected = _outcome(reference.load_scenario, str(path))
+    assert _outcome(load_scenario, str(path)) == expected
+    assert _outcome(load_scenario, path) == expected  # a pathlib.Path argument
+    if variant in ("as-is", "crlf", "cr"):
+        assert expected == load_scenario(SCENARIOS / f"{name}.json")
+    else:
+        assert expected.startswith("ScenarioError: cannot read scenario")
+
+
+def test_load_reports_a_bom_a_bad_byte_and_a_crlf_error_position_as_text_mode_did(tmp_path):
+    path = tmp_path / "s.json"
+    for content, message in [
+        (b'\xef\xbb\xbf{"outcomes": []}', "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte"),
+        (b'{\r\n"a": 1,\r\n}', "Expecting property name enclosed in double quotes: line 3 column 1 (char 10)"),
+        (b'{\r"a": 1,\r}', "Expecting property name enclosed in double quotes: line 3 column 1 (char 10)"),
+    ]:
+        path.write_bytes(content)
+        assert _outcome(load_scenario, str(path)) == f"ScenarioError: cannot read scenario {path}: {message}"
+        assert _outcome(reference.load_scenario, str(path)) == _outcome(load_scenario, str(path))
+
+
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_an_unreadable_path_matches_the_reference(tmp_path, kind):
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    expected = _outcome(reference.load_scenario, str(path))
+    assert expected.startswith(f"ScenarioError: cannot read scenario {path}: [Errno")
+    assert _outcome(load_scenario, str(path)) == _outcome(load_scenario, path) == expected
+
+
+@pytest.mark.parametrize("file_name", ["plain.json", "two.dots.json", "trailing.", ".hidden", "..x", "noext"])
+def test_an_unnamed_scenario_is_named_after_the_file_as_pathlib_would(tmp_path, file_name):
+    data = json.loads((SCENARIOS / "trinomial.json").read_text(encoding="utf-8"))
+    del data["name"]
+    path = tmp_path / file_name
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert load_scenario(str(path)).name == reference.load_scenario(str(path)).name == path.stem
+
+
+def test_load_rejects_an_int_path_rather_than_read_a_file_descriptor():
+    with pytest.raises(TypeError):
+        load_scenario(0)
