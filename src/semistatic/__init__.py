@@ -2,8 +2,6 @@
 
 from .bounds import (
     double_factorial,
-    dm2_bound,
-    moment_bound,
     multinomial_lhs,
     verify_multinomial_inequality,
 )
@@ -30,7 +28,6 @@ from .enlargement import (
     filtrations_coincide,
     informed_compare,
     jeulin_yor,
-    predictable_reduction,
 )
 from .hedging import (
     CompletenessReport,
@@ -44,14 +41,12 @@ from .hedging import (
     is_semistatically_complete,
     replicate,
     strategy_payoff,
-    terminal_gain,
     verify_jacod_yor,
 )
 from .model import (
     FilteredModel,
     Measure,
     Partition,
-    conditional_expectation,
     natural_filtration,
     validate_model,
 )
@@ -59,7 +54,6 @@ from .polytope import (
     ConstraintSystem,
     VertexSet,
     build_constraints,
-    certify,
     enumerate_extreme_points,
     is_extreme,
     member,
@@ -69,10 +63,8 @@ from .tree import (
     AtomicTree,
     NoTree,
     TreeNode,
-    birth_time,
     check_theorem_conditions,
     extract_tree,
     is_full,
-    sigma_tree_expectation,
     validate_atomic_tree,
 )

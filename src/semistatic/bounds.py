@@ -3,13 +3,12 @@
 The left-hand side sums, over all compositions of p into m nonnegative parts,
 the multinomial coefficient times (product of odd double factorials minus
 one); it is checked against the closed bound 4^p p! m^(p-1) by brute force on
-a finite range.  The two bound formulas are evaluated exactly as well.
+a finite range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 
@@ -73,27 +72,3 @@ def verify_multinomial_inequality(p_max: int, m_max: int) -> list[BoundReport]:
             rhs = 4**p * factorial(p) * m ** (p - 1)
             reports.append(BoundReport(p, m, multinomial_lhs(p, m), rhs))
     return reports
-
-
-def dm2_bound(p: int, m: int, sigma_bar: Fraction, s: Fraction, t: Fraction) -> Fraction:
-    """sigma^(2p) (t-s)^p (1 + 4^p p! / m), evaluated exactly.
-
-    ``verify --suite multinomial`` does not call it; it checks lhs(p, m) <=
-    4^p p! m^(p-1), the step that gives this bound its 4^p p! / m term.
-    """
-    if p < 1 or p >= m:
-        raise ValueError("need 1 <= p < m")
-    if s >= t:
-        raise ValueError("need s < t")
-    return sigma_bar ** (2 * p) * (t - s) ** p * (1 + Fraction(4**p * factorial(p), m))
-
-
-def moment_bound(k: int, sigma_bar: Fraction, t: Fraction) -> Fraction:
-    """(2k-1)!! sigma^(2k) t^k, the even moment ceiling; k = 0 gives 1.
-
-    ``verify --suite multinomial`` does not call it; the double factorials
-    that ``multinomial_lhs`` multiplies are these moments at sigma = t = 1.
-    """
-    if k < 0:
-        raise ValueError("need k >= 0")
-    return double_factorial(2 * k - 1) * sigma_bar ** (2 * k) * t**k

@@ -90,6 +90,8 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     through the improving ray, scaled as the rational ray is: +-1 in its
     entering column.  The ray is checked without the LP: negative cash and a
     recomputed payoff >= 0 on every allowed cell, else InvariantViolation.
+    So is an optimum: its tight cells, read off the surplus variables, must
+    be ``_tight_cells`` of the strategy, else InvariantViolation.
     """
     _check_vector("payoff entries", payoff, model.n_cells)
     columns = int_strategy_columns(model)
@@ -112,6 +114,8 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
         return SuperhedgeResult(None, ray, ())
     strategy = SemiStaticStrategy.from_coordinates(_unscaled(result.solution, scales, scale), model)
     tight = tuple(a for slot, a in enumerate(allowed) if result.solution[n_free + slot] == 0)
+    if _tight_cells(strategy, payoff, model) != tight:
+        raise InvariantViolation("superhedge's tight cells must be where its recomputed payoff equals the claim's")
     return SuperhedgeResult(strategy.cash, strategy, tight)  # cash is the only cost, so the price
 
 
@@ -157,8 +161,7 @@ def optimal_face(payoff: Sequence[Fraction], model: FilteredModel) -> tuple[Supe
     primal = superhedge(payoff, model)
     if primal.unbounded:
         return primal, RobustPriceResult(None, ())
-    tight = _tight_cells(primal.strategy, payoff, model)
-    face = enumerate_extreme_points(replace(model.constraints, allowed=frozenset(tight)))
+    face = enumerate_extreme_points(replace(model.constraints, allowed=frozenset(primal.tight)))
     dual = _scan_vertices(payoff, face.vertices)
     if not face.vertices or dual.argmax != face.vertices:
         raise InvariantViolation("the tight face must be nonempty with one expectation on all its vertices")

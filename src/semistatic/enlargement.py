@@ -245,38 +245,6 @@ def jeulin_yor(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> J
     return JeulinYorResult(tuple(values), ok, z, comp)
 
 
-def predictable_reduction(
-    holdings: Sequence[Fraction], jump: SingleJump, enlarged: EnlargedModel
-) -> tuple[Fraction, ...]:
-    """Base-predictable holdings agreeing with the enlarged ones up to the jump.
-
-    ``holdings`` has one value per row of ``enlarged.model.int_gains`` and the
-    result one per row of ``enlarged.base.int_gains``, both in (k, c, j) order.
-    Existence rests on the trace identity: before the jump, the enlarged
-    algebra adds nothing, so the value on the pre-jump part of each base cell
-    is well defined; cells with no pre-jump part get zero.
-    """
-    base, fine = enlarged.base, enlarged.model
-    _check_vector("holdings", holdings, len(fine.int_gains))
-    _check_jump(jump, base)
-    held = {label[1:]: h for (label, _, _), h in zip(fine.int_gains, holdings)}
-    reduced = []
-    for (_, k, c, j), _, _ in base.int_gains:
-        fine_cell_of = fine.partitions[k - 1].cell_of
-        pre_jump = {
-            held[k, fine_cell_of[w], j]
-            for w in base.partitions[k - 1].cells[c]
-            if jump.tau[w] is None or jump.tau[w] >= k
-        }
-        if len(pre_jump) > 1:
-            raise InputError(
-                "pre-jump holdings differ inside one base cell; the enlargement "
-                "must be generated by this jump alone for the reduction to exist"
-            )
-        reduced.append(pre_jump.pop() if pre_jump else ZERO)
-    return tuple(reduced)
-
-
 def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
     """True iff charged cells of G_k and F_k agree, timewise, up to null sets.
 

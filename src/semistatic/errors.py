@@ -21,10 +21,6 @@ class EmptyMeasureSet(SemistaticError):
     """The calibrated martingale-measure set is empty (arbitrage)."""
 
 
-class NotMeasurable(SemistaticError):
-    """Event is not measurable at the terminal date of the filtration."""
-
-
 class ShapeError(SemistaticError):
     """Array argument has the wrong shape for the model."""
 

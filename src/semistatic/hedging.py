@@ -57,11 +57,6 @@ class SemiStaticStrategy:
         return {"cash": fmt(self.cash), "static": [fmt(a) for a in self.static], "dynamic": entries}
 
 
-def terminal_gain(dynamic: Sequence[Fraction], model: FilteredModel) -> Payoff:
-    """Terminal value sum of H_k (S_k - S_{k-1}) of holdings on ``model.int_gains``; other lengths raise ShapeError."""
-    return strategy_payoff(SemiStaticStrategy(ZERO, (ZERO,) * len(model.claims), tuple(dynamic)), model)
-
-
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
     """Cash plus every nonzero position and holding times its int column, over one common denominator.
 

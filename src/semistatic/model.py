@@ -440,8 +440,10 @@ def condexp_groups(
 ) -> Payoff:
     """Groupwise conditional expectation; zero on null groups by convention.
 
-    The weights are read as given (every caller in the package passes a
-    measure's int ``numerators``) and the payoff is scaled to ints once.
+    The groups ``model.coarse_groups[k]`` give E[payoff | P_k] over the
+    terminal cells.  The weights are read as given (every caller in the
+    package passes a measure's int ``numerators``) and the payoff is scaled
+    to ints once.
     """
     x, scale = common_denominator(payoff)
     result = [ZERO] * len(payoff)
@@ -453,14 +455,3 @@ def condexp_groups(
         for a in group:
             result[a] = mean
     return tuple(result)
-
-
-def conditional_expectation(
-    model: FilteredModel, payoff: Sequence[Fraction], k: int, measure: Measure
-) -> Payoff:
-    """E[payoff | P_k] under the measure, as a vector over terminal cells."""
-    _check_vector("payoff entries", payoff, model.n_cells)
-    _check_index("time", k, model.horizon + 1)
-    _check_vector("measure weights", measure.numerators, model.n_cells)
-    return condexp_groups(payoff, model.coarse_groups[k], measure.numerators)
-

@@ -17,7 +17,7 @@ through a column-to-rows index built once from the system), that each
 vanishes on the ray and that ``linalg.echelon`` (the forward half of the one
 fraction-free kernel in ``linalg``) finds rank |S| - 1, so that the support
 columns with the all-ones row are independent.  A vertex keeps that int
-form, with no Fraction; ``certify`` builds extremality certificates on demand.
+form, with no Fraction; ``is_extreme`` builds a certificate on demand.
 Emptiness, vertex identity, and certificates are thus all exact yes/no facts.
 """
 
@@ -115,11 +115,6 @@ def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, Extremalit
     return False, ExtremalityCertificate(False, direction=tuple(direction))
 
 
-def certify(vertex_set: VertexSet, cs: ConstraintSystem) -> tuple[ExtremalityCertificate, ...]:
-    """The ``is_extreme`` certificate of every vertex, in vertex order."""
-    return tuple(is_extreme(v, cs)[1] for v in vertex_set.vertices)
-
-
 def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of {x >= 0 : n.x = 0 for every normal n} as primitive int tuples.
 
@@ -202,7 +197,7 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     becomes a measure through ``Measure.from_ints``, with no Fraction.  The
     vertices are sorted by support alone: the columns of [A_S; 1] are
     independent, so a vertex is the only point with its support S.
-    Extremality certificates are built on demand by ``certify``.
+    Extremality certificates are built on demand by ``is_extreme``.
     """
     cols = sorted(cs.allowed)
     martingale = [row.normal for row in cs.rows if row.label[0] == "martingale"]

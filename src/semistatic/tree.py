@@ -16,14 +16,13 @@ conditions take the measure as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotComplete, NotMeasurable, ShapeError
+from .errors import NotComplete, ShapeError
 from .hedging import decompose_unhedgeable
 from .model import (
-    FilteredModel, Measure, Payoff, ValidationReport, Violation, _check_vector, cached_property, condexp_groups
+    FilteredModel, Measure, ValidationReport, Violation, _check_vector, cached_property, condexp_groups
 )
 from .rationals import common_denominator
 
@@ -110,16 +109,8 @@ def _check_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> lis
     return [_cells_within(model, node.cell) for node in tree.nodes]
 
 
-def birth_time(cell: Iterable[int], model: FilteredModel) -> int:
-    """First time index at which the event is a union of partition cells."""
-    cells, exact = _cells_within(model, cell)
-    if not (cells and exact):
-        raise NotMeasurable("event is not measurable at the terminal date")
-    return _birth(model, cells)
-
-
 def _birth(model: FilteredModel, cells: Sequence[int]) -> int:
-    """``birth_time`` of a union of terminal cells: the first P_k whose cells meeting it hold it exactly (P_K does)."""
+    """Birth time of a union of terminal cells: the first P_k whose cells meeting it hold it exactly (P_K does)."""
     return next(
         k
         for k, cell_of in enumerate(model.coarse_cell_of)
@@ -197,15 +188,6 @@ def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     )
 
 
-def sigma_tree_expectation(
-    payoff: Sequence[Fraction], tree: AtomicTree, measure: Measure, model: FilteredModel
-) -> Payoff:
-    """Leafwise conditional expectation: on each charged leaf, the Q-average; null leaves give 0."""
-    _check_vector("payoff entries", payoff, model.n_cells)
-    lookups = _check_tree(tree, measure, model)
-    return condexp_groups(payoff, [lookups[i][0] for i in tree.leaf_indices], measure.numerators)
-
-
 @dataclass(frozen=True)
 class LeafCheck:
     cell: tuple[int, ...]
@@ -254,7 +236,7 @@ def check_theorem_conditions(tree: AtomicTree, measure: Measure, model: Filtered
 def _leaf_expectations(
     leaves: Sequence[Sequence[int]], measure: Measure, model: FilteredModel
 ) -> list[tuple[list[int], int]]:
-    """Each claim's ``sigma_tree_expectation`` on the support, from the leaves' cells: an int row over a scale > 0."""
+    """Each claim's leafwise conditional expectation on the support, from the leaves' cells: int row, scale > 0."""
     out = []
     for row, scale in model.int_claims:
         means = condexp_groups(row, leaves, measure.numerators)

@@ -1,12 +1,14 @@
-"""Fraction references for the model's int tables, a tree's leaf births, and the uncancelled elimination step.
+"""Fraction references for the int tables, leaf births, conditional expectations and the uncancelled elimination.
 
 The engine keeps the elementary gains and the strategy columns only as int
 rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
 The tests compare against these Fraction vectors, built from the prices the
 way the engine built them before the int tables, and ``linalg.eliminate``
-against the step as it was before it cancelled gcd(p, f).  ``load_scenario``
-reads a file through ``pathlib`` in text mode, as the engine did before it
-read bytes.
+against the step as it was before it cancelled gcd(p, f).  The conditional
+expectations given P_k and given a tree's leaves average a measure's Fraction
+weights over sets of outcomes, not over the engine's cell tables.
+``load_scenario`` reads a file through ``pathlib`` in text mode, as the engine
+did before it read bytes.
 """
 
 import json
@@ -50,6 +52,29 @@ def zeta(tree, model):
             if set(cell) <= set(leaf.cell):
                 out[a] = leaf.birth
     return tuple(out)
+
+
+def _expectation_on_events(payoff, events, measure, model):
+    """On the terminal cells inside each event, the measure's average of the payoff; 0 where the event is null."""
+    out = [ZERO] * model.n_cells
+    for event in events:
+        inside = [a for a, cell in enumerate(model.terminal_cells) if set(cell) <= set(event)]
+        mass = sum((measure.weights[a] for a in inside), ZERO)
+        if mass:
+            mean = sum((measure.weights[a] * payoff[a] for a in inside), ZERO) / mass
+            for a in inside:
+                out[a] = mean
+    return tuple(out)
+
+
+def conditional_expectation(model, payoff, k, measure):
+    """E[payoff | P_k] under the measure, over terminal cells; 0 on a null cell of P_k."""
+    return _expectation_on_events(payoff, model.partitions[k].cells, measure, model)
+
+
+def sigma_tree_expectation(payoff, tree, measure, model):
+    """The leafwise conditional expectation: on each leaf of the tree, the measure's average; 0 on a null leaf."""
+    return _expectation_on_events(payoff, [leaf.cell for leaf in tree.leaves], measure, model)
 
 
 def strategy_columns(model):

@@ -19,7 +19,7 @@ from semistatic.enlargement import informed_compare
 from semistatic.hedging import is_semistatically_complete, strategy_payoff
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.scenario import canonical_json
-from semistatic.tree import AtomicTree, NoTree, check_theorem_conditions, extract_tree, sigma_tree_expectation
+from semistatic.tree import AtomicTree, NoTree, check_theorem_conditions, extract_tree
 from semistatic.verify import (
     suite_all,
     suite_corollary54,
@@ -27,6 +27,7 @@ from semistatic.verify import (
     suite_jacod_yor,
     suite_jeulin_yor,
 )
+from tests.test_tree import leafwise
 
 F = Fraction
 
@@ -82,8 +83,7 @@ def test_criterion_4_glued_two_volatility(glued_two_vol):
     ok = ok and isinstance(tree, AtomicTree) and tree.dim == 2
     ok = ok and [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
     ok = ok and check_theorem_conditions(tree, q, model).ok
-    leafwise = sigma_tree_expectation(model.claims[0], tree, q, model)
-    ok = ok and leafwise == (F(2), F(2), F(-1), F(-1))
+    ok = ok and leafwise(model.claims[0], tree, q, model) == (F(2), F(2), F(-1), F(-1))
     _report(4, "glued two-volatility calibration and tree", ok)
 
 

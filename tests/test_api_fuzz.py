@@ -2,14 +2,15 @@
 
 ``CALLS`` holds every public callable that takes a model-shaped argument: a
 valid call on a seeded random model, and the slots of that call that can be
-corrupted.  A slot is an argument vector (a payoff, a measure's weights,
-holdings, a jump's times or marks, an event, a set of allowed cells) or an
-index.  Hypothesis draws a model, an entry, a slot and a corruption: drop one
-entry, add one, put 0.5 or True in an entry, or use an index of -1, its bound
-n, True or 0.5.  The valid call must return; the corrupted one must raise a
-``SemistaticError``, or the ``TypeError`` of the model's vector check ("...
-must be int or Fraction").  A returned result, or any other exception, fails.
-``tests/test_cli_fuzz.py`` does the same for the command line.
+corrupted.  A slot is an argument vector: a payoff, a measure's weights,
+holdings, a jump's times or marks, an event, a set of allowed cells.
+Hypothesis draws a model, an entry, a slot and a corruption: drop one entry,
+add one, put 0.5 or True in an entry, or, where the entries are indices, put
+-1 or the bound n in one.  The valid call must return; the corrupted one
+must raise a ``SemistaticError``, or the ``TypeError`` of the model's vector
+check ("... must be int or Fraction").  A returned result, or any other
+exception, fails.  ``tests/test_cli_fuzz.py`` does the same for the command
+line.
 """
 
 import random
@@ -27,13 +28,9 @@ from semistatic import (
     SemiStaticStrategy,
     SingleJump,
     TreeNode,
-    VertexSet,
     azema,
-    birth_time,
-    certify,
     check_theorem_conditions,
     compensator,
-    conditional_expectation,
     decompose_unhedgeable,
     enlarge,
     enumerate_extreme_points,
@@ -46,13 +43,10 @@ from semistatic import (
     is_semistatically_complete,
     jeulin_yor,
     member,
-    predictable_reduction,
     replicate,
     robust_price,
-    sigma_tree_expectation,
     strategy_payoff,
     superhedge,
-    terminal_gain,
     validate_atomic_tree,
     verify_duality,
 )
@@ -73,14 +67,12 @@ SLOTS = {
     "fine_weights": ENTRIES,
     "static": ENTRIES,
     "holdings": ENTRIES,
-    "fine_holdings": ENTRIES,
     "coordinates": ENTRIES,
     "mark": ENTRIES,
     "cash": EXACT,
     "tau": LENGTH + INDEX,
     "allowed": INDEX,
     "event": EVENT,
-    "time": INDEX,
 }
 MEASURES = {"weights", "fine_weights"}  # dropping an entry folds its weight into the first, so they stay measures
 
@@ -105,19 +97,16 @@ def context(seed: int) -> dict:
         "fine_weights": [F(1, n_fine)] * n_fine,
         "static": [F(1)] * len(model.claims),
         "holdings": [F(1)] * len(model.int_gains),
-        "fine_holdings": [F(1)] * len(enlarged.model.int_gains),
         "coordinates": [F(1)] * len(int_strategy_columns(model)),
         "mark": mark,
         "cash": F(1),
         "tau": tau,
         "allowed": sorted(model.allowed),
         "event": list(range(model.n_outcomes)),
-        "time": rng.randint(0, model.horizon),
         "bounds": {
             "tau": model.horizon + 1,
             "allowed": model.n_cells,
             "event": model.n_outcomes,
-            "time": model.horizon + 1,
         },
     }
 
@@ -158,14 +147,9 @@ CALLS = {
     "Measure.expectation": (lambda a: Measure(a["weights"]).expectation(a["payoff"]), ["payoff"]),
     "FilteredModel.measure": (lambda a: a["model"].measure(a["weights"]), [("weights", LENGTH)]),
     "FilteredModel.cell_label": (lambda a: a["model"].cell_label(a["event"]), ["event"]),
-    "conditional_expectation": (
-        lambda a: conditional_expectation(a["model"], a["payoff"], a["time"], Measure(a["weights"])),
-        ["payoff", "time", "weights"],
-    ),
     "ConstraintSystem": (lambda a: replace(a["model"].constraints, allowed=frozenset(a["allowed"])), ["allowed"]),
     "member": (lambda a: member(Measure(a["weights"]), a["model"].constraints), ["weights"]),
     "is_extreme": (lambda a: is_extreme(Measure(a["weights"]), a["model"].constraints), ["weights"]),
-    "certify": (lambda a: certify(VertexSet((Measure(a["weights"]),)), a["model"].constraints), ["weights"]),
     "enumerate_extreme_points": (
         lambda a: enumerate_extreme_points(replace(a["model"].constraints, allowed=frozenset(a["allowed"]))),
         ["allowed"],
@@ -182,7 +166,6 @@ CALLS = {
         ["coordinates"],
     ),
     "strategy_payoff": (lambda a: strategy_payoff(strategy(a), a["model"]), ["cash", "static", "holdings"]),
-    "terminal_gain": (lambda a: terminal_gain(a["holdings"], a["model"]), ["holdings"]),
     "superhedge": (lambda a: superhedge(a["payoff"], a["model"]), ["payoff"]),
     "robust_price": (lambda a: robust_price(a["payoff"], a["model"]), ["payoff"]),
     "verify_duality": (lambda a: verify_duality(a["payoff"], a["model"]), ["payoff"]),
@@ -200,10 +183,6 @@ CALLS = {
         lambda a: jeulin_yor(Measure(a["fine_weights"]), jump(a), a["enlarged"]),
         ["fine_weights", "tau", "mark"],
     ),
-    "predictable_reduction": (
-        lambda a: predictable_reduction(a["fine_holdings"], jump(a), a["enlarged"]),
-        ["fine_holdings", "tau", "mark"],
-    ),
     "filtrations_coincide": (
         lambda a: filtrations_coincide(Measure(a["fine_weights"]), a["enlarged"]),
         ["fine_weights"],
@@ -212,16 +191,11 @@ CALLS = {
         lambda a: informed_compare(a["model"], [jump(a)], {"x": a["payoff"]}),
         ["tau", "mark", "payoff"],
     ),
-    "birth_time": (lambda a: birth_time(a["event"], a["model"]), ["event"]),
     "validate_atomic_tree": (
         lambda a: validate_atomic_tree(tree(a), Measure(a["weights"]), a["model"]),
         ["event", "weights"],
     ),
     "is_full": (lambda a: is_full(tree(a), Measure(a["weights"]), a["model"]), ["event", "weights"]),
-    "sigma_tree_expectation": (
-        lambda a: sigma_tree_expectation(a["payoff"], tree(a), Measure(a["weights"]), a["model"]),
-        ["payoff", "event", "weights"],
-    ),
     "check_theorem_conditions": (
         lambda a: check_theorem_conditions(tree(a), Measure(a["weights"]), a["model"]),
         ["event", "weights"],
@@ -237,8 +211,6 @@ NO_MODEL_ARGUMENT = (
     "validate_model",
     "verify_jacod_yor",
     "double_factorial",
-    "dm2_bound",
-    "moment_bound",
     "multinomial_lhs",
     "verify_multinomial_inequality",
     "load_scenario",

@@ -1,18 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semistatic.bounds import (
-    dm2_bound,
-    double_factorial,
-    moment_bound,
-    multinomial_lhs,
-    verify_multinomial_inequality,
-)
-
-F = Fraction
+from semistatic.bounds import double_factorial, multinomial_lhs, verify_multinomial_inequality
 
 
 def test_double_factorial_values():
@@ -51,19 +41,3 @@ def test_inequality_exhaustive():
     lookup = {(r.p, r.m): r for r in reports}
     assert lookup[(2, 2)].lhs == 4 and lookup[(2, 2)].rhs == 64
 
-
-def test_dm2_bound_values():
-    assert dm2_bound(1, 2, F(1), F(0), F(1)) == 3
-    assert dm2_bound(2, 4, F(1), F(0), F(1)) == 9
-    assert dm2_bound(1, 2, F(0), F(0), F(1)) == 0
-    with pytest.raises(ValueError):
-        dm2_bound(2, 2, F(1), F(0), F(1))
-    with pytest.raises(ValueError):
-        dm2_bound(1, 2, F(1), F(1), F(1))
-
-
-def test_moment_bound_values():
-    assert moment_bound(0, F(1), F(1)) == 1
-    assert moment_bound(1, F(1), F(1)) == 1
-    assert moment_bound(2, F(1), F(1)) == 3
-    assert moment_bound(2, F(2), F(1, 2)) == 3 * 16 * F(1, 4)

@@ -12,6 +12,7 @@ from semistatic import cli, duality
 from semistatic.cli import build_parser, main
 from semistatic.scenario import load_scenario
 from tests.conftest import scenario_path
+from tests.test_duality import slacken_a_tight_cell
 
 RUN = [sys.executable, "-m", "semistatic"]
 
@@ -93,6 +94,26 @@ def test_enlarge_command():
     assert report["result"]["per_jump"][0]["martingale_ok"] is True
 
 
+# two of the four checks an enlarge report prints, made false in the jeulin_yor result they are read from
+# (tests/test_enlargement.py makes predictable_ok false through the base groups)
+FALSIFY = {
+    "supermartingale_ok": lambda jy: replace(jy, azema=replace(jy.azema, supermartingale_ok=False)),
+    "compensated_martingale_ok": lambda jy: replace(jy, compensator=replace(jy.compensator, martingale_ok=False)),
+}
+
+
+@pytest.mark.parametrize("flag", FALSIFY)
+def test_enlarge_command_fails_on_each_false_check(monkeypatch, capsys, flag):
+    real = cli.jeulin_yor
+    monkeypatch.setattr(cli, "jeulin_yor", lambda *args: FALSIFY[flag](real(*args)))
+    path = str(scenario_path("initial_enlargement"))
+    assert main(["--format", "json", "enlarge", "--measure", "0,1,0", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    (checks,) = report["result"]["per_jump"]
+    assert [name for name, value in checks.items() if value is False] == [flag]
+    assert report["ok"] is False
+
+
 def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
     bad = {
         "outcomes": ["u", "m", "d"],
@@ -119,15 +140,7 @@ def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
 
 
 def test_superhedge_command_checks_its_tight_cells(monkeypatch, capsys):
-    solve = duality.solve_lp
-
-    def corrupted(cost, matrix, rhs, free=0):
-        result = solve(cost, matrix, rhs, free=free)
-        solution = list(result.solution)
-        solution[solution.index(0, free)] = Fraction(1)  # the first tight cell's surplus, reported slack
-        return replace(result, solution=tuple(solution))
-
-    monkeypatch.setattr(duality, "solve_lp", corrupted)
+    slacken_a_tight_cell(monkeypatch)
     code = main(["--format", "json", "superhedge", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
     out = capsys.readouterr().out
     assert code == 1

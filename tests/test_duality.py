@@ -41,6 +41,26 @@ def test_superhedge_constant(trinomial):
     assert result.price == 5
 
 
+def slacken_a_tight_cell(monkeypatch):
+    """Make ``duality.solve_lp`` report the first tight cell's surplus as 1, so the LP's tight cells are wrong."""
+    solve = duality.solve_lp
+
+    def corrupted(cost, matrix, rhs, free=0):
+        result = solve(cost, matrix, rhs, free=free)
+        solution = list(result.solution)
+        solution[solution.index(0, free)] = Fraction(1)
+        return replace(result, solution=tuple(solution))
+
+    monkeypatch.setattr(duality, "solve_lp", corrupted)
+
+
+def test_superhedge_checks_its_tight_cells(monkeypatch, trinomial):
+    # the tight cells are recomputed from the strategy's own payoff, not only read off the LP's surpluses
+    slacken_a_tight_cell(monkeypatch)
+    with pytest.raises(InvariantViolation, match="tight cells"):
+        superhedge(trinomial.payoffs["abs_S1"], trinomial.model)
+
+
 def test_robust_price_examples(trinomial, trinomial_calibrated):
     result = robust_price(trinomial.payoffs["abs_S1"], trinomial.model)
     assert result.value == 1
@@ -284,8 +304,9 @@ def test_price_on_empty_measure_set_is_minus_infinity(informed_arbitrage):
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
-def test_wrong_superhedge_cash_raises(monkeypatch, trinomial, shift):
-    # cash - 1 does not dominate; cash + 1 dominates strictly, so its tight face is empty
+def test_wrong_superhedge_cash_shows_as_a_gap(monkeypatch, capsys, trinomial, shift):
+    # superhedge checks its tight cells before it returns; a cash changed after that leaves the face
+    # on the tight cells the LP found, whose vertices price the claim right, so the gap is the shift
     solve = duality.superhedge
 
     def shifted_cash(payoff, model):
@@ -294,11 +315,14 @@ def test_wrong_superhedge_cash_raises(monkeypatch, trinomial, shift):
         return replace(result, price=result.price + shift, strategy=strategy)
 
     monkeypatch.setattr(duality, "superhedge", shifted_cash)
-    with pytest.raises(InvariantViolation):
-        verify_duality(trinomial.payoffs["abs_S1"], trinomial.model)
+    report = verify_duality(trinomial.payoffs["abs_S1"], trinomial.model)
+    assert report.gap == shift and not report.ok
+    assert cli.main(["--format", "json", "duality", "--payoff", "abs_S1", str(scenario_path("trinomial"))]) == 1
+    assert json.loads(capsys.readouterr().out)["result"]["gap"] == str(shift)
 
 
-def test_tight_set_missing_a_face_cell_fails_slackness(monkeypatch, capsys, trinomial):
+def test_tight_set_missing_a_face_cell_empties_the_face(monkeypatch, capsys, trinomial):
+    # the face is enumerated on the tight cells superhedge returns: without a charged cell it has no vertex
     solve = duality.superhedge
     payoff = trinomial.payoffs["abs_S1"]
     charged = verify_duality(payoff, trinomial.model).argmax[0].support[0]
@@ -308,7 +332,7 @@ def test_tight_set_missing_a_face_cell_fails_slackness(monkeypatch, capsys, trin
         return replace(result, tight=tuple(a for a in result.tight if a != charged))
 
     monkeypatch.setattr(duality, "superhedge", drops_a_cell)
-    report = verify_duality(payoff, trinomial.model)
-    assert report.gap == 0 and not report.slackness_ok and not report.ok
+    with pytest.raises(InvariantViolation, match="tight face must be nonempty"):
+        verify_duality(payoff, trinomial.model)
     assert cli.main(["--format", "json", "duality", "--payoff", "abs_S1", str(scenario_path("trinomial"))]) == 1
-    assert json.loads(capsys.readouterr().out)["result"]["slackness_ok"] is False
+    assert "tight face must be nonempty" in json.loads(capsys.readouterr().out)["error"]

@@ -19,7 +19,6 @@ from semistatic.enlargement import (
     filtrations_coincide,
     informed_compare,
     jeulin_yor,
-    predictable_reduction,
 )
 from semistatic.errors import InputError, InvariantViolation, SemistaticError, ShapeError
 from semistatic.model import FilteredModel, Measure, Partition
@@ -278,47 +277,6 @@ def test_increment_where_survival_vanishes_is_an_invariant_violation(two_atom, m
         jeulin_yor(q, jump, enlarged)
 
 
-def test_predictable_reduction_examples(two_atom):
-    jump = SingleJump((0, None), (F(1), F(0)))
-    enlarged = enlarge(two_atom, [jump])
-    g_cells = enlarged.model.partitions[0].cells
-    assert g_cells == ((0,), (1,))
-    # 5 on the pre-jump cell {b}, 7 on the jumped cell {a}
-    holdings = (F(7), F(5))
-    reduced = predictable_reduction(holdings, jump, enlarged)
-    assert reduced == (F(5),)
-    # F-predictable input is returned unchanged
-    same = SingleJump((None, None), (F(0), F(0)))
-    enlarged_same = enlarge(two_atom, [same])
-    holdings_same = (F(4),)
-    assert predictable_reduction(holdings_same, same, enlarged_same) == holdings_same
-
-
-@pytest.mark.parametrize("holdings", [(F(7),), (F(7), F(5), F(2))])
-def test_predictable_reduction_rejects_holdings_of_the_wrong_length(two_atom, holdings):
-    # one entry per enlarged gain column, two here: a third is not a second asset
-    enlarged = enlarge(two_atom, [SingleJump((0, None), (F(1), F(0)))])
-    assert len(enlarged.model.int_gains) == 2
-    with pytest.raises(ShapeError):
-        predictable_reduction(holdings, enlarged.jumps[0], enlarged)
-
-
-def test_predictable_reduction_rejects_holdings_that_differ_before_the_jump(two_atom):
-    # the enlargement by `jump` splits the one base cell, and `never` leaves both parts pre-jump
-    jump = SingleJump((0, None), (F(1), F(0)))
-    never = SingleJump((None, None), (F(0), F(0)))
-    with pytest.raises(InputError, match="pre-jump holdings differ inside one base cell"):
-        predictable_reduction((F(7), F(5)), never, enlarge(two_atom, [jump]))
-
-
-def test_predictable_reduction_all_jumped(two_atom):
-    jump = SingleJump((0, 0), (F(1), F(2)))
-    enlarged = enlarge(two_atom, [jump])
-    holdings = (F(7), F(9))
-    reduced = predictable_reduction(holdings, jump, enlarged)
-    assert reduced == (F(0),)  # no pre-jump constraint; zero by convention
-
-
 def test_trace_identity_random():
     # the pre-jump part of each base cell is a single enlarged cell
     from semistatic.model import validate_model
@@ -480,24 +438,6 @@ def test_price_dominance(seed):
     base_price, enlarged_price = report.prices["x"]
     if enlarged_price is not None:
         assert base_price is not None and enlarged_price <= base_price
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_predictable_reduction_agrees_pre_jump(seed):
-    rng = random.Random(seed)
-    model, _ = random_model(rng)
-    jump = random_jump(rng, model)
-    enlarged = enlarge(model, [jump])
-    holdings = tuple(F(rng.randint(-3, 3)) for _ in enlarged.model.int_gains)
-    reduced = predictable_reduction(holdings, jump, enlarged)
-    assert len(reduced) == len(model.int_gains)
-    held = {label[1:]: h for (label, _, _), h in zip(enlarged.model.int_gains, holdings)}
-    for ((_, k, c, j), _, _), h in zip(model.int_gains, reduced):
-        for w in model.partitions[k - 1].cells[c]:
-            if jump.tau[w] is None or jump.tau[w] >= k:
-                g = enlarged.model.partitions[k - 1].cell_of[w]
-                assert h == held[k, g, j]
 
 
 def test_predictable_ok_reads_the_base_partition_not_base_groups(monkeypatch, capsys):

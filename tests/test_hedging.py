@@ -13,13 +13,11 @@ from semistatic.hedging import (
     is_semistatically_complete,
     replicate,
     strategy_payoff,
-    terminal_gain,
     verify_jacod_yor,
 )
-from semistatic.model import conditional_expectation
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
-from tests.reference import gains as reference_gains, strategy_columns
+from tests.reference import conditional_expectation, gains as reference_gains, strategy_columns
 from tests.test_linalg import reference_project_onto_span, weighted_dot
 
 F = Fraction
@@ -30,28 +28,33 @@ def _dynamic(model, entries):
     return tuple(entries.get(label[1:], F(0)) for label, _, _ in model.int_gains)
 
 
+def _gain_payoff(dynamic, model):
+    """The terminal gain of the holdings: the payoff of the strategy with no cash and no static position."""
+    return strategy_payoff(SemiStaticStrategy(F(0), (F(0),) * len(model.claims), tuple(dynamic)), model)
+
+
 def test_terminal_gain_zero(trinomial):
     model = trinomial.model
-    assert terminal_gain(_dynamic(model, {}), model) == (F(0), F(0), F(0))
+    assert _gain_payoff(_dynamic(model, {}), model) == (F(0), F(0), F(0))
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_terminal_gain_rejects_holdings_of_the_wrong_length(glued_two_vol, extra):
     model = glued_two_vol.model
     with pytest.raises(ShapeError):
-        terminal_gain((F(1),) * (len(model.int_gains) + extra), model)
+        _gain_payoff((F(1),) * (len(model.int_gains) + extra), model)
 
 
 def test_terminal_gain_unit_holding(trinomial):
     model = trinomial.model
-    gains = terminal_gain(_dynamic(model, {(1, 0, 0): F(1)}), model)
+    gains = _gain_payoff(_dynamic(model, {(1, 0, 0): F(1)}), model)
     assert gains == (F(1), F(0), F(-1))
 
 
 def test_terminal_gain_two_period_masked(glued_two_vol):
     model = glued_two_vol.model
     # hold one unit over the second period on the high-move branch only
-    gains = terminal_gain(_dynamic(model, {(2, 0, 0): F(1)}), model)
+    gains = _gain_payoff(_dynamic(model, {(2, 0, 0): F(1)}), model)
     assert gains == (F(2), F(-2), F(0), F(0))
 
 
@@ -238,7 +241,7 @@ def test_gain_expectation_zero(seed):
     rng = random.Random(seed)
     model, reference = random_model(rng)
     dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.int_gains)
-    gains = terminal_gain(dynamic, model)
+    gains = _gain_payoff(dynamic, model)
     vs = enumerate_extreme_points(build_constraints(model))
     for v in vs.vertices:
         assert v.expectation(gains) == 0

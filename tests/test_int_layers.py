@@ -39,7 +39,7 @@ from semistatic.hedging import (
     is_semistatically_complete,
     replicate,
 )
-from semistatic.model import Measure, condexp_groups, conditional_expectation
+from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import integer_row
 from semistatic.sampling import random_jump, random_measure
@@ -55,11 +55,11 @@ from semistatic.tree import (
     check_theorem_conditions,
     extract_tree,
     is_full,
-    sigma_tree_expectation,
     validate_atomic_tree,
 )
 from tests.conftest import SCENARIOS
-from tests.reference import gains as reference_gains, strategy_columns, zeta as reference_zeta
+from tests.reference import conditional_expectation, sigma_tree_expectation, strategy_columns
+from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_int_tables import CORPUS, _fractional
 from tests.test_layout import MODELS
 from tests.test_linalg import (

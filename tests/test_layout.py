@@ -195,7 +195,7 @@ def test_only_the_measure_scales_its_weights_to_ints():
     assert found == {"model.Measure.__init__"}
 
 
-# -- reach: every def in the package is called by one fixed CLI corpus, exported, traced, or a listed failure path --
+# -- reach: every def in the package is called by one fixed CLI corpus, traced, or a listed failure path --
 
 PACKAGE = Path(semistatic.__file__).resolve().parent
 
@@ -279,18 +279,15 @@ def _package_defs() -> dict[tuple[str, int], tuple[str, str]]:
 
 
 def _exempt() -> set[str]:
-    """The module-level functions ``semistatic/__init__.py`` exports and the benchmark's traced layers name."""
-    exported = {
-        f"{node.module}.{alias.name}"
-        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    return exported | {f"{module}.{name}" for module, names in _traced_layers().items() for name in names}
+    """The functions the benchmark's traced layers name: ``--trace`` looks each up, called by a command or not.
+
+    An export has no exemption of its own: the public API is what the CLI runs.
+    """
+    return {f"{module}.{name}" for module, names in _traced_layers().items() for name in names}
 
 
 def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
-    # a def that neither the CLI nor verify calls, that is not exported and not a listed failure path, is dead code
+    # a def that neither the CLI nor verify calls, that is not traced and not a listed failure path, is dead code
     corpus = reach_corpus(tmp_path)
     for name, size in SMALL_SUITES.items():
         monkeypatch.setitem(verify.SUITES, name, functools.partial(verify.SUITES[name], **size))
@@ -311,5 +308,5 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
     unreached = {qualname: where for key, (qualname, where) in _package_defs().items() if key not in reached}
     exempt = _exempt() | set(UNREACHED)
     offenders = [f"{name} ({where})" for name, where in sorted(unreached.items()) if name not in exempt]
-    assert not offenders, "reached by no corpus command, not exported, not listed:\n" + "\n".join(offenders)
+    assert not offenders, "reached by no corpus command, not traced, not listed:\n" + "\n".join(offenders)
     assert sorted(set(UNREACHED) - set(unreached)) == []  # an entry goes once its def is reached or gone

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from semistatic.duality import robust_price, superhedge, verify_duality
 from semistatic.enlargement import SingleJump, azema, compensator, enlarge, filtrations_coincide, jeulin_yor
 from semistatic.errors import InputError, ShapeError
-from semistatic.hedging import hedging_span, is_semistatically_complete, replicate, terminal_gain
+from semistatic.hedging import SemiStaticStrategy, hedging_span, is_semistatically_complete, replicate, strategy_payoff
 from semistatic.model import (
     FilteredModel,
     Measure,
     Partition,
-    conditional_expectation,
+    condexp_groups,
     natural_filtration,
     validate_model,
 )
@@ -27,7 +27,6 @@ from semistatic.tree import (
     check_theorem_conditions,
     extract_tree,
     is_full,
-    sigma_tree_expectation,
     validate_atomic_tree,
 )
 from tests.reference import row_coeffs
@@ -124,17 +123,17 @@ def test_conditional_expectation_examples(trinomial):
     model = trinomial.model
     q = model.measure([F(1, 4), F(1, 2), F(1, 4)])
     x = (F(1), F(0), F(-1))
-    assert conditional_expectation(model, x, 0, q) == (F(0), F(0), F(0))
-    assert conditional_expectation(model, x, 1, q) == x
+    assert condexp_groups(x, model.coarse_groups[0], q.numerators) == (F(0), F(0), F(0))
+    assert condexp_groups(x, model.coarse_groups[1], q.numerators) == x
     ones = (F(1), F(1), F(1))
-    assert conditional_expectation(model, ones, 0, q) == ones
+    assert condexp_groups(ones, model.coarse_groups[0], q.numerators) == ones
 
 
 def test_conditional_expectation_null_cells(trinomial):
     model = trinomial.model
     q = model.measure([F(1, 2), F(0), F(1, 2)])
     x = (F(3), F(7), F(5))
-    out = conditional_expectation(model, x, 1, q)
+    out = condexp_groups(x, model.coarse_groups[1], q.numerators)
     assert out == (F(3), F(0), F(5))  # null cell pinned to zero by convention
 
 
@@ -198,22 +197,6 @@ def test_expectation_rejects_a_payoff_of_the_wrong_length(trinomial, payoff):
         q.expectation(payoff)
 
 
-@pytest.mark.parametrize("k", [-1, 2, 99])
-def test_conditional_expectation_rejects_a_time_outside_the_grid(trinomial, k):
-    model = trinomial.model
-    q = model.measure(["1/4", "1/2", "1/4"])
-    with pytest.raises(ShapeError, match=f"time index {k} outside 0..1"):
-        conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
-
-
-@pytest.mark.parametrize("k", [True, 0.0, 1.0, "0"])
-def test_conditional_expectation_rejects_a_time_that_is_not_an_int(trinomial, k):
-    model = trinomial.model
-    q = model.measure(["1/4", "1/2", "1/4"])
-    with pytest.raises(ShapeError, match=re.escape(f"time index {k!r} is not an int")):
-        conditional_expectation(model, (F(1), F(0), F(-1)), k, q)
-
-
 @pytest.mark.parametrize(
     "check",
     [
@@ -225,8 +208,6 @@ def test_conditional_expectation_rejects_a_time_that_is_not_an_int(trinomial, k)
         lambda model, measure: is_semistatically_complete(measure, model),
         lambda model, measure: replicate((F(1), F(0), F(1)), measure, model),
         lambda model, measure: extract_tree(measure, model),
-        lambda model, measure: sigma_tree_expectation((F(1), F(0), F(1)), ROOT, measure, model),
-        lambda model, measure: conditional_expectation(model, (F(1), F(0), F(1)), 0, measure),
         lambda model, measure: validate_atomic_tree(ROOT, measure, model),
         lambda model, measure: check_theorem_conditions(ROOT, measure, model),
         lambda model, measure: azema(measure, JUMP, enlarge(model, [JUMP])),
@@ -234,8 +215,7 @@ def test_conditional_expectation_rejects_a_time_that_is_not_an_int(trinomial, k)
         lambda model, measure: jeulin_yor(measure, JUMP, enlarge(model, [JUMP])),
     ],
     ids=["hedging_span", "filtrations_coincide", "is_full", "member", "is_extreme",
-         "is_semistatically_complete", "replicate", "extract_tree", "sigma_tree_expectation",
-         "conditional_expectation", "validate_atomic_tree", "check_theorem_conditions",
+         "is_semistatically_complete", "replicate", "extract_tree", "validate_atomic_tree", "check_theorem_conditions",
          "azema", "compensator", "jeulin_yor"],
 )
 def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
@@ -252,21 +232,17 @@ def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
         (lambda model, payoff: verify_duality(payoff, model), "payoff entries"),
         (lambda model, payoff: robust_price(payoff, model), "payoff entries"),
         (lambda model, payoff: replicate(payoff, model.measure(["1/4", "1/2", "1/4"]), model), "payoff entries"),
-        (
-            lambda model, payoff: conditional_expectation(model, payoff, 0, model.measure(["1/4", "1/2", "1/4"])),
-            "payoff entries",
-        ),
-        (
-            lambda model, payoff: sigma_tree_expectation(payoff, ROOT, model.measure(["1/4", "1/2", "1/4"]), model),
-            "payoff entries",
-        ),
         # three copies of the one asset give three gain columns, one holding per entry
-        (lambda model, payoff: terminal_gain(payoff, replace(model, prices=model.prices * 3)), "holdings"),
+        (
+            lambda model, payoff: strategy_payoff(
+                SemiStaticStrategy(F(0), (F(0),), tuple(payoff)), replace(model, prices=model.prices * 3)
+            ),
+            "holdings",
+        ),
         (lambda model, payoff: enlarge(model, [JUMP]).expand(payoff), "payoff entries"),
         (lambda model, payoff: model.measure(["1/4", "1/2", "1/4"]).expectation(payoff), "payoff entries"),
     ],
-    ids=["superhedge", "verify_duality", "robust_price", "replicate", "conditional_expectation",
-         "sigma_tree_expectation", "terminal_gain", "expand", "expectation"],
+    ids=["superhedge", "verify_duality", "robust_price", "replicate", "strategy_payoff", "expand", "expectation"],
 )
 def test_an_inexact_payoff_is_rejected(trinomial_calibrated, check, argument):
     model = trinomial_calibrated.model
@@ -287,9 +263,9 @@ def test_tower_property(seed):
     x = random_payoff(rng, model)
     k2 = rng.randint(0, model.horizon)
     k1 = rng.randint(0, k2)
-    inner = conditional_expectation(model, x, k2, q)
-    lhs = conditional_expectation(model, inner, k1, q)
-    rhs = conditional_expectation(model, x, k1, q)
+    inner = condexp_groups(x, model.coarse_groups[k2], q.numerators)
+    lhs = condexp_groups(inner, model.coarse_groups[k1], q.numerators)
+    rhs = condexp_groups(x, model.coarse_groups[k1], q.numerators)
     for a in q.support:
         assert lhs[a] == rhs[a]
 
@@ -305,9 +281,10 @@ def test_condexp_linearity(seed):
     k = rng.randint(0, model.horizon)
     lam = F(rng.randint(-3, 3), rng.randint(1, 4))
     combo = tuple(a + lam * b for a, b in zip(x, y))
-    lhs = conditional_expectation(model, combo, k, q)
-    ex = conditional_expectation(model, x, k, q)
-    ey = conditional_expectation(model, y, k, q)
+    groups = model.coarse_groups[k]
+    lhs = condexp_groups(combo, groups, q.numerators)
+    ex = condexp_groups(x, groups, q.numerators)
+    ey = condexp_groups(y, groups, q.numerators)
     assert lhs == tuple(a + lam * b for a, b in zip(ex, ey))
 
 

@@ -3,8 +3,7 @@
 from fractions import Fraction
 
 from semistatic.duality import robust_price, superhedge
-from semistatic.enlargement import SingleJump, enlarge, predictable_reduction
-from semistatic.hedging import is_semistatically_complete, terminal_gain, verify_jacod_yor
+from semistatic.hedging import SemiStaticStrategy, is_semistatically_complete, strategy_payoff, verify_jacod_yor
 from semistatic.model import FilteredModel, Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from tests.reference import row_coeffs
@@ -54,25 +53,8 @@ def test_vertices_and_completeness():
 def test_terminal_gain_sums_over_assets():
     model = two_asset_model()
     holdings = (F(2), F(-3))  # one P_0 cell, two assets
-    gains = terminal_gain(holdings, model)
+    gains = strategy_payoff(SemiStaticStrategy(F(0), (), holdings), model)
     assert gains == (F(-1), F(5), F(-5), F(1))  # 2*S1 - 3*S2 statewise
-
-
-def test_predictable_reduction_keeps_each_asset():
-    model = two_asset_model()
-    jump = SingleJump((0, None, None, None), (F(1), F(0), F(0), F(0)))
-    enlarged = enlarge(model, [jump])
-    assert enlarged.model.partitions[0].cells == ((0,), (1, 2, 3))
-    assert [label for label, _, _ in enlarged.model.int_gains] == [
-        ("gain", 1, 0, 0),
-        ("gain", 1, 0, 1),
-        ("gain", 1, 1, 0),
-        ("gain", 1, 1, 1),
-    ]
-    # (7, 8) on the jumped cell {uu}, (2, -3) on the pre-jump cell {ud, du, dd}
-    reduced = predictable_reduction((F(7), F(8), F(2), F(-3)), jump, enlarged)
-    assert reduced == (F(2), F(-3))
-    assert terminal_gain(reduced, model) == (F(-1), F(5), F(-5), F(1))
 
 
 def test_two_asset_duality():

@@ -12,7 +12,7 @@ from semistatic import polytope
 from semistatic.errors import ConstraintViolation, InvariantViolation, ShapeError
 from semistatic.enlargement import enlarge
 from semistatic.model import Measure
-from semistatic.polytope import build_constraints, certify, enumerate_extreme_points, is_extreme, member
+from semistatic.polytope import build_constraints, enumerate_extreme_points, is_extreme, member
 from semistatic.sampling import random_model
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS
@@ -116,11 +116,9 @@ def test_vertices_pass_member_and_extreme(seed):
     cs = build_constraints(model)
     vs = enumerate_extreme_points(cs)
     assert vs.vertices, "generator guarantees a nonempty measure set"
-    certs = certify(vs, cs)
-    assert len(certs) == len(vs.vertices)
-    for v, cert in zip(vs.vertices, certs):
+    for v in vs.vertices:
         assert member(v, cs)
-        assert cert.extreme
+        assert is_extreme(v, cs)[1].extreme
     for v1, v2 in zip(vs.vertices, vs.vertices[1:]):
         mid = Measure(tuple((a + b) / 2 for a, b in zip(v1.weights, v2.weights)))
         assert member(mid, cs)
@@ -239,12 +237,10 @@ def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
     assert found == expected
 
 
-def test_certify_matches_is_extreme(glued_two_vol):
+def test_vertex_certificates_witness_the_support(glued_two_vol):
     cs = build_constraints(glued_two_vol.model)
-    vs = enumerate_extreme_points(cs)
-    certs = certify(vs, cs)
-    assert certs == tuple(is_extreme(v, cs)[1] for v in vs.vertices)
-    for v, cert in zip(vs.vertices, certs):
+    for v in enumerate_extreme_points(cs).vertices:
+        cert = is_extreme(v, cs)[1]
         assert cert.extreme and len(cert.witness_rows) == len(v.support)
 
 

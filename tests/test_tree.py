@@ -2,7 +2,6 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,26 +9,27 @@ from hypothesis import strategies as st
 
 from semistatic import cli, hedging, linalg, polytope
 from semistatic import tree as tree_module
-from semistatic.errors import NotComplete, NotMeasurable, ShapeError
+from semistatic.errors import NotComplete, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
-from semistatic.model import Partition, conditional_expectation, validate_model
+from semistatic.model import Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_measure, random_model
 from semistatic.tree import (
     AtomicTree,
     NoTree,
     TreeNode,
+    _birth,
     _cells_within,
     _is_atom,
-    birth_time,
+    _leaf_expectations,
     check_theorem_conditions,
     extract_tree,
     is_full,
-    sigma_tree_expectation,
     validate_atomic_tree,
 )
 from semistatic.scenario import load_scenario
 from tests.conftest import SCENARIOS, scenario_path
+from tests.reference import conditional_expectation, sigma_tree_expectation
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
 
@@ -37,13 +37,12 @@ F = Fraction
 
 
 def test_birth_time_examples(trinomial, glued_two_vol):
+    # each outcome of these models is its own terminal cell, so an event is its terminal cells
     model = trinomial.model
-    assert birth_time((0, 1, 2), model) == 0
-    assert birth_time((0,), model) == 1
+    assert _birth(model, (0, 1, 2)) == 0
+    assert _birth(model, (0,)) == 1
     glued = glued_two_vol.model
-    assert birth_time((0, 1), glued) == 1  # the high-move branch cell
-    with pytest.raises(NotMeasurable):
-        birth_time((), model)
+    assert _birth(glued, (0, 1)) == 1  # the high-move branch cell
 
 
 def test_validate_tree_examples(trinomial):
@@ -60,11 +59,8 @@ def test_validate_tree_examples(trinomial):
 
 
 @pytest.mark.parametrize("outside", [99, -1])
-def test_birth_time_of_an_event_naming_an_outcome_outside_the_model(trinomial, outside):
-    model = trinomial.model
-    assert _cells_within(model, (0, outside)) == ((0,), False)
-    with pytest.raises(NotMeasurable):
-        birth_time((0, outside), model)
+def test_cells_within_an_event_naming_an_outcome_outside_the_model(trinomial, outside):
+    assert _cells_within(trinomial.model, (0, outside)) == ((0,), False)
 
 
 @pytest.mark.parametrize("outside", [99, -1])
@@ -104,6 +100,13 @@ def test_is_full_examples(trinomial, glued_two_vol):
     assert is_full(full, gq, glued)
 
 
+def leafwise(payoff, tree, measure, model):
+    """``_leaf_expectations`` of the payoff, made the model's one claim, as Fractions on the support."""
+    leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
+    ((row, scale),) = _leaf_expectations(leaves, measure, replace(model, claims=(tuple(payoff),)))
+    return tuple(F(x, scale) for x in row)
+
+
 def test_sigma_tree_expectation_values(glued_two_vol):
     model = glued_two_vol.model
     q = model.measure(["1/6", "1/6", "1/3", "1/3"])
@@ -111,12 +114,10 @@ def test_sigma_tree_expectation_values(glued_two_vol):
         [TreeNode(tuple(range(4)), 0), TreeNode((0, 1), 1), TreeNode((2, 3), 1)]
     )
     psi = model.claims[0]
-    leafwise = sigma_tree_expectation(psi, tree, q, model)
-    assert leafwise == (F(2), F(2), F(-1), F(-1))
-    constant = sigma_tree_expectation((F(5),) * 4, tree, q, model)
-    assert constant == (F(5),) * 4
+    assert leafwise(psi, tree, q, model) == (F(2), F(2), F(-1), F(-1))
+    assert leafwise((F(5),) * 4, tree, q, model) == (F(5),) * 4
     root_only = AtomicTree([TreeNode(tuple(range(4)), 0)])
-    assert sigma_tree_expectation(psi, root_only, q, model) == (F(0),) * 4
+    assert leafwise(psi, root_only, q, model) == (F(0),) * 4
 
 
 def test_sigma_tree_matches_stopped_conditioning(glued_two_vol):
@@ -127,10 +128,8 @@ def test_sigma_tree_matches_stopped_conditioning(glued_two_vol):
     )
     zeta = reference_zeta(tree, model)
     payoff = (F(3), F(-2), F(7), F(1))
-    leafwise = sigma_tree_expectation(payoff, tree, q, model)
-    for a in q.support:
-        stopped = conditional_expectation(model, payoff, zeta[a], q)
-        assert leafwise[a] == stopped[a]
+    for a, value in zip(q.support, leafwise(payoff, tree, q, model)):
+        assert value == conditional_expectation(model, payoff, zeta[a], q)[a]
 
 
 def test_check_conditions_binomial(binomial):
@@ -257,8 +256,7 @@ def test_each_check_looks_each_node_up_once(monkeypatch):
                 continue
             assert len(calls) <= 2 * len(tree.nodes)
             branched += len(tree.nodes) > len(tree.leaves) > 1
-            expectation = partial(sigma_tree_expectation, tuple(F(a) for a in range(model.n_cells)))
-            for check in (validate_atomic_tree, is_full, check_theorem_conditions, expectation):
+            for check in (validate_atomic_tree, is_full, check_theorem_conditions):
                 calls.clear()
                 check(tree, q, model)
                 assert len(calls) == len(tree.nodes), check
@@ -378,14 +376,12 @@ def reference_is_terminal_measurable(model, cell):
 
 
 def reference_birth_time(cell, model):
+    """The first k at which the event, a nonempty union of terminal cells, is a union of P_k cells."""
     covered = set(cell)
-    if not reference_is_terminal_measurable(model, covered):
-        raise NotMeasurable("event is not measurable at the terminal date")
     for k, partition in enumerate(model.partitions):
         hit = [c for c in partition.cells if covered.intersection(c)]
         if all(set(c) <= covered for c in hit):
             return k
-    return None
 
 
 def reference_is_atom(model, measure, k, cell):
@@ -470,13 +466,8 @@ def test_event_lookup_matches_the_set_based_reference(seed, split):
         assert list(cells) == reference_terminal_cells_within(model, event)
         assert (bool(cells) and exact) == reference_is_terminal_measurable(model, event)
         splits_a_cell |= bool(event) and not exact
-        try:
-            expected = reference_birth_time(event, model)
-        except NotMeasurable:
-            with pytest.raises(NotMeasurable):
-                birth_time(event, model)
-        else:
-            assert birth_time(event, model) == expected
+        if cells and exact:
+            assert _birth(model, cells) == reference_birth_time(event, model)
         for measure in measures:
             for k in range(model.horizon + 1):
                 assert _is_atom(model, measure, k, cells) == reference_is_atom(model, measure, k, event)
