@@ -29,7 +29,8 @@ from semistatic.tree import (
     is_full,
     validate_atomic_tree,
 )
-from tests.reference import row_coeffs
+from tests.reference import conditional_expectation, row_coeffs
+from tests.test_layout import MODELS
 
 F = Fraction
 ROOT = AtomicTree([TreeNode((0, 1, 2), 0)])
@@ -252,6 +253,17 @@ def test_an_inexact_payoff_is_rejected(trinomial_calibrated, check, argument):
             check(model, payoff)
     with pytest.raises(ShapeError, match=f"{argument}: got 2, expected 3"):
         check(model, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("model", [m for _, m in MODELS], ids=[name for name, _ in MODELS])
+def test_condexp_groups_matches_the_set_based_reference(model):
+    # the engine averages over its cell tables, the reference over sets of outcomes; null cells read 0 in both
+    rng = random.Random(model.n_cells * 1009 + model.horizon)
+    for _ in range(3):
+        q = random_measure(rng, model)
+        x = random_payoff(rng, model)
+        for k in range(model.horizon + 1):
+            assert condexp_groups(x, model.coarse_groups[k], q.numerators) == conditional_expectation(model, x, k, q)
 
 
 @settings(max_examples=50, deadline=None)
