@@ -31,7 +31,6 @@ from .enlargement import (
 )
 from .hedging import (
     CompletenessReport,
-    HedgingSpan,
     JumpBlock,
     NotReplicable,
     SemiStaticStrategy,
@@ -41,7 +40,6 @@ from .hedging import (
     is_semistatically_complete,
     replicate,
     strategy_payoff,
-    verify_jacod_yor,
 )
 from .model import (
     FilteredModel,

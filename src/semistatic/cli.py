@@ -98,6 +98,8 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_extremes(scenario: Scenario, args) -> tuple[dict, int]:
     vertex_set = enumerate_extreme_points(scenario.model.constraints)
+    if not vertex_set.vertices:  # the arbitrage flag holds only with the floor program's checked certificate
+        _floor_certificate(scenario.model)
     result = {
         "count": len(vertex_set.vertices),
         "vertices": vertex_set.to_json(scenario.model),

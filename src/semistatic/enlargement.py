@@ -24,7 +24,7 @@ from .model import (
     groups_of,
 )
 from .polytope import VertexSet, enumerate_extreme_points
-from .duality import _scan_vertices
+from .duality import _floor_certificate, _scan_vertices
 from .rationals import fmt
 
 ZERO = Fraction(0)
@@ -72,7 +72,6 @@ def _jump_key(jump: SingleJump, outcome: int, k: int):
 @dataclass(frozen=True)
 class EnlargedModel:
     base: FilteredModel
-    jumps: tuple[SingleJump, ...]
     model: FilteredModel  # the same market carried by the enlarged filtration
 
     @cached_property
@@ -121,7 +120,7 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
         claims=tuple(tuple(claim[b] for b in base_of) for claim in model.claims),
         allowed=frozenset(g for g, b in enumerate(base_of) if b in model.allowed),
     )
-    return EnlargedModel(model, jumps, enlarged)
+    return EnlargedModel(model, enlarged)
 
 
 def _weighted_sums(
@@ -326,7 +325,9 @@ def informed_compare(
     With no statically traded claims the enlarged extreme points must be
     exactly the coinciding lifts of the base extreme points; that set equality
     is asserted.  With claims present both sides are reported without an
-    assertion.  An empty enlarged measure set is informed arbitrage.
+    assertion.  An empty enlarged measure set is informed arbitrage.  Each
+    empty side must have ``_floor_certificate``'s checked certificate, else
+    InvariantViolation.
     """
     enlarged = enlarge(model, jumps)
     ext_base = enumerate_extreme_points(model.constraints)
@@ -348,6 +349,9 @@ def informed_compare(
         base_price = _scan_vertices(payoff, ext_base.vertices)
         prices[name] = (base_price.value, _scan_vertices(fine_payoff, ext_fine.vertices).value)
 
+    for side, vertex_set in ((model, ext_base), (enlarged.model, ext_fine)):
+        if not vertex_set.vertices:  # an arbitrage flag holds only with its checked certificate
+            _floor_certificate(side)
     report = InformedCompareReport(
         claims_empty=claims_empty,
         ext_base=ext_base,

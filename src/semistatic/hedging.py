@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 from . import linalg
-from .errors import EmptyMeasureSet, InvariantViolation, NotCalibrated, NotComplete
+from .errors import InvariantViolation, NotCalibrated, NotComplete
 from .model import FilteredModel, Measure, Payoff, _check_vector
-from .polytope import enumerate_extreme_points, is_extreme, member
+from .polytope import member
 from .rationals import common_denominator, fmt
 
 ZERO = Fraction(0)
@@ -84,19 +83,11 @@ def int_strategy_columns(model: FilteredModel) -> tuple[tuple[tuple[int, ...], i
     return (((1,) * model.n_cells, 1), *model.int_claims, *gains)
 
 
-@dataclass(frozen=True)
-class HedgingSpan:
-    """The rank of the realizable terminal payoffs (constant, claims, elementary gains) on the support."""
-
-    rank: int
-    support: tuple[int, ...]
-
-
-def hedging_span(model: FilteredModel, measure: Measure) -> HedgingSpan:
-    """The rank of the int strategy columns on the support; positive column scales change no rank."""
+def hedging_span(model: FilteredModel, measure: Measure) -> int:
+    """The rank of the int strategy columns (cash, claims, gains) on the support; positive scales change no rank."""
     _check_vector("measure weights", measure.numerators, model.n_cells)
     support = measure.support
-    return HedgingSpan(linalg.rank([[row[a] for a in support] for row, _ in int_strategy_columns(model)]), support)
+    return linalg.rank([[row[a] for a in support] for row, _ in int_strategy_columns(model)])
 
 
 def _require_calibrated(measure: Measure, model: FilteredModel) -> None:
@@ -117,8 +108,8 @@ class CompletenessReport:
 def is_semistatically_complete(measure: Measure, model: FilteredModel) -> CompletenessReport:
     """True iff every payoff is replicable Q-a.s., i.e. the span fills the support."""
     _require_calibrated(measure, model)
-    span = hedging_span(model, measure)
-    return CompletenessReport(span.rank == len(span.support), span.rank, len(span.support))
+    rank, size = hedging_span(model, measure), len(measure.support)
+    return CompletenessReport(rank == size, rank, size)
 
 
 @dataclass(frozen=True)
@@ -164,55 +155,6 @@ def _spread(row: Sequence[int], scale: Fraction, support: Sequence[int], n: int)
     for a, x in zip(support, row):
         vec[a] = scale * x
     return tuple(vec)
-
-
-@dataclass(frozen=True)
-class EquivalenceCheck:
-    description: str
-    weights: Payoff
-    expected: bool
-    extreme: bool
-    complete: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.extreme == self.expected and self.complete == self.expected
-
-
-def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
-    n = len(measures[0].weights)
-    return Measure(tuple(sum((lam * m.weights[a] for m, lam in zip(measures, coeffs)), ZERO) for a in range(n)))
-
-
-def verify_jacod_yor(model: FilteredModel) -> tuple[EquivalenceCheck, ...]:
-    """Instance checks of the extremality/completeness equivalence, one per measure tried.
-
-    Every enumerated vertex must be extreme and complete; every pairwise
-    midpoint and the barycenter (when they are not vertices themselves) must
-    be neither.  The model passes when every check has ``passed``.
-    """
-    cs = model.constraints
-    vertex_set = enumerate_extreme_points(cs)
-    if not vertex_set.vertices:
-        raise EmptyMeasureSet("no calibrated martingale measure exists")
-    checks: list[EquivalenceCheck] = []
-    vertices = vertex_set.vertices
-    for i, v in enumerate(vertices):
-        extreme, _ = is_extreme(v, cs)
-        complete = is_semistatically_complete(v, model).complete
-        checks.append(EquivalenceCheck(f"vertex {i}", v.weights, True, extreme, complete))
-    pairs = combinations(range(len(vertices)), 2)
-    mixtures = [(f"midpoint {i},{j}", _mix([vertices[i], vertices[j]], [Fraction(1, 2)] * 2)) for i, j in pairs]
-    if len(vertices) > 1:
-        lam = Fraction(1, len(vertices))
-        mixtures.append(("barycenter", _mix(list(vertices), [lam] * len(vertices))))
-    for name, mixture in mixtures:
-        if mixture in vertices:
-            continue
-        extreme, _ = is_extreme(mixture, cs)
-        complete = is_semistatically_complete(mixture, model).complete
-        checks.append(EquivalenceCheck(name, mixture.weights, False, extreme, complete))
-    return tuple(checks)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,7 @@ class cached_property(functools.cached_property):
 
 
 def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
-    return tuple(sorted([tuple(sorted(set(c))) for c in cells]))
+    return tuple(sorted([tuple(sorted(c)) for c in cells]))  # an outcome listed twice stays, for validate_model
 
 
 def _check_index(name: str, index: int, size: int) -> None:
@@ -329,6 +329,8 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         for cell in cells:
             if not cell:
                 bad.append(Violation("partition", f"P_{k}", "empty cell"))
+            if len(set(cell)) < len(cell):
+                bad.append(Violation("partition", f"P_{k}", "a cell lists an outcome twice"))
             if seen.intersection(cell):
                 bad.append(Violation("partition", f"P_{k}", "cells are not disjoint"))
             seen.update(cell)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .enlargement import SingleJump
-from .hedging import _mix
 from .model import FilteredModel, Measure, Partition, Payoff
 from .polytope import VertexSet
 
@@ -169,6 +168,11 @@ def random_measure(rng: random.Random, model: FilteredModel) -> Measure:
     for a, r in zip(allowed, raw):
         weights[a] = Fraction(r, total)
     return Measure(tuple(weights))
+
+
+def _mix(measures: Sequence[Measure], coeffs: Sequence[Fraction]) -> Measure:
+    n = len(measures[0].weights)
+    return Measure(tuple(sum((lam * m.weights[a] for m, lam in zip(measures, coeffs)), ZERO) for a in range(n)))
 
 
 def random_mixture(rng: random.Random, vertex_set: VertexSet) -> Measure:

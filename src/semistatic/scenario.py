@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,11 +41,9 @@ class ScenarioError(SemistaticError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    description: str
     model: FilteredModel
-    jumps: tuple = ()
-    payoffs: dict[str, Payoff] = field(default_factory=dict)
-    notes: str = ""
+    jumps: tuple
+    payoffs: dict[str, Payoff]
 
 
 def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], kind: str, key) -> Payoff:
@@ -169,14 +167,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioError(
             f"invalid model ({len(report.violations)} violations; first: {first.code} at {first.where}: {first.message})"
         )
-    return Scenario(
-        name=str(data.get("name", name_hint)),
-        description=str(data.get("description", "")),
-        model=model,
-        jumps=tuple(jumps),
-        payoffs=payoffs,
-        notes=str(data.get("notes", "")),
-    )
+    return Scenario(str(data.get("name", name_hint)), model, tuple(jumps), payoffs)
 
 
 def parse_inline_measure(text: str, model: FilteredModel) -> Measure:

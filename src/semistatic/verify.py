@@ -14,15 +14,19 @@ extreme-point comparison, and the combinatorial moment bound.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Iterable, Iterator
 
 from . import bounds
 from .duality import _scan_vertices, superhedge
 from .enlargement import enlarge, informed_compare, jeulin_yor
-from .hedging import is_semistatically_complete, verify_jacod_yor
+from .errors import EmptyMeasureSet
+from .hedging import is_semistatically_complete
+from .model import FilteredModel
 from .polytope import enumerate_extreme_points, is_extreme
 from .rationals import fmt
-from .sampling import random_jump, random_measure, random_mixture, random_model, random_payoff
+from .sampling import _mix, random_jump, random_measure, random_mixture, random_model, random_payoff
 
 JACOD_YOR_SEED = 70301
 DUALITY_SEED = 70302
@@ -50,32 +54,43 @@ def _suite(name: str, seed: int, instances: int, trial: Callable[[random.Random,
     }
 
 
-def _equivalence_failure(idx: int, case: str, weights, extreme: bool, complete: bool) -> dict:
-    """The failure entry of a measure whose extremality and completeness disagree with the theorem."""
-    return {
-        "instance": idx,
-        "case": case,
-        "weights": [fmt(w) for w in weights],
-        "extreme": extreme,
-        "complete": complete,
-    }
+def _jacod_yor_checks(model: FilteredModel, rng: random.Random, idx: int) -> Iterator[dict | None]:
+    """Extremality against completeness on one model: ``None`` per measure where they agree as expected, else a failure.
+
+    Every vertex must be both; every pairwise midpoint and the barycenter that
+    is not a vertex, neither; two random mixtures, both or neither.  An empty
+    measure set raises EmptyMeasureSet.
+    """
+    cs = model.constraints
+    vertex_set = enumerate_extreme_points(cs)
+    vertices = vertex_set.vertices
+    if not vertices:
+        raise EmptyMeasureSet("no calibrated martingale measure exists")
+    pairs = combinations(range(len(vertices)), 2)
+    mixtures = [(f"midpoint {i},{j}", _mix([vertices[i], vertices[j]], [Fraction(1, 2)] * 2)) for i, j in pairs]
+    if len(vertices) > 1:
+        mixtures.append(("barycenter", _mix(vertices, [Fraction(1, len(vertices))] * len(vertices))))
+    cases = [(f"vertex {i}", v, True) for i, v in enumerate(vertices)]
+    cases += [(name, mixture, False) for name, mixture in mixtures if mixture not in vertices]
+    cases += [("random mixture", random_mixture(rng, vertex_set), None) for _ in range(2)]
+    for case, measure, expected in cases:
+        extreme, _ = is_extreme(measure, cs)
+        complete = is_semistatically_complete(measure, model).complete
+        # a random mixture may be a vertex or not: only the agreement is expected
+        agree = extreme == complete if expected is None else extreme == complete == expected
+        yield None if agree else {
+            "instance": idx,
+            "case": case,
+            "weights": [fmt(w) for w in measure.weights],
+            "extreme": extreme,
+            "complete": complete,
+        }
 
 
 def suite_jacod_yor(seed: int = JACOD_YOR_SEED, n_models: int = 200) -> dict:
     def trial(rng: random.Random, idx: int):
         model, _ = random_model(rng)
-        for check in verify_jacod_yor(model):
-            yield None if check.passed else _equivalence_failure(
-                idx, check.description, check.weights, check.extreme, check.complete
-            )
-        vertex_set = enumerate_extreme_points(model.constraints)
-        for _ in range(2):
-            mixture = random_mixture(rng, vertex_set)
-            extreme, _ = is_extreme(mixture, model.constraints)
-            complete = is_semistatically_complete(mixture, model).complete
-            yield None if extreme == complete else _equivalence_failure(
-                idx, "random mixture", mixture.weights, extreme, complete
-            )
+        yield from _jacod_yor_checks(model, rng, idx)
 
     return _suite("jacod-yor", seed, n_models, trial)
 

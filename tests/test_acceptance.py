@@ -154,7 +154,6 @@ def _flip_complete(monkeypatch):
         report = real(measure, model)
         return replace(report, complete=not report.complete)
 
-    monkeypatch.setattr(hedging, "is_semistatically_complete", flipped)
     monkeypatch.setattr(verify, "is_semistatically_complete", flipped)
     return verify.suite_jacod_yor(n_models=3)
 

@@ -209,7 +209,6 @@ NO_MODEL_ARGUMENT = (
     "detect_arbitrage",
     "natural_filtration",
     "validate_model",
-    "verify_jacod_yor",
     "double_factorial",
     "multinomial_lhs",
     "verify_multinomial_inequality",
@@ -227,7 +226,6 @@ RECORDS = (
     "CompensatorResult",
     "CompletenessReport",
     "DualityReport",
-    "HedgingSpan",
     "InformedCompareReport",
     "JeulinYorResult",
     "JumpBlock",

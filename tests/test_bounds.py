@@ -27,6 +27,12 @@ def test_multinomial_lhs_values():
     assert multinomial_lhs(2, 2) == 4
 
 
+@pytest.mark.parametrize("p, m", [(0, 1), (1, 0), (-1, 3)])
+def test_multinomial_lhs_rejects_a_size_below_one(p, m):
+    with pytest.raises(ValueError, match="need p >= 1 and m >= 1"):
+        multinomial_lhs(p, m)
+
+
 def test_multinomial_lhs_monotone_in_m():
     for p in range(1, 5):
         values = [multinomial_lhs(p, m) for m in range(1, 7)]

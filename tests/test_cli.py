@@ -8,9 +8,10 @@ from fractions import Fraction
 import pytest
 import run_corpus
 
-from semistatic import cli, duality
+from semistatic import cli, duality, enlargement, verify
 from semistatic.cli import build_parser, main
-from semistatic.scenario import load_scenario
+from semistatic.polytope import VertexSet
+from semistatic.scenario import canonical_json, load_scenario
 from tests.conftest import scenario_path
 from tests.test_duality import slacken_a_tight_cell
 
@@ -86,6 +87,19 @@ def test_informed_compare_command():
     assert report["result"]["informed_arbitrage"] is True
 
 
+def test_informed_compare_command_fails_when_the_corollary_does_not_hold(monkeypatch, capsys):
+    real = cli.informed_compare
+
+    def denied(model, jumps, payoffs):
+        report, enlarged = real(model, jumps, payoffs)
+        return replace(report, corollary_equal=False), enlarged
+
+    monkeypatch.setattr(cli, "informed_compare", denied)
+    assert main(["--format", "json", "informed-compare", str(scenario_path("initial_enlargement"))]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["corollary_equal"] is False and report["ok"] is False
+
+
 def test_enlarge_command():
     code, report = run_json(
         "enlarge", "--measure", "0,1,0", str(scenario_path("initial_enlargement"))
@@ -114,17 +128,20 @@ def test_enlarge_command_fails_on_each_false_check(monkeypatch, capsys, flag):
     assert report["ok"] is False
 
 
+# the claim pays >= 0 at zero cost, so no calibrated martingale measure exists
+ARBITRAGE = {
+    "outcomes": ["u", "m", "d"],
+    "times": [0, 1],
+    "filtration": "natural",
+    "prices": [[[0, 0, 0], [1, 0, -1]]],
+    "claims": [[2, 1, 0]],
+    "payoffs": {"zero": [0, 0, 0]},
+}
+
+
 def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
-    bad = {
-        "outcomes": ["u", "m", "d"],
-        "times": [0, 1],
-        "filtration": "natural",
-        "prices": [[[0, 0, 0], [1, 0, -1]]],
-        "claims": [[2, 1, 0]],
-        "payoffs": {"zero": [0, 0, 0]},
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(bad))
+    path.write_text(json.dumps(ARBITRAGE))
     code, report = run_json("duality", "--payoff", "zero", str(path))
     assert code == 0
     assert report["result"]["status"] == "arbitrage"
@@ -139,6 +156,43 @@ def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
+
+
+def test_extremes_prints_an_empty_set_only_with_its_certificate(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "arbitrage.json"
+    path.write_text(json.dumps(ARBITRAGE))
+    assert main(["--format", "json", "extremes", str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["count"], result["empty_is_arbitrage"]) == (0, True)
+    # an enumeration that misses every vertex of a model with measures has no certificate behind its flag
+    monkeypatch.setattr(cli, "enumerate_extreme_points", lambda cs: VertexSet(()))
+    assert main(["--format", "json", "extremes", str(scenario_path("trinomial"))]) == 1
+    assert capsys.readouterr().out == canonical_json({"error": CERTIFICATE_MISSING})
+
+
+@pytest.mark.parametrize("flag, emptied", [("uninformed_arbitrage", 0), ("informed_arbitrage", 1)])
+def test_informed_compare_prints_an_arbitrage_flag_only_with_its_certificate(
+    tmp_path, monkeypatch, capsys, flag, emptied
+):
+    # a jump that never happens: both measure sets are the calibrated claim's one measure; the claim
+    # leaves the corollary unchecked, so only the certificate can fail the command
+    path = edited_scenario(tmp_path, "trinomial_calibrated", lambda data: data.update(jumps=[{"tau": {}, "mark": {}}]))
+    assert main(["--format", "json", "informed-compare", path]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (result["uninformed_arbitrage"], result["informed_arbitrage"]) == (False, False)
+    real, calls = enlargement.enumerate_extreme_points, []
+
+    def missing(cs):
+        calls.append(cs)
+        return VertexSet(()) if len(calls) - 1 == emptied else real(cs)
+
+    monkeypatch.setattr(enlargement, "enumerate_extreme_points", missing)
+    assert main(["--format", "json", "informed-compare", path]) == 1
+    assert capsys.readouterr().out == canonical_json({"error": CERTIFICATE_MISSING})
+    assert len(calls) == 2  # the base set, then the enlarged one
+
+
 def test_superhedge_command_checks_its_tight_cells(monkeypatch, capsys):
     slacken_a_tight_cell(monkeypatch)
     code = main(["--format", "json", "superhedge", "--payoff", "abs_S1", str(scenario_path("trinomial"))])
@@ -146,6 +200,25 @@ def test_superhedge_command_checks_its_tight_cells(monkeypatch, capsys):
     assert code == 1
     assert out.count("\n") == 1
     assert "tight cells" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["extremes"], ["complete", "--measure", "0"], ["price", "--payoff", "0,0"], ["informed-compare"]],
+    ids=["validate", "extremes", "complete", "price", "informed-compare"],
+)
+def test_a_filtration_cell_listing_an_outcome_twice_is_an_input_error(tmp_path, capsys, command):
+    repeated = {
+        "outcomes": ["u", "d"],
+        "times": [0, 1],
+        "filtration": [[["u", "d", "u"]], [["u", "u"], ["d"]]],
+        "prices": [[[0, 0], [1, -1]]],
+    }
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(repeated))
+    assert main(["--format", "json", *command, str(path)]) == 2
+    message = "invalid model (2 violations; first: partition at P_0: a cell lists an outcome twice)"
+    assert capsys.readouterr().out == canonical_json({"error": message})
 
 
 def test_input_error_exit_code(tmp_path):
@@ -203,6 +276,15 @@ def test_verify_rejects_a_flag_its_suite_ignores(flags, message, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("seed", [None, 5], ids=["default-seed", "seed-5"])
+def test_verify_runs_a_randomized_suite_as_the_library_does(capsys, seed):
+    flags = [] if seed is None else ["--seed", str(seed)]
+    assert main(["--format", "json", "verify", "--suite", "jacod-yor", *flags]) == 0
+    expected = verify.suite_jacod_yor() if seed is None else verify.suite_jacod_yor(seed=seed)
+    assert expected["seed"] == (verify.JACOD_YOR_SEED if seed is None else seed) and expected["ok"]
+    assert capsys.readouterr().out == canonical_json({"command": "verify", "result": expected, "ok": True})
 
 
 def test_verify_multinomial_defaults_are_five_and_six(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,10 @@ from semistatic.hedging import (
     is_semistatically_complete,
     replicate,
     strategy_payoff,
-    verify_jacod_yor,
 )
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
+from semistatic.verify import _jacod_yor_checks, suite_jacod_yor
 from tests.reference import conditional_expectation, gains as reference_gains, strategy_columns
 from tests.test_linalg import reference_project_onto_span, weighted_dot
 
@@ -65,7 +66,7 @@ def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
 
     model = trinomial_calibrated.model
     q = model.measure(["1/4", "1/2", "1/4"])
-    span = hedging_span(model, q)
+    rank = hedging_span(model, q)
     columns = strategy_columns(model)
     for label, vec in columns:
         cash = F(1) if label[0] == "const" else F(0)
@@ -75,7 +76,7 @@ def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
         dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in reference_gains(model))
         strategy = SemiStaticStrategy(cash, tuple(static), dynamic)
         assert strategy_payoff(strategy, model) == vec
-    assert span.rank == linalg.rank([[vec[a] for a in q.support] for _, vec in columns]) == 3
+    assert rank == linalg.rank([[vec[a] for a in q.support] for _, vec in columns]) == 3
 
 
 def test_completeness_examples(trinomial, trinomial_calibrated):
@@ -174,7 +175,24 @@ def test_replicate_residual_at_vertex_midpoints():
 
 def test_verify_jacod_yor_scenarios(trinomial, binomial, trinomial_calibrated):
     for scenario in (trinomial, binomial, trinomial_calibrated):
-        assert all(c.passed for c in verify_jacod_yor(scenario.model))
+        assert all(c is None for c in _jacod_yor_checks(scenario.model, random.Random(0), 0))
+
+
+def test_a_jacod_yor_instance_enumerates_the_vertices_once(monkeypatch):
+    # every package module that imported the enumeration counts through one wrapper
+    original, calls = enumerate_extreme_points, []
+
+    def counted(cs):
+        calls.append(cs)
+        return original(cs)
+
+    for module in [m for name, m in sys.modules.items() if name == "semistatic" or name.startswith("semistatic.")]:
+        if getattr(module, "enumerate_extreme_points", None) is original:
+            monkeypatch.setattr(module, "enumerate_extreme_points", counted)
+    for n_models in (1, 4):
+        calls.clear()
+        assert suite_jacod_yor(n_models=n_models)["ok"]
+        assert len(calls) == n_models
 
 
 def test_verify_jacod_yor_empty(informed_arbitrage):
@@ -182,7 +200,7 @@ def test_verify_jacod_yor_empty(informed_arbitrage):
 
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
     with pytest.raises(EmptyMeasureSet):
-        verify_jacod_yor(enlarged.model)
+        next(_jacod_yor_checks(enlarged.model, random.Random(0), 0))
 
 
 def test_decompose_no_claims(trinomial):
@@ -269,7 +287,7 @@ def test_replication_soundness(seed):
 def test_equivalence_on_random_models(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    assert all(c.passed for c in verify_jacod_yor(model))
+    assert all(c is None for c in _jacod_yor_checks(model, rng, 0))
 
 
 @settings(max_examples=30, deadline=None)

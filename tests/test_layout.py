@@ -200,9 +200,7 @@ def test_only_the_measure_scales_its_weights_to_ints():
 PACKAGE = Path(semistatic.__file__).resolve().parent
 
 # qualified name -> why the corpus cannot reach it; failure paths only
-UNREACHED = {
-    "verify._equivalence_failure": "the entry of a failed jacod-yor check, which only a wrong engine makes",
-}
+UNREACHED: dict[str, str] = {}
 
 # the statics of tests/test_cli.py::test_duality_on_arbitrage_model: the claim pays >= 0 at zero cost
 ARBITRAGE = {

@@ -100,6 +100,41 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
     ]
 
 
+def _three_outcomes(partitions, claims=(), allowed=(0, 1, 2)) -> FilteredModel:
+    """Outcomes a, b, c on one period with zero prices, which are constant on any cells."""
+    return FilteredModel(
+        outcomes=("a", "b", "c"),
+        times=(F(0), F(1)),
+        partitions=tuple(Partition(cells) for cells in partitions),
+        prices=(((F(0),) * 3, (F(0),) * 3),),
+        claims=claims,
+        allowed=frozenset(allowed),
+    )
+
+
+SINGLETONS = [[[0, 1, 2]], [[0], [1], [2]]]
+
+
+@pytest.mark.parametrize(
+    "model, violation",
+    [
+        (
+            _three_outcomes([[[0, 1, 2]], [[0, 1], [1, 2]]], allowed=(0, 1)),
+            ("partition", "P_1", "cells are not disjoint"),
+        ),
+        (_three_outcomes([[[0, 1, 0, 2]], SINGLETONS[1]]), ("partition", "P_0", "a cell lists an outcome twice")),
+        (
+            _three_outcomes(SINGLETONS, claims=((F(1),),)),
+            ("claim", "claim 0", "payoff length must match terminal cells"),
+        ),
+        (_three_outcomes(SINGLETONS, allowed=(0, 1, 2, 5)), ("priors", "allowed", "unknown terminal cell index 5")),
+    ],
+    ids=["overlapping-cells", "repeated-outcome", "short-claim", "unknown-allowed-cell"],
+)
+def test_validate_flags_each_structural_violation(model, violation):
+    assert [(v.code, v.where, v.message) for v in validate_model(model).violations] == [violation]
+
+
 def test_natural_filtration_trinomial(trinomial):
     partitions = natural_filtration(trinomial.model.prices)
     assert partitions[0].cells == ((0, 1, 2),)

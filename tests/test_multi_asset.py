@@ -1,11 +1,13 @@
 """Two-asset models: per-asset martingale rows, gains, and completeness."""
 
+import random
 from fractions import Fraction
 
 from semistatic.duality import robust_price, superhedge
-from semistatic.hedging import SemiStaticStrategy, is_semistatically_complete, strategy_payoff, verify_jacod_yor
+from semistatic.hedging import SemiStaticStrategy, is_semistatically_complete, strategy_payoff
 from semistatic.model import FilteredModel, Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
+from semistatic.verify import _jacod_yor_checks
 from tests.reference import row_coeffs
 
 F = Fraction
@@ -47,7 +49,7 @@ def test_vertices_and_completeness():
     assert not is_semistatically_complete(
         model.measure(["1/4", "1/4", "1/4", "1/4"]), model
     ).complete
-    assert all(c.passed for c in verify_jacod_yor(model))
+    assert all(c is None for c in _jacod_yor_checks(model, random.Random(0), 0))
 
 
 def test_terminal_gain_sums_over_assets():

@@ -107,6 +107,12 @@ def test_invalid_model_rejected():
         parse_scenario(data)
 
 
+def test_repeated_outcome_labels_rejected():
+    data = {"outcomes": ["u", "u"], "times": [0, 1], "prices": [[[0, 0], [1, -1]]]}
+    with pytest.raises(ScenarioError, match="^outcome labels must be unique$"):
+        parse_scenario(data)
+
+
 def test_float_rejected():
     data = {
         "outcomes": ["a", "b"],
@@ -129,6 +135,21 @@ def test_inline_measure(trinomial):
     assert measure.weights == (F(1, 4), F(1, 2), F(1, 4))
     with pytest.raises(ScenarioError):
         parse_inline_measure("1/2,1/2", trinomial.model)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("1/4,x,3/4", "invalid literal for int() with base 10: 'x'"),
+        ("1/0,0,1", "zero denominator in '1/0'"),
+        ("1/4,1/2,1/2", "measure weights must sum to exactly 1"),
+    ],
+    ids=["not-a-number", "zero-denominator", "not-a-probability"],
+)
+def test_an_invalid_inline_measure_names_its_reason(trinomial, text, reason):
+    with pytest.raises(ScenarioError) as caught:
+        parse_inline_measure(text, trinomial.model)
+    assert str(caught.value) == f"invalid inline measure: {reason}"
 
 
 def test_measure_round_trip(trinomial):

@@ -11,7 +11,7 @@ from semistatic import cli, hedging, linalg, polytope
 from semistatic import tree as tree_module
 from semistatic.errors import NotComplete, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
-from semistatic.model import Partition, validate_model
+from semistatic.model import FilteredModel, Partition, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_measure, random_model
 from semistatic.tree import (
@@ -77,6 +77,45 @@ def test_tree_report_rejects_a_node_naming_an_outcome_outside_the_model(trinomia
     tree = AtomicTree([TreeNode((0, 1, 2), 0), TreeNode((0, outside), 1)])
     with pytest.raises(ShapeError, match=f"outcome index {outside} outside 0..2"):
         tree.to_json(trinomial.model)
+
+
+COARSE = FilteredModel(  # a and b share one terminal cell, so the event {a} is not terminally measurable
+    outcomes=("a", "b", "c"),
+    times=(F(0), F(1)),
+    partitions=(Partition([[0, 1, 2]]), Partition([[0, 1], [2]])),
+    prices=(((F(0),) * 3, (F(1), F(1), F(-1))),),
+    claims=(),
+    allowed=frozenset({0, 1}),
+)
+
+
+@pytest.mark.parametrize(
+    "model, weights, nodes, violation",
+    [
+        (COARSE, ["1/2", "1/2"], [((0, 1, 2), 0), ((0,), 1)], ("measurable", "a", "node is not terminally measurable")),
+        # {h_up, h_dn} is an atom at 1 and {h_dn, l_up} one at 2, where l_up is null; they overlap
+        (
+            "glued_two_vol",
+            ["1/4", "1/4", "0", "1/2"],
+            [((0, 1), 1), ((1, 2), 2)],
+            ("nesting", "h_up|h_dn / h_dn|l_up", "later-born node neither nested nor disjoint"),
+        ),
+        # every node is an atom, but m and d are null, so {u, m} carries all of the root's mass
+        (
+            "trinomial",
+            ["1", "0", "0"],
+            [((0, 1, 2), 0), ((0, 1), 1)],
+            ("mass-drop", "u|m|d / u|m", "no strict mass drop between nested nodes"),
+        ),
+    ],
+    ids=["measurable", "nesting", "mass-drop"],
+)
+def test_validate_tree_flags_each_structural_violation(request, model, weights, nodes, violation):
+    if isinstance(model, str):
+        model = request.getfixturevalue(model).model
+    tree = AtomicTree([TreeNode(cell, birth) for cell, birth in nodes])
+    report = validate_atomic_tree(tree, model.measure(weights), model)
+    assert [(v.code, v.where, v.message) for v in report.violations] == [violation]
 
 
 def test_validate_tree_birth_mismatch(trinomial):
