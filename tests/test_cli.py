@@ -14,6 +14,7 @@ from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
 from tests.conftest import scenario_path
 from tests.test_duality import slacken_a_tight_cell
+from tests.test_layout import ARBITRAGE
 
 RUN = [sys.executable, "-m", "semistatic"]
 
@@ -126,17 +127,6 @@ def test_enlarge_command_fails_on_each_false_check(monkeypatch, capsys, flag):
     (checks,) = report["result"]["per_jump"]
     assert [name for name, value in checks.items() if value is False] == [flag]
     assert report["ok"] is False
-
-
-# the claim pays >= 0 at zero cost, so no calibrated martingale measure exists
-ARBITRAGE = {
-    "outcomes": ["u", "m", "d"],
-    "times": [0, 1],
-    "filtration": "natural",
-    "prices": [[[0, 0, 0], [1, 0, -1]]],
-    "claims": [[2, 1, 0]],
-    "payoffs": {"zero": [0, 0, 0]},
-}
 
 
 def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):

@@ -202,7 +202,7 @@ PACKAGE = Path(semistatic.__file__).resolve().parent
 # qualified name -> why the corpus cannot reach it; failure paths only
 UNREACHED: dict[str, str] = {}
 
-# the statics of tests/test_cli.py::test_duality_on_arbitrage_model: the claim pays >= 0 at zero cost
+# the claim pays >= 0 at zero cost, so no calibrated martingale measure exists
 ARBITRAGE = {
     "outcomes": ["u", "m", "d"],
     "times": [0, 1],
