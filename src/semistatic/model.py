@@ -319,11 +319,13 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     if len(partitions) != horizon + 1:
         bad.append(Violation("filtration", "partitions", "need one partition per time index"))
     universe = frozenset(range(n))
+    foreign: set[tuple[int, Cell]] = set()  # (k, cell) for each P_k cell naming an index that is no outcome's
     for k, partition in enumerate(partitions):
         cells = partition.cells
         # nonempty cells of n outcomes in all whose union (the keys of the cached cell_of) is 0..n-1
-        # are a partition; else find what is wrong
-        if all(cells) and sum(map(len, cells)) == n and universe == partition.cell_of.keys():
+        # are a partition when each is an int (True == 1 in a set); else find what is wrong
+        cell_of = partition.cell_of
+        if all(cells) and sum(map(len, cells)) == n and universe == cell_of.keys() and {*map(type, cell_of)} <= {int}:
             continue
         seen: set[int] = set()
         for cell in cells:
@@ -334,9 +336,11 @@ def validate_model(model: FilteredModel) -> ValidationReport:
             if seen.intersection(cell):
                 bad.append(Violation("partition", f"P_{k}", "cells are not disjoint"))
             seen.update(cell)
-            if not universe.issuperset(cell):
-                first = next(w for w in cell if w not in universe)
-                bad.append(Violation("partition", f"P_{k}", f"cell names outcome index {first} outside 0..{n - 1}"))
+            strays = [w for w in cell if type(w) is not int or w not in universe]
+            if strays:
+                foreign.add((k, cell))
+                why = f"outside 0..{n - 1}" if type(strays[0]) is int else "that is not an int"
+                bad.append(Violation("partition", f"P_{k}", f"cell names outcome index {strays[0]!r} {why}"))
         if not universe.issubset(seen):
             bad.append(Violation("partition", f"P_{k}", "cells do not cover the outcome set"))
     for k in range(1, len(partitions)):
@@ -359,7 +363,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
             if k < len(partitions):
                 for cell in partitions[k].cells:
                     # an empty cell or one naming an unknown outcome is reported above and compares nothing here
-                    if len(cell) > 1 and universe.issuperset(cell) and not is_constant_on(slice_k, cell):
+                    if len(cell) > 1 and (k, cell) not in foreign and not is_constant_on(slice_k, cell):
                         bad.append(
                             Violation(
                                 "adapted",

@@ -7,10 +7,11 @@ rebuilds the tree from the single-jump blocks of the unhedgeable
 decomposition, splitting one leaf per carried atom, and refuses (returning a
 diagnostic instead of guessing) whenever the block structure cannot be aligned
 with leaves or the price has already moved, which is exactly what happens in
-jumpy models where completeness holds without any tree.  Extraction checks
-that the measure is calibrated through the decomposition, against the model's
-own constraint system ``model.constraints``; the validators and the theorem
-conditions take the measure as given.
+jumpy models where completeness holds without any tree.  Its tree is certified
+by the axioms, fullness and the theorem's three conditions alone.  Extraction
+checks that the measure is calibrated through the decomposition, against
+``model.constraints``; the validators and the theorem conditions take the
+measure as given.
 """
 
 from __future__ import annotations
@@ -227,32 +228,17 @@ def check_theorem_conditions(tree: AtomicTree, measure: Measure, model: Filtered
     (ii) the leafwise claim expectations contribute exactly (number of charged
     leaves - 1) independent directions; (iii) the price is still at its start
     value through each leaf's birth time on the support.
+
+    On a full tree under a calibrated measure, (i) makes each claim's residual
+    (claim minus its leafwise mean) a sum of gains, so extraction has no residual
+    check.  On a charged leaf, (i) puts it in the span of 1 and the gain rows on
+    P_{k-1} cells with k past the leaf's birth.  Those cells lie inside the leaf,
+    which is measurable at its birth, so under the calibrated measure each row
+    has mean 0 on the leaf, as the residual has, and 1 drops out.  Summed over
+    the leaves, which cover the support, that is the residual.
     """
     lookups = _check_tree(tree, measure, model)
     leaves = [lookups[i][0] for i in tree.leaf_indices]
-    return _theorem_conditions(tree, measure, model, leaves, _leaf_expectations(leaves, measure, model))
-
-
-def _leaf_expectations(
-    leaves: Sequence[Sequence[int]], measure: Measure, model: FilteredModel
-) -> list[tuple[list[int], int]]:
-    """Each claim's leafwise conditional expectation on the support, from the leaves' cells: int row, scale > 0."""
-    out = []
-    for row, scale in model.int_claims:
-        means = condexp_groups(row, leaves, measure.numerators)
-        target, den = common_denominator([means[a] for a in measure.support])
-        out.append((target, den * scale))
-    return out
-
-
-def _theorem_conditions(
-    tree: AtomicTree,
-    measure: Measure,
-    model: FilteredModel,
-    leaves: Sequence[Sequence[int]],
-    expectations: list[tuple[list[int], int]],
-) -> TheoremConditionsReport:
-    """``check_theorem_conditions`` on the int gains, given the leaves' terminal cells and claim expectations."""
     numerators = measure.numerators
     zeta: dict[int, int] = {}  # per terminal cell of a leaf, the leaf's birth
     leaf_checks: list[LeafCheck] = []
@@ -268,7 +254,8 @@ def _theorem_conditions(
                 vectors.append([row[a] for a in atoms])
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, linalg.rank(vectors), len(atoms)))
 
-    claims_rank = linalg.rank([row for row, _ in expectations])
+    means = [condexp_groups(row, leaves, numerators) for row, _ in model.int_claims]  # leafwise, per claim
+    claims_rank = linalg.rank([common_denominator([mean[a] for a in measure.support])[0] for mean in means])
     price_constant = all(a in zeta and not _price_moved(model, (a,), zeta[a]) for a in measure.support)
     return TheoremConditionsReport(tuple(leaf_checks), claims_rank, len(leaf_checks) - 1, price_constant)
 
@@ -279,8 +266,9 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
     Each block must be carried by exactly one current leaf (up to null sets)
     on which the price has not yet moved; the leaf then splits into the
     charged next-period cells.  Any misalignment is reported as NoTree rather
-    than repaired, since with a jumping price no tree needs to exist.  Each
-    claim's residual over the tree must reduce to zero against the gain rows.
+    than repaired, since with a jumping price no tree needs to exist.  The
+    tree built must pass ``validate_atomic_tree``, ``is_full`` and
+    ``check_theorem_conditions``.
     """
     try:
         decomposition = decompose_unhedgeable(measure, model)
@@ -329,21 +317,6 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
         return NoTree(f"constructed nodes violate the tree axioms: {first.code} at {first.where}")
     if not is_full(tree, measure, model):
         return NoTree("constructed tree is not full")
-
-    gains = [[row[a] for a in support] for _, row, _ in model.int_gains]
-    pivots = linalg.echelon(gains)
-    leaf_cells = [within[leaf] for leaf in tree.leaves]
-    expectations = _leaf_expectations(leaf_cells, measure, model)
-    for i, ((row, scale), (target, den)) in enumerate(zip(model.int_claims, expectations)):
-        # (claim - its leaf mean) times den: zero after the gain rows exactly when dynamically replicable
-        residual = [row[a] * (den // scale) - t for a, t in zip(support, target)]
-        for r, c in enumerate(pivots):
-            if residual[c]:
-                residual = linalg.eliminate(residual, gains[r], c)
-        if any(residual):
-            return NoTree(f"claim {i} residual is not dynamically replicable over the tree")
-
-    conditions = _theorem_conditions(tree, measure, model, leaf_cells, expectations)
-    if not conditions.ok:
+    if not check_theorem_conditions(tree, measure, model).ok:
         return NoTree("constructed tree fails the completeness characterization conditions")
     return tree

@@ -289,6 +289,7 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
     corpus = reach_corpus(tmp_path)
     for name, size in SMALL_SUITES.items():
         monkeypatch.setitem(verify.SUITES, name, functools.partial(verify.SUITES[name], **size))
+    cli.build_parser.cache_clear()  # the corpus builds the parser itself, whatever ran before it
     called = set()
 
     def profile(frame, event, arg):
@@ -308,3 +309,9 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
     offenders = [f"{name} ({where})" for name, where in sorted(unreached.items()) if name not in exempt]
     assert not offenders, "reached by no corpus command, not traced, not listed:\n" + "\n".join(offenders)
     assert sorted(set(UNREACHED) - set(unreached)) == []  # an entry goes once its def is reached or gone
+    # the traced layers that no command calls, kept only because the benchmark wraps them by name
+    assert sorted(_exempt() & set(unreached)) == [
+        "duality.detect_arbitrage",
+        "duality.robust_price",
+        "linalg.project_onto_span",
+    ]

@@ -100,6 +100,23 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
     ]
 
 
+@pytest.mark.parametrize("cells", [[[0], [True], [2]], [[0], [True, 2]]], ids=["own-cell", "shared-cell"])
+def test_validate_flags_a_bool_outcome_index(cells):
+    # True == 1, so the cells cover 0..2 as a set; True is still no outcome's index, a partition violation,
+    # and the adaptedness check builds no label from it (S_1 differs on b and c)
+    model = FilteredModel(
+        outcomes=("a", "b", "c"),
+        times=(F(0), F(1)),
+        partitions=(Partition([[0, True, 2]]), Partition(cells)),
+        prices=(((F(0), F(0), F(0)), (F(1), F(0), F(-1))),),
+        claims=(),
+        allowed=frozenset({0, 1}),  # a terminal cell index for either P_1
+    )
+    assert [(v.code, v.where, v.message) for v in validate_model(model).violations] == [
+        ("partition", f"P_{k}", "cell names outcome index True that is not an int") for k in (0, 1)
+    ]
+
+
 def _three_outcomes(partitions, claims=(), allowed=(0, 1, 2)) -> FilteredModel:
     """Outcomes a, b, c on one period with zero prices, which are constant on any cells."""
     return FilteredModel(

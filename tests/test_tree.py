@@ -11,27 +11,28 @@ from semistatic import cli, hedging, linalg, polytope
 from semistatic import tree as tree_module
 from semistatic.errors import NotComplete, ShapeError
 from semistatic.hedging import decompose_unhedgeable, is_semistatically_complete
-from semistatic.model import FilteredModel, Partition, validate_model
+from semistatic.model import FilteredModel, Partition, condexp_groups, validate_model
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_measure, random_model
 from semistatic.tree import (
     AtomicTree,
+    LeafCheck,
     NoTree,
     TreeNode,
     _birth,
     _cells_within,
     _is_atom,
-    _leaf_expectations,
     check_theorem_conditions,
     extract_tree,
     is_full,
     validate_atomic_tree,
 )
-from semistatic.scenario import load_scenario
+from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS, scenario_path
 from tests.reference import conditional_expectation, sigma_tree_expectation
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
+from tests.test_linalg import reference_rref
 
 F = Fraction
 
@@ -140,10 +141,10 @@ def test_is_full_examples(trinomial, glued_two_vol):
 
 
 def leafwise(payoff, tree, measure, model):
-    """``_leaf_expectations`` of the payoff, made the model's one claim, as Fractions on the support."""
+    """The payoff's leafwise means on the support: ``condexp_groups`` over the leaves' terminal cells."""
     leaves = [_cells_within(model, leaf.cell)[0] for leaf in tree.leaves]
-    ((row, scale),) = _leaf_expectations(leaves, measure, replace(model, claims=(tuple(payoff),)))
-    return tuple(F(x, scale) for x in row)
+    means = condexp_groups(payoff, leaves, measure.numerators)
+    return tuple(means[a] for a in measure.support)
 
 
 def test_sigma_tree_expectation_values(glued_two_vol):
@@ -193,6 +194,15 @@ def test_check_conditions_interior_trinomial_fails(trinomial):
     q = model.measure(["1/4", "1/2", "1/4"])
     report = check_theorem_conditions(AtomicTree([TreeNode((0, 1, 2), 0)]), q, model)
     assert not report.leaves_ok and not report.ok
+
+
+def test_a_leaf_trades_only_after_its_birth(trinomial):
+    # condition (i) spans a leaf by the gains after its birth: a leaf born at the horizon keeps the constant
+    # alone, though S_1 moves on it (such a leaf is no atom at its birth, which the tree axioms refuse)
+    model = trinomial.model
+    q = model.measure(["1/4", "1/2", "1/4"])
+    report = check_theorem_conditions(AtomicTree([TreeNode((0, 1, 2), 1)]), q, model)
+    assert report.leaf_checks == (LeafCheck((0, 1, 2), 1, 1, 3),)
 
 
 def test_extract_tree_glued(glued_two_vol):
@@ -281,7 +291,7 @@ def test_extract_validates_and_checks_conditions(glued_two_vol):
 
 def test_each_check_looks_each_node_up_once(monkeypatch):
     # the input check looks every node up once and the helpers read its lookups; extraction reads its
-    # own nodes off the cell tables and looks them up only through the two checks it runs
+    # own nodes off the cell tables and looks them up only through the three checks it runs
     models = [load_scenario(path).model for path in sorted(SCENARIOS.glob("*.json"))] + [m for _, m in MODELS]
     calls = []
     lookup = tree_module._cells_within
@@ -293,13 +303,101 @@ def test_each_check_looks_each_node_up_once(monkeypatch):
             tree = extract_tree(q, model)
             if isinstance(tree, NoTree):
                 continue
-            assert len(calls) <= 2 * len(tree.nodes)
+            assert len(calls) == 3 * len(tree.nodes)
             branched += len(tree.nodes) > len(tree.leaves) > 1
             for check in (validate_atomic_tree, is_full, check_theorem_conditions):
                 calls.clear()
                 check(tree, q, model)
                 assert len(calls) == len(tree.nodes), check
     assert branched  # the corpus builds trees with inner nodes
+
+
+# -- extraction's certificate: the tree axioms, fullness and the theorem's conditions -------------
+
+# glued_two_vol with the regime known at time 0: P_0 has two cells, and the claim makes the time-zero jump
+TWO_ROOTS = {
+    "outcomes": ["h_up", "h_dn", "l_up", "l_dn"],
+    "times": [0, 1],
+    "filtration": [[["h_up", "h_dn"], ["l_up", "l_dn"]], [["h_up"], ["h_dn"], ["l_up"], ["l_dn"]]],
+    "prices": [[[0, 0, 0, 0], [2, -2, 1, -1]]],
+    "claims": [[2, 2, -1, -1]],
+}
+
+
+def extract_on_blocks(monkeypatch, measure, model, blocks):
+    """``extract_tree`` with the decomposition's jump blocks replaced by ``blocks``."""
+    decomposition = decompose_unhedgeable(measure, model)
+    monkeypatch.setattr(tree_module, "decompose_unhedgeable", lambda *_: replace(decomposition, blocks=tuple(blocks)))
+    return extract_tree(measure, model)
+
+
+def test_extract_reports_constructed_nodes_that_break_the_tree_axioms(monkeypatch):
+    # without the time-zero block the tree is the root alone, no atom at time 0: both P_0 cells carry mass
+    model = parse_scenario(TWO_ROOTS).model
+    (q,) = enumerate_extreme_points(model.constraints).vertices
+    assert [(b.time, b.atom_cells) for b in decompose_unhedgeable(q, model).blocks] == [(0, (0, 1))]
+    assert extract_tree(q, model) == AtomicTree([TreeNode((0, 1), 0), TreeNode((2, 3), 0)])
+    outcome = extract_on_blocks(monkeypatch, q, model, [])
+    assert outcome == NoTree("constructed nodes violate the tree axioms: atom at h_up|h_dn|l_up|l_dn")
+
+
+def test_extract_reports_a_tree_that_is_not_full(monkeypatch, glued_two_vol):
+    # a tree that jump blocks build and the axioms accept is full: each split's children lie in the leaf
+    # they replace, an atom just before they are born.  No decomposition reaches the branch, so is_full is stubbed
+    model = glued_two_vol.model
+    (q,) = enumerate_extreme_points(model.constraints).vertices
+    monkeypatch.setattr(tree_module, "is_full", lambda *_: False)
+    assert extract_tree(q, model) == NoTree("constructed tree is not full")
+
+
+def test_extract_reports_a_tree_that_fails_the_theorem_conditions(monkeypatch, glued_two_vol):
+    # without its one jump block the tree is the root alone: trading from time 0 does not span the claim
+    model = glued_two_vol.model
+    (q,) = enumerate_extreme_points(model.constraints).vertices
+    blocks = decompose_unhedgeable(q, model).blocks
+    assert len(blocks) == 1
+    outcome = extract_on_blocks(monkeypatch, q, model, blocks[:-1])
+    assert outcome == NoTree("constructed tree fails the completeness characterization conditions")
+    report = check_theorem_conditions(AtomicTree([TreeNode((0, 1, 2, 3), 0)]), q, model)
+    assert (report.leaves_ok, report.claims_ok, report.price_constant_ok) == (False, True, True)
+
+
+def candidate_trees(model):
+    """The root alone, then the root with every P_j cell first measurable at j, for j = 1..k, for each k."""
+    root = TreeNode(tuple(range(model.n_outcomes)), 0)
+    new = [
+        [TreeNode(cell, j) for cell in model.partitions[j].cells if cell not in model.partitions[j - 1].cells]
+        for j in range(1, model.horizon + 1)
+    ]
+    return [AtomicTree([root, *(node for level in new[:k] for node in level)]) for k in range(model.horizon + 1)]
+
+
+def residual_replicable(tree, measure, model):
+    """Whether each claim less its leafwise mean is a sum of gains on the support, by Fraction elimination."""
+    support = measure.support
+    rows = [[vec[a] for _, vec in reference_gains(model)] for a in support]
+    for claim in model.claims:
+        means = sigma_tree_expectation(claim, tree, measure, model)
+        augmented = [row + [claim[a] - means[a]] for row, a in zip(rows, support)]
+        if reference_rref(augmented)[1][-1:] == [len(rows[0])]:  # a pivot in the residual column
+            return False
+    return True
+
+
+def test_condition_i_fails_wherever_the_claim_residual_is_not_replicable():
+    # on a full tree under a calibrated measure condition (i) implies the residual check that extraction
+    # no longer runs, so every full, valid tree with a non-replicable residual fails (i)
+    rng = random.Random(5)
+    failing = 0
+    for _ in range(300):
+        model = random_model(rng, n_claims=rng.randint(1, 2))[0]
+        for q in enumerate_extreme_points(model.constraints).vertices:
+            for tree in candidate_trees(model):
+                if validate_atomic_tree(tree, q, model).ok and is_full(tree, q, model):
+                    if not residual_replicable(tree, q, model):
+                        failing += 1
+                        assert not check_theorem_conditions(tree, q, model).leaves_ok
+    assert failing >= 100
 
 
 def intersection_dimension(span_a, span_b):
