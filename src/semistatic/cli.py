@@ -3,7 +3,10 @@
 One logical command per invocation, deterministic reports (canonical JSON or
 stable indented text), exit code 0 on pass, 1 on property failure, 2 on input
 error.  Measures are addressed by vertex index or given inline as "p/q"
-weights; payoffs by name from the scenario file or inline.
+weights; payoffs by name from the scenario file or inline.  ``_plain_args``
+reads a plain command line straight from ``COMMANDS`` into the namespace
+argparse would build; any other line, help and every usage error go to
+argparse.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def _resolve_measure(arg: str, model: FilteredModel) -> Measure:
 def _resolve_payoff(arg: str, scenario: Scenario):
     if arg in scenario.payoffs:
         return scenario.payoffs[arg]
-    if "," in arg:
+    if "," in arg or "/" in arg:  # as for a measure, so that a one-cell model takes p/q
         try:
             values = [rat(p.strip()) for p in arg.split(",")]
         except (ValueError, TypeError) as exc:
@@ -225,6 +228,7 @@ def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
     return report, PASS if report["ok"] else FAIL
 
 
+FORMATS = ("json", "text")
 _SCENARIO = ("scenario", {"help": "path to a scenario JSON file"})
 _MEASURE = ("--measure", {"required": True})
 _PAYOFF = ("--payoff", {"required": True})
@@ -261,19 +265,65 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semistatic",
         description="Exact-rational analysis of semi-static hedging on finite filtered market models.",
     )
-    parser.add_argument("--format", dest="format_global", choices=["json", "text"], default=None)
+    parser.add_argument("--format", dest="format_global", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, arguments) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--format", dest="format_sub", choices=["json", "text"], default=None)
+        p.add_argument("--format", dest="format_sub", choices=FORMATS, default=None)
         for flag, kwargs in arguments:
             p.add_argument(flag, **kwargs)
     return parser
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)``'s namespace for a plain line, read from ``COMMANDS``; else None.
+
+    A plain line is an optional leading ``--format json|text``, then a command
+    whose arguments take no ``type`` or ``choices``, then its flags, its
+    ``--format`` and its scenario path in any order: each flag spelled in
+    full, given once and followed by a value that does not start with ``-``.
+    """
+    args = argparse.Namespace(format_global=None)
+    if len(argv) > 1 and argv[0] == "--format" and argv[1] in FORMATS:
+        args.format_global, argv = argv[1], argv[2:]
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    args.command, args.format_sub = argv[0], None
+    flags, positionals, required = {"--format": "format_sub"}, [], set()  # flag -> dest
+    for name, kwargs in COMMANDS[argv[0]][1]:
+        if not kwargs.keys() <= {"required", "default", "help"}:
+            return None  # argparse converts and checks the value
+        if not name.startswith("-"):
+            positionals.append(name)
+            continue
+        flags[name] = name[2:].replace("-", "_")
+        setattr(args, flags[name], kwargs.get("default"))
+        if kwargs.get("required"):
+            required.add(name)
+    given, values = set(), []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in flags:
+            value = next(rest, "-")
+            if arg in given or value.startswith("-") or (arg == "--format" and value not in FORMATS):
+                return None
+            given.add(arg)
+            setattr(args, flags[arg], value)
+        elif arg.startswith("-"):
+            return None
+        else:
+            values.append(arg)
+    if len(values) != len(positionals) or not required <= given:
+        return None
+    for name, value in zip(positionals, values):
+        setattr(args, name, value)
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     args.format = args.format_sub or args.format_global or "text"
     threads = os.environ.get("SEMISTATIC_THREADS")
     # an ASCII decimal above zero; not int(), which rejects more than 4300 digits

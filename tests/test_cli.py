@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +15,7 @@ from semistatic import cli, duality, enlargement, verify
 from semistatic.cli import build_parser, main
 from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
-from tests.conftest import scenario_path
+from tests.conftest import REPO, scenario_path
 from tests.test_duality import slacken_a_tight_cell
 from tests.test_layout import ARBITRAGE
 
@@ -384,17 +387,19 @@ def test_malformed_number_is_an_input_error(tmp_path, command, name, edit):
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
 
 
+ONE_CELL = {
+    "outcomes": ["x"],
+    "times": [0, 1],
+    "filtration": "natural",
+    "prices": [[[0], [0]]],
+    "claims": [],
+    "payoffs": {"one": [1]},
+}
+
+
 def test_bare_integer_measure_on_one_cell_model_hints_at_inline_form(tmp_path):
-    one_cell = {
-        "outcomes": ["x"],
-        "times": [0, 1],
-        "filtration": "natural",
-        "prices": [[[0], [0]]],
-        "claims": [],
-        "payoffs": {"one": [1]},
-    }
     path = tmp_path / "one_cell.json"
-    path.write_text(json.dumps(one_cell))
+    path.write_text(json.dumps(ONE_CELL))
     proc = run_cli("--format", "json", "complete", "--measure", "1", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -404,6 +409,60 @@ def test_bare_integer_measure_on_one_cell_model_hints_at_inline_form(tmp_path):
     assert "vertex index 1 out of range" in error and "p/q, e.g. 1/1" in error
     code, report = run_json("complete", "--measure", "1/1", str(path))
     assert code == 0 and report["result"]["measure"]["weights"] == ["1"]
+
+
+@pytest.mark.parametrize("command", ["price", "superhedge", "duality"])
+def test_one_cell_model_takes_an_inline_payoff_written_p_over_q(tmp_path, capsys, command):
+    path = tmp_path / "one_cell.json"
+    path.write_text(json.dumps(ONE_CELL))
+    assert main(["--format", "json", command, "--payoff", "3/1", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    # a bare integer stays a payoff name, as it stays a vertex index for --measure
+    assert main(["--format", "json", command, "--payoff", "3", str(path)]) == 2
+    assert capsys.readouterr().out == canonical_json({"error": "unknown payoff '3'; scenario defines ['one']"})
+
+
+def readme_command_lines():
+    """The README's command-line examples, as argument lists after ``semistatic``."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("semistatic ")]
+
+
+README_LINES = [argv for argv in readme_command_lines() if argv[0] != "verify"]
+
+
+def run_main(argv):
+    """``main(argv)``'s exit code and stdout; argparse's usage exit counts as its code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_readme_lists_every_plain_command():
+    assert sorted({argv[0] for argv in README_LINES}) == sorted(set(cli.COMMANDS) - {"verify"})
+
+
+@pytest.mark.parametrize("argv", README_LINES, ids=[argv[0] for argv in README_LINES])
+def test_readme_lines_take_the_plain_path_and_match_their_argparse_spelling(monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    # --flag=value is a spelling only argparse reads; text is the default format
+    joined = [f"{arg}={value}" for arg, value in zip(argv, argv[1:]) if arg.startswith("--")]
+    spelled = [["--format=json", argv[0], *joined, argv[-1]], [argv[0], "--format=text", *joined, argv[-1]]]
+    assert [cli._plain_args(line) for line in spelled] == [None, None]
+    expected = [run_main(line) for line in spelled]
+
+    def no_parser():
+        raise AssertionError("a plain line reached argparse")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    # the benchmark's shape (a leading --format json) and the README's
+    assert [run_main(["--format", "json", *argv]), run_main(argv)] == expected
+    assert [code for code, _ in expected] == [0, 0]
 
 
 def test_reused_parser_matches_fresh_parser(capsys):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic import cli
 from semistatic.cli import main
 from tests.conftest import SCENARIOS
 
@@ -149,3 +150,69 @@ def test_every_single_value_mutation_of_the_bundled_scenarios_keeps_its_validate
                 digest.update(json.dumps(record).encode() + b"\n")
     assert dict(codes) == {0: 372, 2: 1868}
     assert digest.hexdigest() == "4e4af663ea7e5f1f021d801a61610fe095a8067529857b51a4f6e5837beeea42"
+
+
+FLAGS = sorted({flag for _, arguments in cli.COMMANDS.values() for flag, _ in arguments if flag.startswith("-")})
+PLAIN_VALUES = ["json", "text", "p.json", "0", "1/4,1/2,1/4", "abs_S1", "3", ""]
+OTHER_VALUES = ["xml", "-1", "-1,2", "-", "--", "-h", "--help"]
+WORDS = [*cli.COMMANDS, *FLAGS, *PLAIN_VALUES, *OTHER_VALUES, "--format", "--meas", "--pay", "--form", "--measure=0"]
+
+
+@st.composite
+def command_lines(draw):
+    """Command lines built from a command's own flags and a path, in any order, mostly plain.
+
+    Values and stray words bring in the spellings that only argparse reads:
+    abbreviations, ``--flag=value``, ``--``, ``-``, values starting with
+    ``-``, ``--help``, ``-h``, a bad ``--format`` value, a repeated flag and a
+    second positional.
+    """
+    prefixes = [[], [], ["--format", "json"], ["--format", "text"], ["--format", "xml"], ["--format"]]
+    prefix = draw(st.sampled_from(prefixes))
+    command = draw(st.sampled_from([*cli.COMMANDS, "nope", None]))
+    flags = [flag for flag, _ in cli.COMMANDS.get(command, (None, ()))[1] if flag.startswith("-")] + ["--format"]
+    value = st.sampled_from(PLAIN_VALUES * 3 + OTHER_VALUES)
+    often = st.sampled_from([1, 1, 1, 0])
+    pieces = [[flag, draw(value)] for flag in flags if draw(often)]
+    pieces += [["p.json"]] * draw(often)
+    pieces += [[draw(st.sampled_from(WORDS))] for _ in range(draw(st.sampled_from([0, 0, 1, 2])))]
+    words = [word for piece in draw(st.permutations(pieces)) for word in piece]
+    return [*prefix, *[command] * (command is not None), *words]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv=command_lines())
+def test_a_plain_line_parses_as_argparse_parses_it(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects a plain line {argv}: {err.getvalue()}")
+    assert vars(plain) == vars(parsed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["price", "-h"],
+        ["price", "--pay", "abs_S1", "p.json"],
+        ["price", "--payoff=abs_S1", "p.json"],
+        ["price", "--payoff", "abs_S1", "--", "p.json"],
+        ["price", "--payoff", "abs_S1", "-"],
+        ["price", "--payoff", "-1,2", "p.json"],
+        ["price", "--payoff", "a", "--payoff", "b", "p.json"],
+        ["price", "--payoff", "abs_S1", "p.json", "q.json"],
+        ["price", "p.json"],
+        ["nope", "p.json"],
+        ["--format", "xml", "validate", "p.json"],
+        ["validate", "--format", "xml", "p.json"],
+        ["verify", "--suite", "all"],
+    ],
+)
+def test_every_other_spelling_is_left_to_argparse(argv):
+    assert cli._plain_args(argv) is None

@@ -7,10 +7,12 @@ matching column.
 """
 
 import ast
-import functools
 import importlib
 import json
+import os
 import random
+import shutil
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import semistatic
-from semistatic import cli, verify
 from semistatic.hedging import SemiStaticStrategy, strategy_payoff
 from semistatic.polytope import build_constraints
 from semistatic.sampling import random_model
@@ -228,7 +229,7 @@ def reach_corpus(directory: Path) -> list[list[str]]:
     and on one of its payoffs (an inline one where it names none).  Then the
     paths the scenarios miss: an arbitrage model's unbounded superhedge and
     floor certificate, an inline measure under which an inline payoff is not
-    replicable, the text format, and the two verify forms.
+    replicable, the text format, the two verify forms and a usage error.
     """
     corpus = []
     for path in sorted(SCENARIOS.glob("*.json")):
@@ -249,6 +250,7 @@ def reach_corpus(directory: Path) -> list[list[str]]:
     corpus.append(["--format", "text", "extremes", trinomial])
     corpus.append(["--format", "json", "verify", "--suite", "multinomial", "--pmax", "2", "--mmax", "2"])
     corpus.append(["--format", "json", "verify", "--suite", "all"])
+    corpus.append(["--format", "json", "complete", "--payoff", "abs_S1", trinomial])  # usage error
     return corpus
 
 
@@ -284,26 +286,62 @@ def _exempt() -> set[str]:
     return {f"{module}.{name}" for module, names in _traced_layers().items() for name in names}
 
 
-def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
-    # a def that neither the CLI nor verify calls, that is not traced and not a listed failure path, is dead code
-    corpus = reach_corpus(tmp_path)
-    for name, size in SMALL_SUITES.items():
-        monkeypatch.setitem(verify.SUITES, name, functools.partial(verify.SUITES[name], **size))
-    cli.build_parser.cache_clear()  # the corpus builds the parser itself, whatever ran before it
-    called = set()
+# run in a fresh interpreter whose profile is set before the package is imported, so that a def that runs
+# only while a class body executes (a descriptor's __init__ or __set_name__) counts as reached
+REACH_CHILD = """
+import contextlib, functools, io, json, sys
 
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+called = set()
 
-    sys.setprofile(profile)
-    try:
-        for argv in corpus:
+
+def profile(frame, event, arg):
+    if event == "call":
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(profile)
+from semistatic import cli, verify
+
+corpus, small_suites = json.load(sys.stdin)
+for name, size in small_suites.items():
+    verify.SUITES[name] = functools.partial(verify.SUITES[name], **size)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in corpus:
+        try:
             cli.main(argv)
-    finally:
-        sys.setprofile(None)
-    capsys.readouterr()
-    reached = {(str(Path(file).resolve()), line) for file, line in called}
+        except SystemExit:  # a usage error, reported by argparse
+            pass
+sys.setprofile(None)
+print(json.dumps(sorted(called)))
+"""
+
+
+def reached_lines(root: Path, corpus: list[list[str]]) -> set[tuple[str, int]]:
+    """Every (file, first line) called in a fresh interpreter that imports ``root``'s package, then runs ``corpus``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root), os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", REACH_CHILD],
+        input=json.dumps([corpus, SMALL_SUITES]),
+        capture_output=True, text=True, env=env,
+    )
+    assert child.returncode == 0, child.stderr
+    return {(str(Path(file).resolve()), line) for file, line in json.loads(child.stdout)}
+
+
+def test_reach_counts_a_def_that_runs_while_the_package_imports(tmp_path):
+    # a descriptor's __set_name__ runs once, as the class body that uses it executes
+    copy = tmp_path / "semistatic"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    module = copy / "rationals.py"
+    descriptor = "class _Named:\n    def __set_name__(self, owner, name):\n        self.name = name\n"
+    module.write_text(module.read_text() + f"\n\n{descriptor}\n\nclass _Holder:\n    tag = _Named()\n")
+    line = module.read_text().splitlines().index("    def __set_name__(self, owner, name):") + 1
+    assert (str(module.resolve()), line) in reached_lines(tmp_path, [])
+
+
+def test_every_src_function_is_reached(tmp_path):
+    # a def that neither the CLI nor verify calls, that is not traced and not a listed failure path, is dead code
+    reached = reached_lines(PACKAGE.parent, reach_corpus(tmp_path))
     unreached = {qualname: where for key, (qualname, where) in _package_defs().items() if key not in reached}
     exempt = _exempt() | set(UNREACHED)
     offenders = [f"{name} ({where})" for name, where in sorted(unreached.items()) if name not in exempt]
