@@ -7,15 +7,17 @@ Usage (from the repository root):
         --workload certify-corpus --out BENCH_31.json [--trace-seed 3190]
 
 The parent is ``git archive <rev>`` unpacked into a temporary directory; the
-change is this checkout's working tree.  Pair i runs both sides on seed
-``--seed + i``, the parent first in even pairs and the change first in odd
-ones, one process at a time.  Each run's last stdout line (the benchmark's
-JSON summary) is kept.  Per workload and end-to-end metric the summary holds
-both medians, both quartiles (``statistics.quantiles(n=4)``), the pairs the
-change wins, and two flags: ``unresolved`` when the parent's interquartile
-range, relative to its median, exceeds the metric's bound (so a difference
-within the bound cannot be told from noise), and ``within_bound`` when the
-change's median is no worse than the parent's by more than the bound.
+change is this checkout's working tree.  Each side caches its bytecode in a
+fresh directory of its own (``PYTHONPYCACHEPREFIX``), filled by its first run.  Pair i runs both sides
+on seed ``--seed + i``, the parent first in even pairs and the change first
+in odd ones, one process at a time.  Each run's last stdout line (the
+benchmark's JSON summary) is kept.  Per workload and end-to-end metric the
+summary holds both medians, both quartiles (``statistics.quantiles(n=4)``),
+the pairs the change wins, and two flags: ``unresolved`` when the parent's
+interquartile range, relative to its median, exceeds the metric's bound (so
+a difference within the bound cannot be told from noise), and
+``within_bound`` when the change's median is no worse than the parent's by
+more than the bound.
 ``--trace-seed`` adds one ``--trace 1`` pair per workload, kept as is.
 """
 
@@ -47,11 +49,23 @@ def last_json_line(text: str):
     return None
 
 
-def run_bench(checkout: Path, command: list, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in ``checkout``; its exit code and last JSON line."""
+def run_bench(
+    checkout: Path, command: list, workload: str, seed: int, seconds: float, trace: int, pycache: Path
+) -> dict:
+    """One benchmark run in ``checkout``, its bytecode cached under ``pycache``; its exit code and last JSON line.
+
+    Each side has its own ``pycache``, made fresh by ``main``: a ``__pycache__``
+    left in the working tree would otherwise warm the change's imports alone.
+    The prefix also hides the standard library's own caches, so writing is
+    left on (``PYTHONDONTWRITEBYTECODE`` is dropped): a side's first run fills
+    its cache and the later ones read it, where with writing off every run
+    compiled every module from source.
+    """
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     argv += ["--trace", str(trace)]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, env=env)
     return {"returncode": proc.returncode, "result": last_json_line(proc.stdout)}
 
 
@@ -150,18 +164,21 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "parent"
         unpack(args.parent, parent)
         checkouts = {"parent": parent, "change": ROOT}
+        caches = {side: Path(tmp) / f"pycache-{side}" for side in checkouts}
         runs, traced, order = [], [], 0
         for workload in args.workload:
             for pair in range(args.pairs):
                 seed = args.seed + pair
                 for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-                    run = run_bench(checkouts[side], bench["command"], workload, seed, seconds, 0)
+                    run = run_bench(checkouts[side], bench["command"], workload, seed, seconds, 0, caches[side])
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side, "order": order, **run})
                     order += 1
                     print(f"{workload} pair {pair} {side}: {json.dumps(run['result'])}", file=sys.stderr)
             if args.trace_seed is not None:
                 for side in ("parent", "change"):
-                    run = run_bench(checkouts[side], bench["command"], workload, args.trace_seed, seconds, 1)
+                    run = run_bench(
+                        checkouts[side], bench["command"], workload, args.trace_seed, seconds, 1, caches[side]
+                    )
                     traced.append({"workload": workload, "seed": args.trace_seed, "side": side, **run})
     record = {
         "command": " ".join(bench["command"]) + " --workload <w> --seed <seed> --seconds " + f"{seconds:g}",

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .duality import _floor_certificate, optimal_face, superhedge, verify_duality
+from .duality import _floor_certificate, _phase1_certificate, optimal_face, superhedge, verify_duality
 from .enlargement import enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
@@ -101,8 +101,8 @@ def _cmd_validate(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_extremes(scenario: Scenario, args) -> tuple[dict, int]:
     vertex_set = enumerate_extreme_points(scenario.model.constraints)
-    if not vertex_set.vertices:  # the arbitrage flag holds only with the floor program's checked certificate
-        _floor_certificate(scenario.model)
+    if not vertex_set.vertices:  # the arbitrage flag holds only with the phase-1 checked certificate
+        _phase1_certificate(scenario.model)
     result = {
         "count": len(vertex_set.vertices),
         "vertices": vertex_set.to_json(scenario.model),

@@ -8,6 +8,13 @@ strategy's payoff, confirms domination, and collects the cells where it binds;
 the measures charging only those cells form the face of maximizers, and only
 that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
 the model's extreme points as an independent oracle.
+
+An empty measure set is certified by a zero-cost strategy paying a positive
+floor on every allowed cell, judged by ``_checked_certificate`` alone: the
+floor program's for ``detect_arbitrage`` and ``duality``, which print it, and
+phase 1's on {q >= 0 : gains q = 0, claims q = 0, sum q = 1} over the allowed
+cells for ``extremes`` and ``informed-compare``, where ``simplex.phase1_dual``
+gives t y_i = t - O[n+i], t = O[n+last] - O[rhs], and row i holds -t y_i s_i.
 """
 
 from __future__ import annotations
@@ -21,9 +28,10 @@ from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import enumerate_extreme_points
 from .rationals import common_denominator, fmt
-from .simplex import solve_lp
+from .simplex import phase1_dual, solve_lp
 
 ZERO = Fraction(0)
+CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
 
 
 @dataclass(frozen=True)
@@ -235,15 +243,10 @@ def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
 
 
 def _floor_certificate(model: FilteredModel) -> ArbitrageReport:
-    """The checked Farkas certificate of a model whose calibrated measure set is empty.
+    """The checked certificate of an empty calibrated measure set from the floor program.
 
-    A zero-cost strategy whose payoff is at least one on every allowed cell
-    is produced by maximizing the guaranteed floor of a cash-free strategy
-    (capped at one to keep the program bounded).  The strategy coordinates
-    and the floor are free variables, one tableau column each, on the int
-    columns of ``superhedge``.  The certificate is checked without the LP:
-    zero cash and a recomputed payoff at least the positive floor on every
-    allowed cell, else InvariantViolation.
+    It maximizes a cash-free strategy's guaranteed floor, capped at one; the
+    coordinates and the floor are free columns on ``superhedge``'s int columns.
     """
     columns = int_strategy_columns(model)[1:]  # no cash: the certificate must be zero-cost
     allowed = sorted(model.allowed)
@@ -259,9 +262,25 @@ def _floor_certificate(model: FilteredModel) -> ArbitrageReport:
     if result.status != "optimal":
         raise InvariantViolation("floor program is feasible and capped")
     coordinates = _unscaled(result.solution, [s for _, s in columns], 1)
-    strategy = SemiStaticStrategy.from_coordinates((ZERO, *coordinates), model)
+    return _checked_certificate(SemiStaticStrategy.from_coordinates((ZERO, *coordinates), model), model)
+
+
+def _phase1_certificate(model: FilteredModel) -> ArbitrageReport:
+    """The checked certificate of an empty calibrated measure set from the measure side's phase 1."""
+    allowed = sorted(model.allowed)
+    columns = [(row, scale) for _, row, scale in model.int_gains] + list(model.int_claims)  # the rows, gains first
+    rows = [[row[a] for a in allowed] for row, _ in columns] + [[1] * len(allowed)]
+    y = phase1_dual(rows, [0] * len(columns) + [1])
+    if y is None:
+        raise InvariantViolation(CERTIFICATE_MISSING)
+    holdings = [-x * s for x, (_, s) in zip(y, columns)]
+    n_gains = len(model.int_gains)
+    return _checked_certificate(SemiStaticStrategy(ZERO, tuple(holdings[n_gains:]), tuple(holdings[:n_gains])), model)
+
+
+def _checked_certificate(strategy: SemiStaticStrategy, model: FilteredModel) -> ArbitrageReport:
+    """The certificate if the strategy has zero cash and a recomputed payoff > 0 on every allowed cell, else raises."""
     value = strategy_payoff(strategy, model)
-    floor = -result.objective
-    if floor <= 0 or strategy.cash != 0 or any(value[a] < floor for a in allowed):
-        raise InvariantViolation("certificate must be zero-cost and pay a positive floor on every allowed cell")
+    if strategy.cash != 0 or not all(0 < value[a] for a in model.allowed):
+        raise InvariantViolation(CERTIFICATE_MISSING)
     return ArbitrageReport(False, 0, strategy, value)

@@ -24,7 +24,7 @@ from .model import (
     groups_of,
 )
 from .polytope import VertexSet, enumerate_extreme_points
-from .duality import _floor_certificate, _scan_vertices
+from .duality import _phase1_certificate, _scan_vertices
 from .rationals import fmt
 
 ZERO = Fraction(0)
@@ -326,7 +326,7 @@ def informed_compare(
     exactly the coinciding lifts of the base extreme points; that set equality
     is asserted.  With claims present both sides are reported without an
     assertion.  An empty enlarged measure set is informed arbitrage.  Each
-    empty side must have ``_floor_certificate``'s checked certificate, else
+    empty side must have ``_phase1_certificate``'s checked certificate, else
     InvariantViolation.
     """
     enlarged = enlarge(model, jumps)
@@ -351,7 +351,7 @@ def informed_compare(
 
     for side, vertex_set in ((model, ext_base), (enlarged.model, ext_fine)):
         if not vertex_set.vertices:  # an arbitrage flag holds only with its checked certificate
-            _floor_certificate(side)
+            _phase1_certificate(side)
     report = InformedCompareReport(
         claims_empty=claims_empty,
         ext_base=ext_base,

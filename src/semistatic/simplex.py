@@ -25,6 +25,14 @@ artificial.  That tableau stops there too when no artificial is basic, and
 the program is infeasible when one is basic above zero; only with one basic
 at zero is phase 1 redone with the artificial columns, its leftovers driven
 out or their rows dropped.
+
+``phase1_dual`` reads an infeasible program's Farkas vector off the wide
+phase-1 reduced-cost row O, t > 0 times the rational one, with no solve of
+B^T y = c_B.  For y the final basis's dual on the rows as stored (row i
+negated when b_i < 0, so the rhs is |b| = beta / d in ints, T = sum(beta)),
+O[n+i] = t(1 - y_i) and O[rhs] = -t y.|b|: T t = sum(beta_i O[n+i]) - d O[rhs]
+(t = O[n+last] - O[rhs] when b = e_last), and the vector returned is
+T t y_i = T t - T O[n+i], its sign flipped back on the negated rows.
 """
 
 from __future__ import annotations
@@ -163,6 +171,18 @@ def _phase1(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: in
     if tableau.run() is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
     return tableau
+
+
+def phase1_dual(matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[int] | None:
+    """None if {x >= 0 : A x = b} is nonempty, else an int Farkas vector y (y.a_j <= 0 on each column, y.b > 0)."""
+    n = len(matrix[0]) if matrix else 0
+    objective = _phase1(matrix, rhs, n, 0, wide=True).objective
+    if not objective[-1]:
+        return None
+    weights, d = common_denominator([abs(b) for b in rhs])
+    total = sum(weights)
+    scaled = sum(w * objective[n + i] for i, w in enumerate(weights) if w) - d * objective[-1]  # total * t
+    return [(scaled - total * objective[n + i]) * (-1 if b < 0 else 1) for i, b in enumerate(rhs)]
 
 
 def solve_lp(

@@ -1,3 +1,7 @@
+import os
+import subprocess
+from pathlib import Path
+
 import bench_pairs
 
 METRICS = [
@@ -66,3 +70,36 @@ def test_last_json_line_skips_the_report_text():
     text = 'workload w\n  ops_per_s = 1 ops/s\n{"failed": 0}\n'
     assert bench_pairs.last_json_line(text) == {"failed": 0}
     assert bench_pairs.last_json_line("no json here\n[1, 2]\n") is None
+
+
+def test_each_side_runs_with_a_fresh_bytecode_cache_of_its_own(tmp_path, monkeypatch):
+    # a stale __pycache__ in the working tree must not warm the change alone
+    monkeypatch.setenv("BENCH_PAIRS_PASSES_THROUGH", "yes")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")  # would keep each cache empty
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: into.mkdir())
+    benchmark_runs = []
+
+    def fake_run(argv, cwd=None, capture_output=False, text=False, env=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        side = "change" if Path(cwd) == bench_pairs.ROOT else "parent"
+        benchmark_runs.append((side, prefix, prefix.exists(), dict(env)))
+        prefix.mkdir(exist_ok=True)  # as the interpreter would on its first write
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")  # a run with no JSON line
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--seed", "1", "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--trace-seed", "9", "--out", str(out)]) == 0
+    assert [side for side, *_ in benchmark_runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    prefixes = {side: {prefix for s, prefix, *_ in benchmark_runs if s == side} for side in ("parent", "change")}
+    assert all(len(p) == 1 for p in prefixes.values()) and prefixes["parent"] != prefixes["change"]
+    for side in ("parent", "change"):
+        first = next(run for run in benchmark_runs if run[0] == side)
+        assert not first[2]  # the side's cache does not exist before its first run
+        assert bench_pairs.ROOT not in first[1].parents  # nor does it live in the working tree
+    passed = {k: v for k, v in os.environ.items() if k not in ("PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")}
+    for *_, env in benchmark_runs:
+        env.pop("PYTHONPYCACHEPREFIX")
+        assert env == passed and env["BENCH_PAIRS_PASSES_THROUGH"] == "yes"

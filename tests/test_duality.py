@@ -8,12 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic import cli, duality
-from semistatic.duality import detect_arbitrage, optimal_face, robust_price, superhedge, verify_duality
+from semistatic.duality import (
+    CERTIFICATE_MISSING,
+    _floor_certificate,
+    _phase1_certificate,
+    detect_arbitrage,
+    optimal_face,
+    robust_price,
+    superhedge,
+    verify_duality,
+)
+from semistatic.enlargement import enlarge
 from semistatic.errors import EmptyMeasureSet, InvariantViolation
 from semistatic.hedging import int_strategy_columns, strategy_payoff
 from semistatic.model import Measure
 from semistatic.polytope import VertexSet, build_constraints, enumerate_extreme_points
-from semistatic.sampling import random_model, random_payoff
+from semistatic.sampling import random_jump, random_model, random_payoff
 from tests.conftest import scenario_path
 from tests.test_polytope import ladder_model
 
@@ -81,8 +91,6 @@ def test_verify_duality_examples(trinomial, trinomial_calibrated):
 
 
 def test_duality_on_empty_set_raises(informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
     with pytest.raises(EmptyMeasureSet):
         verify_duality((F(0),) * enlarged.model.n_cells, enlarged.model)
@@ -113,8 +121,6 @@ def test_detect_arbitrage_miscalibrated(trinomial):
 
 
 def test_detect_arbitrage_informed(informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
     report = detect_arbitrage(enlarged.model)
     assert not report.feasible
@@ -124,8 +130,6 @@ def test_detect_arbitrage_informed(informed_arbitrage):
 
 
 def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
     result = superhedge((F(0),) * enlarged.model.n_cells, enlarged.model)
     assert result.unbounded
@@ -142,8 +146,6 @@ def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
     ],
 )
 def test_corrupted_arbitrage_ray_raises_invariant_violation(monkeypatch, informed_arbitrage, corrupt):
-    from semistatic.enlargement import enlarge
-
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
     payoff = (F(0),) * model.n_cells
     assert superhedge(payoff, model).unbounded
@@ -191,8 +193,6 @@ def test_a_vertex_set_is_not_an_argument(trinomial_calibrated):
 
 
 def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
     calls = _recording_solve_lp(monkeypatch)
     assert not detect_arbitrage(model).feasible
@@ -200,6 +200,73 @@ def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_
     n_free = len(int_strategy_columns(model)) - 1 + 1
     n_vars = n_free + 1 + len(model.allowed)
     assert calls == [(n_vars, {n_vars}, n_free)]
+
+
+def _corrupt_phase1_dual(monkeypatch, corrupt):
+    """``duality.phase1_dual`` replaced by ``corrupt(phase1_dual, rows, rhs)``."""
+    real = duality.phase1_dual
+    monkeypatch.setattr(duality, "phase1_dual", lambda rows, rhs: corrupt(real, rows, rhs))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # gain 0's holding carries the floor on this model's first cells
+        pytest.param(lambda real, rows, rhs: [0, *real(rows, rhs)[1:]], id="zero-a-gain"),
+        pytest.param(lambda real, rows, rhs: [-x for x in real(rows, rhs)], id="negated"),
+        # without its sum row the program is met by q = 0: phase 1 has no Farkas vector to read
+        pytest.param(lambda real, rows, rhs: real(rows[:-1], rhs[:-1]), id="no-sum-row"),
+    ],
+)
+def test_a_corrupted_phase1_dual_fails_the_certificate_check(monkeypatch, informed_arbitrage, corrupt):
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    assert model.int_gains and not _phase1_certificate(model).feasible
+    _corrupt_phase1_dual(monkeypatch, corrupt)
+    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+        _phase1_certificate(model)
+
+
+def test_the_phase1_certificate_does_not_read_the_sum_row_entry(monkeypatch, informed_arbitrage):
+    # the sum-row entry y_last only proves the floor; the checker recomputes the floor from the strategy
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    report = _phase1_certificate(model)
+    _corrupt_phase1_dual(monkeypatch, lambda real, rows, rhs: real(rows, rhs)[:-1])
+    assert _phase1_certificate(model) == report
+
+
+def test_a_certificate_that_costs_cash_fails_the_check(informed_arbitrage):
+    # one unit more cash keeps every recomputed payoff positive, but the strategy is no longer free
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    certificate = _phase1_certificate(model).certificate
+    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+        duality._checked_certificate(replace(certificate, cash=F(1)), model)
+
+
+def test_a_model_with_measures_has_no_phase1_certificate(trinomial):
+    assert enumerate_extreme_points(trinomial.model.constraints).vertices
+    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+        _phase1_certificate(trinomial.model)
+
+
+def test_both_certificates_exist_exactly_on_the_empty_measure_sets():
+    # random models (each has a calibrated measure) and single-jump enlargements, some of them empty
+    rng = random.Random(3700)
+    empty = 0
+    for _ in range(300):
+        base, _ = random_model(rng)
+        for model in (base, enlarge(base, [random_jump(rng, base)]).model):
+            is_empty = not enumerate_extreme_points(model.constraints).vertices
+            empty += is_empty
+            for certify in (_phase1_certificate, _floor_certificate):
+                if not is_empty:
+                    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+                        certify(model)
+                    continue
+                report = certify(model)
+                value = strategy_payoff(report.certificate, model)
+                assert report.certificate.cash == 0 and value == report.certificate_payoff
+                assert all(value[a] > 0 for a in model.allowed)
+    assert empty >= 50
 
 
 @settings(max_examples=60, deadline=None)
@@ -294,8 +361,6 @@ def test_face_matches_full_scan_on_ladder(b, horizon, ties):
 
 
 def test_price_on_empty_measure_set_is_minus_infinity(informed_arbitrage):
-    from semistatic.enlargement import enlarge
-
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
     payoff = (F(0),) * model.n_cells
     primal, dual = optimal_face(payoff, model)

@@ -365,23 +365,42 @@ def _zero_coordinates(result, free):
     return replace(result, solution=(ZERO,) * n_coordinates + result.solution[n_coordinates:])
 
 
+def _negate_coordinates(result, free):
+    n_coordinates = free - 1
+    negated = tuple(-x for x in result.solution[:n_coordinates])
+    return replace(result, solution=negated + result.solution[n_coordinates:])
+
+
 def _zero_floor(result, free):
     return replace(result, objective=ZERO, solution=result.solution[: free - 1] + (ZERO,) + result.solution[free:])
 
 
-@pytest.mark.parametrize("corrupt", [_zero_coordinates, _zero_floor])
-def test_detect_arbitrage_checks_its_certificate(monkeypatch, corrupt):
-    scenario = load_scenario(SCENARIOS / "informed_arbitrage.json")
-    model = enlarge(scenario.model, scenario.jumps).model
-    assert not detect_arbitrage(model).feasible
+def _corrupt_floor_program(monkeypatch, corrupt):
+    """``duality.solve_lp`` returning ``corrupt`` of each result."""
     solve = duality.solve_lp
 
     def corrupted(cost, matrix, rhs, free=0):
         return corrupt(solve(cost, matrix, rhs, free=free), free)
 
     monkeypatch.setattr(duality, "solve_lp", corrupted)
+
+
+@pytest.mark.parametrize("corrupt", [_zero_coordinates, _negate_coordinates])
+def test_detect_arbitrage_checks_its_certificate(monkeypatch, informed_arbitrage, corrupt):
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    assert not detect_arbitrage(model).feasible
+    _corrupt_floor_program(monkeypatch, corrupt)
     with pytest.raises(InvariantViolation, match="positive floor on every allowed cell"):
         detect_arbitrage(model)
+
+
+def test_detect_arbitrage_judges_the_strategy_not_the_programs_floor(monkeypatch, informed_arbitrage):
+    # the checker recomputes the floor from the strategy's payoff: a program reporting floor 0 beside the
+    # same coordinates leaves the same certificate
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    report = detect_arbitrage(model)
+    _corrupt_floor_program(monkeypatch, _zero_floor)
+    assert detect_arbitrage(model) == report
 
 
 def _integer_row_calls(argv_list):

@@ -23,8 +23,9 @@ from semistatic.enlargement import enlarge
 from semistatic.errors import InvariantViolation
 from semistatic.rationals import common_denominator, integer_row
 from semistatic.scenario import load_scenario
-from semistatic.simplex import LPResult, phase1_objective, solve_lp
+from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
+from tests.test_linalg import reference_solve
 from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)
@@ -326,3 +327,69 @@ def test_known_programs():
     # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
     assert solve_lp([f(1)], [[f(1)]], [f(-3)], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
     assert solve_lp([f(1)], [], [], free=1) == LPResult("unbounded", ray=(f(-1),), column=0)
+
+
+def reference_phase1_dual(matrix, rhs):
+    """The reference's phase 1, then the dual of its final basis by a Fraction solve of B^T y = c_B; None if feasible.
+
+    A row negated for its negative rhs gets its sign back in y.
+    """
+    if not matrix:
+        return None
+    n, m = len(matrix[0]), len(matrix)
+    sign = [-1 if b < 0 else 1 for b in rhs]
+    rows = [
+        [s * x for x in r] + [ONE if k == i else ZERO for k in range(m)] + [s * b]
+        for i, (r, b, s) in enumerate(zip(matrix, rhs, sign))
+    ]
+    tableau = _Tableau([list(row) for row in rows], [n + i for i in range(m)], n + m, 0, n)
+    tableau.run([ZERO] * n + [ONE] * m)
+    if all(tableau.rows[i][-1] == 0 for i, b in enumerate(tableau.basis) if b >= n):
+        return None
+    transposed = [[row[j] for row in rows] for j in tableau.basis]  # row k of B^T is basic column k
+    dual = reference_solve(transposed, [ONE if j >= n else ZERO for j in tableau.basis])
+    return [s * y for s, y in zip(sign, dual)]
+
+
+def assert_farkas(y, matrix, rhs, reference):
+    """y certifies {x >= 0 : A x = b} empty and is a positive multiple of the reference dual."""
+    assert all(type(v) is int for v in y)
+    assert all(sum(v * row[j] for v, row in zip(y, matrix)) <= 0 for j in range(len(matrix[0])))
+    assert sum(v * b for v, b in zip(y, rhs)) > 0
+    i = next(i for i, v in enumerate(reference) if v)
+    factor = Fraction(y[i]) / reference[i]
+    assert factor > 0 and [factor * v for v in reference] == y
+
+
+def test_phase1_dual_of_known_programs():
+    f = Fraction
+    assert phase1_dual([], []) is None
+    assert phase1_dual([[f(1), f(1)]], [f(1)]) is None  # x + y = 1 is met by (1, 0)
+    cases = [
+        ([[1, 1]], [-1]),  # x + y = -1: the negated row's dual entry is negative
+        ([[f(1, 2), f(1, 3)], [f(1), f(-1)]], [f(-1, 2), f(2)]),  # rational entries and a negative rhs
+        ([[1, -1], [1, 1], [f(1, 2), 0]], [0, 1, f(3, 2)]),  # x = y, x + y = 1, x = 3
+        ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], [0, 0, 1]),  # a sum row under homogeneous rows, as the certificate has
+    ]
+    for matrix, rhs in cases:
+        y = phase1_dual(matrix, rhs)
+        assert_farkas(y, matrix, rhs, reference_phase1_dual(matrix, rhs))
+    assert phase1_dual([[1, 1]], [-1])[0] < 0
+
+
+def test_phase1_dual_matches_the_reference_on_random_programs():
+    rng = random.Random(3737)
+    seen = Counter()
+    for _ in range(1500):
+        _, matrix, rhs = random_lp(rng)
+        reference = reference_phase1_dual(matrix, rhs)
+        y = phase1_dual(matrix, rhs)
+        if reference is None:
+            assert y is None
+            seen["feasible"] += 1
+            continue
+        assert_farkas(y, matrix, rhs, reference)
+        seen["infeasible"] += 1
+        seen["negative rhs"] += any(b < 0 for b in rhs)
+        seen["rational entry"] += any(x.denominator > 1 for row in matrix for x in row)
+    assert min(seen[k] for k in ("feasible", "infeasible", "negative rhs", "rational entry")) >= 50, seen
