@@ -8,7 +8,8 @@ Usage (from the repository root):
 
 The parent is ``git archive <rev>`` unpacked into a temporary directory; the
 change is this checkout's working tree.  Each side caches its bytecode in a
-fresh directory of its own (``PYTHONPYCACHEPREFIX``), filled by its first run.  Pair i runs both sides
+fresh directory of its own (``PYTHONPYCACHEPREFIX``), filled by one untimed
+warm-up run per side before pair 0, whose result is discarded.  Pair i runs both sides
 on seed ``--seed + i``, the parent first in even pairs and the change first
 in odd ones, one process at a time.  Each run's last stdout line (the
 benchmark's JSON summary) is kept.  Per workload and end-to-end metric the
@@ -57,9 +58,9 @@ def run_bench(
     Each side has its own ``pycache``, made fresh by ``main``: a ``__pycache__``
     left in the working tree would otherwise warm the change's imports alone.
     The prefix also hides the standard library's own caches, so writing is
-    left on (``PYTHONDONTWRITEBYTECODE`` is dropped): a side's first run fills
-    its cache and the later ones read it, where with writing off every run
-    compiled every module from source.
+    left on (``PYTHONDONTWRITEBYTECODE`` is dropped): a side's warm-up run
+    fills its cache and the timed ones read it, where with writing off every
+    run compiled every module from source.
     """
     argv = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     argv += ["--trace", str(trace)]
@@ -165,6 +166,8 @@ def main(argv=None) -> int:
         unpack(args.parent, parent)
         checkouts = {"parent": parent, "change": ROOT}
         caches = {side: Path(tmp) / f"pycache-{side}" for side in checkouts}
+        for side in checkouts:  # a cold first run would read high on setup_s and peak_rss_mb
+            run_bench(checkouts[side], bench["command"], args.workload[0], args.seed, seconds, 0, caches[side])
         runs, traced, order = [], [], 0
         for workload in args.workload:
             for pair in range(args.pairs):

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .duality import _floor_certificate, _phase1_certificate, optimal_face, superhedge, verify_duality
+from .duality import _phase1_certificate, optimal_face, superhedge, verify_duality
 from .enlargement import enlarge, informed_compare, jeulin_yor
 from .errors import EmptyMeasureSet, NotCalibrated, NotComplete, SemistaticError
 from .hedging import NotReplicable, is_semistatically_complete, replicate
@@ -147,8 +147,8 @@ def _cmd_duality(scenario: Scenario, args) -> tuple[dict, int]:
         report = verify_duality(payoff, scenario.model)
     except EmptyMeasureSet:
         # the unbounded superhedge already proves the set empty (LP duality);
-        # the floor program's positive floor is the independent certificate
-        arb = _floor_certificate(scenario.model)
+        # phase 1's checked certificate is the independent proof
+        arb = _phase1_certificate(scenario.model)
         return {"status": "arbitrage", "certificate": arb.to_json(scenario.model)}, PASS
     return report.to_json(scenario.model), PASS if report.ok else FAIL
 

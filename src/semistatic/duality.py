@@ -10,11 +10,11 @@ that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
 the model's extreme points as an independent oracle.
 
 An empty measure set is certified by a zero-cost strategy paying a positive
-floor on every allowed cell, judged by ``_checked_certificate`` alone: the
-floor program's for ``detect_arbitrage`` and ``duality``, which print it, and
-phase 1's on {q >= 0 : gains q = 0, claims q = 0, sum q = 1} over the allowed
-cells for ``extremes`` and ``informed-compare``, where ``simplex.phase1_dual``
-gives t y_i = t - O[n+i], t = O[n+last] - O[rhs], and row i holds -t y_i s_i.
+floor on every allowed cell.  ``_phase1_certificate`` alone produces it, from
+phase 1 on {q >= 0 : gains q = 0, claims q = 0, sum q = 1} over the allowed
+cells, where ``simplex.phase1_dual`` gives t y_i = t - O[n+i],
+t = O[n+last] - O[rhs], and row i holds -t y_i s_i; ``_checked_certificate``
+alone judges it.
 """
 
 from __future__ import annotations
@@ -68,16 +68,6 @@ class RobustPriceResult:
         }
 
 
-def _domination_rows(columns: Sequence[Sequence[int]], allowed: Sequence[int]) -> list[list[int]]:
-    """Per allowed cell a: each int column at a, then -1 in the cell's own surplus column and 0 in the others."""
-    rows = []
-    for slot, a in enumerate(allowed):
-        surplus = [0] * len(allowed)
-        surplus[slot] = -1
-        rows.append([col[a] for col in columns] + surplus)
-    return rows
-
-
 def _unscaled(values: Sequence[Fraction], scales: Sequence[int], divisor: int) -> list[Fraction]:
     """The rational program's coordinates y_i * s_i / divisor, from the int program's y_i and column scales s_i."""
     pairs = zip(values, scales)
@@ -105,7 +95,9 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     columns = int_strategy_columns(model)
     allowed = sorted(model.allowed)
     n_free = len(columns)
-    matrix = _domination_rows([row for row, _ in columns], allowed)
+    matrix = []  # per allowed cell: each int column there, then -1 in the cell's own surplus column
+    for slot, a in enumerate(allowed):
+        matrix.append([row[a] for row, _ in columns] + [0] * slot + [-1] + [0] * (len(allowed) - slot - 1))
     rhs, scale = common_denominator([payoff[a] for a in allowed])
     cost = [1] + [0] * (n_free - 1 + len(allowed))
 
@@ -237,32 +229,9 @@ class ArbitrageReport:
 
 
 def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
-    """Feasibility of the calibrated measure set, counted in vertices, else ``_floor_certificate``'s certificate."""
+    """Feasibility of the calibrated measure set, counted in vertices, else ``_phase1_certificate``'s certificate."""
     count = len(enumerate_extreme_points(model.constraints).vertices)
-    return ArbitrageReport(True, count) if count else _floor_certificate(model)
-
-
-def _floor_certificate(model: FilteredModel) -> ArbitrageReport:
-    """The checked certificate of an empty calibrated measure set from the floor program.
-
-    It maximizes a cash-free strategy's guaranteed floor, capped at one; the
-    coordinates and the floor are free columns on ``superhedge``'s int columns.
-    """
-    columns = int_strategy_columns(model)[1:]  # no cash: the certificate must be zero-cost
-    allowed = sorted(model.allowed)
-    n_free = len(columns)
-    n = model.n_cells
-    # variables: free coordinates, free floor t, then cap slack u and surpluses s; t is -1 and u 0 on every cell
-    matrix = _domination_rows([row for row, _ in columns] + [(-1,) * n, (0,) * n], allowed)
-    matrix.append([0] * n_free + [1, 1] + [0] * len(allowed))
-    rhs = [0] * len(allowed) + [1]
-    cost = [0] * n_free + [-1] + [0] * (1 + len(allowed))
-
-    result = solve_lp(cost, matrix, rhs, free=n_free + 1)
-    if result.status != "optimal":
-        raise InvariantViolation("floor program is feasible and capped")
-    coordinates = _unscaled(result.solution, [s for _, s in columns], 1)
-    return _checked_certificate(SemiStaticStrategy.from_coordinates((ZERO, *coordinates), model), model)
+    return ArbitrageReport(True, count) if count else _phase1_certificate(model)
 
 
 def _phase1_certificate(model: FilteredModel) -> ArbitrageReport:

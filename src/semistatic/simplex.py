@@ -161,7 +161,7 @@ def _phase1(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: in
         if b < 0:
             row = [-x for x in row]
         if wide:
-            row[n:n] = [s if k == i else 0 for k in range(m)]
+            row[n:n] = [0] * i + [s] + [0] * (m - i - 1)
         rows.append(row)
         scales.append(s)
     objective = phase1_objective(rows, scales, n)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 from pathlib import Path
@@ -92,7 +93,8 @@ def test_each_side_runs_with_a_fresh_bytecode_cache_of_its_own(tmp_path, monkeyp
     out = tmp_path / "bench.json"
     argv = ["--parent", "HEAD", "--pairs", "2", "--seed", "1", "--workload", "w", "--seconds", "1"]
     assert bench_pairs.main([*argv, "--trace-seed", "9", "--out", str(out)]) == 0
-    assert [side for side, *_ in benchmark_runs] == ["parent", "change", "change", "parent", "parent", "change"]
+    sides = [side for side, *_ in benchmark_runs]
+    assert sides == ["parent", "change", "parent", "change", "change", "parent", "parent", "change"]
     prefixes = {side: {prefix for s, prefix, *_ in benchmark_runs if s == side} for side in ("parent", "change")}
     assert all(len(p) == 1 for p in prefixes.values()) and prefixes["parent"] != prefixes["change"]
     for side in ("parent", "change"):
@@ -103,3 +105,33 @@ def test_each_side_runs_with_a_fresh_bytecode_cache_of_its_own(tmp_path, monkeyp
     for *_, env in benchmark_runs:
         env.pop("PYTHONPYCACHEPREFIX")
         assert env == passed and env["BENCH_PAIRS_PASSES_THROUGH"] == "yes"
+
+
+def test_each_side_warms_its_cache_once_and_the_warm_up_is_discarded(tmp_path, monkeypatch):
+    # a cold first run fills the cache: kept, it would read high on setup_s and peak_rss_mb in pair 0
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: into.mkdir())
+    names = [m["name"] for m in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def fake_run(argv, cwd=None, capture_output=False, text=False, env=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+        calls.append("change" if Path(cwd) == bench_pairs.ROOT else "parent")
+        n = len(calls)  # each run's ops and every metric are its call number
+        canned = {"attempted": n, "failed": 0, "metrics": {name: {"value": n} for name in names}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(canned) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", "HEAD", "--pairs", "2", "--seed", "1", "--workload", "w", "--seconds", "1"]
+    assert bench_pairs.main([*argv, "--out", str(out)]) == 0
+    assert calls == ["parent", "change", "parent", "change", "change", "parent"]
+    record = json.loads(out.read_text())
+    kept = {run["result"]["attempted"] for run in record["runs"]}
+    for side in ("parent", "change"):
+        assert calls.index(side) + 1 not in kept  # the side's first call is its warm-up
+    assert kept == {3, 4, 5, 6}
+    summary = record["summary"]["w"]
+    assert summary["parent"]["runs"] == summary["change"]["runs"] == 2
+    assert summary["parent"]["attempted_ops"] == 3 + 6 and summary["change"]["attempted_ops"] == 4 + 5
+    assert summary["ops_per_s"]["parent_median"] == 4.5 and summary["ops_per_s"]["change_median"] == 4.5

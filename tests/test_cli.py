@@ -13,9 +13,12 @@ import run_corpus
 
 from semistatic import cli, duality, enlargement, verify
 from semistatic.cli import build_parser, main
+from semistatic.enlargement import enlarge
 from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
 from tests.conftest import REPO, scenario_path
+from tests.decoders import strategy_from_json
+from tests.reference import strategy_columns
 from tests.test_duality import slacken_a_tight_cell
 from tests.test_layout import ARBITRAGE
 
@@ -147,6 +150,32 @@ def test_duality_on_arbitrage_model(tmp_path, monkeypatch, capsys):
     assert main(["--format", "json", "duality", "--payoff", "zero", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == report
     assert calls == []
+
+
+def informed_market() -> dict:
+    """``informed_arbitrage`` on its enlarged filtration, written as a plain model without jumps."""
+    scenario = load_scenario(scenario_path("informed_arbitrage"))
+    data = json.loads(scenario_path("informed_arbitrage").read_text())
+    del data["jumps"]
+    partitions = enlarge(scenario.model, scenario.jumps).model.partitions
+    data["filtration"] = [[[data["outcomes"][w] for w in cell] for cell in p.cells] for p in partitions]
+    return data
+
+
+@pytest.mark.parametrize("data, payoff", [(ARBITRAGE, "zero"), (informed_market(), "call_at_1")])
+def test_duality_prints_a_certificate_whose_holdings_pay_its_payoff(tmp_path, capsys, data, payoff):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    assert main(["--format", "json", "duality", "--payoff", payoff, str(path)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["status"] == "arbitrage" and result["certificate"]["feasible"] is False
+    model = load_scenario(path).model
+    strategy = strategy_from_json(result["certificate"]["certificate"], model)
+    coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
+    # the payoff recomputed from the printed holdings on the Fraction columns, not by strategy_payoff
+    value = [sum(h * vec[a] for h, (_, vec) in zip(coordinates, strategy_columns(model))) for a in range(model.n_cells)]
+    assert value == [Fraction(x) for x in result["certificate"]["certificate_payoff"]]
+    assert strategy.cash == 0 and all(value[a] > 0 for a in model.allowed)
 
 
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"

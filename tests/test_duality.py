@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from semistatic import cli, duality
 from semistatic.duality import (
     CERTIFICATE_MISSING,
-    _floor_certificate,
     _phase1_certificate,
     detect_arbitrage,
     optimal_face,
@@ -192,16 +191,6 @@ def test_a_vertex_set_is_not_an_argument(trinomial_calibrated):
     assert robust_price(trinomial_calibrated.payoffs["abs_S1"], model).value == F(1, 2)
 
 
-def test_floor_program_has_one_column_per_free_coordinate(monkeypatch, informed_arbitrage):
-    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    calls = _recording_solve_lp(monkeypatch)
-    assert not detect_arbitrage(model).feasible
-    # coordinates without cash, the floor t, the cap slack u, one surplus per allowed cell
-    n_free = len(int_strategy_columns(model)) - 1 + 1
-    n_vars = n_free + 1 + len(model.allowed)
-    assert calls == [(n_vars, {n_vars}, n_free)]
-
-
 def _corrupt_phase1_dual(monkeypatch, corrupt):
     """``duality.phase1_dual`` replaced by ``corrupt(phase1_dual, rows, rhs)``."""
     real = duality.phase1_dual
@@ -214,16 +203,19 @@ def _corrupt_phase1_dual(monkeypatch, corrupt):
         # gain 0's holding carries the floor on this model's first cells
         pytest.param(lambda real, rows, rhs: [0, *real(rows, rhs)[1:]], id="zero-a-gain"),
         pytest.param(lambda real, rows, rhs: [-x for x in real(rows, rhs)], id="negated"),
+        # the zero strategy pays 0 >= 0 everywhere, but no positive floor
+        pytest.param(lambda real, rows, rhs: [0] * len(real(rows, rhs)), id="all-zero"),
         # without its sum row the program is met by q = 0: phase 1 has no Farkas vector to read
         pytest.param(lambda real, rows, rhs: real(rows[:-1], rhs[:-1]), id="no-sum-row"),
     ],
 )
-def test_a_corrupted_phase1_dual_fails_the_certificate_check(monkeypatch, informed_arbitrage, corrupt):
+@pytest.mark.parametrize("caller", [_phase1_certificate, detect_arbitrage])
+def test_a_corrupted_phase1_dual_fails_the_certificate_check(monkeypatch, informed_arbitrage, corrupt, caller):
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    assert model.int_gains and not _phase1_certificate(model).feasible
+    assert model.int_gains and not caller(model).feasible
     _corrupt_phase1_dual(monkeypatch, corrupt)
     with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
-        _phase1_certificate(model)
+        caller(model)
 
 
 def test_the_phase1_certificate_does_not_read_the_sum_row_entry(monkeypatch, informed_arbitrage):
@@ -232,6 +224,19 @@ def test_the_phase1_certificate_does_not_read_the_sum_row_entry(monkeypatch, inf
     report = _phase1_certificate(model)
     _corrupt_phase1_dual(monkeypatch, lambda real, rows, rhs: real(rows, rhs)[:-1])
     assert _phase1_certificate(model) == report
+
+
+def test_the_check_judges_the_returned_strategy_not_the_dual_vector(monkeypatch, informed_arbitrage):
+    # a strategy built wrong from the right vector must fail: the payoff is recomputed from what is returned
+    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
+    real = duality.SemiStaticStrategy
+
+    def without_dynamic(cash, static, dynamic):
+        return real(cash, static, (F(0),) * len(dynamic))
+
+    monkeypatch.setattr(duality, "SemiStaticStrategy", without_dynamic)
+    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+        _phase1_certificate(model)
 
 
 def test_a_certificate_that_costs_cash_fails_the_check(informed_arbitrage):
@@ -248,7 +253,7 @@ def test_a_model_with_measures_has_no_phase1_certificate(trinomial):
         _phase1_certificate(trinomial.model)
 
 
-def test_both_certificates_exist_exactly_on_the_empty_measure_sets():
+def test_the_phase1_certificate_exists_exactly_on_the_empty_measure_sets():
     # random models (each has a calibrated measure) and single-jump enlargements, some of them empty
     rng = random.Random(3700)
     empty = 0
@@ -257,15 +262,14 @@ def test_both_certificates_exist_exactly_on_the_empty_measure_sets():
         for model in (base, enlarge(base, [random_jump(rng, base)]).model):
             is_empty = not enumerate_extreme_points(model.constraints).vertices
             empty += is_empty
-            for certify in (_phase1_certificate, _floor_certificate):
-                if not is_empty:
-                    with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
-                        certify(model)
-                    continue
-                report = certify(model)
-                value = strategy_payoff(report.certificate, model)
-                assert report.certificate.cash == 0 and value == report.certificate_payoff
-                assert all(value[a] > 0 for a in model.allowed)
+            if not is_empty:
+                with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
+                    _phase1_certificate(model)
+                continue
+            report = _phase1_certificate(model)
+            value = strategy_payoff(report.certificate, model)
+            assert report.certificate.cash == 0 and value == report.certificate_payoff
+            assert all(value[a] > 0 for a in model.allowed)
     assert empty >= 50
 
 

@@ -2,12 +2,12 @@
 
 ``FilteredModel.int_gains`` and ``int_claims`` hold the gain and claim
 vectors as int rows with positive scales; the constraint rows, the simplex
-columns of ``superhedge`` and ``detect_arbitrage``, strategy payoffs,
-conditional means and vertex measures are all built on them.  Each test
-below recomputes the same object the Fraction way, as the engine did before
-the tables, on ``tests/test_layout.py``'s models, on a copy of each with
-fractional prices and claims, on one-jump enlargements of all of these, and
-on the bundled scenarios.
+columns of ``superhedge``, the phase-1 rows of ``detect_arbitrage``,
+strategy payoffs, conditional means and vertex measures are all built on
+them.  Each test below recomputes the same object the Fraction way, as the
+engine did before the tables, on ``tests/test_layout.py``'s models, on a
+copy of each with fractional prices and claims, on one-jump enlargements of
+all of these, and on the bundled scenarios.
 """
 
 import json
@@ -24,14 +24,14 @@ import pytest
 from semistatic import cli, duality, polytope
 from semistatic.duality import _tight_cells, detect_arbitrage, superhedge
 from semistatic.enlargement import enlarge
-from semistatic.errors import InputError, InvariantViolation, NotCalibrated
+from semistatic.errors import InputError, NotCalibrated
 from semistatic.hedging import CompletenessReport, SemiStaticStrategy, is_semistatically_complete, strategy_payoff
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import fmt, integer_row
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
-from semistatic.simplex import solve_lp
+from semistatic.simplex import phase1_dual, solve_lp
 from tests.conftest import SCENARIOS
 from tests.reference import gains as _reference_gains, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
@@ -321,23 +321,24 @@ def test_the_corpus_has_unbounded_superhedges():
     assert len(empty) >= 5
 
 
-def test_floor_program_equals_the_fraction_program(model):
+def test_the_phase1_certificate_equals_the_fraction_program(model):
+    # phase 1 charges each row's artificial as the row is stored, so the Fraction rows are scaled as the int
+    # tables scale them: a gain of asset j by the lcm of j's price denominators, a claim by its own
     if enumerate_extreme_points(model.constraints).vertices:
         return
-    vectors = [vec for _, vec in strategy_columns(model)[1:]]
+    n_claims = len(model.claims)
+    claims = [(vec, lcm(*(x.denominator for x in vec))) for _, vec in strategy_columns(model)[1 : 1 + n_claims]]
+    asset_scales = [lcm(*(x.denominator for prices in path for x in prices)) for path in model.prices]
+    gains = [(vec, asset_scales[label[-1]]) for label, vec in _reference_gains(model)]
     allowed = sorted(model.allowed)
-    n_free = len(vectors)
-    matrix = []
-    for slot, a in enumerate(allowed):
-        surplus = [ZERO] * len(allowed)
-        surplus[slot] = -ONE
-        matrix.append([vec[a] for vec in vectors] + [-ONE, ZERO] + surplus)
-    matrix.append([ZERO] * n_free + [ONE, ONE] + [ZERO] * len(allowed))
-    cost = [ZERO] * n_free + [-ONE] + [ZERO] * (1 + len(allowed))
-    reference = solve_lp(cost, matrix, [ZERO] * len(allowed) + [ONE], free=n_free + 1)
-    report = detect_arbitrage(model)
-    certificate = report.certificate
-    assert (certificate.cash, *certificate.static, *certificate.dynamic) == (ZERO, *reference.solution[:n_free])
+    rows = [[s * vec[a] for a in allowed] for vec, s in gains + claims] + [[ONE] * len(allowed)]
+    y = phase1_dual(rows, [ZERO] * (len(rows) - 1) + [ONE])
+    holdings = [-s * y_i for y_i, (_, s) in zip(y, gains + claims)]
+    reference = (ZERO, *holdings[len(gains) :], *holdings[: len(gains)])
+    certificate = detect_arbitrage(model).certificate
+    coordinates = (certificate.cash, *certificate.static, *certificate.dynamic)
+    factor = next(x / r for x, r in zip(coordinates, reference) if r)
+    assert factor > 0 and coordinates == tuple(factor * r for r in reference)
 
 
 def _reference_payoff(strategy, model):
@@ -358,49 +359,6 @@ def test_strategy_payoff_matches_the_fraction_sum(model):
         payoff = strategy_payoff(strategy, model)
         assert payoff == _reference_payoff(strategy, model)
         assert all(type(x) is Fraction for x in payoff)
-
-
-def _zero_coordinates(result, free):
-    n_coordinates = free - 1  # the floor t follows the strategy coordinates
-    return replace(result, solution=(ZERO,) * n_coordinates + result.solution[n_coordinates:])
-
-
-def _negate_coordinates(result, free):
-    n_coordinates = free - 1
-    negated = tuple(-x for x in result.solution[:n_coordinates])
-    return replace(result, solution=negated + result.solution[n_coordinates:])
-
-
-def _zero_floor(result, free):
-    return replace(result, objective=ZERO, solution=result.solution[: free - 1] + (ZERO,) + result.solution[free:])
-
-
-def _corrupt_floor_program(monkeypatch, corrupt):
-    """``duality.solve_lp`` returning ``corrupt`` of each result."""
-    solve = duality.solve_lp
-
-    def corrupted(cost, matrix, rhs, free=0):
-        return corrupt(solve(cost, matrix, rhs, free=free), free)
-
-    monkeypatch.setattr(duality, "solve_lp", corrupted)
-
-
-@pytest.mark.parametrize("corrupt", [_zero_coordinates, _negate_coordinates])
-def test_detect_arbitrage_checks_its_certificate(monkeypatch, informed_arbitrage, corrupt):
-    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    assert not detect_arbitrage(model).feasible
-    _corrupt_floor_program(monkeypatch, corrupt)
-    with pytest.raises(InvariantViolation, match="positive floor on every allowed cell"):
-        detect_arbitrage(model)
-
-
-def test_detect_arbitrage_judges_the_strategy_not_the_programs_floor(monkeypatch, informed_arbitrage):
-    # the checker recomputes the floor from the strategy's payoff: a program reporting floor 0 beside the
-    # same coordinates leaves the same certificate
-    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    report = detect_arbitrage(model)
-    _corrupt_floor_program(monkeypatch, _zero_floor)
-    assert detect_arbitrage(model) == report
 
 
 def _integer_row_calls(argv_list):

@@ -228,7 +228,7 @@ def reach_corpus(directory: Path) -> list[list[str]]:
     Every bundled scenario goes through every scenario command, at vertex 0
     and on one of its payoffs (an inline one where it names none).  Then the
     paths the scenarios miss: an arbitrage model's unbounded superhedge and
-    floor certificate, an inline measure under which an inline payoff is not
+    empty-set certificate, an inline measure under which an inline payoff is not
     replicable, the text format, the two verify forms and a usage error.
     """
     corpus = []
