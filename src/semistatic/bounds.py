@@ -67,8 +67,8 @@ class BoundReport:
 def verify_multinomial_inequality(p_max: int, m_max: int) -> list[BoundReport]:
     """Exhaustive reports for 1 <= p <= p_max, p <= m <= m_max."""
     reports = []
-    for p in range(1, p_max + 1):
-        for m in range(max(p, 1), m_max + 1):
+    for p in range(1, min(p_max, m_max) + 1):  # no m >= p past m_max, however large p_max is
+        for m in range(p, m_max + 1):
             rhs = 4**p * factorial(p) * m ** (p - 1)
             reports.append(BoundReport(p, m, multinomial_lhs(p, m), rhs))
     return reports

@@ -16,6 +16,8 @@ import functools
 import json
 import os
 import sys
+from itertools import accumulate, chain
+from math import comb
 
 from .duality import _phase1_certificate, optimal_face, superhedge, verify_duality
 from .enlargement import enlarge, informed_compare, jeulin_yor
@@ -29,6 +31,7 @@ from .tree import AtomicTree, NoTree, extract_tree
 from . import verify as verify_suites
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
+MULTINOMIAL_BUDGET = 10**7  # composition entries: --pmax 10 --mmax 10 needs 2.4e6, --pmax 11 --mmax 11 1.02e7
 
 
 def _emit(report: dict, fmt_mode: str) -> None:
@@ -221,6 +224,12 @@ def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
         mmax = 6 if args.mmax is None else args.mmax
         if pmax < 1 or mmax < 1:
             raise ScenarioError(f"--pmax and --mmax must be at least 1, got {pmax} and {mmax}")
+        # C(p+m-1, p) compositions of length m per (p, m), the anchors first; m >= p caps p at mmax
+        sizes = chain([(2, 2)], ((1, m) for m in range(1, mmax + 1)),
+                      ((p, m) for p in range(1, min(pmax, mmax) + 1) for m in range(p, mmax + 1)))
+        if any(work > MULTINOMIAL_BUDGET for work in accumulate(comb(p + m - 1, p) * m for p, m in sizes)):
+            raise ScenarioError(f"--pmax {pmax} --mmax {mmax} is over the multinomial suite's budget: "
+                                f"its compositions times their length pass {MULTINOMIAL_BUDGET} entries")
         report = verify_suites.suite_multinomial(pmax, mmax)
     else:
         fn = verify_suites.SUITES[args.suite]

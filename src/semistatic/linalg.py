@@ -1,20 +1,18 @@
 """Exact linear algebra over rationals.
 
 Small dense routines used throughout: reduced row echelon form, rank with
-row/column witnesses, nullspaces, particular and minimum-norm solutions, and
-weighted projections.  Inputs and results are tuples of Fraction; the
-work runs on int rows, each a positive multiple of the rational row it stands
-for, and Fractions are built only for what is returned.  The engine's one
-exact elimination kernel is here: ``eliminate``, a fraction-free step on int
-rows (Bareiss 1968) that first cancels the gcd of the pivot p and the
-target's entry f, and ``pivot``, which clears a column with it for
-``echelon``, ``rref`` and the simplex tableau.  The kernel skips zeros: a
-step subtracts only over the pivot row's nonzero columns, which ``pivot``
-lists once for all the rows it clears.  ``echelon`` is the forward half of
-the elimination, with no back-substitution; ``rank`` and ``independent_rows``
-need only its pivots, and ``rref`` is ``echelon`` followed by
-back-substitution.  ``WeightedSpan`` orthogonalizes a span of int rows once
-under int weights, fraction-free, and sweeps int rows off it.
+row/column witnesses, nullspaces, minimum-norm solutions and weighted
+projections.  Inputs and results are tuples of Fraction; the work runs on int
+rows, each a positive multiple of the rational row it stands for, and
+Fractions are built only for what is returned.  The engine has two exact
+methods, both fraction-free.  The elimination kernel is ``eliminate``, a step
+on int rows (Bareiss 1968) that first cancels the gcd of the pivot p and the
+target's entry f and subtracts only over the pivot row's nonzero columns, and
+``pivot``, which clears a column with it for ``echelon`` (the forward half,
+which ``rank`` and ``independent_rows`` need), ``rref`` (for ``nullspace``)
+and the simplex tableau.  The weighted sweep is ``WeightedSpan``, which
+orthogonalizes a span of int rows once under int weights and sweeps int rows
+off it, for ``project_onto_span``, ``min_norm_solution`` and ``hedging``.
 """
 
 from __future__ import annotations
@@ -128,21 +126,6 @@ def independent_rows(matrix: Matrix) -> list[int]:
     return echelon([integer_row(col) for col in zip(*matrix)])
 
 
-def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
-    """One particular solution of ``matrix @ x = rhs`` (free variables 0)."""
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    if not rows:
-        return ()
-    ncols = len(matrix[0])
-    reduced, pivots = rref(rows)
-    if pivots and pivots[-1] == ncols:
-        return None
-    solution = [ZERO] * ncols
-    for row, c in zip(reduced, pivots):
-        solution[c] = Fraction(row[ncols], row[c])
-    return tuple(solution)
-
-
 def nullspace(matrix: Matrix) -> list[Vector]:
     """Basis of the kernel, one vector per free column, deterministic order."""
     if not matrix:
@@ -164,29 +147,27 @@ def nullspace(matrix: Matrix) -> list[Vector]:
 def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     """Euclidean minimum-norm solution of a linear system, None when inconsistent.
 
-    The minimum-norm solution is the unique one in the row space.  Each row
-    [A_i | b_i] is scaled to ints [B_i | beta_i]; over a maximal independent
-    set of rows x = B_r^T z with (B_r B_r^T) z = beta_r, a Gram system in ints.
-    x is formed over one common denominator, and it satisfies every row,
-    checked in ints, exactly when the system is consistent.
+    One ``WeightedSpan`` sweeps the int rows [B_i | beta_i] with weight 0 on
+    the rhs, which rides along each step outside every inner product.  A row
+    whose B part sweeps to zero with a rhs left is inconsistent.  Otherwise
+    each kept residual (c_i | gamma_i) gives <c_i, x> = gamma_i, and the c_i
+    span the row space orthogonally, so the minimum-norm solution is
+    x = sum gamma_i c_i / <c_i, c_i>, formed over one common denominator.
     """
-    if not matrix:
-        return ()
+    ncols = len(matrix[0]) if matrix else 0
     rows = [integer_row([*row, b]) for row, b in zip(matrix, rhs)]
-    lhs = [row[:-1] for row in rows]
-    keep = independent_rows(lhs)
-    basis = [lhs[i] for i in keep]
-    coeffs = solve([[sum(map(mul, u, v)) for v in basis] for u in basis], [rows[i][-1] for i in keep])
-    if coeffs is None:
-        raise InvariantViolation("Gram matrix of independent rows must be invertible")
-    den = lcm(*(z.denominator for z in coeffs))
-    x = [0] * len(matrix[0])
-    for z, row in zip(coeffs, basis):
-        f = z.numerator * (den // z.denominator)
-        x = [a + f * b for a, b in zip(x, row)]
+    span = WeightedSpan((), [1] * ncols + [0])
+    for row in rows:
+        if span.add(row) is None and span.residual(row)[0][-1]:  # B_i swept to zero, beta_i not
+            return None
+    den = lcm(*(n // gcd(c[-1], n) for c, _, n in span.basis))
+    x = [0] * ncols
+    for c, _, n in span.basis:
+        f = c[-1] * den // n
+        x = [a + f * b for a, b in zip(x, c)]
     # map(mul, row, x) stops at len(x), before the rhs entry
     if any(sum(map(mul, row, x)) != den * row[-1] for row in rows):
-        return None
+        raise InvariantViolation("the minimum-norm solution of a consistent system must satisfy every row")
     return tuple(Fraction(a, den) for a in x)
 
 

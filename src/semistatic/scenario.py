@@ -2,8 +2,8 @@
 
 A scenario is a model plus optional jumps and named payoffs.  Rationals on
 the wire are integers or canonical "p/q" strings; floats are rejected.  Claim
-and payoff vectors are given per outcome and quotiented onto the terminal
-partition at load time, which must leave them well defined.
+and payoff vectors are given with one entry per outcome and quotiented onto
+the terminal partition at load time, which must leave them well defined.
 
 A file is read as UTF-8 whatever the locale.  A UTF-8 BOM is an error, as
 ``json`` reports it ("Unexpected UTF-8 BOM"), and line endings do not
@@ -46,8 +46,10 @@ class Scenario:
     payoffs: dict[str, Payoff]
 
 
-def _quotient(values: Sequence[Fraction], cells: Sequence[Sequence[int]], kind: str, key) -> Payoff:
-    """The values of one per-outcome vector on the terminal cells; ``kind`` and ``key`` name it in the error."""
+def _quotient(values: Sequence[Fraction], n: int, cells: Sequence[Sequence[int]], kind: str, key) -> Payoff:
+    """The values of one vector of ``n`` entries, one per outcome, on the terminal cells; ``kind`` and ``key`` name it."""
+    if len(values) != n:
+        raise ScenarioError(f"{kind} {key} has {len(values)} entries, expected {n}, one per outcome")
     out = []
     for cell in cells:
         if len(cell) > 1 and not is_constant_on(values, cell):
@@ -113,7 +115,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
 
         terminal = partitions[-1].cells
         claims = tuple(
-            _quotient(numbers.vector(payoff), terminal, "claim", i)
+            _quotient(numbers.vector(payoff), len(outcomes), terminal, "claim", i)
             for i, payoff in enumerate(data.get("claims", []))
         )
 
@@ -153,7 +155,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
 
         payoffs = {
-            name: _quotient(numbers.vector(vec), terminal, "payoff", name)
+            name: _quotient(numbers.vector(vec), len(outcomes), terminal, "payoff", name)
             for name, vec in data.get("payoffs", {}).items()
         }
     except ScenarioError:

@@ -1,12 +1,15 @@
-"""Fraction references for the int tables, leaf births, conditional expectations and the uncancelled elimination.
+"""Fraction references for the int tables, leaf births, conditional expectations and the eliminations.
 
 The engine keeps the elementary gains and the strategy columns only as int
 rows with scales (``FilteredModel.int_gains``, ``hedging.int_strategy_columns``).
 The tests compare against these Fraction vectors, built from the prices the
 way the engine built them before the int tables, and ``linalg.eliminate``
-against the step as it was before it cancelled gcd(p, f).  The conditional
-expectations given P_k and given a tree's leaves average a measure's Fraction
-weights over sets of outcomes, not over the engine's cell tables.
+against the step as it was before it cancelled gcd(p, f).  ``reference_rref``
+is the Fraction Gauss-Jordan elimination ``linalg.rref`` ran before its rows
+became ints, and ``reference_solve`` the particular solution built on it,
+with which the tests solve small systems.  The conditional expectations given
+P_k and given a tree's leaves average a measure's Fraction weights over sets
+of outcomes, not over the engine's cell tables.
 ``load_scenario`` reads a file through ``pathlib`` in text mode, as the engine
 did before it read bytes.
 """
@@ -89,6 +92,49 @@ def eliminate(target, pivot_row, col):
     row = [p * x - f * y for x, y in zip(target, pivot_row)]
     g = gcd(*row) or 1
     return [x // g for x in row]
+
+
+def reference_rref(matrix):
+    """Fraction Gauss-Jordan elimination: the reduced rows (zero rows kept at the bottom) and the pivot columns."""
+    rows = [list(row) for row in matrix]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_solve(matrix, rhs):
+    """One solution of ``matrix @ x = rhs`` with the free variables 0, by ``reference_rref``; None when inconsistent."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    if not rows:
+        return ()
+    ncols = len(matrix[0])
+    reduced, pivots = reference_rref(rows)
+    for row in reduced:
+        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
+            return None
+    solution = [ZERO] * ncols
+    for r, c in enumerate(pivots):
+        if c == ncols:
+            return None
+        solution[c] = reduced[r][ncols]
+    return tuple(solution)
 
 
 def load_scenario(path):

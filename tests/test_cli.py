@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 import run_corpus
 
-from semistatic import cli, duality, enlargement, verify
+from semistatic import bounds, cli, duality, enlargement, verify
 from semistatic.cli import build_parser, main
 from semistatic.enlargement import enlarge
 from semistatic.polytope import VertexSet
@@ -273,6 +273,31 @@ def test_verify_multinomial_rejects_a_size_below_one(pmax, mmax, capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     assert json.loads(out) == {"error": f"--pmax and --mmax must be at least 1, got {pmax} and {mmax}"}
+
+
+@pytest.mark.parametrize("pmax, mmax", [("1", "400"), ("11", "11"), ("1", "1" + "0" * 12)])
+def test_verify_multinomial_refuses_work_past_its_budget(pmax, mmax, monkeypatch, capsys):
+    # 4.3e7, 1.02e7 and far more composition entries: the refusal comes before any sum is taken
+    def refuse(p, m):
+        raise RuntimeError("multinomial_lhs ran past the work budget")
+
+    monkeypatch.setattr(bounds, "multinomial_lhs", refuse)
+    argv = ["--format", "json", "verify", "--suite", "multinomial", "--pmax", pmax, "--mmax", mmax]
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    message = (
+        f"--pmax {pmax} --mmax {mmax} is over the multinomial suite's budget: "
+        f"its compositions times their length pass {cli.MULTINOMIAL_BUDGET} entries"
+    )
+    assert json.loads(out) == {"error": message}
+
+
+def test_verify_multinomial_within_its_budget_is_unchanged(capsys):
+    argv = ["--format", "json", "verify", "--suite", "multinomial", "--pmax", "5", "--mmax", "6"]
+    assert main(argv) == 0
+    envelope = {"command": "verify", "result": verify.suite_multinomial(5, 6), "ok": True}
+    assert capsys.readouterr().out == canonical_json(envelope)
 
 
 @pytest.mark.parametrize(

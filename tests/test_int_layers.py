@@ -58,16 +58,11 @@ from semistatic.tree import (
     validate_atomic_tree,
 )
 from tests.conftest import SCENARIOS
-from tests.reference import conditional_expectation, sigma_tree_expectation, strategy_columns
+from tests.reference import conditional_expectation, reference_rref, sigma_tree_expectation, strategy_columns
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_int_tables import CORPUS, _fractional
 from tests.test_layout import MODELS
-from tests.test_linalg import (
-    reference_gram_schmidt,
-    reference_min_norm_solution,
-    reference_project_onto_span,
-    reference_rref,
-)
+from tests.test_linalg import reference_gram_schmidt, reference_min_norm_solution, reference_project_onto_span
 
 F = Fraction
 ZERO, ONE = F(0), F(1)

@@ -16,7 +16,7 @@ from semistatic.polytope import build_constraints, enumerate_extreme_points, is_
 from semistatic.sampling import random_model
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS
-from tests.reference import row_coeffs
+from tests.reference import reference_solve, row_coeffs
 from tests.test_linalg import dot
 
 F = Fraction
@@ -33,7 +33,7 @@ def brute_force_vertices(cs):
             sub = [[row[c] for c in subset] for row in matrix]
             if linalg.rank(list(zip(*sub))) < len(subset):
                 continue  # dependent columns cannot support a vertex
-            sol = linalg.solve(sub, rhs)
+            sol = reference_solve(sub, rhs)
             if sol is None or any(x < 0 for x in sol):
                 continue
             full = [F(0)] * cs.n_cells

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semistatic.cli import main
 from semistatic.hedging import replicate
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.scenario import ScenarioError, load_scenario, parse_inline_measure, parse_scenario
@@ -82,6 +83,26 @@ def test_a_cell_may_spell_one_value_in_several_ways(value, spellings, shift):
     cell = ", ".join(str(i) for i in range(len(tokens)))
     with pytest.raises(ScenarioError, match=rf"^payoff x is not constant on the terminal cell \[{cell}\]$"):
         parse_scenario(_one_cell_payoff(tokens))
+
+
+@pytest.mark.parametrize("kind, key", [("claim", 0), ("payoff", "x")])
+@pytest.mark.parametrize("entries", [2, 4], ids=["short", "long"])
+def test_a_claim_or_payoff_needs_one_entry_per_outcome(tmp_path, capsys, kind, key, entries):
+    # unchecked, the quotient would drop a long vector's extra entries and read past a short one's end
+    data = {
+        "outcomes": ["u", "m", "d"],
+        "times": [0, 1],
+        "prices": [[[0, 0, 0], [1, 0, -1]]],
+        "claims": [[1, 0, 1]],
+        "payoffs": {"x": [1, 2, 3]},
+    }
+    vector = data["claims"][0] if kind == "claim" else data["payoffs"]["x"]
+    vector[:] = (vector + [7])[:entries]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["--format", "json", "price", "--payoff", "x", str(path)]) == 2
+    message = f"{kind} {key} has {entries} entries, expected 3, one per outcome"
+    assert json.loads(capsys.readouterr().out) == {"error": message}
 
 
 def test_partial_prior_cell_rejected():

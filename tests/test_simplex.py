@@ -24,7 +24,7 @@ from semistatic.rationals import common_denominator, integer_row
 from semistatic.scenario import load_scenario
 from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
-from tests.test_linalg import reference_solve
+from tests.reference import reference_solve
 from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)

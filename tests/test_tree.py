@@ -29,10 +29,9 @@ from semistatic.tree import (
 )
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS, scenario_path
-from tests.reference import conditional_expectation, sigma_tree_expectation
+from tests.reference import conditional_expectation, reference_rref, reference_solve, sigma_tree_expectation
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
-from tests.test_linalg import reference_rref
 
 F = Fraction
 
@@ -217,7 +216,7 @@ def test_extract_tree_glued(glued_two_vol):
     gains = [vec for _, vec in reference_gains(model)]
     rows = [[g[a] for g in gains] for a in q.support]
     rhs = [psi[a] - projected[a] for a in q.support]
-    assert linalg.solve(rows, rhs) is not None
+    assert reference_solve(rows, rhs) is not None
 
 
 def test_extract_tree_dynamically_complete(binomial, trinomial):
