@@ -20,6 +20,17 @@ a difference within the bound cannot be told from noise), and
 ``within_bound`` when the change's median is no worse than the parent's by
 more than the bound.
 ``--trace-seed`` adds one ``--trace 1`` pair per workload, kept as is.
+
+The warm caches make this one of two set-up regimes.  Here each set-up
+reads the package's bytecode, and ``ladder``'s ``setup_s`` is about 0.025 s
+(``BENCH_37.json``; 0.024 s at the parent of ``BENCH_40.json``).  A fresh
+checkout run with bytecode writing off (``PYTHONDONTWRITEBYTECODE=1``)
+compiles every module from source at each set-up, and the same metric reads
+0.05-0.056 s on the same machine (0.051 s at that parent in
+``BENCH_40_source.json``).  Most of ``ladder``'s set-up is the package
+import, so a change to import cost moves the two regimes by different
+amounts: report a claim on ``setup_s`` in both, the second from
+``perfbench/run.py`` run in both checkouts with writing off.
 """
 
 from __future__ import annotations

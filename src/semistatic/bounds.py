@@ -8,8 +8,8 @@ a finite range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 
 def double_factorial(n: int) -> int:
@@ -49,8 +49,7 @@ def multinomial_lhs(p: int, m: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     p: int
     m: int
     lhs: int

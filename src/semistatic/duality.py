@@ -19,9 +19,9 @@ alone judges it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation
 from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
@@ -34,8 +34,7 @@ ZERO = Fraction(0)
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
 
 
-@dataclass(frozen=True)
-class SuperhedgeResult:
+class SuperhedgeResult(NamedTuple):
     price: Fraction | None  # None signals an unbounded (arbitrage) problem
     strategy: SemiStaticStrategy
     tight: tuple[int, ...]  # allowed terminal cells where the hedge binds
@@ -52,8 +51,7 @@ class SuperhedgeResult:
         }
 
 
-@dataclass(frozen=True)
-class RobustPriceResult:
+class RobustPriceResult(NamedTuple):
     value: Fraction | None  # None encodes the empty measure set (-inf)
     argmax: tuple[Measure, ...]
 
@@ -168,8 +166,7 @@ def optimal_face(payoff: Sequence[Fraction], model: FilteredModel) -> tuple[Supe
     return primal, dual
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     primal: Fraction  # superhedging price
     dual: Fraction  # robust price
     strategy: SemiStaticStrategy
@@ -213,8 +210,7 @@ def verify_duality(payoff: Sequence[Fraction], model: FilteredModel) -> DualityR
     return DualityReport(primal.price, dual.value, primal.strategy, dual.argmax, primal.tight, slackness)
 
 
-@dataclass(frozen=True)
-class ArbitrageReport:
+class ArbitrageReport(NamedTuple):
     feasible: bool
     vertex_count: int
     certificate: SemiStaticStrategy | None = None

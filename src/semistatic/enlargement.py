@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InvariantViolation, ShapeError
 from .model import (
@@ -71,6 +71,8 @@ def _jump_key(jump: SingleJump, outcome: int, k: int):
 
 @dataclass(frozen=True)
 class EnlargedModel:
+    """A base model and its market under the enlarged filtration, with the maps between their cells."""
+
     base: FilteredModel
     model: FilteredModel  # the same market carried by the enlarged filtration
 
@@ -143,8 +145,7 @@ def _weighted_sums(
     return sums
 
 
-@dataclass(frozen=True)
-class AzemaResult:
+class AzemaResult(NamedTuple):
     """Survival process Z_k = Q(tau > k | F_k) over enlarged terminal cells."""
 
     values: tuple[Payoff, ...]  # index k = 0..K
@@ -167,8 +168,7 @@ def azema(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> AzemaR
     return AzemaResult(values, ok)
 
 
-@dataclass(frozen=True)
-class CompensatorResult:
+class CompensatorResult(NamedTuple):
     """Dual predictable projection of mark * 1_{tau <= k} along the base filtration."""
 
     increments: tuple[Payoff, ...]  # Delta A_k, k = 0..K; Delta A_0 is the F_0 term
@@ -198,8 +198,7 @@ def compensator(measure: Measure, jump: SingleJump, enlarged: EnlargedModel) -> 
     return CompensatorResult(tuple(increments), predictable, martingale)
 
 
-@dataclass(frozen=True)
-class JeulinYorResult:
+class JeulinYorResult(NamedTuple):
     """Compensated jump martingale in the enlarged filtration, with the Z and A it was built from."""
 
     values: tuple[Payoff, ...]  # M_k over enlarged terminal cells, k = 0..K
@@ -258,8 +257,7 @@ def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class InformedCompareReport:
+class InformedCompareReport(NamedTuple):
     claims_empty: bool
     ext_base: VertexSet
     ext_enlarged: VertexSet

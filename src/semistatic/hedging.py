@@ -14,10 +14,9 @@ system ``model.constraints``.  All three read the int rows of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import InvariantViolation, NotCalibrated, NotComplete
@@ -28,8 +27,7 @@ from .rationals import common_denominator, fmt
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SemiStaticStrategy:
+class SemiStaticStrategy(NamedTuple):
     """Cash, static positions in the claims, and dynamic holdings.
 
     ``dynamic`` has one holding per row of ``model.int_gains``, in its (k, c, j)
@@ -95,8 +93,7 @@ def _require_calibrated(measure: Measure, model: FilteredModel) -> None:
         raise NotCalibrated("measure is not a calibrated martingale measure")
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     complete: bool
     rank: int
     support_size: int
@@ -112,8 +109,7 @@ def is_semistatically_complete(measure: Measure, model: FilteredModel) -> Comple
     return CompletenessReport(rank == size, rank, size)
 
 
-@dataclass(frozen=True)
-class NotReplicable:
+class NotReplicable(NamedTuple):
     residual: Payoff
 
     def to_json(self) -> dict:
@@ -157,8 +153,7 @@ def _spread(row: Sequence[int], scale: Fraction, support: Sequence[int], n: int)
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class JumpBlock:
+class JumpBlock(NamedTuple):
     """Orthogonal residual-span directions that jump at one time index.
 
     ``atom_cells`` indexes the cells of P_{time-1} (P_0 when time is 0) that
@@ -170,8 +165,7 @@ class JumpBlock:
     atom_cells: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnhedgeableDecomposition:
+class UnhedgeableDecomposition(NamedTuple):
     residual_terminals: tuple[Payoff, ...]
     blocks: tuple[JumpBlock, ...]
 

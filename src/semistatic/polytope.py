@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from . import linalg
 from .errors import ConstraintViolation, InvariantViolation, ShapeError
@@ -36,8 +37,7 @@ ZERO = Fraction(0)
 RowLabel = tuple
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One homogeneous row ``a . q = 0`` as an int normal that is ``scale`` times the rational coefficients a."""
 
     label: RowLabel
@@ -47,6 +47,8 @@ class Row:
 
 @dataclass(frozen=True)
 class ConstraintSystem:
+    """The equality rows of the calibrated martingale-measure set, the allowed cells and the cell count."""
+
     rows: tuple[Row, ...]
     allowed: frozenset[int]
     n_cells: int
@@ -57,15 +59,13 @@ class ConstraintSystem:
             raise ShapeError(f"allowed cells {sorted(bad, key=repr)} outside 0..{self.n_cells - 1}")
 
 
-@dataclass(frozen=True)
-class ExtremalityCertificate:
+class ExtremalityCertificate(NamedTuple):
     extreme: bool
     witness_rows: tuple[int, ...] | None = None
     direction: Payoff | None = None
 
 
-@dataclass(frozen=True)
-class VertexSet:
+class VertexSet(NamedTuple):
     vertices: tuple[Measure, ...]
 
     def to_json(self, model: FilteredModel) -> list[dict]:

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .enlargement import SingleJump
 from .errors import SemistaticError
@@ -38,8 +37,7 @@ class ScenarioError(SemistaticError):
     """Malformed or invalid scenario input."""
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     model: FilteredModel
     jumps: tuple
@@ -90,7 +88,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         data = json.loads(text)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, or an integer past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, deep nesting
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     name = os.path.basename(file)
     dot = name.rfind(".")  # pathlib's stem: a leading or trailing dot starts no suffix

@@ -37,10 +37,9 @@ T t y_i = T t - T O[n+i], its sign flipped back on the negated rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import InvariantViolation
@@ -49,8 +48,7 @@ from .rationals import common_denominator, integer_row
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "optimal" | "unbounded" | "infeasible"
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None

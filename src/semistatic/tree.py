@@ -17,7 +17,7 @@ measure as given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import NotComplete, ShapeError
@@ -28,14 +28,15 @@ from .model import (
 from .rationals import common_denominator
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     cell: tuple[int, ...]  # outcome indices
     birth: int
 
 
 @dataclass(frozen=True)
 class AtomicTree:
+    """Nodes (cell, birth) ordered by birth, then cell, with parents and leaves derived by inclusion."""
+
     nodes: tuple[TreeNode, ...]
 
     def __init__(self, nodes: Iterable[TreeNode]):
@@ -80,8 +81,7 @@ class AtomicTree:
         return {"nodes": nodes, "dim": self.dim}
 
 
-@dataclass(frozen=True)
-class NoTree:
+class NoTree(NamedTuple):
     reason: str
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -189,8 +189,7 @@ def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LeafCheck:
+class LeafCheck(NamedTuple):
     cell: tuple[int, ...]
     birth: int
     rank: int
@@ -201,8 +200,7 @@ class LeafCheck:
         return self.rank == self.required
 
 
-@dataclass(frozen=True)
-class TheoremConditionsReport:
+class TheoremConditionsReport(NamedTuple):
     leaf_checks: tuple[LeafCheck, ...]
     claims_rank: int
     claims_required: int

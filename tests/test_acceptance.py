@@ -7,7 +7,6 @@ tolerances anywhere.
 
 import hashlib
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -152,7 +151,7 @@ def _flip_complete(monkeypatch):
 
     def flipped(measure, model):
         report = real(measure, model)
-        return replace(report, complete=not report.complete)
+        return report._replace(complete=not report.complete)
 
     monkeypatch.setattr(verify, "is_semistatically_complete", flipped)
     return verify.suite_jacod_yor(n_models=3)
@@ -163,7 +162,7 @@ def _widen_gap(monkeypatch):
 
     def shifted(payoff, vertices):
         result = real(payoff, vertices)
-        return replace(result, value=result.value + 1)
+        return result._replace(value=result.value + 1)
 
     monkeypatch.setattr(verify, "_scan_vertices", shifted)
     return verify.suite_duality(n_models=3)
@@ -171,7 +170,7 @@ def _widen_gap(monkeypatch):
 
 def _drop_tight_cells(monkeypatch):
     real = verify.superhedge
-    monkeypatch.setattr(verify, "superhedge", lambda payoff, model: replace(real(payoff, model), tight=()))
+    monkeypatch.setattr(verify, "superhedge", lambda payoff, model: real(payoff, model)._replace(tight=()))
     return verify.suite_duality(n_models=3)
 
 
@@ -180,8 +179,8 @@ def _break_martingales(monkeypatch):
 
     def broken(measure, jump, enlarged):
         jy = real(measure, jump, enlarged)
-        compensator = replace(jy.compensator, predictable_ok=False, martingale_ok=False)
-        return replace(jy, martingale_ok=False, compensator=compensator)
+        compensator = jy.compensator._replace(predictable_ok=False, martingale_ok=False)
+        return jy._replace(martingale_ok=False, compensator=compensator)
 
     monkeypatch.setattr(verify, "jeulin_yor", broken)
     return verify.suite_jeulin_yor(n_trials=3)
@@ -192,7 +191,7 @@ def _deny_corollary(monkeypatch):
 
     def denied(model, jumps):
         report, enlarged = real(model, jumps)
-        return replace(report, corollary_equal=False), enlarged
+        return report._replace(corollary_equal=False), enlarged
 
     monkeypatch.setattr(verify, "informed_compare", denied)
     return verify.suite_corollary54(n_instances=3)

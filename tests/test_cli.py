@@ -5,7 +5,6 @@ import json
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -99,7 +98,7 @@ def test_informed_compare_command_fails_when_the_corollary_does_not_hold(monkeyp
 
     def denied(model, jumps, payoffs):
         report, enlarged = real(model, jumps, payoffs)
-        return replace(report, corollary_equal=False), enlarged
+        return report._replace(corollary_equal=False), enlarged
 
     monkeypatch.setattr(cli, "informed_compare", denied)
     assert main(["--format", "json", "informed-compare", str(scenario_path("initial_enlargement"))]) == 1
@@ -118,8 +117,8 @@ def test_enlarge_command():
 # two of the four checks an enlarge report prints, made false in the jeulin_yor result they are read from
 # (tests/test_enlargement.py makes predictable_ok false through the base groups)
 FALSIFY = {
-    "supermartingale_ok": lambda jy: replace(jy, azema=replace(jy.azema, supermartingale_ok=False)),
-    "compensated_martingale_ok": lambda jy: replace(jy, compensator=replace(jy.compensator, martingale_ok=False)),
+    "supermartingale_ok": lambda jy: jy._replace(azema=jy.azema._replace(supermartingale_ok=False)),
+    "compensated_martingale_ok": lambda jy: jy._replace(compensator=jy.compensator._replace(martingale_ok=False)),
 }
 
 
@@ -439,6 +438,23 @@ def test_malformed_number_is_an_input_error(tmp_path, command, name, edit):
     assert "Traceback" not in proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and list(json.loads(lines[0])) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["extremes"], ["complete", "--measure", "0"], ["replicate", "--payoff", "1", "--measure", "0"],
+     ["price", "--payoff", "1"], ["superhedge", "--payoff", "1"], ["duality", "--payoff", "1"],
+     ["tree", "--measure", "0"], ["enlarge"], ["informed-compare"]],
+    ids=lambda command: command[0],
+)
+def test_deeply_nested_scenario_is_an_input_error(tmp_path, capsys, command):
+    # json.loads raises RecursionError, neither an OSError nor a ValueError, past the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 1100)
+    assert main(["--format", "json", *command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert json.loads(out)["error"].startswith(f"cannot read scenario {path}: maximum recursion depth")
 
 
 ONE_CELL = {

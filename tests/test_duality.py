@@ -58,7 +58,7 @@ def slacken_a_tight_cell(monkeypatch):
         result = solve(cost, matrix, rhs, free=free)
         solution = list(result.solution)
         solution[solution.index(0, free)] = Fraction(1)
-        return replace(result, solution=tuple(solution))
+        return result._replace(solution=tuple(solution))
 
     monkeypatch.setattr(duality, "solve_lp", corrupted)
 
@@ -152,7 +152,7 @@ def test_corrupted_arbitrage_ray_raises_invariant_violation(monkeypatch, informe
 
     def corrupted(cost, matrix, rhs, free=0):
         result = solve(cost, matrix, rhs, free=free)
-        return replace(result, ray=corrupt(result.ray))
+        return result._replace(ray=corrupt(result.ray))
 
     monkeypatch.setattr(duality, "solve_lp", corrupted)
     with pytest.raises(InvariantViolation, match="arbitrage ray"):
@@ -244,7 +244,7 @@ def test_a_certificate_that_costs_cash_fails_the_check(informed_arbitrage):
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
     certificate = _phase1_certificate(model).certificate
     with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
-        duality._checked_certificate(replace(certificate, cash=F(1)), model)
+        duality._checked_certificate(certificate._replace(cash=F(1)), model)
 
 
 def test_a_model_with_measures_has_no_phase1_certificate(trinomial):
@@ -380,8 +380,8 @@ def test_wrong_superhedge_cash_shows_as_a_gap(monkeypatch, capsys, trinomial, sh
 
     def shifted_cash(payoff, model):
         result = solve(payoff, model)
-        strategy = replace(result.strategy, cash=result.strategy.cash + shift)
-        return replace(result, price=result.price + shift, strategy=strategy)
+        strategy = result.strategy._replace(cash=result.strategy.cash + shift)
+        return result._replace(price=result.price + shift, strategy=strategy)
 
     monkeypatch.setattr(duality, "superhedge", shifted_cash)
     report = verify_duality(trinomial.payoffs["abs_S1"], trinomial.model)
@@ -398,7 +398,7 @@ def test_tight_set_missing_a_face_cell_empties_the_face(monkeypatch, capsys, tri
 
     def drops_a_cell(payoff, model):
         result = solve(payoff, model)
-        return replace(result, tight=tuple(a for a in result.tight if a != charged))
+        return result._replace(tight=tuple(a for a in result.tight if a != charged))
 
     monkeypatch.setattr(duality, "superhedge", drops_a_cell)
     with pytest.raises(InvariantViolation, match="tight face must be nonempty"):

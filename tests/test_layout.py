@@ -147,6 +147,38 @@ def test_only_the_parser_is_cached_across_calls():
     assert uses == 1  # that decorator, and no memo made by a call or imported by name
 
 
+def _decorators(node) -> set:
+    """The names of a class's or a function's decorators, called or not."""
+    return {getattr(d.func if isinstance(d, ast.Call) else d, "id", None) for d in node.decorator_list}
+
+
+def test_dataclasses_are_only_the_records_a_tuple_cannot_be():
+    # a dataclass costs about 1 ms of exec per import; a record that only holds fields is a NamedTuple.
+    # The rest keep a cached_property, an __init__ or the checks __post_init__ runs on each replace,
+    # and a docstring, without which dataclass builds __doc__ through inspect.signature.
+    kept = {}
+    for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and "dataclass" in _decorators(node):
+                methods = [n for n in node.body if isinstance(n, ast.FunctionDef)]
+                needs = any(
+                    m.name in ("__init__", "__post_init__") or "cached_property" in _decorators(m) for m in methods
+                )
+                kept[f"{path.stem}.{node.name}"] = (needs, ast.get_docstring(node) is not None)
+    assert kept == {
+        name: (True, True)
+        for name in [
+            "enlargement.EnlargedModel",
+            "enlargement.SingleJump",
+            "model.FilteredModel",
+            "model.Measure",
+            "model.Partition",
+            "polytope.ConstraintSystem",
+            "tree.AtomicTree",
+        ]
+    }
+
+
 def test_shape_errors_are_raised_only_by_the_input_checks():
     # a length or an index is checked by the model's helpers, so no module grows its own check again
     allowed = {

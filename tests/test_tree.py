@@ -326,7 +326,7 @@ TWO_ROOTS = {
 def extract_on_blocks(monkeypatch, measure, model, blocks):
     """``extract_tree`` with the decomposition's jump blocks replaced by ``blocks``."""
     decomposition = decompose_unhedgeable(measure, model)
-    monkeypatch.setattr(tree_module, "decompose_unhedgeable", lambda *_: replace(decomposition, blocks=tuple(blocks)))
+    monkeypatch.setattr(tree_module, "decompose_unhedgeable", lambda *_: decomposition._replace(blocks=tuple(blocks)))
     return extract_tree(measure, model)
 
 
