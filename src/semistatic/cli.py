@@ -66,8 +66,9 @@ def _resolve_payoff(arg: str, scenario: Scenario):
             values = [rat(p.strip()) for p in arg.split(",")]
         except (ValueError, TypeError) as exc:
             raise ScenarioError(f"invalid inline payoff: {exc}") from exc
-        if len(values) != scenario.model.n_cells:
-            raise ScenarioError("inline payoff has the wrong length")
+        n = scenario.model.n_cells
+        if len(values) != n:
+            raise ScenarioError(f"inline payoff has {len(values)} entries, model has {n} terminal cells")
         return tuple(values)
     raise ScenarioError(f"unknown payoff {arg!r}; scenario defines {sorted(scenario.payoffs)}")
 

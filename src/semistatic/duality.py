@@ -12,15 +12,18 @@ the model's extreme points as an independent oracle.
 An empty measure set is certified by a zero-cost strategy paying a positive
 floor on every allowed cell.  ``_phase1_certificate`` alone produces it, from
 phase 1 on {q >= 0 : gains q = 0, claims q = 0, sum q = 1} over the allowed
-cells, where ``simplex.phase1_dual`` gives t y_i = t - O[n+i],
-t = O[n+last] - O[rhs], and row i holds -t y_i s_i; ``_checked_certificate``
-alone judges it.
+cells, each row the primitive int multiple p_i = r_i s_i / g_i of the
+rational row r_i there.  ``simplex.phase1_dual`` gives t y_i = t - O[n+i],
+t = O[n+last] - O[rhs], and row i holds -t y_i s_i / g_i, so the
+certificate depends on the rational rows alone, not on the scales the int
+tables chose; ``_checked_certificate`` alone judges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation
@@ -231,14 +234,21 @@ def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
 
 
 def _phase1_certificate(model: FilteredModel) -> ArbitrageReport:
-    """The checked certificate of an empty calibrated measure set from the measure side's phase 1."""
+    """The checked certificate of an empty calibrated measure set from phase 1 on the primitive rows.
+
+    A row that vanishes on the allowed cells has no primitive form and is held at 0.
+    """
     allowed = sorted(model.allowed)
-    columns = [(row, scale) for _, row, scale in model.int_gains] + list(model.int_claims)  # the rows, gains first
-    rows = [[row[a] for a in allowed] for row, _ in columns] + [[1] * len(allowed)]
-    y = phase1_dual(rows, [0] * len(columns) + [1])
+    rows, factors = [], []
+    for row in model.constraints.rows:
+        restricted = [row.normal[a] for a in allowed]
+        g = gcd(*restricted)
+        rows.append([x // g for x in restricted] if g else restricted)
+        factors.append(Fraction(row.scale, g) if g else ZERO)
+    y = phase1_dual(rows + [[1] * len(allowed)], [0] * len(rows) + [1])
     if y is None:
         raise InvariantViolation(CERTIFICATE_MISSING)
-    holdings = [-x * s for x, (_, s) in zip(y, columns)]
+    holdings = [-x * f for x, f in zip(y, factors)]
     n_gains = len(model.int_gains)
     return _checked_certificate(SemiStaticStrategy(ZERO, tuple(holdings[n_gains:]), tuple(holdings[:n_gains])), model)
 

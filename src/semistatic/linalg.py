@@ -1,18 +1,21 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra on int rows.
 
 Small dense routines used throughout: reduced row echelon form, rank with
 row/column witnesses, nullspaces, minimum-norm solutions and weighted
-projections.  Inputs and results are tuples of Fraction; the work runs on int
-rows, each a positive multiple of the rational row it stands for, and
-Fractions are built only for what is returned.  The engine has two exact
-methods, both fraction-free.  The elimination kernel is ``eliminate``, a step
-on int rows (Bareiss 1968) that first cancels the gcd of the pivot p and the
-target's entry f and subtracts only over the pivot row's nonzero columns, and
-``pivot``, which clears a column with it for ``echelon`` (the forward half,
-which ``rank`` and ``independent_rows`` need), ``rref`` (for ``nullspace``)
-and the simplex tableau.  The weighted sweep is ``WeightedSpan``, which
-orthogonalizes a span of int rows once under int weights and sweeps int rows
-off it, for ``project_onto_span``, ``min_norm_solution`` and ``hedging``.
+projections.  Every input (rows, rhs, weights, points) is ints: a caller
+with rational data scales each row by a positive factor first, which changes
+no rank, pivot, kernel or span.  Each working row is a positive multiple of
+the row Fraction elimination would give, and Fractions are built only for
+what is returned: nullspace vectors, solutions and projections.  The engine
+has two exact methods, both fraction-free.  The elimination kernel is
+``eliminate``, a step on int rows (Bareiss 1968) that first cancels the gcd
+of the pivot p and the target's entry f and subtracts only over the pivot
+row's nonzero columns, and ``pivot``, which clears a column with it for
+``echelon`` (the forward half, which ``rank`` and ``independent_rows``
+need), ``rref`` (for ``nullspace``) and the simplex tableau.  The weighted
+sweep is ``WeightedSpan``, which orthogonalizes a span of int rows once
+under int weights and sweeps int rows off it, for ``project_onto_span``,
+``min_norm_solution`` and ``hedging``.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
-from .rationals import common_denominator, integer_row
 
 Vector = tuple[Fraction, ...]
-Matrix = Sequence[Sequence[Fraction]]
+Matrix = Sequence[Sequence[int]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -105,7 +107,7 @@ def rref(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     is the rational entry; having the same zeros, it picks the same pivots
     (first nonzero row at or below the current one).
     """
-    rows = [integer_row(row) for row in matrix]
+    rows = [list(row) for row in matrix]
     pivots = echelon(rows)
     for r in range(len(pivots) - 1, 0, -1):
         pivot(rows, r, pivots[r], range(r))
@@ -114,7 +116,7 @@ def rref(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
 
 def rank(matrix: Matrix) -> int:
     """The rank, by ``echelon`` alone: no back-substitution."""
-    return len(echelon([integer_row(row) for row in matrix]))
+    return len(echelon([list(row) for row in matrix]))
 
 
 def independent_rows(matrix: Matrix) -> list[int]:
@@ -123,7 +125,7 @@ def independent_rows(matrix: Matrix) -> list[int]:
     Row i is kept exactly when it is independent of rows 0..i-1, i.e. when
     column i of the transpose is a pivot column of its echelon form.
     """
-    return echelon([integer_row(col) for col in zip(*matrix)])
+    return echelon([list(col) for col in zip(*matrix)])
 
 
 def nullspace(matrix: Matrix) -> list[Vector]:
@@ -144,7 +146,7 @@ def nullspace(matrix: Matrix) -> list[Vector]:
     return basis
 
 
-def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
+def min_norm_solution(matrix: Matrix, rhs: Sequence[int]) -> Vector | None:
     """Euclidean minimum-norm solution of a linear system, None when inconsistent.
 
     One ``WeightedSpan`` sweeps the int rows [B_i | beta_i] with weight 0 on
@@ -155,7 +157,7 @@ def min_norm_solution(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector | None:
     x = sum gamma_i c_i / <c_i, c_i>, formed over one common denominator.
     """
     ncols = len(matrix[0]) if matrix else 0
-    rows = [integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]
     span = WeightedSpan((), [1] * ncols + [0])
     for row in rows:
         if span.add(row) is None and span.residual(row)[0][-1]:  # B_i swept to zero, beta_i not
@@ -207,12 +209,7 @@ class WeightedSpan:
         return residual, factor
 
 
-def project_onto_span(
-    x: Sequence[Fraction],
-    vectors: Sequence[Sequence[Fraction]],
-    weights: Sequence[Fraction],
-) -> Vector:
+def project_onto_span(x: Sequence[int], vectors: Matrix, weights: Sequence[int]) -> Vector:
     """Weighted orthogonal projection of ``x`` onto span(vectors): x minus its residual."""
-    row, den = common_denominator(x)
-    residual, factor = WeightedSpan(map(integer_row, vectors), integer_row(weights)).residual(row)
-    return tuple(a - factor / den * r for a, r in zip(x, residual))
+    residual, factor = WeightedSpan(vectors, weights).residual(x)
+    return tuple(a - factor * r for a, r in zip(x, residual))

@@ -65,11 +65,3 @@ def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[d for _, d in ratios])
     return [n * (scale // d) for n, d in ratios], scale
-
-
-def integer_row(values: Sequence[Fraction | int]) -> list[int]:
-    """The row scaled by the lcm of its denominators: a positive multiple in ints.
-
-    A row that is already all ints is returned as a plain copy.
-    """
-    return common_denominator(values)[0]

@@ -1,26 +1,28 @@
 """Exact simplex on integer rows, two phases, Bland's rule.
 
 Solves min c.x subject to A x = b exactly, the first ``free`` variables
-unrestricted and the rest >= 0.  A free variable stands for a split pair
-x+ - x-, whose x- column and reduced cost are the negated x+ ones, so the
-tableau stores one column with a sign and x- entering flips it.  Bland's rule
-walks the split order (x+_0, x-_0, x+_1, ..., then the rest): the pivots, and
-every solution, ray and objective, are those of the explicitly split program.
-Every tableau row, the reduced-cost row included, is a list of ints that is a
-positive multiple of the rational row it stands for.  A pivot is
-``linalg.pivot``, the engine's one fraction-free elimination kernel (Bareiss
-1968); the reduced-cost row is built once per phase (in closed form for phase
-1, by ``price`` for phase 2) and then eliminated like the others.  A positive
-factor changes no sign and no ratio, so Bland's rule (lowest eligible index
-enters, lowest basic index breaks ratio ties) makes the same choices as over
-the rationals: the method terminates without any perturbation and runs stay
-deterministic.  Fractions are built only for the returned solution, ray and
-objective.
+unrestricted and the rest >= 0.  The cost, the rows and the rhs are ints: a
+caller with rational data poses the int program itself (each row [a_i | b_i]
+times a positive scale changes no solution) and reads its answer back.  A
+free variable stands for a split pair x+ - x-, whose x- column and reduced
+cost are the negated x+ ones, so the tableau stores one column with a sign
+and x- entering flips it.  Bland's rule walks the split order (x+_0, x-_0,
+x+_1, ..., then the rest): the pivots, and every solution, ray and objective,
+are those of the explicitly split program.  Every tableau row, the
+reduced-cost row included, is a list of ints that is a positive multiple of
+the rational row it stands for.  A pivot is ``linalg.pivot``, the engine's
+one fraction-free elimination kernel (Bareiss 1968); the reduced-cost row is
+built once per phase (in closed form for phase 1, by ``price`` for phase 2)
+and then eliminated like the others.  A positive factor changes no sign and
+no ratio, so Bland's rule (lowest eligible index enters, lowest basic index
+breaks ratio ties) makes the same choices as over the rationals: the method
+terminates without any perturbation and runs stay deterministic.  Fractions
+are built only for the returned solution, ray and objective.
 
 Phase 1 stores the rows [A | b] alone: artificial i is only the basis marker
-n + i, and its closed-form reduced-cost row needs each row's scale, not its
-column.  The artificials have the highest indices, so this runs the pivots
-of the tableau with the artificial block until Bland's rule would enter an
+n + i, and its closed-form reduced-cost row is minus the sum of the rows.
+The artificials have the highest indices, so this runs the pivots of the
+tableau with the artificial block until Bland's rule would enter an
 artificial.  That tableau stops there too when no artificial is basic, and
 the program is infeasible when one is basic above zero; only with one basic
 at zero is phase 1 redone with the artificial columns, its leftovers driven
@@ -29,21 +31,20 @@ out or their rows dropped.
 ``phase1_dual`` reads an infeasible program's Farkas vector off the wide
 phase-1 reduced-cost row O, t > 0 times the rational one, with no solve of
 B^T y = c_B.  For y the final basis's dual on the rows as stored (row i
-negated when b_i < 0, so the rhs is |b| = beta / d in ints, T = sum(beta)),
-O[n+i] = t(1 - y_i) and O[rhs] = -t y.|b|: T t = sum(beta_i O[n+i]) - d O[rhs]
-(t = O[n+last] - O[rhs] when b = e_last), and the vector returned is
-T t y_i = T t - T O[n+i], its sign flipped back on the negated rows.
+negated when b_i < 0, so the rhs is |b|, T = sum |b_i|), O[n+i] = t(1 - y_i)
+and O[rhs] = -t y.|b|: T t = sum(|b_i| O[n+i]) - O[rhs] (t = O[n+last] -
+O[rhs] when b = e_last), and the vector returned is T t y_i = T t - T O[n+i],
+its sign flipped back on the negated rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import InvariantViolation
-from .rationals import common_denominator, integer_row
 
 ZERO = Fraction(0)
 
@@ -56,25 +57,21 @@ class LPResult(NamedTuple):
     column: int | None = None  # the ray's entering column, where the ray is 1 (-1 for a flipped free column)
 
 
-def phase1_objective(rows: list[list[int]], scales: Sequence[int], n: int) -> list[int]:
+def phase1_objective(rows: list[list[int]], n: int) -> list[int]:
     """The phase-1 reduced-cost row while every artificial is basic, in closed form.
 
-    Row i is s_i times the rational row [a_i | e_i | b_i], the artificial
-    entry s_i > 0 being its scale from ``common_denominator``; only the n
-    original columns and the rhs are read.  The cost is 1 on each
-    artificial, so the rational reduced-cost row is minus the sum of the rows
-    r_i / s_i, with zero on the artificial columns, which are left out.
-    Scaled by L = lcm(s_i) and divided by its gcd, it is the row that
-    eliminating each basic column would give.
+    Row i is [a_i | e_i | b_i], its artificial entry 1; only the n original
+    columns and the rhs are read.  The cost is 1 on each artificial, so the
+    reduced-cost row is minus the sum of the rows, with zero on the
+    artificial columns, which are left out; divided by its gcd, it is the
+    row that eliminating each basic column would give.
     """
-    scale = lcm(*scales)
     objective = [0] * (n + 1)
-    for row, s in zip(rows, scales):
-        f = scale // s
+    for row in rows:
         for j in range(n):
             if row[j]:
-                objective[j] -= f * row[j]
-        objective[-1] -= f * row[-1]
+                objective[j] -= row[j]
+        objective[-1] -= row[-1]
     g = gcd(*objective)
     return [x // g for x in objective] if g > 1 else objective
 
@@ -87,14 +84,14 @@ class _Tableau:
         self.n = len(objective) - 1
         self.objective = objective
 
-    def price(self, cost: Sequence[Fraction | int]) -> None:
+    def price(self, cost: Sequence[int]) -> None:
         """The reduced-cost row of ``cost`` for the current basis; its rhs is -objective.
 
         The cost also fixes the column count, which the rows cannot give when
         there are none.
         """
         self.n = len(cost)
-        objective = integer_row(list(cost) + [0])
+        objective = [*cost, 0]
         for j, s in enumerate(self.sign):
             objective[j] *= s
         for row, b in zip(self.rows, self.basis):
@@ -145,24 +142,21 @@ class _Tableau:
             self.pivot(leaving, entering)
 
 
-def _phase1(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: int, free: int, wide: bool) -> _Tableau:
+def _phase1(matrix: Sequence[Sequence[int]], rhs: Sequence[int], n: int, free: int, wide: bool) -> _Tableau:
     """Phase 1 from the artificial basis, each row's rhs made >= 0, run by Bland's rule.
 
-    The rows are [a_i | b_i] in ints and artificial i is only the basis
-    marker n + i; ``wide`` also stores artificial i as column n + i, so that
+    The rows are [a_i | b_i] and artificial i is only the basis marker
+    n + i; ``wide`` also stores artificial i as column n + i, so that
     Bland's rule can enter it.
     """
     m = len(matrix)
-    rows, scales = [], []
+    rows = []
     for i, (r, b) in enumerate(zip(matrix, rhs)):
-        row, s = common_denominator(list(r) + [b])
-        if b < 0:
-            row = [-x for x in row]
+        row = [-x for x in r] + [-b] if b < 0 else [*r, b]
         if wide:
-            row[n:n] = [0] * i + [s] + [0] * (m - i - 1)
+            row[n:n] = [0] * i + [1] + [0] * (m - i - 1)
         rows.append(row)
-        scales.append(s)
-    objective = phase1_objective(rows, scales, n)
+    objective = phase1_objective(rows, n)
     if wide:
         objective[n:n] = [0] * m
     tableau = _Tableau(rows, [n + i for i in range(m)], objective, free)
@@ -171,24 +165,18 @@ def _phase1(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction], n: in
     return tableau
 
 
-def phase1_dual(matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]) -> list[int] | None:
+def phase1_dual(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
     """None if {x >= 0 : A x = b} is nonempty, else an int Farkas vector y (y.a_j <= 0 on each column, y.b > 0)."""
     n = len(matrix[0]) if matrix else 0
     objective = _phase1(matrix, rhs, n, 0, wide=True).objective
     if not objective[-1]:
         return None
-    weights, d = common_denominator([abs(b) for b in rhs])
-    total = sum(weights)
-    scaled = sum(w * objective[n + i] for i, w in enumerate(weights) if w) - d * objective[-1]  # total * t
+    total = sum(map(abs, rhs))
+    scaled = sum(abs(b) * objective[n + i] for i, b in enumerate(rhs) if b) - objective[-1]  # total * t
     return [(scaled - total * objective[n + i]) * (-1 if b < 0 else 1) for i, b in enumerate(rhs)]
 
 
-def solve_lp(
-    cost: Sequence[Fraction],
-    matrix: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    free: int = 0,
-) -> LPResult:
+def solve_lp(cost: Sequence[int], matrix: Sequence[Sequence[int]], rhs: Sequence[int], free: int = 0) -> LPResult:
     n = len(cost)
 
     # with no artificial basic, y = 0 prices every artificial at 1: the wide tableau stops at this basis too

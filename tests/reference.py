@@ -7,16 +7,17 @@ way the engine built them before the int tables, and ``linalg.eliminate``
 against the step as it was before it cancelled gcd(p, f).  ``reference_rref``
 is the Fraction Gauss-Jordan elimination ``linalg.rref`` ran before its rows
 became ints, and ``reference_solve`` the particular solution built on it,
-with which the tests solve small systems.  The conditional expectations given
-P_k and given a tree's leaves average a measure's Fraction weights over sets
-of outcomes, not over the engine's cell tables.
+with which the tests solve small systems.  ``int_rows`` poses a rational
+program as the int one the exact kernels take.  The conditional
+expectations given P_k and given a tree's leaves average a measure's
+Fraction weights over sets of outcomes, not over the engine's cell tables.
 ``load_scenario`` reads a file through ``pathlib`` in text mode, as the engine
 did before it read bytes.
 """
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from semistatic.scenario import ScenarioError, parse_scenario
@@ -86,6 +87,20 @@ def strategy_columns(model):
     return ((("const",), (ONE,) * model.n_cells), *claims, *gains(model))
 
 
+def int_rows(rows):
+    """Each rational row times the lcm of its denominators: the positive int multiple the exact kernels take.
+
+    Scaling a row [a_i | b_i] of a program by a positive factor changes no
+    solution, rank, kernel or span, so the kernels' answer on these rows is
+    the answer on the rational ones.
+    """
+    out = []
+    for row in rows:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * scale) for x in row])
+    return out
+
+
 def eliminate(target, pivot_row, col):
     """p*target - f*pivot_row over the gcd of its entries, p and f uncancelled; an all-zero row stays zero."""
     p, f = pivot_row[col], target[col]
@@ -96,7 +111,7 @@ def eliminate(target, pivot_row, col):
 
 def reference_rref(matrix):
     """Fraction Gauss-Jordan elimination: the reduced rows (zero rows kept at the bottom) and the pivot columns."""
-    rows = [list(row) for row in matrix]
+    rows = [[Fraction(x) for x in row] for row in matrix]
     if not rows:
         return [], []
     pivots = []

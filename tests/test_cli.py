@@ -177,6 +177,35 @@ def test_duality_prints_a_certificate_whose_holdings_pay_its_payoff(tmp_path, ca
     assert strategy.cash == 0 and all(value[a] > 0 for a in model.allowed)
 
 
+
+def test_the_arbitrage_certificate_does_not_depend_on_the_int_scales(tmp_path, capsys):
+    # the informed market with a disallowed outcome x whose time-2 price is 1 in one model and 1/3 in the other:
+    # the rational rows on the allowed cells are the same, the int tables' asset scale is 1 in one and 3 in the
+    # other, and the time-2 rows, zero on the allowed cells, are held at 0
+    reports = []
+    for name, price in (("one", 1), ("three", "1/3")):
+        data = {
+            "outcomes": ["u", "m", "d", "x"],
+            "times": [0, 1, 2],
+            "filtration": [[["u"], ["m", "d", "x"]], [["u"], ["m"], ["d"], ["x"]], [["u"], ["m"], ["d"], ["x"]]],
+            "prices": [[[0, 0, 0, 0], [2, 0, -2, 0], [2, 0, -2, price]]],
+            "claims": [["1/2", "-1/2", "-1/2", 0]],
+            "prior_support": ["u", "m", "d"],
+            "payoffs": {"call_at_1": [1, 0, 0, 0]},
+        }
+        path = tmp_path / name / "market.json"
+        path.parent.mkdir()
+        path.write_text(json.dumps(data))
+        assert main(["--format", "json", "duality", "--payoff", "call_at_1", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+        scale = {scale for _, _, scale in load_scenario(path).model.int_gains}
+        assert scale == ({1} if name == "one" else {3})
+    assert reports[0] == reports[1]
+    certificate = json.loads(reports[0])["result"]["certificate"]
+    assert certificate["certificate"]["static"] == ["-2"]
+    assert [entry["value"] for entry in certificate["certificate"]["dynamic"]] == ["1", "-1/2"]
+    assert certificate["certificate_payoff"] == ["1", "1", "2", "0"]
+
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
 
 
@@ -490,6 +519,16 @@ def test_one_cell_model_takes_an_inline_payoff_written_p_over_q(tmp_path, capsys
     # a bare integer stays a payoff name, as it stays a vertex index for --measure
     assert main(["--format", "json", command, "--payoff", "3", str(path)]) == 2
     assert capsys.readouterr().out == canonical_json({"error": "unknown payoff '3'; scenario defines ['one']"})
+
+
+@pytest.mark.parametrize("command", ["replicate", "price", "superhedge", "duality"])
+def test_an_inline_payoff_of_the_wrong_length_names_both_counts(capsys, command):
+    measure = ["--measure", "0"] if command == "replicate" else []
+    argv = ["--format", "json", command, "--payoff", "1,0", *measure, str(scenario_path("trinomial"))]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and len(out.splitlines()) == 1
+    assert out == canonical_json({"error": "inline payoff has 2 entries, model has 3 terminal cells"})
 
 
 def readme_command_lines():

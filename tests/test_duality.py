@@ -19,7 +19,7 @@ from semistatic.duality import (
 )
 from semistatic.enlargement import enlarge
 from semistatic.errors import EmptyMeasureSet, InvariantViolation
-from semistatic.hedging import int_strategy_columns, strategy_payoff
+from semistatic.hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from semistatic.model import Measure
 from semistatic.polytope import VertexSet, build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_model, random_payoff
@@ -126,6 +126,9 @@ def test_detect_arbitrage_informed(informed_arbitrage):
     payoff = report.certificate_payoff
     assert report.certificate.cash == 0
     assert all(payoff[a] >= 1 for a in enlarged.model.allowed)
+    # short two claims, long the stock on u and short half of it on m|d: the primitive rows' certificate
+    assert report.certificate == SemiStaticStrategy(F(0), (F(-2),), (F(1), F(-1, 2)))
+    assert payoff == (F(1), F(1), F(2))
 
 
 def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):

@@ -18,7 +18,7 @@ from semistatic.hedging import (
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
 from semistatic.verify import _jacod_yor_checks, suite_jacod_yor
-from tests.reference import conditional_expectation, gains as reference_gains, strategy_columns
+from tests.reference import conditional_expectation, gains as reference_gains, int_rows, strategy_columns
 from tests.test_linalg import reference_project_onto_span, weighted_dot
 
 F = Fraction
@@ -76,7 +76,7 @@ def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
         dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in reference_gains(model))
         strategy = SemiStaticStrategy(cash, tuple(static), dynamic)
         assert strategy_payoff(strategy, model) == vec
-    assert rank == linalg.rank([[vec[a] for a in q.support] for _, vec in columns]) == 3
+    assert rank == linalg.rank(int_rows([vec[a] for a in q.support] for _, vec in columns)) == 3
 
 
 def test_completeness_examples(trinomial, trinomial_calibrated):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from semistatic import cli, linalg
+from semistatic import cli
 from semistatic.duality import robust_price
 from semistatic.enlargement import (
     _weighted_sums,
@@ -41,7 +41,6 @@ from semistatic.hedging import (
 )
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
-from semistatic.rationals import integer_row
 from semistatic.sampling import random_jump, random_measure
 from semistatic.scenario import load_scenario
 from semistatic.tree import (
@@ -62,7 +61,8 @@ from tests.reference import conditional_expectation, reference_rref, sigma_tree_
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_int_tables import CORPUS, _fractional
 from tests.test_layout import MODELS
-from tests.test_linalg import reference_gram_schmidt, reference_min_norm_solution, reference_project_onto_span
+from tests.test_linalg import reference_gram_schmidt, reference_min_norm_solution, reference_nullspace
+from tests.test_linalg import reference_project_onto_span
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -119,7 +119,7 @@ def _reference_measurable_combinations(span_basis, model, k, weights):
     if not constraints:
         coeff_basis = [tuple(ONE if i == j else ZERO for j in range(len(span_basis))) for i in range(len(span_basis))]
     else:
-        coeff_basis = linalg.nullspace(constraints)
+        coeff_basis = reference_nullspace(constraints)
     combined = []
     for coeffs in coeff_basis:
         vec = [ZERO] * model.n_cells
@@ -475,32 +475,21 @@ def test_informed_compare_prices_equal_the_fraction_scan(enlargement):
         assert report.prices[name] == expected
 
 
-# -- the probe: no rescaled row and no Fraction order comparison above the polytope --------------
+# -- the probe: no Fraction order comparison above the polytope ------------------------------------
+# (that no kernel rescales a row is the static ``tests/test_layout.py`` check on ``linalg`` and ``simplex``)
 
 
 def _upper_layer_probe(argv_list):
-    """While ``cli.main`` runs, what ``hedging``, ``tree`` and ``enlargement`` ask of Fractions.
+    """The Fraction order comparisons made from ``hedging``, ``tree`` and ``enlargement`` while ``cli.main`` runs.
 
-    Returns the ``integer_row`` calls with a stack through those modules, by
-    (module, function, whether some entry was not an int), and the Fraction
-    order comparisons made from their code, by (module, function).
+    They are counted by (module, function).
     """
     layers = {"semistatic.hedging", "semistatic.tree", "semistatic.enlargement"}
-    row_code = integer_row.__code__
     order = {getattr(Fraction, name).__code__ for name in ("__lt__", "__le__", "__gt__", "__ge__")}
-    rows, comparisons = Counter(), Counter()
+    comparisons = Counter()
 
     def profile(frame, event, arg):
-        if event != "call":
-            return
-        if frame.f_code is row_code:
-            caller = frame.f_back
-            while caller is not None and caller.f_globals.get("__name__") not in layers:
-                caller = caller.f_back
-            if caller is not None:
-                rescaled = any(type(x) is not int for x in frame.f_locals["values"])
-                rows[caller.f_globals["__name__"], caller.f_code.co_name, rescaled] += 1
-        elif frame.f_code in order:
+        if event == "call" and frame.f_code in order:
             caller = frame.f_back
             if caller.f_globals.get("__name__") in layers:
                 comparisons[caller.f_globals["__name__"], caller.f_code.co_qualname] += 1
@@ -511,10 +500,10 @@ def _upper_layer_probe(argv_list):
             cli.main(argv)
     finally:
         sys.setprofile(None)
-    return rows, comparisons
+    return comparisons
 
 
-def test_upper_layers_never_rescale_a_row_nor_order_fractions(capsys):
+def test_upper_layers_never_order_fractions(capsys):
     # the gain and claim rows come from the model's int tables and the charged cells from the support
     argv_list = []
     for path in sorted(SCENARIOS.glob("*.json")):
@@ -527,8 +516,6 @@ def test_upper_layers_never_rescale_a_row_nor_order_fractions(capsys):
         if scenario.jumps:
             argv_list.append(["--format", "json", "enlarge", "--measure", "0", str(path)])
             argv_list.append(["--format", "json", "informed-compare", str(path)])
-    rows, comparisons = _upper_layer_probe(argv_list)
+    comparisons = _upper_layer_probe(argv_list)
     capsys.readouterr()
-    assert sum(rows.values())  # the probe sees the int rows that linalg still copies
-    assert not {key: n for key, n in rows.items() if key[2]}
     assert set(comparisons) <= {("semistatic.enlargement", "SingleJump.__post_init__")}

@@ -12,12 +12,10 @@ all of these, and on the bundled scenarios.
 
 import json
 import random
-import sys
-from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -28,17 +26,17 @@ from semistatic.errors import InputError, NotCalibrated
 from semistatic.hedging import CompletenessReport, SemiStaticStrategy, is_semistatically_complete, strategy_payoff
 from semistatic.model import Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
-from semistatic.rationals import fmt, integer_row
+from semistatic.rationals import fmt
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
 from semistatic.simplex import phase1_dual, solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import gains as _reference_gains, row_coeffs, strategy_columns
+from tests.reference import gains as _reference_gains, int_rows, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
 from tests.test_polytope import ladder_steps
 
 F = Fraction
-ZERO, ONE = F(0), F(1)
+ZERO = F(0)
 
 
 def _fractional(model, rng):
@@ -98,7 +96,7 @@ def test_normals_are_positive_multiples_of_the_fraction_rows(model):
     reference += [tuple(claim) for claim in model.claims]
     assert len(cs.rows) == len(reference)
     for row, fractions in zip(cs.rows, reference):
-        assert _positive_multiple(list(row.normal), integer_row(fractions))
+        assert _positive_multiple(list(row.normal), int_rows([fractions])[0])
         assert row_coeffs(row) == fractions
     face = replace(cs, allowed=frozenset(sorted(model.allowed)[:1]))
     assert face.rows is cs.rows
@@ -285,17 +283,22 @@ def test_to_json_writes_the_weights_from_the_ints():
 
 
 def _fraction_superhedge(payoff, model):
-    """``superhedge``'s program on the Fraction columns of ``strategy_columns``, as solved before the int tables."""
+    """``superhedge``'s program on the Fraction columns of ``strategy_columns``, each row scaled to ints as a whole.
+
+    The engine scales the columns and the payoff instead; a row scale
+    changes no solution, so the two programs have the same answer.
+    """
     vectors = [vec for _, vec in strategy_columns(model)]
     allowed = sorted(model.allowed)
     n_free = len(vectors)
-    matrix = []
+    rows = []
     for slot, a in enumerate(allowed):
-        surplus = [ZERO] * len(allowed)
-        surplus[slot] = -ONE
-        matrix.append([vec[a] for vec in vectors] + surplus)
-    cost = [ONE] + [ZERO] * (n_free - 1 + len(allowed))
-    return solve_lp(cost, matrix, [payoff[a] for a in allowed], free=n_free), n_free, allowed
+        surplus = [0] * len(allowed)
+        surplus[slot] = -1
+        rows.append([vec[a] for vec in vectors] + surplus + [payoff[a]])
+    rows = int_rows(rows)
+    cost = [1] + [0] * (n_free - 1 + len(allowed))
+    return solve_lp(cost, [row[:-1] for row in rows], [row[-1] for row in rows], free=n_free), n_free, allowed
 
 
 def test_superhedge_equals_the_fraction_program(model):
@@ -322,23 +325,25 @@ def test_the_corpus_has_unbounded_superhedges():
 
 
 def test_the_phase1_certificate_equals_the_fraction_program(model):
-    # phase 1 charges each row's artificial as the row is stored, so the Fraction rows are scaled as the int
-    # tables scale them: a gain of asset j by the lcm of j's price denominators, a claim by its own
+    # the certificate is a function of the Fraction rows: each gain and claim vector on the allowed cells, made
+    # the primitive int row c * r (c > 0), gets the holding -c * y (0 on a zero row); the int scales are never read
     if enumerate_extreme_points(model.constraints).vertices:
         return
-    n_claims = len(model.claims)
-    claims = [(vec, lcm(*(x.denominator for x in vec))) for _, vec in strategy_columns(model)[1 : 1 + n_claims]]
-    asset_scales = [lcm(*(x.denominator for prices in path for x in prices)) for path in model.prices]
-    gains = [(vec, asset_scales[label[-1]]) for label, vec in _reference_gains(model)]
+    vectors = [vec for _, vec in _reference_gains(model)] + [tuple(claim) for claim in model.claims]
     allowed = sorted(model.allowed)
-    rows = [[s * vec[a] for a in allowed] for vec, s in gains + claims] + [[ONE] * len(allowed)]
-    y = phase1_dual(rows, [ZERO] * (len(rows) - 1) + [ONE])
-    holdings = [-s * y_i for y_i, (_, s) in zip(y, gains + claims)]
-    reference = (ZERO, *holdings[len(gains) :], *holdings[: len(gains)])
+    rows, factors = [], []
+    for vec in vectors:
+        (row,) = int_rows([[vec[a] for a in allowed]])
+        g = gcd(*row)
+        rows.append([x // g for x in row] if g else row)
+        k = next((i for i, x in enumerate(row) if x), None)
+        factors.append(ZERO if k is None else rows[-1][k] / vec[allowed[k]])
+    y = phase1_dual(rows + [[1] * len(allowed)], [0] * len(rows) + [1])
+    holdings = [-c * y_i for y_i, c in zip(y, factors)]
+    n_gains = len(holdings) - len(model.claims)
     certificate = detect_arbitrage(model).certificate
-    coordinates = (certificate.cash, *certificate.static, *certificate.dynamic)
-    factor = next(x / r for x, r in zip(coordinates, reference) if r)
-    assert factor > 0 and coordinates == tuple(factor * r for r in reference)
+    expected = (ZERO, *holdings[n_gains:], *holdings[:n_gains])
+    assert (certificate.cash, *certificate.static, *certificate.dynamic) == expected
 
 
 def _reference_payoff(strategy, model):
@@ -359,39 +364,3 @@ def test_strategy_payoff_matches_the_fraction_sum(model):
         payoff = strategy_payoff(strategy, model)
         assert payoff == _reference_payoff(strategy, model)
         assert all(type(x) is Fraction for x in payoff)
-
-
-def _integer_row_calls(argv_list):
-    """``integer_row`` calls while ``cli.main`` runs, by (calling module, whether some entry was not an int)."""
-    code = integer_row.__code__
-    calls: Counter = Counter()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            rescaled = any(type(x) is not int for x in frame.f_locals["values"])
-            calls[frame.f_back.f_globals.get("__name__", "?"), rescaled] += 1
-
-    sys.setprofile(profile)
-    try:
-        for argv in argv_list:
-            cli.main(argv)
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
-def test_polytope_and_duality_never_rescale_a_row(capsys):
-    # the constraint rows and the LP columns come from the model's int tables, with no Fraction round trip
-    argv_list = []
-    for path in sorted(SCENARIOS.glob("*.json")):
-        scenario = load_scenario(path)
-        payoffs = sorted(scenario.payoffs) or [",".join(["0"] * scenario.model.n_cells)]
-        argv_list.append(["--format", "json", "extremes", str(path)])
-        for payoff in payoffs:
-            for command in ("superhedge", "duality"):
-                argv_list.append(["--format", "json", command, "--payoff", payoff, str(path)])
-    calls = _integer_row_calls(argv_list)
-    capsys.readouterr()
-    assert calls["semistatic.simplex", False]  # the probe sees the calls that remain: int rows, copied as they are
-    assert not calls["semistatic.simplex", True]  # every program solved here is posed by duality on int columns
-    assert not any(calls[module, rescaled] for module in (polytope.__name__, duality.__name__) for rescaled in (0, 1))

@@ -228,6 +228,22 @@ def test_only_the_measure_scales_its_weights_to_ints():
     assert found == {"model.Measure.__init__"}
 
 
+def test_the_exact_kernels_take_int_rows():
+    # linalg and simplex scale no row: every caller poses its program in ints, so neither imports from
+    # rationals nor calls common_denominator
+    for name in ("linalg", "simplex"):
+        tree = ast.parse((REPO / "src" / "semistatic" / f"{name}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update([node.module or ""] + [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not [module for module in imported if "rationals" in module.split(".")], name
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        assert not [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "common_denominator"], name
+
+
 # -- reach: every def in the package is called by one fixed CLI corpus, traced, or a listed failure path --
 
 PACKAGE = Path(semistatic.__file__).resolve().parent

@@ -5,6 +5,8 @@
 and minimum-norm solution below are the Fraction code the int sweep of
 ``linalg`` replaced; the minimum-norm reference solves the Gram system of a
 maximal independent set of rows, a second method the sweep must agree with.
+The drawn rows are rational and posed in ints, each row scaled by its lcm
+through ``tests.reference.int_rows``; the references get the same int rows.
 """
 
 import random
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from semistatic import linalg
 from semistatic.errors import InvariantViolation
 from semistatic.rationals import common_denominator
-from tests.reference import eliminate as reference_eliminate, reference_rref, reference_solve
+from tests.reference import eliminate as reference_eliminate, int_rows, reference_rref, reference_solve
 
 F = Fraction
 
@@ -37,11 +39,11 @@ def mat_vec(matrix, vec):
 
 
 def _random_matrix(rng, rows, cols):
-    return [[F(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
+    return [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
 
 
 def test_rank_and_nullspace_small():
-    a = [[F(1), F(0), F(-1)], [F(1), F(1), F(1)]]
+    a = [[1, 0, -1], [1, 1, 1]]
     assert linalg.rank(a) == 2
     kernel = linalg.nullspace(a)
     assert len(kernel) == 1
@@ -68,8 +70,8 @@ def test_min_norm_is_orthogonal_to_kernel(seed):
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 4), rng.randint(1, 6)
     a = _random_matrix(rng, rows, cols)
-    x = [F(rng.randint(-3, 3)) for _ in range(cols)]
-    b = mat_vec(a, x)
+    x = [rng.randint(-3, 3) for _ in range(cols)]
+    b = [sum(map(int.__mul__, row, x)) for row in a]
     sol = linalg.min_norm_solution(a, b)
     assert sol is not None
     assert mat_vec(a, sol) == tuple(b)
@@ -78,11 +80,13 @@ def test_min_norm_is_orthogonal_to_kernel(seed):
 
 
 def test_projection_idempotent():
-    w = [F(1, 3)] * 3
-    span = [(F(1), F(1), F(0)), (F(0), F(1), F(1))]
-    x = (F(3), F(-1), F(2))
+    w = [1] * 3
+    span = [(1, 1, 0), (0, 1, 1)]
+    x = (3, -1, 2)
     p = linalg.project_onto_span(x, span, w)
-    assert linalg.project_onto_span(p, span, w) == p
+    assert _all_fractions([p])
+    (scaled,) = int_rows([p])  # a multiple of the projection lies in the span, so it projects to itself
+    assert linalg.project_onto_span(scaled, span, w) == tuple(scaled)
     residual = tuple(a - b for a, b in zip(x, p))
     for v in span:
         assert weighted_dot(residual, v, w) == 0
@@ -117,22 +121,23 @@ def small_rational_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_rational_matrices())
 def test_independent_rows_is_first_wins_greedy(matrix):
+    matrix = int_rows(matrix)
     assert linalg.independent_rows(matrix) == greedy_independent_rows(matrix)
 
 
 def test_min_norm_solution_rank_deficient_and_inconsistent():
-    a = [[F(1), F(1)], [F(2), F(2)]]
-    assert linalg.min_norm_solution(a, [F(1), F(2)]) == (F(1, 2), F(1, 2))
-    assert linalg.min_norm_solution(a, [F(1), F(3)]) is None
-    assert linalg.min_norm_solution([[F(0), F(0)]], [F(0)]) == (F(0), F(0))
-    assert linalg.min_norm_solution([[F(0), F(0)]], [F(1)]) is None
+    a = [[1, 1], [2, 2]]
+    assert linalg.min_norm_solution(a, [1, 2]) == (F(1, 2), F(1, 2))
+    assert linalg.min_norm_solution(a, [1, 3]) is None
+    assert linalg.min_norm_solution([[0, 0]], [0]) == (F(0), F(0))
+    assert linalg.min_norm_solution([[0, 0]], [1]) is None
 
 
 def test_min_norm_solution_refuses_a_solution_that_misses_a_row(monkeypatch):
     # rows left unswept are not orthogonal, so sum gamma_i c_i / <c_i, c_i> misses a row of this consistent system
     monkeypatch.setattr(linalg.WeightedSpan, "residual", lambda self, row: (list(row), F(1)))
     with pytest.raises(InvariantViolation, match="satisfy every row"):
-        linalg.min_norm_solution([[F(1), F(1)], [F(1), F(0)]], [F(2), F(1)])
+        linalg.min_norm_solution([[1, 1], [1, 0]], [2, 1])
 
 
 def reference_nullspace(matrix):
@@ -155,6 +160,7 @@ def reference_nullspace(matrix):
 @settings(max_examples=100, deadline=None)
 @given(small_rational_matrices())
 def test_integer_kernel_matches_fraction_reference(matrix):
+    matrix = int_rows(matrix)
     reduced, pivots = linalg.rref(matrix)
     expected, expected_pivots = reference_rref(matrix)
     assert pivots == expected_pivots
@@ -281,6 +287,7 @@ def weighted_spans(draw):
 @given(weighted_spans())
 def test_weighted_sweep_matches_fraction_reference(case):
     vectors, weights, x = case
+    vectors, (weights, x) = int_rows(vectors), int_rows([weights, x])
     projection = linalg.project_onto_span(x, vectors, weights)
     assert projection == reference_project_onto_span(x, vectors, weights) and _all_fractions([projection])
 
@@ -290,7 +297,7 @@ def test_weighted_sweep_matches_fraction_reference(case):
 def test_weighted_span_sweeps_int_rows_as_the_fraction_reference(case):
     # each vector and the weights scaled to ints by their own lcm: the span and the residual's direction stay
     vectors, weights, x = case
-    span = linalg.WeightedSpan([common_denominator(vec)[0] for vec in vectors], common_denominator(weights)[0])
+    span = linalg.WeightedSpan(int_rows(vectors), int_rows([weights])[0])
     assert len(span.basis) == len(reference_gram_schmidt(vectors, weights))
     numerators, scale = common_denominator(x)
     row, factor = span.residual(numerators)
@@ -309,6 +316,8 @@ def test_min_norm_solution_matches_fraction_reference(matrix, data):
         point = data.draw(st.lists(entry, min_size=len(matrix[0]), max_size=len(matrix[0])))
         systems.append(list(mat_vec(matrix, point)))
     for b in systems:
-        solution = linalg.min_norm_solution(matrix, b)
-        assert solution == reference_min_norm_solution(matrix, b)
+        rows = int_rows([[*row, x] for row, x in zip(matrix, b)])  # each row [a_i | b_i] scaled as one
+        a, c = [row[:-1] for row in rows], [row[-1] for row in rows]
+        solution = linalg.min_norm_solution(a, c)
+        assert solution == reference_min_norm_solution(a, c)
         assert solution is None or _all_fractions([solution])

@@ -16,7 +16,7 @@ from semistatic.polytope import build_constraints, enumerate_extreme_points, is_
 from semistatic.sampling import random_model
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS
-from tests.reference import reference_solve, row_coeffs
+from tests.reference import int_rows, reference_solve, row_coeffs
 from tests.test_linalg import dot
 
 F = Fraction
@@ -31,7 +31,7 @@ def brute_force_vertices(cs):
     for size in range(1, len(cols) + 1):
         for subset in combinations(cols, size):
             sub = [[row[c] for c in subset] for row in matrix]
-            if linalg.rank(list(zip(*sub))) < len(subset):
+            if linalg.rank(int_rows(zip(*sub))) < len(subset):
                 continue  # dependent columns cannot support a vertex
             sol = reference_solve(sub, rhs)
             if sol is None or any(x < 0 for x in sol):
@@ -43,7 +43,7 @@ def brute_force_vertices(cs):
             if all(dot(row, candidate) == b for row, b in zip(matrix, rhs)):
                 support = tuple(a for a, w in enumerate(candidate) if w > 0)
                 sub_support = [[row[a] for a in support] for row in matrix]
-                if not linalg.nullspace(sub_support):
+                if not linalg.nullspace(int_rows(sub_support)):
                     found.add(candidate)
     return sorted(found, key=lambda w: (tuple(a for a, x in enumerate(w) if x > 0), w))
 

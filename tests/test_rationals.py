@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from semistatic.rationals import common_denominator, fmt, integer_row, rat
+from semistatic.rationals import common_denominator, fmt, rat
 
 
 def test_parse_forms():
@@ -37,14 +37,13 @@ def test_round_trip(num, den):
     assert rat(fmt(q)) == q
 
 
-def test_integer_row():
+def test_common_denominator():
     row = [3, -4, 0]
-    copy = integer_row(row)
-    assert copy == row and copy is not row
-    assert integer_row([Fraction(1, 2), Fraction(-2, 3), 1, Fraction(0)]) == [3, -4, 6, 0]
-    assert [type(x) for x in integer_row([Fraction(4), Fraction(6)])] == [int, int]
+    copy, scale = common_denominator(row)
+    assert (copy, scale) == (row, 1) and copy is not row
     assert common_denominator([Fraction(1, 2), Fraction(-2, 3), 1, Fraction(0)]) == ([3, -4, 6, 0], 6)
-    assert common_denominator([3, -4]) == ([3, -4], 1)
+    numerators, scale = common_denominator([Fraction(4), Fraction(6)])
+    assert (numerators, scale) == ([4, 6], 1) and [type(x) for x in numerators] == [int, int]
 
 
 @pytest.mark.parametrize(

@@ -6,12 +6,16 @@ costs rebuilt from scratch each iteration.  It marks the paths it takes in
 ``PATHS`` so that a fixed sample can show the generator reaches each one.
 Free variables are checked against the explicitly split program: the
 reference solves it with x+_j, x-_j at columns 2j, 2j+1, and its answer is
-recombined as x+ - x-.
+recombined as x+ - x-.  The programs are drawn with rational entries and
+posed in ints, the cost and each row [a_i | b_i] scaled by its lcm through
+``tests.reference.int_rows``; the reference solves the same int program in
+Fractions.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from hypothesis import given, settings
@@ -20,11 +24,10 @@ from hypothesis import strategies as st
 from semistatic import linalg, simplex
 from semistatic.duality import superhedge
 from semistatic.enlargement import enlarge
-from semistatic.rationals import common_denominator, integer_row
 from semistatic.scenario import load_scenario
 from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import reference_solve
+from tests.reference import int_rows, reference_solve
 from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)
@@ -104,7 +107,7 @@ class _Tableau:
 
 def reference_solve_lp(cost, matrix, rhs, pairs: int = 0) -> LPResult:
     n = len(cost)
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    rows = [[Fraction(x) for x in [*r, b]] for r, b in zip(matrix, rhs)]
     for row in rows:
         if row[-1] < 0:
             PATHS["negative rhs"] += 1
@@ -168,7 +171,7 @@ VALUES = [Fraction(v) for v in (-2, -1, 0, 0, 0, 0, 1, 1, 2, 3)] + [Fraction(1, 
 
 
 def random_lp(rng):
-    """A small rational LP with zero rows, duplicate rows and negative rhs mixed in."""
+    """A small rational LP with zero rows, duplicate rows and negative rhs mixed in, posed in ints."""
     n, m = rng.randint(1, 6), rng.randint(0, 5)
     matrix = [[rng.choice(VALUES) for _ in range(n)] for _ in range(m)]
     rhs = [rng.choice(VALUES) for _ in range(m)]
@@ -183,7 +186,8 @@ def random_lp(rng):
             matrix[i] = [scale * x for x in matrix[j]]
             rhs[i] = scale * rhs[j]
     cost = [rng.choice(VALUES) for _ in range(n)]
-    return cost, matrix, rhs
+    rows = int_rows([cost] + [[*row, b] for row, b in zip(matrix, rhs)])
+    return rows[0], [row[:-1] for row in rows[1:]], [row[-1] for row in rows[1:]]
 
 
 def split_reference(cost, matrix, rhs, free: int) -> LPResult:
@@ -280,21 +284,17 @@ def test_phase1_objective_is_the_eliminated_row():
         cost, matrix, rhs = random_lp(rng)
         rng.randint(0, len(cost))  # the sample's free count; phase 1 does not read it
         n, m = len(cost), len(matrix)
-        rows, narrow, scales = [], [], []
+        rows, narrow = [], []
         for i, (r, b) in enumerate(zip(matrix, rhs)):
-            row = integer_row(list(r) + [int(i == j) for j in range(m)] + [b])
-            if b < 0:
-                row = [-x for x in row]
-                row[n + i] = -row[n + i]
+            sign = -1 if b < 0 else 1
+            row = [sign * x for x in r] + [int(i == j) for j in range(m)] + [sign * b]
             rows.append(row)
             narrow.append(row[:n] + row[-1:])
-            scales.append(row[n + i])
-            assert scales[-1] == common_denominator(list(r) + [b])[1]
         eliminated = [0] * n + [1] * m + [0]
         for i, row in enumerate(rows):
             eliminated = linalg.eliminate(eliminated, row, n + i)
         # the closed form reads neither the artificial block nor the columns it leaves out, zero in the wide row
-        direct = phase1_objective(narrow, scales, n)
+        direct = phase1_objective(narrow, n)
         direct[n:n] = [0] * m
         k = next((j for j, x in enumerate(eliminated) if x), None)
         if k is None:
@@ -308,19 +308,20 @@ def test_phase1_objective_is_the_eliminated_row():
 def test_known_programs():
     f = Fraction
     # min -x - y  s.t.  x + 2y = 4, 3x + y = 6 (a single feasible point)
-    result = solve_lp([f(-1), f(-1)], [[f(1), f(2)], [f(3), f(1)]], [f(4), f(6)])
+    result = solve_lp([-1, -1], [[1, 2], [3, 1]], [4, 6])
     assert result == LPResult("optimal", objective=f(-14, 5), solution=(f(8, 5), f(6, 5)))
+    assert all(type(x) is Fraction for x in (result.objective, *result.solution))  # an int program, Fraction answers
     # x - y = 1, x, y >= 0; minimising -x is unbounded along (1, 1)
-    result = solve_lp([f(-1), f(0)], [[f(1), f(-1)]], [f(1)])
+    result = solve_lp([-1, 0], [[1, -1]], [1])
     assert result == LPResult("unbounded", ray=(f(1), f(1)), column=1)
     # x + y = -1 has no nonnegative solution
-    assert solve_lp([f(0), f(0)], [[f(1), f(1)]], [f(-1)]) == LPResult("infeasible")
+    assert solve_lp([0, 0], [[1, 1]], [-1]) == LPResult("infeasible")
     # with no constraint row left, minimising -x is unbounded along (1)
-    assert solve_lp([f(-1)], [[f(0)]], [f(0)]) == LPResult("unbounded", ray=(f(1),), column=0)
-    assert solve_lp([f(-1)], [], []) == LPResult("unbounded", ray=(f(1),), column=0)
+    assert solve_lp([-1], [[0]], [0]) == LPResult("unbounded", ray=(f(1),), column=0)
+    assert solve_lp([-1], [], []) == LPResult("unbounded", ray=(f(1),), column=0)
     # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
-    assert solve_lp([f(1)], [[f(1)]], [f(-3)], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
-    assert solve_lp([f(1)], [], [], free=1) == LPResult("unbounded", ray=(f(-1),), column=0)
+    assert solve_lp([1], [[1]], [-3], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
+    assert solve_lp([1], [], [], free=1) == LPResult("unbounded", ray=(f(-1),), column=0)
 
 
 def reference_phase1_dual(matrix, rhs):
@@ -333,7 +334,7 @@ def reference_phase1_dual(matrix, rhs):
     n, m = len(matrix[0]), len(matrix)
     sign = [-1 if b < 0 else 1 for b in rhs]
     rows = [
-        [s * x for x in r] + [ONE if k == i else ZERO for k in range(m)] + [s * b]
+        [s * Fraction(x) for x in r] + [ONE if k == i else ZERO for k in range(m)] + [s * Fraction(b)]
         for i, (r, b, s) in enumerate(zip(matrix, rhs, sign))
     ]
     tableau = _Tableau([list(row) for row in rows], [n + i for i in range(m)], n + m, 0, n)
@@ -356,13 +357,12 @@ def assert_farkas(y, matrix, rhs, reference):
 
 
 def test_phase1_dual_of_known_programs():
-    f = Fraction
     assert phase1_dual([], []) is None
-    assert phase1_dual([[f(1), f(1)]], [f(1)]) is None  # x + y = 1 is met by (1, 0)
+    assert phase1_dual([[1, 1]], [1]) is None  # x + y = 1 is met by (1, 0)
     cases = [
         ([[1, 1]], [-1]),  # x + y = -1: the negated row's dual entry is negative
-        ([[f(1, 2), f(1, 3)], [f(1), f(-1)]], [f(-1, 2), f(2)]),  # rational entries and a negative rhs
-        ([[1, -1], [1, 1], [f(1, 2), 0]], [0, 1, f(3, 2)]),  # x = y, x + y = 1, x = 3
+        ([[3, 2], [1, -1]], [-3, 2]),  # x/2 + y/3 = -1/2 times 6, and x - y = 2
+        ([[1, -1], [1, 1], [2, 0]], [0, 1, 6]),  # x = y, x + y = 1, x = 3 with a row not in lowest terms
         ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], [0, 0, 1]),  # a sum row under homogeneous rows, as the certificate has
     ]
     for matrix, rhs in cases:
@@ -385,5 +385,5 @@ def test_phase1_dual_matches_the_reference_on_random_programs():
         assert_farkas(y, matrix, rhs, reference)
         seen["infeasible"] += 1
         seen["negative rhs"] += any(b < 0 for b in rhs)
-        seen["rational entry"] += any(x.denominator > 1 for row in matrix for x in row)
-    assert min(seen[k] for k in ("feasible", "infeasible", "negative rhs", "rational entry")) >= 50, seen
+        seen["row not in lowest terms"] += any(gcd(*row, b) > 1 for row, b in zip(matrix, rhs))
+    assert min(seen[k] for k in ("feasible", "infeasible", "negative rhs", "row not in lowest terms")) >= 50, seen

@@ -29,7 +29,7 @@ from semistatic.tree import (
 )
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS, scenario_path
-from tests.reference import conditional_expectation, reference_rref, reference_solve, sigma_tree_expectation
+from tests.reference import conditional_expectation, int_rows, reference_rref, reference_solve, sigma_tree_expectation
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
 
@@ -401,7 +401,8 @@ def test_condition_i_fails_wherever_the_claim_residual_is_not_replicable():
 
 def intersection_dimension(span_a, span_b):
     """dim(span A ∩ span B) by rank inclusion-exclusion."""
-    return linalg.rank(span_a) + linalg.rank(span_b) - linalg.rank(list(span_a) + list(span_b))
+    a, b = int_rows(span_a), int_rows(span_b)
+    return linalg.rank(a) + linalg.rank(b) - linalg.rank(a + b)
 
 
 def test_rank_identity_glued(glued_two_vol):
@@ -415,7 +416,7 @@ def test_rank_identity_glued(glued_two_vol):
         for leaf in tree.leaves
     ]
     gain_vecs = [[vec[s] for s in support] for _, vec in reference_gains(model)]
-    assert linalg.rank(leaf_vecs + gain_vecs) == len(support)
+    assert linalg.rank(int_rows(leaf_vecs + gain_vecs)) == len(support)
     assert intersection_dimension(leaf_vecs, gain_vecs) == 0
     with_const = gain_vecs + [[F(1)] * len(support)]
     assert intersection_dimension(leaf_vecs, with_const) == 1
