@@ -28,9 +28,9 @@ from .polytope import enumerate_extreme_points
 from .rationals import fmt, rat
 from .scenario import Scenario, ScenarioError, canonical_json, load_scenario, parse_inline_measure
 from .tree import AtomicTree, NoTree, extract_tree
-from . import verify as verify_suites
 
 PASS, FAIL, INPUT_ERROR = 0, 1, 2
+SUITES = ["corollary54", "duality", "jacod-yor", "jeulin-yor", "multinomial", "all"]  # sorted(verify.SUITES) + ["all"]
 MULTINOMIAL_BUDGET = 10**7  # composition entries: --pmax 10 --mmax 10 needs 2.4e6, --pmax 11 --mmax 11 1.02e7
 
 
@@ -214,6 +214,8 @@ def _cmd_informed_compare(scenario: Scenario, args) -> tuple[dict, int]:
 
 def _cmd_verify(scenario: None, args) -> tuple[dict, int]:
     """Run one suite; a flag the suite does not read (so it would be ignored) is an input error."""
+    from . import verify as verify_suites  # only this command runs the suites and their sampling
+
     if args.suite != "multinomial" and (args.pmax is not None or args.mmax is not None):
         raise ScenarioError(f"--pmax and --mmax apply only to the multinomial suite, not to {args.suite}")
     if args.suite in ("multinomial", "all") and args.seed is not None:
@@ -259,7 +261,7 @@ COMMANDS = {
     "verify": (
         _cmd_verify,
         (
-            ("--suite", {"required": True, "choices": sorted(verify_suites.SUITES) + ["all"]}),
+            ("--suite", {"required": True, "choices": SUITES}),
             ("--pmax", {"type": int, "default": None}),  # 5 and 6 in the handler, so that a given flag shows
             ("--mmax", {"type": int, "default": None}),
             ("--seed", {"type": int, "default": None}),

@@ -12,7 +12,7 @@ by the sign of one int sum of w * x per cell, the sign of its exact mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -116,11 +116,12 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
         partitions.append(Partition(cells))
 
     base_of = [model.terminal_cell_of_outcome[cell[0]] for cell in partitions[-1].cells]
-    enlarged = replace(
-        model,
-        partitions=tuple(partitions),
-        claims=tuple(tuple(claim[b] for b in base_of) for claim in model.claims),
-        allowed=frozenset(g for g, b in enumerate(base_of) if b in model.allowed),
+    # every base terminal cell holds an enlarged one, so each claim keeps its entries and its scale
+    claims = tuple((tuple(map(row.__getitem__, base_of)), scale) for row, scale in model.int_claims)
+    allowed = frozenset(g for g, b in enumerate(base_of) if b in model.allowed)
+    enlarged = FilteredModel.from_tables(
+        outcomes=model.outcomes, times=model.times, partitions=tuple(partitions), int_prices=model.int_prices,
+        int_claims=claims, allowed=allowed,
     )
     return EnlargedModel(model, enlarged)
 

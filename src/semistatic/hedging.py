@@ -41,8 +41,8 @@ class SemiStaticStrategy(NamedTuple):
     @classmethod
     def from_coordinates(cls, values: Sequence[Fraction], model: FilteredModel) -> SemiStaticStrategy:
         """The strategy with these coordinates on ``int_strategy_columns(model)``; another count raises ShapeError."""
-        _check_vector("strategy coordinates", values, 1 + len(model.claims) + len(model.int_gains))
-        n_static = len(model.claims)
+        n_static = len(model.int_claims)
+        _check_vector("strategy coordinates", values, 1 + n_static + len(model.int_gains))
         return cls(values[0], tuple(values[1 : 1 + n_static]), tuple(values[1 + n_static :]))
 
     def to_json(self, model: FilteredModel) -> dict:
@@ -61,7 +61,7 @@ def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payof
     that do not match the rows of ``model.int_gains``, raise ``ShapeError``.
     """
     _check_vector("cash", (strategy.cash,), 1)
-    _check_vector("static positions", strategy.static, len(model.claims))
+    _check_vector("static positions", strategy.static, len(model.int_claims))
     _check_vector("holdings", strategy.dynamic, len(model.int_gains))
     coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
     terms = [(h, row, h.denominator * scale) for h, (row, scale) in zip(coordinates, int_strategy_columns(model)) if h]

@@ -8,9 +8,12 @@ adapted and started at zero), ``claims`` (the statically traded claims,
 payoffs over the cells of P_K with initial price zero) and ``allowed`` (the
 P_K cells that priors may charge).  Probability measures live on the cells
 of the terminal partition P_K; payoff vectors are indexed the same way.
-The model caches the gains and claims as int rows with positive scales
-(``int_gains``, ``int_claims``), which every exact layer reads, and its
-cell labels (``terminal_labels``, ``partition_labels``) for the reports.  A
+Prices and claims are kept as int tables with positive scales
+(``int_prices``, ``int_claims``), which ``validate_model``, the gains
+(``int_gains``) and every exact layer read; a scenario is read straight into
+them (``from_tables``) and its Fraction ``prices`` and ``claims`` are built
+on first read.  The model caches its cell labels (``terminal_labels``,
+``partition_labels``) for the reports.  A
 ``Measure`` is its weights' int form in lowest terms: ``numerators`` over a
 positive ``scale``, set once by its input check; a vertex is built, compared,
 hashed, priced and written from it, and builds its Fraction weights only when read.
@@ -26,7 +29,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, ShapeError
-from .rationals import _INT, common_denominator, fmt_ratio, rat
+from .rationals import _INT, common_denominator, fmt_ratio, rat, ratio, scaled_rows
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -81,6 +84,12 @@ class Partition:
     def __init__(self, cells: Iterable[Iterable[int]]):
         object.__setattr__(self, "cells", _canonical_cells(cells))
 
+    @classmethod
+    def _canonical(cls, cells: tuple[Cell, ...], cell_of: dict[int, int]) -> Partition:
+        """The partition of ``cells``, given canonical with their ``cell_of``: nothing is sorted or rebuilt."""
+        (partition := object.__new__(cls)).__dict__.update(cells=cells, cell_of=cell_of)
+        return partition
+
     @cached_property
     def cell_of(self) -> dict[int, int]:
         return {w: i for i, cell in enumerate(self.cells) for w in cell}
@@ -109,6 +118,22 @@ class FilteredModel:
     prices: tuple[tuple[tuple[Fraction, ...], ...], ...]
     claims: tuple[Payoff, ...]
     allowed: frozenset[int]
+
+    @classmethod
+    def from_tables(cls, **fields) -> FilteredModel:
+        """The model of these fields, with ``int_prices`` and ``int_claims`` in place of ``prices`` and ``claims``."""
+        (model := object.__new__(cls)).__dict__.update(fields)
+        return model
+
+    def __getattr__(self, name: str):
+        """A ``from_tables`` model's ``prices`` and ``claims``: Fractions of its int tables, built on first read."""
+        if name == "prices":
+            value = self.__dict__[name] = tuple(_fractions(rows, scale) for rows, scale in self.int_prices)
+        elif name == "claims":
+            value = self.__dict__[name] = tuple(_fractions((row,), scale)[0] for row, scale in self.int_claims)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return value
 
     @property
     def horizon(self) -> int:
@@ -141,19 +166,21 @@ class FilteredModel:
         return groups_of(self.coarse_cell_of, self.partitions)
 
     @cached_property
+    def int_prices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """Per asset, its prices as int rows over the lcm of their denominators, and that lcm: ``rows[k][w] / scale``."""
+        return tuple(scaled_rows([list(map(ratio, row)) for row in path]) for path in self.prices)
+
+    @cached_property
     def int_gains(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
         """Elementary gains 1_A (S^j_k - S^j_{k-1}) as int rows: (("gain", k, c, j), row, scale).
 
-        A is cell c of P_{k-1}; the order is (k, c, j).  Asset j's prices (on
-        each terminal cell's representative) are scaled once by their lcm,
-        ``scale``, so the gain is ``row / scale``.  These vectors are both the
-        dynamic strategy columns and the martingale rows of the measure set.
+        A is cell c of P_{k-1}; the order is (k, c, j).  Asset j's ``int_prices``
+        on each terminal cell's representative give ``row``, over their scale.
+        These vectors are both the dynamic strategy columns and the martingale
+        rows of the measure set.
         """
         representatives, n = [cell[0] for cell in self.terminal_cells], self.n_cells
-        assets = []
-        for path in self.prices:
-            numerators, scale = common_denominator([slice_k[w] for slice_k in path for w in representatives])
-            assets.append(([numerators[k * n : (k + 1) * n] for k in range(len(path))], scale))
+        assets = [([[*map(row.__getitem__, representatives)] for row in path], scale) for path, scale in self.int_prices]
         rows = []
         for k in range(1, self.horizon + 1):
             for c, group in enumerate(self.coarse_groups[k - 1]):
@@ -168,7 +195,7 @@ class FilteredModel:
     @cached_property
     def int_claims(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Each claim as an int row over the lcm of its denominators, and that lcm: the claim is ``row / scale``."""
-        return tuple((tuple(row), scale) for row, scale in map(common_denominator, self.claims))
+        return tuple((rows[0], scale) for rows, scale in (scaled_rows([list(map(ratio, c))]) for c in self.claims))
 
     @cached_property
     def constraints(self) -> ConstraintSystem:
@@ -186,8 +213,8 @@ class FilteredModel:
 
     @cached_property
     def terminal_labels(self) -> tuple[str, ...]:
-        """The ``cell_label`` of each terminal cell, built once."""
-        return tuple(map(self.cell_label, self.terminal_cells))
+        """The ``cell_label`` of each terminal cell, built once from the canonical cells."""
+        return tuple(["|".join([self.outcomes[w] for w in cell]) for cell in self.terminal_cells])
 
     @cached_property
     def partition_labels(self) -> tuple[tuple[str, ...], ...]:
@@ -345,10 +372,10 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         if not partitions[k].refines(partitions[k - 1]):
             bad.append(Violation("refinement", f"P_{k}", f"P_{k} does not refine P_{k - 1}"))
 
-    values = model.prices
+    values = model.int_prices  # equal ints over an asset's one scale are equal prices
     if not values:
         bad.append(Violation("prices", "assets", "need at least one asset"))
-    for j, asset_path in enumerate(values):
+    for j, (asset_path, _) in enumerate(values):
         if len(asset_path) != horizon + 1:
             bad.append(Violation("prices", f"asset {j}", "wrong number of time slices"))
             continue
@@ -372,7 +399,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                         break
 
     n_cells = model.n_cells
-    for i, claim in enumerate(model.claims):
+    for i, (claim, _) in enumerate(model.int_claims):
         if len(claim) != n_cells:
             bad.append(Violation("claim", f"claim {i}", "payoff length must match terminal cells"))
 
@@ -395,33 +422,41 @@ def is_constant_on(values: Sequence[Fraction], cell: Cell) -> bool:
     return True
 
 
-def natural_filtration(prices: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[Partition, ...]:
+def natural_filtration(prices: Sequence[Sequence[Sequence]]) -> tuple[Partition, ...]:
     """Coarsest refining filtration making the prices ``prices[j][k][w]`` adapted.
 
     P_k groups outcomes by the tuple of all asset values up to time k, that is
     by their P_{k-1} cell and the asset values at time k; groups by a longer
-    prefix automatically refine groups by a shorter one.  A value is keyed by
-    its int numerator and denominator, which equal values share and which hash
-    faster than a Fraction.
+    prefix automatically refine groups by a shorter one.  The values may be
+    each asset's ``int_prices`` rows, equal where the prices are.  The groups
+    come in the order of their first outcome, each in outcome order: the cells
+    are canonical as built and keep the ``cell_of`` the grouping fills in.
     """
     n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []
     cell_of = [0] * n  # each outcome's group at the previous time; one group before time 0
     for k in range(len(prices[0]) if prices else 1):
         groups: dict[tuple, list[int]] = {}
-        columns = [[(asset[k][w].numerator, asset[k][w].denominator) for w in range(n)] for asset in prices]
+        columns = [[asset[k][w] for w in range(n)] for asset in prices]
         for w, key in enumerate(zip(cell_of, *columns)):
             groups.setdefault(key, []).append(w)
         for c, group in enumerate(groups.values()):
             for w in group:
                 cell_of[w] = c
-        partitions.append(Partition(groups.values()))
+        partitions.append(Partition._canonical(tuple(map(tuple, groups.values())), dict(enumerate(cell_of))))
     return tuple(partitions)
+
+
+def _fractions(rows: Sequence[Sequence[int]], scale: int) -> tuple[Payoff, ...]:
+    """The int rows over ``scale`` as Fractions; equal entries share one Fraction."""
+    shared = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
+    return tuple(tuple(map(shared.__getitem__, row)) for row in rows)
 
 
 def _cells_of(terminal_cells: Sequence[Cell], partitions: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:
     """Per time k, the index of the ``partitions[k]`` cell holding each of the terminal cells."""
-    return tuple(tuple(partition.cell_of[cell[0]] for cell in terminal_cells) for partition in partitions)
+    representatives = [cell[0] for cell in terminal_cells]
+    return tuple(tuple(map(partition.cell_of.__getitem__, representatives)) for partition in partitions)
 
 
 def groups_of(
@@ -433,7 +468,7 @@ def groups_of(
         groups: list[list[int]] = [[] for _ in partition.cells]
         for a, coarse in enumerate(lookup):
             groups[coarse].append(a)
-        table.append(tuple(tuple(g) for g in groups))
+        table.append(tuple(map(tuple, groups)))
     return tuple(table)
 
 

@@ -74,7 +74,7 @@ class VertexSet(NamedTuple):
 
 def build_constraints(model: FilteredModel) -> ConstraintSystem:
     """The martingale rows, then the calibration rows, from the model's int tables; the sum to one is ``Measure``'s."""
-    rows = [Row(("martingale", *label[1:]), row, scale) for label, row, scale in model.int_gains]
+    rows = [Row(("martingale", k, c, j), row, scale) for (_, k, c, j), row, scale in model.int_gains]
     for i, (row, scale) in enumerate(model.int_claims):
         rows.append(Row(("calibration", i), row, scale))
     return ConstraintSystem(tuple(rows), model.allowed, model.n_cells)

@@ -1,9 +1,14 @@
 """Scenario files: JSON ingestion and serialization codecs.
 
 A scenario is a model plus optional jumps and named payoffs.  Rationals on
-the wire are integers or canonical "p/q" strings; floats are rejected.  Claim
-and payoff vectors are given with one entry per outcome and quotiented onto
-the terminal partition at load time, which must leave them well defined.
+the wire are integers or canonical "p/q" strings; floats are rejected, and
+every list of the format must be a JSON array.  Claim and payoff vectors are
+given with one entry per outcome and quotiented onto the terminal partition
+at load time, which must leave them well defined.  The parse reads each
+distinct token once, as an int or a lowest-terms pair, straight into the
+model's int tables: one per asset over its lcm and one row per claim, with
+no Fraction built for either; a natural filtration is grouped canonical from
+them, an explicit one sorted once, and ``validate_model`` checks the tables.
 
 A file is read as UTF-8 whatever the locale.  A UTF-8 BOM is an error, as
 ``json`` reports it ("Unexpected UTF-8 BOM"), and line endings do not
@@ -28,7 +33,7 @@ from .model import (
     natural_filtration,
     validate_model,
 )
-from .rationals import rat
+from .rationals import rat, ratio, scaled_rows
 
 ZERO = Fraction(0)
 
@@ -44,7 +49,7 @@ class Scenario(NamedTuple):
     payoffs: dict[str, Payoff]
 
 
-def _quotient(values: Sequence[Fraction], n: int, cells: Sequence[Sequence[int]], kind: str, key) -> Payoff:
+def _quotient(values: Sequence, n: int, cells: Sequence[Sequence[int]], kind: str, key) -> tuple:
     """The values of one vector of ``n`` entries, one per outcome, on the terminal cells; ``kind`` and ``key`` name it."""
     if len(values) != n:
         raise ScenarioError(f"{kind} {key} has {len(values)} entries, expected {n}, one per outcome")
@@ -56,22 +61,38 @@ def _quotient(values: Sequence[Fraction], n: int, cells: Sequence[Sequence[int]]
     return tuple(out)
 
 
+def _array(value, *where) -> list:
+    """``value`` if it is a JSON array, else a ScenarioError naming it by its key path ``where``."""
+    if type(value) is not list:
+        path = where[0] + "".join(f"[{key}]" for key in where[1:])
+        raise ScenarioError(f"malformed scenario: {path} must be a JSON array")
+    return value
+
+
 class _Numbers(dict):
-    """Wire tokens to Fractions for one parse: equal tokens are parsed once and share one Fraction.
+    """Wire tokens to ``ratio``'s int or (numerator, denominator) pair for one parse: equal tokens are read once.
 
     Only ``str`` and ``int`` tokens are keys, so a bool or a float never
-    meets the int it compares equal to, and ``rat`` rejects it.
+    meets the int it compares equal to, and ``ratio`` rejects it.
     """
 
-    def __missing__(self, token: str | int) -> Fraction:
-        value = self[token] = rat(token)
+    def __missing__(self, token: str | int) -> int | tuple[int, int]:
+        value = self[token] = ratio(token)
         return value
 
-    def number(self, token) -> Fraction:
-        return self[token] if type(token) is str or type(token) is int else rat(token)
+    def number(self, token) -> int | Fraction:
+        """The token as an int where it is integral, else as a Fraction: a time, a payoff entry or a jump mark."""
+        value = self[token] if type(token) is str or type(token) is int else ratio(token)
+        return value if type(value) is int else Fraction(*value)
 
-    def vector(self, tokens) -> tuple[Fraction, ...]:
-        return tuple([self[t] if type(t) is str or type(t) is int else rat(t) for t in tokens])
+    def row(self, tokens, *where) -> tuple:
+        """Each token of the JSON array at key path ``where`` read as ``ratio`` reads it."""
+        if type(tokens) is list and _TOKENS.issuperset(map(type, tokens)):
+            return tuple(map(self.__getitem__, tokens))
+        return tuple([self[t] if type(t) is str or type(t) is int else ratio(t) for t in _array(tokens, *where)])
+
+
+_TOKENS = frozenset({str, int})
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -98,30 +119,39 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     numbers = _Numbers()
     try:
-        outcomes = tuple(map(str, data["outcomes"]))
+        outcomes = tuple(map(str, _array(data["outcomes"], "outcomes")))
         if len(set(outcomes)) != len(outcomes):
             raise ScenarioError("outcome labels must be unique")
-        index = {w: i for i, w in enumerate(outcomes)}
-        times = numbers.vector(data["times"])
-        prices = tuple(tuple(map(numbers.vector, asset)) for asset in data["prices"])
+        index = dict(zip(outcomes, range(len(outcomes))))
+        times = tuple(map(numbers.number, _array(data["times"], "times")))
+        int_prices = tuple(
+            scaled_rows([numbers.row(row, "prices", j, k) for k, row in enumerate(_array(asset, "prices", j))])
+            for j, asset in enumerate(_array(data["prices"], "prices"))
+        )
 
         spec = data.get("filtration", "natural")
         if spec == "natural":
-            partitions = natural_filtration(prices)
+            partitions = natural_filtration([rows for rows, _ in int_prices])
         else:
-            partitions = tuple(Partition([[index[w] for w in cell] for cell in cells]) for cells in spec)
+            partitions = tuple(
+                Partition([
+                    list(map(index.__getitem__, _array(cell, "filtration", k, c)))
+                    for c, cell in enumerate(_array(cells, "filtration", k))
+                ])
+                for k, cells in enumerate(_array(spec, "filtration"))
+            )
 
-        terminal = partitions[-1].cells
-        claims = tuple(
-            _quotient(numbers.vector(payoff), len(outcomes), terminal, "claim", i)
-            for i, payoff in enumerate(data.get("claims", []))
-        )
+        n, terminal = len(outcomes), partitions[-1].cells
+        int_claims = []
+        for i, claim in enumerate(_array(data.get("claims", []), "claims")):
+            (row,), scale = scaled_rows([_quotient(numbers.row(claim, "claims", i), n, terminal, "claim", i)])
+            int_claims.append((row, scale))
 
         support_spec = data.get("prior_support", "all")
         if support_spec == "all":
             allowed = frozenset(range(len(terminal)))
         else:
-            listed = {index[w] for w in support_spec}
+            listed = {index[w] for w in _array(support_spec, "prior_support")}
             allowed = set()
             for c, cell in enumerate(terminal):
                 hit = listed.intersection(cell)
@@ -133,13 +163,16 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     allowed.add(c)
             allowed = frozenset(allowed)
 
-        model = FilteredModel(outcomes, times, partitions, prices, claims, allowed)
+        model = FilteredModel.from_tables(
+            outcomes=outcomes, times=times, partitions=partitions, int_prices=int_prices, int_claims=tuple(int_claims),
+            allowed=allowed,
+        )
 
         jumps = []
-        horizon = model.horizon
-        for j in data.get("jumps", []):
-            tau = [None] * len(outcomes)
-            mark = [ZERO] * len(outcomes)
+        horizon = len(times) - 1
+        for j in _array(data.get("jumps", []), "jumps"):
+            tau = [None] * n
+            mark = [ZERO] * n
             for w, t in j["tau"].items():
                 if t == "inf":
                     t = None
@@ -153,7 +186,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
 
         payoffs = {
-            name: _quotient(numbers.vector(vec), len(outcomes), terminal, "payoff", name)
+            name: _quotient(tuple(map(numbers.number, _array(vec, "payoffs", name))), n, terminal, "payoff", name)
             for name, vec in data.get("payoffs", {}).items()
         }
     except ScenarioError:

@@ -137,7 +137,7 @@ def _is_atom(model: FilteredModel, measure: Measure, k: int, cells: Sequence[int
 def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
     """Some price is nonzero on one of these terminal cells at a time up to k."""
     return any(
-        path[l][model.terminal_cells[a][0]] != 0 for a in cells for l in range(k + 1) for path in model.prices
+        rows[l][model.terminal_cells[a][0]] for a in cells for l in range(k + 1) for rows, _ in model.int_prices
     )
 
 

@@ -364,7 +364,7 @@ def test_verify_runs_a_randomized_suite_as_the_library_does(capsys, seed):
 
 def test_verify_multinomial_defaults_are_five_and_six(monkeypatch, capsys):
     sizes = []
-    monkeypatch.setattr(cli.verify_suites, "suite_multinomial", lambda p, m: sizes.append((p, m)) or {"ok": True})
+    monkeypatch.setattr(verify, "suite_multinomial", lambda p, m: sizes.append((p, m)) or {"ok": True})
     assert main(["--format", "json", "verify", "--suite", "multinomial"]) == 0
     assert main(["--format", "json", "verify", "--suite", "multinomial", "--mmax", "2"]) == 0
     assert sizes == [(5, 6), (5, 2)]
