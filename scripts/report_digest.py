@@ -24,6 +24,7 @@ import json
 import random
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from semistatic import cli, sampling
@@ -50,8 +51,8 @@ def scenario_json(name: str, model, jumps, payoffs: dict) -> dict:
             [[outcomes[w] for w in cell] for cell in partition.cells]
             for partition in model.partitions
         ],
-        "prices": [[[fmt(x) for x in slice_k] for slice_k in asset] for asset in model.prices],
-        "claims": [per_outcome(claim) for claim in model.claims],
+        "prices": [[[fmt(Fraction(x, scale)) for x in row] for row in rows] for rows, scale in model.int_prices],
+        "claims": [per_outcome([Fraction(x, scale) for x in row]) for row, scale in model.int_claims],
         "prior_support": [outcomes[w] for a in sorted(model.allowed) for w in model.terminal_cells[a]],
         "jumps": [
             {

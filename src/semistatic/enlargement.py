@@ -12,7 +12,7 @@ by the sign of one int sum of w * x per cell, the sign of its exact mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -119,10 +119,7 @@ def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
     # every base terminal cell holds an enlarged one, so each claim keeps its entries and its scale
     claims = tuple((tuple(map(row.__getitem__, base_of)), scale) for row, scale in model.int_claims)
     allowed = frozenset(g for g, b in enumerate(base_of) if b in model.allowed)
-    enlarged = FilteredModel.from_tables(
-        outcomes=model.outcomes, times=model.times, partitions=tuple(partitions), int_prices=model.int_prices,
-        int_claims=claims, allowed=allowed,
-    )
+    enlarged = replace(model, partitions=tuple(partitions), int_claims=claims, allowed=allowed)
     return EnlargedModel(model, enlarged)
 
 
@@ -333,7 +330,7 @@ def informed_compare(
     ext_fine = enumerate_extreme_points(enlarged.model.constraints)
     coincide_flags = tuple(filtrations_coincide(v, enlarged) for v in ext_fine.vertices)
 
-    claims_empty = len(model.claims) == 0
+    claims_empty = len(model.int_claims) == 0
     expected: tuple[Measure, ...] | None = None
     corollary_equal: bool | None = None
     if claims_empty:

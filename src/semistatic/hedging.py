@@ -57,7 +57,7 @@ class SemiStaticStrategy(NamedTuple):
 def strategy_payoff(strategy: SemiStaticStrategy, model: FilteredModel) -> Payoff:
     """Cash plus every nonzero position and holding times its int column, over one common denominator.
 
-    Static positions that do not match ``model.claims`` one to one, or holdings
+    Static positions that do not match ``model.int_claims`` one to one, or holdings
     that do not match the rows of ``model.int_gains``, raise ``ShapeError``.
     """
     _check_vector("cash", (strategy.cash,), 1)

@@ -3,17 +3,16 @@
 A model is one flat record, ``FilteredModel``, of six fields: ``outcomes``
 (the outcome names), ``times`` (the rational grid t_0 = 0 < ... < t_K),
 ``partitions`` (the filtration P_0, ..., P_K, each refining its
-predecessor), ``prices[j][k][w]`` (asset j at time index k on outcome w,
-adapted and started at zero), ``claims`` (the statically traded claims,
-payoffs over the cells of P_K with initial price zero) and ``allowed`` (the
-P_K cells that priors may charge).  Probability measures live on the cells
-of the terminal partition P_K; payoff vectors are indexed the same way.
-Prices and claims are kept as int tables with positive scales
-(``int_prices``, ``int_claims``), which ``validate_model``, the gains
-(``int_gains``) and every exact layer read; a scenario is read straight into
-them (``from_tables``) and its Fraction ``prices`` and ``claims`` are built
-on first read.  The model caches its cell labels (``terminal_labels``,
-``partition_labels``) for the reports.  A
+predecessor), ``int_prices`` (per asset j, S^j_k on outcome w, adapted and
+started at zero), ``int_claims`` (the statically traded claims, payoffs over
+the cells of P_K with initial price zero) and ``allowed`` (the P_K cells that
+priors may charge).  Probability measures live on the cells of the terminal
+partition P_K; payoff vectors are indexed the same way.  Prices and claims
+are int tables, int rows over one positive scale, the lcm of the
+denominators, built by ``int_table`` alone: a scenario is read into them from
+its tokens, ``FilteredModel.from_fractions`` converts given Fractions once.
+The model caches its cell labels (``terminal_labels``, ``partition_labels``)
+for the reports.  A
 ``Measure`` is its weights' int form in lowest terms: ``numerators`` over a
 positive ``scale``, set once by its input check; a vertex is built, compared,
 hashed, priced and written from it, and builds its Fraction weights only when read.
@@ -24,12 +23,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
-from math import gcd
+from itertools import chain, compress
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, ShapeError
-from .rationals import _INT, common_denominator, fmt_ratio, rat, ratio, scaled_rows
+from .rationals import _INT, common_denominator, fmt_ratio, rat, ratio
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -55,10 +54,6 @@ class cached_property(functools.cached_property):
         return value
 
 
-def _canonical_cells(cells: Iterable[Iterable[int]]) -> tuple[Cell, ...]:
-    return tuple(sorted([tuple(sorted(c)) for c in cells]))  # an outcome listed twice stays, for validate_model
-
-
 def _check_index(name: str, index: int, size: int) -> None:
     if isinstance(index, bool) or not isinstance(index, int):
         raise ShapeError(f"{name} index {index!r} is not an int")
@@ -77,63 +72,37 @@ def _check_vector(name: str, values: Sequence, size: int) -> None:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty cells of outcome indices covering the outcome set."""
+    """Disjoint nonempty cells of outcome indices covering the outcome set, and ``cell_of``, each outcome's cell."""
 
     cells: tuple[Cell, ...]
 
     def __init__(self, cells: Iterable[Iterable[int]]):
-        object.__setattr__(self, "cells", _canonical_cells(cells))
-
-    @classmethod
-    def _canonical(cls, cells: tuple[Cell, ...], cell_of: dict[int, int]) -> Partition:
-        """The partition of ``cells``, given canonical with their ``cell_of``: nothing is sorted or rebuilt."""
-        (partition := object.__new__(cls)).__dict__.update(cells=cells, cell_of=cell_of)
-        return partition
-
-    @cached_property
-    def cell_of(self) -> dict[int, int]:
-        return {w: i for i, cell in enumerate(self.cells) for w in cell}
-
-    def refines(self, coarser: "Partition") -> bool:
-        lookup = coarser.cell_of
-        for cell in self.cells:
-            parents = set(map(lookup.get, cell))
-            if len(parents) != 1 or None in parents:
-                return False
-        return True
+        cells = tuple(sorted([tuple(sorted(c)) for c in cells]))  # an outcome listed twice stays, for validate_model
+        self.__dict__.update(cells=cells, cell_of={w: i for i, cell in enumerate(cells) for w in cell})
 
 
 @dataclass(frozen=True)
 class FilteredModel:
     """A finite market: outcomes, time grid, filtration, prices, static claims and prior support.
 
-    ``partitions[k]`` is P_k, ``prices[j][k][w]`` is S^j_k on outcome w,
-    ``claims[i]`` is the payoff of claim i over the cells of P_K, and
+    ``partitions[k]`` is P_k, ``rows[k][w] / scale`` of ``int_prices[j]`` is S^j_k on outcome w,
+    ``row / scale`` of ``int_claims[i]`` is the payoff of claim i over the cells of P_K, and
     ``allowed`` holds the indices of the P_K cells that priors may charge.
     """
 
     outcomes: tuple[str, ...]
-    times: tuple[Fraction, ...]
+    times: tuple[Fraction | int, ...]
     partitions: tuple[Partition, ...]
-    prices: tuple[tuple[tuple[Fraction, ...], ...], ...]
-    claims: tuple[Payoff, ...]
+    int_prices: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]  # per asset j: (rows, scale), rows[k][w] / scale
+    int_claims: tuple[tuple[tuple[int, ...], int], ...]  # per claim: (row, scale), the claim is row / scale
     allowed: frozenset[int]
 
     @classmethod
-    def from_tables(cls, **fields) -> FilteredModel:
-        """The model of these fields, with ``int_prices`` and ``int_claims`` in place of ``prices`` and ``claims``."""
-        (model := object.__new__(cls)).__dict__.update(fields)
-        return model
-
-    def __getattr__(self, name: str):
-        """A ``from_tables`` model's ``prices`` and ``claims``: Fractions of its int tables, built on first read."""
-        if name == "prices":
-            value = self.__dict__[name] = tuple(_fractions(rows, scale) for rows, scale in self.int_prices)
-        elif name == "claims":
-            value = self.__dict__[name] = tuple(_fractions((row,), scale)[0] for row, scale in self.int_claims)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return value
+    def from_fractions(cls, outcomes, times, partitions, prices, claims, allowed) -> FilteredModel:
+        """The model of prices ``prices[j][k][w]`` and claims ``claims[i][a]``, ints or Fractions, as int tables."""
+        int_prices = tuple(int_table([list(map(ratio, row)) for row in path]) for path in prices)
+        int_claims = tuple((rows[0], scale) for rows, scale in (int_table([list(map(ratio, c))]) for c in claims))
+        return cls(tuple(outcomes), tuple(times), tuple(partitions), int_prices, int_claims, allowed)
 
     @property
     def horizon(self) -> int:
@@ -162,13 +131,10 @@ class FilteredModel:
 
     @cached_property
     def coarse_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each time k, the P_k cells as groups of terminal cell indices."""
+        """For each time k, the P_k cells as groups of terminal cell indices: the cells, if each outcome is one."""
+        if self.n_cells == self.n_outcomes:
+            return tuple([partition.cells for partition in self.partitions])
         return groups_of(self.coarse_cell_of, self.partitions)
-
-    @cached_property
-    def int_prices(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
-        """Per asset, its prices as int rows over the lcm of their denominators, and that lcm: ``rows[k][w] / scale``."""
-        return tuple(scaled_rows([list(map(ratio, row)) for row in path]) for path in self.prices)
 
     @cached_property
     def int_gains(self) -> tuple[tuple[tuple, tuple[int, ...], int], ...]:
@@ -179,8 +145,10 @@ class FilteredModel:
         These vectors are both the dynamic strategy columns and the martingale
         rows of the measure set.
         """
-        representatives, n = [cell[0] for cell in self.terminal_cells], self.n_cells
-        assets = [([[*map(row.__getitem__, representatives)] for row in path], scale) for path, scale in self.int_prices]
+        n, assets = self.n_cells, self.int_prices
+        if n != self.n_outcomes:  # the prices on each terminal cell's representative
+            representatives = [cell[0] for cell in self.terminal_cells]
+            assets = [([[*map(row.__getitem__, representatives)] for row in path], scale) for path, scale in assets]
         rows = []
         for k in range(1, self.horizon + 1):
             for c, group in enumerate(self.coarse_groups[k - 1]):
@@ -191,11 +159,6 @@ class FilteredModel:
                         row[a] = now[a] - before[a]
                     rows.append((("gain", k, c, j), tuple(row), scale))
         return tuple(rows)
-
-    @cached_property
-    def int_claims(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Each claim as an int row over the lcm of its denominators, and that lcm: the claim is ``row / scale``."""
-        return tuple((rows[0], scale) for rows, scale in (scaled_rows([list(map(ratio, c))]) for c in self.claims))
 
     @cached_property
     def constraints(self) -> ConstraintSystem:
@@ -213,7 +176,9 @@ class FilteredModel:
 
     @cached_property
     def terminal_labels(self) -> tuple[str, ...]:
-        """The ``cell_label`` of each terminal cell, built once from the canonical cells."""
+        """The ``cell_label`` of each terminal cell, built once: the outcomes, if each is a cell."""
+        if self.n_cells == self.n_outcomes:
+            return self.outcomes
         return tuple(["|".join([self.outcomes[w] for w in cell]) for cell in self.terminal_cells])
 
     @cached_property
@@ -368,9 +333,12 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                 bad.append(Violation("partition", f"P_{k}", f"cell names outcome index {strays[0]!r} {why}"))
         if not universe.issubset(seen):
             bad.append(Violation("partition", f"P_{k}", "cells do not cover the outcome set"))
-    for k in range(1, len(partitions)):
-        if not partitions[k].refines(partitions[k - 1]):
-            bad.append(Violation("refinement", f"P_{k}", f"P_{k} does not refine P_{k - 1}"))
+    for k in range(1, len(partitions)):  # each P_k cell lies in one P_{k-1} cell
+        get = partitions[k - 1].cell_of.get
+        for cell in partitions[k].cells:
+            if not cell or get(cell[0]) is None or len(cell) > 1 and len({*map(get, cell)}) != 1:
+                bad.append(Violation("refinement", f"P_{k}", f"P_{k} does not refine P_{k - 1}"))
+                break
 
     values = model.int_prices  # equal ints over an asset's one scale are equal prices
     if not values:
@@ -428,29 +396,27 @@ def natural_filtration(prices: Sequence[Sequence[Sequence]]) -> tuple[Partition,
     P_k groups outcomes by the tuple of all asset values up to time k, that is
     by their P_{k-1} cell and the asset values at time k; groups by a longer
     prefix automatically refine groups by a shorter one.  The values may be
-    each asset's ``int_prices`` rows, equal where the prices are.  The groups
-    come in the order of their first outcome, each in outcome order: the cells
-    are canonical as built and keep the ``cell_of`` the grouping fills in.
+    each asset's ``int_prices`` rows, equal where the prices are.
     """
     n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []
-    cell_of = [0] * n  # each outcome's group at the previous time; one group before time 0
+    cell_of = [0] * n  # each outcome's cell at the previous time; one cell before time 0
     for k in range(len(prices[0]) if prices else 1):
         groups: dict[tuple, list[int]] = {}
         columns = [[asset[k][w] for w in range(n)] for asset in prices]
         for w, key in enumerate(zip(cell_of, *columns)):
             groups.setdefault(key, []).append(w)
-        for c, group in enumerate(groups.values()):
-            for w in group:
-                cell_of[w] = c
-        partitions.append(Partition._canonical(tuple(map(tuple, groups.values())), dict(enumerate(cell_of))))
+        partitions.append(Partition(groups.values()))
+        cell_of = list(map(partitions[-1].cell_of.__getitem__, range(n)))
     return tuple(partitions)
 
 
-def _fractions(rows: Sequence[Sequence[int]], scale: int) -> tuple[Payoff, ...]:
-    """The int rows over ``scale`` as Fractions; equal entries share one Fraction."""
-    shared = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
-    return tuple(tuple(map(shared.__getitem__, row)) for row in rows)
+def int_table(rows: Sequence[Sequence[int | tuple[int, int]]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Rows of ``ratio``'s ints and lowest-terms pairs as int rows over the lcm of the denominators, and that lcm."""
+    if _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return tuple(map(tuple, rows)), 1
+    scale = lcm(*[x[1] for row in rows for x in row if type(x) is not int])
+    return tuple([tuple([x * scale if type(x) is int else x[0] * (scale // x[1]) for x in row]) for row in rows]), scale
 
 
 def _cells_of(terminal_cells: Sequence[Cell], partitions: Sequence[Partition]) -> tuple[tuple[int, ...], ...]:

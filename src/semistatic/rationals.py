@@ -19,24 +19,20 @@ def ratio(value: int | str | Fraction) -> int | tuple[int, int]:
     if type(value) is int:
         return value
     if isinstance(value, str):
-        text = value.strip()
-        if "/" not in text:
-            return int(text)
-        num, _, den = text.partition("/")
-        numerator, denominator = int(num), int(den)
+        num, slash, den = value.strip().partition("/")
+        numerator, denominator = int(num), int(den) if slash else 1
         if denominator == 0:
             raise ValueError(f"zero denominator in {value!r}")
-        g = gcd(numerator, denominator) if denominator > 0 else -gcd(numerator, denominator)
-        numerator, denominator = numerator // g, denominator // g
     elif isinstance(value, bool):
         raise TypeError("bool is not a rational")
-    elif isinstance(value, (Fraction, int)):
-        numerator, denominator = value.numerator, value.denominator
     elif isinstance(value, float):
         raise TypeError(f"floats are not accepted, got {value!r}")
-    else:
+    elif not isinstance(value, (Fraction, int)):
         raise TypeError(f"cannot parse rational from {type(value).__name__}")
-    return numerator if denominator == 1 else (numerator, denominator)
+    else:
+        numerator, denominator = value.numerator, value.denominator
+    g = gcd(numerator, denominator) if denominator > 0 else -gcd(numerator, denominator)
+    return numerator // g if denominator == g else (numerator // g, denominator // g)
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -64,14 +60,6 @@ def fmt_ratio(numerator: int, denominator: int) -> str:
     except ValueError:
         n, d = str(Decimal(numerator)), str(Decimal(denominator))
     return n if denominator == 1 else f"{n}/{d}"
-
-
-def scaled_rows(rows: Sequence[Sequence[int | tuple[int, int]]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows of ``ratio``'s ints and pairs as int rows over the lcm of the pairs' denominators, and that lcm."""
-    scale = lcm(*[x[1] for row in rows for x in row if type(x) is not int])
-    if scale == 1:
-        return tuple(map(tuple, rows)), 1
-    return tuple([tuple([x * scale if type(x) is int else x[0] * (scale // x[1]) for x in row]) for row in rows]), scale
 
 
 _INT = frozenset({int})  # the type set of an all-int row

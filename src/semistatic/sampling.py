@@ -127,7 +127,7 @@ def random_model(
             if reference[a] == 0 and rng.random() < 0.5:
                 allowed.discard(a)
 
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=tuple(f"w{i}" for i in range(n_outcomes)),
         times=tuple(Fraction(k) for k in range(horizon + 1)),
         partitions=partitions,

@@ -4,11 +4,8 @@ A scenario is a model plus optional jumps and named payoffs.  Rationals on
 the wire are integers or canonical "p/q" strings; floats are rejected, and
 every list of the format must be a JSON array.  Claim and payoff vectors are
 given with one entry per outcome and quotiented onto the terminal partition
-at load time, which must leave them well defined.  The parse reads each
-distinct token once, as an int or a lowest-terms pair, straight into the
-model's int tables: one per asset over its lcm and one row per claim, with
-no Fraction built for either; a natural filtration is grouped canonical from
-them, an explicit one sorted once, and ``validate_model`` checks the tables.
+at load time, which must leave them well defined.  Price and claim tokens are
+read straight into the model's int tables, with no Fraction built for them.
 
 A file is read as UTF-8 whatever the locale.  A UTF-8 BOM is an error, as
 ``json`` reports it ("Unexpected UTF-8 BOM"), and line endings do not
@@ -29,11 +26,12 @@ from .model import (
     Measure,
     Partition,
     Payoff,
+    int_table,
     is_constant_on,
     natural_filtration,
     validate_model,
 )
-from .rationals import rat, ratio, scaled_rows
+from .rationals import rat, ratio
 
 ZERO = Fraction(0)
 
@@ -49,10 +47,12 @@ class Scenario(NamedTuple):
     payoffs: dict[str, Payoff]
 
 
-def _quotient(values: Sequence, n: int, cells: Sequence[Sequence[int]], kind: str, key) -> tuple:
-    """The values of one vector of ``n`` entries, one per outcome, on the terminal cells; ``kind`` and ``key`` name it."""
+def _quotient(values: Sequence, n: int, cells: Sequence[Sequence[int]] | None, kind: str, key) -> tuple:
+    """The values of one vector of ``n`` entries, one per outcome, on the terminal cells (None: on the outcomes)."""
     if len(values) != n:
         raise ScenarioError(f"{kind} {key} has {len(values)} entries, expected {n}, one per outcome")
+    if cells is None:
+        return tuple(values)
     out = []
     for cell in cells:
         if len(cell) > 1 and not is_constant_on(values, cell):
@@ -69,6 +69,14 @@ def _array(value, *where) -> list:
     return value
 
 
+def _arrays(value, *where) -> list:
+    """``value`` if it is a JSON array of JSON arrays, else ``_array``'s error for it or for its first other entry."""
+    if not {list}.issuperset(map(type, _array(value, *where))):
+        for i, item in enumerate(value):
+            _array(item, *where, i)
+    return value
+
+
 class _Numbers(dict):
     """Wire tokens to ``ratio``'s int or (numerator, denominator) pair for one parse: equal tokens are read once.
 
@@ -80,19 +88,18 @@ class _Numbers(dict):
         value = self[token] = ratio(token)
         return value
 
-    def number(self, token) -> int | Fraction:
-        """The token as an int where it is integral, else as a Fraction: a time, a payoff entry or a jump mark."""
+    def number(self, token) -> int | Fraction:  # a time, a payoff entry or a jump mark
         value = self[token] if type(token) is str or type(token) is int else ratio(token)
         return value if type(value) is int else Fraction(*value)
 
     def row(self, tokens, *where) -> tuple:
-        """Each token of the JSON array at key path ``where`` read as ``ratio`` reads it."""
-        if type(tokens) is list and _TOKENS.issuperset(map(type, tokens)):
-            return tuple(map(self.__getitem__, tokens))
+        """Each token of the JSON array at key path ``where`` read as ``ratio`` reads it; ``int`` reads an int row."""
+        if type(tokens) is list and {str, int}.issuperset(map(type, tokens)):
+            try:
+                return tuple(map(int, tokens))  # what ``ratio`` reads as an int, ``int`` reads alike
+            except ValueError:
+                return tuple(map(self.__getitem__, tokens))
         return tuple([self[t] if type(t) is str or type(t) is int else ratio(t) for t in _array(tokens, *where)])
-
-
-_TOKENS = frozenset({str, int})
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
@@ -104,7 +111,7 @@ def load_scenario(path: str | os.PathLike) -> Scenario:
     """
     file = os.fsdecode(path)  # a str or a PathLike; an int, which ``open`` reads as a descriptor, raises TypeError
     try:
-        with open(file, "rb") as stream:
+        with open(file, "rb", buffering=0) as stream:
             text = stream.read().decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -120,12 +127,12 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     numbers = _Numbers()
     try:
         outcomes = tuple(map(str, _array(data["outcomes"], "outcomes")))
-        if len(set(outcomes)) != len(outcomes):
-            raise ScenarioError("outcome labels must be unique")
         index = dict(zip(outcomes, range(len(outcomes))))
+        if len(index) != len(outcomes):
+            raise ScenarioError("outcome labels must be unique")
         times = tuple(map(numbers.number, _array(data["times"], "times")))
         int_prices = tuple(
-            scaled_rows([numbers.row(row, "prices", j, k) for k, row in enumerate(_array(asset, "prices", j))])
+            int_table([numbers.row(row, "prices", j, k) for k, row in enumerate(_array(asset, "prices", j))])
             for j, asset in enumerate(_array(data["prices"], "prices"))
         )
 
@@ -134,17 +141,15 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             partitions = natural_filtration([rows for rows, _ in int_prices])
         else:
             partitions = tuple(
-                Partition([
-                    list(map(index.__getitem__, _array(cell, "filtration", k, c)))
-                    for c, cell in enumerate(_array(cells, "filtration", k))
-                ])
+                Partition([map(index.__getitem__, cell) for cell in _arrays(cells, "filtration", k)])
                 for k, cells in enumerate(_array(spec, "filtration"))
             )
 
         n, terminal = len(outcomes), partitions[-1].cells
+        on_cells = None if terminal == tuple(zip(range(n))) else terminal  # None: each outcome is a terminal cell
         int_claims = []
         for i, claim in enumerate(_array(data.get("claims", []), "claims")):
-            (row,), scale = scaled_rows([_quotient(numbers.row(claim, "claims", i), n, terminal, "claim", i)])
+            (row,), scale = int_table([_quotient(numbers.row(claim, "claims", i), n, on_cells, "claim", i)])
             int_claims.append((row, scale))
 
         support_spec = data.get("prior_support", "all")
@@ -163,10 +168,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
                     allowed.add(c)
             allowed = frozenset(allowed)
 
-        model = FilteredModel.from_tables(
-            outcomes=outcomes, times=times, partitions=partitions, int_prices=int_prices, int_claims=tuple(int_claims),
-            allowed=allowed,
-        )
+        model = FilteredModel(outcomes, times, partitions, int_prices, tuple(int_claims), allowed)
 
         jumps = []
         horizon = len(times) - 1
@@ -174,19 +176,20 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
             tau = [None] * n
             mark = [ZERO] * n
             for w, t in j["tau"].items():
-                if t == "inf":
+                if type(t) is int:
+                    if not 0 <= t <= horizon:
+                        raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{horizon}, got {t}")
+                elif t == "inf":
                     t = None
-                elif not isinstance(t, int) or isinstance(t, bool):
+                else:
                     raise ScenarioError(f'jump time of {w!r} must be an integer or "inf", got {t!r}')
-                elif not 0 <= t <= horizon:
-                    raise ScenarioError(f"jump time of {w!r} must lie in the grid 0..{horizon}, got {t}")
                 tau[index[w]] = t
             for w, x in j["mark"].items():
                 mark[index[w]] = numbers.number(x)
             jumps.append(SingleJump(tuple(tau), tuple(mark)))
 
         payoffs = {
-            name: _quotient(tuple(map(numbers.number, _array(vec, "payoffs", name))), n, terminal, "payoff", name)
+            name: _quotient(tuple(map(numbers.number, _array(vec, "payoffs", name))), n, on_cells, "payoff", name)
             for name, vec in data.get("payoffs", {}).items()
         }
     except ScenarioError:

@@ -25,6 +25,16 @@ from semistatic.scenario import ScenarioError, parse_scenario
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
+def fraction_prices(model):
+    """``prices[j][k][w]``, asset j at time k on outcome w, as Fractions of the model's ``int_prices``."""
+    return tuple(tuple(tuple(Fraction(x, scale) for x in row) for row in rows) for rows, scale in model.int_prices)
+
+
+def fraction_claims(model):
+    """``claims[i][a]``, claim i on terminal cell a, as Fractions of the model's ``int_claims``."""
+    return tuple(tuple(Fraction(x, scale) for x in row) for row, scale in model.int_claims)
+
+
 def row_coeffs(row):
     """A constraint row's rational coefficients: its int normal over its scale."""
     return tuple(Fraction(x, row.scale) for x in row.normal)
@@ -38,7 +48,7 @@ def gains(model):
     columns = []
     for k in range(1, model.horizon + 1):
         for c, cell in enumerate(model.partitions[k - 1].cells):
-            for j, path in enumerate(model.prices):
+            for j, path in enumerate(fraction_prices(model)):
                 vec = [ZERO] * model.n_cells
                 for a, terminal in enumerate(model.terminal_cells):
                     w = terminal[0]
@@ -83,7 +93,7 @@ def sigma_tree_expectation(payoff, tree, measure, model):
 
 def strategy_columns(model):
     """Strategy coordinates in column order, cash, claims, gains, each (label, Fraction vector)."""
-    claims = tuple((("claim", i), tuple(claim)) for i, claim in enumerate(model.claims))
+    claims = tuple((("claim", i), tuple(claim)) for i, claim in enumerate(fraction_claims(model)))
     return ((("const",), (ONE,) * model.n_cells), *claims, *gains(model))
 
 
@@ -166,7 +176,7 @@ def load_scenario(path):
 
 
 def oracle_parse(data, name_hint="scenario"):
-    """(name, model, jumps, payoffs) as the parse read them before it read ints: every token a Fraction.
+    """(name, model, jumps, payoffs, prices, claims) as the parse read them before it read ints: every token a Fraction.
 
     The model is built from Fractions through ``FilteredModel``'s constructor,
     its filtration by ``oracle_natural_filtration`` or from the listed cells;
@@ -229,7 +239,7 @@ def oracle_parse(data, name_hint="scenario"):
                 if hit:
                     allowed.add(c)
             allowed = frozenset(allowed)
-        model = FilteredModel(outcomes, times, partitions, prices, claims, allowed)
+        model = FilteredModel.from_fractions(outcomes, times, partitions, prices, claims, allowed)
         jumps = []
         horizon = model.horizon
         for j in data.get("jumps", []):
@@ -254,11 +264,11 @@ def oracle_parse(data, name_hint="scenario"):
         raise
     except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    violations = oracle_validate(model)
+    violations = oracle_validate(model, prices, claims)
     if violations:
         code, where, message = violations[0]
         raise ScenarioError(f"invalid model ({len(violations)} violations; first: {code} at {where}: {message})")
-    return str(data.get("name", name_hint)), model, tuple(jumps), payoffs
+    return str(data.get("name", name_hint)), model, tuple(jumps), payoffs, prices, claims
 
 
 def oracle_natural_filtration(prices):
@@ -279,7 +289,7 @@ def oracle_natural_filtration(prices):
     return tuple(partitions)
 
 
-def oracle_validate(model):
+def oracle_validate(model, prices, claims):
     """The (code, where, message) of each violation, read off the Fraction prices and claims and sets of outcomes."""
     from semistatic.model import is_constant_on
 
@@ -318,9 +328,9 @@ def oracle_validate(model):
         parent = {w: c for c, cell in enumerate(partitions[k - 1].cells) for w in cell}
         if any(len({parent.get(w) for w in cell}) != 1 or None in map(parent.get, cell) for cell in partitions[k].cells):
             bad.append(("refinement", f"P_{k}", f"P_{k} does not refine P_{k - 1}"))
-    if not model.prices:
+    if not prices:
         bad.append(("prices", "assets", "need at least one asset"))
-    for j, path in enumerate(model.prices):
+    for j, path in enumerate(prices):
         if len(path) != horizon + 1:
             bad.append(("prices", f"asset {j}", "wrong number of time slices"))
             continue
@@ -337,7 +347,7 @@ def oracle_validate(model):
                         bad.append(("adapted", f"asset {j}, k={k}, cell {label}", "price is not constant on a partition cell"))
                         break
     n_cells = len(partitions[-1].cells) if partitions else 0
-    for i, claim in enumerate(model.claims):
+    for i, claim in enumerate(claims):
         if len(claim) != n_cells:
             bad.append(("claim", f"claim {i}", "payoff length must match terminal cells"))
     if not model.allowed:
@@ -348,7 +358,7 @@ def oracle_validate(model):
     return bad
 
 
-def oracle_tables(model):
+def oracle_tables(model, prices, claims):
     """The model's tables built from its Fraction prices and claims and its cells by dict lookups, by name."""
     terminal = model.partitions[-1].cells
     cell_of = [{w: c for c, cell in enumerate(p.cells) for w in cell} for p in model.partitions]
@@ -360,7 +370,7 @@ def oracle_tables(model):
     int_gains = []
     for k in range(1, len(model.times)):
         for c, group in enumerate(coarse_groups[k - 1]):
-            for j, path in enumerate(model.prices):
+            for j, path in enumerate(prices):
                 scale = lcm(*(x.denominator for row in path for x in row))
                 row = [0] * len(terminal)
                 for a in group:
@@ -368,7 +378,7 @@ def oracle_tables(model):
                     row[a] = int((path[k][w] - path[k - 1][w]) * scale)
                 int_gains.append((("gain", k, c, j), tuple(row), scale))
     int_claims = []
-    for claim in model.claims:
+    for claim in claims:
         scale = lcm(*(Fraction(x).denominator for x in claim))
         int_claims.append((tuple(int(x * scale) for x in claim), scale))
     return {

@@ -27,6 +27,7 @@ from semistatic.verify import (
     suite_jeulin_yor,
 )
 from tests.test_tree import leafwise
+from tests.reference import fraction_claims
 
 F = Fraction
 
@@ -82,7 +83,7 @@ def test_criterion_4_glued_two_volatility(glued_two_vol):
     ok = ok and isinstance(tree, AtomicTree) and tree.dim == 2
     ok = ok and [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
     ok = ok and check_theorem_conditions(tree, q, model).ok
-    ok = ok and leafwise(model.claims[0], tree, q, model) == (F(2), F(2), F(-1), F(-1))
+    ok = ok and leafwise(fraction_claims(model)[0], tree, q, model) == (F(2), F(2), F(-1), F(-1))
     _report(4, "glued two-volatility calibration and tree", ok)
 
 

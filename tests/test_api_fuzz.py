@@ -95,7 +95,7 @@ def context(seed: int) -> dict:
         "payoff": list(random_payoff(rng, model)),
         "weights": list(vertex.weights),  # a vertex: calibrated, extreme and so complete
         "fine_weights": [F(1, n_fine)] * n_fine,
-        "static": [F(1)] * len(model.claims),
+        "static": [F(1)] * len(model.int_claims),
         "holdings": [F(1)] * len(model.int_gains),
         "coordinates": [F(1)] * len(int_strategy_columns(model)),
         "mark": mark,

@@ -25,6 +25,7 @@ from semistatic.polytope import VertexSet, build_constraints, enumerate_extreme_
 from semistatic.sampling import random_jump, random_model, random_payoff
 from tests.conftest import scenario_path
 from tests.test_polytope import ladder_model
+from tests.reference import fraction_claims, fraction_prices
 
 F = Fraction
 
@@ -41,7 +42,7 @@ def test_superhedge_abs(trinomial):
 
 def test_superhedge_replicable_claim(trinomial_calibrated):
     model = trinomial_calibrated.model
-    result = superhedge(model.claims[0], model)
+    result = superhedge(fraction_claims(model)[0], model)
     assert result.price == 0
 
 
@@ -85,7 +86,7 @@ def test_verify_duality_examples(trinomial, trinomial_calibrated):
     report = verify_duality(trinomial_calibrated.payoffs["abs_S1"], trinomial_calibrated.model)
     assert report.ok and report.primal == F(1, 2)
     assert report.strategy.cash == F(1, 2) and report.strategy.static == (F(1),)
-    replicable = verify_duality(trinomial_calibrated.model.claims[0], trinomial_calibrated.model)
+    replicable = verify_duality(fraction_claims(trinomial_calibrated.model)[0], trinomial_calibrated.model)
     assert replicable.ok and replicable.primal == 0
 
 
@@ -101,7 +102,7 @@ def test_detect_arbitrage_feasible(trinomial):
 
 
 def test_disallowed_coordinates_unconstrained(trinomial):
-    model = replace(trinomial.model, claims=(), allowed=frozenset({0, 2}))
+    model = replace(trinomial.model, int_claims=(), allowed=frozenset({0, 2}))
     spike_on_m = (F(0), F(100), F(0))
     result = superhedge(spike_on_m, model)
     assert result.price == 0  # the excluded cell imposes no constraint
@@ -110,7 +111,7 @@ def test_disallowed_coordinates_unconstrained(trinomial):
 
 def test_detect_arbitrage_miscalibrated(trinomial):
     # claim S_1 + 1 has expectation 1 under every martingale measure
-    model = replace(trinomial.model, claims=((F(2), F(1), F(0)),))
+    model = replace(trinomial.model, int_claims=(((2, 1, 0), 1),))
     assert not enumerate_extreme_points(build_constraints(model)).vertices
     report = detect_arbitrage(model)
     assert not report.feasible
@@ -310,7 +311,7 @@ def test_replication_collapse(seed):
     from semistatic.hedging import SemiStaticStrategy
 
     cash = F(rng.randint(-3, 3))
-    static = tuple(F(rng.randint(-2, 2)) for _ in model.claims)
+    static = tuple(F(rng.randint(-2, 2)) for _ in model.int_claims)
     dynamic = tuple(F(rng.randint(-2, 2)) for _ in model.int_gains)
     strategy = SemiStaticStrategy(cash, static, dynamic)
     payoff = strategy_payoff(strategy, model)
@@ -352,7 +353,7 @@ def test_face_matches_full_scan_on_random_models():
     for seed in range(150):
         rng = random.Random(f"face-{seed}")
         model, _ = random_model(rng, max_atoms=10)
-        with_claims += bool(model.claims)
+        with_claims += bool(model.int_claims)
         with_disallowed += len(model.allowed) < model.n_cells
         for _ in range(2):
             assert assert_matches_full_scan(random_payoff(rng, model), model).ok
@@ -362,7 +363,7 @@ def test_face_matches_full_scan_on_random_models():
 @pytest.mark.parametrize("b, horizon, ties", [(4, 2, 3), (5, 2, 37), (3, 3, 4), (6, 2, 7)])
 def test_face_matches_full_scan_on_ladder(b, horizon, ties):
     model = ladder_model(b, horizon)
-    payoff = tuple(abs(model.prices[0][horizon][cell[0]]) for cell in model.terminal_cells)
+    payoff = tuple(abs(fraction_prices(model)[0][horizon][cell[0]]) for cell in model.terminal_cells)
     report = assert_matches_full_scan(payoff, model)
     assert report.ok and len(report.argmax) == ties
 

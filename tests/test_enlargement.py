@@ -26,6 +26,7 @@ from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
 from tests.conftest import scenario_path
+from tests.reference import fraction_prices
 
 F = Fraction
 
@@ -33,7 +34,7 @@ F = Fraction
 @pytest.fixture(scope="module")
 def two_atom():
     """Omega = {a, b}, uniform-friendly one-period model with frozen price."""
-    return FilteredModel(
+    return FilteredModel.from_fractions(
         outcomes=("a", "b"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, 1]]), Partition([[0], [1]])),
@@ -46,7 +47,7 @@ def two_atom():
 @pytest.fixture(scope="module")
 def lumped():
     """Omega = {a, b} in a single terminal cell: nothing ever tells a from b."""
-    return FilteredModel(
+    return FilteredModel.from_fractions(
         outcomes=("a", "b"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, 1]]), Partition([[0, 1]])),
@@ -126,7 +127,7 @@ def test_enlarge_initial(trinomial):
 
 def test_enlarge_progressive_split():
     # three-period walk, tau = first time the price is positive
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("uu", "ud", "du", "dd"),
         times=(F(0), F(1), F(2)),
         partitions=(
@@ -138,10 +139,10 @@ def test_enlarge_progressive_split():
         claims=(),
         allowed=frozenset(range(4)),
     )
-    moves = tuple(next(k for k in range(3) if model.prices[0][k][w] != 0) for w in range(4))
+    moves = tuple(next(k for k in range(3) if fraction_prices(model)[0][k][w] != 0) for w in range(4))
     assert moves == (1, 1, 1, 1)
     tau = tuple(
-        next((k for k in range(3) if model.prices[0][k][w] > 0), None) for w in range(4)
+        next((k for k in range(3) if fraction_prices(model)[0][k][w] > 0), None) for w in range(4)
     )
     mark = tuple(F(1) if t is not None else F(0) for t in tau)
     enlarged = enlarge(model, [SingleJump(tau, mark)])
@@ -153,7 +154,7 @@ def test_enlarge_progressive_split():
 
 def test_enlarge_genuine_progressive_split():
     # the jump reveals terminal information early: tau = 1 on one path only
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("uu", "ud", "du", "dd"),
         times=(F(0), F(1), F(2)),
         partitions=(

@@ -18,7 +18,7 @@ from semistatic.hedging import (
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_model
 from semistatic.verify import _jacod_yor_checks, suite_jacod_yor
-from tests.reference import conditional_expectation, gains as reference_gains, int_rows, strategy_columns
+from tests.reference import conditional_expectation, fraction_claims, gains as reference_gains, int_rows, strategy_columns
 from tests.test_linalg import reference_project_onto_span, weighted_dot
 
 F = Fraction
@@ -31,7 +31,7 @@ def _dynamic(model, entries):
 
 def _gain_payoff(dynamic, model):
     """The terminal gain of the holdings: the payoff of the strategy with no cash and no static position."""
-    return strategy_payoff(SemiStaticStrategy(F(0), (F(0),) * len(model.claims), tuple(dynamic)), model)
+    return strategy_payoff(SemiStaticStrategy(F(0), (F(0),) * len(model.int_claims), tuple(dynamic)), model)
 
 
 def test_terminal_gain_zero(trinomial):
@@ -70,7 +70,7 @@ def test_span_columns_are_strategy_payoffs(trinomial_calibrated):
     columns = strategy_columns(model)
     for label, vec in columns:
         cash = F(1) if label[0] == "const" else F(0)
-        static = [F(0)] * len(model.claims)
+        static = [F(0)] * len(model.int_claims)
         if label[0] == "claim":
             static[label[1]] = F(1)
         dynamic = tuple(F(1) if gain == label else F(0) for gain, _ in reference_gains(model))
@@ -96,8 +96,8 @@ def test_completeness_requires_calibration(trinomial):
 def test_replicate_claim_itself(trinomial_calibrated):
     model = trinomial_calibrated.model
     q = model.measure(["1/4", "1/2", "1/4"])
-    strategy = replicate(model.claims[0], q, model)
-    assert strategy_payoff(strategy, model) == model.claims[0]
+    strategy = replicate(fraction_claims(model)[0], q, model)
+    assert strategy_payoff(strategy, model) == fraction_claims(model)[0]
 
 
 def test_replicate_indicator(trinomial_calibrated):
@@ -222,7 +222,7 @@ def test_decompose_calibrated_trinomial(trinomial_calibrated):
     q = model.measure(["1/4", "1/2", "1/4"])
     decomposition = decompose_unhedgeable(q, model)
     # psi is orthogonal to the single gain, so the residual is psi itself
-    assert decomposition.residual_terminals == (model.claims[0],)
+    assert decomposition.residual_terminals == (fraction_claims(model)[0],)
     assert len(decomposition.blocks) == 1
     block = decomposition.blocks[0]
     assert block.time == 1 and block.atom_cells == (0,)

@@ -57,7 +57,7 @@ from semistatic.tree import (
     validate_atomic_tree,
 )
 from tests.conftest import SCENARIOS
-from tests.reference import conditional_expectation, reference_rref, sigma_tree_expectation, strategy_columns
+from tests.reference import conditional_expectation, fraction_claims, reference_rref, sigma_tree_expectation, strategy_columns
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_int_tables import CORPUS, _fractional
 from tests.test_layout import MODELS
@@ -135,7 +135,7 @@ def _reference_decompose(measure, model):
     support = measure.support
     gains = [vec for _, vec in reference_gains(model)]
     residuals = []
-    for psi in model.claims:
+    for psi in fraction_claims(model):
         proj = reference_project_onto_span(psi, gains, weights)
         residuals.append(_mask_to_support([x - p for x, p in zip(psi, proj)], weights))
     span_basis = [residuals[i] for i in reference_rref([list(col) for col in zip(*residuals)])[1]] if residuals else []
@@ -173,7 +173,7 @@ def _replicate_cases(model):
     rng = random.Random(model.n_cells + 11)
     vertices, midpoints, _ = _measures(model, rng)
     payoffs = [tuple(F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(model.n_cells)) for _ in range(2)]
-    return [(payoff, measure) for measure in vertices[:4] + midpoints[:4] for payoff in payoffs + list(model.claims)]
+    return [(payoff, measure) for measure in vertices[:4] + midpoints[:4] for payoff in payoffs + list(fraction_claims(model))]
 
 
 def test_replicate_equals_the_fraction_solution(model):
@@ -223,7 +223,7 @@ def _reference_theorem_conditions(tree, measure, model):
             if k > leaf.birth and not charged.isdisjoint(model.coarse_groups[k - 1][c]):
                 vectors.append([vec[a] for a in atoms])
         leaf_checks.append(LeafCheck(leaf.cell, leaf.birth, _rank(vectors), len(atoms)))
-    projections = [sigma_tree_expectation(psi, tree, measure, model) for psi in model.claims]
+    projections = [sigma_tree_expectation(psi, tree, measure, model) for psi in fraction_claims(model)]
     support = measure.support
     claims_rank = _rank([[v[a] for a in support] for v in projections]) if projections else 0
     zeta = reference_zeta(tree, model)
@@ -280,7 +280,7 @@ def _reference_extract_tree(measure, model):
         return NoTree("constructed tree is not full")
     support = measure.support
     rows = [[vec[a] for _, vec in reference_gains(model)] for a in support]
-    for i, psi in enumerate(model.claims):
+    for i, psi in enumerate(fraction_claims(model)):
         target = sigma_tree_expectation(psi, tree, measure, model)
         rhs = [psi[a] - target[a] for a in support]
         reduced = reference_rref([row + [b] for row, b in zip(rows, rhs)])[1]

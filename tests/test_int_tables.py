@@ -24,14 +24,14 @@ from semistatic.duality import _tight_cells, detect_arbitrage, superhedge
 from semistatic.enlargement import enlarge
 from semistatic.errors import InputError, NotCalibrated
 from semistatic.hedging import CompletenessReport, SemiStaticStrategy, is_semistatically_complete, strategy_payoff
-from semistatic.model import Measure, condexp_groups
+from semistatic.model import FilteredModel, Measure, condexp_groups
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import fmt
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
 from semistatic.simplex import phase1_dual, solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import gains as _reference_gains, int_rows, row_coeffs, strategy_columns
+from tests.reference import fraction_claims, fraction_prices, gains as _reference_gains, int_rows, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
 from tests.test_polytope import ladder_steps
 
@@ -41,12 +41,12 @@ ZERO = F(0)
 
 def _fractional(model, rng):
     """The model with asset j's time-k prices times a positive rational and each claim times another."""
-    factors = [[F(rng.randint(1, 7), rng.randint(1, 9)) for _ in model.times] for _ in model.prices]
+    factors = [[F(rng.randint(1, 7), rng.randint(1, 9)) for _ in model.times] for _ in fraction_prices(model)]
     prices = tuple(
-        tuple(tuple(f * x for x in slice_k) for f, slice_k in zip(fs, path)) for fs, path in zip(factors, model.prices)
+        tuple(tuple(f * x for x in slice_k) for f, slice_k in zip(fs, path)) for fs, path in zip(factors, fraction_prices(model))
     )
-    claims = tuple(tuple(F(1, rng.randint(2, 6)) * x for x in claim) for claim in model.claims)
-    return replace(model, prices=prices, claims=claims)
+    claims = tuple(tuple(F(1, rng.randint(2, 6)) * x for x in claim) for claim in fraction_claims(model))
+    return FilteredModel.from_fractions(model.outcomes, model.times, model.partitions, prices, claims, model.allowed)
 
 
 def _corpus():
@@ -83,17 +83,16 @@ def test_int_gain_rows_are_the_scaled_price_differences(model):
         assert [F(x, scale) for x in row] == list(vec)
 
 
-def test_int_claim_rows_are_the_scaled_claims(model):
-    assert len(model.int_claims) == len(model.claims)
-    for (row, scale), claim in zip(model.int_claims, model.claims):
+def test_int_claim_rows_are_the_claims_over_the_lcm_of_their_denominators(model):
+    for row, scale in model.int_claims:
         assert all(type(x) is int for x in row) and type(scale) is int and scale > 0
-        assert tuple(F(x, scale) for x in row) == tuple(claim)
+        assert scale == lcm(*(F(x, scale).denominator for x in row))
 
 
 def test_normals_are_positive_multiples_of_the_fraction_rows(model):
     cs = model.constraints
     reference = [vec for _, vec in _reference_gains(model)]
-    reference += [tuple(claim) for claim in model.claims]
+    reference += [tuple(claim) for claim in fraction_claims(model)]
     assert len(cs.rows) == len(reference)
     for row, fractions in zip(cs.rows, reference):
         assert _positive_multiple(list(row.normal), int_rows([fractions])[0])
@@ -329,7 +328,7 @@ def test_the_phase1_certificate_equals_the_fraction_program(model):
     # the primitive int row c * r (c > 0), gets the holding -c * y (0 on a zero row); the int scales are never read
     if enumerate_extreme_points(model.constraints).vertices:
         return
-    vectors = [vec for _, vec in _reference_gains(model)] + [tuple(claim) for claim in model.claims]
+    vectors = [vec for _, vec in _reference_gains(model)] + [tuple(claim) for claim in fraction_claims(model)]
     allowed = sorted(model.allowed)
     rows, factors = [], []
     for vec in vectors:
@@ -340,7 +339,7 @@ def test_the_phase1_certificate_equals_the_fraction_program(model):
         factors.append(ZERO if k is None else rows[-1][k] / vec[allowed[k]])
     y = phase1_dual(rows + [[1] * len(allowed)], [0] * len(rows) + [1])
     holdings = [-c * y_i for y_i, c in zip(y, factors)]
-    n_gains = len(holdings) - len(model.claims)
+    n_gains = len(holdings) - len(model.int_claims)
     certificate = detect_arbitrage(model).certificate
     expected = (ZERO, *holdings[n_gains:], *holdings[:n_gains])
     assert (certificate.cash, *certificate.static, *certificate.dynamic) == expected

@@ -26,7 +26,7 @@ from semistatic.sampling import random_model
 from semistatic.scenario import load_scenario
 from tests.conftest import REPO, SCENARIOS
 from tests.decoders import strategy_from_json
-from tests.reference import gains, row_coeffs, strategy_columns
+from tests.reference import fraction_prices, gains, row_coeffs, strategy_columns
 from tests.test_multi_asset import two_asset_model
 
 F = Fraction
@@ -56,11 +56,11 @@ def test_gains_are_price_increments_on_predecessor_cells(model):
         group = model.partitions[k - 1].cells[c]
         for a, cell in enumerate(model.terminal_cells):
             w = cell[0]
-            step = model.prices[j][k][w] - model.prices[j][k - 1][w]
+            step = fraction_prices(model)[j][k][w] - fraction_prices(model)[j][k - 1][w]
             assert vec[a] == (step if w in group else 0)
     assert labels == sorted(labels)
     cells_before = sum(len(model.partitions[k].cells) for k in range(model.horizon))
-    assert len(labels) == cells_before * len(model.prices)
+    assert len(labels) == cells_before * len(model.int_prices)
 
 
 def test_martingale_rows_are_the_gain_vectors(model):
@@ -76,12 +76,12 @@ def test_rows_are_homogeneous_normals_over_the_cells(model):
     # the sum to one is the measure's, so a row has no rhs entry and no row normalizes
     rows = model.constraints.rows
     assert all(len(row.normal) == model.n_cells for row in rows)
-    assert [row.label[0] for row in rows] == ["martingale"] * len(model.int_gains) + ["calibration"] * len(model.claims)
+    assert [row.label[0] for row in rows] == ["martingale"] * len(model.int_gains) + ["calibration"] * len(model.int_claims)
 
 
 def test_unit_coordinates_pay_off_their_column(model):
     columns = strategy_columns(model)
-    assert [label[0] for label, _ in columns[: 1 + len(model.claims)]] == ["const"] + ["claim"] * len(model.claims)
+    assert [label[0] for label, _ in columns[: 1 + len(model.int_claims)]] == ["const"] + ["claim"] * len(model.int_claims)
     for i, (_, vec) in enumerate(columns):
         unit = [F(0)] * len(columns)
         unit[i] = F(1)

@@ -29,7 +29,7 @@ from semistatic.tree import (
     is_full,
     validate_atomic_tree,
 )
-from tests.reference import conditional_expectation, row_coeffs
+from tests.reference import conditional_expectation, fraction_prices, row_coeffs
 from tests.test_layout import MODELS
 
 F = Fraction
@@ -46,7 +46,7 @@ def test_validate_flags_non_adapted():
         (F(0), F(0)),
         (F(1), F(-1)),
     ),)
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("u", "d"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, 1]]), Partition([[0, 1]])),
@@ -60,7 +60,7 @@ def test_validate_flags_non_adapted():
 
 def test_validate_flags_refinement_failure():
     prices = (((F(0), F(0)), (F(0), F(0))),)
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("u", "d"),
         times=(F(0), F(1)),
         partitions=(Partition([[0], [1]]), Partition([[0, 1]])),
@@ -85,7 +85,7 @@ def test_cell_label_rejects_an_outcome_outside_the_model(trinomial, outside):
 def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
     # P_1 = {a}, {b, outside}, {c}: the foreign index is a partition violation, and the
     # adaptedness check of that cell reads no price at it (index -1 would read c's)
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("a", "b", "c"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, 1, 2]]), Partition([[0], [1, outside], [2]])),
@@ -104,7 +104,7 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
 def test_validate_flags_a_bool_outcome_index(cells):
     # True == 1, so the cells cover 0..2 as a set; True is still no outcome's index, a partition violation,
     # and the adaptedness check builds no label from it (S_1 differs on b and c)
-    model = FilteredModel(
+    model = FilteredModel.from_fractions(
         outcomes=("a", "b", "c"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, True, 2]]), Partition(cells)),
@@ -119,7 +119,7 @@ def test_validate_flags_a_bool_outcome_index(cells):
 
 def _three_outcomes(partitions, claims=(), allowed=(0, 1, 2)) -> FilteredModel:
     """Outcomes a, b, c on one period with zero prices, which are constant on any cells."""
-    return FilteredModel(
+    return FilteredModel.from_fractions(
         outcomes=("a", "b", "c"),
         times=(F(0), F(1)),
         partitions=tuple(Partition(cells) for cells in partitions),
@@ -153,7 +153,7 @@ def test_validate_flags_each_structural_violation(model, violation):
 
 
 def test_natural_filtration_trinomial(trinomial):
-    partitions = natural_filtration(trinomial.model.prices)
+    partitions = natural_filtration(fraction_prices(trinomial.model))
     assert partitions[0].cells == ((0, 1, 2),)
     assert partitions[1].cells == ((0,), (1,), (2,))
 
@@ -288,7 +288,7 @@ def test_a_measure_over_another_model_is_rejected(trinomial_calibrated, check):
         # three copies of the one asset give three gain columns, one holding per entry
         (
             lambda model, payoff: strategy_payoff(
-                SemiStaticStrategy(F(0), (F(0),), tuple(payoff)), replace(model, prices=model.prices * 3)
+                SemiStaticStrategy(F(0), (F(0),), tuple(payoff)), replace(model, int_prices=model.int_prices * 3)
             ),
             "holdings",
         ),
@@ -357,11 +357,11 @@ def test_condexp_linearity(seed):
 def test_natural_filtration_always_valid(seed):
     rng = random.Random(seed)
     model, _ = random_model(rng)
-    partitions = natural_filtration(model.prices)
-    rebuilt = replace(model, partitions=partitions, claims=(), allowed=frozenset(range(len(partitions[-1].cells))))
+    partitions = natural_filtration(fraction_prices(model))
+    rebuilt = replace(model, partitions=partitions, int_claims=(), allowed=frozenset(range(len(partitions[-1].cells))))
     assert validate_model(rebuilt).ok
     for k, partition in enumerate(partitions):  # P_k groups outcomes by their whole price path up to k
         paths: dict[tuple, list[int]] = {}
         for w in range(model.n_outcomes):
-            paths.setdefault(tuple(asset[t][w] for t in range(k + 1) for asset in model.prices), []).append(w)
+            paths.setdefault(tuple(asset[t][w] for t in range(k + 1) for asset in fraction_prices(model)), []).append(w)
         assert partition == Partition(paths.values())

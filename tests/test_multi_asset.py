@@ -17,7 +17,7 @@ def two_asset_model() -> FilteredModel:
     """One period, four states, two independent +/-1 coordinates."""
     s1 = (F(1), F(1), F(-1), F(-1))
     s2 = (F(1), F(-1), F(1), F(-1))
-    return FilteredModel(
+    return FilteredModel.from_fractions(
         outcomes=("uu", "ud", "du", "dd"),
         times=(F(0), F(1)),
         partitions=(Partition([[0, 1, 2, 3]]), Partition([[0], [1], [2], [3]])),

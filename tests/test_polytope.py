@@ -155,7 +155,7 @@ def test_brute_force_cross_check_at_twelve_atoms(seed):
 
 def test_forced_zero_degeneracy(trinomial):
     # a nonnegative claim with zero price pins its support cells to zero mass
-    model = replace(trinomial.model, claims=((F(1), F(0), F(1)),))
+    model = replace(trinomial.model, int_claims=(((1, 0, 1), 1),))
     vs = enumerate_extreme_points(build_constraints(model))
     assert [v.weights for v in vs.vertices] == [(F(0), F(1), F(0))]
 

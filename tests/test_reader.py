@@ -86,7 +86,7 @@ TABLES = ["terminal_cells", "coarse_cell_of", "coarse_groups", "int_gains", "int
 def assert_matches_the_oracle(data):
     """The engine reads the data as the oracle reads it: every field and table, or the same error."""
     try:
-        name, expected, jumps, payoffs = reference.oracle_parse(data)
+        name, expected, jumps, payoffs, prices, claims = reference.oracle_parse(data)
     except ScenarioError as exc:
         with pytest.raises(ScenarioError) as caught:
             parse_scenario(data)
@@ -95,9 +95,10 @@ def assert_matches_the_oracle(data):
     scenario = parse_scenario(data)
     assert (scenario.name, scenario.jumps, scenario.payoffs) == (name, jumps, payoffs)
     model = scenario.model
-    for field in ("outcomes", "times", "partitions", "prices", "claims", "allowed"):
+    for field in ("outcomes", "times", "partitions", "int_prices", "int_claims", "allowed"):
         assert getattr(model, field) == getattr(expected, field), field
-    tables = reference.oracle_tables(expected)
+    assert (reference.fraction_prices(model), reference.fraction_claims(model)) == (prices, claims)
+    tables = reference.oracle_tables(expected, prices, claims)
     for table in TABLES:
         assert getattr(model, table) == tables[table], table
     assert model == expected
@@ -214,7 +215,8 @@ def test_loading_builds_no_fraction_for_a_price_or_claim_and_sorts_each_partitio
     # the times, payoffs and jump marks that are not integers are the only Fractions a load builds
     assert _calls(Fraction.__new__, load_and_read_tables) == sum(rat(t).denominator != 1 for t in tokens)
     explicit = data.get("filtration", "natural") != "natural"
-    assert _calls(model_module._canonical_cells, load_and_read_tables) == (len(data["filtration"]) if explicit else 0)
+    partitions = len(data["filtration"]) if explicit else len(data["times"])
+    assert _calls(model_module.Partition.__init__, load_and_read_tables) == partitions  # each sorts once
 
 
 def test_a_plain_command_imports_neither_the_suites_nor_sampling_nor_random():

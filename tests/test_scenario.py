@@ -77,8 +77,8 @@ def test_a_cell_may_spell_one_value_in_several_ways(value, spellings, shift):
     tokens = [_spelled(value, scale, padded) for scale, padded in spellings]
     scenario = parse_scenario(_one_cell_payoff(tokens))
     assert scenario.payoffs["x"] == (value, F(0))
-    prices = scenario.model.prices[0]
-    assert prices[0][0] is prices[1][-1]  # equal tokens share one Fraction
+    rows, _ = scenario.model.int_prices[0]
+    assert rows[0][0] == rows[1][-1]  # one value, however spelled, is one int over the asset's scale
     tokens[-1] = _spelled(value + shift, 1, False)
     cell = ", ".join(str(i) for i in range(len(tokens)))
     with pytest.raises(ScenarioError, match=rf"^payoff x is not constant on the terminal cell \[{cell}\]$"):

@@ -27,7 +27,7 @@ from semistatic.enlargement import enlarge
 from semistatic.scenario import load_scenario
 from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import int_rows, reference_solve
+from tests.reference import fraction_prices, int_rows, reference_solve
 from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)
@@ -265,7 +265,7 @@ def test_engine_programs_never_store_the_artificial_columns(monkeypatch):
             cases.append((enlarged.model, [enlarged.expand(payoff) for payoff in payoffs]))
     for b, horizon in ((4, 2), (5, 2), (3, 3)):
         model = ladder_model(b, horizon)
-        prices = model.prices[0][horizon]
+        prices = fraction_prices(model)[0][horizon]
         cases.append((model, [tuple(Fraction(abs(prices[cell[0]])) for cell in model.terminal_cells)]))
     builds = wide_phase1_builds(monkeypatch)
     programs = 0

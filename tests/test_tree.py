@@ -29,7 +29,7 @@ from semistatic.tree import (
 )
 from semistatic.scenario import load_scenario, parse_scenario
 from tests.conftest import SCENARIOS, scenario_path
-from tests.reference import conditional_expectation, int_rows, reference_rref, reference_solve, sigma_tree_expectation
+from tests.reference import conditional_expectation, fraction_claims, int_rows, reference_rref, reference_solve, sigma_tree_expectation
 from tests.reference import gains as reference_gains, zeta as reference_zeta
 from tests.test_layout import MODELS
 
@@ -79,7 +79,7 @@ def test_tree_report_rejects_a_node_naming_an_outcome_outside_the_model(trinomia
         tree.to_json(trinomial.model)
 
 
-COARSE = FilteredModel(  # a and b share one terminal cell, so the event {a} is not terminally measurable
+COARSE = FilteredModel.from_fractions(  # a and b share one terminal cell, so the event {a} is not terminally measurable
     outcomes=("a", "b", "c"),
     times=(F(0), F(1)),
     partitions=(Partition([[0, 1, 2]]), Partition([[0, 1], [2]])),
@@ -152,7 +152,7 @@ def test_sigma_tree_expectation_values(glued_two_vol):
     tree = AtomicTree(
         [TreeNode(tuple(range(4)), 0), TreeNode((0, 1), 1), TreeNode((2, 3), 1)]
     )
-    psi = model.claims[0]
+    psi = fraction_claims(model)[0]
     assert leafwise(psi, tree, q, model) == (F(2), F(2), F(-1), F(-1))
     assert leafwise((F(5),) * 4, tree, q, model) == (F(5),) * 4
     root_only = AtomicTree([TreeNode(tuple(range(4)), 0)])
@@ -211,7 +211,7 @@ def test_extract_tree_glued(glued_two_vol):
     assert isinstance(tree, AtomicTree)
     assert tree.dim == 2
     assert [n.cell for n in tree.nodes] == [(0, 1, 2, 3), (0, 1), (2, 3)]
-    psi = model.claims[0]
+    psi = fraction_claims(model)[0]
     projected = sigma_tree_expectation(psi, tree, q, model)
     gains = [vec for _, vec in reference_gains(model)]
     rows = [[g[a] for g in gains] for a in q.support]
@@ -375,7 +375,7 @@ def residual_replicable(tree, measure, model):
     """Whether each claim less its leafwise mean is a sum of gains on the support, by Fraction elimination."""
     support = measure.support
     rows = [[vec[a] for _, vec in reference_gains(model)] for a in support]
-    for claim in model.claims:
+    for claim in fraction_claims(model):
         means = sigma_tree_expectation(claim, tree, measure, model)
         augmented = [row + [claim[a] - means[a]] for row, a in zip(rows, support)]
         if reference_rref(augmented)[1][-1:] == [len(rows[0])]:  # a pivot in the residual column
@@ -566,7 +566,7 @@ def doubled(model):
         model,
         outcomes=tuple(f"{name}{s}" for name in model.outcomes for s in "ab"),
         partitions=tuple(Partition(split(p.cells)) for p in model.partitions),
-        prices=tuple(tuple(tuple(x for x in row for _ in (0, 1)) for row in path) for path in model.prices),
+        int_prices=tuple((tuple(tuple(x for x in row for _ in (0, 1)) for row in rows), s) for rows, s in model.int_prices),
     )
 
 
