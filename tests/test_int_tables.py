@@ -83,7 +83,7 @@ def test_int_gain_rows_are_the_scaled_price_differences(model):
         assert [F(x, scale) for x in row] == list(vec)
 
 
-def test_int_claim_rows_are_the_claims_over_the_lcm_of_their_denominators(model):
+def test_int_claim_rows_are_the_scaled_claims(model):
     for row, scale in model.int_claims:
         assert all(type(x) is int for x in row) and type(scale) is int and scale > 0
         assert scale == lcm(*(F(x, scale).denominator for x in row))
