@@ -4,7 +4,10 @@
 Usage (from the repository root):
 
     python scripts/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 3100 \\
-        --workload certify-corpus --out BENCH_31.json [--trace-seed 3190]
+        [--workload certify-corpus] --out BENCH_31.json [--trace-seed 3190]
+
+With no ``--workload`` every workload in ``BENCHMARK.json`` is paired, in
+its order, so that a regression check covers all of the traffic.
 
 The parent is ``git archive <rev>`` unpacked into a temporary directory; the
 change is this checkout's working tree.  Each side caches its bytecode in a
@@ -164,7 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i uses seed + i")
-    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
+    parser.add_argument("--workload", action="append", help="repeat for several; default: every workload")
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--out", type=Path, required=True)
@@ -172,15 +175,16 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    workloads = args.workload or [workload["name"] for workload in bench["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
         unpack(args.parent, parent)
         checkouts = {"parent": parent, "change": ROOT}
         caches = {side: Path(tmp) / f"pycache-{side}" for side in checkouts}
         for side in checkouts:  # a cold first run would read high on setup_s and peak_rss_mb
-            run_bench(checkouts[side], bench["command"], args.workload[0], args.seed, seconds, 0, caches[side])
+            run_bench(checkouts[side], bench["command"], workloads[0], args.seed, seconds, 0, caches[side])
         runs, traced, order = [], [], 0
-        for workload in args.workload:
+        for workload in workloads:
             for pair in range(args.pairs):
                 seed = args.seed + pair
                 for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):

@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    PYTHONPATH=src python scripts/floor.py [--seed 7] [--repeat 7]
+    PYTHONPATH=src python scripts/floor.py [--seed 7] [--repeat 7] [--layers]
 
 Every command reads its scenario file (``load_scenario``) and then the
 model's tables before its own work.  This writes the ``certify-corpus`` and
@@ -12,20 +12,47 @@ which it only imports, and prints, per corpus, microseconds per file for
 ``load_scenario`` alone and for the load plus the first reads of
 ``int_gains``, ``int_claims``, ``coarse_groups``, ``constraints`` and
 ``terminal_labels``: the best of ``--repeat`` passes over all the files.
+
+``--layers`` prints instead, per workload, microseconds per call of the
+layers below the floor, on models loaded (and their tables read) before the
+timing: ``validate_model`` on both corpora, ``enumerate_extreme_points`` on
+the ``certify-corpus`` and ``ladder`` systems, ``is_semistatically_complete``
+on each ``certify-corpus`` model's first vertex, and ``superhedge`` on each
+``duality-corpus`` payoff; again the best of ``--repeat`` passes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from semistatic.duality import superhedge
+from semistatic.hedging import is_semistatically_complete
+from semistatic.model import validate_model
+from semistatic.polytope import enumerate_extreme_points
 from semistatic.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPORA = ("certify-corpus", "duality-corpus")
+# a layer's calls on one loaded scenario: (function, argument) pairs
+LAYERS = {
+    "validate_model": lambda s: [(validate_model, s.model)],
+    "enumerate_extreme_points": lambda s: [(enumerate_extreme_points, s.model.constraints)],
+    "superhedge": lambda s: [(functools.partial(superhedge, payoff), s.model) for payoff in s.payoffs.values()],
+    "is_semistatically_complete": lambda s: [
+        (functools.partial(is_semistatically_complete, model=s.model), vertex)
+        for vertex in enumerate_extreme_points(s.model.constraints).vertices[:1]
+    ],
+}
+LAYERS_OF = {
+    "certify-corpus": ("validate_model", "enumerate_extreme_points", "is_semistatically_complete"),
+    "duality-corpus": ("validate_model", "superhedge"),
+    "ladder": ("enumerate_extreme_points",),
+}
 
 
 def load_only(path: str) -> None:
@@ -64,15 +91,33 @@ def floor(paths: list, repeat: int) -> dict:
     }
 
 
+def layers(paths: list, names, repeat: int) -> dict:
+    """Microseconds per call of each named layer on the loaded scenarios, best of ``repeat`` passes."""
+    scenarios = [load_scenario(path) for path in paths]
+    out = {}
+    for name in names:
+        calls = [call for scenario in scenarios for call in LAYERS[name](scenario)]
+        best = float("inf")
+        for _ in range(repeat):
+            start = time.perf_counter()
+            for function, argument in calls:
+                function(argument)
+            best = min(best, time.perf_counter() - start)
+        out[f"{name}_us"] = round(best / max(len(calls), 1) * 1e6, 1)
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--layers", action="store_true", help="time the layers below the floor instead")
     args = parser.parse_args(argv)
-    for workload in CORPORA:
+    for workload in LAYERS_OF if args.layers else CORPORA:
         with tempfile.TemporaryDirectory() as directory:
             paths = corpus_files(workload, args.seed, Path(directory))
-            print(workload, len(paths), "files", floor(paths, args.repeat))
+            result = layers(paths, LAYERS_OF[workload], args.repeat) if args.layers else floor(paths, args.repeat)
+            print(workload, len(paths), "files", result)
     return 0
 
 

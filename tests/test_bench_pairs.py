@@ -135,3 +135,23 @@ def test_each_side_warms_its_cache_once_and_the_warm_up_is_discarded(tmp_path, m
     assert summary["parent"]["runs"] == summary["change"]["runs"] == 2
     assert summary["parent"]["attempted_ops"] == 3 + 6 and summary["change"]["attempted_ops"] == 4 + 5
     assert summary["ops_per_s"]["parent_median"] == 4.5 and summary["ops_per_s"]["change_median"] == 4.5
+
+
+def test_with_no_workload_flag_every_benchmark_workload_is_paired(tmp_path, monkeypatch):
+    # a regression check that pairs one workload leaves the others' traffic unchecked
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, into: into.mkdir())
+    declared = [w["name"] for w in json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    workloads = []
+
+    def fake_run(argv, cwd=None, capture_output=False, text=False, env=None, **kwargs):
+        if argv[0] == "git":
+            return subprocess.CompletedProcess(argv, 0, stdout="abc1234\n", stderr="")
+        workloads.append(argv[argv.index("--workload") + 1])
+        return subprocess.CompletedProcess(argv, 0, stdout="", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--pairs", "1", "--seed", "1", "--seconds", "1", "--out", str(out)]) == 0
+    assert len(declared) == 3
+    assert workloads == [declared[0]] * 2 + [w for w in declared for _ in range(2)]  # the two warm-ups, then each pair
+    assert sorted(json.loads(out.read_text())["summary"]) == sorted(declared)

@@ -11,7 +11,7 @@ import pytest
 import run_corpus
 
 from semistatic import bounds, cli, duality, enlargement, verify
-from semistatic.cli import build_parser, main
+from semistatic.cli import main
 from semistatic.enlargement import enlarge
 from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
@@ -572,35 +572,6 @@ def test_readme_lines_take_the_plain_path_and_match_their_argparse_spelling(monk
     # the benchmark's shape (a leading --format json) and the README's
     assert [run_main(["--format", "json", *argv]), run_main(argv)] == expected
     assert [code for code, _ in expected] == [0, 0]
-
-
-def test_reused_parser_matches_fresh_parser(capsys):
-    trinomial = str(scenario_path("trinomial"))
-    calls = [
-        ["--format", "json", "extremes", trinomial],
-        ["--format", "json", "price", "--payoff", "abs_S1", trinomial],
-        ["--format", "json", "complete", "--payoff", "abs_S1", trinomial],  # usage error
-        ["complete", "--measure", "1/4,1/2,1/4", trinomial],
-        ["--format", "json", "verify", "--suite", "multinomial", "--pmax", "3", "--mmax", "4"],
-        ["--format", "json", "duality", "--payoff", "abs_S1", trinomial],
-    ]
-
-    def run(argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
-
-    reused = [run(argv) for argv in calls]
-    fresh = []
-    for argv in calls:
-        build_parser.cache_clear()
-        fresh.append(run(argv))
-    assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
-    assert reused[2][1] == "" and "usage:" in reused[2][2]
 
 
 # every subcommand, in the order argparse lists them

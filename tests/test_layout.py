@@ -129,8 +129,8 @@ def test_traced_layers_name_callables_of_the_package():
     assert missing == []
 
 
-def test_only_the_parser_is_cached_across_calls():
-    # a memo that outlives one call (of a parsed scenario, say) would speed repeated in-process calls only
+def test_nothing_is_cached_across_calls():
+    # a memo that outlives one call (of a parsed scenario or the parser, say) would speed repeated in-process calls only
     memos = {"cache", "lru_cache"}
     decorated, uses = [], 0
     for path in sorted((REPO / "src" / "semistatic").glob("*.py")):
@@ -143,8 +143,8 @@ def test_only_the_parser_is_cached_across_calls():
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
                 if getattr(target, "attr", getattr(target, "id", None)) in memos:
                     decorated.append(f"{path.stem}.{node.name}")
-    assert decorated == ["cli.build_parser"]
-    assert uses == 1  # that decorator, and no memo made by a call or imported by name
+    assert decorated == []
+    assert uses == 0  # no memo made by a call or imported by name
 
 
 def _decorators(node) -> set:

@@ -241,3 +241,10 @@ def test_the_floor_script_times_the_bundled_scenarios():
     paths = sorted(str(path) for path in SCENARIOS.glob("*.json"))
     result = floor.floor(paths, repeat=1)
     assert set(result) == {"load_us", "load_and_tables_us"} and all(value > 0 for value in result.values())
+
+
+def test_the_floor_script_times_every_layer_on_the_bundled_scenarios():
+    paths = sorted(str(path) for path in SCENARIOS.glob("*.json"))
+    result = floor.layers(paths, tuple(floor.LAYERS), repeat=1)
+    assert set(result) == {f"{name}_us" for name in floor.LAYERS} and all(value > 0 for value in result.values())
+    assert {name for names in floor.LAYERS_OF.values() for name in names} == set(floor.LAYERS)
