@@ -64,15 +64,15 @@ def load_and_tables(path: str) -> None:
     model.int_gains, model.int_claims, model.coarse_groups, model.constraints, model.terminal_labels
 
 
-def per_file_us(paths: list, step, repeat: int) -> float:
-    """Microseconds per file of ``step`` over all the paths, best of ``repeat`` passes."""
+def per_item_us(items: list, step, repeat: int) -> float:
+    """Microseconds per item of ``step`` over all the items (files or calls), best of ``repeat`` passes."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        for path in paths:
-            step(path)
+        for item in items:
+            step(item)
         best = min(best, time.perf_counter() - start)
-    return best / len(paths) * 1e6
+    return best / len(items) * 1e6
 
 
 def corpus_files(workload: str, seed: int, directory: Path) -> list:
@@ -86,8 +86,8 @@ def corpus_files(workload: str, seed: int, directory: Path) -> list:
 def floor(paths: list, repeat: int) -> dict:
     """Microseconds per file for the load alone and for the load plus the table reads."""
     return {
-        "load_us": round(per_file_us(paths, load_only, repeat), 1),
-        "load_and_tables_us": round(per_file_us(paths, load_and_tables, repeat), 1),
+        "load_us": round(per_item_us(paths, load_only, repeat), 1),
+        "load_and_tables_us": round(per_item_us(paths, load_and_tables, repeat), 1),
     }
 
 
@@ -97,13 +97,7 @@ def layers(paths: list, names, repeat: int) -> dict:
     out = {}
     for name in names:
         calls = [call for scenario in scenarios for call in LAYERS[name](scenario)]
-        best = float("inf")
-        for _ in range(repeat):
-            start = time.perf_counter()
-            for function, argument in calls:
-                function(argument)
-            best = min(best, time.perf_counter() - start)
-        out[f"{name}_us"] = round(best / max(len(calls), 1) * 1e6, 1)
+        out[f"{name}_us"] = round(per_item_us(calls, lambda call: call[0](call[1]), repeat), 1)
     return out
 
 
