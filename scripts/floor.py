@@ -18,18 +18,25 @@ layers below the floor, on models loaded (and their tables read) before the
 timing: ``validate_model`` on both corpora, ``enumerate_extreme_points`` on
 the ``certify-corpus`` and ``ladder`` systems, ``is_semistatically_complete``
 on each ``certify-corpus`` model's first vertex, and ``superhedge`` on each
-``duality-corpus`` payoff; again the best of ``--repeat`` passes.
+``duality-corpus`` payoff; again the best of ``--repeat`` passes.  Beside
+``superhedge_us`` it prints ``superhedge_p99_us``, the 99th percentile over
+the calls of each call's best of ``--repeat`` runs, and
+``superhedge_pivots``, the simplex pivots of one pass over the calls,
+counted by wrapping ``simplex._Tableau.pivot`` as ``perfbench/layers.py``
+wraps the program's functions.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from semistatic import simplex
 from semistatic.duality import superhedge
 from semistatic.hedging import is_semistatically_complete
 from semistatic.model import validate_model
@@ -75,6 +82,36 @@ def per_item_us(items: list, step, repeat: int) -> float:
     return best / len(items) * 1e6
 
 
+def p99_us(calls: list, repeat: int) -> float:
+    """The 99th percentile, over the calls, of each call's best of ``repeat`` runs, in microseconds."""
+    best = [float("inf")] * len(calls)
+    for _ in range(repeat):
+        for k, (fn, arg) in enumerate(calls):
+            start = time.perf_counter()
+            fn(arg)
+            best[k] = min(best[k], time.perf_counter() - start)
+    return statistics.quantiles(best, n=100)[98] * 1e6 if len(best) > 1 else best[0] * 1e6
+
+
+def pivots(calls: list) -> int:
+    """The simplex pivots of one pass over the calls."""
+    count = 0
+    real = simplex._Tableau.pivot
+
+    def counted(self, row, col):
+        nonlocal count
+        count += 1
+        real(self, row, col)
+
+    simplex._Tableau.pivot = counted
+    try:
+        for fn, arg in calls:
+            fn(arg)
+    finally:
+        simplex._Tableau.pivot = real
+    return count
+
+
 def corpus_files(workload: str, seed: int, directory: Path) -> list:
     """The workload's scenario files for the seed, written into ``directory``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -98,6 +135,9 @@ def layers(paths: list, names, repeat: int) -> dict:
     for name in names:
         calls = [call for scenario in scenarios for call in LAYERS[name](scenario)]
         out[f"{name}_us"] = round(per_item_us(calls, lambda call: call[0](call[1]), repeat), 1)
+        if name == "superhedge":  # the LP's tail and its pivot count
+            out["superhedge_p99_us"] = round(p99_us(calls, repeat), 1)
+            out["superhedge_pivots"] = pivots(calls)
     return out
 
 

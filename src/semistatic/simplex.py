@@ -28,6 +28,21 @@ the program is infeasible when one is basic above zero; only with one basic
 at zero is phase 1 redone with the artificial columns, its leftovers driven
 out or their rows dropped.
 
+Phase 1 passes free basic variables: one pivot for a run of the split
+program's.  There, when the half of free pair j basic in row r leaves, the
+next pivot enters its other half, as a row s whose basic variable is a half
+of pair j has a_si = l_s d_i (d the reduced costs) on every nonbasic pair
+i < j: true with no free column basic, each pivot (r, e) keeps it (a_se =
+l_s d_e), and it leaves d_i = 0 on those pairs and d_j = -d_e / a_re.  That
+half's column is the entering one over a_r, negated in row r, so it leaves
+at the next row in (ratio, basic index) order.  ``run`` pivots once, at the
+first row in that order not basic in a free column, and flips each free row
+before it: the split program's basis and halves, on rows permuted and
+positively rescaled.  Nothing later reads either: Bland's rule reads the
+reduced costs and that order, the wide drive-out's basis is the leading
+columns of the artificial rows' span, and ``phase1_dual`` has no free column.
+Phase 2 reprices, so the invariant can fail there: one pivot per step.
+
 ``phase1_dual`` reads an infeasible program's Farkas vector off the wide
 phase-1 reduced-cost row O, t > 0 times the rational one, with no solve of
 B^T y = c_B.  For y the final basis's dual on the rows as stored (row i
@@ -114,9 +129,10 @@ class _Tableau:
         row, b = self.rows[i], self.basis[i]
         return Fraction(row[col] * self.sign[b] if b < len(self.sign) else row[col], row[b])
 
-    def run(self) -> int | None:
-        """Bland iterations; None when optimal, else the column of an unbounded ray."""
+    def run(self, passing: bool = False) -> int | None:
+        """Bland iterations, ``passing`` free rows in phase 1; None when optimal, else the column of an unbounded ray."""
         free = len(self.sign)
+        passable = free if passing else 0  # rows with a basic index below this are passed
         while True:
             objective = self.objective
             # a free column with a nonzero reduced cost has one eligible half; stored order is split order
@@ -126,18 +142,26 @@ class _Tableau:
             if objective[entering] > 0:
                 self.flip(entering)
             leaving = None
+            passed = []
             for i, row in enumerate(self.rows):
                 a = row[entering]
                 if a > 0:
-                    if leaving is None:
+                    if self.basis[i] < passable:
+                        passed.append(i)
+                    elif leaving is None:
                         leaving, best_rhs, best_a = i, row[-1], a
-                        continue
-                    lhs, rhs = row[-1] * best_a, best_rhs * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving]):
-                        leaving, best_rhs, best_a = i, row[-1], a
+                    else:
+                        lhs, rhs = row[-1] * best_a, best_rhs * a
+                        if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[leaving]):
+                            leaving, best_rhs, best_a = i, row[-1], a
             if leaving is None:
-                return entering
+                return entering  # with rows passed, an unbounded phase 1: _phase1 raises
+            # the free rows before the leaving one; one tied with it comes first, its basic index being lower
+            passed = [i for i in passed if self.rows[i][-1] * best_a <= best_rhs * self.rows[i][entering]]
             self.pivot(leaving, entering)
+            for i in passed:  # each one's rhs is now <= 0: store the pair's other half, and negate the row
+                self.flip(self.basis[i])
+                self.rows[i] = [-x for x in self.rows[i]]
 
 
 def _phase1(matrix: Sequence[Sequence[int]], rhs: Sequence[int], n: int, free: int, wide: bool) -> _Tableau:
@@ -158,7 +182,7 @@ def _phase1(matrix: Sequence[Sequence[int]], rhs: Sequence[int], n: int, free: i
     if wide:
         objective[n:n] = [0] * m
     tableau = _Tableau(rows, [n + i for i in range(m)], objective, free)
-    if tableau.run() is not None:
+    if tableau.run(passing=True) is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
     return tableau
 

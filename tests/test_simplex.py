@@ -44,6 +44,8 @@ class _Tableau:
         self.originals = originals  # columns from here on are artificials; read only by PATHS
         self.pairs = pairs  # columns 2j, 2j+1 for j < pairs split a free variable; read only by PATHS
         self.last_half: dict[int, int] = {}  # pair j -> 0 if x+_j entered last, 1 if x-_j did
+        self.left: int | None = None  # the column that left the basis at the last pivot
+        self.passes = 0  # phase-1 pivots in a row that re-entered the pair left by the one before
 
     def mark_entering(self, col: int) -> None:
         """Count x- entering, and x+ entering after its x- did: the engine flips that column back."""
@@ -54,6 +56,20 @@ class _Tableau:
             elif self.last_half.get(j) == 1:
                 PATHS["flipped back"] += 1
             self.last_half[j] = half
+
+    def mark_pass(self, col: int) -> None:
+        """Count phase-1 pivots that enter the other half of the free pair the last pivot took out.
+
+        The engine passes such a row in its ratio test; a run of k of them is
+        one pass over k free rows.
+        """
+        if self.n > self.originals and self.left is not None and self.left < 2 * self.pairs and col == self.left ^ 1:
+            self.passes += 1
+            PATHS["free pair re-entered"] += 1
+            PATHS["two free rows passed"] += self.passes == 2
+            PATHS["three free rows passed"] += self.passes == 3
+        else:
+            self.passes = 0
 
     def pivot(self, row: int, col: int) -> None:
         inv = ONE / self.rows[row][col]
@@ -101,7 +117,9 @@ class _Tableau:
                 return "unbounded"
             if entering >= self.originals:
                 PATHS["artificial entering"] += 1
+            self.mark_pass(entering)
             self.mark_entering(entering)
+            self.left = self.basis[leaving]
             self.pivot(leaving, entering)
 
 
@@ -190,6 +208,34 @@ def random_lp(rng):
     return rows[0], [row[:-1] for row in rows[1:]], [row[-1] for row in rows[1:]]
 
 
+GAIN_ENTRIES = (-13, -5, -2, -1, 0, 0, 0, 1, 2, 19)
+
+
+def superhedge_lp(rng):
+    """A program shaped as ``superhedge`` poses one: cost e_0 on a cash column of ones, then free columns.
+
+    Up to 10 rows (cells) and up to 12 free columns, at most two more than
+    the rows, a quarter of those after the first two a sum of two earlier
+    ones times -2..2, so that some are dependent, then the -I surplus block.
+    A row keeps its surplus column with probability 0.85 and is an equality
+    otherwise: with the whole block no program reaches the wide drive-out.
+    """
+    m = rng.randint(1, 10)
+    f = rng.randint(1, min(12, m + 2))
+    columns = [[1] * m]
+    while len(columns) < f:
+        if len(columns) > 2 and rng.random() < 0.25:
+            a, b = rng.sample(columns[1:], 2)
+            k = rng.choice((-2, -1, 1, 2))
+            columns.append([x + k * y for x, y in zip(a, b)])
+        else:
+            columns.append([rng.choice(GAIN_ENTRIES) for _ in range(m)])
+    surplus = [i for i in range(m) if rng.random() < 0.85]
+    matrix = [[column[i] for column in columns] + [-int(i == k) for k in surplus] for i in range(m)]
+    rhs = [rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(m)]
+    return [1] + [0] * (f - 1 + len(surplus)), matrix, rhs, f
+
+
 def split_reference(cost, matrix, rhs, free: int) -> LPResult:
     """The reference on the program with its first ``free`` variables split, recombined as x+ - x-."""
 
@@ -247,9 +293,40 @@ def test_generator_reaches_every_path(monkeypatch):
         assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
     for path in ("negative rhs", "ratio tie", "dropped row", "negative drive-out pivot",
                  "infeasible", "unbounded", "optimal",
-                 "x- entering", "flipped back", "free drive-out", "unbounded along x-", "artificial entering"):
+                 "x- entering", "flipped back", "free drive-out", "unbounded along x-", "artificial entering",
+                 "free pair re-entered", "two free rows passed"):
         assert PATHS[path] > 0, path
     assert builds  # a zero-level artificial left basic by phase 1 on [A | b]
+
+
+def pivot_counts(monkeypatch) -> list[int]:
+    """Spy on both tableaux's pivots: [the reference's, the engine's]."""
+    counts = [0, 0]
+    for k, cls in enumerate((_Tableau, simplex._Tableau)):
+
+        def counted(self, row, col, k=k, real=cls.pivot):
+            counts[k] += 1
+            real(self, row, col)
+
+        monkeypatch.setattr(cls, "pivot", counted)
+    return counts
+
+
+def test_superhedge_shaped_programs_match_the_split_program(monkeypatch):
+    # random_lp has at most 5 rows; these reach long passes, and each pass saves one pivot per free row passed
+    PATHS.clear()
+    builds = wide_phase1_builds(monkeypatch)
+    counts = pivot_counts(monkeypatch)
+    rng = random.Random(4501)
+    for _ in range(300):
+        cost, matrix, rhs, free = superhedge_lp(rng)
+        counts[:], wide, re_entered = [0, 0], len(builds), PATHS["free pair re-entered"]
+        result = solve_lp(cost, matrix, rhs, free=free)
+        assert result == split_reference(cost, matrix, rhs, free)
+        # the engine's phase 1 stops where the reference enters an artificial, and a wide build repeats its pivots
+        if result.status != "infeasible" and len(builds) == wide:
+            assert counts[1] == counts[0] - (PATHS["free pair re-entered"] - re_entered)
+    assert PATHS["three free rows passed"] > 0 and builds
 
 
 def test_engine_programs_never_store_the_artificial_columns(monkeypatch):
@@ -322,6 +399,31 @@ def test_known_programs():
     # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
     assert solve_lp([1], [[1]], [-3], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
     assert solve_lp([1], [], [], free=1) == LPResult("unbounded", ray=(f(-1),), column=0)
+    # min -3x - 2y over free x, y with -2x + 3y = 1, unbounded along (3, 2): phase 2 may not pass the free row,
+    # which is the ratio test's only row (found by a seeded search; a phase-2 pass runs out of rows here)
+    assert solve_lp([-3, -2], [[-2, 3]], [1], free=2) == split_reference([-3, -2], [[-2, 3]], [1], 2)
+
+
+def test_a_pass_takes_one_pivot_where_the_split_program_takes_several(monkeypatch):
+    # superhedge --payoff p2 on the duality-corpus model dual0002 of seed 7: cash, 5 free gain and claim
+    # columns and 7 surplus columns, the cost e_0
+    rows = [
+        [1, -13, -2, -2, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1],
+        [1, -5, -2, 2, 0, 0, 0, -1, 0, 0, 0, 0, 0, 3],
+        [1, -13, -2, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 2],
+        [1, -13, 0, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, -1],
+        [1, 19, 0, 0, -2, 0, 0, 0, 0, 0, -1, 0, 0, 3],
+        [1, -5, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 2],
+        [1, 19, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, -1],
+    ]
+    matrix, rhs = [row[:-1] for row in rows], [row[-1] for row in rows]
+    cost = [1] + [0] * 12
+    PATHS.clear()
+    counts = pivot_counts(monkeypatch)
+    result = solve_lp(cost, matrix, rhs, free=6)
+    assert result == split_reference(cost, matrix, rhs, 6)
+    assert result.status == "optimal" and result.objective == Fraction(9, 7)
+    assert counts == [18, 13] and PATHS["free pair re-entered"] == 5 and PATHS["two free rows passed"] == 2
 
 
 def reference_phase1_dual(matrix, rhs):
