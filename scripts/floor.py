@@ -90,7 +90,7 @@ def p99_us(calls: list, repeat: int) -> float:
             start = time.perf_counter()
             fn(arg)
             best[k] = min(best[k], time.perf_counter() - start)
-    return statistics.quantiles(best, n=100)[98] * 1e6 if len(best) > 1 else best[0] * 1e6
+    return statistics.quantiles(best, n=100)[98] * 1e6
 
 
 def pivots(calls: list) -> int:

@@ -215,8 +215,9 @@ def superhedge_lp(rng):
     """A program shaped as ``superhedge`` poses one: cost e_0 on a cash column of ones, then free columns.
 
     Up to 10 rows (cells) and up to 12 free columns, at most two more than
-    the rows, a quarter of those after the first two a sum of two earlier
-    ones times -2..2, so that some are dependent, then the -I surplus block.
+    the rows; once two gain columns exist, a quarter of the next ones are
+    a + k b of two earlier ones (k = +-1, +-2), so some are dependent.  Then
+    the -I surplus block.
     A row keeps its surplus column with probability 0.85 and is an equality
     otherwise: with the whole block no program reaches the wide drive-out.
     """
