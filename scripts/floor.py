@@ -11,19 +11,22 @@ model's tables before its own work.  This writes the ``certify-corpus`` and
 which it only imports, and prints, per corpus, microseconds per file for
 ``load_scenario`` alone and for the load plus the first reads of
 ``int_gains``, ``int_claims``, ``coarse_groups``, ``constraints`` and
-``terminal_labels``: the best of ``--repeat`` passes over all the files.
+``terminal_labels``.
 
 ``--layers`` prints instead, per workload, microseconds per call of the
 layers below the floor, on models loaded (and their tables read) before the
 timing: ``validate_model`` on both corpora, ``enumerate_extreme_points`` on
 the ``certify-corpus`` and ``ladder`` systems, ``is_semistatically_complete``
 on each ``certify-corpus`` model's first vertex, and ``superhedge`` on each
-``duality-corpus`` payoff; again the best of ``--repeat`` passes.  Beside
-``superhedge_us`` it prints ``superhedge_p99_us``, the 99th percentile over
-the calls of each call's best of ``--repeat`` runs, and
+``duality-corpus`` payoff.  Beside ``superhedge_us`` it prints
+``superhedge_p99_us``, the 99th percentile of the same per-call times, and
 ``superhedge_pivots``, the simplex pivots of one pass over the calls,
 counted by wrapping ``simplex._Tableau.pivot`` as ``perfbench/layers.py``
 wraps the program's functions.
+
+Every time is per file or call: each one's best of ``--repeat`` runs, over
+``--repeat`` passes, so an interruption costs only the run it hits; a
+``*_us`` key is the mean of those bests.
 """
 
 from __future__ import annotations
@@ -71,26 +74,15 @@ def load_and_tables(path: str) -> None:
     model.int_gains, model.int_claims, model.coarse_groups, model.constraints, model.terminal_labels
 
 
-def per_item_us(items: list, step, repeat: int) -> float:
-    """Microseconds per item of ``step`` over all the items (files or calls), best of ``repeat`` passes."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for item in items:
-            step(item)
-        best = min(best, time.perf_counter() - start)
-    return best / len(items) * 1e6
-
-
-def p99_us(calls: list, repeat: int) -> float:
-    """The 99th percentile, over the calls, of each call's best of ``repeat`` runs, in microseconds."""
+def best_us(calls: list, repeat: int) -> list[float]:
+    """Each (function, argument) call's best of ``repeat`` runs, in microseconds, over ``repeat`` passes."""
     best = [float("inf")] * len(calls)
     for _ in range(repeat):
         for k, (fn, arg) in enumerate(calls):
             start = time.perf_counter()
             fn(arg)
             best[k] = min(best[k], time.perf_counter() - start)
-    return statistics.quantiles(best, n=100)[98] * 1e6
+    return [t * 1e6 for t in best]
 
 
 def pivots(calls: list) -> int:
@@ -121,22 +113,23 @@ def corpus_files(workload: str, seed: int, directory: Path) -> list:
 
 
 def floor(paths: list, repeat: int) -> dict:
-    """Microseconds per file for the load alone and for the load plus the table reads."""
+    """Mean microseconds per file for the load alone and for the load plus the table reads."""
     return {
-        "load_us": round(per_item_us(paths, load_only, repeat), 1),
-        "load_and_tables_us": round(per_item_us(paths, load_and_tables, repeat), 1),
+        "load_us": round(statistics.mean(best_us([(load_only, path) for path in paths], repeat)), 1),
+        "load_and_tables_us": round(statistics.mean(best_us([(load_and_tables, path) for path in paths], repeat)), 1),
     }
 
 
 def layers(paths: list, names, repeat: int) -> dict:
-    """Microseconds per call of each named layer on the loaded scenarios, best of ``repeat`` passes."""
+    """Mean microseconds per call of each named layer on the loaded scenarios."""
     scenarios = [load_scenario(path) for path in paths]
     out = {}
     for name in names:
         calls = [call for scenario in scenarios for call in LAYERS[name](scenario)]
-        out[f"{name}_us"] = round(per_item_us(calls, lambda call: call[0](call[1]), repeat), 1)
+        times = best_us(calls, repeat)
+        out[f"{name}_us"] = round(statistics.mean(times), 1)
         if name == "superhedge":  # the LP's tail and its pivot count
-            out["superhedge_p99_us"] = round(p99_us(calls, repeat), 1)
+            out["superhedge_p99_us"] = round(statistics.quantiles(times, n=100)[98], 1)
             out["superhedge_pivots"] = pivots(calls)
     return out
 

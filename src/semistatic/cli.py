@@ -78,23 +78,25 @@ def render_tree(tree: AtomicTree, model: FilteredModel) -> list[str]:
         children.setdefault(p, []).append(i)
 
     lines: list[str] = []
-
-    def walk(index: int, prefix: str, connector: str) -> None:
-        node = tree.nodes[index]
-        lines.append(f"{prefix}{connector}{model.cell_label(node.cell)} (birth {node.birth})")
-        if connector == "":
-            child_prefix = prefix
-        elif connector.startswith("`"):
-            child_prefix = prefix + "   "
-        else:
-            child_prefix = prefix + "|  "
-        kids = children.get(index, [])
-        for pos, kid in enumerate(kids):
-            walk(kid, child_prefix, "`- " if pos == len(kids) - 1 else "|- ")
-
     for root in children.get(None, []):
-        walk(root, "", "")
+        _walk(tree, model, children, lines, root, "", "")
     return lines
+
+
+def _walk(tree: AtomicTree, model: FilteredModel, children: dict, lines: list[str], index: int, prefix: str,
+          connector: str) -> None:
+    """Append node ``index`` and its subtree to ``lines``; a module function, so no closure cycle outlives a call."""
+    node = tree.nodes[index]
+    lines.append(f"{prefix}{connector}{model.cell_label(node.cell)} (birth {node.birth})")
+    if connector == "":
+        child_prefix = prefix
+    elif connector.startswith("`"):
+        child_prefix = prefix + "   "
+    else:
+        child_prefix = prefix + "|  "
+    kids = children.get(index, [])
+    for pos, kid in enumerate(kids):
+        _walk(tree, model, children, lines, kid, child_prefix, "`- " if pos == len(kids) - 1 else "|- ")
 
 
 def _cmd_validate(scenario: Scenario, args) -> tuple[dict, int]:

@@ -80,17 +80,20 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
 
     Strategy coordinates are free variables of the program, one tableau
     column each; one surplus variable per allowed cell turns domination into
-    equality.  The columns are the int rows of ``int_strategy_columns`` (s_i
-    times the rational ones) and the payoff is scaled by its lcm D, so the
-    int program's coordinate is x_i * D / s_i.  Positive column and rhs
-    scales change no sign and no ratio, so Bland's rule pivots as on the
-    rational program, whose solution is read back through the scales.  An
-    unbounded program means the statics admit model-free arbitrage, reported
-    through the improving ray, scaled as the rational ray is: +-1 in its
-    entering column.  The ray is checked without the LP: negative cash and a
-    recomputed payoff >= 0 on every allowed cell, else InvariantViolation.
-    So is an optimum: its tight cells, read off the surplus variables, must
-    be ``_tight_cells`` of the strategy, else InvariantViolation.
+    equality.  The cash column is 1 on every cell, so the program meets
+    ``solve_lp``'s contract: cash can always dominate a finite payoff, and
+    phase 1 ends with no artificial basic.  The columns are the int rows of
+    ``int_strategy_columns`` (s_i times the rational ones) and the payoff is
+    scaled by its lcm D, so the int program's coordinate is x_i * D / s_i.
+    Positive column and rhs scales change no sign and no ratio, so Bland's
+    rule pivots as on the rational program, whose solution is read
+    back through the scales.  An unbounded program means the statics admit
+    model-free arbitrage, reported through the improving ray, scaled as the
+    rational ray is: +-1 in its entering column.  The ray is checked without
+    the LP: negative cash and a recomputed payoff >= 0 on every allowed
+    cell, else InvariantViolation.  So is an optimum: its tight cells, read
+    off the surplus variables, must be ``_tight_cells`` of the strategy,
+    else InvariantViolation.
     """
     _check_vector("payoff entries", payoff, model.n_cells)
     columns = int_strategy_columns(model)
@@ -103,8 +106,6 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     cost = [1] + [0] * (n_free - 1 + len(allowed))
 
     result = solve_lp(cost, matrix, rhs, free=n_free)
-    if result.status == "infeasible":
-        raise InvariantViolation("cash can always dominate a finite payoff")
     scales = [s for _, s in columns]
     if result.status == "unbounded":
         unit = scales[result.column] if result.column < n_free else 1

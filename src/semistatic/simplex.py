@@ -23,10 +23,19 @@ Phase 1 stores the rows [A | b] alone: artificial i is only the basis marker
 n + i, and its closed-form reduced-cost row is minus the sum of the rows.
 The artificials have the highest indices, so this runs the pivots of the
 tableau with the artificial block until Bland's rule would enter an
-artificial.  That tableau stops there too when no artificial is basic, and
-the program is infeasible when one is basic above zero; only with one basic
-at zero is phase 1 redone with the artificial columns, its leftovers driven
-out or their rows dropped.
+artificial.  That tableau stops there too when no artificial is basic: the
+final basis's dual y is then 0, which prices every artificial at 1.
+
+``solve_lp``'s contract keeps every artificial out of that basis: a free
+column positive on every row, and a surplus column -e_a for each row a, as
+``duality.superhedge`` poses (cash, then the strategy's coordinates, then
+one surplus per allowed cell).  Let y be the phase-1 dual when the tableau
+stops, and s_a = -1 on a row negated for b_a < 0, else 1.  Surplus column a
+has reduced cost s_a y_a, >= 0 as phase 1 stopped; the free column, p_a > 0
+in row a, has -sum(s_a p_a y_a), which is 0 as the column is free.  So
+y = 0, and no artificial is basic: a basic one would need y_i = 1.  Phase 1
+leaving one basic means the program breaks the contract, and ``solve_lp``
+raises InvariantViolation.
 
 Phase 1 passes free basic variables: one pivot for a run of the split
 program's.  There, when the half of free pair j basic in row r leaves, the
@@ -39,8 +48,8 @@ at the next row in (ratio, basic index) order.  ``run`` pivots once, at the
 first row in that order not basic in a free column, and flips each free row
 before it: the split program's basis and halves, on rows permuted and
 positively rescaled.  Nothing later reads either: Bland's rule reads the
-reduced costs and that order, the wide drive-out's basis is the leading
-columns of the artificial rows' span, and ``phase1_dual`` has no free column.
+reduced costs and that order.  The wide tableau is only ``phase1_dual``'s,
+which has no free column, so no pass runs in it.
 Phase 2 reprices, so the invariant can fail there: one pivot per step.
 
 ``phase1_dual`` reads an infeasible program's Farkas vector off the wide
@@ -65,7 +74,7 @@ ZERO = Fraction(0)
 
 
 class LPResult(NamedTuple):
-    status: str  # "optimal" | "unbounded" | "infeasible"
+    status: str  # "optimal" | "unbounded"
     objective: Fraction | None = None
     solution: tuple[Fraction, ...] | None = None
     ray: tuple[Fraction, ...] | None = None  # improving feasible direction when unbounded
@@ -114,7 +123,7 @@ class _Tableau:
         self.objective = objective
 
     def pivot(self, row: int, col: int) -> None:
-        support = linalg.pivot(self.rows, row, col)  # negates the row only when driving out an artificial; its rhs is 0
+        support = linalg.pivot(self.rows, row, col)
         self.objective = linalg.eliminate(self.objective, self.rows[row], col, support)
         self.basis[row] = col
 
@@ -201,27 +210,12 @@ def phase1_dual(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int
 def solve_lp(cost: Sequence[int], matrix: Sequence[Sequence[int]], rhs: Sequence[int], free: int = 0) -> LPResult:
     n = len(cost)
 
-    # with no artificial basic, y = 0 prices every artificial at 1: the wide tableau stops at this basis too
     tableau = _phase1(matrix, rhs, n, free, wide=False)  # superhedge +14% always wide
     if any(b >= n for b in tableau.basis):
-        if tableau.objective[-1]:
-            return LPResult("infeasible")  # a feasible x would give this restricted program 0
-        # a zero-level artificial is basic: Bland's rule may enter an artificial next, so redo phase 1 with them
-        tableau = _phase1(matrix, rhs, n, free, wide=True)
-        if tableau.objective[-1]:
-            raise InvariantViolation("phase 1 with the artificial columns must reach zero where it did without them")
-        drop: list[int] = []
-        for i in range(len(tableau.rows)):
-            if tableau.basis[i] >= n:
-                col = next((j for j in range(n) if tableau.rows[i][j] != 0), None)
-                if col is None:
-                    drop.append(i)
-                else:
-                    tableau.pivot(i, col)  # a nonbasic free col stores x+: phase 1 re-enters a pair that left
-        for i in reversed(drop):
-            del tableau.rows[i]
-            del tableau.basis[i]
-        tableau.rows = [row[:n] + [row[-1]] for row in tableau.rows]
+        raise InvariantViolation(
+            "solve_lp's contract: a free column positive on every row and a surplus column -e_a for each row a; "
+            "phase 1 left an artificial basic"
+        )
 
     tableau.price(cost)
     col = tableau.run()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from semistatic.cli import main
 from semistatic.enlargement import enlarge
 from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
-from tests.conftest import REPO, scenario_path
+from tests.conftest import REPO, SCENARIOS, scenario_path
 from tests.decoders import strategy_from_json
 from tests.reference import strategy_columns
 from tests.test_duality import slacken_a_tight_cell
@@ -82,6 +83,20 @@ def test_tree_command_counterexample():
     assert code == 0
     assert report["result"]["tree"] is None
     assert "sub-event" in report["result"]["reason"]
+
+
+def test_a_tree_command_leaves_no_reference_cycle(capsys):
+    # the collector is off during each command, so what it frees afterwards is a cycle the command left:
+    # a recursive closure in render_tree would keep the model and the tree alive until the next collection
+    for path in sorted(SCENARIOS.glob("*.json")):
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(["--format", "json", "tree", "--measure", "0", str(path)]) == 0
+            assert gc.collect() == 0, path.name
+        finally:
+            gc.enable()
+    assert capsys.readouterr().err == ""
 
 
 def test_informed_compare_command():

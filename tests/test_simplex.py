@@ -4,6 +4,9 @@ The reference below is the dense Fraction tableau the engine used before its
 rows became integer multiples: same two phases, same Bland's rule, reduced
 costs rebuilt from scratch each iteration.  It marks the paths it takes in
 ``PATHS`` so that a fixed sample can show the generator reaches each one.
+The reference keeps its drive-out and row drop: ``solve_lp`` raises its
+contract's InvariantViolation where its phase 1 leaves an artificial basic,
+and the reference's paths show exactly which programs those are.
 Free variables are checked against the explicitly split program: the
 reference solves it with x+_j, x-_j at columns 2j, 2j+1, and its answer is
 recombined as x+ - x-.  The programs are drawn with rational entries and
@@ -18,12 +21,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semistatic import linalg, simplex
 from semistatic.duality import superhedge
 from semistatic.enlargement import enlarge
+from semistatic.errors import InvariantViolation
 from semistatic.scenario import load_scenario
 from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
@@ -34,6 +39,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 PATHS: Counter = Counter()
+# the reference's paths on exactly the programs where the engine's phase 1 leaves an artificial basic: Bland's
+# rule enters one, or phase 1 ends with one basic ("infeasible", the drive-outs and "dropped row" follow that)
+GUARD_PATHS = {"artificial entering", "artificial left basic"}
+CONTRACT = "solve_lp's contract"
 
 
 class _Tableau:
@@ -142,6 +151,8 @@ def reference_solve_lp(cost, matrix, rhs, pairs: int = 0) -> LPResult:
     status = tableau.run(phase1_cost)
     if status != "optimal":
         raise AssertionError("phase 1 is always bounded below by zero")
+    if any(b >= n for b in tableau.basis):
+        PATHS["artificial left basic"] += 1
     if sum((tableau.rows[i][-1] for i, b in enumerate(tableau.basis) if b >= n), ZERO) != 0:
         PATHS["infeasible"] += 1
         return LPResult("infeasible")
@@ -217,9 +228,7 @@ def superhedge_lp(rng):
     Up to 10 rows (cells) and up to 12 free columns, at most two more than
     the rows; once two gain columns exist, a quarter of the next ones are
     a + k b of two earlier ones (k = +-1, +-2), so some are dependent.  Then
-    the -I surplus block.
-    A row keeps its surplus column with probability 0.85 and is an equality
-    otherwise: with the whole block no program reaches the wide drive-out.
+    the -I surplus block, so the program meets ``solve_lp``'s contract.
     """
     m = rng.randint(1, 10)
     f = rng.randint(1, min(12, m + 2))
@@ -231,10 +240,9 @@ def superhedge_lp(rng):
             columns.append([x + k * y for x, y in zip(a, b)])
         else:
             columns.append([rng.choice(GAIN_ENTRIES) for _ in range(m)])
-    surplus = [i for i in range(m) if rng.random() < 0.85]
-    matrix = [[column[i] for column in columns] + [-int(i == k) for k in surplus] for i in range(m)]
+    matrix = [[column[i] for column in columns] + [-int(i == k) for k in range(m)] for i in range(m)]
     rhs = [rng.choice((-2, -1, 0, 0, 1, 2, 3)) for _ in range(m)]
-    return [1] + [0] * (f - 1 + len(surplus)), matrix, rhs, f
+    return [1] + [0] * (f - 1 + m), matrix, rhs, f
 
 
 def split_reference(cost, matrix, rhs, free: int) -> LPResult:
@@ -255,49 +263,50 @@ def split_reference(cost, matrix, rhs, free: int) -> LPResult:
     return LPResult(result.status, result.objective, recombine(result.solution), recombine(result.ray), column)
 
 
+def solve_or_guard(cost, matrix, rhs, free: int = 0) -> tuple[Counter, bool]:
+    """The split reference's paths on the program, and whether ``solve_lp`` raised its contract's guard.
+
+    ``solve_lp`` must equal the reference, or raise exactly where the
+    reference took one of ``GUARD_PATHS``.
+    """
+    before = PATHS.copy()
+    reference = split_reference(cost, matrix, rhs, free)
+    paths = PATHS - before
+    try:
+        result = solve_lp(cost, matrix, rhs, free=free)
+    except InvariantViolation as exc:
+        assert CONTRACT in str(exc) and paths.keys() & GUARD_PATHS, paths
+        return paths, True
+    assert result == reference and not paths.keys() & GUARD_PATHS, paths
+    return paths, False
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_solve_lp_matches_rational_reference(rng):
-    cost, matrix, rhs = random_lp(rng)
-    assert solve_lp(cost, matrix, rhs) == reference_solve_lp(cost, matrix, rhs)
+    solve_or_guard(*random_lp(rng))
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.randoms(use_true_random=False), st.integers(0, 6))
 def test_free_columns_match_the_split_program(rng, free):
     cost, matrix, rhs = random_lp(rng)
-    free = min(free, len(cost))
-    assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
+    solve_or_guard(cost, matrix, rhs, min(free, len(cost)))
 
 
-def wide_phase1_builds(monkeypatch) -> list[int]:
-    """Spy on ``simplex._phase1``: the row count of each phase 1 run with the artificial columns stored."""
-    builds: list[int] = []
-    real = simplex._phase1
-
-    def spy(matrix, rhs, n, free, wide):
-        if wide:
-            builds.append(len(matrix))
-        return real(matrix, rhs, n, free, wide)
-
-    monkeypatch.setattr(simplex, "_phase1", spy)
-    return builds
-
-
-def test_generator_reaches_every_path(monkeypatch):
-    PATHS.clear()
-    builds = wide_phase1_builds(monkeypatch)
+def test_generator_reaches_every_path():
+    solved, guarded = Counter(), Counter()
     rng = random.Random(20151)
     for _ in range(1500):
         cost, matrix, rhs = random_lp(rng)
-        free = rng.randint(0, len(cost))
-        assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
-    for path in ("negative rhs", "ratio tie", "dropped row", "negative drive-out pivot",
-                 "infeasible", "unbounded", "optimal",
-                 "x- entering", "flipped back", "free drive-out", "unbounded along x-", "artificial entering",
-                 "free pair re-entered", "two free rows passed"):
-        assert PATHS[path] > 0, path
-    assert builds  # a zero-level artificial left basic by phase 1 on [A | b]
+        paths, raised = solve_or_guard(cost, matrix, rhs, rng.randint(0, len(cost)))
+        (guarded if raised else solved).update(paths)
+    # the engine's paths on the programs it solves, and the reference's on those where its guard fires
+    for path in ("negative rhs", "ratio tie", "unbounded", "optimal", "x- entering", "flipped back",
+                 "unbounded along x-", "free pair re-entered", "two free rows passed"):
+        assert solved[path] > 0, path
+    for path in ("infeasible", "dropped row", "negative drive-out pivot", "free drive-out", "artificial entering"):
+        assert guarded[path] > 0, path
 
 
 def pivot_counts(monkeypatch) -> list[int]:
@@ -316,23 +325,20 @@ def pivot_counts(monkeypatch) -> list[int]:
 def test_superhedge_shaped_programs_match_the_split_program(monkeypatch):
     # random_lp has at most 5 rows; these reach long passes, and each pass saves one pivot per free row passed
     PATHS.clear()
-    builds = wide_phase1_builds(monkeypatch)
     counts = pivot_counts(monkeypatch)
     rng = random.Random(4501)
     for _ in range(300):
         cost, matrix, rhs, free = superhedge_lp(rng)
-        counts[:], wide, re_entered = [0, 0], len(builds), PATHS["free pair re-entered"]
-        result = solve_lp(cost, matrix, rhs, free=free)
-        assert result == split_reference(cost, matrix, rhs, free)
-        # the engine's phase 1 stops where the reference enters an artificial, and a wide build repeats its pivots
-        if result.status != "infeasible" and len(builds) == wide:
-            assert counts[1] == counts[0] - (PATHS["free pair re-entered"] - re_entered)
-    assert PATHS["three free rows passed"] > 0 and builds
+        counts[:], re_entered = [0, 0], PATHS["free pair re-entered"]
+        assert solve_lp(cost, matrix, rhs, free=free) == split_reference(cost, matrix, rhs, free)
+        assert counts[1] == counts[0] - (PATHS["free pair re-entered"] - re_entered)
+    assert PATHS["three free rows passed"] > 0
 
 
-def test_engine_programs_never_store_the_artificial_columns(monkeypatch):
+def test_engine_programs_never_store_the_artificial_columns():
     # the superhedge programs of the bundled scenarios, their one-jump enlargements and three ladder rungs,
-    # each also on the zero payoff, which is unbounded exactly on the empty measure sets
+    # each also on the zero payoff, which is unbounded exactly on the empty measure sets; solve_lp raises
+    # its contract's guard where phase 1 would need the artificial columns
     cases = []
     for path in sorted(SCENARIOS.glob("*.json")):
         scenario = load_scenario(path)
@@ -345,14 +351,12 @@ def test_engine_programs_never_store_the_artificial_columns(monkeypatch):
         model = ladder_model(b, horizon)
         prices = fraction_prices(model)[0][horizon]
         cases.append((model, [tuple(Fraction(abs(prices[cell[0]])) for cell in model.terminal_cells)]))
-    builds = wide_phase1_builds(monkeypatch)
     programs = 0
     for model, payoffs in cases:
         for payoff in [*payoffs, (Fraction(0),) * model.n_cells]:
             superhedge(payoff, model)
             programs += 1
     assert programs > 20
-    assert builds == []
 
 
 def test_phase1_objective_is_the_eliminated_row():
@@ -392,10 +396,13 @@ def test_known_programs():
     # x - y = 1, x, y >= 0; minimising -x is unbounded along (1, 1)
     result = solve_lp([-1, 0], [[1, -1]], [1])
     assert result == LPResult("unbounded", ray=(f(1), f(1)), column=1)
-    # x + y = -1 has no nonnegative solution
-    assert solve_lp([0, 0], [[1, 1]], [-1]) == LPResult("infeasible")
-    # with no constraint row left, minimising -x is unbounded along (1)
-    assert solve_lp([-1], [[0]], [0]) == LPResult("unbounded", ray=(f(1),), column=0)
+    # x + y = -1 has no nonnegative solution, a zero row keeps its artificial, and x + y = 0, -3x - 2y = 0 leaves
+    # one basic at zero that the reference drives out at a positive entry of a column that is not free (its
+    # only guard path is "artificial left basic"): none has a free column positive on every row
+    for matrix, rhs in (([[1, 1]], [-1]), ([[0]], [0]), ([[1, 1], [-3, -2]], [0, 0])):
+        with pytest.raises(InvariantViolation, match=f"^{CONTRACT}: a free column positive on every row"):
+            solve_lp([0] * len(matrix[0]), matrix, rhs)
+    # with no constraint row, minimising -x is unbounded along (1)
     assert solve_lp([-1], [], []) == LPResult("unbounded", ray=(f(1),), column=0)
     # a free x with x = -3 is feasible; minimising a free x alone is unbounded along (-1)
     assert solve_lp([1], [[1]], [-3], free=1) == LPResult("optimal", objective=f(-3), solution=(f(-3),))
