@@ -17,7 +17,8 @@ on seed ``--seed + i``, the parent first in even pairs and the change first
 in odd ones, one process at a time.  Each run's last stdout line (the
 benchmark's JSON summary) is kept.  Per workload and end-to-end metric the
 summary holds both medians, both quartiles (``statistics.quantiles(n=4)``),
-the pairs the change wins, and two flags: ``unresolved`` when the parent's
+the quartiles of the change/parent ratios of the pairs (the pair-level
+noise a claim must clear), the pairs the change wins, and two flags: ``unresolved`` when the parent's
 interquartile range, relative to its median, exceeds the metric's bound (so
 a difference within the bound cannot be told from noise), and
 ``within_bound`` when the change's median is no worse than the parent's by
@@ -123,6 +124,7 @@ def summarize(runs: list, metrics: list) -> dict:
                 entry[name] = {"verdict": "no runs"}
                 continue
             pairs = sorted(value["parent"].keys() & value["change"].keys())
+            ratios = [value["change"][p] / value["parent"][p] for p in pairs if value["parent"][p]]
             wins = sum(
                 value["change"][p] > value["parent"][p] if higher else value["change"][p] < value["parent"][p]
                 for p in pairs
@@ -138,6 +140,7 @@ def summarize(runs: list, metrics: list) -> dict:
                 "change_median": c_med,
                 "parent_quartiles": [q1, q3],
                 "change_quartiles": quartiles(change),
+                "pair_ratio_quartiles": quartiles(ratios) if ratios else None,
                 "ratio": c_med / p_med if p_med else None,
                 "change_better_pairs": f"{wins}/{len(pairs)}",
                 "parent_iqr": iqr,

@@ -17,8 +17,10 @@ which it only imports, and prints, per corpus, microseconds per file for
 layers below the floor, on models loaded (and their tables read) before the
 timing: ``validate_model`` on both corpora, ``enumerate_extreme_points`` on
 the ``certify-corpus`` and ``ladder`` systems, ``is_semistatically_complete``
-on each ``certify-corpus`` model's first vertex, and ``superhedge`` on each
-``duality-corpus`` payoff.  Beside ``superhedge_us`` it prints
+on each ``certify-corpus`` model's first vertex, ``enlarge`` on each
+``certify-corpus`` model with jumps and ``jeulin_yor`` for each of its jumps
+at the first vertex of a non-empty enlarged measure set, and ``superhedge``
+on each ``duality-corpus`` payoff.  Beside ``superhedge_us`` it prints
 ``superhedge_p99_us``, the 99th percentile of the same per-call times, and
 ``superhedge_pivots``, the simplex pivots of one pass over the calls,
 counted by wrapping ``simplex._Tableau.pivot`` as ``perfbench/layers.py``
@@ -41,6 +43,7 @@ from pathlib import Path
 
 from semistatic import simplex
 from semistatic.duality import superhedge
+from semistatic.enlargement import enlarge, jeulin_yor
 from semistatic.hedging import is_semistatically_complete
 from semistatic.model import validate_model
 from semistatic.polytope import enumerate_extreme_points
@@ -57,12 +60,26 @@ LAYERS = {
         (functools.partial(is_semistatically_complete, model=s.model), vertex)
         for vertex in enumerate_extreme_points(s.model.constraints).vertices[:1]
     ],
+    "enlarge": lambda s: [(functools.partial(enlarge, s.model), s.jumps)] if s.jumps else [],
+    "jeulin_yor": lambda s: jeulin_yor_calls(s.model, s.jumps),
 }
 LAYERS_OF = {
-    "certify-corpus": ("validate_model", "enumerate_extreme_points", "is_semistatically_complete"),
+    "certify-corpus": (
+        "validate_model", "enumerate_extreme_points", "is_semistatically_complete", "enlarge", "jeulin_yor"
+    ),
     "duality-corpus": ("validate_model", "superhedge"),
     "ladder": ("enumerate_extreme_points",),
 }
+
+
+def jeulin_yor_calls(model, jumps) -> list:
+    """``jeulin_yor`` for each jump at the first vertex of the enlarged measure set; none if that set is empty."""
+    enlarged = enlarge(model, jumps)
+    return [
+        (functools.partial(jeulin_yor, vertex, enlarged=enlarged), jump)
+        for vertex in enumerate_extreme_points(enlarged.model.constraints).vertices[:1]
+        for jump in jumps
+    ]
 
 
 def load_only(path: str) -> None:

@@ -1,13 +1,14 @@
 """Progressive enlargement with single-jump processes.
 
-The informed filtration G refines F by the level sets of the processes
-``mark * 1_{tau <= k}``; initial enlargement with a random variable is the
-special case tau = 0 on {mark > 0}.  Measures for the enlarged market live on
-the cells of G_K, and each of those lies in one base P_k cell at every time
-k: the cached tables ``base_cell_of`` and ``base_groups`` of an
-``EnlargedModel`` carry every comparison with the base market.  The Azema
-supermartingale, the compensator and the Jeulin-Yor martingale are checked
-by the sign of one int sum of w * x per cell, the sign of its exact mean.
+The informed filtration G is the natural filtration of the base cells and the
+jump processes ``mark * 1_{tau <= k}`` (``enlarge`` gives the induction);
+initial enlargement with a random variable is the special case tau = 0 on
+{mark > 0}.  Measures for the enlarged market live on the cells of G_K, and
+each of those lies in one base P_k cell at every time k: the cached tables
+``base_cell_of`` and ``base_groups`` of an ``EnlargedModel`` carry every
+comparison with the base market.  The Azema supermartingale, the compensator
+and the Jeulin-Yor martingale are checked by the sign of one int sum of
+w * x per cell over one common denominator, the sign of its exact mean.
 """
 
 from __future__ import annotations
@@ -15,17 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InputError, InvariantViolation, ShapeError
 from .model import (
-    FilteredModel, Measure, Partition, Payoff, _cells_of, _check_index, _check_vector, cached_property, condexp_groups,
-    groups_of,
+    FilteredModel, Measure, Payoff, _cells_of, _check_index, _check_vector, cached_property, condexp_groups, groups_of,
+    natural_filtration,
 )
 from .polytope import VertexSet, enumerate_extreme_points
 from .duality import _phase1_certificate, _scan_vertices
-from .rationals import fmt
+from .rationals import common_denominator, fmt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,14 +61,6 @@ def _check_jump(jump: SingleJump, model: FilteredModel) -> None:
             _check_index("jump time", t, model.horizon + 1)
 
 
-def _jump_key(jump: SingleJump, outcome: int, k: int):
-    """What the level sets of mark * 1_{tau <= l}, l <= k, reveal at time k."""
-    t = jump.tau[outcome]
-    if t is not None and t <= k:
-        return (t, jump.mark[outcome])
-    return ("pending",)
-
-
 @dataclass(frozen=True)
 class EnlargedModel:
     """A base model and its market under the enlarged filtration, with the maps between their cells."""
@@ -101,46 +93,41 @@ class EnlargedModel:
 
 
 def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
-    """Coarsest refining filtration carrying the base and every jump process."""
+    """Coarsest refining filtration carrying the base and every jump process.
+
+    G is the natural filtration of each outcome's base P_k cell and each jump's
+    X_k = mark * 1_{tau <= k}.  By induction, G_k is P_k split by the (tau, mark)
+    of each jump with tau <= k: marks are positive exactly where tau is finite,
+    so X_k != 0 iff tau <= k, and the G_{k-1} cell reveals the jumps with tau < k.
+    """
     jumps = tuple(jumps)
     for jump in jumps:
         _check_jump(jump, model)
-    partitions = []
-    for k, base_partition in enumerate(model.partitions):
-        cells: list[list[int]] = []
-        for cell in base_partition.cells:
-            split: dict[tuple, list[int]] = {}
-            for w in cell:
-                split.setdefault(tuple(_jump_key(j, w, k) for j in jumps), []).append(w)
-            cells.extend(split.values())
-        partitions.append(Partition(cells))
+    base = [list(map(partition.cell_of.__getitem__, range(model.n_outcomes))) for partition in model.partitions]
+    times = range(model.horizon + 1)
+    processes = [[[x if t is not None and t <= k else 0 for t, x in zip(j.tau, j.mark)] for k in times] for j in jumps]
+    partitions = natural_filtration([base, *processes])
 
     base_of = [model.terminal_cell_of_outcome[cell[0]] for cell in partitions[-1].cells]
     # every base terminal cell holds an enlarged one, so each claim keeps its entries and its scale
     claims = tuple((tuple(map(row.__getitem__, base_of)), scale) for row, scale in model.int_claims)
     allowed = frozenset(g for g, b in enumerate(base_of) if b in model.allowed)
-    enlarged = replace(model, partitions=tuple(partitions), int_claims=claims, allowed=allowed)
+    enlarged = replace(model, partitions=partitions, int_claims=claims, allowed=allowed)
     return EnlargedModel(model, enlarged)
 
 
 def _weighted_sums(
     values: Sequence[Fraction], groups: Sequence[Sequence[int]], weights: Sequence[int], before: Sequence[Fraction] = ()
 ) -> list[int]:
-    """Per group, the int sum of w * (x - before) over its charged cells: the sign of its mean, 0 if null.
+    """Per group, a positive multiple of the weighted sum of x - before: the sign of its mean, 0 if null.
 
-    Each value enters as its int numerator times the weight, over its int
-    denominator, and a group's terms are brought to the lcm of their
-    denominators: the sum is the group's weighted mean times a positive int.
+    ``values`` and ``before`` are brought to one denominator, and each group's
+    sum is the int sum of w * (x - before) over those numerators.
     """
-    sums = []
-    for group in groups:
-        charged = [a for a in group if weights[a]]
-        terms = [(weights[a] * values[a].numerator, values[a].denominator) for a in charged]
-        if before:
-            terms += [(-weights[a] * before[a].numerator, before[a].denominator) for a in charged]
-        scale = lcm(*[d for _, d in terms])
-        sums.append(sum([n * (scale // d) for n, d in terms]))
-    return sums
+    numerators, _ = common_denominator([*values, *before])
+    if before:
+        numerators = [x - b for x, b in zip(numerators, numerators[len(values) :])]
+    return [sum([weights[a] * numerators[a] for a in group]) for group in groups]
 
 
 class AzemaResult(NamedTuple):
@@ -295,15 +282,14 @@ def _coinciding_lifts(vertex: Measure, enlarged: EnlargedModel) -> list[Measure]
 
     Coincidence at the terminal date forces each charged base cell to push its
     whole mass onto a single enlarged subcell, so the finitely many subcell
-    assignments exhaust the candidates.
+    assignments exhaust the candidates.  All are allowed: so are the vertex's
+    charged base cells and every enlarged subcell of an allowed base cell.
     """
     model = enlarged.model
     subcells = enlarged.base_groups[-1]
     charged = vertex.support
     out: list[Measure] = []
-    for choice in product(*[subcells[c] for c in charged]):
-        if not model.allowed.issuperset(choice):  # the charged subcells, one per charged base cell
-            continue
+    for choice in product(*[subcells[c] for c in charged]):  # the charged subcells, one per charged base cell
         numerators = [0] * model.n_cells
         for c, g in zip(charged, choice):
             numerators[g] = vertex.numerators[c]

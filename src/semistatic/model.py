@@ -391,12 +391,12 @@ def is_constant_on(values: Sequence[Fraction], cell: Cell) -> bool:
 
 
 def natural_filtration(prices: Sequence[Sequence[Sequence]]) -> tuple[Partition, ...]:
-    """Coarsest refining filtration making the prices ``prices[j][k][w]`` adapted.
+    """Coarsest refining filtration making the processes ``prices[j][k][w]`` adapted.
 
-    P_k groups outcomes by the tuple of all asset values up to time k, that is
-    by their P_{k-1} cell and the asset values at time k; groups by a longer
+    P_k groups outcomes by the tuple of all process values up to time k, that
+    is by their P_{k-1} cell and the values at time k; groups by a longer
     prefix automatically refine groups by a shorter one.  The values may be
-    each asset's ``int_prices`` rows, equal where the prices are.
+    each asset's ``int_prices`` rows (equal where the prices are) or cell indices.
     """
     n = len(prices[0][0]) if prices and prices[0] else 0
     partitions = []

@@ -126,7 +126,8 @@ def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[
     contains their common zeros.
     """
     full = (1 << dim) - 1
-    rays = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    zeros = (0,) * dim
+    rays = [zeros[:i] + (1,) + zeros[i + 1 :] for i in range(dim)]
     masks = [full ^ (1 << i) for i in range(dim)]
     for normal in normals:
         values = [sum([a * r[j] for j, a in normal]) for r in rays]

@@ -12,7 +12,9 @@ program as the int one the exact kernels take.  The conditional
 expectations given P_k and given a tree's leaves average a measure's
 Fraction weights over sets of outcomes, not over the engine's cell tables.
 ``load_scenario`` reads a file through ``pathlib`` in text mode, as the engine
-did before it read bytes.
+did before it read bytes.  ``enlarged_partitions`` splits each base cell by
+what the jumps have revealed, as ``enlargement.enlarge`` did before it built
+the enlarged filtration with ``natural_filtration``.
 """
 
 import json
@@ -286,6 +288,26 @@ def oracle_natural_filtration(prices):
             for w in group:
                 cell_of[w] = c
         partitions.append(Partition(groups.values()))
+    return tuple(partitions)
+
+
+def enlarged_partitions(model, jumps):
+    """G_k: each base P_k cell split by the (tau, mark) of every jump with tau <= k, the rest pending."""
+    from semistatic.model import Partition
+
+    def key(jump, w, k):
+        t = jump.tau[w]
+        return (t, jump.mark[w]) if t is not None and t <= k else ("pending",)
+
+    partitions = []
+    for k, base_partition in enumerate(model.partitions):
+        cells = []
+        for cell in base_partition.cells:
+            split = {}
+            for w in cell:
+                split.setdefault(tuple(key(j, w, k) for j in jumps), []).append(w)
+            cells.extend(split.values())
+        partitions.append(Partition(cells))
     return tuple(partitions)
 
 

@@ -4,6 +4,7 @@ import subprocess
 from pathlib import Path
 
 import bench_pairs
+import pytest
 
 METRICS = [
     {"name": "ops_per_s", "unit": "ops/s", "better": "higher", "bound": 0.25},
@@ -39,11 +40,14 @@ def test_summary_reads_medians_quartiles_wins_and_bounds():
     assert ops["parent_quartiles"] == [92.5, 107.5]
     assert ops["parent_iqr"] == 15
     assert ops["change_better_pairs"] == "4/5"
+    # change/parent per pair: 1.2, 115/110, 100/90, 118/105, 90/95; their quartiles, as above
+    assert ops["pair_ratio_quartiles"] == pytest.approx([(90 / 95 + 115 / 110) / 2, (118 / 105 + 120 / 100) / 2])
     assert ops["gain_exceeds_parent_iqr"] is False  # 15 is not more than 15
     assert ops["unresolved"] is False and ops["within_bound"] is True
     p50 = summary["latency_p50_ms"]
     assert (p50["parent_median"], p50["change_median"]) == (1.0, 1.0)
     assert p50["change_better_pairs"] == "2/5"  # lower is better; ties are not wins
+    assert p50["pair_ratio_quartiles"] == pytest.approx([(0.8 / 1.0 + 1.0 / 1.2) / 2, (1.0 / 1.0 + 1.5 / 1.1) / 2])
     assert summary["parent"] == {"runs": 5, "no_result": 0, "failed_ops": 0, "attempted_ops": 500}
 
 

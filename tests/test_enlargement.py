@@ -25,8 +25,8 @@ from semistatic.model import FilteredModel, Measure, Partition
 from semistatic.polytope import build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
-from tests.conftest import scenario_path
-from tests.reference import fraction_prices
+from tests.conftest import SCENARIOS, scenario_path
+from tests.reference import enlarged_partitions, fraction_prices
 
 F = Fraction
 
@@ -103,12 +103,26 @@ def test_weighted_sums_read_only_the_charged_cells():
     # the charged group's mean 1/2 (and 1/6, -1/6) has the sign of the int sum; the null group sums to 0
     assert _weighted_sums((F(1), F(0), F(7), F(5)), groups, weights) == [1, 0]
     assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights) == [1, 0]
-    # the group's terms over the lcm of the charged cells' denominators, 3: the null cell's 7/2 is not read
-    assert _weighted_sums((F(-1, 3), F(0), F(7, 2), F(5)), groups, weights) == [-1, 0]
+    # every value over one denominator, 6: the null cell's 7/2 enters the scale but not the sum
+    assert _weighted_sums((F(-1, 3), F(0), F(7, 2), F(5)), groups, weights) == [-2, 0]
     # with ``before`` the sum is of w * (x - before): 1/3 - 1/2 and 0 - (-1/6) cancel
     before = (F(1, 2), F(-1, 6), F(9), F(9))
     assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights, before) == [0, 0]
     assert _weighted_sums((F(1, 3), F(0), F(7), F(5)), groups, weights, (F(1, 2), F(0), F(0), F(0))) == [-1, 0]
+
+
+def test_enlarge_builds_the_partitions_of_the_split_oracle():
+    # the natural filtration of the base cells and the jump processes, against each base cell split by (tau, mark)
+    cases = [(s.model, s.jumps) for s in map(load_scenario, sorted(SCENARIOS.glob("*.json"))) if s.jumps]
+    assert len(cases) >= 2
+    rng = random.Random(4707)
+    for _ in range(500):
+        model, _ = random_model(rng)
+        cases.append((model, [random_jump(rng, model) for _ in range(rng.randint(1, 3))]))
+    assert any(0 in jump.tau for _, jumps in cases for jump in jumps)
+    for model, jumps in cases:
+        got, want = enlarge(model, jumps).model.partitions, enlarged_partitions(model, jumps)
+        assert [(p.cells, p.cell_of) for p in got] == [(p.cells, p.cell_of) for p in want]
 
 
 def test_enlarge_trivial_when_mark_zero(trinomial):
