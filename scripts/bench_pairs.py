@@ -17,12 +17,12 @@ on seed ``--seed + i``, the parent first in even pairs and the change first
 in odd ones, one process at a time.  Each run's last stdout line (the
 benchmark's JSON summary) is kept.  Per workload and end-to-end metric the
 summary holds both medians, both quartiles (``statistics.quantiles(n=4)``),
-the quartiles of the change/parent ratios of the pairs (the pair-level
-noise a claim must clear), the pairs the change wins, and two flags: ``unresolved`` when the parent's
-interquartile range, relative to its median, exceeds the metric's bound (so
-a difference within the bound cannot be told from noise), and
-``within_bound`` when the change's median is no worse than the parent's by
-more than the bound.
+the quartiles of the pairs' change/parent ratios (the pair-level noise a
+claim must clear), the pairs the change wins, and two flags: ``unresolved``
+when the parent's interquartile range, relative to its median, exceeds the
+metric's bound (so a difference within the bound cannot be told from
+noise), and ``within_bound`` when the change's median is no worse than the
+parent's by more than the bound.
 ``--trace-seed`` adds one ``--trace 1`` pair per workload, kept as is.
 
 The warm caches make this one of two set-up regimes.  Here each set-up

@@ -95,10 +95,10 @@ class EnlargedModel:
 def enlarge(model: FilteredModel, jumps: Iterable[SingleJump]) -> EnlargedModel:
     """Coarsest refining filtration carrying the base and every jump process.
 
-    G is the natural filtration of each outcome's base P_k cell and each jump's
-    X_k = mark * 1_{tau <= k}.  By induction, G_k is P_k split by the (tau, mark)
+    G is the natural filtration of the processes "base P_k cell" and each jump's
+    X_k = mark * 1_{tau <= k}.  By induction G_k is P_k split by the (tau, mark)
     of each jump with tau <= k: marks are positive exactly where tau is finite,
-    so X_k != 0 iff tau <= k, and the G_{k-1} cell reveals the jumps with tau < k.
+    so X_k != 0 iff tau <= k, and with the G_{k-1} cell X_k reveals (tau, mark).
     """
     jumps = tuple(jumps)
     for jump in jumps:
