@@ -19,12 +19,15 @@ timing: ``validate_model`` on both corpora, ``enumerate_extreme_points`` on
 the ``certify-corpus`` and ``ladder`` systems, ``is_semistatically_complete``
 on each ``certify-corpus`` model's first vertex, ``enlarge`` on each
 ``certify-corpus`` model with jumps and ``jeulin_yor`` for each of its jumps
-at the first vertex of a non-empty enlarged measure set, and ``superhedge``
-on each ``duality-corpus`` payoff.  Beside ``superhedge_us`` it prints
-``superhedge_p99_us``, the 99th percentile of the same per-call times, and
-``superhedge_pivots``, the simplex pivots of one pass over the calls,
-counted by wrapping ``simplex._Tableau.pivot`` as ``perfbench/layers.py``
-wraps the program's functions.
+at the first vertex of a non-empty enlarged measure set, the empty-set
+certificate ``_phase1_certificate`` on each ``certify-corpus`` model and
+enlargement whose measure set is empty, and ``superhedge`` on each
+``duality-corpus`` payoff.  Beside ``superhedge_us`` it prints
+``superhedge_p99_us``, the 99th percentile of the same per-call times;
+beside ``superhedge_us`` and ``certificate_us``, ``*_pivots``, the simplex
+pivots of one pass over the calls, counted by wrapping
+``simplex._Tableau.pivot`` as ``perfbench/layers.py`` wraps the program's
+functions.
 
 Every time is per file or call: each one's best of ``--repeat`` runs, over
 ``--repeat`` passes, so an interruption costs only the run it hits; a
@@ -42,7 +45,7 @@ import time
 from pathlib import Path
 
 from semistatic import simplex
-from semistatic.duality import superhedge
+from semistatic.duality import _phase1_certificate, superhedge
 from semistatic.enlargement import enlarge, jeulin_yor
 from semistatic.hedging import is_semistatically_complete
 from semistatic.model import validate_model
@@ -62,10 +65,12 @@ LAYERS = {
     ],
     "enlarge": lambda s: [(functools.partial(enlarge, s.model), s.jumps)] if s.jumps else [],
     "jeulin_yor": lambda s: jeulin_yor_calls(s.model, s.jumps),
+    "certificate": lambda s: certificate_calls(s.model, s.jumps),
 }
 LAYERS_OF = {
     "certify-corpus": (
-        "validate_model", "enumerate_extreme_points", "is_semistatically_complete", "enlarge", "jeulin_yor"
+        "validate_model", "enumerate_extreme_points", "is_semistatically_complete", "enlarge", "jeulin_yor",
+        "certificate",
     ),
     "duality-corpus": ("validate_model", "superhedge"),
     "ladder": ("enumerate_extreme_points",),
@@ -80,6 +85,12 @@ def jeulin_yor_calls(model, jumps) -> list:
         for vertex in enumerate_extreme_points(enlarged.model.constraints).vertices[:1]
         for jump in jumps
     ]
+
+
+def certificate_calls(model, jumps) -> list:
+    """``_phase1_certificate`` on the model and on its enlargement by the jumps, each whose measure set is empty."""
+    models = [model, enlarge(model, jumps).model] if jumps else [model]
+    return [(_phase1_certificate, m) for m in models if not enumerate_extreme_points(m.constraints).vertices]
 
 
 def load_only(path: str) -> None:
@@ -145,9 +156,10 @@ def layers(paths: list, names, repeat: int) -> dict:
         calls = [call for scenario in scenarios for call in LAYERS[name](scenario)]
         times = best_us(calls, repeat)
         out[f"{name}_us"] = round(statistics.mean(times), 1)
-        if name == "superhedge":  # the LP's tail and its pivot count
+        if name == "superhedge":  # the LP's tail
             out["superhedge_p99_us"] = round(statistics.quantiles(times, n=100)[98], 1)
-            out["superhedge_pivots"] = pivots(calls)
+        if name in ("superhedge", "certificate"):
+            out[f"{name}_pivots"] = pivots(calls)
     return out
 
 

@@ -10,20 +10,18 @@ that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
 the model's extreme points as an independent oracle.
 
 An empty measure set is certified by a zero-cost strategy paying a positive
-floor on every allowed cell.  ``_phase1_certificate`` alone produces it, from
-phase 1 on {q >= 0 : gains q = 0, claims q = 0, sum q = 1} over the allowed
-cells, each row the primitive int multiple p_i = r_i s_i / g_i of the
-rational row r_i there.  ``simplex.phase1_dual`` gives t y_i = t - O[n+i],
-t = O[n+last] - O[rhs], and row i holds -t y_i s_i / g_i, so the
-certificate depends on the rational rows alone, not on the scales the int
-tables chose; ``_checked_certificate`` alone judges it.
+floor on every allowed cell.  ``_phase1_certificate`` alone produces it,
+from phase 1 of the floor program: ``superhedge``'s rows without the cash
+column and with rhs 1, whose points are claim and gain holdings paying at
+least 1 on every allowed cell.  Its columns are read back through their
+scales, so the certificate depends on the rational rows alone, not on the
+scales the int tables chose; ``_checked_certificate`` alone judges it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Sequence
 
 from .errors import EmptyMeasureSet, InvariantViolation
@@ -31,7 +29,7 @@ from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import enumerate_extreme_points
 from .rationals import common_denominator, fmt
-from .simplex import phase1_dual, solve_lp
+from .simplex import feasible_point, solve_lp
 
 ZERO = Fraction(0)
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
@@ -75,6 +73,12 @@ def _unscaled(values: Sequence[Fraction], scales: Sequence[int], divisor: int) -
     return [y if not y or s == divisor else Fraction(y.numerator * s, y.denominator * divisor) for y, s in pairs]
 
 
+def _cell_rows(columns: Sequence[tuple[Sequence[int], int]], allowed: Sequence[int]) -> list[list[int]]:
+    """Per allowed cell: each int column there, then -1 in the cell's own surplus column."""
+    m = len(allowed)
+    return [[row[a] for row, _ in columns] + [0] * slot + [-1] + [0] * (m - slot - 1) for slot, a in enumerate(allowed)]
+
+
 def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeResult:
     """Cheapest semi-static strategy dominating the payoff on allowed cells.
 
@@ -82,12 +86,13 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     column each; one surplus variable per allowed cell turns domination into
     equality.  The cash column is 1 on every cell, so the program meets
     ``solve_lp``'s contract: cash can always dominate a finite payoff, and
-    phase 1 ends with no artificial basic.  The columns are the int rows of
-    ``int_strategy_columns`` (s_i times the rational ones) and the payoff is
-    scaled by its lcm D, so the int program's coordinate is x_i * D / s_i.
-    Positive column and rhs scales change no sign and no ratio, so Bland's
-    rule pivots as on the rational program, whose solution is read
-    back through the scales.  An unbounded program means the statics admit
+    phase 1 ends with no artificial basic.  ``_cell_rows`` builds the rows,
+    as it does for ``_phase1_certificate``'s floor program.  The columns are
+    the int rows of ``int_strategy_columns`` (s_i times the rational ones)
+    and the payoff is scaled by its lcm D, so the int program's coordinate
+    is x_i * D / s_i.  Positive column and rhs scales change no sign and no
+    ratio, so Bland's rule pivots as on the rational program, whose solution
+    is read back through the scales.  An unbounded program means the statics admit
     model-free arbitrage, reported through the improving ray, scaled as the
     rational ray is: +-1 in its entering column.  The ray is checked without
     the LP: negative cash and a recomputed payoff >= 0 on every allowed
@@ -99,13 +104,10 @@ def superhedge(payoff: Sequence[Fraction], model: FilteredModel) -> SuperhedgeRe
     columns = int_strategy_columns(model)
     allowed = sorted(model.allowed)
     n_free = len(columns)
-    matrix = []  # per allowed cell: each int column there, then -1 in the cell's own surplus column
-    for slot, a in enumerate(allowed):
-        matrix.append([row[a] for row, _ in columns] + [0] * slot + [-1] + [0] * (len(allowed) - slot - 1))
     rhs, scale = common_denominator([payoff[a] for a in allowed])
     cost = [1] + [0] * (n_free - 1 + len(allowed))
 
-    result = solve_lp(cost, matrix, rhs, free=n_free)
+    result = solve_lp(cost, _cell_rows(columns, allowed), rhs, free=n_free)
     scales = [s for _, s in columns]
     if result.status == "unbounded":
         unit = scales[result.column] if result.column < n_free else 1
@@ -235,23 +237,14 @@ def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
 
 
 def _phase1_certificate(model: FilteredModel) -> ArbitrageReport:
-    """The checked certificate of an empty calibrated measure set from phase 1 on the primitive rows.
-
-    A row that vanishes on the allowed cells has no primitive form and is held at 0.
-    """
+    """The checked certificate of an empty calibrated measure set: a point of the floor program, with cash 0."""
+    columns = int_strategy_columns(model)[1:]
     allowed = sorted(model.allowed)
-    rows, factors = [], []
-    for row in model.constraints.rows:
-        restricted = [row.normal[a] for a in allowed]
-        g = gcd(*restricted)
-        rows.append([x // g for x in restricted] if g else restricted)
-        factors.append(Fraction(row.scale, g) if g else ZERO)
-    y = phase1_dual(rows + [[1] * len(allowed)], [0] * len(rows) + [1])
-    if y is None:
+    point = feasible_point(_cell_rows(columns, allowed), [1] * len(allowed), len(columns))
+    if point is None:
         raise InvariantViolation(CERTIFICATE_MISSING)
-    holdings = [-x * f for x, f in zip(y, factors)]
-    n_gains = len(model.int_gains)
-    return _checked_certificate(SemiStaticStrategy(ZERO, tuple(holdings[n_gains:]), tuple(holdings[:n_gains])), model)
+    holdings = _unscaled(point[: len(columns)], [s for _, s in columns], 1)
+    return _checked_certificate(SemiStaticStrategy.from_coordinates([ZERO, *holdings], model), model)
 
 
 def _checked_certificate(strategy: SemiStaticStrategy, model: FilteredModel) -> ArbitrageReport:

@@ -19,23 +19,24 @@ breaks ratio ties) makes the same choices as over the rationals: the method
 terminates without any perturbation and runs stay deterministic.  Fractions
 are built only for the returned solution, ray and objective.
 
-Phase 1 stores the rows [A | b] alone: artificial i is only the basis marker
-n + i, and its closed-form reduced-cost row is minus the sum of the rows.
-The artificials have the highest indices, so this runs the pivots of the
-tableau with the artificial block until Bland's rule would enter an
-artificial.  That tableau stops there too when no artificial is basic: the
-final basis's dual y is then 0, which prices every artificial at 1.
+Phase 1 stores the rows [A | b] alone, each negated where b_i < 0:
+artificial i is only the basis marker n + i, and its closed-form
+reduced-cost row is minus the sum of the rows.  Bland's rule enters no
+artificial.  When it stops, let y be the final basis's dual on the rows as
+stored: up to one positive factor, column j's reduced cost is -y.a_j >= 0
+(0 on a free column) and the phase-1 objective is y.|b|.  So a positive
+objective is a Farkas proof that no point exists, and at zero every basic
+artificial is 0: ``feasible_point`` returns the basic point, else None.
 
 ``solve_lp``'s contract keeps every artificial out of that basis: a free
 column positive on every row, and a surplus column -e_a for each row a, as
 ``duality.superhedge`` poses (cash, then the strategy's coordinates, then
-one surplus per allowed cell).  Let y be the phase-1 dual when the tableau
-stops, and s_a = -1 on a row negated for b_a < 0, else 1.  Surplus column a
-has reduced cost s_a y_a, >= 0 as phase 1 stopped; the free column, p_a > 0
-in row a, has -sum(s_a p_a y_a), which is 0 as the column is free.  So
-y = 0, and no artificial is basic: a basic one would need y_i = 1.  Phase 1
-leaving one basic means the program breaks the contract, and ``solve_lp``
-raises InvariantViolation.
+one surplus per allowed cell).  Surplus column a has reduced cost s_a y_a,
+s_a = -1 on a row negated for b_a < 0, else 1, and >= 0 as phase 1
+stopped; the free column, p_a > 0 in row a, has -sum(s_a p_a y_a), which
+is 0 as the column is free.  So y = 0, and no artificial is basic: a basic
+one would need y_i = 1.  Phase 1 leaving one basic means the program
+breaks the contract, and ``solve_lp`` raises InvariantViolation.
 
 Phase 1 passes free basic variables: one pivot for a run of the split
 program's.  There, when the half of free pair j basic in row r leaves, the
@@ -48,17 +49,8 @@ at the next row in (ratio, basic index) order.  ``run`` pivots once, at the
 first row in that order not basic in a free column, and flips each free row
 before it: the split program's basis and halves, on rows permuted and
 positively rescaled.  Nothing later reads either: Bland's rule reads the
-reduced costs and that order.  The wide tableau is only ``phase1_dual``'s,
-which has no free column, so no pass runs in it.
+reduced costs and that order.
 Phase 2 reprices, so the invariant can fail there: one pivot per step.
-
-``phase1_dual`` reads an infeasible program's Farkas vector off the wide
-phase-1 reduced-cost row O, t > 0 times the rational one, with no solve of
-B^T y = c_B.  For y the final basis's dual on the rows as stored (row i
-negated when b_i < 0, so the rhs is |b|, T = sum |b_i|), O[n+i] = t(1 - y_i)
-and O[rhs] = -t y.|b|: T t = sum(|b_i| O[n+i]) - O[rhs] (t = O[n+last] -
-O[rhs] when b = e_last), and the vector returned is T t y_i = T t - T O[n+i],
-its sign flipped back on the negated rows.
 """
 
 from __future__ import annotations
@@ -134,9 +126,18 @@ class _Tableau:
         self.objective[col] = -self.objective[col]
         self.sign[col] = -self.sign[col]
 
-    def value(self, i: int, col: int) -> Fraction:
-        row, b = self.rows[i], self.basis[i]
-        return Fraction(row[col] * self.sign[b] if b < len(self.sign) else row[col], row[b])
+    def point(self, col: int = -1) -> tuple[Fraction, ...]:
+        """The basic solution, or the ray entering nonbasic ``col``: 1 there (-1 for a flipped free column).
+
+        A basic artificial, 0 in a feasible phase 1, is skipped.
+        """
+        values, free, side = [ZERO] * self.n, len(self.sign), 1
+        if col >= 0:
+            values[col], side = Fraction(self.sign[col] if col < free else 1), -1
+        for row, b in zip(self.rows, self.basis):
+            if b < self.n:
+                values[b] = Fraction(side * row[col] * self.sign[b] if b < free else side * row[col], row[b])
+        return tuple(values)
 
     def run(self, passing: bool = False) -> int | None:
         """Bland iterations, ``passing`` free rows in phase 1; None when optimal, else the column of an unbounded ray."""
@@ -173,44 +174,25 @@ class _Tableau:
                 self.rows[i] = [-x for x in self.rows[i]]
 
 
-def _phase1(matrix: Sequence[Sequence[int]], rhs: Sequence[int], n: int, free: int, wide: bool) -> _Tableau:
-    """Phase 1 from the artificial basis, each row's rhs made >= 0, run by Bland's rule.
-
-    The rows are [a_i | b_i] and artificial i is only the basis marker
-    n + i; ``wide`` also stores artificial i as column n + i, so that
-    Bland's rule can enter it.
-    """
-    m = len(matrix)
-    rows = []
-    for i, (r, b) in enumerate(zip(matrix, rhs)):
-        row = [-x for x in r] + [-b] if b < 0 else [*r, b]
-        if wide:
-            row[n:n] = [0] * i + [1] + [0] * (m - i - 1)
-        rows.append(row)
-    objective = phase1_objective(rows, n)
-    if wide:
-        objective[n:n] = [0] * m
-    tableau = _Tableau(rows, [n + i for i in range(m)], objective, free)
+def _phase1(matrix: Sequence[Sequence[int]], rhs: Sequence[int], n: int, free: int) -> _Tableau:
+    """Phase 1 from the artificial basis, each row's rhs made >= 0, run by Bland's rule."""
+    rows = [[-x for x in r] + [-b] if b < 0 else [*r, b] for r, b in zip(matrix, rhs)]
+    tableau = _Tableau(rows, [n + i for i in range(len(rows))], phase1_objective(rows, n), free)
     if tableau.run(passing=True) is not None:
         raise InvariantViolation("phase 1 is always bounded below by zero")
     return tableau
 
 
-def phase1_dual(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
-    """None if {x >= 0 : A x = b} is nonempty, else an int Farkas vector y (y.a_j <= 0 on each column, y.b > 0)."""
-    n = len(matrix[0]) if matrix else 0
-    objective = _phase1(matrix, rhs, n, 0, wide=True).objective
-    if not objective[-1]:
-        return None
-    total = sum(map(abs, rhs))
-    scaled = sum(abs(b) * objective[n + i] for i, b in enumerate(rhs) if b) - objective[-1]  # total * t
-    return [(scaled - total * objective[n + i]) * (-1 if b < 0 else 1) for i, b in enumerate(rhs)]
+def feasible_point(matrix: Sequence[Sequence[int]], rhs: Sequence[int], free: int) -> tuple[Fraction, ...] | None:
+    """A basic point of {x : A x = b, x_j >= 0 for j >= free}, or None when there is none."""
+    tableau = _phase1(matrix, rhs, len(matrix[0]) if matrix else 0, free)
+    return None if tableau.objective[-1] else tableau.point()
 
 
 def solve_lp(cost: Sequence[int], matrix: Sequence[Sequence[int]], rhs: Sequence[int], free: int = 0) -> LPResult:
     n = len(cost)
 
-    tableau = _phase1(matrix, rhs, n, free, wide=False)  # superhedge +14% always wide
+    tableau = _phase1(matrix, rhs, n, free)
     if any(b >= n for b in tableau.basis):
         raise InvariantViolation(
             "solve_lp's contract: a free column positive on every row and a surplus column -e_a for each row a; "
@@ -220,13 +202,7 @@ def solve_lp(cost: Sequence[int], matrix: Sequence[Sequence[int]], rhs: Sequence
     tableau.price(cost)
     col = tableau.run()
     if col is not None:
-        ray = [ZERO] * n
-        ray[col] = Fraction(tableau.sign[col] if col < free else 1)
-        for i, bi in enumerate(tableau.basis):
-            ray[bi] = -tableau.value(i, col)
-        return LPResult("unbounded", ray=tuple(ray), column=col)
-    solution = [ZERO] * n
-    for i, bi in enumerate(tableau.basis):
-        solution[bi] = tableau.value(i, -1)
+        return LPResult("unbounded", ray=tableau.point(col), column=col)
+    solution = tableau.point()
     objective = sum((c * x for c, x in zip(cost, solution) if c), ZERO)
-    return LPResult("optimal", objective=objective, solution=tuple(solution))
+    return LPResult("optimal", objective=objective, solution=solution)

@@ -218,8 +218,8 @@ def test_the_arbitrage_certificate_does_not_depend_on_the_int_scales(tmp_path, c
     assert reports[0] == reports[1]
     certificate = json.loads(reports[0])["result"]["certificate"]
     assert certificate["certificate"]["static"] == ["-2"]
-    assert [entry["value"] for entry in certificate["certificate"]["dynamic"]] == ["1", "-1/2"]
-    assert certificate["certificate_payoff"] == ["1", "1", "2", "0"]
+    assert [entry["value"] for entry in certificate["certificate"]["dynamic"]] == ["1"]
+    assert certificate["certificate_payoff"] == ["1", "1", "1", "0"]
 
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
 

@@ -127,9 +127,9 @@ def test_detect_arbitrage_informed(informed_arbitrage):
     payoff = report.certificate_payoff
     assert report.certificate.cash == 0
     assert all(payoff[a] >= 1 for a in enlarged.model.allowed)
-    # short two claims, long the stock on u and short half of it on m|d: the primitive rows' certificate
-    assert report.certificate == SemiStaticStrategy(F(0), (F(-2),), (F(1), F(-1, 2)))
-    assert payoff == (F(1), F(1), F(2))
+    # short two claims and long the stock on u: the floor program's basic point pays exactly 1 everywhere
+    assert report.certificate == SemiStaticStrategy(F(0), (F(-2),), (F(1), F(0)))
+    assert payoff == (F(1), F(1), F(1))
 
 
 def test_unbounded_superhedge_signals_statics_arbitrage(informed_arbitrage):
@@ -195,50 +195,41 @@ def test_a_vertex_set_is_not_an_argument(trinomial_calibrated):
     assert robust_price(trinomial_calibrated.payoffs["abs_S1"], model).value == F(1, 2)
 
 
-def _corrupt_phase1_dual(monkeypatch, corrupt):
-    """``duality.phase1_dual`` replaced by ``corrupt(phase1_dual, rows, rhs)``."""
-    real = duality.phase1_dual
-    monkeypatch.setattr(duality, "phase1_dual", lambda rows, rhs: corrupt(real, rows, rhs))
+def _corrupt_feasible_point(monkeypatch, corrupt):
+    """``duality.feasible_point`` replaced by ``corrupt`` of the point it returns."""
+    real = duality.feasible_point
+    monkeypatch.setattr(duality, "feasible_point", lambda matrix, rhs, free: corrupt(real(matrix, rhs, free)))
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        # gain 0's holding carries the floor on this model's first cells
-        pytest.param(lambda real, rows, rhs: [0, *real(rows, rhs)[1:]], id="zero-a-gain"),
-        pytest.param(lambda real, rows, rhs: [-x for x in real(rows, rhs)], id="negated"),
+        # the floor point holds -1 in the claim's int column and 1 in gain 0's; without the gain u pays -1/2
+        pytest.param(lambda point: (point[0], F(0), *point[2:]), id="zero-a-holding"),
+        pytest.param(lambda point: tuple(-x for x in point), id="negated"),
         # the zero strategy pays 0 >= 0 everywhere, but no positive floor
-        pytest.param(lambda real, rows, rhs: [0] * len(real(rows, rhs)), id="all-zero"),
-        # without its sum row the program is met by q = 0: phase 1 has no Farkas vector to read
-        pytest.param(lambda real, rows, rhs: real(rows[:-1], rhs[:-1]), id="no-sum-row"),
+        pytest.param(lambda point: (F(0),) * len(point), id="all-zero"),
     ],
 )
 @pytest.mark.parametrize("caller", [_phase1_certificate, detect_arbitrage])
-def test_a_corrupted_phase1_dual_fails_the_certificate_check(monkeypatch, informed_arbitrage, corrupt, caller):
+def test_a_corrupted_floor_point_fails_the_certificate_check(monkeypatch, informed_arbitrage, corrupt, caller):
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
     assert model.int_gains and not caller(model).feasible
-    _corrupt_phase1_dual(monkeypatch, corrupt)
+    _corrupt_feasible_point(monkeypatch, corrupt)
     with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
         caller(model)
 
 
-def test_the_phase1_certificate_does_not_read_the_sum_row_entry(monkeypatch, informed_arbitrage):
-    # the sum-row entry y_last only proves the floor; the checker recomputes the floor from the strategy
+def test_the_check_judges_the_returned_strategy_not_the_point(monkeypatch, informed_arbitrage):
+    # a strategy built wrong from the right point must fail: the payoff is recomputed from what is returned
     model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    report = _phase1_certificate(model)
-    _corrupt_phase1_dual(monkeypatch, lambda real, rows, rhs: real(rows, rhs)[:-1])
-    assert _phase1_certificate(model) == report
+    real = SemiStaticStrategy.from_coordinates
 
+    def without_dynamic(values, model):
+        strategy = real(values, model)
+        return strategy._replace(dynamic=(F(0),) * len(strategy.dynamic))
 
-def test_the_check_judges_the_returned_strategy_not_the_dual_vector(monkeypatch, informed_arbitrage):
-    # a strategy built wrong from the right vector must fail: the payoff is recomputed from what is returned
-    model = enlarge(informed_arbitrage.model, informed_arbitrage.jumps).model
-    real = duality.SemiStaticStrategy
-
-    def without_dynamic(cash, static, dynamic):
-        return real(cash, static, (F(0),) * len(dynamic))
-
-    monkeypatch.setattr(duality, "SemiStaticStrategy", without_dynamic)
+    monkeypatch.setattr(SemiStaticStrategy, "from_coordinates", without_dynamic)
     with pytest.raises(InvariantViolation, match=CERTIFICATE_MISSING):
         _phase1_certificate(model)
 

@@ -2,7 +2,7 @@
 
 ``FilteredModel.int_gains`` and ``int_claims`` hold the gain and claim
 vectors as int rows with positive scales; the constraint rows, the simplex
-columns of ``superhedge``, the phase-1 rows of ``detect_arbitrage``,
+columns of ``superhedge``, the floor program of ``detect_arbitrage``,
 strategy payoffs, conditional means and vertex measures are all built on
 them.  Each test below recomputes the same object the Fraction way, as the
 engine did before the tables, on ``tests/test_layout.py``'s models, on a
@@ -15,7 +15,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 import pytest
 
@@ -29,7 +29,7 @@ from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import fmt
 from semistatic.sampling import random_jump, random_measure, random_model
 from semistatic.scenario import load_scenario
-from semistatic.simplex import phase1_dual, solve_lp
+from semistatic.simplex import solve_lp
 from tests.conftest import SCENARIOS
 from tests.reference import fraction_claims, fraction_prices, gains as _reference_gains, int_rows, row_coeffs, strategy_columns
 from tests.test_layout import MODELS
@@ -324,25 +324,19 @@ def test_the_corpus_has_unbounded_superhedges():
 
 
 def test_the_phase1_certificate_equals_the_fraction_program(model):
-    # the certificate is a function of the Fraction rows: each gain and claim vector on the allowed cells, made
-    # the primitive int row c * r (c > 0), gets the holding -c * y (0 on a zero row); the int scales are never read
+    # the certificate is a function of the Fraction rows, not of the int tables' scales: the same model with each
+    # asset's price rows and scale, and each claim's row and scale, times its own factor poses int columns that many
+    # times as large, and must give the same certificate
     if enumerate_extreme_points(model.constraints).vertices:
         return
-    vectors = [vec for _, vec in _reference_gains(model)] + [tuple(claim) for claim in fraction_claims(model)]
-    allowed = sorted(model.allowed)
-    rows, factors = [], []
-    for vec in vectors:
-        (row,) = int_rows([[vec[a] for a in allowed]])
-        g = gcd(*row)
-        rows.append([x // g for x in row] if g else row)
-        k = next((i for i, x in enumerate(row) if x), None)
-        factors.append(ZERO if k is None else rows[-1][k] / vec[allowed[k]])
-    y = phase1_dual(rows + [[1] * len(allowed)], [0] * len(rows) + [1])
-    holdings = [-c * y_i for y_i, c in zip(y, factors)]
-    n_gains = len(holdings) - len(model.int_claims)
-    certificate = detect_arbitrage(model).certificate
-    expected = (ZERO, *holdings[n_gains:], *holdings[:n_gains])
-    assert (certificate.cash, *certificate.static, *certificate.dynamic) == expected
+    prices = [
+        (tuple(tuple(k * x for x in row) for row in rows), k * scale) for k, (rows, scale) in enumerate(model.int_prices, 2)
+    ]
+    claims = [(tuple(k * x for x in row), k * scale) for k, (row, scale) in enumerate(model.int_claims, 3)]
+    scaled = replace(model, int_prices=tuple(prices), int_claims=tuple(claims))
+    assert fraction_prices(scaled) == fraction_prices(model) and fraction_claims(scaled) == fraction_claims(model)
+    report = detect_arbitrage(model)
+    assert report.certificate is not None and detect_arbitrage(scaled) == report
 
 
 def _reference_payoff(strategy, model):

@@ -246,7 +246,7 @@ def test_the_floor_script_times_the_bundled_scenarios():
 def test_the_floor_script_times_every_layer_on_the_bundled_scenarios():
     paths = sorted(str(path) for path in SCENARIOS.glob("*.json"))
     result = floor.layers(paths, tuple(floor.LAYERS), repeat=1)
-    extra = {"superhedge_p99_us", "superhedge_pivots"}
+    extra = {"superhedge_p99_us", "superhedge_pivots", "certificate_pivots"}
     assert set(result) == {f"{name}_us" for name in floor.LAYERS} | extra and all(value > 0 for value in result.values())
-    assert type(result["superhedge_pivots"]) is int
+    assert type(result["superhedge_pivots"]) is int and type(result["certificate_pivots"]) is int
     assert {name for names in floor.LAYERS_OF.values() for name in names} == set(floor.LAYERS)

@@ -30,9 +30,9 @@ from semistatic.duality import superhedge
 from semistatic.enlargement import enlarge
 from semistatic.errors import InvariantViolation
 from semistatic.scenario import load_scenario
-from semistatic.simplex import LPResult, phase1_dual, phase1_objective, solve_lp
+from semistatic.simplex import LPResult, feasible_point, phase1_objective, solve_lp
 from tests.conftest import SCENARIOS
-from tests.reference import fraction_prices, int_rows, reference_solve
+from tests.reference import fraction_prices, int_rows
 from tests.test_polytope import ladder_model
 
 ZERO = Fraction(0)
@@ -434,66 +434,63 @@ def test_a_pass_takes_one_pivot_where_the_split_program_takes_several(monkeypatc
     assert counts == [18, 13] and PATHS["free pair re-entered"] == 5 and PATHS["two free rows passed"] == 2
 
 
-def reference_phase1_dual(matrix, rhs):
-    """The reference's phase 1, then the dual of its final basis by a Fraction solve of B^T y = c_B; None if feasible.
+def assert_feasible_point(matrix, rhs, free: int) -> bool:
+    """``feasible_point`` is a point of {A x = b, x_j >= 0 for j >= free} exactly when the reference's phase 1 reaches 0.
 
-    A row negated for its negative rhs gets its sign back in y.
+    Zero cost leaves the reference's phase 2 at phase 1's point, which its
+    degenerate drive-outs do not move, so the point must be the reference's.
+    Returns whether the program has a point.
     """
-    if not matrix:
-        return None
-    n, m = len(matrix[0]), len(matrix)
-    sign = [-1 if b < 0 else 1 for b in rhs]
-    rows = [
-        [s * Fraction(x) for x in r] + [ONE if k == i else ZERO for k in range(m)] + [s * Fraction(b)]
-        for i, (r, b, s) in enumerate(zip(matrix, rhs, sign))
-    ]
-    tableau = _Tableau([list(row) for row in rows], [n + i for i in range(m)], n + m, 0, n)
-    tableau.run([ZERO] * n + [ONE] * m)
-    if all(tableau.rows[i][-1] == 0 for i, b in enumerate(tableau.basis) if b >= n):
-        return None
-    transposed = [[row[j] for row in rows] for j in tableau.basis]  # row k of B^T is basic column k
-    dual = reference_solve(transposed, [ONE if j >= n else ZERO for j in tableau.basis])
-    return [s * y for s, y in zip(sign, dual)]
+    n = len(matrix[0]) if matrix else 0
+    reference = split_reference([0] * n, matrix, rhs, free)
+    point = feasible_point(matrix, rhs, free)
+    if reference.status == "infeasible":
+        assert point is None
+        return False
+    assert all(type(x) is Fraction for x in point) and len(point) == n
+    assert all(sum(a * x for a, x in zip(row, point)) == b for row, b in zip(matrix, rhs))
+    assert all(x >= 0 for x in point[free:])
+    assert point == reference.solution
+    return True
 
 
-def assert_farkas(y, matrix, rhs, reference):
-    """y certifies {x >= 0 : A x = b} empty and is a positive multiple of the reference dual."""
-    assert all(type(v) is int for v in y)
-    assert all(sum(v * row[j] for v, row in zip(y, matrix)) <= 0 for j in range(len(matrix[0])))
-    assert sum(v * b for v, b in zip(y, rhs)) > 0
-    i = next(i for i, v in enumerate(reference) if v)
-    factor = Fraction(y[i]) / reference[i]
-    assert factor > 0 and [factor * v for v in reference] == y
-
-
-def test_phase1_dual_of_known_programs():
-    assert phase1_dual([], []) is None
-    assert phase1_dual([[1, 1]], [1]) is None  # x + y = 1 is met by (1, 0)
+def test_feasible_point_of_known_programs():
+    f = Fraction
+    assert feasible_point([], [], 0) == ()
+    assert feasible_point([[1, 1]], [1], 0) == (f(1), f(0))  # x + y = 1 is met by (1, 0)
+    assert feasible_point([[1, 1]], [-1], 0) is None  # x + y = -1 has no nonnegative point
+    assert feasible_point([[1, 1]], [-1], 1) == (f(-1), f(0))  # but a free x meets it
+    assert feasible_point([[0], [1]], [0, 2], 0) == (f(2),)  # the zero row's artificial stays basic, at 0
     cases = [
-        ([[1, 1]], [-1]),  # x + y = -1: the negated row's dual entry is negative
-        ([[3, 2], [1, -1]], [-3, 2]),  # x/2 + y/3 = -1/2 times 6, and x - y = 2
-        ([[1, -1], [1, 1], [2, 0]], [0, 1, 6]),  # x = y, x + y = 1, x = 3 with a row not in lowest terms
-        ([[1, 0, 1], [0, 1, 1], [1, 1, 1]], [0, 0, 1]),  # a sum row under homogeneous rows, as the certificate has
+        ([[3, 2], [1, -1]], [-3, 2], 0),  # x/2 + y/3 = -1/2 times 6, and x - y = 2
+        ([[3, 2], [1, -1]], [-3, 2], 2),  # the same rows with both columns free: (1/5, -9/5)
+        ([[1, -1], [1, 1], [2, 0]], [0, 1, 6], 0),  # x = y, x + y = 1, x = 3 with a row not in lowest terms
+        ([[1, -1, 0], [1, 0, -1]], [1, 1], 1),  # a floor program: a free holding paying >= 1 on two cells
+        ([[1, -1, 0], [-1, 0, -1]], [1, 1], 1),  # and one that no holding meets
     ]
-    for matrix, rhs in cases:
-        y = phase1_dual(matrix, rhs)
-        assert_farkas(y, matrix, rhs, reference_phase1_dual(matrix, rhs))
-    assert phase1_dual([[1, 1]], [-1])[0] < 0
+    assert [assert_feasible_point(*case) for case in cases] == [False, True, False, True, False]
+    assert feasible_point(*cases[1]) == (f(1, 5), f(-9, 5))
 
 
-def test_phase1_dual_matches_the_reference_on_random_programs():
+def test_feasible_point_matches_the_reference_on_random_programs():
     rng = random.Random(3737)
     seen = Counter()
     for _ in range(1500):
         _, matrix, rhs = random_lp(rng)
-        reference = reference_phase1_dual(matrix, rhs)
-        y = phase1_dual(matrix, rhs)
-        if reference is None:
-            assert y is None
-            seen["feasible"] += 1
-            continue
-        assert_farkas(y, matrix, rhs, reference)
-        seen["infeasible"] += 1
+        free = rng.randint(0, len(matrix[0]) if matrix else 0)
+        seen["feasible" if assert_feasible_point(matrix, rhs, free) else "infeasible"] += 1
         seen["negative rhs"] += any(b < 0 for b in rhs)
+        seen["free"] += free > 0
         seen["row not in lowest terms"] += any(gcd(*row, b) > 1 for row, b in zip(matrix, rhs))
-    assert min(seen[k] for k in ("feasible", "infeasible", "negative rhs", "row not in lowest terms")) >= 50, seen
+    assert min(seen.values()) >= 50, seen
+
+
+def test_feasible_point_of_floor_programs():
+    # superhedge_lp without its cash column, rhs 1: the program of _phase1_certificate, met exactly when some
+    # holding of the free columns pays >= 1 on every cell
+    rng = random.Random(4801)
+    seen = Counter()
+    for _ in range(300):
+        _, matrix, _, free = superhedge_lp(rng)
+        seen[assert_feasible_point([row[1:] for row in matrix], [1] * len(matrix), free - 1)] += 1
+    assert min(seen[True], seen[False]) >= 30, seen
