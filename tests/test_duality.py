@@ -206,6 +206,8 @@ def _corrupt_feasible_point(monkeypatch, corrupt):
     [
         # the floor point holds -1 in the claim's int column and 1 in gain 0's; without the gain u pays -1/2
         pytest.param(lambda point: (point[0], F(0), *point[2:]), id="zero-a-holding"),
+        # without the claim, gain 0 alone pays 2 on u but 0 on m and d
+        pytest.param(lambda point: (F(0), *point[1:]), id="zero-the-claim"),
         pytest.param(lambda point: tuple(-x for x in point), id="negated"),
         # the zero strategy pays 0 >= 0 everywhere, but no positive floor
         pytest.param(lambda point: (F(0),) * len(point), id="all-zero"),
