@@ -8,9 +8,8 @@ whole story is visible in one pass.
 
 from pathlib import Path
 
-from semistatic.duality import verify_duality
+from semistatic.duality import ArbitrageReport, verify_duality
 from semistatic.enlargement import informed_compare
-from semistatic.errors import EmptyMeasureSet
 from semistatic.hedging import is_semistatically_complete
 from semistatic.polytope import enumerate_extreme_points
 from semistatic.rationals import fmt
@@ -38,11 +37,11 @@ def describe(path: Path) -> None:
                 line += f" tree=NONE [{outcome.reason}]"
         print(line)
     for name, payoff in sorted(scenario.payoffs.items()):
-        try:
-            report = verify_duality(payoff, model)
-            print(f"   payoff {name}: price {fmt(report.primal)} (gap {fmt(report.gap)})")
-        except EmptyMeasureSet:
+        report = verify_duality(payoff, model)
+        if isinstance(report, ArbitrageReport):
             print(f"   payoff {name}: no price, measure set empty")
+        else:
+            print(f"   payoff {name}: price {fmt(report.primal)} (gap {fmt(report.gap)})")
     if scenario.jumps:
         report, _ = informed_compare(model, scenario.jumps, scenario.payoffs)
         print(

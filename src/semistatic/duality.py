@@ -10,12 +10,12 @@ that face's vertices are enumerated.  ``robust_price`` keeps the full scan of
 the model's extreme points as an independent oracle.
 
 An empty measure set is certified by a zero-cost strategy paying a positive
-floor on every allowed cell.  ``_phase1_certificate`` alone produces it,
-from phase 1 of the floor program: ``superhedge``'s rows without the cash
-column and with rhs 1, whose points are claim and gain holdings paying at
-least 1 on every allowed cell.  Its columns are read back through their
-scales, so the certificate depends on the rational rows alone, not on the
-scales the int tables chose; ``_checked_certificate`` alone judges it.
+floor on every allowed cell; ``_checked_certificate`` alone judges it.
+``verify_duality`` (the ``duality`` command) returns its superhedge's ray
+without the cash, which pays at least the ray's -cash > 0 there.  Where no
+superhedge ran, ``_phase1_certificate`` takes a point of the floor program:
+``superhedge``'s rows without cash and with rhs 1.  Both are read back
+through the column scales, so they depend on the rational rows alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import EmptyMeasureSet, InvariantViolation
+from .errors import InvariantViolation
 from .hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from .model import FilteredModel, Measure, Payoff, _check_vector
 from .polytope import enumerate_extreme_points
@@ -201,16 +201,17 @@ class DualityReport(NamedTuple):
         }
 
 
-def verify_duality(payoff: Sequence[Fraction], model: FilteredModel) -> DualityReport:
-    """Certify primal = dual exactly and check complementary slackness.
+def verify_duality(payoff: Sequence[Fraction], model: FilteredModel) -> DualityReport | ArbitrageReport:
+    """Certify primal = dual exactly and check complementary slackness, else certify an empty measure set.
 
     The dual side is the face of maximizers from ``optimal_face``, so only
     that face's vertices are enumerated; slackness is checked against the
-    tight cells the LP reports.
+    tight cells the LP reports.  On an empty set the unbounded superhedge's
+    ray, with cash 0, is the certificate.
     """
     primal, dual = optimal_face(payoff, model)
     if dual.empty:
-        raise EmptyMeasureSet("empty calibrated measure set; run detect_arbitrage for a certificate")
+        return _checked_certificate(primal.strategy._replace(cash=ZERO), model)
     tight_set = set(primal.tight)
     slackness = all(a in tight_set for measure in dual.argmax for a in measure.support)
     return DualityReport(primal.price, dual.value, primal.strategy, dual.argmax, primal.tight, slackness)

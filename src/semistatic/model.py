@@ -280,14 +280,6 @@ class ValidationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.violations
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": [
-                {"code": v.code, "where": v.where, "message": v.message} for v in self.violations
-            ],
-        }
-
 
 def validate_model(model: FilteredModel) -> ValidationReport:
     """Check every structural invariant; an empty report means valid."""

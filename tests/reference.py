@@ -14,7 +14,9 @@ Fraction weights over sets of outcomes, not over the engine's cell tables.
 ``load_scenario`` reads a file through ``pathlib`` in text mode, as the engine
 did before it read bytes.  ``enlarged_partitions`` splits each base cell by
 what the jumps have revealed, as ``enlargement.enlarge`` did before it built
-the enlarged filtration with ``natural_filtration``.
+the enlarged filtration with ``natural_filtration``.  ``strategy_value``
+sums a strategy's coordinates times these Fraction columns, not through
+``hedging.strategy_payoff``'s int columns.
 """
 
 import json
@@ -97,6 +99,13 @@ def strategy_columns(model):
     """Strategy coordinates in column order, cash, claims, gains, each (label, Fraction vector)."""
     claims = tuple((("claim", i), tuple(claim)) for i, claim in enumerate(fraction_claims(model)))
     return ((("const",), (ONE,) * model.n_cells), *claims, *gains(model))
+
+
+def strategy_value(strategy, model):
+    """The strategy's payoff on every terminal cell: its coordinates times the Fraction ``strategy_columns``."""
+    coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
+    columns = [vec for _, vec in strategy_columns(model)]
+    return tuple(sum((h * vec[a] for h, vec in zip(coordinates, columns)), ZERO) for a in range(model.n_cells))
 
 
 def int_rows(rows):

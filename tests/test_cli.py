@@ -11,9 +11,10 @@ from fractions import Fraction
 import pytest
 import run_corpus
 
-from semistatic import bounds, cli, duality, enlargement, verify
+from semistatic import bounds, cli, duality, enlargement, simplex, verify
 from semistatic.cli import main
 from semistatic.enlargement import enlarge
+from semistatic.model import validate_model
 from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
 from tests.conftest import REPO, SCENARIOS, scenario_path
@@ -217,9 +218,40 @@ def test_the_arbitrage_certificate_does_not_depend_on_the_int_scales(tmp_path, c
         assert scale == ({1} if name == "one" else {3})
     assert reports[0] == reports[1]
     certificate = json.loads(reports[0])["result"]["certificate"]
-    assert certificate["certificate"]["static"] == ["-2"]
-    assert [entry["value"] for entry in certificate["certificate"]["dynamic"]] == ["1"]
-    assert certificate["certificate_payoff"] == ["1", "1", "1", "0"]
+    # superhedge's ray without its cash: half the floor program's point (-2, 1; paying 1, 1, 1, 0)
+    assert certificate["certificate"]["static"] == ["-1"]
+    assert [entry["value"] for entry in certificate["certificate"]["dynamic"]] == ["1/2"]
+    assert certificate["certificate_payoff"] == ["1/2", "1/2", "1/2", "0"]
+
+
+def test_duality_on_an_empty_set_runs_one_phase_1(tmp_path, monkeypatch, capsys):
+    # the superhedge's ray is the certificate, so no floor program runs after it
+    path = tmp_path / "informed.json"
+    path.write_text(json.dumps(informed_market()))
+    real, calls = simplex._phase1, []
+    monkeypatch.setattr(simplex, "_phase1", lambda *args: calls.append(args) or real(*args))
+    assert main(["--format", "json", "duality", "--payoff", "call_at_1", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["status"] == "arbitrage"
+    assert len(calls) == 1
+
+
+def test_validate_prints_the_verdict_of_the_load(monkeypatch, capsys):
+    # load_scenario raises on any violation, so the command validates each model once, in the load
+    calls = []
+
+    def spy(model):
+        calls.append(model)
+        return validate_model(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("semistatic.") and getattr(module, "validate_model", None) is validate_model:
+            monkeypatch.setattr(module, "validate_model", spy)
+    paths = sorted(SCENARIOS.glob("*.json"))
+    for path in paths:
+        assert main(["--format", "json", "validate", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"ok": True, "violations": []}
+    assert len(calls) == len(paths) == 7
+
 
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
 
@@ -646,6 +678,18 @@ def test_extremes_prints_weights_past_the_int_digit_limit(tmp_path, capsys):
     texts = [f"{unlimited_str(q.numerator)}/{unlimited_str(q.denominator)}" for q in expected]
     assert all(len(part) > 4300 for text in texts for part in text.split("/"))
     assert report["result"]["vertices"] == [{"support": ["uu", "ud", "du", "dd"], "weights": texts}]
+
+
+def test_run_corpus_describes_an_empty_measure_set_without_a_price(tmp_path, capsys):
+    for path in sorted(SCENARIOS.glob("*.json")):
+        run_corpus.describe(path)
+    assert "measure set empty" not in capsys.readouterr().out
+    path = tmp_path / "informed.json"
+    path.write_text(json.dumps(informed_market()))
+    run_corpus.describe(path)
+    lines = capsys.readouterr().out.splitlines()
+    assert "   calibrated measure set: EMPTY (arbitrage)" in lines
+    assert "   payoff call_at_1: no price, measure set empty" in lines
 
 
 def test_run_corpus_script_walks_every_bundled_scenario(capsys):

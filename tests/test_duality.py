@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from semistatic import cli, duality
 from semistatic.duality import (
     CERTIFICATE_MISSING,
+    ArbitrageReport,
     _phase1_certificate,
     detect_arbitrage,
     optimal_face,
@@ -18,14 +19,14 @@ from semistatic.duality import (
     verify_duality,
 )
 from semistatic.enlargement import enlarge
-from semistatic.errors import EmptyMeasureSet, InvariantViolation
+from semistatic.errors import InvariantViolation
 from semistatic.hedging import SemiStaticStrategy, int_strategy_columns, strategy_payoff
 from semistatic.model import Measure
 from semistatic.polytope import VertexSet, build_constraints, enumerate_extreme_points
 from semistatic.sampling import random_jump, random_model, random_payoff
 from tests.conftest import scenario_path
 from tests.test_polytope import ladder_model
-from tests.reference import fraction_claims, fraction_prices
+from tests.reference import fraction_claims, fraction_prices, strategy_value
 
 F = Fraction
 
@@ -90,10 +91,32 @@ def test_verify_duality_examples(trinomial, trinomial_calibrated):
     assert replicable.ok and replicable.primal == 0
 
 
-def test_duality_on_empty_set_raises(informed_arbitrage):
+def test_duality_on_an_empty_set_returns_the_superhedge_ray_without_its_cash(informed_arbitrage):
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
-    with pytest.raises(EmptyMeasureSet):
-        verify_duality((F(0),) * enlarged.model.n_cells, enlarged.model)
+    for payoff in ((F(0),) * enlarged.model.n_cells, *map(enlarged.expand, informed_arbitrage.payoffs.values())):
+        report = verify_duality(payoff, enlarged.model)
+        assert isinstance(report, ArbitrageReport) and report.feasible is False
+        ray = superhedge(payoff, enlarged.model)
+        assert ray.unbounded and ray.strategy.cash < 0
+        assert report.certificate == ray.strategy._replace(cash=F(0))
+
+
+def test_duality_certifies_every_empty_enlarged_measure_set_with_its_ray():
+    # random models (each has a calibrated measure) and single-jump enlargements, about one in five empty
+    rng = random.Random(4900)
+    empty = 0
+    for _ in range(600):
+        base, _ = random_model(rng)
+        payoff = random_payoff(rng, base)
+        enlarged = enlarge(base, [random_jump(rng, base)])
+        if enumerate_extreme_points(enlarged.model.constraints).vertices:
+            continue
+        empty += 1
+        report = verify_duality(enlarged.expand(payoff), enlarged.model)
+        value = strategy_value(report.certificate, enlarged.model)
+        assert report.certificate.cash == 0 and value == report.certificate_payoff
+        assert all(value[a] > 0 for a in enlarged.model.allowed)
+    assert empty >= 100
 
 
 def test_detect_arbitrage_feasible(trinomial):
