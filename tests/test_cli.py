@@ -250,7 +250,7 @@ def test_validate_prints_the_verdict_of_the_load(monkeypatch, capsys):
     for path in paths:
         assert main(["--format", "json", "validate", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["result"] == {"ok": True, "violations": []}
-    assert len(calls) == len(paths) == 7
+    assert paths and len(calls) == len(paths)
 
 
 CERTIFICATE_MISSING = "certificate must be zero-cost and pay a positive floor on every allowed cell"
