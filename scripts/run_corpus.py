@@ -47,7 +47,7 @@ def describe(path: Path) -> None:
         print(
             f"   informed: |ext F|={len(report.ext_base.vertices)}"
             f" |ext G|={len(report.ext_enlarged.vertices)}"
-            f" arbitrage={report.informed_arbitrage}"
+            f" arbitrage={not report.ext_enlarged.vertices}"
         )
         for name, (base_price, enlarged_price) in sorted(report.prices.items()):
             base_text = "-inf" if base_price is None else fmt(base_price)

@@ -218,13 +218,14 @@ def verify_duality(payoff: Sequence[Fraction], model: FilteredModel) -> DualityR
 
 
 class ArbitrageReport(NamedTuple):
-    feasible: bool
+    """The vertex count of the calibrated measure set; at count 0, the checked certificate of its emptiness."""
+
     vertex_count: int
     certificate: SemiStaticStrategy | None = None
     certificate_payoff: Payoff | None = None
 
     def to_json(self, model: FilteredModel) -> dict:
-        out: dict = {"feasible": self.feasible, "vertex_count": self.vertex_count}
+        out: dict = {"feasible": self.vertex_count > 0, "vertex_count": self.vertex_count}
         if self.certificate is not None:
             out["certificate"] = self.certificate.to_json(model)
             out["certificate_payoff"] = [fmt(x) for x in self.certificate_payoff]
@@ -234,7 +235,7 @@ class ArbitrageReport(NamedTuple):
 def detect_arbitrage(model: FilteredModel) -> ArbitrageReport:
     """Feasibility of the calibrated measure set, counted in vertices, else ``_phase1_certificate``'s certificate."""
     count = len(enumerate_extreme_points(model.constraints).vertices)
-    return ArbitrageReport(True, count) if count else _phase1_certificate(model)
+    return ArbitrageReport(count) if count else _phase1_certificate(model)
 
 
 def _phase1_certificate(model: FilteredModel) -> ArbitrageReport:
@@ -253,4 +254,4 @@ def _checked_certificate(strategy: SemiStaticStrategy, model: FilteredModel) -> 
     value = strategy_payoff(strategy, model)
     if strategy.cash != 0 or not all(0 < value[a] for a in model.allowed):
         raise InvariantViolation(CERTIFICATE_MISSING)
-    return ArbitrageReport(False, 0, strategy, value)
+    return ArbitrageReport(0, strategy, value)

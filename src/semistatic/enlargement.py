@@ -9,6 +9,8 @@ each of those lies in one base P_k cell at every time k: the cached tables
 comparison with the base market.  The Azema supermartingale, the compensator
 and the Jeulin-Yor martingale are checked by the sign of one int sum of
 w * x per cell over one common denominator, the sign of its exact mean.
+A jump is ``model.SingleJump``, an input record.  ``InformedCompareReport``
+stores the two vertex sets and the lifts; its JSON flags are read off them.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InputError, InvariantViolation, ShapeError
+from .errors import InvariantViolation, ShapeError
 from .model import (
-    FilteredModel, Measure, Payoff, _cells_of, _check_index, _check_vector, cached_property, condexp_groups, groups_of,
-    natural_filtration,
+    FilteredModel, Measure, Payoff, SingleJump, _cells_of, _check_jump, _check_vector, cached_property, condexp_groups,
+    groups_of, natural_filtration,
 )
 from .polytope import VertexSet, enumerate_extreme_points
 from .duality import _phase1_certificate, _scan_vertices
@@ -29,36 +31,6 @@ from .rationals import common_denominator, fmt
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class SingleJump:
-    """A random time and a nonnegative mark, with tau = never exactly on {mark = 0}."""
-
-    tau: tuple[int | None, ...]  # per outcome; None means the jump never occurs
-    mark: tuple[Fraction, ...]  # per outcome
-
-    def __post_init__(self) -> None:
-        _check_vector("jump marks", self.mark, len(self.tau))
-        for t, x in zip(self.tau, self.mark):  # each x is an int or a Fraction: its sign is its numerator's
-            if x.numerator < 0:
-                raise InputError("marks must be nonnegative")
-            if (t is None) != (not x):
-                raise InputError("tau must be infinite exactly where the mark vanishes")
-
-    def to_json(self, model: FilteredModel) -> dict:
-        return {
-            "tau": {model.outcomes[w]: ("inf" if t is None else t) for w, t in enumerate(self.tau)},
-            "mark": {model.outcomes[w]: fmt(x) for w, x in enumerate(self.mark)},
-        }
-
-
-def _check_jump(jump: SingleJump, model: FilteredModel) -> None:
-    """Raise ShapeError unless the jump has one entry per outcome of the model and its times lie on the grid."""
-    _check_vector("jump marks", jump.mark, model.n_outcomes)
-    for t in jump.tau:
-        if t is not None:
-            _check_index("jump time", t, model.horizon + 1)
 
 
 @dataclass(frozen=True)
@@ -243,15 +215,12 @@ def filtrations_coincide(measure: Measure, enlarged: EnlargedModel) -> bool:
 
 
 class InformedCompareReport(NamedTuple):
-    claims_empty: bool
     ext_base: VertexSet
     ext_enlarged: VertexSet
     coincide_flags: tuple[bool, ...]
-    expected_enlarged: tuple[Measure, ...] | None  # lifts of base vertices, claims-empty case
+    expected_enlarged: tuple[Measure, ...] | None  # lifts of base vertices; None exactly when there are claims
     corollary_equal: bool | None
     prices: dict[str, tuple[Fraction | None, Fraction | None]]
-    uninformed_arbitrage: bool
-    informed_arbitrage: bool
 
     def to_json(self, enlarged: EnlargedModel) -> dict:
         base, fine = enlarged.base, enlarged.model
@@ -263,7 +232,7 @@ class InformedCompareReport(NamedTuple):
             for name, (pf, pg) in sorted(self.prices.items())
         }
         return {
-            "claims_empty": self.claims_empty,
+            "claims_empty": self.expected_enlarged is not None,
             "ext_F": self.ext_base.to_json(base),
             "ext_G": self.ext_enlarged.to_json(fine),
             "coincide_flags": list(self.coincide_flags),
@@ -272,8 +241,8 @@ class InformedCompareReport(NamedTuple):
             else [m.to_json(fine) for m in self.expected_enlarged],
             "corollary_equal": self.corollary_equal,
             "prices": prices,
-            "uninformed_arbitrage": self.uninformed_arbitrage,
-            "informed_arbitrage": self.informed_arbitrage,
+            "uninformed_arbitrage": not self.ext_base.vertices,
+            "informed_arbitrage": not self.ext_enlarged.vertices,
         }
 
 
@@ -316,10 +285,9 @@ def informed_compare(
     ext_fine = enumerate_extreme_points(enlarged.model.constraints)
     coincide_flags = tuple(filtrations_coincide(v, enlarged) for v in ext_fine.vertices)
 
-    claims_empty = len(model.int_claims) == 0
     expected: tuple[Measure, ...] | None = None
     corollary_equal: bool | None = None
-    if claims_empty:
+    if not model.int_claims:
         lifted = {m for vertex in ext_base.vertices for m in _coinciding_lifts(vertex, enlarged)}
         # coinciding lifts with one support restrict to one base vertex, the only point with its support
         expected = tuple(sorted(lifted, key=lambda m: m.support))
@@ -332,17 +300,14 @@ def informed_compare(
         prices[name] = (base_price.value, _scan_vertices(fine_payoff, ext_fine.vertices).value)
 
     for side, vertex_set in ((model, ext_base), (enlarged.model, ext_fine)):
-        if not vertex_set.vertices:  # an arbitrage flag holds only with its checked certificate
+        if not vertex_set.vertices:  # an empty side is reported only with its checked certificate
             _phase1_certificate(side)
     report = InformedCompareReport(
-        claims_empty=claims_empty,
         ext_base=ext_base,
         ext_enlarged=ext_fine,
         coincide_flags=coincide_flags,
         expected_enlarged=expected,
         corollary_equal=corollary_equal,
         prices=prices,
-        uninformed_arbitrage=not ext_base.vertices,
-        informed_arbitrage=not ext_fine.vertices,
     )
     return report, enlarged

@@ -1,24 +1,16 @@
-"""Exceptions shared across the engine."""
+"""Exceptions shared across the engine, one class per condition; an empty measure set is a report, not an error."""
 
 
 class SemistaticError(Exception):
     """Base class for all engine errors."""
 
 
-class ConstraintViolation(SemistaticError):
-    """A measure does not satisfy the constraint system it was checked against."""
-
-
 class NotCalibrated(SemistaticError):
-    """A measure is not a calibrated martingale measure for the given model."""
+    """A measure is not a calibrated martingale measure of the model, or of the face of it that was checked."""
 
 
 class NotComplete(SemistaticError):
     """Semi-static completeness fails where an operation requires it."""
-
-
-class EmptyMeasureSet(SemistaticError):
-    """The calibrated martingale-measure set is empty (arbitrage)."""
 
 
 class ShapeError(SemistaticError):

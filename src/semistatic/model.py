@@ -12,10 +12,11 @@ are int tables, int rows over one positive scale, the lcm of the
 denominators, built by ``int_table`` alone: a scenario is read into them from
 its tokens, ``FilteredModel.from_fractions`` converts given Fractions once.
 The model caches its cell labels (``terminal_labels``, ``partition_labels``)
-for the reports.  A
-``Measure`` is its weights' int form in lowest terms: ``numerators`` over a
-positive ``scale``, set once by its input check; a vertex is built, compared,
+for the reports.  A ``Measure`` is its weights' int form in lowest terms: ``numerators``
+over a positive ``scale``, set once by its input check; a vertex is built, compared,
 hashed, priced and written from it, and builds its Fraction weights only when read.
+A ``SingleJump``, a random time and a mark per outcome, is a scenario's other input
+record.  ``validate_model`` returns the model's ``Violation``s, none if it is valid.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, ShapeError
-from .rationals import common_denominator, fmt_ratio, rat, ratio
+from .rationals import common_denominator, fmt, fmt_ratio, rat, ratio
 
 if TYPE_CHECKING:
     from .polytope import ConstraintSystem
@@ -267,22 +268,44 @@ class Measure:
         return {"weights": weights, "support": [labels[a] for a in self.support]}
 
 
+@dataclass(frozen=True)
+class SingleJump:
+    """A random time and a nonnegative mark, with tau = never exactly on {mark = 0}."""
+
+    tau: tuple[int | None, ...]  # per outcome; None means the jump never occurs
+    mark: tuple[Fraction, ...]  # per outcome
+
+    def __post_init__(self) -> None:
+        _check_vector("jump marks", self.mark, len(self.tau))
+        for t, x in zip(self.tau, self.mark):  # each x is an int or a Fraction: its sign is its numerator's
+            if x.numerator < 0:
+                raise InputError("marks must be nonnegative")
+            if (t is None) != (not x):
+                raise InputError("tau must be infinite exactly where the mark vanishes")
+
+    def to_json(self, model: FilteredModel) -> dict:
+        return {
+            "tau": {model.outcomes[w]: ("inf" if t is None else t) for w, t in enumerate(self.tau)},
+            "mark": {model.outcomes[w]: fmt(x) for w, x in enumerate(self.mark)},
+        }
+
+
+def _check_jump(jump: SingleJump, model: FilteredModel) -> None:
+    """Raise ShapeError unless the jump has one entry per outcome of the model and its times lie on the grid."""
+    _check_vector("jump marks", jump.mark, model.n_outcomes)
+    for t in jump.tau:
+        if t is not None:
+            _check_index("jump time", t, model.horizon + 1)
+
+
 class Violation(NamedTuple):
     code: str
     where: str
     message: str
 
 
-class ValidationReport(NamedTuple):
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_model(model: FilteredModel) -> ValidationReport:
-    """Check every structural invariant; an empty report means valid."""
+def validate_model(model: FilteredModel) -> tuple[Violation, ...]:
+    """Check every structural invariant; no violation means valid."""
     bad: list[Violation] = []
     n = model.n_outcomes
     times = model.times
@@ -370,7 +393,7 @@ def validate_model(model: FilteredModel) -> ValidationReport:
         if not 0 <= a < n_cells:
             bad.append(Violation("priors", "allowed", f"unknown terminal cell index {a}"))
 
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def is_constant_on(values: Sequence[Fraction], cell: Cell) -> bool:

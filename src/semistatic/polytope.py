@@ -29,7 +29,7 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .errors import ConstraintViolation, InvariantViolation, ShapeError
+from .errors import InvariantViolation, NotCalibrated, ShapeError
 from .model import FilteredModel, Measure, Payoff, _check_vector
 
 ZERO = Fraction(0)
@@ -95,24 +95,25 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
     return not any(sum(row.normal[a] * x for a, x in charged) for row in cs.rows)
 
 
-def is_extreme(measure: Measure, cs: ConstraintSystem) -> tuple[bool, ExtremalityCertificate]:
+def is_extreme(measure: Measure, cs: ConstraintSystem) -> ExtremalityCertificate:
     """Vertex test: the rows and the all-ones row must have independent columns on the support.
 
-    ``witness_rows`` indexes ``cs.rows``, the ones row being ``len(cs.rows)``.
-    On failure the certificate carries a nonzero direction d with Ad = 0,
+    The verdict is ``extreme``; ``witness_rows`` indexes ``cs.rows``, the ones row being ``len(cs.rows)``.
+    Otherwise the certificate carries a nonzero direction d with Ad = 0,
     sum d = 0 and support(d) inside support(Q), so Q +/- eps*d stays feasible.
+    A measure outside the system raises NotCalibrated.
     """
     if not member(measure, cs):
-        raise ConstraintViolation("measure does not satisfy the constraint system")
+        raise NotCalibrated("measure does not satisfy the constraint system")
     support = measure.support
     restricted = [[row.normal[a] for a in support] for row in cs.rows] + [[1] * len(support)]
     witness = linalg.independent_rows(restricted)
     if len(witness) == len(support):
-        return True, ExtremalityCertificate(True, witness_rows=tuple(witness))
+        return ExtremalityCertificate(True, witness_rows=tuple(witness))
     direction = [ZERO] * cs.n_cells
     for a, value in zip(support, linalg.nullspace(restricted)[0]):
         direction[a] = value
-    return False, ExtremalityCertificate(False, direction=tuple(direction))
+    return ExtremalityCertificate(False, direction=tuple(direction))
 
 
 def _double_description(normals: list[list[tuple[int, int]]], dim: int) -> list[tuple[int, ...]]:

@@ -13,8 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .enlargement import SingleJump
-from .model import FilteredModel, Measure, Partition, Payoff
+from .model import FilteredModel, Measure, Partition, Payoff, SingleJump
 from .polytope import VertexSet
 
 ZERO = Fraction(0)

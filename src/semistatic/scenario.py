@@ -19,13 +19,13 @@ import os
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .enlargement import SingleJump
 from .errors import SemistaticError
 from .model import (
     FilteredModel,
     Measure,
     Partition,
     Payoff,
+    SingleJump,
     int_table,
     is_constant_on,
     natural_filtration,
@@ -191,11 +191,11 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
-    report = validate_model(model)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate_model(model)
+    if violations:
+        first = violations[0]
         raise ScenarioError(
-            f"invalid model ({len(report.violations)} violations; first: {first.code} at {first.where}: {first.message})"
+            f"invalid model ({len(violations)} violations; first: {first.code} at {first.where}: {first.message})"
         )
     return Scenario(str(data.get("name", name_hint)), model, tuple(jumps), payoffs)
 

@@ -22,9 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import linalg
 from .errors import NotComplete, ShapeError
 from .hedging import decompose_unhedgeable
-from .model import (
-    FilteredModel, Measure, ValidationReport, Violation, _check_vector, cached_property, condexp_groups
-)
+from .model import FilteredModel, Measure, Violation, _check_vector, cached_property, condexp_groups
 from .rationals import common_denominator
 
 
@@ -141,8 +139,8 @@ def _price_moved(model: FilteredModel, cells: Iterable[int], k: int) -> bool:
     )
 
 
-def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> ValidationReport:
-    """Check the three defining properties of an atomic tree under Q.
+def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredModel) -> tuple[Violation, ...]:
+    """The violations of the three defining properties of an atomic tree under Q, none if it is one.
 
     Raises ShapeError when a node names an outcome outside the model.
     """
@@ -170,7 +168,7 @@ def validate_atomic_tree(tree: AtomicTree, measure: Measure, model: FilteredMode
             if cells[j] < cells[i] and masses[i] == masses[j]:  # a sub-node's mass is at most its node's
                 pair = f"{label} / {model.cell_label(other.cell)}"
                 bad.append(Violation("mass-drop", pair, "no strict mass drop between nested nodes"))
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def is_full(tree: AtomicTree, measure: Measure, model: FilteredModel) -> bool:
@@ -309,10 +307,9 @@ def extract_tree(measure: Measure, model: FilteredModel) -> AtomicTree | NoTree:
             leaves.extend(new_nodes)
 
     tree = AtomicTree(within)
-    report = validate_atomic_tree(tree, measure, model)
-    if not report.ok:
-        first = report.violations[0]
-        return NoTree(f"constructed nodes violate the tree axioms: {first.code} at {first.where}")
+    violations = validate_atomic_tree(tree, measure, model)
+    if violations:
+        return NoTree(f"constructed nodes violate the tree axioms: {violations[0].code} at {violations[0].where}")
     if not is_full(tree, measure, model):
         return NoTree("constructed tree is not full")
     if not check_theorem_conditions(tree, measure, model).ok:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator
 from . import bounds
 from .duality import _scan_vertices, superhedge
 from .enlargement import enlarge, informed_compare, jeulin_yor
-from .errors import EmptyMeasureSet
+from .errors import InvariantViolation
 from .hedging import is_semistatically_complete
 from .model import FilteredModel
 from .polytope import enumerate_extreme_points, is_extreme
@@ -58,14 +58,14 @@ def _jacod_yor_checks(model: FilteredModel, rng: random.Random, idx: int) -> Ite
     """Extremality against completeness on one model: ``None`` per measure where they agree as expected, else a failure.
 
     Every vertex must be both; every pairwise midpoint and the barycenter that
-    is not a vertex, neither; two random mixtures, both or neither.  An empty
-    measure set raises EmptyMeasureSet.
+    is not a vertex, neither; two random mixtures, both or neither.  ``sampling`` builds
+    each model with a calibrated measure, so an empty measure set raises InvariantViolation.
     """
     cs = model.constraints
     vertex_set = enumerate_extreme_points(cs)
     vertices = vertex_set.vertices
     if not vertices:
-        raise EmptyMeasureSet("no calibrated martingale measure exists")
+        raise InvariantViolation("no calibrated martingale measure exists")
     pairs = combinations(range(len(vertices)), 2)
     mixtures = [(f"midpoint {i},{j}", _mix([vertices[i], vertices[j]], [Fraction(1, 2)] * 2)) for i, j in pairs]
     if len(vertices) > 1:
@@ -74,7 +74,7 @@ def _jacod_yor_checks(model: FilteredModel, rng: random.Random, idx: int) -> Ite
     cases += [(name, mixture, False) for name, mixture in mixtures if mixture not in vertices]
     cases += [("random mixture", random_mixture(rng, vertex_set), None) for _ in range(2)]
     for case, measure, expected in cases:
-        extreme, _ = is_extreme(measure, cs)
+        extreme = is_extreme(measure, cs).extreme
         complete = is_semistatically_complete(measure, model).complete
         # a random mixture may be a vertex or not: only the agreement is expected
         agree = extreme == complete if expected is None else extreme == complete == expected

@@ -19,7 +19,7 @@ from semistatic.polytope import VertexSet
 from semistatic.scenario import canonical_json, load_scenario
 from tests.conftest import REPO, SCENARIOS, scenario_path
 from tests.decoders import strategy_from_json
-from tests.reference import strategy_columns
+from tests.reference import strategy_value
 from tests.test_duality import slacken_a_tight_cell
 from tests.test_layout import ARBITRAGE
 
@@ -186,12 +186,9 @@ def test_duality_prints_a_certificate_whose_holdings_pay_its_payoff(tmp_path, ca
     assert result["status"] == "arbitrage" and result["certificate"]["feasible"] is False
     model = load_scenario(path).model
     strategy = strategy_from_json(result["certificate"]["certificate"], model)
-    coordinates = (strategy.cash, *strategy.static, *strategy.dynamic)
-    # the payoff recomputed from the printed holdings on the Fraction columns, not by strategy_payoff
-    value = [sum(h * vec[a] for h, (_, vec) in zip(coordinates, strategy_columns(model))) for a in range(model.n_cells)]
-    assert value == [Fraction(x) for x in result["certificate"]["certificate_payoff"]]
+    value = strategy_value(strategy, model)  # recomputed from the printed holdings by the Fraction oracle
+    assert value == tuple(Fraction(x) for x in result["certificate"]["certificate_payoff"])
     assert strategy.cash == 0 and all(value[a] > 0 for a in model.allowed)
-
 
 
 def test_the_arbitrage_certificate_does_not_depend_on_the_int_scales(tmp_path, capsys):

@@ -301,7 +301,7 @@ def test_trace_identity_random():
         model, _ = random_model(rng)
         jump = random_jump(rng, model)
         enlarged = enlarge(model, [jump])
-        assert validate_model(enlarged.model).ok
+        assert validate_model(enlarged.model) == ()
         for k in range(model.horizon + 1):
             for cell in model.partitions[k].cells:
                 pre = [w for w in cell if jump.tau[w] is None or jump.tau[w] > k]
@@ -348,9 +348,9 @@ def test_informed_compare_zero_marks(trinomial):
 
 def test_informed_compare_arbitrage(informed_arbitrage):
     scenario = informed_arbitrage
-    report, _ = informed_compare(scenario.model, scenario.jumps, scenario.payoffs)
-    assert not report.uninformed_arbitrage
-    assert report.informed_arbitrage
+    report, enlarged = informed_compare(scenario.model, scenario.jumps, scenario.payoffs)
+    flags = report.to_json(enlarged)
+    assert (flags["claims_empty"], flags["uninformed_arbitrage"], flags["informed_arbitrage"]) == (False, False, True)
     assert [v.weights for v in report.ext_base.vertices] == [(F(1, 2), F(0), F(1, 2))]
     assert report.ext_enlarged.vertices == ()
 

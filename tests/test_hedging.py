@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic.errors import EmptyMeasureSet, NotCalibrated, NotComplete, ShapeError
+from semistatic.errors import InvariantViolation, NotCalibrated, NotComplete, ShapeError
 from semistatic.hedging import (
     NotReplicable,
     SemiStaticStrategy,
@@ -199,7 +199,7 @@ def test_verify_jacod_yor_empty(informed_arbitrage):
     from semistatic.enlargement import enlarge
 
     enlarged = enlarge(informed_arbitrage.model, informed_arbitrage.jumps)
-    with pytest.raises(EmptyMeasureSet):
+    with pytest.raises(InvariantViolation):
         next(_jacod_yor_checks(enlarged.model, random.Random(0), 0))
 
 

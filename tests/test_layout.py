@@ -169,10 +169,10 @@ def test_dataclasses_are_only_the_records_a_tuple_cannot_be():
         name: (True, True)
         for name in [
             "enlargement.EnlargedModel",
-            "enlargement.SingleJump",
             "model.FilteredModel",
             "model.Measure",
             "model.Partition",
+            "model.SingleJump",
             "polytope.ConstraintSystem",
             "tree.AtomicTree",
         ]
@@ -242,6 +242,20 @@ def test_the_exact_kernels_take_int_rows():
         assert not [module for module in imported if "rationals" in module.split(".")], name
         calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
         assert not [f for f in calls if getattr(f, "id", getattr(f, "attr", None)) == "common_denominator"], name
+
+
+def test_the_model_layer_imports_no_solver():
+    # a scenario is read into input records alone: as they load, scenario and model import no package module
+    # but errors, rationals and model (a model's constraints import polytope on first read, inside the property)
+    for name in ("scenario", "model"):
+        tree = ast.parse((REPO / "src" / "semistatic" / f"{name}.py").read_text())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update([node.module] if node.module else [alias.name for alias in node.names])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names if alias.name.startswith("semistatic"))
+        assert "errors" in imported and imported <= {"errors", "rationals", "model"}, (name, imported)
 
 
 # -- reach: every def in the package is called by one fixed CLI corpus, traced, or a listed failure path --

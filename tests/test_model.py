@@ -38,7 +38,7 @@ JUMP = SingleJump((1, None, None), (F(1), 0, 0))
 
 
 def test_validate_binomial(binomial):
-    assert validate_model(binomial.model).ok
+    assert validate_model(binomial.model) == ()
 
 
 def test_validate_flags_non_adapted():
@@ -54,8 +54,7 @@ def test_validate_flags_non_adapted():
         claims=(),
         allowed=frozenset({0}),
     )
-    report = validate_model(model)
-    assert any(v.code == "adapted" for v in report.violations)
+    assert any(v.code == "adapted" for v in validate_model(model))
 
 
 def test_validate_flags_refinement_failure():
@@ -68,8 +67,7 @@ def test_validate_flags_refinement_failure():
         claims=(),
         allowed=frozenset({0}),
     )
-    report = validate_model(model)
-    assert any(v.code == "refinement" for v in report.violations)
+    assert any(v.code == "refinement" for v in validate_model(model))
 
 
 @pytest.mark.parametrize("outside", [99, -1, 0.5, True, "0"])
@@ -93,8 +91,7 @@ def test_validate_flags_a_cell_naming_an_outcome_outside_the_model(outside):
         claims=(),
         allowed=frozenset({0, 1, 2}),
     )
-    report = validate_model(model)
-    assert [(v.code, v.where, v.message) for v in report.violations] == [
+    assert [(v.code, v.where, v.message) for v in validate_model(model)] == [
         ("partition", "P_1", f"cell names outcome index {outside} outside 0..2"),
         ("refinement", "P_1", "P_1 does not refine P_0"),
     ]
@@ -112,7 +109,7 @@ def test_validate_flags_a_bool_outcome_index(cells):
         claims=(),
         allowed=frozenset({0, 1}),  # a terminal cell index for either P_1
     )
-    assert [(v.code, v.where, v.message) for v in validate_model(model).violations] == [
+    assert [(v.code, v.where, v.message) for v in validate_model(model)] == [
         ("partition", f"P_{k}", "cell names outcome index True that is not an int") for k in (0, 1)
     ]
 
@@ -149,7 +146,7 @@ SINGLETONS = [[[0, 1, 2]], [[0], [1], [2]]]
     ids=["overlapping-cells", "repeated-outcome", "short-claim", "unknown-allowed-cell"],
 )
 def test_validate_flags_each_structural_violation(model, violation):
-    assert [(v.code, v.where, v.message) for v in validate_model(model).violations] == [violation]
+    assert [(v.code, v.where, v.message) for v in validate_model(model)] == [violation]
 
 
 def test_natural_filtration_trinomial(trinomial):
@@ -359,7 +356,7 @@ def test_natural_filtration_always_valid(seed):
     model, _ = random_model(rng)
     partitions = natural_filtration(fraction_prices(model))
     rebuilt = replace(model, partitions=partitions, int_claims=(), allowed=frozenset(range(len(partitions[-1].cells))))
-    assert validate_model(rebuilt).ok
+    assert validate_model(rebuilt) == ()
     for k, partition in enumerate(partitions):  # P_k groups outcomes by their whole price path up to k
         paths: dict[tuple, list[int]] = {}
         for w in range(model.n_outcomes):

@@ -29,7 +29,7 @@ def two_asset_model() -> FilteredModel:
 
 def test_valid_and_one_martingale_row_per_asset():
     model = two_asset_model()
-    assert validate_model(model).ok
+    assert validate_model(model) == ()
     cs = build_constraints(model)
     martingale_labels = [r.label for r in cs.rows if r.label[0] == "martingale"]
     assert martingale_labels == [("martingale", 1, 0, 0), ("martingale", 1, 0, 1)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from semistatic import linalg
 from semistatic import polytope
-from semistatic.errors import ConstraintViolation, InvariantViolation, ShapeError
+from semistatic.errors import InvariantViolation, NotCalibrated, ShapeError
 from semistatic.enlargement import enlarge
 from semistatic.model import Measure
 from semistatic.polytope import build_constraints, enumerate_extreme_points, is_extreme, member
@@ -81,10 +81,10 @@ def test_member_and_extreme_examples(trinomial):
     q1 = Measure((F(1, 2), F(0), F(1, 2)))
     q2 = Measure((F(1, 4), F(1, 2), F(1, 4)))
     assert member(q1, cs) and member(q2, cs)
-    ok, cert = is_extreme(q1, cs)
-    assert ok and cert.witness_rows is not None
-    ok, cert = is_extreme(q2, cs)
-    assert not ok
+    cert = is_extreme(q1, cs)
+    assert cert.extreme and cert.witness_rows is not None
+    cert = is_extreme(q2, cs)
+    assert not cert.extreme
     d = cert.direction
     assert dot(row_coeffs(cs.rows[0]), d) == 0 and sum(d) == 0 and any(x != 0 for x in d)
     assert all(w > 0 for w, x in zip(q2.weights, d) if x != 0)
@@ -92,14 +92,13 @@ def test_member_and_extreme_examples(trinomial):
 
 def test_is_extreme_rejects_non_member(trinomial):
     cs = build_constraints(trinomial.model)
-    with pytest.raises(ConstraintViolation):
+    with pytest.raises(NotCalibrated):
         is_extreme(Measure((F(1), F(0), F(0))), cs)
 
 
 def test_singleton_support_is_extreme(trinomial):
     cs = build_constraints(trinomial.model)
-    ok, _ = is_extreme(Measure((F(0), F(1), F(0))), cs)
-    assert ok
+    assert is_extreme(Measure((F(0), F(1), F(0))), cs).extreme
 
 
 def test_empty_polytope_detected(informed_arbitrage):
@@ -118,12 +117,11 @@ def test_vertices_pass_member_and_extreme(seed):
     assert vs.vertices, "generator guarantees a nonempty measure set"
     for v in vs.vertices:
         assert member(v, cs)
-        assert is_extreme(v, cs)[1].extreme
+        assert is_extreme(v, cs).extreme
     for v1, v2 in zip(vs.vertices, vs.vertices[1:]):
         mid = Measure(tuple((a + b) / 2 for a, b in zip(v1.weights, v2.weights)))
         assert member(mid, cs)
-        ok, _ = is_extreme(mid, cs)
-        assert not ok
+        assert not is_extreme(mid, cs).extreme
 
 
 @settings(max_examples=40, deadline=None)
@@ -240,7 +238,7 @@ def test_claim_free_ladder_vertices_are_kernel_products(b, horizon, count):
 def test_vertex_certificates_witness_the_support(glued_two_vol):
     cs = build_constraints(glued_two_vol.model)
     for v in enumerate_extreme_points(cs).vertices:
-        cert = is_extreme(v, cs)[1]
+        cert = is_extreme(v, cs)
         assert cert.extreme and len(cert.witness_rows) == len(v.support)
 
 

@@ -73,10 +73,9 @@ def _records() -> dict:
         replicate((F(0), F(1), F(0)), model.measure(["1/4", "1/2", "1/4"]), model),
         decomposition,
         decomposition.blocks[0],
-        validation,
-        validation.violations[0],
+        validation[0],
         model.constraints.rows[0],
-        is_extreme(vertex, model.constraints)[1],
+        is_extreme(vertex, model.constraints),
         enumerate_extreme_points(model.constraints),
         trinomial,
         solve_lp([1, 1], [[1, 1]], [1]),
@@ -107,8 +106,16 @@ def test_every_named_tuple_of_the_package_is_covered():
         for name, cls in vars(module).items()
         if inspect.isclass(cls) and issubclass(cls, tuple) and cls.__module__ == module.__name__
     }
-    assert len(RECORDS) == 25
+    assert len(RECORDS) == 24
     assert set(RECORDS) == found
+
+
+def test_a_verdict_the_fields_decide_is_not_stored():
+    # an emptiness flag stored beside the vertices it follows from could contradict them; to_json derives it
+    assert RECORDS["ArbitrageReport"]._fields == ("vertex_count", "certificate", "certificate_payoff")
+    flags = {"claims_empty", "uninformed_arbitrage", "informed_arbitrage"}
+    assert not flags & set(RECORDS["InformedCompareReport"]._fields)
+    assert RECORDS["ExtremalityCertificate"].extreme  # is_extreme returns the certificate alone
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

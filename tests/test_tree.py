@@ -49,13 +49,12 @@ def test_validate_tree_examples(trinomial):
     model = trinomial.model
     q = model.measure(["1/4", "1/2", "1/4"])
     root = TreeNode((0, 1, 2), 0)
-    assert validate_atomic_tree(AtomicTree([root]), q, model).ok
+    assert validate_atomic_tree(AtomicTree([root]), q, model) == ()
     good = AtomicTree([root, TreeNode((0,), 1)])
-    assert validate_atomic_tree(good, q, model).ok
+    assert validate_atomic_tree(good, q, model) == ()
     null_node = AtomicTree([root, TreeNode((0,), 1)])
     q_null_u = model.measure(["0", "1/2", "1/2"])
-    report = validate_atomic_tree(null_node, q_null_u, model)
-    assert any(v.code == "non-null" for v in report.violations)
+    assert any(v.code == "non-null" for v in validate_atomic_tree(null_node, q_null_u, model))
 
 
 @pytest.mark.parametrize("outside", [99, -1])
@@ -114,15 +113,14 @@ def test_validate_tree_flags_each_structural_violation(request, model, weights, 
     if isinstance(model, str):
         model = request.getfixturevalue(model).model
     tree = AtomicTree([TreeNode(cell, birth) for cell, birth in nodes])
-    report = validate_atomic_tree(tree, model.measure(weights), model)
-    assert [(v.code, v.where, v.message) for v in report.violations] == [violation]
+    violations = validate_atomic_tree(tree, model.measure(weights), model)
+    assert [(v.code, v.where, v.message) for v in violations] == [violation]
 
 
 def test_validate_tree_birth_mismatch(trinomial):
     model = trinomial.model
     q = model.measure(["1/4", "1/2", "1/4"])
-    report = validate_atomic_tree(AtomicTree([TreeNode((0, 1, 2), 1)]), q, model)
-    assert any(v.code == "birth" for v in report.violations)
+    assert any(v.code == "birth" for v in validate_atomic_tree(AtomicTree([TreeNode((0, 1, 2), 1)]), q, model))
 
 
 def test_is_full_examples(trinomial, glued_two_vol):
@@ -283,7 +281,7 @@ def test_extract_validates_and_checks_conditions(glued_two_vol):
     model = glued_two_vol.model
     q = enumerate_extreme_points(build_constraints(model)).vertices[0]
     tree = extract_tree(q, model)
-    assert validate_atomic_tree(tree, q, model).ok
+    assert validate_atomic_tree(tree, q, model) == ()
     assert is_full(tree, q, model)
     assert check_theorem_conditions(tree, q, model).ok
 
@@ -392,7 +390,7 @@ def test_condition_i_fails_wherever_the_claim_residual_is_not_replicable():
         model = random_model(rng, n_claims=rng.randint(1, 2))[0]
         for q in enumerate_extreme_points(model.constraints).vertices:
             for tree in candidate_trees(model):
-                if validate_atomic_tree(tree, q, model).ok and is_full(tree, q, model):
+                if not validate_atomic_tree(tree, q, model) and is_full(tree, q, model):
                     if not residual_replicable(tree, q, model):
                         failing += 1
                         assert not check_theorem_conditions(tree, q, model).leaves_ok
@@ -595,7 +593,7 @@ def drawn_model(seed, split):
 @given(st.integers(0, 10**6), st.booleans())
 def test_event_lookup_matches_the_set_based_reference(seed, split):
     rng, model = drawn_model(seed, split)
-    assert validate_model(model).ok
+    assert validate_model(model) == ()
     measures = [random_measure(rng, model) for _ in range(2)]
     splits_a_cell = False
     for event in drawn_events(rng, model):
