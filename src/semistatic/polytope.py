@@ -98,8 +98,8 @@ def member(measure: Measure, cs: ConstraintSystem) -> bool:
 def is_extreme(measure: Measure, cs: ConstraintSystem) -> ExtremalityCertificate:
     """Vertex test: the rows and the all-ones row must have independent columns on the support.
 
-    The verdict is ``extreme``; ``witness_rows`` indexes ``cs.rows``, the ones row being ``len(cs.rows)``.
-    Otherwise the certificate carries a nonzero direction d with Ad = 0,
+    The certificate's ``extreme`` is the verdict.  A vertex's ``witness_rows`` index ``cs.rows``, the
+    ones row being ``len(cs.rows)``; any other measure's carries a nonzero direction d with Ad = 0,
     sum d = 0 and support(d) inside support(Q), so Q +/- eps*d stays feasible.
     A measure outside the system raises NotCalibrated.
     """
